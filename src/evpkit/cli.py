@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 solved and certified, 2 hypothesis or premise failure (named
-in the report), 3 input error. Human-readable reports go to stdout; pass
-``--out`` to also write the machine block (full certificates included, so
-external tools can re-verify without this library).
+in the report), 3 input error, 4 the LP kernel hit its iteration cap (status
+``lp_error``). Human-readable reports go to stdout; pass ``--out`` to also
+write the machine block (full certificates included, so external tools can
+re-verify without this library).
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import time
 from . import io as kit_io
 from . import product as prod
 from . import solvers
-from .errors import EvpkitError, HypothesisError, InputError, PremiseError
+from .errors import (EvpkitError, HypothesisError, InputError,
+                     LinearProgramError, PremiseError)
 from .geometry import Polytope, singleton, strictly_positive_functional
 from .instances import check_assumptions
 from .io import Report, render
@@ -223,6 +225,8 @@ def _report_for_error(command, path, exc, started, theorem=None, tol=None):
         status, code = "premise_failed", 2
     elif isinstance(exc, HypothesisError):
         status, code = "hypothesis_failed", 2
+    elif isinstance(exc, LinearProgramError):
+        status, code = "lp_error", 4
     else:
         raise exc
     payload = {"error": str(exc)}

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Exit-code mapping used by the CLI: InputError -> 3, HypothesisError and
-PremiseError -> 2, anything else is a bug.
+PremiseError -> 2, LinearProgramError -> 4 (report status ``lp_error``),
+anything else is a bug.
 """
 
 

@@ -90,7 +90,9 @@ def _phase1(M, rhs, tol):
         col = T[:m, entering]
         rows = np.nonzero(col > _PIVOT_EPS)[0]
         if rows.size == 0:
-            return None
+            # the phase-1 objective is bounded below, so an unbounded column
+            # is round-off: stop and let the artificial sum decide
+            break
         ratios = T[rows, -1] / col[rows]
         best = ratios.min()
         ties = rows[ratios <= best + _PIVOT_EPS]
@@ -310,54 +312,53 @@ def cone_contains(C: PolyhedralCone, y, tol=DEFAULT_TOL):
     return bool(np.all(C.halfspaces @ y >= -tol))
 
 
-def _cone_contains_many(C, Y, tol):
-    """Row-wise cone membership for a stack of points (no validation)."""
-    return np.all(Y @ C.halfspaces.T >= -tol, axis=1)
+def screen_members(Y, B, S, V, nv, C: PolyhedralCone, tol=DEFAULT_TOL):
+    """The cheap tests of :func:`minkowski_member` for a stack of queries
+    ``Y[q] in B[q] + S[q] * conv(V[q]) + C``.
 
+    Leading axes broadcast: ``Y`` is ``(..., m)``, ``B`` ``(..., nb, m)``,
+    ``S`` and ``nv`` ``(...)``, ``V`` ``(..., J, m)`` or None when no
+    polytope is given. ``nv`` counts the real vertices of ``V``; padding rows
+    of ``V`` and ``B`` must repeat an existing row, which leaves every
+    any/all test unchanged. Three tests run on all queries at once: the cone
+    test when the scale is at most ``tol``, the single-vertex sufficient
+    test, and the conv(V) inside C necessary filter.
 
-def minkowski_member(y, base, scale, H: Polytope | None, C: PolyhedralCone,
-                     tol=DEFAULT_TOL):
-    """Membership of ``y`` in ``base + scale*conv(H) + C``.
-
-    True iff some base point ``b`` and convex weights over the vertices of H
-    put ``y - b - scale * sum(w_j h_j)`` inside C. With H absent (or zero
-    scale) this reduces to ``y - b in C``. Decided per base point: cheap
-    single-vertex checks first, then exact LP feasibility.
+    Returns ``(decided, answer, candidates)``: ``answer`` is meaningful
+    where ``decided``; ``candidates`` marks the base rows an undecided query
+    still has to test with the LP (:func:`lp_member`).
     """
-    y = as_point(y, C.dim)
-    B = _as_matrix(base, m=C.dim, name="base") if len(base) else None
-    if B is None:
-        raise InputError("empty base set")
-    if scale < 0:
-        raise InputError("scale must be nonnegative")
+    A_T = C.halfspaces.T
+    rows = (Y[..., None, :] - B) @ A_T                  # A(y - b)
+    in_cone = rows.min(axis=-1) >= -tol
+    found = in_cone.any(axis=-1)
+    if V is None:
+        return np.ones(found.shape, dtype=bool), found, in_cone
+    AV = V @ A_T                                        # A v
+    h_in = AV.min(axis=(-2, -1)) >= -tol
+    # A(y - b - S v) for every base row and vertex
+    slack = (rows[..., :, None, :]
+             - S[..., None, None, None] * AV[..., None, :, :])
+    hit = (slack.min(axis=-1) >= -tol).any(axis=(-2, -1))
+    cone_only = S <= tol
+    # one vertex: the single-vertex test was exact; conv(V) inside C: then
+    # S*conv(V) + C lies in C, so a base row outside C - y cannot help
+    rejected = (nv == 1) | (h_in & ~found)
+    decided = cone_only | hit | rejected
+    answer = np.where(cone_only, found, hit)
+    candidates = in_cone | ~h_in[..., None]
+    return decided, answer, candidates
 
-    diffs = y[None, :] - B
-    if H is None or scale <= tol:
-        return bool(np.any(_cone_contains_many(C, diffs, tol)))
 
-    V = H.vertices
-    if V.shape[1] != C.dim:
-        raise InputError("polytope dimension does not match the cone")
-    # single-vertex sufficient check: y - b - scale*v in C for some vertex v
-    for v in V:
-        if np.any(_cone_contains_many(C, diffs - scale * v, tol)):
-            return True
-    if V.shape[0] == 1:
-        return False
-    # necessary filter when conv(H) sits inside C: then scale*H + C <= C
-    if np.all(_cone_contains_many(C, V, tol)):
-        candidate_rows = np.nonzero(_cone_contains_many(C, diffs, tol))[0]
-        if candidate_rows.size == 0:
-            return False
-    else:
-        candidate_rows = range(diffs.shape[0])
-
+def lp_member(y, B, scale, V, C: PolyhedralCone, tol, rows):
+    """Exact LP part of :func:`minkowski_member` over the candidate base
+    rows (in order): convex weights w with ``y - B[r] - scale * V^T w`` in C.
+    """
     A = C.halfspaces
     AV = A @ V.T  # k x J
-    J = V.shape[0]
-    ones = np.ones((1, J))
-    for r in candidate_rows:
-        target = A @ diffs[r]
+    ones = np.ones((1, V.shape[0]))
+    for r in rows:
+        target = A @ (y - B[r])
         # weights w >= 0, sum w = 1, A(y-b) - scale*AV w >= -tol
         witness = _feasible_nonneg(
             A_eq=ones, b_eq=np.array([1.0]),
@@ -367,6 +368,64 @@ def minkowski_member(y, base, scale, H: Polytope | None, C: PolyhedralCone,
         if witness is not None:
             return True
     return False
+
+
+def stack_vertices(polytopes):
+    """Vertex arrays of several polytopes as one ``(P, J, m)`` stack plus
+    the real vertex counts; shorter lists are padded by repeating their last
+    vertex, as :func:`screen_members` requires."""
+    counts = np.array([P.vertices.shape[0] for P in polytopes])
+    J = counts.max()
+    stack = np.array([
+        P.vertices if c == J
+        else np.vstack([P.vertices] + [P.vertices[-1:]] * (J - c))
+        for P, c in zip(polytopes, counts)])
+    return stack, counts
+
+
+def first_uncovered(decided, answer, lp):
+    """Index of the first uncovered query of a flat, ordered stack, or None.
+
+    ``decided``/``answer`` come from :func:`screen_members`. Undecided
+    queries before the first decided failure are settled by ``lp(q)`` in
+    order, so no LP runs that a query-by-query loop would have skipped.
+    """
+    fails = np.flatnonzero(decided & ~answer)
+    stop = int(fails[0]) if fails.size else None
+    for q in np.flatnonzero(~decided[:stop]):
+        if not lp(int(q)):
+            return int(q)
+    return stop
+
+
+def minkowski_member(y, base, scale, H: Polytope | None, C: PolyhedralCone,
+                     tol=DEFAULT_TOL):
+    """Membership of ``y`` in ``base + scale*conv(H) + C``.
+
+    True iff some base point ``b`` and convex weights over the vertices of H
+    put ``y - b - scale * sum(w_j h_j)`` inside C. With H absent (or zero
+    scale) this reduces to ``y - b in C``. The cheap tests of
+    :func:`screen_members` run first; an undecided query goes to exact LP
+    feasibility per candidate base point.
+    """
+    y = as_point(y, C.dim)
+    B = _as_matrix(base, m=C.dim, name="base") if len(base) else None
+    if B is None:
+        raise InputError("empty base set")
+    if scale < 0:
+        raise InputError("scale must be nonnegative")
+
+    if H is None or scale <= tol:
+        _, answer, _ = screen_members(y, B, None, None, None, C, tol)
+        return bool(answer)
+    V = H.vertices
+    if V.shape[1] != C.dim:
+        raise InputError("polytope dimension does not match the cone")
+    decided, answer, candidates = screen_members(
+        y, B, np.float64(scale), V, V.shape[0], C, tol)
+    if decided:
+        return bool(answer)
+    return lp_member(y, B, scale, V, C, tol, np.nonzero(candidates)[0])
 
 
 def polytope_contains(P: Polytope, y, tol=DEFAULT_TOL):

@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import (DEFAULT_TOL, PolyhedralCone, Polytope, as_point,
-                       cone_contains, minkowski_member, singleton,
-                       validate_direction_set)
+                       cone_contains, first_uncovered, lp_member,
+                       minkowski_member, screen_members, singleton,
+                       stack_vertices, validate_direction_set)
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +375,47 @@ def preceq(inst: FiniteInstance, fam, x2, x1):
 
 
 def relation_matrix(inst: FiniteInstance, fam):
-    """rel[i, j] = True iff labels[i] precedes labels[j] in the order."""
+    """rel[i, j] = True iff labels[i] precedes labels[j] in the order.
+
+    Decided one row (one x2) at a time: :func:`screen_members` runs the
+    cheap tests on every (x1, family set, value) query of the row at once;
+    a pair with a screened failure is out, and the undecided queries of the
+    other pairs go to the LP in :func:`preceq`'s loop order until one is
+    uncovered.
+    """
     labels = inst.labels
     n = len(labels)
+    C, tol = inst.cone, inst.tol
     rel = np.zeros((n, n), dtype=bool)
     for i, x2 in enumerate(labels):
-        for j, x1 in enumerate(labels):
-            rel[i, j] = preceq(inst, fam, x2, x1)
+        base = inst.fmap.at(x2)
+        sets = [(j, scale, H) for j, x1 in enumerate(labels)
+                for _, scale, H in fam.sets(inst.space, x2, x1)]
+        values = [inst.fmap.at(labels[j]) for j, _, _ in sets]
+        # one query per (set, value), sets in label order
+        q_set = np.repeat(np.arange(len(sets)), [len(v) for v in values])
+        q_pair = np.array([j for j, _, _ in sets])[q_set]
+        Y = np.concatenate(values)
+        S = np.array([scale for _, scale, _ in sets])[q_set]
+        if np.any(S < 0):
+            raise InputError("scale must be nonnegative")
+        polys = [H for _, _, H in sets]
+        if all(H is polys[0] for H in polys):
+            V, nv = polys[0].vertices, polys[0].vertices.shape[0]
+        else:
+            V, nv = stack_vertices(polys)
+            V, nv = V[q_set], nv[q_set]
+        decided, answer, candidates = screen_members(Y, base, S, V, nv, C,
+                                                     tol)
+        row = np.ones(n, dtype=bool)
+        row[q_pair[decided & ~answer]] = False
+        for q in np.flatnonzero(~decided):
+            j = q_pair[q]
+            if row[j] and not lp_member(
+                    Y[q], base, S[q], polys[q_set[q]].vertices, C, tol,
+                    np.flatnonzero(candidates[q])):
+                row[j] = False
+        rel[i] = row
     return rel
 
 
@@ -393,8 +428,10 @@ def ti_check(inst: FiniteInstance, fam):
     """Triangle-inclusion property of the family over all label triples.
 
     Structured distance-scaled families reduce to scaled-polytope inclusions
-    per triple; an extensional family is searched exhaustively over its index
-    set. Returns ``(True, None)`` or ``(False, witness_triple)``.
+    per triple, screened one x1 at a time by :func:`screen_members`; an
+    extensional family is searched exhaustively over its index set. Returns
+    ``(True, None)`` or ``(False, witness_triple)``, the first failing
+    triple in (x1, x2, x3) order.
     """
     labels = inst.labels
     space = inst.space
@@ -410,32 +447,54 @@ def ti_check(inst: FiniteInstance, fam):
                             return False, (x1, x2, x3, lam)
         return True, None
     # distance-scaled: sum-scale polytope must embed in target-scale + cone
-    for x1 in labels:
-        for x2 in labels:
-            for x3 in labels:
-                (_, s12, H) = fam.sets(space, x1, x2)[0]
-                (_, s23, _) = fam.sets(space, x2, x3)[0]
-                (_, s13, _) = fam.sets(space, x1, x3)[0]
-                s = s12 + s23
-                if s <= tol and s13 <= tol:
-                    continue
-                for v in H.vertices:
-                    if not minkowski_member(s * v, [np.zeros(C.dim)], s13, H,
-                                            C, tol):
-                        return False, (x1, x2, x3, "*")
+    n = len(labels)
+    S = np.array([[fam.sets(space, a, b)[0][1] for b in labels]
+                  for a in labels])
+    (_, _, H) = fam.sets(space, labels[0], labels[0])[0]
+    V = H.vertices
+    J = V.shape[0]
+    zero = np.zeros((1, C.dim))
+    for a, x1 in enumerate(labels):
+        # queries (x2, x3, vertex v): (s12 + s23) v in s13 H + C
+        s = S[a][:, None] + S
+        s13 = np.broadcast_to(S[a], s.shape)
+        skip = ((s <= tol) & (s13 <= tol))[..., None]
+        negative = ((s13 < 0)[..., None]) & ~skip
+        Y = s[..., None, None] * V
+        decided, answer, candidates = screen_members(
+            Y, zero, s13[..., None], V, J, C, tol)
+        decided = (decided | skip) & ~negative
+        answer = answer | skip
+
+        def lp(q):
+            b, c, v = np.unravel_index(q, (n, n, J))
+            if s13[b, c] < 0:
+                raise InputError("scale must be nonnegative")
+            return lp_member(Y[b, c, v], zero, s13[b, c], V, C, tol,
+                             np.flatnonzero(candidates[b, c, v]))
+
+        q = first_uncovered(decided.ravel(), answer.ravel(), lp)
+        if q is not None:
+            b, c, _ = np.unravel_index(q, (n, n, J))
+            return False, (x1, labels[b], labels[c], "*")
     return True, None
 
 
 def _ti_search(fam, space, C, tol, x1, x2, x3, target):
-    zero = [np.zeros(C.dim)]
+    zero = np.zeros((1, C.dim))
+    V = target.vertices
     for mu in fam.lambdas():
         for nu in fam.lambdas():
             F12 = fam.table[(mu, x1, x2)]
             F23 = fam.table[(nu, x2, x3)]
-            ok = all(
-                minkowski_member(u + v, zero, 1.0, target, C, tol)
-                for u in F12.vertices for v in F23.vertices)
-            if ok:
+            # every u + v must lie in target + C, u-major as in the sets
+            Y = (F12.vertices[:, None, :] + F23.vertices[None, :, :]).reshape(
+                -1, C.dim)
+            decided, answer, candidates = screen_members(
+                Y, zero, np.float64(1.0), V, V.shape[0], C, tol)
+            if first_uncovered(decided, answer, lambda q: lp_member(
+                    Y[q], zero, 1.0, V, C, tol,
+                    np.flatnonzero(candidates[q]))) is None:
                 return True
     return False
 
@@ -510,15 +569,24 @@ class AssumptionReport:
         }
 
 
-def check_assumptions(inst: FiniteInstance, fam, xi, x0):
+def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None):
     """Evaluate every named hypothesis by enumeration.
 
-    Infima of a linear functional over polytopes are taken over vertices; the
-    separation conditions are linear-functional-only and are reported as None
-    for nonlinear scalarizations.
+    Lower sections are read from the order matrix ``rel`` (as built by
+    :func:`relation_matrix`, which runs when it is not given). Infima of a
+    linear functional over polytopes are taken over vertices; the separation
+    conditions are linear-functional-only and are reported as None for
+    nonlinear scalarizations.
     """
     tol = inst.tol
-    section = s_set(inst, fam, x0)
+    labels = inst.labels
+    if rel is None:
+        rel = relation_matrix(inst, fam)
+
+    def lower_section(x):
+        return [labels[i] for i in np.flatnonzero(rel[:, inst.space.index(x)])]
+
+    section = lower_section(x0)
     if not section:
         return AssumptionReport(
             start=x0, section=[], bounded=False, inf_value=math.inf,
@@ -536,7 +604,7 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0):
     for x in section:
         if not math.isfinite(eta[x]):
             continue
-        for xp in s_set(inst, fam, x):
+        for xp in lower_section(x):
             if xp == x:
                 continue
             if not eta[x] - eta[xp] > tol:

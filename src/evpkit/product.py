@@ -18,8 +18,9 @@ import numpy as np
 from . import engine as eng
 from .errors import HypothesisError, InputError, PremiseError
 from .geometry import (DEFAULT_TOL, PolyhedralCone, Polytope, as_point,
-                       cone_contains, minkowski_member, polytope_contains,
-                       singleton)
+                       cone_contains, first_uncovered, lp_member,
+                       minkowski_member, polytope_contains, screen_members,
+                       singleton, stack_vertices)
 from .instances import MetricSpace
 from .scalarize import GerstewitzFn
 from .solvers import Conclusion, _jsonable
@@ -192,25 +193,36 @@ def validate_fmap(pi: ProductInstance, fm: FMap):
             raise HypothesisError(
                 "reflexive_zero",
                 f"pair-map value at ({x!r}, {x!r}) does not contain 0")
-    # triangle inclusion on all label triples
-    for x1 in base.labels:
-        for x2 in base.labels:
-            for x3 in base.labels:
-                s12, H12 = fm.value_set(x1, x2)
-                s23, H23 = fm.value_set(x2, x3)
-                s13, H13 = fm.value_set(x1, x3)
-                for u in H12.vertices:
-                    for v in H23.vertices:
-                        w = s12 * u + s23 * v
-                        if s13 <= tol:
-                            ok = cone_contains(C, w, tol)
-                        else:
-                            ok = minkowski_member(w, [zero], s13, H13, C, tol)
-                        if not ok:
-                            raise HypothesisError(
-                                "triangle_inclusion",
-                                "pair map fails the triangle inclusion",
-                                witness={"triple": (x1, x2, x3)})
+    # triangle inclusion on all label triples, screened one x1 at a time:
+    # queries (x2, x3, u, v) ask s12 u + s23 v in s13 H13 + C
+    labels = base.labels
+    S, P, counts = _pair_tensor(fm, labels)
+    k = np.arange(P.shape[2])
+    origin = np.zeros((1, C.dim))
+    for a, x1 in enumerate(labels):
+        W = (S[a][:, None, None, None, None] * P[a][:, None, :, None, :]
+             + S[:, :, None, None, None] * P[:, :, None, :, :])
+        real = ((k[:, None] < counts[a][:, None, None, None])
+                & (k < counts[:, :, None, None]))
+        # the target s13 H13 depends on x3 only
+        decided, answer, candidates = screen_members(
+            W, origin, S[a][None, :, None, None], P[a][None, :, None, None],
+            counts[a][None, :, None, None], C, tol)
+
+        def lp(q):
+            b, c, u, v = np.unravel_index(q, real.shape)
+            return lp_member(W[b, c, u, v], origin, S[a, c],
+                             fm.value_set(x1, labels[c])[1].vertices, C, tol,
+                             np.flatnonzero(candidates[b, c, u, v]))
+
+        q = first_uncovered((decided | ~real).ravel(),
+                            (answer | ~real).ravel(), lp)
+        if q is not None:
+            b, c, _, _ = np.unravel_index(q, real.shape)
+            raise HypothesisError(
+                "triangle_inclusion",
+                "pair map fails the triangle inclusion",
+                witness={"triple": (x1, labels[b], labels[c])})
     # additivity of the scalarization on pair-map values
     xi = fm.xi
     if not getattr(xi, "is_linear", False):
@@ -237,6 +249,17 @@ def validate_fmap(pi: ProductInstance, fm: FMap):
             "values at positive distance", witness={"zeta": margin})
     return {"reflexive_zero": True, "triangle_inclusion": True,
             "additive_scalarization": True, "zeta": margin}
+
+
+def _pair_tensor(fm: FMap, labels):
+    """The pair map over all label pairs as arrays: scales ``(n, n)``, the
+    padded vertex stacks ``(n, n, J, m)`` and the real vertex counts."""
+    n = len(labels)
+    entries = [fm.value_set(x2, x1) for x2 in labels for x1 in labels]
+    V, counts = stack_vertices([H for _, H in entries])
+    scales = np.array([scale for scale, _ in entries], dtype=float)
+    return (scales.reshape(n, n), V.reshape(n, n, *V.shape[1:]),
+            counts.reshape(n, n))
 
 
 def zeta(fm: FMap, delta, base: MetricSpace, tol=DEFAULT_TOL):
@@ -325,18 +348,44 @@ class ProductCertificate:
 
 
 def _graph_oracle(pi, fm):
-    """Engine oracle over graph pair indices under the strict order."""
+    """Engine oracle over graph pair indices under the strict order.
+
+    ``rel[i, j]`` is :func:`prec_fstar` of pairs i and j: the anchored
+    scalarization is evaluated once per pair, coverage is screened one label
+    of pair i at a time by :func:`screen_members`, and only undecided pairs
+    with a strict drop go to the LP.
+    """
     pairs = pi.graph
     n = len(pairs)
-    rel = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            rel[i, j] = prec_fstar(pi, fm, pairs[i], pairs[j])
-    successors = {j: [i for i in range(n) if rel[i, j]] for j in range(n)}
+    C, tol = pi.cone, pi.tol
+    labels = pi.base.labels
+    S, P, counts = _pair_tensor(fm, labels)
+    lab = np.array([pi.base.index(x) for x, _ in pairs])
+    Y = np.array([y for _, y in pairs])
     y0 = pi.y0
-    eta = {i: fm.xi.value(pairs[i][1] - y0) for i in range(n)}
-    labels = tuple(range(n))
-    return eng.PreorderOracle(labels, successors, eta), rel
+    eta = [fm.xi.value(y - y0) for _, y in pairs]
+    eta_arr = np.array(eta)
+    rel = np.zeros((n, n), dtype=bool)
+    for a in np.unique(lab):
+        rows = np.flatnonzero(lab == a)
+        same = rows[:, None] == np.arange(n)
+        if np.any((S[a, lab] < 0) & ~same):
+            raise InputError("scale must be nonnegative")
+        decided, covered, candidates = screen_members(
+            Y[None], Y[rows][:, None, None, :], S[a, lab][None],
+            P[a, lab][None], counts[a, lab][None], C, tol)
+        strict = (eta_arr[None, :] - eta_arr[rows][:, None] > tol) & ~same
+        block = same | (strict & decided & covered)
+        for r, j in zip(*np.nonzero(strict & ~decided)):
+            block[r, j] = lp_member(
+                Y[j], Y[rows[r]][None], S[a, lab[j]],
+                fm.value_set(labels[a], pairs[j][0])[1].vertices, C, tol,
+                np.flatnonzero(candidates[r, j]))
+        rel[rows] = block
+    successors = {j: [i for i in range(n) if rel[i, j]] for j in range(n)}
+    labels_idx = tuple(range(n))
+    return eng.PreorderOracle(labels_idx, successors,
+                              dict(enumerate(eta))), rel
 
 
 def _start_index(pi):

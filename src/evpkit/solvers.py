@@ -131,7 +131,7 @@ def _gate(inst, fam, xi, x0, require_section=True):
     if require_section and not oracle.section(x0):
         raise HypothesisError("nonempty_start",
                               f"the lower section of {x0!r} is empty")
-    report = check_assumptions(inst, fam, xi, x0)
+    report = check_assumptions(inst, fam, xi, x0, rel)
     if not report.solvable():
         raise HypothesisError(report.failed_name(),
                               "assumption gate failed",

@@ -1,0 +1,56 @@
+"""Defined outcomes at the edges of the LP kernel: no false infeasibility
+from round-off in phase 1, and a report with exit code 4 when the simplex
+iteration cap is hit."""
+
+import json
+
+import numpy as np
+from scipy.optimize import linprog
+
+from evpkit import geometry
+from evpkit.cli import run_command
+from evpkit.geometry import strictly_positive_functional
+
+from conftest import direction_polytope, fixture_path, generated_bundle
+
+
+def test_phase1_round_off_is_not_infeasibility():
+    """The pooled extensional vertices of this instance once drove phase 1
+    into a column with no entry above the pivot threshold after hundreds of
+    pivots; that was read as infeasible although a functional exists."""
+    bundle = generated_bundle(0, n=14, m=3, values_per_point=1,
+                              variant="extensional")
+    H = direction_polytope(bundle)
+    C = bundle.instance.cone
+    tol = bundle.tol
+    A = C.halfspaces
+    V = H.vertices
+
+    # HiGHS: some mu >= 0 gives (A^T mu) . h >= 1 on every vertex
+    res = linprog(np.zeros(A.shape[0]), A_ub=-(V @ A.T),
+                  b_ub=-np.ones(V.shape[0]), bounds=(0, None), method="highs")
+    assert res.status == 0
+
+    xi = strictly_positive_functional(H, C, tol)
+    assert xi is not None
+    w = xi.weights
+    assert np.all(V @ w >= 1 - tol)
+    # w lies in the dual cone: w = A^T mu for some mu >= 0
+    res = linprog(np.zeros(A.shape[0]), A_eq=A.T, b_eq=w, bounds=(0, None),
+                  method="highs")
+    assert res.status == 0
+
+
+def test_lp_iteration_cap_gives_report_and_exit_4(monkeypatch, tmp_path):
+    monkeypatch.setattr(geometry, "_MAX_SIMPLEX_ITERATIONS", 0)
+    out = tmp_path / "r.json"
+    code, reports = run_command(["solve-evp", "--theorem", "3.1",
+                                 fixture_path("two_point.json"),
+                                 "--out", str(out)])
+    assert code == 4
+    assert len(reports) == 1
+    assert reports[0].status == "lp_error"
+    assert reports[0].exit_code == 4
+    assert "iteration cap" in reports[0].payload["error"]
+    doc = json.loads(out.read_text())
+    assert doc["reports"][0]["status"] == "lp_error"

@@ -1,0 +1,119 @@
+"""Golden outputs: normalized ``--out`` reports of the CLI on the fixtures and
+on seeded generated instances must be reproduced byte for byte.
+
+Each case is one ``run_command`` call; its ``--out`` JSON is normalized by
+dropping ``timing_s`` and reducing instance paths to their file names. To
+rewrite the stored files after a deliberate change of behaviour, run
+``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
+"""
+
+import json
+import os
+import sys
+
+import pytest
+
+from evpkit.cli import run_command
+from evpkit.io import generate
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden")
+FIXTURES = os.path.join(HERE, os.pardir, "fixtures")
+FIXTURE_NAMES = ("bad_triangle.json", "h_outside_cone.json", "pareto_demo.json",
+                 "premise_fail.json", "tight_bound.json", "two_point.json")
+
+# (name, argv without paths, inputs): an input is a fixture file name or a
+# generate profile (seed, n, m, values, variant)
+_EVP = ("3.1", "3.5", "3.6", "4.1", "4.2", "4.4", "4.5", "4.6")
+CASES = (
+    [(f"fixtures-solve-evp-{th}", ["solve-evp", "--theorem", th],
+      FIXTURE_NAMES) for th in _EVP]
+    + [(f"fixtures-solve-minimal-point-{th}",
+        ["solve-minimal-point", "--theorem", th], FIXTURE_NAMES)
+       for th in ("5.1", "5.2", "5.6")]
+    + [(f"fixtures-check-assumptions-{xi}", ["check-assumptions", "--xi", xi],
+        FIXTURE_NAMES) for xi in ("linear", "gerstewitz")]
+    + [
+        ("gen-3.1-singleton", ["solve-evp", "--theorem", "3.1"],
+         [(101, 6, 2, 2, "singleton"), (102, 7, 3, 3, "singleton"),
+          (103, 5, 1, 2, "singleton")]),
+        ("gen-3.1-polytope", ["solve-evp", "--theorem", "3.1"],
+         [(111, 6, 2, 2, "polytope"), (112, 7, 3, 2, "open_polytope")]),
+        ("gen-3.1-quasimetric", ["solve-evp", "--theorem", "3.1"],
+         [(121, 6, 3, 2, "quasimetric"), (122, 5, 2, 3, "quasimetric")]),
+        ("gen-3.1-extensional", ["solve-evp", "--theorem", "3.1"],
+         [(131, 5, 2, 2, "extensional"), (132, 6, 3, 2, "extensional")]),
+        ("gen-3.1-faithful", ["solve-evp", "--theorem", "3.1", "--mode",
+                              "faithful"], [(141, 6, 2, 2, "polytope")]),
+        ("gen-4.1", ["solve-evp", "--theorem", "4.1"],
+         [(151, 7, 3, 2, "open_polytope"), (152, 6, 2, 2, "singleton")]),
+        ("gen-4.2", ["solve-evp", "--theorem", "4.2"],
+         [(161, 7, 3, 2, "polytope"), (162, 6, 1, 2, "polytope")]),
+        ("gen-4.4", ["solve-evp", "--theorem", "4.4"],
+         [(171, 7, 3, 2, "quasimetric"), (172, 6, 2, 3, "quasimetric")]),
+        ("gen-5.1", ["solve-minimal-point", "--theorem", "5.1"],
+         [(181, 6, 3, 2, "polytope"), (182, 5, 2, 3, "quasimetric")]),
+        ("gen-5.2", ["solve-minimal-point", "--theorem", "5.2"],
+         [(191, 6, 3, 2, "polytope"), (192, 5, 2, 2, "open_polytope")]),
+        ("gen-5.6", ["solve-minimal-point", "--theorem", "5.6"],
+         [(201, 6, 2, 2, "singleton"), (202, 5, 3, 2, "singleton")]),
+        ("gen-larger", ["solve-evp", "--theorem", "3.1"],
+         [(221, 10, 3, 4, "polytope"), (222, 9, 3, 4, "quasimetric")]),
+        ("gen-larger-5.2", ["solve-minimal-point", "--theorem", "5.2"],
+         [(231, 9, 3, 3, "polytope")]),
+        ("gen-check-assumptions", ["check-assumptions"],
+         [(211, 6, 3, 2, "polytope"), (212, 5, 2, 2, "extensional")]),
+    ]
+)
+
+
+def _input_path(spec, directory):
+    if isinstance(spec, str):
+        return os.path.join(FIXTURES, spec)
+    seed, n, m, values, variant = spec
+    path = os.path.join(directory, f"gen-{seed}-{n}-{m}-{values}-{variant}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(generate(seed, n=n, m=m, values_per_point=values,
+                           variant=variant), fh)
+    return path
+
+
+def normalized_output(case, directory):
+    """The case's ``--out`` document, normalized, as text."""
+    name, argv, inputs = case
+    paths = [_input_path(spec, directory) for spec in inputs]
+    out = os.path.join(directory, f"{name}.out.json")
+    code, _ = run_command(argv + paths + ["--out", out])
+    with open(out, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for report in doc["reports"]:
+        report.pop("timing_s")
+        if report["instance"] is not None:
+            report["instance"] = os.path.basename(report["instance"])
+    doc = {"argv": argv, "exit_code": code, "reports": doc["reports"]}
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def _golden_path(name):
+    return os.path.join(GOLDEN, f"{name}.json")
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+def test_golden_output(case, tmp_path):
+    with open(_golden_path(case[0]), "r", encoding="utf-8") as fh:
+        expected = fh.read()
+    assert normalized_output(case, str(tmp_path)) == expected
+
+
+def _regenerate():
+    import tempfile
+    os.makedirs(GOLDEN, exist_ok=True)
+    with tempfile.TemporaryDirectory() as directory:
+        for case in CASES:
+            with open(_golden_path(case[0]), "w", encoding="utf-8") as fh:
+                fh.write(normalized_output(case, directory))
+            print("wrote", _golden_path(case[0]))
+
+
+if __name__ == "__main__":
+    sys.exit(_regenerate())
