@@ -342,7 +342,7 @@ def screen_members(Y, B, S, V, nv, C: PolyhedralCone, tol=DEFAULT_TOL):
     hit = (slack.min(axis=-1) >= -tol).any(axis=(-2, -1))
     cone_only = S <= tol
     # one vertex: the single-vertex test was exact; conv(V) inside C: then
-    # S*conv(V) + C lies in C, so a base row outside C - y cannot help
+    # S*conv(V) + C lies in C, so only base rows with y - b in C can cover
     rejected = (nv == 1) | (h_in & ~found)
     decided = cone_only | hit | rejected
     answer = np.where(cone_only, found, hit)
