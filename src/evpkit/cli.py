@@ -10,6 +10,7 @@ re-verify without this library).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -28,7 +29,10 @@ EVP_THEOREMS = ("3.1", "3.5", "3.6", "4.1", "4.2", "4.4", "4.5", "4.6")
 PRODUCT_THEOREMS = ("5.1", "5.2", "5.6")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs more than most small commands."""
     parser = argparse.ArgumentParser(
         prog="evpkit",
         description="Certified minimal-point solvers for finite "

@@ -23,6 +23,10 @@ DEFAULT_TOL = 1e-9
 
 _PIVOT_EPS = 1e-11
 _MAX_SIMPLEX_ITERATIONS = 5000
+# from this many tableau cells on, a pivot updates only the nonzero columns
+# of the pivot row; below it the gather costs more than it saves (the two
+# updates break even near 48 rows of a 3-variable separation LP)
+_SPARSE_UPDATE_CELLS = 5000
 
 
 def as_point(y, m=None):
@@ -61,49 +65,60 @@ def _phase1(M, rhs, tol):
     per row forms the starting basis; Bland's rule (lowest entering index,
     lowest basic index on ratio ties) guarantees termination, with a hard
     iteration cap as a backstop.
+
+    Each pivot is one rank-1 update of the rows with a nonzero entry in the
+    entering column, as a row-by-row elimination would do them, so the
+    pivot sequence and the witness bytes are those of that elimination.
+    Large tableaux restrict the update to the nonzero columns of the pivot
+    row plus the right-hand side: a skipped column could only change the
+    sign of a zero, and outside the right-hand side no comparison, pivot or
+    witness sees that sign.
     """
-    M = np.array(M, dtype=float)
-    rhs = np.array(rhs, dtype=float)
+    M = np.asarray(M, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
     m, n = M.shape
-    flip = rhs < 0
-    M[flip] *= -1.0
-    rhs[flip] *= -1.0
+    sign = np.where(rhs < 0, -1.0, 1.0)
+    M = M * sign[:, None]
+    rhs = rhs * sign
 
     # tableau: [M | I | rhs] with the phase-1 objective row appended
     T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = M
-    T[:m, n:n + m] = np.eye(m)
+    basis = np.arange(n, n + m)
+    T[np.arange(m), basis] = 1.0
     T[:m, -1] = rhs
     T[m, :n] = -M.sum(axis=0)
     T[m, -1] = -rhs.sum()
-    basis = list(range(n, n + m))
+    reduced = T[m, :-1]
+    restrict = T.size >= _SPARSE_UPDATE_CELLS
 
     for _ in range(_MAX_SIMPLEX_ITERATIONS):
-        reduced = T[m, :-1]
-        entering = -1
-        for j in range(n + m):
-            if reduced[j] < -_PIVOT_EPS:
-                entering = j
-                break
-        if entering < 0:
+        improving = reduced < -_PIVOT_EPS
+        entering = improving.argmax()
+        if not improving[entering]:
             break
         col = T[:m, entering]
-        rows = np.nonzero(col > _PIVOT_EPS)[0]
+        rows = (col > _PIVOT_EPS).nonzero()[0]
         if rows.size == 0:
             # the phase-1 objective is bounded below, so an unbounded column
             # is round-off: stop and let the artificial sum decide
             break
         ratios = T[rows, -1] / col[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + _PIVOT_EPS]
-        leave = min(ties, key=lambda r: basis[r])
-        piv = T[leave, entering]
-        T[leave] /= piv
-        for r in range(m + 1):
-            if r != leave:
-                f = T[r, entering]
-                if f != 0.0:
-                    T[r] -= f * T[leave]
+        ties = rows[ratios <= ratios.min() + _PIVOT_EPS]
+        leave = ties[basis[ties].argmin()]
+        T[leave] /= T[leave, entering]
+        f = T[:, entering].copy()
+        f[leave] = 0.0
+        pivot_row = T[leave]
+        if restrict:
+            keep = pivot_row != 0.0
+            keep[-1] = True
+            cols = keep.nonzero()[0]
+            hit = f.nonzero()[0]
+            T[hit[:, None], cols] -= f[hit, None] * pivot_row[cols]
+        else:
+            np.subtract(T, np.multiply.outer(f, pivot_row), out=T,
+                        where=(f != 0.0)[:, None])
         basis[leave] = entering
     else:
         raise LinearProgramError("phase-1 simplex exceeded its iteration cap")
@@ -112,8 +127,8 @@ def _phase1(M, rhs, tol):
     if T[m, -1] < -feas_tol:
         return None
     z = np.zeros(n + m)
-    for r, bv in enumerate(basis):
-        z[bv] = max(T[r, -1], 0.0)
+    # max(x, 0.0) per basic row, keeping -0.0 as the builtin max does
+    z[basis] = np.where(T[:m, -1] < 0.0, 0.0, T[:m, -1])
     if z[n:].sum() > feas_tol:
         return None
     return z[:n]

@@ -217,15 +217,27 @@ def _build_family(spec, space, cone_, tol):
 def load_validate(source):
     """Load an instance from a path, JSON text, or dict; check everything.
 
+    A string is JSON text when its first non-blank character is ``{``, and
+    a path otherwise.
+
     Raises InputError naming the failing field; returns an InstanceBundle.
     """
     if isinstance(source, dict):
         data = source
     else:
         text = source
-        if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        if isinstance(source, os.PathLike) or (
+                isinstance(source, str)
+                and not source.lstrip().startswith("{")):
+            try:
+                with open(source, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except FileNotFoundError:
+                raise InputError(f"instance file not found: {source}") \
+                    from None
+            except (OSError, UnicodeDecodeError) as e:
+                raise InputError(
+                    f"cannot read instance file {source}: {e}") from None
         try:
             data = json.loads(text)
         except json.JSONDecodeError as e:

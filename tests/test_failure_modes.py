@@ -5,10 +5,11 @@ iteration cap is hit."""
 import json
 
 import numpy as np
+import pytest
 from scipy.optimize import linprog
 
 from evpkit import geometry
-from evpkit.cli import run_command
+from evpkit.cli import _family_direction_vertices, run_command
 from evpkit.geometry import strictly_positive_functional
 
 from conftest import direction_polytope, fixture_path, generated_bundle
@@ -39,6 +40,40 @@ def test_phase1_round_off_is_not_infeasibility():
     res = linprog(np.zeros(A.shape[0]), A_eq=A.T, b_eq=w, bounds=(0, None),
                   method="highs")
     assert res.status == 0
+
+
+@pytest.mark.parametrize("seed, n, m", [
+    (7, 6, 3), (7, 8, 3), (7, 10, 3),
+    # once declared infeasible by round-off (``generate --values 4
+    # --variant extensional``)
+    (20, 12, 2), (78, 12, 2), (81, 12, 2), (84003000, 9, 2),
+    (20, 12, 3), (78, 12, 3), (81, 12, 3),
+    pytest.param(84003000, 9, 3, marks=pytest.mark.xfail(
+        strict=True, reason="after 373 pivots no artificial variable is "
+        "basic, but the phase-1 objective row has drifted to -3.8e-6, below "
+        "-tol, so phase 1 reports infeasible")),
+])
+def test_separation_matches_highs(seed, n, m):
+    """``strictly_positive_functional`` on 120- to 528-row pooled
+    extensional tableaux: feasible exactly when HiGHS finds some mu >= 0
+    with (A^T mu) . h >= 1 on every pooled vertex h, and then the returned
+    w is >= 1 - tol on every one of them."""
+    bundle = generated_bundle(seed, n=n, m=m, values_per_point=4,
+                              variant="extensional")
+    H = _family_direction_vertices(bundle)
+    C = bundle.instance.cone
+    tol = bundle.tol
+    A = C.halfspaces
+    V = H.vertices
+    assert 120 <= V.shape[0] <= 528
+    res = linprog(np.zeros(A.shape[0]), A_ub=-(V @ A.T),
+                  b_ub=-np.ones(V.shape[0]), bounds=(0, None), method="highs")
+    assert res.status in (0, 2)
+    xi = strictly_positive_functional(H, C, tol)
+    assert (xi is not None) == (res.status == 0)
+    if xi is not None:
+        assert np.all(V @ xi.weights >= 1 - tol)
+        assert xi.alpha == float(np.min(V @ xi.weights))
 
 
 def test_lp_iteration_cap_gives_report_and_exit_4(monkeypatch, tmp_path):

@@ -26,6 +26,19 @@ class TestLoadValidate:
             load_validate(fixture_path("bad_triangle.json"))
         assert "triangle" in str(err.value)
 
+    def test_missing_file_named(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        for source in (str(missing), missing):
+            with pytest.raises(InputError, match="not found"):
+                load_validate(source)
+
+    def test_unreadable_path_named(self, tmp_path):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{")
+        for source in (str(tmp_path), binary):
+            with pytest.raises(InputError, match="cannot read"):
+                load_validate(source)
+
     def test_direction_outside_cone_named(self):
         with pytest.raises(InputError) as err:
             load_validate(fixture_path("h_outside_cone.json"))
@@ -136,6 +149,27 @@ class TestCli:
         code, reports = run_command(["validate",
                                      fixture_path("bad_triangle.json")])
         assert code == 3 and reports[0].status == "input_error"
+
+    def test_missing_file_exit_3(self, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        out = tmp_path / "report.json"
+        code, reports = run_command(["solve-evp", "--theorem", "3.1",
+                                     missing, "--out", str(out)])
+        assert code == 3 and reports[0].status == "input_error"
+        assert "not found" in reports[0].payload["error"]
+        doc = json.loads(out.read_text())
+        assert doc["reports"][0]["status"] == "input_error"
+        assert doc["reports"][0]["exit_code"] == 3
+
+    def test_bad_arguments_exit_3_between_good_calls(self):
+        path = fixture_path("two_point.json")
+        for _ in range(2):
+            assert run_command(["solve-evp", "--theorem", "9.9",
+                                path]) == (3, [])
+            assert run_command(["solve-evp", path]) == (3, [])
+            code, reports = run_command(["solve-evp", "--theorem", "3.5",
+                                         path])
+            assert code == 0 and reports[0].theorem == "3.5"
 
     def test_solve_exit_0(self):
         code, reports = run_command(["solve-evp", "--theorem", "3.5",
