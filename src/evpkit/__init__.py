@@ -19,8 +19,8 @@ from .instances import (EvpParams, ExtensionalFamily, FiniteInstance,
                         relation_matrix, s_set, slm_probe, ti_check)
 from .engine import (EngineTrace, PreorderOracle, audit_trace,
                      brute_force_minimals, solve, verify_conclusions)
-from .solvers import (Conclusion, EvpCertificate, build_preorder,
-                      solve_evp_approx, solve_evp_direction,
+from .solvers import (Certificate, Conclusion, EvpCertificate,
+                      build_preorder, solve_evp_approx, solve_evp_direction,
                       solve_evp_general, solve_evp_quasimetric,
                       solve_evp_set_direction)
 from .product import (FMap, ProductCertificate, ProductInstance,

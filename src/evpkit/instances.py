@@ -427,11 +427,11 @@ def s_set(inst: FiniteInstance, fam, x):
 def ti_check(inst: FiniteInstance, fam):
     """Triangle-inclusion property of the family over all label triples.
 
-    Structured distance-scaled families reduce to scaled-polytope inclusions
-    per triple, screened one x1 at a time by :func:`screen_members`; an
-    extensional family is searched exhaustively over its index set. Returns
-    ``(True, None)`` or ``(False, witness_triple)``, the first failing
-    triple in (x1, x2, x3) order.
+    A distance-scaled family is one pair map F(x2, x1), swept by
+    :func:`triangle_failure`; an extensional family is searched exhaustively
+    over its index set. Returns ``(True, None)`` or
+    ``(False, witness_triple)``, the first failing triple in (x1, x2, x3)
+    order.
     """
     labels = inst.labels
     space = inst.space
@@ -446,38 +446,9 @@ def ti_check(inst: FiniteInstance, fam):
                         if not _ti_search(fam, space, C, tol, x1, x2, x3, target):
                             return False, (x1, x2, x3, lam)
         return True, None
-    # distance-scaled: sum-scale polytope must embed in target-scale + cone
-    n = len(labels)
-    S = np.array([[fam.sets(space, a, b)[0][1] for b in labels]
-                  for a in labels])
-    (_, _, H) = fam.sets(space, labels[0], labels[0])[0]
-    V = H.vertices
-    J = V.shape[0]
-    zero = np.zeros((1, C.dim))
-    for a, x1 in enumerate(labels):
-        # queries (x2, x3, vertex v): (s12 + s23) v in s13 H + C
-        s = S[a][:, None] + S
-        s13 = np.broadcast_to(S[a], s.shape)
-        skip = ((s <= tol) & (s13 <= tol))[..., None]
-        negative = ((s13 < 0)[..., None]) & ~skip
-        Y = s[..., None, None] * V
-        decided, answer, candidates = screen_members(
-            Y, zero, s13[..., None], V, J, C, tol)
-        decided = (decided | skip) & ~negative
-        answer = answer | skip
-
-        def lp(q):
-            b, c, v = np.unravel_index(q, (n, n, J))
-            if s13[b, c] < 0:
-                raise InputError("scale must be nonnegative")
-            return lp_member(Y[b, c, v], zero, s13[b, c], V, C, tol,
-                             np.flatnonzero(candidates[b, c, v]))
-
-        q = first_uncovered(decided.ravel(), answer.ravel(), lp)
-        if q is not None:
-            b, c, _ = np.unravel_index(q, (n, n, J))
-            return False, (x1, labels[b], labels[c], "*")
-    return True, None
+    triple = triangle_failure(
+        labels, lambda x2, x1: fam.sets(space, x2, x1)[0][1:], C, tol)
+    return (True, None) if triple is None else (False, (*triple, "*"))
 
 
 def _ti_search(fam, space, C, tol, x1, x2, x3, target):
@@ -497,6 +468,82 @@ def _ti_search(fam, space, C, tol, x1, x2, x3, target):
                     np.flatnonzero(candidates[q]))) is None:
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Pair maps.  A pair map is a callable ``value_set(x2, x1) -> (scale, H)``
+# meaning ``scale * conv(H)``: ``FMap.value_set`` for the graph order, and
+# ``fam.sets(space, x2, x1)[0][1:]`` for a distance-scaled family.
+# ---------------------------------------------------------------------------
+
+def pair_arrays(labels, value_set):
+    """A pair map over all ordered label pairs as arrays ``(S, V, nv)``.
+
+    ``S[i, j]`` is the scale of F(labels[i], labels[j]). When every pair
+    value has the same polytope H (a distance-scaled map), ``V`` is H's
+    ``(J, m)`` vertex array and ``nv`` its vertex count; otherwise ``V`` is
+    the ``(n, n, J, m)`` stack of :func:`stack_vertices` and ``nv`` the
+    ``(n, n)`` real vertex counts.
+    """
+    n = len(labels)
+    entries = [value_set(x2, x1) for x2 in labels for x1 in labels]
+    S = np.array([scale for scale, _ in entries], dtype=float).reshape(n, n)
+    polys = [H for _, H in entries]
+    if all(H is polys[0] for H in polys):
+        return S, polys[0].vertices, polys[0].vertices.shape[0]
+    V, nv = stack_vertices(polys)
+    return S, V.reshape(n, n, *V.shape[1:]), nv.reshape(n, n)
+
+
+def triangle_failure(labels, value_set, C, tol):
+    """First triple (x1, x2, x3), in loop order, with F(x1, x2) + F(x2, x3)
+    outside F(x1, x3) + C, or None when the pair map has the triangle
+    inclusion.
+
+    Screened one x1 at a time by :func:`screen_members`; undecided queries
+    go to the LP in loop order until one is uncovered. With one shared
+    polytope H every sum s12 u + s23 v lies in (s12 + s23) H, so only the
+    vertices of (s12 + s23) H are tested against s13 H; otherwise every
+    vertex sum s12 u + s23 v is tested against s13 H13. A triple with both
+    s12 + s23 and s13 at most ``tol`` is covered; any other negative s13
+    raises InputError when the sweep reaches it.
+    """
+    S, V, nv = pair_arrays(labels, value_set)
+    origin = np.zeros((1, C.dim))
+    for a, x1 in enumerate(labels):
+        s = S[a][:, None] + S                    # s12 + s23 over (x2, x3)
+        skip = (s <= tol) & (S[a] <= tol)
+        negative = (S[a] < 0) & ~skip
+        if V.ndim == 2:
+            # queries (x2, x3, -, v): (s12 + s23) v in s13 H + C
+            W = s[..., None, None, None] * V
+            T, tn, pad = V, nv, False
+        else:
+            # queries (x2, x3, u, v): s12 u + s23 v in s13 H13 + C
+            W = (S[a][:, None, None, None, None] * V[a][:, None, :, None, :]
+                 + S[:, :, None, None, None] * V[:, :, None, :, :])
+            T, tn = V[a][None, :, None, None], nv[a][None, :, None, None]
+            k = np.arange(V.shape[2])
+            pad = ((k[:, None] >= nv[a][:, None, None, None])
+                   | (k >= nv[:, :, None, None]))
+        decided, answer, candidates = screen_members(
+            W, origin, S[a][None, :, None, None], T, tn, C, tol)
+        settled = skip[..., None, None] | pad
+        decided = (decided | settled) & ~negative[..., None, None]
+
+        def lp(q):
+            b, c, u, v = np.unravel_index(q, decided.shape)
+            if S[a, c] < 0:
+                raise InputError("scale must be nonnegative")
+            return lp_member(W[b, c, u, v], origin, S[a, c],
+                             value_set(x1, labels[c])[1].vertices, C, tol,
+                             np.flatnonzero(candidates[b, c, u, v]))
+
+        q = first_uncovered(decided.ravel(), (answer | settled).ravel(), lp)
+        if q is not None:
+            b, c, _, _ = np.unravel_index(q, decided.shape)
+            return x1, labels[b], labels[c]
+    return None
 
 
 # ---------------------------------------------------------------------------

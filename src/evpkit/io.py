@@ -308,7 +308,8 @@ def generate(seed, n=4, m=2, values_per_point=2, variant="singleton",
     """Deterministic instance dict for a seed and profile.
 
     Distances come from a planar embedding, so the metric axioms hold by
-    construction; emitted instances always pass load_validate.
+    construction; emitted instances pass load_validate, which callers run
+    (it is not repeated here).
     """
     if n < 1 or m < 1 or values_per_point < 1:
         raise InputError("n, m and values_per_point must be at least 1")
@@ -386,7 +387,6 @@ def generate(seed, n=4, m=2, values_per_point=2, variant="singleton",
                 graph.append([lab, v.tolist()])
         data["product"] = {"graph": graph,
                            "y0": value_sets[labels[0]][0].tolist()}
-    load_validate(data)
     return data
 
 
@@ -473,7 +473,6 @@ def builtin(name, samples=8):
     else:
         raise InputError(f"unknown builtin {name!r} "
                          f"(choose from {BUILTIN_NAMES})")
-    load_validate(data)
     return data
 
 

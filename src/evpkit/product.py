@@ -18,12 +18,11 @@ import numpy as np
 from . import engine as eng
 from .errors import HypothesisError, InputError, PremiseError
 from .geometry import (DEFAULT_TOL, PolyhedralCone, Polytope, as_point,
-                       cone_contains, first_uncovered, lp_member,
-                       minkowski_member, polytope_contains, screen_members,
-                       singleton, stack_vertices)
-from .instances import MetricSpace
+                       cone_contains, lp_member, minkowski_member,
+                       polytope_contains, screen_members, singleton)
+from .instances import MetricSpace, pair_arrays, triangle_failure
 from .scalarize import GerstewitzFn
-from .solvers import Conclusion, _jsonable
+from .solvers import Certificate, Conclusion, _jsonable
 
 
 # ---------------------------------------------------------------------------
@@ -193,36 +192,11 @@ def validate_fmap(pi: ProductInstance, fm: FMap):
             raise HypothesisError(
                 "reflexive_zero",
                 f"pair-map value at ({x!r}, {x!r}) does not contain 0")
-    # triangle inclusion on all label triples, screened one x1 at a time:
-    # queries (x2, x3, u, v) ask s12 u + s23 v in s13 H13 + C
-    labels = base.labels
-    S, P, counts = _pair_tensor(fm, labels)
-    k = np.arange(P.shape[2])
-    origin = np.zeros((1, C.dim))
-    for a, x1 in enumerate(labels):
-        W = (S[a][:, None, None, None, None] * P[a][:, None, :, None, :]
-             + S[:, :, None, None, None] * P[:, :, None, :, :])
-        real = ((k[:, None] < counts[a][:, None, None, None])
-                & (k < counts[:, :, None, None]))
-        # the target s13 H13 depends on x3 only
-        decided, answer, candidates = screen_members(
-            W, origin, S[a][None, :, None, None], P[a][None, :, None, None],
-            counts[a][None, :, None, None], C, tol)
-
-        def lp(q):
-            b, c, u, v = np.unravel_index(q, real.shape)
-            return lp_member(W[b, c, u, v], origin, S[a, c],
-                             fm.value_set(x1, labels[c])[1].vertices, C, tol,
-                             np.flatnonzero(candidates[b, c, u, v]))
-
-        q = first_uncovered((decided | ~real).ravel(),
-                            (answer | ~real).ravel(), lp)
-        if q is not None:
-            b, c, _, _ = np.unravel_index(q, real.shape)
-            raise HypothesisError(
-                "triangle_inclusion",
-                "pair map fails the triangle inclusion",
-                witness={"triple": (x1, labels[b], labels[c])})
+    triple = triangle_failure(base.labels, fm.value_set, C, tol)
+    if triple is not None:
+        raise HypothesisError("triangle_inclusion",
+                              "pair map fails the triangle inclusion",
+                              witness={"triple": triple})
     # additivity of the scalarization on pair-map values
     xi = fm.xi
     if not getattr(xi, "is_linear", False):
@@ -249,17 +223,6 @@ def validate_fmap(pi: ProductInstance, fm: FMap):
             "values at positive distance", witness={"zeta": margin})
     return {"reflexive_zero": True, "triangle_inclusion": True,
             "additive_scalarization": True, "zeta": margin}
-
-
-def _pair_tensor(fm: FMap, labels):
-    """The pair map over all label pairs as arrays: scales ``(n, n)``, the
-    padded vertex stacks ``(n, n, J, m)`` and the real vertex counts."""
-    n = len(labels)
-    entries = [fm.value_set(x2, x1) for x2 in labels for x1 in labels]
-    V, counts = stack_vertices([H for _, H in entries])
-    scales = np.array([scale for scale, _ in entries], dtype=float)
-    return (scales.reshape(n, n), V.reshape(n, n, *V.shape[1:]),
-            counts.reshape(n, n))
 
 
 def zeta(fm: FMap, delta, base: MetricSpace, tol=DEFAULT_TOL):
@@ -311,40 +274,11 @@ def prec_fstar(pi: ProductInstance, fm: FMap, pair2, pair1):
 
 
 # ---------------------------------------------------------------------------
-# Certificates and solvers.
+# Certificates and solvers.  The graph solvers return the certificate type of
+# the label-order solvers, with ``yhat`` set.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ProductCertificate:
-    theorem: str
-    xhat: object
-    yhat: np.ndarray
-    conclusions: list
-    assumptions: dict
-    trace: eng.EngineTrace
-    premise: dict | None = None
-    notes: tuple = ()
-
-    def all_hold(self):
-        return all(c.holds for c in self.conclusions)
-
-    def conclusion(self, name):
-        for c in self.conclusions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def to_dict(self):
-        return {
-            "theorem": self.theorem,
-            "xhat": self.xhat,
-            "yhat": _jsonable(self.yhat),
-            "conclusions": [c.to_dict() for c in self.conclusions],
-            "assumptions": _jsonable(self.assumptions),
-            "trace": self.trace.to_dict(),
-            "premise": _jsonable(self.premise),
-            "notes": list(self.notes),
-        }
+ProductCertificate = Certificate
 
 
 def _graph_oracle(pi, fm):
@@ -359,7 +293,7 @@ def _graph_oracle(pi, fm):
     n = len(pairs)
     C, tol = pi.cone, pi.tol
     labels = pi.base.labels
-    S, P, counts = _pair_tensor(fm, labels)
+    S, V, nv = pair_arrays(labels, fm.value_set)
     lab = np.array([pi.base.index(x) for x, _ in pairs])
     Y = np.array([y for _, y in pairs])
     y0 = pi.y0
@@ -371,9 +305,9 @@ def _graph_oracle(pi, fm):
         same = rows[:, None] == np.arange(n)
         if np.any((S[a, lab] < 0) & ~same):
             raise InputError("scale must be nonnegative")
+        T, tn = (V, nv) if V.ndim == 2 else (V[a, lab][None], nv[a, lab][None])
         decided, covered, candidates = screen_members(
-            Y[None], Y[rows][:, None, None, :], S[a, lab][None],
-            P[a, lab][None], counts[a, lab][None], C, tol)
+            Y[None], Y[rows][:, None, None, :], S[a, lab][None], T, tn, C, tol)
         strict = (eta_arr[None, :] - eta_arr[rows][:, None] > tol) & ~same
         block = same | (strict & decided & covered)
         for r, j in zip(*np.nonzero(strict & ~decided)):
@@ -405,7 +339,12 @@ def solve_minimal_point(pi: ProductInstance, fm: FMap, mode="greedy"):
     the plain order conclusions: start coverage and separation of every
     other base label."""
     checks = validate_fmap(pi, fm)
-    section = _section_of_start(pi, fm)
+    return _minimal_point(pi, fm, mode, checks, _section_of_start(pi, fm))
+
+
+def _minimal_point(pi, fm, mode, checks, section):
+    """:func:`solve_minimal_point` after the pair-map checks, given the
+    start section."""
     inf_val = min(fm.xi.value(y - pi.y0) for _, y in section)
     if not math.isfinite(inf_val):
         raise HypothesisError("bounded",
@@ -422,8 +361,8 @@ def solve_minimal_point(pi: ProductInstance, fm: FMap, mode="greedy"):
     assumptions = dict(checks)
     assumptions["scalar_inf_on_start_section"] = inf_val
     assumptions["chain_conditions"] = "structural: finite graph"
-    return ProductCertificate("5.1", xhat, yhat, conclusions, assumptions,
-                              trace)
+    return Certificate("5.1", xhat, conclusions, assumptions, trace,
+                       yhat=yhat)
 
 
 def _coverage_conclusion(pi, fm, xhat, yhat, name):
@@ -466,7 +405,7 @@ def solve_strict_minimal(pi: ProductInstance, fm: FMap, mode="greedy"):
                 "strict_domination",
                 f"the value slice at {x!r} lacks the strict domination "
                 "property", witness={"x": x, "uncovered": _jsonable(uncovered)})
-    base_cert = solve_minimal_point(pi, fm, mode)
+    base_cert = _minimal_point(pi, fm, mode, validate_fmap(pi, fm), section)
     xhat, ytilde = base_cert.xhat, base_cert.yhat
     slice_vals = pi.slice_values(xhat)
     smin = strict_pareto_min(slice_vals, pi.cone, pi.tol)
@@ -491,8 +430,8 @@ def solve_strict_minimal(pi: ProductInstance, fm: FMap, mode="greedy"):
     ]
     assumptions = dict(base_cert.assumptions)
     assumptions["slice_strict_domination"] = slice_report
-    return ProductCertificate("5.2", xhat, yhat, conclusions, assumptions,
-                              base_cert.trace)
+    return Certificate("5.2", xhat, conclusions, assumptions, base_cert.trace,
+                       yhat=yhat)
 
 
 def solve_pareto_evp(pi: ProductInstance, k0, epsilon, lam, mode="greedy"):
@@ -516,7 +455,6 @@ def solve_pareto_evp(pi: ProductInstance, k0, epsilon, lam, mode="greedy"):
     conclusions.append(Conclusion(
         "c", d <= lam + pi.tol,
         {"distance": d, "bound": lam, "strict": False, "boundary": False}))
-    return ProductCertificate("5.6", cert.xhat, cert.yhat, conclusions,
-                              cert.assumptions, cert.trace,
-                              premise={"form": "global-escape",
-                                       "epsilon": epsilon})
+    return Certificate("5.6", cert.xhat, conclusions, cert.assumptions,
+                       cert.trace, yhat=cert.yhat,
+                       premise={"form": "global-escape", "epsilon": epsilon})

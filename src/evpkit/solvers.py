@@ -53,12 +53,18 @@ class Conclusion:
 
 
 @dataclass
-class EvpCertificate:
+class Certificate:
+    """A solver's terminal point, its re-derived conclusions, the checked
+    assumptions and the engine trace. The graph solvers (5.1, 5.2, 5.6) set
+    ``yhat``, the value of the terminal pair; the label-order solvers record
+    their ``scalarization``. ``to_dict`` writes each only when set."""
+
     theorem: str
     xhat: object
     conclusions: list
     assumptions: object
     trace: eng.EngineTrace
+    yhat: np.ndarray | None = None
     scalarization: dict = field(default_factory=dict)
     premise: dict | None = None
     notes: tuple = ()
@@ -73,7 +79,7 @@ class EvpCertificate:
         raise KeyError(name)
 
     def to_dict(self):
-        return {
+        out = {
             "theorem": self.theorem,
             "xhat": self.xhat,
             "conclusions": [c.to_dict() for c in self.conclusions],
@@ -81,10 +87,17 @@ class EvpCertificate:
                             if hasattr(self.assumptions, "to_dict")
                             else _jsonable(self.assumptions)),
             "trace": self.trace.to_dict(),
-            "scalarization": _jsonable(self.scalarization),
             "premise": _jsonable(self.premise),
             "notes": list(self.notes),
         }
+        if self.yhat is not None:
+            out["yhat"] = _jsonable(self.yhat)
+        if self.scalarization:
+            out["scalarization"] = _jsonable(self.scalarization)
+        return out
+
+
+EvpCertificate = Certificate
 
 
 def _jsonable(value):
@@ -103,7 +116,9 @@ def _jsonable(value):
 # Shared machinery.
 # ---------------------------------------------------------------------------
 
-def _build_oracle(inst, fam, xi):
+def build_preorder(inst, fam, xi):
+    """Engine oracle plus the boolean order matrix (rel[i, j]: label i
+    precedes label j) for an instance, family, and scalarization."""
     labels = inst.labels
     rel = relation_matrix(inst, fam)
     successors = {
@@ -114,12 +129,6 @@ def _build_oracle(inst, fam, xi):
     return eng.PreorderOracle(labels, successors, eta), rel
 
 
-def build_preorder(inst, fam, xi):
-    """Engine oracle plus the boolean order matrix (rel[i, j]: label i
-    precedes label j) for an instance, family, and scalarization."""
-    return _build_oracle(inst, fam, xi)
-
-
 def _gate(inst, fam, xi, x0, require_section=True):
     """Order construction plus the hypothesis gate shared by all solvers."""
     ok, witness = ti_check(inst, fam)
@@ -127,7 +136,7 @@ def _gate(inst, fam, xi, x0, require_section=True):
         raise HypothesisError("triangle_inclusion",
                               "the perturbation family fails the triangle "
                               "inclusion property", witness={"triple": witness})
-    oracle, rel = _build_oracle(inst, fam, xi)
+    oracle, rel = build_preorder(inst, fam, xi)
     if require_section and not oracle.section(x0):
         raise HypothesisError("nonempty_start",
                               f"the lower section of {x0!r} is empty")
@@ -213,8 +222,8 @@ def solve_evp_general(inst: FiniteInstance, fam, xi, x0, mode="greedy"):
         _conclusion_order(inst, fam, xhat, x0),
         _conclusion_strict(inst, fam, xhat),
     ]
-    return EvpCertificate("3.1", xhat, conclusions, report, trace,
-                          scalarization=_scalarization_info(xi))
+    return Certificate("3.1", xhat, conclusions, report, trace,
+                       scalarization=_scalarization_info(xi))
 
 
 def _pointwise_premise(inst, x0, epsilon, H):
@@ -232,11 +241,9 @@ def _pointwise_premise(inst, x0, epsilon, H):
 
 def _global_premise(inst, x0, epsilon, H):
     """One value of f(x0) escaping f(X) + epsilon*H + cone; returns it."""
-    all_values = inst.fmap.all_points()
-    for y0 in inst.fmap.at(x0):
-        if not minkowski_member(y0, all_values, epsilon, H, inst.cone,
-                                inst.tol):
-            return y0
+    ok, y0 = eps_h_efficient(inst, x0, epsilon, H)
+    if ok:
+        return y0
     raise PremiseError(
         f"f({x0!r}) is covered by f(X) + epsilon*H + cone",
         witness={"x0": x0})
@@ -276,9 +283,9 @@ def solve_evp_direction(inst: FiniteInstance, k0, epsilon, lam, x0,
         _conclusion_strict(inst, fam, xhat),
         _distance_conclusion(inst, x0, xhat, lam, False, inst.tol),
     ]
-    return EvpCertificate(theorem, xhat, conclusions, report, trace,
-                          scalarization=_scalarization_info(xi),
-                          premise=premise_info)
+    return Certificate(theorem, xhat, conclusions, report, trace,
+                       scalarization=_scalarization_info(xi),
+                       premise=premise_info)
 
 
 def solve_evp_set_direction(inst: FiniteInstance, H: Polytope, gamma, x0,
@@ -310,9 +317,9 @@ def solve_evp_set_direction(inst: FiniteInstance, H: Polytope, gamma, x0,
     if open_family:
         notes += ("open rate family evaluated at its endpoint; the feasible "
                   "rate set of each membership is a closed interval from 0",)
-    return EvpCertificate("4.1" if open_family else "4.2", xhat, conclusions,
-                          report, trace,
-                          scalarization=_scalarization_info(xi), notes=notes)
+    return Certificate("4.1" if open_family else "4.2", xhat, conclusions,
+                       report, trace,
+                       scalarization=_scalarization_info(xi), notes=notes)
 
 
 def solve_evp_quasimetric(inst: FiniteInstance, H: Polytope, p: QuasiMetric,
@@ -329,8 +336,8 @@ def solve_evp_quasimetric(inst: FiniteInstance, H: Polytope, p: QuasiMetric,
         _conclusion_order(inst, fam, xhat, x0),
         _conclusion_strict(inst, fam, xhat),
     ]
-    return EvpCertificate("4.4", xhat, conclusions, report, trace,
-                          scalarization=_scalarization_info(xi))
+    return Certificate("4.4", xhat, conclusions, report, trace,
+                       scalarization=_scalarization_info(xi))
 
 
 def solve_evp_approx(inst: FiniteInstance, H: Polytope, epsilon, gamma, x0,
@@ -349,10 +356,10 @@ def solve_evp_approx(inst: FiniteInstance, H: Polytope, epsilon, gamma, x0,
     conclusions = list(base.conclusions)
     conclusions.append(
         _distance_conclusion(inst, x0, base.xhat, bound, strict, inst.tol))
-    return EvpCertificate("4.6" if strict else "4.5", base.xhat, conclusions,
-                          base.assumptions, base.trace,
-                          scalarization=base.scalarization,
-                          premise={"form": "approximate-efficiency",
-                                   "epsilon": epsilon,
-                                   "witness_value": y0},
-                          notes=base.notes)
+    return Certificate("4.6" if strict else "4.5", base.xhat, conclusions,
+                       base.assumptions, base.trace,
+                       scalarization=base.scalarization,
+                       premise={"form": "approximate-efficiency",
+                                "epsilon": epsilon,
+                                "witness_value": y0},
+                       notes=base.notes)

@@ -5,8 +5,9 @@ import os
 
 import numpy as np
 
+from evpkit.cli import _family_direction_vertices
 from evpkit.errors import PremiseError
-from evpkit.geometry import Polytope, cone, singleton
+from evpkit.geometry import cone, singleton
 from evpkit.io import generate, load_validate
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -62,21 +63,8 @@ def generated_bundle(seed, n=4, m=2, values_per_point=2, variant="singleton"):
 
 
 def direction_polytope(bundle):
-    spec = bundle.raw["perturbation"]
-    if spec["variant"] == "singleton":
-        return singleton(spec["k0"])
-    if "vertices" in spec:
-        return Polytope(spec["vertices"])
-    rows = []
-    fam = bundle.family
-    space = bundle.instance.space
-    for x2 in space.labels:
-        for x1 in space.labels:
-            if x1 == x2:
-                continue
-            for _, scale, H in fam.sets(space, x2, x1):
-                rows.extend((scale * H.vertices).tolist())
-    return Polytope(rows)
+    """The direction vertices the CLI separates for a bundle."""
+    return _family_direction_vertices(bundle)
 
 
 def random_cone_instance(rng, n=4, values=2):

@@ -190,9 +190,11 @@ def random_instance(rng, n, m, kind, metric=True, ragged=True):
     return inst, fam, k0
 
 
-def random_product(rng, n, m, metric=True, ragged=True, nonlinear=False):
+def random_product(rng, n, m, metric=True, ragged=True, nonlinear=False,
+                   vertices=2):
     """Product instance over a random base with a pair map whose vertex
-    lists have 1 to 3 vertices per pair (or fmap_from_rate)."""
+    lists have 1 to 3 vertices per pair (or fmap_from_rate over a polytope
+    with ``vertices`` vertices)."""
     inst, _, k0 = random_instance(rng, n, m, "singleton", metric=metric,
                                   ragged=ragged)
     C, space = inst.cone, inst.space
@@ -208,7 +210,7 @@ def random_product(rng, n, m, metric=True, ragged=True, nonlinear=False):
                 table[(x2, x1)] = (0.0 if i == j else float(space.dist[i, j]),
                                    H)
         return pi, FMap(table, xi)
-    return pi, fmap_from_rate(space, _polytope(rng, C, k0, 2), 0.8, xi)
+    return pi, fmap_from_rate(space, _polytope(rng, C, k0, vertices), 0.8, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +245,18 @@ def test_ti_check_matches_loop(m):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_validate_fmap_triangle_matches_loop(m):
+    """Ragged hand-built maps take the vertex-sum sweep, fmap_from_rate maps
+    (16 of 24 trials, 1 to 3 vertices) the shared-polytope sweep."""
     rng = np.random.default_rng(500 + m)
-    failures = 0
-    for trial in range(10):
+    failures = {True: 0, False: 0}
+    for trial in range(24):
+        ragged = trial < 10 and trial % 5 != 0
         pi, fm = random_product(rng, n=5, m=m, metric=trial % 2 == 0,
-                                ragged=trial % 5 != 0)
+                                ragged=ragged, vertices=1 + trial % 3)
         got = batched_fmap_triangle(pi, fm)
         assert got == loop_fmap_triangle(pi, fm), trial
-        failures += got is not None
-    assert failures > 0
+        failures[ragged] += got is not None
+    assert failures[True] > 0 and failures[False] > 0
 
 
 def test_hand_built_fmap_fails_triangle_inclusion():
@@ -295,7 +300,8 @@ def test_negative_self_distance_raises_like_the_loops():
     graph = tuple((x, y) for x in labels for y in fmap.at(x))
     pi = ProductInstance(graph, space, graph[0], C)
     fm = fmap_from_rate(space, H, 0.5, LinearFunctional([1.0, 1.0]))
-    for fn in (lambda: _graph_oracle(pi, fm), lambda: loop_graph_order(pi, fm)):
+    for fn in (lambda: validate_fmap(pi, fm), lambda: _graph_oracle(pi, fm),
+               lambda: loop_graph_order(pi, fm)):
         with pytest.raises(InputError, match="nonnegative"):
             fn()
 

@@ -8,8 +8,8 @@ import pytest
 
 from evpkit.cli import main, run_command
 from evpkit.errors import InputError
-from evpkit.io import (Report, builtin, emit, example41_probes, generate,
-                       load_validate, render)
+from evpkit.io import (BUILTIN_NAMES, VARIANTS, Report, builtin, emit,
+                       example41_probes, generate, load_validate, render)
 
 from conftest import fixture_path
 
@@ -87,10 +87,19 @@ class TestGenerate:
         assert b.instance.labels == ("p0",)
 
     def test_all_variants_validate(self):
-        for i, variant in enumerate(("singleton", "polytope", "open_polytope",
-                                     "quasimetric", "extensional")):
-            data = generate(20 + i, n=3, m=2, variant=variant)
-            load_validate(data)
+        """generate and builtin do not validate their own output, so every
+        emitted instance is loaded here: several seeds and sizes per variant
+        and every builtin."""
+        sizes = ((1, 1, 1), (3, 2, 2), (5, 3, 3), (8, 2, 4))
+        for i, variant in enumerate(VARIANTS):
+            for seed in (20 + i, 60 + i, 100 + i):
+                for n, m, values in sizes:
+                    load_validate(generate(seed, n=n, m=m,
+                                           values_per_point=values,
+                                           variant=variant))
+        for name in BUILTIN_NAMES:
+            load_validate(builtin(name))
+        load_validate(builtin("example41", samples=2))
 
     def test_quasimetric_variant_axioms(self):
         data = generate(33, n=5, m=2, variant="quasimetric")
