@@ -22,6 +22,12 @@ from .errors import InputError, LinearProgramError
 DEFAULT_TOL = 1e-9
 
 _PIVOT_EPS = 1e-11
+# screen_members leaves to the LP a two-vertex query whose interval is empty
+# by less than this many times the phase-1 acceptance slack on every cone
+# row, scaled by the row's magnitudes: phase 1 accepts a query through that
+# slack when convex weights miss no row i by more than about
+# _feas_tol * (1 + |A_i(y - b)|)
+_SEGMENT_MARGIN = 4.0
 _MAX_SIMPLEX_ITERATIONS = 5000
 # from this many tableau cells on, a pivot updates only the nonzero columns
 # of the pivot row; below it the gather costs more than it saves (the two
@@ -57,6 +63,11 @@ def _as_matrix(rows, m=None, name="matrix"):
 # ---------------------------------------------------------------------------
 # LP kernel: phase-1 simplex with Bland's rule.
 # ---------------------------------------------------------------------------
+
+def _feas_tol(tol):
+    """Slack :func:`_phase1` allows on the artificial sum."""
+    return max(tol, 1e-10)
+
 
 def _phase1(M, rhs, tol):
     """Find ``z >= 0`` with ``M z = rhs`` or return None.
@@ -123,7 +134,7 @@ def _phase1(M, rhs, tol):
     else:
         raise LinearProgramError("phase-1 simplex exceeded its iteration cap")
 
-    feas_tol = max(tol, 1e-10)
+    feas_tol = _feas_tol(tol)
     if T[m, -1] < -feas_tol:
         return None
     z = np.zeros(n + m)
@@ -287,11 +298,14 @@ def validate_direction_set(H: Polytope, C: PolyhedralCone, tol=DEFAULT_TOL):
     """Check the perturbation-set role invariants: vertices in C, none zero."""
     if H.dim != C.dim:
         raise InputError("direction set dimension does not match the cone")
-    for j, v in enumerate(H.vertices):
-        if np.linalg.norm(v, ord=np.inf) <= tol:
-            raise InputError(f"direction-set vertex {j} is zero")
-        if not cone_contains(C, v, tol):
-            raise InputError(f"direction-set vertex {j} lies outside the cone")
+    V = H.vertices
+    zero = np.abs(V).max(axis=1) <= tol
+    outside = ~np.all(C.halfspaces @ V.T >= -tol, axis=0)
+    bad = np.flatnonzero(zero | outside)
+    if bad.size:
+        j = int(bad[0])
+        raise InputError(f"direction-set vertex {j} is zero" if zero[j] else
+                         f"direction-set vertex {j} lies outside the cone")
     return H
 
 
@@ -327,17 +341,50 @@ def cone_contains(C: PolyhedralCone, y, tol=DEFAULT_TOL):
     return bool(np.all(C.halfspaces @ y >= -tol))
 
 
+def first_outside(C: PolyhedralCone, stacks, tol=DEFAULT_TOL):
+    """Index of the first vertex array in ``stacks`` with a row outside C
+    (:func:`cone_contains`), or None, from one product with all rows. An
+    array of the wrong dimension raises InputError as :func:`cone_contains`
+    does, unless an earlier array has a row outside C."""
+    m = C.dim
+    good = next((i for i, V in enumerate(stacks) if V.shape[1] != m),
+                len(stacks))
+    if good:
+        owner = np.repeat(np.arange(good), [V.shape[0] for V in stacks[:good]])
+        rows = np.vstack(stacks[:good])
+        out = np.flatnonzero(~np.all(C.halfspaces @ rows.T >= -tol, axis=0))
+        if out.size:
+            return int(owner[out[0]])
+    if good < len(stacks):
+        raise InputError(f"dimension mismatch: expected {m}, "
+                         f"got {stacks[good].shape[1]}")
+    return None
+
+
+def _over_rows(ufunc, x):
+    """``ufunc`` reduced over the last axis of ``x``, the few cone rows, by
+    one elementwise call per row: on these stacks several times faster than
+    a numpy reduction over a short last axis, and the same result for
+    minimum, maximum and logical and."""
+    out = x[..., 0]
+    for i in range(1, x.shape[-1]):
+        out = ufunc(out, x[..., i])
+    return out
+
+
 def screen_members(Y, B, S, V, nv, C: PolyhedralCone, tol=DEFAULT_TOL):
     """The cheap tests of :func:`minkowski_member` for a stack of queries
     ``Y[q] in B[q] + S[q] * conv(V[q]) + C``.
 
     Leading axes broadcast: ``Y`` is ``(..., m)``, ``B`` ``(..., nb, m)``,
     ``S`` and ``nv`` ``(...)``, ``V`` ``(..., J, m)`` or None when no
-    polytope is given. ``nv`` counts the real vertices of ``V``; padding rows
-    of ``V`` and ``B`` must repeat an existing row, which leaves every
-    any/all test unchanged. Three tests run on all queries at once: the cone
-    test when the scale is at most ``tol``, the single-vertex sufficient
-    test, and the conv(V) inside C necessary filter.
+    polytope is given. ``nv`` counts the real vertices of ``V``, which come
+    first; padding rows of ``V`` and ``B`` must repeat an existing row, which
+    leaves every any/all test unchanged. Three tests run on all queries at
+    once: the cone test when the scale is at most ``tol``, the single-vertex
+    sufficient test, and the conv(V) inside C necessary filter. Queries still
+    undecided with two vertices then take the exact segment test
+    (:func:`_segment_members`).
 
     Returns ``(decided, answer, candidates)``: ``answer`` is meaningful
     where ``decided``; ``candidates`` marks the base rows an undecided query
@@ -345,16 +392,16 @@ def screen_members(Y, B, S, V, nv, C: PolyhedralCone, tol=DEFAULT_TOL):
     """
     A_T = C.halfspaces.T
     rows = (Y[..., None, :] - B) @ A_T                  # A(y - b)
-    in_cone = rows.min(axis=-1) >= -tol
+    in_cone = _over_rows(np.minimum, rows) >= -tol
     found = in_cone.any(axis=-1)
     if V is None:
         return np.ones(found.shape, dtype=bool), found, in_cone
     AV = V @ A_T                                        # A v
     h_in = AV.min(axis=(-2, -1)) >= -tol
+    SAV = S[..., None, None] * AV                       # S A v
     # A(y - b - S v) for every base row and vertex
-    slack = (rows[..., :, None, :]
-             - S[..., None, None, None] * AV[..., None, :, :])
-    hit = (slack.min(axis=-1) >= -tol).any(axis=(-2, -1))
+    slack = rows[..., :, None, :] - SAV[..., None, :, :]
+    hit = (_over_rows(np.minimum, slack) >= -tol).any(axis=(-2, -1))
     cone_only = S <= tol
     # one vertex: the single-vertex test was exact; conv(V) inside C: then
     # S*conv(V) + C lies in C, so only base rows with y - b in C can cover
@@ -362,7 +409,45 @@ def screen_members(Y, B, S, V, nv, C: PolyhedralCone, tol=DEFAULT_TOL):
     decided = cone_only | hit | rejected
     answer = np.where(cone_only, found, hit)
     candidates = in_cone | ~h_in[..., None]
+    segment = ~decided & (nv == 2)
+    if segment.any():
+        settled, member = _segment_members(rows, slack, SAV, candidates, tol)
+        decided = decided | (segment & settled)
+        answer = np.where(segment, member, answer)
     return decided, answer, candidates
+
+
+def _segment_members(rows, slack, SAV, candidates, tol):
+    """Exact test for ``y in B + S * conv{v1, v2} + C``, from the arrays of
+    :func:`screen_members`: ``rows`` is ``A(y - b)``, ``slack`` is
+    ``A(y - b - S v)`` per base row and vertex, ``SAV`` is ``S A v``.
+
+    With ``t`` the weight of v1, cone row i asks ``c_i - t d_i >= 0`` for
+    ``c = A(y - b - S v2) + tol`` and ``d = S A(v1 - v2)``, so the feasible
+    ``t`` of a base row is an interval of [0, 1]. A query is a member when
+    some candidate base row has a nonempty interval. It is a non-member
+    only when every candidate's interval stays empty after each row is
+    widened by ``_SEGMENT_MARGIN`` times the LP's acceptance slack, scaled by
+    the row's magnitudes; any other query is left to :func:`lp_member`, so
+    every decision is the LP's.
+
+    Returns ``(settled, member)``, meaningful for two-vertex queries.
+    """
+    s1 = slack[..., 1, :]
+    d = s1 - slack[..., 0, :]
+    scale = (np.abs(SAV[..., 0, :]) + np.abs(SAV[..., 1, :]))[..., None, :]
+    widen = _SEGMENT_MARGIN * _feas_tol(tol) * (1.0 + np.abs(rows) + scale)
+    c = s1 + tol
+    c = np.stack([c, c + widen])                # exact and widened rows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = c / d
+    up, down = d > 0, d < 0
+    hi = np.minimum(_over_rows(np.minimum, np.where(up, ratio, 1.0)), 1.0)
+    lo = np.maximum(_over_rows(np.maximum, np.where(down, ratio, 0.0)), 0.0)
+    # rows with d = 0 need c >= 0
+    flat = _over_rows(np.logical_and, (c >= 0) | up | down)
+    member, widened = (flat & (lo <= hi) & candidates).any(axis=-1)
+    return member | ~widened, member
 
 
 def lp_member(y, B, scale, V, C: PolyhedralCone, tol, rows):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import (DEFAULT_TOL, PolyhedralCone, Polytope, as_point,
-                       cone_contains, first_uncovered, lp_member,
+                       first_outside, first_uncovered, lp_member,
                        minkowski_member, screen_members, singleton,
                        stack_vertices, validate_direction_set)
 
@@ -344,14 +344,24 @@ class ExtensionalFamily:
         return tuple(out)
 
     def validate(self, space, cone_, tol=DEFAULT_TOL):
-        for x2 in space.labels:
-            for x1 in space.labels:
-                for lam, _, P in self.sets(space, x2, x1):
-                    for v in P.vertices:
-                        if not cone_contains(cone_, v, tol):
-                            raise InputError(
-                                f"family value for ({lam!r}, {x2!r}, {x1!r}) "
-                                f"leaves the cone")
+        # the sets up to the first missing one, in (x2, x1, index) order; a
+        # value leaving the cone before that entry is reported first
+        keys, polys, missing = [], [], None
+        try:
+            for x2 in space.labels:
+                for x1 in space.labels:
+                    for lam, _, P in self.sets(space, x2, x1):
+                        keys.append((lam, x2, x1))
+                        polys.append(P.vertices)
+        except InputError as exc:
+            missing = exc
+        bad = first_outside(cone_, polys, tol)
+        if bad is not None:
+            lam, x2, x1 = keys[bad]
+            raise InputError(f"family value for ({lam!r}, {x2!r}, {x1!r}) "
+                             f"leaves the cone")
+        if missing is not None:
+            raise missing
         return self
 
 
@@ -428,46 +438,91 @@ def ti_check(inst: FiniteInstance, fam):
     """Triangle-inclusion property of the family over all label triples.
 
     A distance-scaled family is one pair map F(x2, x1), swept by
-    :func:`triangle_failure`; an extensional family is searched exhaustively
-    over its index set. Returns ``(True, None)`` or
-    ``(False, witness_triple)``, the first failing triple in (x1, x2, x3)
+    :func:`triangle_failure`; an extensional family is searched over its
+    index pairs by :func:`_extensional_failure`. Returns ``(True, None)`` or
+    ``(False, witness)``, the first failing (x1, x2, x3, index) in loop
     order.
     """
     labels = inst.labels
     space = inst.space
-    C = inst.cone
-    tol = inst.tol
     if fam.kind == "extensional":
-        for lam in fam.lambdas():
-            for x1 in labels:
-                for x3 in labels:
-                    target = fam.table[(lam, x1, x3)]
-                    for x2 in labels:
-                        if not _ti_search(fam, space, C, tol, x1, x2, x3, target):
-                            return False, (x1, x2, x3, lam)
-        return True, None
+        witness = _extensional_failure(fam, space, inst.cone, inst.tol)
+        return (True, None) if witness is None else (False, witness)
     triple = triangle_failure(
-        labels, lambda x2, x1: fam.sets(space, x2, x1)[0][1:], C, tol)
+        labels, lambda x2, x1: fam.sets(space, x2, x1)[0][1:], inst.cone,
+        inst.tol)
     return (True, None) if triple is None else (False, (*triple, "*"))
 
 
-def _ti_search(fam, space, C, tol, x1, x2, x3, target):
-    zero = np.zeros((1, C.dim))
-    V = target.vertices
-    for mu in fam.lambdas():
-        for nu in fam.lambdas():
-            F12 = fam.table[(mu, x1, x2)]
-            F23 = fam.table[(nu, x2, x3)]
-            # every u + v must lie in target + C, u-major as in the sets
-            Y = (F12.vertices[:, None, :] + F23.vertices[None, :, :]).reshape(
-                -1, C.dim)
+def _extensional_failure(fam, space, C, tol):
+    """First (x1, x2, x3, index) with no index pair (mu, nu) that puts every
+    vertex sum of F_mu(x1, x2) + F_nu(x2, x3) in F_index(x1, x3) + C, in the
+    loop order index, x1, x3, x2; None when there is none.
+
+    One (index, x1) slab at a time, :func:`screen_members` screens the
+    queries (x3, x2, mu, nu, u, v) at once. A pair (x3, x2) is covered when
+    some (mu, nu) has every sum screened in, and dead when every (mu, nu)
+    has a sum screened out. The pairs before the first dead one are walked
+    in loop order; an uncovered one tries its (mu, nu) in order on the LP,
+    skipping those with a sum screened out, until one has every undecided
+    sum covered.
+    """
+    labels = space.labels
+    n = len(labels)
+    lams = fam.lambdas()
+    L = len(lams)
+    polys = [P for x2 in labels for x1 in labels
+             for _, _, P in fam.sets(space, x2, x1)]
+    # E[x2, x1, index] = vertices of F_index(x2, x1), padded to J
+    E, counts = stack_vertices(polys)
+    E = E.reshape(n, n, L, *E.shape[1:])
+    counts = counts.reshape(n, n, L)
+    # every sum F_mu(x1, x2)[u] + F_nu(x2, x3)[v] as (x1, x3, x2, mu, nu, u, v)
+    Et, ct = E.transpose(1, 0, 2, 3, 4), counts.transpose(1, 0, 2)
+    sums = (E[:, None, :, :, None, :, None, :]
+            + Et[None, :, :, None, :, None, :, :])
+    k = np.arange(E.shape[3])
+    pads = ((k[:, None] >= counts[:, None, :, :, None, None, None])
+            | (k >= ct[None, :, :, None, :, None, None]))
+    origin = np.zeros((1, C.dim))
+    for c_lam, lam in enumerate(lams):
+        for a, x1 in enumerate(labels):
+            Y, pad = sums[a], pads[a]
+            T = E[a, :, c_lam]                        # F_index(x1, x3)
             decided, answer, candidates = screen_members(
-                Y, zero, np.float64(1.0), V, V.shape[0], C, tol)
-            if first_uncovered(decided, answer, lambda q: lp_member(
-                    Y[q], zero, 1.0, V, C, tol,
-                    np.flatnonzero(candidates[q]))) is None:
-                return True
-    return False
+                Y, origin, np.float64(1.0),
+                T[:, None, None, None, None, None],
+                counts[a, :, c_lam][:, None, None, None, None, None], C, tol)
+            out = (decided & ~answer & ~pad).any(axis=(-2, -1))
+            covered = ((decided & answer) | pad).all(axis=(-2, -1)).any(
+                axis=(-2, -1))
+            dead = np.flatnonzero(out.all(axis=(-2, -1)))
+            stop = int(dead[0]) if dead.size else None
+
+            def covers(c, b, mu, nu):
+                # (mu, nu) puts every sum of the pair (x3, x2) = (c, b) in
+                # the target, the undecided sums by LP in (u, v) order
+                if out[c, b, mu, nu]:
+                    return False
+                settled = pad[c, b, mu, nu].ravel()
+                points = Y[c, b, mu, nu].reshape(-1, C.dim)
+                rows = candidates[c, b, mu, nu].reshape(len(points), -1)
+                target = T[c, :counts[a, c, c_lam]]
+                return first_uncovered(
+                    decided[c, b, mu, nu].ravel() | settled,
+                    answer[c, b, mu, nu].ravel() | settled,
+                    lambda q: lp_member(points[q], origin, 1.0, target, C,
+                                        tol, np.flatnonzero(rows[q]))) is None
+
+            for p in np.flatnonzero(~covered.ravel()[:stop]):
+                c, b = divmod(int(p), n)
+                if not any(covers(c, b, mu, nu)
+                           for mu in range(L) for nu in range(L)):
+                    return x1, labels[b], labels[c], lam
+            if stop is not None:
+                c, b = divmod(stop, n)
+                return x1, labels[b], labels[c], lam
+    return None
 
 
 # ---------------------------------------------------------------------------

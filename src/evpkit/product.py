@@ -18,8 +18,9 @@ import numpy as np
 from . import engine as eng
 from .errors import HypothesisError, InputError, PremiseError
 from .geometry import (DEFAULT_TOL, PolyhedralCone, Polytope, as_point,
-                       cone_contains, lp_member, minkowski_member,
-                       polytope_contains, screen_members, singleton)
+                       cone_contains, first_outside, lp_member,
+                       minkowski_member, polytope_contains, screen_members,
+                       singleton)
 from .instances import MetricSpace, pair_arrays, triangle_failure
 from .scalarize import GerstewitzFn
 from .solvers import Certificate, Conclusion, _jsonable
@@ -176,12 +177,14 @@ def validate_fmap(pi: ProductInstance, fm: FMap):
     tol = pi.tol
     zero = np.zeros(C.dim)
     # containment in the cone and reflexive zero membership
-    for (x2, x1), (scale, H) in fm.table.items():
-        for v in H.vertices:
-            if scale > tol and not cone_contains(C, scale * v, tol):
-                raise HypothesisError(
-                    "pair_map_in_cone",
-                    f"pair-map value for ({x2!r}, {x1!r}) leaves the cone")
+    scaled = [(key, scale * H.vertices)
+              for key, (scale, H) in fm.table.items() if scale > tol]
+    bad = first_outside(C, [W for _, W in scaled], tol)
+    if bad is not None:
+        x2, x1 = scaled[bad][0]
+        raise HypothesisError(
+            "pair_map_in_cone",
+            f"pair-map value for ({x2!r}, {x1!r}) leaves the cone")
     for x in base.labels:
         scale, H = fm.value_set(x, x)
         if scale <= tol:

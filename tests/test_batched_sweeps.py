@@ -24,7 +24,7 @@ from evpkit.product import (FMap, ProductInstance, _graph_oracle,
                             fmap_from_rate, prec_fstar, validate_fmap)
 from evpkit.scalarize import GerstewitzFn
 
-from conftest import random_cone, sample_cone_member
+from conftest import generated_bundle, random_cone, sample_cone_member
 
 KINDS = ("singleton", "polytope", "open_polytope", "quasimetric",
          "extensional")
@@ -229,18 +229,35 @@ def test_relation_matrix_matches_loop(m, kind):
                                       loop_relation_matrix(inst, fam))
 
 
+def generated_extensional(seed, n, m):
+    """A generated extensional instance; its table has one vertex on the
+    diagonal and two off it, and it passes the triangle inclusion."""
+    bundle = generated_bundle(seed, n=n, m=m, values_per_point=2,
+                              variant="extensional")
+    return bundle.instance, bundle.family
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_ti_check_matches_loop(m):
+    """Random tables (ragged, 1 to 3 vertices) mostly fail; generated
+    extensional tables (n = 4 to 7) pass, so the search over every index
+    pair of every triple is compared too."""
     rng = np.random.default_rng(77 + m)
-    failures = 0
+    outcomes = {True: 0, False: 0}
     for trial in range(20):
         kind = KINDS[trial % 5]
         inst, fam, _ = random_instance(rng, n=6, m=m, kind=kind,
                                        metric=trial % 3 != 0)
         got = ti_check(inst, fam)
         assert got == loop_ti_check(inst, fam), (trial, kind)
-        failures += not got[0]
-    assert failures > 0  # the failing branch and its witness were compared
+        outcomes[got[0]] += 1
+    for n in range(4, 8):
+        inst, fam = generated_extensional(10 * m + n, n, m)
+        got = ti_check(inst, fam)
+        assert got == loop_ti_extensional(inst, fam), n
+        outcomes[got[0]] += 1
+    # the failing branch with its witness and the passing branch were compared
+    assert outcomes[True] > 0 and outcomes[False] > 0
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -354,6 +371,13 @@ def test_sweeps_never_run_more_lps_than_loops(monkeypatch):
             assert np.array_equal(got, want) if batched is relation_matrix \
                 else got == want
             assert nb <= nl, (trial, kind, batched.__name__, nb, nl)
+            totals["batched"] += nb
+            totals["loop"] += nl
+        if trial < 8:
+            inst, fam = generated_extensional(trial, 4 + trial % 4, m)
+            nb, got = _lp_calls(monkeypatch, ti_check, inst, fam)
+            nl, want = _lp_calls(monkeypatch, loop_ti_extensional, inst, fam)
+            assert got == want and nb <= nl, (trial, nb, nl)
             totals["batched"] += nb
             totals["loop"] += nl
         pi, fm = random_product(rng, n=4, m=m, metric=trial % 2 == 0)

@@ -10,7 +10,8 @@ from scipy.optimize import linprog
 from evpkit.errors import InputError
 from evpkit.geometry import (Polytope, cone, cone_contains, lp_feasible,
                              minkowski_member, orthant, polytope_contains,
-                             singleton, strictly_positive_functional)
+                             singleton, strictly_positive_functional,
+                             validate_direction_set)
 
 from conftest import random_cone, sample_cone_member
 
@@ -233,3 +234,15 @@ class TestPolytopeContains:
         P = Polytope([[2, 3]])
         assert polytope_contains(P, [2, 3], TOL)
         assert not polytope_contains(P, [2, 3.5], TOL)
+
+
+@pytest.mark.parametrize("vertices, message", [
+    ([[1.0, 1.0], [0.0, 0.0], [-1.0, 1.0]], "vertex 1 is zero"),
+    ([[1.0, 1.0], [-1.0, 1.0], [0.0, 0.0]], "vertex 1 lies outside the cone"),
+    ([[1.0, 1.0], [1e-10, 0.0], [-1.0, 1.0]], "vertex 1 is zero"),
+])
+def test_direction_set_reports_its_first_bad_vertex(vertices, message):
+    """All vertices are checked at once; the first failing one is named, and
+    a vertex that is zero (within tol) is reported as zero."""
+    with pytest.raises(InputError, match=message):
+        validate_direction_set(Polytope(vertices), orthant(2))

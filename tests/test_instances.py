@@ -307,3 +307,33 @@ class TestValidationErrors:
     def test_empty_value_set(self):
         with pytest.raises(InputError):
             SetValuedMap({"a": []})
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({("L1", "a", "b"): [[1.0, -1.0]], ("L0", "b", "a"): None},
+     r"value for \('L1', 'a', 'b'\) leaves the cone"),
+    ({("L1", "c", "b"): [[1.0, -1.0]], ("L0", "b", "a"): None},
+     r"not total: missing \('L0', 'b', 'a'\)"),
+    ({("L1", "a", "c"): [[1.0, 1.0, 1.0]], ("L0", "b", "c"): [[-1.0, 0.0]]},
+     "dimension mismatch: expected 2, got 3"),
+    ({("L1", "a", "a"): [[1.0, -1.0]], ("L0", "b", "c"): [[1.0, 0.0, 0.0]]},
+     r"value for \('L1', 'a', 'a'\) leaves the cone"),
+    ({("L1", "b", "a"): [[1.0, 1.0], [1.0, -1.0]],
+      ("L0", "b", "a"): [[1.0, 0.0], [-1.0, 0.0]]},
+     r"value for \('L0', 'b', 'a'\) leaves the cone"),
+])
+def test_extensional_validate_reports_the_first_failure(changes, message):
+    """Every vertex is checked at once, but the error is the first one met
+    in (x2, x1, index) order: a value leaving the cone, a missing entry or a
+    vertex of the wrong dimension."""
+    labels = ("a", "b", "c")
+    space = MetricSpace(labels, np.ones((3, 3)) - np.eye(3)).validate()
+    table = {(lam, x2, x1): Polytope([[0.5, 0.5], [1.0, 0.0]])
+             for lam in ("L0", "L1") for x2 in labels for x1 in labels}
+    for key, vertices in changes.items():
+        if vertices is None:
+            del table[key]
+        else:
+            table[key] = Polytope(vertices)
+    with pytest.raises(InputError, match=message):
+        ExtensionalFamily(("L0", "L1"), table).validate(space, orthant(2))

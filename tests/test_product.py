@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from evpkit.errors import HypothesisError, InputError, PremiseError
-from evpkit.geometry import (Polytope, cone, orthant, singleton,
-                             strictly_positive_functional)
+from evpkit.geometry import (LinearFunctional, Polytope, cone, orthant,
+                             singleton, strictly_positive_functional)
 from evpkit.instances import MetricSpace, metric_from_coordinates
 from evpkit.product import (FMap, ProductInstance, domination_check,
                             fmap_from_rate, pareto_min, prec_f, prec_fstar,
@@ -321,3 +321,30 @@ class TestInstanceValidation:
         base = MetricSpace(("a",), [[0.0]]).validate()
         with pytest.raises(InputError):
             ProductInstance((("a", [1.0, 1.0]),), base, ("a", [0.0, 0.0]), D2)
+
+
+def test_pair_map_in_cone_names_the_first_value_leaving_the_cone():
+    """Values at a scale above tol are checked together; the first pair in
+    table order is named, a value at scale 0 is not checked, and a vertex
+    of the wrong dimension raises an InputError."""
+    labels = ("a", "b", "c")
+    d = np.ones((3, 3)) - np.eye(3)
+    space = MetricSpace(labels, d).validate()
+    graph = (("a", np.zeros(2)), ("b", np.ones(2)), ("c", 2 * np.ones(2)))
+    pi = ProductInstance(graph, space, graph[0], D2)
+
+    def fmap(changes):
+        table = {(x2, x1): (float(d[i, j]), Polytope([[0.5, 0.5], [1.0, 0.0]]))
+                 for i, x2 in enumerate(labels)
+                 for j, x1 in enumerate(labels)}
+        table.update(changes)
+        return FMap(table, LinearFunctional([1.0, 1.0]))
+
+    with pytest.raises(HypothesisError, match=r"\('b', 'a'\) leaves") as err:
+        validate_fmap(pi, fmap({("b", "a"): (1.0, Polytope([[1.0, -1.0]])),
+                                ("c", "a"): (1.0, Polytope([[-1.0, 1.0]]))}))
+    assert err.value.name == "pair_map_in_cone"
+    validate_fmap(pi, fmap({("a", "a"): (0.0, Polytope([[1.0, -1.0]]))}))
+    with pytest.raises(InputError, match="dimension mismatch"):
+        validate_fmap(pi, fmap({("b", "c"): (1.0, Polytope([[1.0, 1.0, 1.0]])),
+                                ("c", "a"): (1.0, Polytope([[-1.0, 1.0]]))}))
