@@ -1,6 +1,8 @@
 """Instance files, generators, builtins, reports, and the CLI surface."""
 
+import functools
 import json
+import operator
 import os
 
 import numpy as np
@@ -74,6 +76,134 @@ class TestLoadValidate:
         monkeypatch.setenv("EVPKIT_TOLERANCE", "bogus")
         with pytest.raises(InputError):
             load_validate(data)
+
+
+_DROP = object()
+
+# (id, path into builtin("chain"), new value or _DROP, words the error text
+# must contain); the empty path replaces the whole document
+REJECTIONS = [
+    ("unknown-top-key", ("bogus",), 1, ("bogus",)),
+    ("unknown-cone-key", ("cone", "bogus"), 1, ("cone", "bogus")),
+    ("unknown-space-key", ("space", "bogus"), 1, ("space", "bogus")),
+    ("unknown-perturbation-key", ("perturbation", "bogus"), 1,
+     ("perturbation", "bogus")),
+    ("unknown-params-key", ("params", "bogus"), 1, ("params", "bogus")),
+    ("unknown-product-key", ("product", "bogus"), 1, ("product", "bogus")),
+    ("missing-version", ("version",), _DROP, ("version",)),
+    ("missing-dimension", ("dimension",), _DROP, ("dimension",)),
+    ("missing-cone", ("cone",), _DROP, ("cone",)),
+    ("missing-space", ("space",), _DROP, ("space",)),
+    ("missing-map", ("map",), _DROP, ("map",)),
+    ("missing-perturbation", ("perturbation",), _DROP, ("perturbation",)),
+    ("missing-params", ("params",), _DROP, ("params",)),
+    ("missing-halfspaces", ("cone", "halfspaces"), _DROP, ("halfspaces",)),
+    ("missing-labels", ("space", "labels"), _DROP, ("labels",)),
+    ("missing-variant", ("perturbation", "variant"), _DROP, ("variant",)),
+    ("missing-x0", ("params", "x0"), _DROP, ("x0",)),
+    ("missing-graph", ("product", "graph"), _DROP, ("graph",)),
+    ("missing-y0", ("product", "y0"), _DROP, ("y0",)),
+    ("block-not-object-cone", ("cone",), [[1.0]], ("cone",)),
+    ("block-not-object-space", ("space",), 1, ("space",)),
+    ("block-not-object-perturbation", ("perturbation",), None,
+     ("perturbation",)),
+    ("block-not-object-params", ("params",), "x", ("params",)),
+    ("block-not-object-product", ("product",), [], ("product",)),
+    ("epsilon-string", ("params", "epsilon"), "x", ("epsilon",)),
+    ("epsilon-bool", ("params", "epsilon"), True, ("epsilon",)),
+    ("lambda-null", ("params", "lambda"), None, ("lambda",)),
+    ("params-gamma-bool", ("params", "gamma"), False, ("gamma",)),
+    ("tolerance-string", ("params", "tolerance"), "1e-9", ("tolerance",)),
+    ("perturbation-gamma-string", ("perturbation", "gamma"), "1",
+     ("gamma",)),
+    ("k0-bool-item", ("perturbation", "k0"), [True], ("k0",)),
+    ("halfspaces-string-entry", ("cone", "halfspaces"), [["1"]],
+     ("halfspaces",)),
+    ("generators-null-entry", ("cone", "generators"), [[None]],
+     ("generators",)),
+    ("coordinates-bool-entry", ("space", "coordinates"),
+     [[0.0], [True], [2.0]], ("coordinates",)),
+    ("distances-string-entry", ("space", "distances"),
+     [[0.0, "1"], [1.0, 0.0]], ("distances",)),
+    ("map-string-entry", ("map", "a"), [["2"]], ("map",)),
+    ("map-value-not-matrix", ("map", "a"), [2.0], ("map",)),
+    ("y0-string-entry", ("product", "y0"), ["2"], ("y0",)),
+    ("dimension-zero", ("dimension",), 0, ("dimension",)),
+    ("dimension-negative", ("dimension",), -1, ("dimension",)),
+    ("dimension-fraction", ("dimension",), 1.5, ("dimension",)),
+    ("dimension-string", ("dimension",), "1", ("dimension",)),
+    ("dimension-bool", ("dimension",), True, ("dimension",)),
+    ("version-wrong", ("version",), "evpkit/2", ("version",)),
+    ("version-number", ("version",), 1, ("version",)),
+    ("metric-wrong", ("space", "metric"), "manhattan", ("metric",)),
+    ("metric-number", ("space", "metric"), 1, ("metric",)),
+    ("variant-unknown", ("perturbation", "variant"), "nope", ("variant",)),
+    ("variant-number", ("perturbation", "variant"), 3, ("variant",)),
+    ("open-string", ("perturbation", "open"), "yes", ("open",)),
+    ("open-number", ("perturbation", "open"), 1, ("open",)),
+    ("labels-empty", ("space", "labels"), [], ("labels",)),
+    ("labels-number-item", ("space", "labels"), ["a", 1, "c"], ("labels",)),
+    ("x0-number", ("params", "x0"), 1, ("x0",)),
+    ("halfspaces-empty", ("cone", "halfspaces"), [], ("halfspaces",)),
+    ("halfspaces-empty-row", ("cone", "halfspaces"), [[]], ("halfspaces",)),
+    ("k0-empty", ("perturbation", "k0"), [], ("k0",)),
+    ("vertices-empty", ("perturbation", "vertices"), [], ("vertices",)),
+    ("matrix-empty-row", ("perturbation", "matrix"), [[]], ("matrix",)),
+    ("lambdas-empty", ("perturbation", "lambdas"), [], ("lambdas",)),
+    ("lambdas-number-item", ("perturbation", "lambdas"), [1], ("lambdas",)),
+    ("graph-empty", ("product", "graph"), [], ("graph",)),
+    ("y0-empty", ("product", "y0"), [], ("y0",)),
+    ("map-value-empty", ("map", "a"), [], ("map",)),
+    ("map-empty", ("map",), {}, ("map",)),
+    ("map-not-object", ("map",), [[1.0]], ("map",)),
+    ("table-not-object", ("perturbation", "table"), [], ("table",)),
+    ("table-index-not-object", ("perturbation", "table"),
+     {"L0": [[1.0]]}, ("table",)),
+    ("table-value-not-matrix", ("perturbation", "table"),
+     {"L0": {"a|b": [1.0]}}, ("table",)),
+    ("table-value-string", ("perturbation", "table"),
+     {"L0": {"a|b": "x"}}, ("table",)),
+    ("table-string-entry", ("perturbation", "table"),
+     {"L0": {"a|b": [["x"]]}}, ("table",)),
+    ("graph-item-not-list", ("product", "graph"), ["a"], ("graph",)),
+    ("graph-item-short", ("product", "graph"), [["a"]], ("graph",)),
+    ("graph-item-long", ("product", "graph"), [["a", [2.0], 1]],
+     ("graph",)),
+    ("graph-label-number", ("product", "graph"), [[1, [2.0]]], ("graph",)),
+    ("graph-point-number", ("product", "graph"), [["a", 2.0]], ("graph",)),
+    ("graph-point-empty", ("product", "graph"), [["a", []]], ("graph",)),
+    ("graph-point-string-entry", ("product", "graph"), [["a", ["2"]]],
+     ("graph",)),
+    ("top-level-list", (), [1, 2], ("object",)),
+    ("top-level-string", (), "evpkit/1", ("object",)),
+    ("top-level-number", (), 3, ("object",)),
+]
+
+
+@pytest.mark.parametrize("path,value,words", [c[1:] for c in REJECTIONS],
+                         ids=[c[0] for c in REJECTIONS])
+def test_rejection_names_the_field(path, value, words, tmp_path):
+    """Every structural rejection of an instance file is an InputError whose
+    text names the field, and exit 3 with status input_error from the CLI."""
+    data = builtin("chain")
+    if path:
+        *parents, key = path
+        block = functools.reduce(operator.getitem, parents, data)
+        if value is _DROP:
+            del block[key]
+        else:
+            block[key] = value
+    else:
+        data = value
+    source = tmp_path / "bad.json"
+    source.write_text(json.dumps(data))
+    with pytest.raises(InputError) as err:
+        load_validate(str(source))
+    for word in words:
+        assert word in str(err.value)
+    code, reports = run_command(["validate", str(source)])
+    assert code == 3 and reports[0].status == "input_error"
+    assert reports[0].payload["error"] == str(err.value)
 
 
 class TestGenerate:
