@@ -18,8 +18,8 @@ import time
 from . import io as kit_io
 from . import product as prod
 from . import solvers
-from .errors import (EvpkitError, HypothesisError, InputError,
-                     LinearProgramError, PremiseError)
+from .errors import (HypothesisError, InputError, LinearProgramError,
+                     PremiseError)
 from .geometry import Polytope, singleton, strictly_positive_functional
 from .instances import check_assumptions
 from .io import Report, render
@@ -222,45 +222,132 @@ def _dispatch_product(bundle, theorem, mode):
     raise InputError(f"unknown theorem {theorem!r}")
 
 
-def _report_for_error(command, path, exc, started, theorem=None, tol=None):
-    if isinstance(exc, InputError):
-        status, code = "input_error", 3
-    elif isinstance(exc, PremiseError):
-        status, code = "premise_failed", 2
-    elif isinstance(exc, HypothesisError):
-        status, code = "hypothesis_failed", 2
-    elif isinstance(exc, LinearProgramError):
-        status, code = "lp_error", 4
-    else:
-        raise exc
-    payload = {"error": str(exc)}
-    witness = getattr(exc, "witness", None)
-    if witness is not None:
-        payload["witness"] = solvers._jsonable(witness)
-    name = getattr(exc, "name", None)
-    if name:
-        payload["failed_hypothesis"] = name
-    return Report(command=command, status=status, exit_code=code,
-                  instance=path, theorem=theorem, payload=payload,
-                  timing_s=time.perf_counter() - started,
-                  tolerance=tol if tol is not None else kit_io.DEFAULT_TOL)
+# error class -> (report status, exit code); any other error is a bug
+_ERROR_STATUS = {InputError: ("input_error", 3),
+                 PremiseError: ("premise_failed", 2),
+                 HypothesisError: ("hypothesis_failed", 2),
+                 LinearProgramError: ("lp_error", 4)}
 
 
 def _run_on_path(command, path, worker, theorem=None):
+    """Report of ``worker`` run on the bundle loaded from ``path``, or on
+    None with no load when ``path`` is None; an error of ``_ERROR_STATUS``
+    becomes a report with its status and exit code."""
     started = time.perf_counter()
-    tol = None
+    tol = kit_io.DEFAULT_TOL
     try:
-        bundle = kit_io.load_validate(path)
-        tol = bundle.tol
+        bundle = None
+        if path is not None:
+            bundle = kit_io.load_validate(path)
+            tol = bundle.tol
         payload = worker(bundle)
-        return Report(command=command, status="certified"
-                      if "certificate" in payload else "ok",
-                      exit_code=0, instance=str(path), theorem=theorem,
-                      payload=payload,
-                      timing_s=time.perf_counter() - started, tolerance=tol)
-    except EvpkitError as exc:
-        return _report_for_error(command, str(path), exc, started,
-                                 theorem=theorem, tol=tol)
+        status = "certified" if "certificate" in payload else "ok"
+        code = 0
+    except tuple(_ERROR_STATUS) as exc:
+        status, code = _ERROR_STATUS[type(exc)]
+        payload = {"error": str(exc)}
+        witness = getattr(exc, "witness", None)
+        if witness is not None:
+            payload["witness"] = solvers._jsonable(witness)
+        name = getattr(exc, "name", None)
+        if name:
+            payload["failed_hypothesis"] = name
+    return Report(command=command, status=status, exit_code=code,
+                  instance=None if path is None else str(path),
+                  theorem=theorem, payload=payload,
+                  timing_s=time.perf_counter() - started, tolerance=tol)
+
+
+def _validate(args, bundle):
+    return {"summary": {
+        "labels": len(bundle.instance.labels),
+        "dimension": bundle.instance.cone.dim,
+        "variant": bundle.raw["perturbation"]["variant"],
+        "has_product": bundle.product is not None,
+    }}
+
+
+def _solve_evp(args, bundle):
+    return {"certificate": _dispatch_evp(bundle, args.theorem, args.mode,
+                                         args.xi).to_dict()}
+
+
+def _solve_minimal_point(args, bundle):
+    return {"certificate": _dispatch_product(bundle, args.theorem,
+                                             args.mode).to_dict()}
+
+
+def _pareto(args, bundle):
+    B = bundle.instance.fmap.all_points()
+    fn = prod.strict_pareto_min if args.strict else prod.pareto_min
+    pts = fn(list(B), bundle.instance.cone, bundle.tol)
+    return {"minimal": [[float(v) for v in p] for p in pts],
+            "strict": bool(args.strict)}
+
+
+def _scalarize(args, bundle):
+    y = _parse_point(args.y)
+    k0 = (_parse_point(args.k0) if args.k0
+          else bundle.raw["perturbation"].get("k0"))
+    if k0 is None:
+        raise InputError("no direction: pass --k0 or use a "
+                         "singleton perturbation")
+    g = GerstewitzFn(bundle.instance.cone, k0, bundle.tol)
+    value = gz_value(g, y)
+    oracle = gz_bisect_oracle(g, y)
+    return {"y": y, "k0": list(map(float, k0)),
+            "value": value, "oracle": oracle}
+
+
+def _check_assumptions(args, bundle):
+    xi = _general_xi(bundle, args.xi)
+    report = check_assumptions(bundle.instance, bundle.family, xi,
+                               bundle.params.x0)
+    payload = {"assumptions": report.to_dict(),
+               "solvable": report.solvable()}
+    if not report.solvable():
+        raise HypothesisError(report.failed_name(),
+                              "assumption gate failed", witness=payload)
+    return payload
+
+
+def _emit(args, payload):
+    """Write the emitted instance to ``--out``, if given."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(payload["instance"], fh, indent=2)
+        payload["written"] = args.out
+    return payload
+
+
+def _generate(args, _):
+    return _emit(args, {"instance": kit_io.generate(
+        args.seed, n=args.n, m=args.m, values_per_point=args.values,
+        variant=args.variant)})
+
+
+def _builtin(args, _):
+    data = kit_io.builtin(args.name, samples=args.samples)
+    payload = {"instance": data}
+    if args.name == "example41":
+        payload["probes"] = kit_io.example41_probes(
+            kit_io.load_validate(data))
+    return _emit(args, payload)
+
+
+# command -> worker(args, bundle) returning the report payload; generate
+# and builtin take no instance file and write the instance to --out
+WORKERS = {
+    "validate": _validate,
+    "solve-evp": _solve_evp,
+    "solve-minimal-point": _solve_minimal_point,
+    "pareto": _pareto,
+    "scalarize": _scalarize,
+    "check-assumptions": _check_assumptions,
+    "generate": _generate,
+    "builtin": _builtin,
+}
+EMITTERS = ("generate", "builtin")
 
 
 def run_command(argv):
@@ -275,124 +362,13 @@ def run_command(argv):
     except SystemExit as e:
         return (3 if e.code not in (0, None) else 0), []
 
-    reports = []
-    if args.command == "validate":
-        for path in args.paths:
-            started = time.perf_counter()
-            try:
-                bundle = kit_io.load_validate(path)
-                summary = {
-                    "labels": len(bundle.instance.labels),
-                    "dimension": bundle.instance.cone.dim,
-                    "variant": bundle.raw["perturbation"]["variant"],
-                    "has_product": bundle.product is not None,
-                }
-                reports.append(Report(
-                    command="validate", status="ok", exit_code=0,
-                    instance=str(path), payload={"summary": summary},
-                    timing_s=time.perf_counter() - started,
-                    tolerance=bundle.tol))
-            except EvpkitError as exc:
-                reports.append(_report_for_error("validate", str(path), exc,
-                                                 started))
-
-    elif args.command == "solve-evp":
-        for path in args.paths:
-            reports.append(_run_on_path(
-                "solve-evp", path,
-                lambda b: {"certificate": _dispatch_evp(
-                    b, args.theorem, args.mode, args.xi).to_dict()},
-                theorem=args.theorem))
-
-    elif args.command == "solve-minimal-point":
-        for path in args.paths:
-            reports.append(_run_on_path(
-                "solve-minimal-point", path,
-                lambda b: {"certificate": _dispatch_product(
-                    b, args.theorem, args.mode).to_dict()},
-                theorem=args.theorem))
-
-    elif args.command == "pareto":
-        def pareto_worker(bundle):
-            B = bundle.instance.fmap.all_points()
-            fn = prod.strict_pareto_min if args.strict else prod.pareto_min
-            pts = fn(list(B), bundle.instance.cone, bundle.tol)
-            return {"minimal": [[float(v) for v in p] for p in pts],
-                    "strict": bool(args.strict)}
-        for path in args.paths:
-            reports.append(_run_on_path("pareto", path, pareto_worker))
-
-    elif args.command == "scalarize":
-        def scalarize_worker(bundle):
-            y = _parse_point(args.y)
-            k0 = (_parse_point(args.k0) if args.k0
-                  else bundle.raw["perturbation"].get("k0"))
-            if k0 is None:
-                raise InputError("no direction: pass --k0 or use a "
-                                 "singleton perturbation")
-            g = GerstewitzFn(bundle.instance.cone, k0, bundle.tol)
-            value = gz_value(g, y)
-            oracle = gz_bisect_oracle(g, y)
-            return {"y": y, "k0": list(map(float, k0)),
-                    "value": value, "oracle": oracle}
-        reports.append(_run_on_path("scalarize", args.paths[0],
-                                    scalarize_worker))
-
-    elif args.command == "check-assumptions":
-        def assumptions_worker(bundle):
-            xi = _general_xi(bundle, args.xi)
-            report = check_assumptions(bundle.instance, bundle.family, xi,
-                                       bundle.params.x0)
-            payload = {"assumptions": report.to_dict(),
-                       "solvable": report.solvable()}
-            if not report.solvable():
-                raise HypothesisError(report.failed_name(),
-                                      "assumption gate failed",
-                                      witness=payload)
-            return payload
-        for path in args.paths:
-            reports.append(_run_on_path("check-assumptions", path,
-                                        assumptions_worker))
-
-    elif args.command == "generate":
-        started = time.perf_counter()
-        try:
-            data = kit_io.generate(args.seed, n=args.n, m=args.m,
-                                   values_per_point=args.values,
-                                   variant=args.variant)
-            payload = {"instance": data}
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    json.dump(data, fh, indent=2)
-                payload["written"] = args.out
-            reports.append(Report(command="generate", status="ok",
-                                  exit_code=0, payload=payload,
-                                  timing_s=time.perf_counter() - started))
-        except EvpkitError as exc:
-            reports.append(_report_for_error("generate", None, exc, started))
-
-    elif args.command == "builtin":
-        started = time.perf_counter()
-        try:
-            data = kit_io.builtin(args.name, samples=args.samples)
-            payload = {"instance": data}
-            if args.name == "example41":
-                bundle = kit_io.load_validate(data)
-                payload["probes"] = kit_io.example41_probes(bundle)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    json.dump(data, fh, indent=2)
-                payload["written"] = args.out
-            reports.append(Report(command="builtin", status="ok",
-                                  exit_code=0, payload=payload,
-                                  timing_s=time.perf_counter() - started))
-        except EvpkitError as exc:
-            reports.append(_report_for_error("builtin", None, exc, started))
-
+    worker = functools.partial(WORKERS[args.command], args)
+    theorem = getattr(args, "theorem", None)
+    reports = [_run_on_path(args.command, path, worker, theorem=theorem)
+               for path in getattr(args, "paths", [None])]
     exit_code = next((r.exit_code for r in reports if r.exit_code), 0)
-    out = getattr(args, "out", None)
-    if out and args.command not in ("generate", "builtin"):
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out and args.command not in EMITTERS:
+        with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"reports": [r.to_dict() for r in reports]}, fh,
                       indent=2)
     return exit_code, reports

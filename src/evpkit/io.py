@@ -1,19 +1,23 @@
 """Instance files, random generators, bundled demonstration instances, and
 the report type the CLI emits.
 
-Instance files are UTF-8 JSON with schema version ``evpkit/1``. Structural
-validation goes through jsonschema; every module-level invariant is then
-re-checked on load, with errors naming the offending field.
+Instance files are UTF-8 JSON with schema version ``evpkit/1``. Loading
+checks each fact once: ``_check`` walks the document against
+``INSTANCE_SPEC`` for its keys and JSON types (no unknown keys, required
+keys present, numbers that are not booleans, non-empty lists), then the
+builders check the values and every invariant. Either names the field at
+fault, as in ``$.params.epsilon: expected a number``.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .errors import InputError
 from .geometry import DEFAULT_TOL, PolyhedralCone, Polytope
@@ -27,94 +31,89 @@ from .product import ProductInstance
 SCHEMA_VERSION = "evpkit/1"
 TOLERANCE_ENV = "EVPKIT_TOLERANCE"
 
-_NUM = {"type": "number"}
-_VEC = {"type": "array", "items": _NUM, "minItems": 1}
-_MAT = {"type": "array", "items": _VEC, "minItems": 1}
 
-INSTANCE_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["version", "dimension", "cone", "space", "map",
-                 "perturbation", "params"],
-    "additionalProperties": False,
-    "properties": {
-        "version": {"const": SCHEMA_VERSION},
-        "dimension": {"type": "integer", "minimum": 1},
-        "cone": {
-            "type": "object",
-            "required": ["halfspaces"],
-            "additionalProperties": False,
-            "properties": {"halfspaces": _MAT, "generators": _MAT},
-        },
-        "space": {
-            "type": "object",
-            "required": ["labels"],
-            "additionalProperties": False,
-            "properties": {
-                "labels": {"type": "array", "items": {"type": "string"},
-                           "minItems": 1},
-                "distances": _MAT,
-                "coordinates": _MAT,
-                "metric": {"const": "euclidean"},
-            },
-        },
-        "map": {
-            "type": "object",
-            "minProperties": 1,
-            "additionalProperties": _MAT,
-        },
-        "perturbation": {
-            "type": "object",
-            "required": ["variant"],
-            "additionalProperties": False,
-            "properties": {
-                "variant": {"enum": ["singleton", "polytope", "quasimetric",
-                                     "extensional"]},
-                "k0": _VEC,
-                "vertices": _MAT,
-                "gamma": _NUM,
-                "open": {"type": "boolean"},
-                "matrix": _MAT,
-                "lambdas": {"type": "array", "items": {"type": "string"},
-                            "minItems": 1},
-                "table": {
-                    "type": "object",
-                    "additionalProperties": {
-                        "type": "object", "additionalProperties": _MAT},
-                },
-            },
-        },
-        "params": {
-            "type": "object",
-            "required": ["x0"],
-            "additionalProperties": False,
-            "properties": {
-                "x0": {"type": "string"},
-                "epsilon": _NUM,
-                "lambda": _NUM,
-                "gamma": _NUM,
-                "tolerance": _NUM,
-            },
-        },
-        "product": {
-            "type": "object",
-            "required": ["graph", "y0"],
-            "additionalProperties": False,
-            "properties": {
-                "graph": {
-                    "type": "array", "minItems": 1,
-                    "items": {
-                        "type": "array", "minItems": 2, "maxItems": 2,
-                        "prefixItems": [{"type": "string"}, _VEC],
-                    },
-                },
-                "y0": _VEC,
-            },
-        },
-    },
+class _Leaf(NamedTuple):
+    """A scalar spec: ``accepts`` tells whether a value fits, ``what`` names
+    what fits."""
+
+    accepts: Callable
+    what: str
+
+
+def _number(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _positive_integer(v):
+    return _number(v) and v >= 1 and (isinstance(v, numbers.Integral)
+                                      or float(v).is_integer())
+
+
+def _one_of(*values):
+    return _Leaf(lambda v: isinstance(v, str) and v in values,
+                 " or ".join(map(repr, values)))
+
+
+_NUM = _Leaf(_number, "a number")
+_STR = _Leaf(lambda v: isinstance(v, str), "a string")
+_VEC = [_NUM]
+_MAT = [_VEC]
+
+# A spec is a _Leaf; [item] for a non-empty list of items; a tuple for a
+# list of exactly those items; or {key: (required, spec)} for an object with
+# no other keys, where the key "*" stands for any key and, if required, asks
+# for at least one.
+INSTANCE_SPEC = {
+    "version": (True, _one_of(SCHEMA_VERSION)),
+    "dimension": (True, _Leaf(_positive_integer, "a positive integer")),
+    "cone": (True, {"halfspaces": (True, _MAT), "generators": (False, _MAT)}),
+    "space": (True, {"labels": (True, [_STR]), "distances": (False, _MAT),
+                     "coordinates": (False, _MAT),
+                     "metric": (False, _one_of("euclidean"))}),
+    "map": (True, {"*": (True, _MAT)}),
+    "perturbation": (True, {
+        "variant": (True, _one_of("singleton", "polytope", "quasimetric",
+                                  "extensional")),
+        "k0": (False, _VEC), "vertices": (False, _MAT),
+        "gamma": (False, _NUM), "matrix": (False, _MAT),
+        "open": (False, _Leaf(lambda v: isinstance(v, bool), "a boolean")),
+        "lambdas": (False, [_STR]),
+        "table": (False, {"*": (False, {"*": (False, _MAT)})}),
+    }),
+    "params": (True, {"x0": (True, _STR), "epsilon": (False, _NUM),
+                      "lambda": (False, _NUM), "gamma": (False, _NUM),
+                      "tolerance": (False, _NUM)}),
+    "product": (False, {"graph": (True, [(_STR, _VEC)]), "y0": (True, _VEC)}),
 }
 
-_VALIDATOR = Draft202012Validator(INSTANCE_SCHEMA)
+
+def _check(value, spec, path="$"):
+    """Raise InputError naming the first place where ``value`` breaks
+    ``spec``; values are only checked for JSON type and shape here."""
+    if isinstance(spec, _Leaf):
+        if not spec.accepts(value):
+            raise InputError(f"{path}: expected {spec.what}")
+    elif isinstance(spec, dict):
+        if not isinstance(value, dict):
+            raise InputError(f"{path}: expected an object")
+        if not value and spec.get("*", (False,))[0]:
+            raise InputError(f"{path}: expected a non-empty object")
+        for key, (required, _) in spec.items():
+            if required and key != "*" and key not in value:
+                raise InputError(f"{path}.{key}: required but missing")
+        for key, item in value.items():
+            if key not in spec and "*" not in spec:
+                raise InputError(f"{path}.{key}: unknown key")
+            _check(item, spec.get(key, spec.get("*"))[1], f"{path}.{key}")
+    else:
+        exact = isinstance(spec, tuple)
+        if not (isinstance(value, list) and value
+                and (not exact or len(value) == len(spec))):
+            raise InputError(f"{path}: expected " + (
+                f"a list of {len(spec)} items" if exact
+                else "a non-empty list"))
+        for i, item in enumerate(value):
+            _check(item, spec[i] if exact else spec[0], f"{path}[{i}]")
 
 
 @dataclass
@@ -145,13 +144,6 @@ def default_tolerance():
     return DEFAULT_TOL
 
 
-def _schema_check(data):
-    errors = sorted(_VALIDATOR.iter_errors(data), key=lambda e: e.json_path)
-    if errors:
-        e = errors[0]
-        raise InputError(f"schema violation at {e.json_path}: {e.message}")
-
-
 def _build_space(spec):
     labels = tuple(spec["labels"])
     if "distances" in spec:
@@ -159,8 +151,6 @@ def _build_space(spec):
             raise InputError("space: give distances or coordinates, not both")
         return MetricSpace(labels, spec["distances"])
     if "coordinates" in spec:
-        if spec.get("metric", "euclidean") != "euclidean":
-            raise InputError("space.metric: only 'euclidean' is supported")
         return metric_from_coordinates(labels, spec["coordinates"])
     raise InputError("space needs a distance matrix or coordinates")
 
@@ -188,7 +178,7 @@ def _build_family(spec, space, cone_, tol):
                              "are required for 'quasimetric'")
         fam = QuasiMetricDirection(Polytope(spec["vertices"]),
                                    QuasiMetric(spec["matrix"]))
-    elif variant == "extensional":
+    else:  # extensional; INSTANCE_SPEC admits no other variant
         if "lambdas" not in spec or "table" not in spec:
             raise InputError("perturbation.lambdas and perturbation.table "
                              "are required for 'extensional'")
@@ -209,8 +199,6 @@ def _build_family(spec, space, cone_, tol):
                             f"perturbation.table references unknown label {x!r}")
                 table[(lam, x2, x1)] = Polytope(vertices)
         fam = ExtensionalFamily(tuple(spec["lambdas"]), table)
-    else:  # unreachable given the schema
-        raise InputError(f"unknown perturbation variant {variant!r}")
     return fam.validate(space, cone_, tol)
 
 
@@ -242,9 +230,8 @@ def load_validate(source):
             data = json.loads(text)
         except json.JSONDecodeError as e:
             raise InputError(f"not valid JSON: {e}") from None
-    _schema_check(data)
+    _check(data, INSTANCE_SPEC)
 
-    m = data["dimension"]
     params_spec = data["params"]
     tol = params_spec.get("tolerance", default_tolerance())
     if not tol > 0:
@@ -252,24 +239,16 @@ def load_validate(source):
 
     cone_ = PolyhedralCone(data["cone"]["halfspaces"],
                            data["cone"].get("generators"))
-    if cone_.dim != m:
+    if cone_.dim != data["dimension"]:
         raise InputError("cone.halfspaces: dimension mismatch with 'dimension'")
     cone_.validate(tol)
 
     space = _build_space(data["space"]).validate(tol)
 
-    fmap_spec = data["map"]
-    missing = [x for x in space.labels if x not in fmap_spec]
-    if missing:
-        raise InputError(f"map: labels without value sets: {missing}")
-    extra = [x for x in fmap_spec if x not in space.labels]
+    extra = [x for x in data["map"] if x not in space.labels]
     if extra:
         raise InputError(f"map: value sets for unknown labels: {extra}")
-    fmap = SetValuedMap(fmap_spec)
-    if fmap.dim != m:
-        raise InputError("map: value dimension mismatch with 'dimension'")
-
-    inst = FiniteInstance(space, fmap, cone_, tol)
+    inst = FiniteInstance(space, SetValuedMap(data["map"]), cone_, tol)
     family = _build_family(data["perturbation"], space, cone_, tol)
 
     x0 = params_spec["x0"]

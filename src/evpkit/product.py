@@ -185,6 +185,12 @@ def validate_fmap(pi: ProductInstance, fm: FMap):
         raise HypothesisError(
             "pair_map_in_cone",
             f"pair-map value for ({x2!r}, {x1!r}) leaves the cone")
+    # values at scale <= tol skip the cone check; their dimension must still
+    # match before the triangle sweep stacks all vertex arrays
+    for (x2, x1), (_, H) in fm.table.items():
+        if H.dim != C.dim:
+            raise InputError(f"pair-map value for ({x2!r}, {x1!r}) has "
+                             f"dimension {H.dim}, expected {C.dim}")
     for x in base.labels:
         scale, H = fm.value_set(x, x)
         if scale <= tol:

@@ -325,11 +325,8 @@ def solve_evp_set_direction(inst: FiniteInstance, H: Polytope, gamma, x0,
 def solve_evp_quasimetric(inst: FiniteInstance, H: Polytope, p: QuasiMetric,
                           x0, mode="greedy"):
     """Set-direction perturbation scaled by a quasi-metric pair weight."""
-    p.validate(inst.tol)
-    if p.mat.shape[0] != inst.space.n:
-        raise InputError("quasi-metric size does not match the space")
-    xi = _separating_functional(H, inst.cone, inst.tol)
     fam = QuasiMetricDirection(H, p).validate(inst.space, inst.cone, inst.tol)
+    xi = _separating_functional(H, inst.cone, inst.tol)
     oracle, rel, report = _gate(inst, fam, xi, x0)
     xhat, trace = eng.solve(oracle, x0, mode)
     conclusions = [

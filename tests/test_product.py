@@ -348,3 +348,8 @@ def test_pair_map_in_cone_names_the_first_value_leaving_the_cone():
     with pytest.raises(InputError, match="dimension mismatch"):
         validate_fmap(pi, fmap({("b", "c"): (1.0, Polytope([[1.0, 1.0, 1.0]])),
                                 ("c", "a"): (1.0, Polytope([[-1.0, 1.0]]))}))
+    # a value at scale 0 skips the cone check but not the dimension check
+    for scale in (0.0, 1e-12):
+        with pytest.raises(InputError, match=r"\('a', 'a'\) has dimension 3"):
+            validate_fmap(pi, fmap({("a", "a"): (scale,
+                                                 Polytope([[1.0, 1.0, 1.0]]))}))

@@ -190,6 +190,20 @@ class TestQuasimetric:
             solve_evp_quasimetric(inst, Polytope([[1, 0], [0, 1]]),
                                   QuasiMetric([[0.0, 0.0], [1.0, 0.0]]), "a")
 
+    def test_family_checks_direction_set_then_weight(self):
+        """The quasi-metric family is checked once, direction set first: a
+        bad H is named even when p is bad too, and a p of the wrong size is
+        still rejected."""
+        inst = self._plane_instance()
+        bad_p = QuasiMetric([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(InputError, match="vertex 0 lies outside"):
+            solve_evp_quasimetric(inst, Polytope([[1.0, -1.0]]), bad_p, "a")
+        with pytest.raises(InputError, match="vanishes"):
+            solve_evp_quasimetric(inst, Polytope([[1.0, 1.0]]), bad_p, "a")
+        with pytest.raises(InputError, match="size"):
+            solve_evp_quasimetric(inst, Polytope([[1.0, 1.0]]),
+                                  QuasiMetric([[0.0]]), "a")
+
 
 class TestApprox:
     def test_two_point_bound(self):
