@@ -470,17 +470,67 @@ def lp_member(y, B, scale, V, C: PolyhedralCone, tol, rows):
     return False
 
 
-def stack_vertices(polytopes):
-    """Vertex arrays of several polytopes as one ``(P, J, m)`` stack plus
-    the real vertex counts; shorter lists are padded by repeating their last
-    vertex, as :func:`screen_members` requires."""
-    counts = np.array([P.vertices.shape[0] for P in polytopes])
-    J = counts.max()
-    stack = np.array([
-        P.vertices if c == J
-        else np.vstack([P.vertices] + [P.vertices[-1:]] * (J - c))
-        for P, c in zip(polytopes, counts)])
+def stack_rows(arrays):
+    """Several row arrays (vertex lists, value sets) as one ``(P, R, m)``
+    stack plus the real row counts; shorter arrays are padded by repeating
+    their last row, as :func:`screen_members` requires."""
+    counts = np.array([A.shape[0] for A in arrays])
+    R = counts.max()
+    stack = np.array([A if c == R else np.vstack([A] + [A[-1:]] * (R - c))
+                      for A, c in zip(arrays, counts)])
     return stack, counts
+
+
+def covered_queries(Y, B, nb, S, V, nv, C: PolyhedralCone, tol=DEFAULT_TOL,
+                    group=None, witness=True):
+    """Decide a flat stack of memberships ``Y[q] in B[q] + S[q] * conv(V[q])
+    + C`` as :func:`minkowski_member` decides each: the cheap tests of
+    :func:`screen_members` on the whole stack, then :func:`lp_member` for
+    the undecided queries in stack order.
+
+    ``Y`` is ``(Q, m)`` and ``S`` ``(Q,)``. ``B`` is a ``(Q, R, m)`` stack
+    of base rows with ``nb`` ``(Q,)`` real ones (:func:`stack_rows`), or one
+    ``(R, m)`` base of every query. ``V`` is a ``(Q, J, m)`` vertex stack
+    with ``nv`` ``(Q,)`` real ones, or one ``(J, m)`` polytope of every
+    query; ``nb`` and ``nv`` are not read for a shared base or polytope. The
+    LP sees only the real rows and vertices of a query.
+
+    ``group`` gives each query a group id in 0..G-1; without it every query
+    is its own group. The queries of a group are asked in stack order up to
+    its first uncovered one, so no LP runs that a query-by-query loop would
+    have skipped. With ``witness=False`` only whether a group is covered is
+    wanted, and a group with a screened failure is out without any LP.
+
+    Returns ``(G,)`` ints: the first uncovered query of each group (with
+    ``witness=False``, some uncovered query), or -1 when all are covered.
+    """
+    if np.any(S < 0):
+        raise InputError("scale must be nonnegative")
+    if V.shape[-1] != C.dim:
+        # as in minkowski_member, a zero scale never looks at the polytope
+        if np.any(S > tol):
+            raise InputError("polytope dimension does not match the cone")
+        V = None
+    own_b, own_v = B.ndim == 3, V is not None and V.ndim == 3
+    decided, answer, candidates = screen_members(
+        Y, B, S, V, nv if own_v or V is None else len(V), C, tol)
+    if group is None:
+        group = np.arange(len(Y))
+    first = np.full(int(group.max()) + 1 if len(group) else 0, -1)
+    # the first screened failure of each group
+    fails = np.flatnonzero(decided & ~answer)
+    failed, at = np.unique(group[fails], return_index=True)
+    first[failed] = fails[at]
+    for q in np.flatnonzero(~decided):
+        g = group[q]
+        if first[g] >= 0 and (first[g] < q or not witness):
+            continue
+        rows = candidates[q, :nb[q]] if own_b else candidates[q]
+        if not lp_member(Y[q], B[q] if own_b else B, S[q],
+                         V[q, :nv[q]] if own_v else V, C, tol,
+                         np.flatnonzero(rows)):
+            first[g] = q
+    return first
 
 
 def first_uncovered(decided, answer, lp):

@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import (DEFAULT_TOL, PolyhedralCone, Polytope, as_point,
-                       first_outside, first_uncovered, lp_member,
-                       minkowski_member, screen_members, singleton,
-                       stack_vertices, validate_direction_set)
+                       covered_queries, first_outside, first_uncovered,
+                       lp_member, minkowski_member, screen_members, singleton,
+                       stack_rows, validate_direction_set)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +191,9 @@ class FiniteInstance:
         missing = [x for x in self.space.labels if x not in self.fmap.values]
         if missing:
             raise InputError(f"labels without value sets: {missing}")
+        extra = [x for x in self.fmap.values if x not in self.space.labels]
+        if extra:
+            raise InputError(f"value sets for unknown labels: {extra}")
 
     @property
     def labels(self):
@@ -219,7 +222,10 @@ class EvpParams:
 # ---------------------------------------------------------------------------
 # Perturbation families.  Each family enumerates, for an ordered pair of
 # labels, the sets F(x2, x1) as (index, scale, polytope) triples meaning
-# ``scale * conv(polytope)``.
+# ``scale * conv(polytope)``. The distance-scaled families (all but the
+# extensional one) have the single index "*" and also give their whole pair
+# map at once: ``pair_map(space)`` returns the (n, n) scales S, with S[i, j]
+# that of F(labels[i], labels[j]), and the shared polytope H.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -243,6 +249,9 @@ class SingletonDirection:
 
     def sets(self, space, x2, x1):
         return (("*", self.rate * space.d(x2, x1), self._H),)
+
+    def pair_map(self, space):
+        return self.rate * space.dist, self._H
 
     def validate(self, space, cone_, tol=DEFAULT_TOL):
         validate_direction_set(self._H, cone_, tol)
@@ -268,6 +277,9 @@ class PolytopeDirection:
 
     def sets(self, space, x2, x1):
         return (("*", self.rate * space.d(x2, x1), self.H),)
+
+    def pair_map(self, space):
+        return self.rate * space.dist, self.H
 
     def validate(self, space, cone_, tol=DEFAULT_TOL):
         validate_direction_set(self.H, cone_, tol)
@@ -304,6 +316,9 @@ class QuasiMetricDirection:
     def sets(self, space, x2, x1):
         scale = float(self.p.mat[space.index(x1), space.index(x2)])
         return (("*", scale, self.H),)
+
+    def pair_map(self, space):
+        return self.p.mat.T, self.H
 
     def validate(self, space, cone_, tol=DEFAULT_TOL):
         validate_direction_set(self.H, cone_, tol)
@@ -384,48 +399,84 @@ def preceq(inst: FiniteInstance, fam, x2, x1):
     return True
 
 
+def family_arrays(space, fam):
+    """A family over all ordered label pairs as arrays ``(S, V, nv)``.
+
+    ``S[i, j, l]`` is the scale of the set of index l (in ``fam.lambdas()``
+    order) of F(labels[i], labels[j]). A distance-scaled family gives its
+    pair map at once (``pair_map``): ``V`` is H's ``(J, m)`` vertex array and
+    ``nv`` its vertex count. An extensional family has unit scales, ``V`` is
+    the ``(n, n, L, J, m)`` stack of :func:`stack_rows` over its table and
+    ``nv`` the ``(n, n, L)`` real vertex counts.
+    """
+    if fam.kind != "extensional":
+        S, H = fam.pair_map(space)
+        return S[..., None], H.vertices, H.vertices.shape[0]
+    labels = space.labels
+    n, L = len(labels), len(fam.lambdas())
+    V, nv = stack_rows([P.vertices for x2 in labels for x1 in labels
+                        for _, _, P in fam.sets(space, x2, x1)])
+    return (np.ones((n, n, L)), V.reshape(n, n, L, *V.shape[1:]),
+            nv.reshape(n, n, L))
+
+
+def order_arrays(inst: FiniteInstance, fam):
+    """What :func:`order_queries` reads: :func:`family_arrays` followed by
+    the value sets of all labels as one stack (:func:`stack_rows`)."""
+    return (*family_arrays(inst.space, fam),
+            *stack_rows([inst.fmap.at(x) for x in inst.labels]))
+
+
+def order_queries(inst: FiniteInstance, arrays, x2s, x1s, witness=True):
+    """The order tests ``labels[x2s[p]] before labels[x1s[p]]`` of several
+    label pairs as one :func:`covered_queries` stack, ``arrays`` as
+    :func:`order_arrays` gives them.
+
+    Each pair is a group of its (family index, value of x1) queries in
+    :func:`preceq`'s loop order, over the base f(x2). Returns
+    ``(first, lam, row)``: each pair's first uncovered query (-1 when x2
+    precedes x1; with ``witness=False`` some uncovered query), and each
+    query's position in ``fam.lambdas()`` and value row of x1.
+    """
+    S, V, nv, B, nb = arrays
+    counts = S.shape[-1] * nb[x1s]
+    pair = np.repeat(np.arange(len(x1s)), counts)
+    pos = np.arange(len(pair)) - np.repeat(np.cumsum(counts) - counts, counts)
+    i, j = x2s[pair], x1s[pair]
+    lam, row = np.divmod(pos, nb[j])
+    own = V.ndim > 2
+    first = covered_queries(
+        B[j, row], B[i], nb[i], S[i, j, lam],
+        V[i, j, lam] if own else V, nv[i, j, lam] if own else nv,
+        inst.cone, inst.tol, group=pair, witness=witness)
+    return first, lam, row
+
+
+# relation_matrix stacks whole rows of the order matrix up to this many
+# queries, so that its arrays stay small at any n
+_BLOCK_QUERIES = 1024
+
+
 def relation_matrix(inst: FiniteInstance, fam):
     """rel[i, j] = True iff labels[i] precedes labels[j] in the order.
 
-    Decided one row (one x2) at a time: :func:`screen_members` runs the
-    cheap tests on every (x1, family set, value) query of the row at once;
-    a pair with a screened failure is out, and the undecided queries of the
-    other pairs go to the LP in :func:`preceq`'s loop order until one is
-    uncovered.
+    Decided for blocks of rows (x2) at a time, each one
+    :func:`order_queries` stack: a pair with a screened failure is out, and
+    the undecided queries of the other pairs go to the LP in
+    :func:`preceq`'s loop order until one is uncovered. A block holds as
+    many whole rows as fit in ``_BLOCK_QUERIES`` queries, and at least one.
     """
-    labels = inst.labels
-    n = len(labels)
-    C, tol = inst.cone, inst.tol
+    n = len(inst.labels)
+    arrays = order_arrays(inst, fam)
+    S, _, _, _, nb = arrays
+    step = max(1, _BLOCK_QUERIES // (S.shape[-1] * int(nb.sum())))
     rel = np.zeros((n, n), dtype=bool)
-    for i, x2 in enumerate(labels):
-        base = inst.fmap.at(x2)
-        sets = [(j, scale, H) for j, x1 in enumerate(labels)
-                for _, scale, H in fam.sets(inst.space, x2, x1)]
-        values = [inst.fmap.at(labels[j]) for j, _, _ in sets]
-        # one query per (set, value), sets in label order
-        q_set = np.repeat(np.arange(len(sets)), [len(v) for v in values])
-        q_pair = np.array([j for j, _, _ in sets])[q_set]
-        Y = np.concatenate(values)
-        S = np.array([scale for _, scale, _ in sets])[q_set]
-        if np.any(S < 0):
-            raise InputError("scale must be nonnegative")
-        polys = [H for _, _, H in sets]
-        if all(H is polys[0] for H in polys):
-            V, nv = polys[0].vertices, polys[0].vertices.shape[0]
-        else:
-            V, nv = stack_vertices(polys)
-            V, nv = V[q_set], nv[q_set]
-        decided, answer, candidates = screen_members(Y, base, S, V, nv, C,
-                                                     tol)
-        row = np.ones(n, dtype=bool)
-        row[q_pair[decided & ~answer]] = False
-        for q in np.flatnonzero(~decided):
-            j = q_pair[q]
-            if row[j] and not lp_member(
-                    Y[q], base, S[q], polys[q_set[q]].vertices, C, tol,
-                    np.flatnonzero(candidates[q])):
-                row[j] = False
-        rel[i] = row
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        first, _, _ = order_queries(inst, arrays, np.repeat(rows, n),
+                                    np.tile(np.arange(n), len(rows)),
+                                    witness=False)
+        rel[rows] = (first < 0).reshape(len(rows), n)
     return rel
 
 
@@ -443,14 +494,13 @@ def ti_check(inst: FiniteInstance, fam):
     ``(False, witness)``, the first failing (x1, x2, x3, index) in loop
     order.
     """
-    labels = inst.labels
     space = inst.space
     if fam.kind == "extensional":
         witness = _extensional_failure(fam, space, inst.cone, inst.tol)
         return (True, None) if witness is None else (False, witness)
-    triple = triangle_failure(
-        labels, lambda x2, x1: fam.sets(space, x2, x1)[0][1:], inst.cone,
-        inst.tol)
+    S, V, nv = family_arrays(space, fam)
+    triple = triangle_failure(inst.labels, S[..., 0], V, nv, inst.cone,
+                              inst.tol)
     return (True, None) if triple is None else (False, (*triple, "*"))
 
 
@@ -471,12 +521,8 @@ def _extensional_failure(fam, space, C, tol):
     n = len(labels)
     lams = fam.lambdas()
     L = len(lams)
-    polys = [P for x2 in labels for x1 in labels
-             for _, _, P in fam.sets(space, x2, x1)]
     # E[x2, x1, index] = vertices of F_index(x2, x1), padded to J
-    E, counts = stack_vertices(polys)
-    E = E.reshape(n, n, L, *E.shape[1:])
-    counts = counts.reshape(n, n, L)
+    _, E, counts = family_arrays(space, fam)
     # every sum F_mu(x1, x2)[u] + F_nu(x2, x3)[v] as (x1, x3, x2, mu, nu, u, v)
     Et, ct = E.transpose(1, 0, 2, 3, 4), counts.transpose(1, 0, 2)
     sums = (E[:, None, :, :, None, :, None, :]
@@ -527,8 +573,9 @@ def _extensional_failure(fam, space, C, tol):
 
 # ---------------------------------------------------------------------------
 # Pair maps.  A pair map is a callable ``value_set(x2, x1) -> (scale, H)``
-# meaning ``scale * conv(H)``: ``FMap.value_set`` for the graph order, and
-# ``fam.sets(space, x2, x1)[0][1:]`` for a distance-scaled family.
+# meaning ``scale * conv(H)``, such as ``FMap.value_set`` for the graph
+# order; a distance-scaled family's ``pair_map`` gives the same map as
+# arrays.
 # ---------------------------------------------------------------------------
 
 def pair_arrays(labels, value_set):
@@ -537,7 +584,7 @@ def pair_arrays(labels, value_set):
     ``S[i, j]`` is the scale of F(labels[i], labels[j]). When every pair
     value has the same polytope H (a distance-scaled map), ``V`` is H's
     ``(J, m)`` vertex array and ``nv`` its vertex count; otherwise ``V`` is
-    the ``(n, n, J, m)`` stack of :func:`stack_vertices` and ``nv`` the
+    the ``(n, n, J, m)`` stack of :func:`stack_rows` and ``nv`` the
     ``(n, n)`` real vertex counts.
     """
     n = len(labels)
@@ -546,14 +593,14 @@ def pair_arrays(labels, value_set):
     polys = [H for _, H in entries]
     if all(H is polys[0] for H in polys):
         return S, polys[0].vertices, polys[0].vertices.shape[0]
-    V, nv = stack_vertices(polys)
+    V, nv = stack_rows([H.vertices for H in polys])
     return S, V.reshape(n, n, *V.shape[1:]), nv.reshape(n, n)
 
 
-def triangle_failure(labels, value_set, C, tol):
+def triangle_failure(labels, S, V, nv, C, tol):
     """First triple (x1, x2, x3), in loop order, with F(x1, x2) + F(x2, x3)
-    outside F(x1, x3) + C, or None when the pair map has the triangle
-    inclusion.
+    outside F(x1, x3) + C, or None when the pair map ``(S, V, nv)`` (as
+    :func:`pair_arrays` gives it) has the triangle inclusion.
 
     Screened one x1 at a time by :func:`screen_members`; undecided queries
     go to the LP in loop order until one is uncovered. With one shared
@@ -563,7 +610,6 @@ def triangle_failure(labels, value_set, C, tol):
     s12 + s23 and s13 at most ``tol`` is covered; any other negative s13
     raises InputError when the sweep reaches it.
     """
-    S, V, nv = pair_arrays(labels, value_set)
     origin = np.zeros((1, C.dim))
     for a, x1 in enumerate(labels):
         s = S[a][:, None] + S                    # s12 + s23 over (x2, x3)
@@ -591,8 +637,8 @@ def triangle_failure(labels, value_set, C, tol):
             if S[a, c] < 0:
                 raise InputError("scale must be nonnegative")
             return lp_member(W[b, c, u, v], origin, S[a, c],
-                             value_set(x1, labels[c])[1].vertices, C, tol,
-                             np.flatnonzero(candidates[b, c, u, v]))
+                             V if V.ndim == 2 else V[a, c, :nv[a, c]], C,
+                             tol, np.flatnonzero(candidates[b, c, u, v]))
 
         q = first_uncovered(decided.ravel(), (answer | settled).ravel(), lp)
         if q is not None:
@@ -676,7 +722,8 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None):
 
     Lower sections are read from the order matrix ``rel`` (as built by
     :func:`relation_matrix`, which runs when it is not given). Infima of a
-    linear functional over polytopes are taken over vertices; the separation
+    linear functional over polytopes are taken over vertices, for every pair
+    and family index at once (:func:`vertex_minima`); the separation
     conditions are linear-functional-only and are reported as None for
     nonlinear scalarizations.
     """
@@ -721,9 +768,10 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None):
     sep_witness = None
     notes = []
     if linear:
+        minima = vertex_minima(inst, fam, xi)
         sep_pairs, sep_point, pair_witness = _pairwise_separation(
-            inst, fam, xi, section)
-        sep_uniform, uniform_witness = _uniform_separation(inst, fam, xi)
+            inst, minima, section)
+        sep_uniform, uniform_witness = _uniform_separation(inst, fam, minima)
         sep_witness = {"pairs": pair_witness, "uniform": uniform_witness}
         notes.append("pair separation: infimum over a closed polytope equals "
                      "its vertex minimum, so the pair and pointwise forms "
@@ -738,51 +786,51 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None):
         notes=tuple(notes))
 
 
-def _family_vertex_min(xi, scale, H):
-    return float(scale * np.min(H.vertices @ xi.weights))
+def vertex_minima(inst, fam, xi):
+    """``M[i, j, l]``: the infimum of the linear functional ``xi`` over the
+    set of index l of F(labels[i], labels[j]), its scale times the minimum
+    of ``xi`` over the set's vertices, for every pair and index at once."""
+    S, V, _ = family_arrays(inst.space, fam)
+    # padding vertices repeat a real one and leave every minimum unchanged
+    return S * np.min(V @ xi.weights, axis=-1)
 
 
-def _pairwise_separation(inst, fam, xi, section):
-    tol = inst.tol
-    witness = None
-    ok = True
-    for x in section:
-        for xp in section:
-            if x == xp:
-                continue
-            best = -math.inf
-            for _, scale, H in fam.sets(inst.space, xp, x):
-                best = max(best, _family_vertex_min(xi, scale, H))
-            if not best > tol:
-                ok = False
-                witness = {"pair": [x, xp], "inf": best}
-                return ok, ok, witness
-    return ok, ok, witness
+def _pairwise_separation(inst, minima, section):
+    """Every ordered pair (x, x') of distinct section labels has a family
+    set of F(x', x) with vertex minimum above ``tol``; the first pair that
+    has none, in loop order, is the witness."""
+    idx = [inst.space.index(x) for x in section]
+    # best[a, b]: the largest minimum over the sets of F(section[b], section[a])
+    best = minima.max(axis=-1)[np.ix_(idx, idx)].T
+    bad = ~(best > inst.tol)
+    np.fill_diagonal(bad, False)
+    fails = np.flatnonzero(bad)
+    if not fails.size:
+        return True, True, None
+    a, b = divmod(int(fails[0]), len(idx))
+    return False, False, {"pair": [section[a], section[b]],
+                          "inf": float(best[a, b])}
 
 
-def _uniform_separation(inst, fam, xi):
+def _uniform_separation(inst, fam, minima):
+    """The family index whose vertex minimum over all pairs at distance at
+    least the smallest positive one is largest (the first on ties), and
+    whether that minimum exceeds ``tol``."""
     space = inst.space
     delta = space.min_positive_distance()
     if not math.isfinite(delta):
         return True, {"delta": None, "inf": math.inf,
                       "note": "no pairs at positive distance"}
-    tol = inst.tol
+    # the pair at distance delta itself qualifies, so no minimum is empty
+    worst = minima[space.dist >= delta].min(axis=0)
     best_over_lams = -math.inf
     best_witness = None
-    for lam in fam.lambdas():
-        worst = math.inf
-        for x in space.labels:
-            for xp in space.labels:
-                if space.d(x, xp) < delta:
-                    continue
-                for l2, scale, H in fam.sets(space, x, xp):
-                    if l2 != lam:
-                        continue
-                    worst = min(worst, _family_vertex_min(xi, scale, H))
-        if worst > best_over_lams:
-            best_over_lams = worst
-            best_witness = {"index": lam, "delta": delta, "inf": worst}
-    return best_over_lams > tol, best_witness
+    for lam, w in zip(fam.lambdas(), worst):
+        if w > best_over_lams:
+            best_over_lams = float(w)
+            best_witness = {"index": lam, "delta": delta,
+                            "inf": best_over_lams}
+    return best_over_lams > inst.tol, best_witness
 
 
 # ---------------------------------------------------------------------------
@@ -832,16 +880,19 @@ def eps_h_efficient(inst: FiniteInstance, x0, epsilon, H: Polytope):
     """Approximate-efficiency test with direction set H.
 
     True iff some value of f at x0 escapes ``f(X) + epsilon*H + cone``; the
-    escaping value is returned as the witness.
+    first escaping value is returned as the witness. All values of f at x0
+    are one :func:`covered_queries` group over the shared base f(X).
     """
     if not epsilon > 0:
         raise InputError("epsilon must be strictly positive")
-    all_values = inst.fmap.all_points()
-    for y0 in inst.fmap.at(x0):
-        if not minkowski_member(y0, all_values, epsilon, H, inst.cone,
-                                inst.tol):
-            return True, y0
-    return False, None
+    Y0 = inst.fmap.at(x0)
+    first = covered_queries(Y0, inst.fmap.all_points(), None,
+                            np.full(len(Y0), float(epsilon)), H.vertices,
+                            None, inst.cone, inst.tol,
+                            group=np.zeros(len(Y0), dtype=int))
+    if first[0] < 0:
+        return False, None
+    return True, Y0[first[0]]
 
 
 def d_bounded_certificate(inst: FiniteInstance):

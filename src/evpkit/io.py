@@ -205,18 +205,20 @@ def _build_family(spec, space, cone_, tol):
 def load_validate(source):
     """Load an instance from a path, JSON text, or dict; check everything.
 
-    A string is JSON text when its first non-blank character is ``{``, and
-    a path otherwise.
+    A string is JSON text when its first non-blank character is ``{`` or
+    ``[``, and a path otherwise; any other source is an InputError.
 
     Raises InputError naming the failing field; returns an InstanceBundle.
     """
     if isinstance(source, dict):
         data = source
+    elif not isinstance(source, (str, os.PathLike)):
+        raise InputError("instance source must be a path, JSON text or an "
+                         f"object, got {type(source).__name__}")
     else:
         text = source
-        if isinstance(source, os.PathLike) or (
-                isinstance(source, str)
-                and not source.lstrip().startswith("{")):
+        if isinstance(source, os.PathLike) or not source.lstrip().startswith(
+                ("{", "[")):
             try:
                 with open(source, "r", encoding="utf-8") as fh:
                     text = fh.read()
@@ -245,9 +247,6 @@ def load_validate(source):
 
     space = _build_space(data["space"]).validate(tol)
 
-    extra = [x for x in data["map"] if x not in space.labels]
-    if extra:
-        raise InputError(f"map: value sets for unknown labels: {extra}")
     inst = FiniteInstance(space, SetValuedMap(data["map"]), cone_, tol)
     family = _build_family(data["perturbation"], space, cone_, tol)
 

@@ -18,9 +18,9 @@ import numpy as np
 from . import engine as eng
 from .errors import HypothesisError, InputError, PremiseError
 from .geometry import (DEFAULT_TOL, PolyhedralCone, Polytope, as_point,
-                       cone_contains, first_outside, lp_member,
-                       minkowski_member, polytope_contains, screen_members,
-                       singleton)
+                       cone_contains, covered_queries, first_outside,
+                       minkowski_member, polytope_contains, singleton,
+                       stack_rows)
 from .instances import MetricSpace, pair_arrays, triangle_failure
 from .scalarize import GerstewitzFn
 from .solvers import Certificate, Conclusion, _jsonable
@@ -201,7 +201,8 @@ def validate_fmap(pi: ProductInstance, fm: FMap):
             raise HypothesisError(
                 "reflexive_zero",
                 f"pair-map value at ({x!r}, {x!r}) does not contain 0")
-    triple = triangle_failure(base.labels, fm.value_set, C, tol)
+    triple = triangle_failure(base.labels,
+                              *pair_arrays(base.labels, fm.value_set), C, tol)
     if triple is not None:
         raise HypothesisError("triangle_inclusion",
                               "pair map fails the triangle inclusion",
@@ -294,37 +295,29 @@ def _graph_oracle(pi, fm):
     """Engine oracle over graph pair indices under the strict order.
 
     ``rel[i, j]`` is :func:`prec_fstar` of pairs i and j: the anchored
-    scalarization is evaluated once per pair, coverage is screened one label
-    of pair i at a time by :func:`screen_members`, and only undecided pairs
-    with a strict drop go to the LP.
+    scalarization is evaluated once per pair, and coverage is asked only
+    for the pairs with a strict drop, all in one :func:`covered_queries`
+    stack.
     """
     pairs = pi.graph
     n = len(pairs)
-    C, tol = pi.cone, pi.tol
-    labels = pi.base.labels
-    S, V, nv = pair_arrays(labels, fm.value_set)
+    S, V, nv = pair_arrays(pi.base.labels, fm.value_set)
     lab = np.array([pi.base.index(x) for x, _ in pairs])
     Y = np.array([y for _, y in pairs])
     y0 = pi.y0
     eta = [fm.xi.value(y - y0) for _, y in pairs]
     eta_arr = np.array(eta)
-    rel = np.zeros((n, n), dtype=bool)
-    for a in np.unique(lab):
-        rows = np.flatnonzero(lab == a)
-        same = rows[:, None] == np.arange(n)
-        if np.any((S[a, lab] < 0) & ~same):
-            raise InputError("scale must be nonnegative")
-        T, tn = (V, nv) if V.ndim == 2 else (V[a, lab][None], nv[a, lab][None])
-        decided, covered, candidates = screen_members(
-            Y[None], Y[rows][:, None, None, :], S[a, lab][None], T, tn, C, tol)
-        strict = (eta_arr[None, :] - eta_arr[rows][:, None] > tol) & ~same
-        block = same | (strict & decided & covered)
-        for r, j in zip(*np.nonzero(strict & ~decided)):
-            block[r, j] = lp_member(
-                Y[j], Y[rows[r]][None], S[a, lab[j]],
-                fm.value_set(labels[a], pairs[j][0])[1].vertices, C, tol,
-                np.flatnonzero(candidates[r, j]))
-        rel[rows] = block
+    rel = np.eye(n, dtype=bool)
+    # prec_f looks at the scale of every other pair, strict drop or not
+    if np.any((S[lab[:, None], lab] < 0) & ~rel):
+        raise InputError("scale must be nonnegative")
+    i, j = np.nonzero((eta_arr[None, :] - eta_arr[:, None] > pi.tol) & ~rel)
+    a, b = lab[i], lab[j]
+    own = V.ndim > 2
+    first = covered_queries(Y[j], Y[i][:, None], np.ones(len(i), dtype=int),
+                            S[a, b], V[a, b] if own else V,
+                            nv[a, b] if own else nv, pi.cone, pi.tol)
+    rel[i, j] = first < 0
     successors = {j: [i for i in range(n) if rel[i, j]] for j in range(n)}
     labels_idx = tuple(range(n))
     return eng.PreorderOracle(labels_idx, successors,
@@ -339,8 +332,32 @@ def _start_index(pi):
     raise InputError("start pair not found")  # unreachable after validation
 
 
+def _covered_by_pairs(pi, fm, pairs, x1, y):
+    """:func:`prec_f` of each graph pair in ``pairs`` against the pair
+    ``(x1, y)``: whether y lies in v + F(x, x1) + C, for all pairs (x, v) in
+    one :func:`covered_queries` stack."""
+    C, tol = pi.cone, pi.tol
+    values = [fm.value_set(x, x1) for x, _ in pairs]
+    polys = []
+    for scale, H in values:
+        if H.dim != C.dim:
+            # as in minkowski_member, a zero scale never looks at H
+            if scale > tol:
+                raise InputError("polytope dimension does not match the cone")
+            H = singleton(np.zeros(C.dim))
+        polys.append(H.vertices)
+    V, nv = (polys[0], None) if all(P is polys[0] for P in polys) \
+        else stack_rows(polys)
+    S = np.array([scale for scale, _ in values], dtype=float)
+    B = np.array([v for _, v in pairs])[:, None, :]
+    first = covered_queries(np.tile(y, (len(pairs), 1)), B,
+                            np.ones(len(pairs), dtype=int), S, V, nv, C, tol)
+    return first < 0
+
+
 def _section_of_start(pi, fm):
-    return [p for p in pi.graph if prec_f(pi, fm, p, pi.start)]
+    covered = _covered_by_pairs(pi, fm, pi.graph, pi.x0, pi.y0)
+    return [p for p, c in zip(pi.graph, covered) if c]
 
 
 def solve_minimal_point(pi: ProductInstance, fm: FMap, mode="greedy"):
@@ -382,18 +399,16 @@ def _coverage_conclusion(pi, fm, xhat, yhat, name):
 
 def _separation_conclusion(pi, fm, xhat, yhat, exclude_label_only, name):
     """No other pair pulls yhat down: for label-only exclusion the quantifier
-    skips the whole xhat slice, otherwise only the pair itself."""
-    violations = []
-    for x, y in pi.graph:
-        if exclude_label_only:
-            if x == xhat:
-                continue
-        else:
-            if x == xhat and np.array_equal(y, yhat):
-                continue
-        scale, H = fm.value_set(x, xhat)
-        if minkowski_member(yhat, [y], scale, H, pi.cone, pi.tol):
-            violations.append({"x": x, "y": y})
+    skips the whole xhat slice, otherwise only the pair itself. All the
+    other pairs are tested in one stack."""
+    def skipped(x, y):
+        return x == xhat and (exclude_label_only or np.array_equal(y, yhat))
+
+    others = [(x, y) for x, y in pi.graph if not skipped(x, y)]
+    covered = (_covered_by_pairs(pi, fm, others, xhat, yhat) if others
+               else [])
+    violations = [{"x": x, "y": y} for (x, y), c in zip(others, covered)
+                  if c]
     return Conclusion(name, not violations, {"violations": violations})
 
 

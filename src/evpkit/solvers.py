@@ -31,13 +31,15 @@ import numpy as np
 
 from . import engine as eng
 from .errors import HypothesisError, InputError, PremiseError
-from .geometry import (Polytope, as_point, singleton,
-                       strictly_positive_functional)
+from .geometry import (Polytope, as_point, covered_queries, singleton,
+                       stack_rows, strictly_positive_functional)
 from .instances import (FiniteInstance, OpenPolytopeFamily, PolytopeDirection,
                         QuasiMetric, QuasiMetricDirection, SingletonDirection,
                         check_assumptions, d_bounded_certificate,
-                        eps_h_efficient, minkowski_member, preceq,
+                        eps_h_efficient, order_arrays, order_queries, preceq,
                         relation_matrix, scalar_inf, ti_check)
+# bench/spans.py traces per-call memberships under this name here
+from .instances import minkowski_member  # noqa: F401
 from .scalarize import GerstewitzFn, ShiftedGerstewitz
 
 
@@ -154,24 +156,25 @@ def _conclusion_order(inst, fam, xhat, x0, name="a"):
 
 
 def _conclusion_strict(inst, fam, xhat, name="b"):
-    """For every other label some family member separates it from xhat."""
+    """For every other label some family member separates it from xhat.
+
+    One :func:`order_queries` stack asks whether each other label x
+    precedes xhat. The first uncovered (family set, value of xhat) query of
+    x is its separation witness; an x with none is a violation.
+    """
+    labels, lams = inst.labels, fam.lambdas()
+    j = inst.space.index(xhat)
+    others = np.delete(np.arange(len(labels)), j)
+    first, lam, row = order_queries(inst, order_arrays(inst, fam), others,
+                                    np.full(len(others), j))
     failures = []
     witnesses = []
-    for x in inst.labels:
-        if x == xhat:
-            continue
-        if preceq(inst, fam, x, xhat):
-            failures.append(x)
-            continue
-        for lam, scale, H in fam.sets(inst.space, x, xhat):
-            escaped = [
-                i for i, y in enumerate(inst.fmap.at(xhat))
-                if not minkowski_member(y, inst.fmap.at(x), scale, H,
-                                        inst.cone, inst.tol)]
-            if escaped:
-                witnesses.append({"x": x, "index": lam,
-                                  "value_row": escaped[0]})
-                break
+    for x, q in zip(others, first):
+        if q < 0:
+            failures.append(labels[x])
+        else:
+            witnesses.append({"x": labels[x], "index": lams[lam[q]],
+                              "value_row": int(row[q])})
     return Conclusion(name, not failures,
                       {"violations": failures, "separations": witnesses})
 
@@ -227,16 +230,22 @@ def solve_evp_general(inst: FiniteInstance, fam, xi, x0, mode="greedy"):
 
 
 def _pointwise_premise(inst, x0, epsilon, H):
-    """Escape of f(x0) from f(x) + epsilon*H + cone for every single x."""
-    for x in inst.labels:
-        escapes = any(
-            not minkowski_member(y0, inst.fmap.at(x), epsilon, H, inst.cone,
-                                 inst.tol)
-            for y0 in inst.fmap.at(x0))
-        if not escapes:
-            raise PremiseError(
-                f"every value of f({x0!r}) is covered by "
-                f"f({x!r}) + epsilon*H + cone", witness={"x": x})
+    """Escape of f(x0) from f(x) + epsilon*H + cone for every single x: one
+    stack of the (x, value of x0) queries, grouped by x; the first x with
+    every value covered is the counterexample."""
+    labels = inst.labels
+    B, nb = stack_rows([inst.fmap.at(x) for x in labels])
+    Y0 = inst.fmap.at(x0)
+    q_x = np.repeat(np.arange(len(labels)), len(Y0))
+    first = covered_queries(np.tile(Y0, (len(labels), 1)), B[q_x], nb[q_x],
+                            np.full(len(q_x), float(epsilon)), H.vertices,
+                            None, inst.cone, inst.tol, group=q_x)
+    covered = np.flatnonzero(first < 0)
+    if covered.size:
+        x = labels[covered[0]]
+        raise PremiseError(
+            f"every value of f({x0!r}) is covered by "
+            f"f({x!r}) + epsilon*H + cone", witness={"x": x})
 
 
 def _global_premise(inst, x0, epsilon, H):

@@ -1,28 +1,36 @@
-"""The batched order-construction sweeps against query-by-query loops.
+"""The batched sweeps against query-by-query loops.
 
 ``relation_matrix``, ``ti_check``, the triangle sweep of
 ``validate_fmap`` and the graph order of ``_graph_oracle`` screen whole
-stacks of membership queries at once. The loops below ask the same questions
-one ``minkowski_member`` call at a time, in the same order; the sweeps must
-return the same matrices and the same first failing triple, and must never
-run more phase-1 LPs than the loops.
+stacks of membership queries at once, and so do the certificate
+conclusions (``_conclusion_strict``, ``_section_of_start``,
+``_separation_conclusion``), the premises and the separation checks of the
+hypothesis gate. The loops below ask the same questions one
+``minkowski_member`` call (or one vertex minimum) at a time, in the same
+order; the batched code must return the same matrices, witnesses and
+conclusions, and must never run more phase-1 LPs than the loops.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from evpkit import geometry
-from evpkit.errors import HypothesisError, InputError
+from evpkit.errors import HypothesisError, InputError, PremiseError
 from evpkit.geometry import (LinearFunctional, Polytope, cone_contains,
-                             minkowski_member, orthant)
+                             minkowski_member, orthant, singleton)
 from evpkit.instances import (ExtensionalFamily, FiniteInstance, MetricSpace,
                               OpenPolytopeFamily, PolytopeDirection,
                               QuasiMetric, QuasiMetricDirection, SetValuedMap,
-                              SingletonDirection, preceq, relation_matrix,
-                              ti_check)
+                              SingletonDirection, _pairwise_separation,
+                              _uniform_separation, eps_h_efficient, preceq,
+                              relation_matrix, ti_check, vertex_minima)
 from evpkit.product import (FMap, ProductInstance, _graph_oracle,
-                            fmap_from_rate, prec_fstar, validate_fmap)
+                            _section_of_start, _separation_conclusion,
+                            fmap_from_rate, prec_f, prec_fstar, validate_fmap)
 from evpkit.scalarize import GerstewitzFn
+from evpkit.solvers import Conclusion, _conclusion_strict, _pointwise_premise
 
 from conftest import generated_bundle, random_cone, sample_cone_member
 
@@ -110,6 +118,119 @@ def loop_graph_order(pi, fm):
     pairs = pi.graph
     return np.array([[prec_fstar(pi, fm, p2, p1) for p1 in pairs]
                      for p2 in pairs])
+
+
+def loop_conclusion_strict(inst, fam, xhat, name="b"):
+    """For every other label some family member separates it from xhat."""
+    failures = []
+    witnesses = []
+    for x in inst.labels:
+        if x == xhat:
+            continue
+        if preceq(inst, fam, x, xhat):
+            failures.append(x)
+            continue
+        for lam, scale, H in fam.sets(inst.space, x, xhat):
+            escaped = [
+                i for i, y in enumerate(inst.fmap.at(xhat))
+                if not minkowski_member(y, inst.fmap.at(x), scale, H,
+                                        inst.cone, inst.tol)]
+            if escaped:
+                witnesses.append({"x": x, "index": lam,
+                                  "value_row": escaped[0]})
+                break
+    return Conclusion(name, not failures,
+                      {"violations": failures, "separations": witnesses})
+
+
+def loop_section_of_start(pi, fm):
+    return [p for p in pi.graph if prec_f(pi, fm, p, pi.start)]
+
+
+def loop_separation_conclusion(pi, fm, xhat, yhat, exclude_label_only, name):
+    """No other pair pulls yhat down: for label-only exclusion the quantifier
+    skips the whole xhat slice, otherwise only the pair itself."""
+    violations = []
+    for x, y in pi.graph:
+        if exclude_label_only:
+            if x == xhat:
+                continue
+        else:
+            if x == xhat and np.array_equal(y, yhat):
+                continue
+        scale, H = fm.value_set(x, xhat)
+        if minkowski_member(yhat, [y], scale, H, pi.cone, pi.tol):
+            violations.append({"x": x, "y": y})
+    return Conclusion(name, not violations, {"violations": violations})
+
+
+def _family_vertex_min(xi, scale, H):
+    return float(scale * np.min(H.vertices @ xi.weights))
+
+
+def loop_pairwise_separation(inst, fam, xi, section):
+    tol = inst.tol
+    witness = None
+    ok = True
+    for x in section:
+        for xp in section:
+            if x == xp:
+                continue
+            best = -math.inf
+            for _, scale, H in fam.sets(inst.space, xp, x):
+                best = max(best, _family_vertex_min(xi, scale, H))
+            if not best > tol:
+                ok = False
+                witness = {"pair": [x, xp], "inf": best}
+                return ok, ok, witness
+    return ok, ok, witness
+
+
+def loop_uniform_separation(inst, fam, xi):
+    space = inst.space
+    delta = space.min_positive_distance()
+    if not math.isfinite(delta):
+        return True, {"delta": None, "inf": math.inf,
+                      "note": "no pairs at positive distance"}
+    tol = inst.tol
+    best_over_lams = -math.inf
+    best_witness = None
+    for lam in fam.lambdas():
+        worst = math.inf
+        for x in space.labels:
+            for xp in space.labels:
+                if space.d(x, xp) < delta:
+                    continue
+                for l2, scale, H in fam.sets(space, x, xp):
+                    if l2 != lam:
+                        continue
+                    worst = min(worst, _family_vertex_min(xi, scale, H))
+        if worst > best_over_lams:
+            best_over_lams = worst
+            best_witness = {"index": lam, "delta": delta, "inf": worst}
+    return best_over_lams > tol, best_witness
+
+
+def loop_pointwise_premise(inst, x0, epsilon, H):
+    """Escape of f(x0) from f(x) + epsilon*H + cone for every single x."""
+    for x in inst.labels:
+        escapes = any(
+            not minkowski_member(y0, inst.fmap.at(x), epsilon, H, inst.cone,
+                                 inst.tol)
+            for y0 in inst.fmap.at(x0))
+        if not escapes:
+            raise PremiseError(
+                f"every value of f({x0!r}) is covered by "
+                f"f({x!r}) + epsilon*H + cone", witness={"x": x})
+
+
+def loop_eps_h_efficient(inst, x0, epsilon, H):
+    all_values = inst.fmap.all_points()
+    for y0 in inst.fmap.at(x0):
+        if not minkowski_member(y0, all_values, epsilon, H, inst.cone,
+                                inst.tol):
+            return True, y0
+    return False, None
 
 
 def batched_fmap_triangle(pi, fm):
@@ -336,6 +457,116 @@ def test_graph_order_matches_loop(m):
             assert oracle.successors[j] == list(np.flatnonzero(rel[:, j]))
 
 
+def _same_pairs(got, want):
+    return len(got) == len(want) and all(p is q for p, q in zip(got, want))
+
+
+def _premise_outcome(fn, *args):
+    try:
+        fn(*args)
+    except PremiseError as exc:
+        return exc.witness
+    return None
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_conclusion_strict_matches_loop(m):
+    """Every label as xhat, on every family kind over ragged value sets and
+    orthant or random cones; both violations and separations occur."""
+    rng = np.random.default_rng(1300 + m)
+    seen = {"violations": 0, "separations": 0}
+    for trial in range(10):
+        kind = KINDS[trial % 5]
+        inst, fam, _ = random_instance(rng, n=5, m=m, kind=kind,
+                                       metric=trial % 3 != 2,
+                                       ragged=trial % 4 != 1)
+        for xhat in inst.labels:
+            got = _conclusion_strict(inst, fam, xhat).to_dict()
+            assert got == loop_conclusion_strict(inst, fam, xhat).to_dict(), \
+                (trial, kind, xhat)
+            for key in seen:
+                seen[key] += len(got["witness"][key])
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_separation_checks_match_loop(m):
+    """The pair and uniform separation checks read one vertex-minimum array
+    per family index; functionals positive on the cone pass, random ones
+    mostly fail, on whole and partial sections."""
+    rng = np.random.default_rng(1400 + m)
+    outcomes = {True: 0, False: 0}
+    for trial in range(15):
+        inst, fam, _ = random_instance(rng, n=5, m=m, kind=KINDS[trial % 5],
+                                       metric=trial % 3 != 2)
+        A = inst.cone.halfspaces
+        weights = (A.T @ rng.uniform(0.5, 1.5, size=A.shape[0])
+                   if trial % 2 else rng.normal(size=m))
+        xi = LinearFunctional(weights)
+        minima = vertex_minima(inst, fam, xi)
+        for section in (list(inst.labels),
+                        [x for x in inst.labels if rng.random() < 0.6]):
+            got = _pairwise_separation(inst, minima, section)
+            assert got == loop_pairwise_separation(inst, fam, xi, section)
+            outcomes[got[0]] += 1
+        got = _uniform_separation(inst, fam, minima)
+        assert got == loop_uniform_separation(inst, fam, xi), trial
+        outcomes[got[0]] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_graph_certificates_match_loop(m):
+    """The start section and both separation conclusions, over every pair
+    as (xhat, yhat), on ragged hand-built maps with 1 to 3 vertices per pair
+    and fmap_from_rate maps; violations occur."""
+    rng = np.random.default_rng(1500 + m)
+    violations = 0
+    for trial in range(6):
+        pi, fm = random_product(rng, n=4, m=m, metric=trial % 3 != 2,
+                                ragged=trial % 2 == 0,
+                                nonlinear=trial % 3 == 1,
+                                vertices=1 + trial % 3)
+        for start in pi.graph[::3]:
+            moved = ProductInstance(pi.graph, pi.base, start, pi.cone)
+            assert _same_pairs(_section_of_start(moved, fm),
+                               loop_section_of_start(moved, fm))
+        for xhat, yhat in pi.graph:
+            for label_only in (True, False):
+                got = _separation_conclusion(pi, fm, xhat, yhat, label_only,
+                                             "b").to_dict()
+                assert got == loop_separation_conclusion(
+                    pi, fm, xhat, yhat, label_only, "b").to_dict()
+                violations += len(got["witness"]["violations"])
+    assert violations > 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_premises_match_loop(m):
+    """The pointwise premise names the same first covered label and the
+    global one returns the same first escaping value, at epsilons where
+    both hold and fail."""
+    rng = np.random.default_rng(1600 + m)
+    outcomes = {"pointwise": set(), "global": set()}
+    for trial in range(8):
+        inst, _, k0 = random_instance(rng, n=5, m=m, kind="singleton",
+                                      ragged=trial % 2 == 0)
+        H = (singleton(k0) if trial % 3 == 0 else
+             Polytope([k0, 0.5 * k0 + 0.1 * rng.uniform(size=m)]))
+        for x0 in inst.labels[:2]:
+            for eps in (0.05, 0.5, 3.0):
+                got = _premise_outcome(_pointwise_premise, inst, x0, eps, H)
+                assert got == _premise_outcome(loop_pointwise_premise, inst,
+                                               x0, eps, H)
+                outcomes["pointwise"].add(got is None)
+                ok, y0 = eps_h_efficient(inst, x0, eps, H)
+                want_ok, want_y0 = loop_eps_h_efficient(inst, x0, eps, H)
+                assert ok == want_ok and (y0 is want_y0 or
+                                          np.array_equal(y0, want_y0))
+                outcomes["global"].add(ok)
+    assert outcomes == {"pointwise": {True, False}, "global": {True, False}}
+
+
 # ---------------------------------------------------------------------------
 # Work: the sweeps never run more phase-1 LPs than the loops.
 # ---------------------------------------------------------------------------
@@ -380,10 +611,29 @@ def test_sweeps_never_run_more_lps_than_loops(monkeypatch):
             assert got == want and nb <= nl, (trial, nb, nl)
             totals["batched"] += nb
             totals["loop"] += nl
+        for xhat in inst.labels[:3]:
+            nb, got = _lp_calls(monkeypatch, _conclusion_strict, inst, fam,
+                                xhat)
+            nl, want = _lp_calls(monkeypatch, loop_conclusion_strict, inst,
+                                 fam, xhat)
+            assert got.to_dict() == want.to_dict() and nb <= nl, (trial, nb,
+                                                                  nl)
+            totals["batched"] += nb
+            totals["loop"] += nl
         pi, fm = random_product(rng, n=4, m=m, metric=trial % 2 == 0)
-        for batched, loop in ((batched_fmap_triangle, loop_fmap_triangle),
-                              (lambda p, f: _graph_oracle(p, f)[1],
-                               loop_graph_order)):
+        xhat, yhat = pi.graph[-1]
+        for batched, loop in (
+                (batched_fmap_triangle, loop_fmap_triangle),
+                (lambda p, f: _graph_oracle(p, f)[1], loop_graph_order),
+                (_section_of_start, loop_section_of_start),
+                (lambda p, f: _separation_conclusion(p, f, xhat, yhat, True,
+                                                     "b").to_dict(),
+                 lambda p, f: loop_separation_conclusion(
+                     p, f, xhat, yhat, True, "b").to_dict()),
+                (lambda p, f: _separation_conclusion(p, f, xhat, yhat, False,
+                                                     "b").to_dict(),
+                 lambda p, f: loop_separation_conclusion(
+                     p, f, xhat, yhat, False, "b").to_dict())):
             nb, _ = _lp_calls(monkeypatch, batched, pi, fm)
             nl, _ = _lp_calls(monkeypatch, loop, pi, fm)
             assert nb <= nl, (trial, nb, nl)

@@ -29,6 +29,18 @@ def two_point():
     return FiniteInstance(space, fmap, D1)
 
 
+def test_instance_map_keys_match_the_labels():
+    """Labels without value sets and value sets for unknown labels are both
+    InputErrors of the instance itself, missing labels checked first."""
+    space = MetricSpace(("a", "b"), [[0.0, 1.0], [1.0, 0.0]]).validate()
+    with pytest.raises(InputError, match=r"labels without value sets: \['b'\]"):
+        FiniteInstance(space, SetValuedMap({"a": [[1.0]], "z": [[0.0]]}), D1)
+    with pytest.raises(InputError,
+                       match=r"value sets for unknown labels: \['z'\]"):
+        FiniteInstance(space, SetValuedMap({"a": [[1.0]], "b": [[0.0]],
+                                            "z": [[0.0]]}), D1)
+
+
 class TestPreceq:
     def test_cross_relation(self, two_point):
         fam = SingletonDirection([1.0], 1.0)

@@ -79,9 +79,11 @@ class TestLoadValidate:
 
 
 _DROP = object()
+_SOURCE = object()
 
 # (id, path into builtin("chain"), new value or _DROP, words the error text
-# must contain); the empty path replaces the whole document
+# must contain); the empty path replaces the whole document, and _SOURCE
+# passes the value to load_validate itself instead of a file
 REJECTIONS = [
     ("unknown-top-key", ("bogus",), 1, ("bogus",)),
     ("unknown-cone-key", ("cone", "bogus"), 1, ("cone", "bogus")),
@@ -177,6 +179,14 @@ REJECTIONS = [
     ("top-level-list", (), [1, 2], ("object",)),
     ("top-level-string", (), "evpkit/1", ("object",)),
     ("top-level-number", (), 3, ("object",)),
+    ("map-unknown-label", ("map", "zz"), [[1.0]], ("unknown labels", "zz")),
+    ("source-text-list", _SOURCE, "[1, 2]", ("$: expected an object",)),
+    ("source-text-blank-list", _SOURCE, " \n [[]]",
+     ("$: expected an object",)),
+    ("source-list", _SOURCE, [1, 2], ("source", "list")),
+    ("source-number", _SOURCE, 42, ("source", "int")),
+    ("source-none", _SOURCE, None, ("source", "NoneType")),
+    ("source-bytes", _SOURCE, b"{}", ("source", "bytes")),
 ]
 
 
@@ -185,6 +195,12 @@ REJECTIONS = [
 def test_rejection_names_the_field(path, value, words, tmp_path):
     """Every structural rejection of an instance file is an InputError whose
     text names the field, and exit 3 with status input_error from the CLI."""
+    if path is _SOURCE:
+        with pytest.raises(InputError) as err:
+            load_validate(value)
+        for word in words:
+            assert word in str(err.value)
+        return
     data = builtin("chain")
     if path:
         *parents, key = path
