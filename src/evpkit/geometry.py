@@ -512,8 +512,9 @@ def covered_queries(Y, B, nb, S, V, nv, C: PolyhedralCone, tol=DEFAULT_TOL,
             raise InputError("polytope dimension does not match the cone")
         V = None
     own_b, own_v = B.ndim == 3, V is not None and V.ndim == 3
-    decided, answer, candidates = screen_members(
-        Y, B, S, V, nv if own_v or V is None else len(V), C, tol)
+    if V is not None and not own_v:
+        nv = len(V)
+    decided, answer, candidates = screen_members(Y, B, S, V, nv, C, tol)
     if group is None:
         group = np.arange(len(Y))
     first = np.full(int(group.max()) + 1 if len(group) else 0, -1)
