@@ -422,7 +422,10 @@ def family_arrays(space, fam):
 
 def order_arrays(inst: FiniteInstance, fam):
     """What :func:`order_queries` reads: :func:`family_arrays` followed by
-    the value sets of all labels as one stack (:func:`stack_rows`)."""
+    the value sets of all labels as one stack (:func:`stack_rows`). A solver
+    builds them once and hands them to every order test it makes; each
+    function that takes ``arrays`` builds them itself when they are not
+    given."""
     return (*family_arrays(inst.space, fam),
             *stack_rows([inst.fmap.at(x) for x in inst.labels]))
 
@@ -457,7 +460,7 @@ def order_queries(inst: FiniteInstance, arrays, x2s, x1s, witness=True):
 _BLOCK_QUERIES = 1024
 
 
-def relation_matrix(inst: FiniteInstance, fam):
+def relation_matrix(inst: FiniteInstance, fam, arrays=None):
     """rel[i, j] = True iff labels[i] precedes labels[j] in the order.
 
     Decided for blocks of rows (x2) at a time, each one
@@ -467,7 +470,8 @@ def relation_matrix(inst: FiniteInstance, fam):
     many whole rows as fit in ``_BLOCK_QUERIES`` queries, and at least one.
     """
     n = len(inst.labels)
-    arrays = order_arrays(inst, fam)
+    if arrays is None:
+        arrays = order_arrays(inst, fam)
     S, _, _, _, nb = arrays
     step = max(1, _BLOCK_QUERIES // (S.shape[-1] * int(nb.sum())))
     rel = np.zeros((n, n), dtype=bool)
@@ -485,7 +489,7 @@ def s_set(inst: FiniteInstance, fam, x):
     return [x2 for x2 in inst.labels if preceq(inst, fam, x2, x)]
 
 
-def ti_check(inst: FiniteInstance, fam):
+def ti_check(inst: FiniteInstance, fam, arrays=None):
     """Triangle-inclusion property of the family over all label triples.
 
     A distance-scaled family is one pair map F(x2, x1), swept by
@@ -495,16 +499,17 @@ def ti_check(inst: FiniteInstance, fam):
     order.
     """
     space = inst.space
+    S, V, nv = (family_arrays(space, fam) if arrays is None
+                else arrays[:3])
     if fam.kind == "extensional":
-        witness = _extensional_failure(fam, space, inst.cone, inst.tol)
+        witness = _extensional_failure(fam, space, V, nv, inst.cone, inst.tol)
         return (True, None) if witness is None else (False, witness)
-    S, V, nv = family_arrays(space, fam)
     triple = triangle_failure(inst.labels, S[..., 0], V, nv, inst.cone,
                               inst.tol)
     return (True, None) if triple is None else (False, (*triple, "*"))
 
 
-def _extensional_failure(fam, space, C, tol):
+def _extensional_failure(fam, space, E, counts, C, tol):
     """First (x1, x2, x3, index) with no index pair (mu, nu) that puts every
     vertex sum of F_mu(x1, x2) + F_nu(x2, x3) in F_index(x1, x3) + C, in the
     loop order index, x1, x3, x2; None when there is none.
@@ -515,14 +520,13 @@ def _extensional_failure(fam, space, C, tol):
     has a sum screened out. The pairs before the first dead one are walked
     in loop order; an uncovered one tries its (mu, nu) in order on the LP,
     skipping those with a sum screened out, until one has every undecided
-    sum covered.
+    sum covered. ``E[x2, x1, index]`` holds the vertices of F_index(x2, x1)
+    padded to J, and ``counts`` the real ones (:func:`family_arrays`).
     """
     labels = space.labels
     n = len(labels)
     lams = fam.lambdas()
     L = len(lams)
-    # E[x2, x1, index] = vertices of F_index(x2, x1), padded to J
-    _, E, counts = family_arrays(space, fam)
     # every sum F_mu(x1, x2)[u] + F_nu(x2, x3)[v] as (x1, x3, x2, mu, nu, u, v)
     Et, ct = E.transpose(1, 0, 2, 3, 4), counts.transpose(1, 0, 2)
     sums = (E[:, None, :, :, None, :, None, :]
@@ -597,6 +601,34 @@ def pair_arrays(labels, value_set):
     return S, V.reshape(n, n, *V.shape[1:]), nv.reshape(n, n)
 
 
+def settled_triples(S, V, C, tol):
+    """``settled[a, b, c]``: every query that :func:`triangle_failure`
+    screens for the triple (labels[a], labels[b], labels[c]) of the pair map
+    ``S`` over one shared polytope with vertices ``V`` is covered, read from
+    ``S`` and ``A V`` alone, without assuming H in C or a metric ``S``.
+
+    With s = s12 + s23, the screen asks s v in s13 H + C for each vertex v,
+    and its single-vertex test at v computes A(s v) - s13 A v = r A v with
+    r = s - s13; when s13 <= tol it asks s v in C, so r = s. The test hits
+    when min(r min(AV), r max(AV)) is at least -tol, less an allowance for
+    the rounding of both products: (2 m + 6) ulps of
+    (|s| + |s13|) max |A||v| + tol. So a settled triple is one the screen
+    already covers. Triples the sweep skips (s and s13 at most ``tol``) are
+    settled; any other triple with a negative s13 is not.
+    """
+    A = C.halfspaces
+    AV = V @ A.T
+    size = np.max(np.abs(V) @ np.abs(A).T)
+    s13 = S[:, None, :]
+    s = S[:, :, None] + S[None, :, :]
+    r = np.where(s13 > tol, s - s13, s)
+    low = np.minimum(r * AV.min(), r * AV.max())
+    allowance = (2 * C.dim + 6) * np.finfo(float).eps * (
+        (np.abs(s) + np.abs(s13)) * size + tol)
+    skip = (s <= tol) & (s13 <= tol)
+    return skip | ((s13 >= 0) & (low - allowance >= -tol))
+
+
 def triangle_failure(labels, S, V, nv, C, tol):
     """First triple (x1, x2, x3), in loop order, with F(x1, x2) + F(x2, x3)
     outside F(x1, x3) + C, or None when the pair map ``(S, V, nv)`` (as
@@ -605,13 +637,20 @@ def triangle_failure(labels, S, V, nv, C, tol):
     Screened one x1 at a time by :func:`screen_members`; undecided queries
     go to the LP in loop order until one is uncovered. With one shared
     polytope H every sum s12 u + s23 v lies in (s12 + s23) H, so only the
-    vertices of (s12 + s23) H are tested against s13 H; otherwise every
-    vertex sum s12 u + s23 v is tested against s13 H13. A triple with both
-    s12 + s23 and s13 at most ``tol`` is covered; any other negative s13
-    raises InputError when the sweep reaches it.
+    vertices of (s12 + s23) H are tested against s13 H, and only the x1
+    that hold a triple :func:`settled_triples` leaves open are screened at
+    all; otherwise every vertex sum s12 u + s23 v is tested against
+    s13 H13. A triple with both s12 + s23 and s13 at most ``tol`` is
+    covered; any other negative s13 raises InputError when the sweep
+    reaches it.
     """
     origin = np.zeros((1, C.dim))
-    for a, x1 in enumerate(labels):
+    if V.ndim == 2:
+        screened = ~settled_triples(S, V, C, tol).all(axis=(1, 2))
+    else:
+        screened = np.ones(len(labels), dtype=bool)
+    for a in np.flatnonzero(screened):
+        x1 = labels[a]
         s = S[a][:, None] + S                    # s12 + s23 over (x2, x3)
         skip = (s <= tol) & (S[a] <= tol)
         negative = (S[a] < 0) & ~skip
@@ -717,11 +756,13 @@ class AssumptionReport:
         }
 
 
-def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None):
+def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None,
+                      arrays=None):
     """Evaluate every named hypothesis by enumeration.
 
     Lower sections are read from the order matrix ``rel`` (as built by
-    :func:`relation_matrix`, which runs when it is not given). Infima of a
+    :func:`relation_matrix`, which runs when it is not given; ``arrays`` as
+    :func:`order_arrays` gives them). Infima of a
     linear functional over polytopes are taken over vertices, for every pair
     and family index at once (:func:`vertex_minima`); the separation
     conditions are linear-functional-only and are reported as None for
@@ -730,7 +771,7 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None):
     tol = inst.tol
     labels = inst.labels
     if rel is None:
-        rel = relation_matrix(inst, fam)
+        rel = relation_matrix(inst, fam, arrays)
 
     def lower_section(x):
         return [labels[i] for i in np.flatnonzero(rel[:, inst.space.index(x)])]
@@ -768,7 +809,7 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None):
     sep_witness = None
     notes = []
     if linear:
-        minima = vertex_minima(inst, fam, xi)
+        minima = vertex_minima(inst, fam, xi, arrays)
         sep_pairs, sep_point, pair_witness = _pairwise_separation(
             inst, minima, section)
         sep_uniform, uniform_witness = _uniform_separation(inst, fam, minima)
@@ -786,11 +827,12 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None):
         notes=tuple(notes))
 
 
-def vertex_minima(inst, fam, xi):
+def vertex_minima(inst, fam, xi, arrays=None):
     """``M[i, j, l]``: the infimum of the linear functional ``xi`` over the
     set of index l of F(labels[i], labels[j]), its scale times the minimum
     of ``xi`` over the set's vertices, for every pair and index at once."""
-    S, V, _ = family_arrays(inst.space, fam)
+    S, V, _ = (family_arrays(inst.space, fam) if arrays is None
+               else arrays[:3])
     # padding vertices repeat a real one and leave every minimum unchanged
     return S * np.min(V @ xi.weights, axis=-1)
 

@@ -235,9 +235,11 @@ def load_validate(source):
     _check(data, INSTANCE_SPEC)
 
     params_spec = data["params"]
-    tol = params_spec.get("tolerance", default_tolerance())
-    if not tol > 0:
-        raise InputError("params.tolerance must be strictly positive")
+    params = EvpParams(
+        x0=params_spec["x0"], epsilon=params_spec.get("epsilon"),
+        lam=params_spec.get("lambda"), gamma=params_spec.get("gamma"),
+        tolerance=params_spec.get("tolerance", default_tolerance()))
+    tol = params.tolerance
 
     cone_ = PolyhedralCone(data["cone"]["halfspaces"],
                            data["cone"].get("generators"))
@@ -250,12 +252,9 @@ def load_validate(source):
     inst = FiniteInstance(space, SetValuedMap(data["map"]), cone_, tol)
     family = _build_family(data["perturbation"], space, cone_, tol)
 
-    x0 = params_spec["x0"]
+    x0 = params.x0
     if x0 not in space.labels:
         raise InputError(f"params.x0: unknown label {x0!r}")
-    params = EvpParams(x0=x0, epsilon=params_spec.get("epsilon"),
-                       lam=params_spec.get("lambda"),
-                       gamma=params_spec.get("gamma"), tolerance=tol)
 
     product = None
     if "product" in data:

@@ -160,10 +160,10 @@ def fmap_from_rate(base: MetricSpace, H: Polytope, rate, xi):
     """Distance-scaled pair map rate * d(x2, x1) * H over the whole base."""
     if not rate > 0:
         raise InputError("rate must be strictly positive")
-    table = {}
-    for x2 in base.labels:
-        for x1 in base.labels:
-            table[(x2, x1)] = (rate * base.d(x2, x1), H)
+    d = base.dist.tolist()
+    table = {(x2, x1): (rate * d[i][j], H)
+             for i, x2 in enumerate(base.labels)
+             for j, x1 in enumerate(base.labels)}
     return FMap(table, xi)
 
 
@@ -242,9 +242,10 @@ def zeta(fm: FMap, delta, base: MetricSpace, tol=DEFAULT_TOL):
     if not delta > 0:
         raise InputError("delta must be strictly positive")
     best = math.inf
-    for x2 in base.labels:
-        for x1 in base.labels:
-            if base.d(x2, x1) < delta:
+    d = base.dist.tolist()
+    for i, x2 in enumerate(base.labels):
+        for j, x1 in enumerate(base.labels):
+            if d[i][j] < delta:
                 continue
             scale, H = fm.value_set(x2, x1)
             for v in H.vertices:

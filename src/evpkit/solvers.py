@@ -118,11 +118,11 @@ def _jsonable(value):
 # Shared machinery.
 # ---------------------------------------------------------------------------
 
-def build_preorder(inst, fam, xi):
+def build_preorder(inst, fam, xi, arrays=None):
     """Engine oracle plus the boolean order matrix (rel[i, j]: label i
     precedes label j) for an instance, family, and scalarization."""
     labels = inst.labels
-    rel = relation_matrix(inst, fam)
+    rel = relation_matrix(inst, fam, arrays)
     successors = {
         x1: [labels[i] for i in np.nonzero(rel[:, j])[0]]
         for j, x1 in enumerate(labels)
@@ -131,23 +131,28 @@ def build_preorder(inst, fam, xi):
     return eng.PreorderOracle(labels, successors, eta), rel
 
 
-def _gate(inst, fam, xi, x0, require_section=True):
-    """Order construction plus the hypothesis gate shared by all solvers."""
-    ok, witness = ti_check(inst, fam)
+def _gate(inst, fam, xi, x0):
+    """Order construction plus the hypothesis gate shared by all solvers.
+
+    Returns the engine oracle, the assumption report and the
+    :func:`order_arrays`, built once here for every order test of the
+    solve."""
+    arrays = order_arrays(inst, fam)
+    ok, witness = ti_check(inst, fam, arrays)
     if not ok:
         raise HypothesisError("triangle_inclusion",
                               "the perturbation family fails the triangle "
                               "inclusion property", witness={"triple": witness})
-    oracle, rel = build_preorder(inst, fam, xi)
-    if require_section and not oracle.section(x0):
+    oracle, rel = build_preorder(inst, fam, xi, arrays)
+    if not oracle.section(x0):
         raise HypothesisError("nonempty_start",
                               f"the lower section of {x0!r} is empty")
-    report = check_assumptions(inst, fam, xi, x0, rel)
+    report = check_assumptions(inst, fam, xi, x0, rel, arrays)
     if not report.solvable():
         raise HypothesisError(report.failed_name(),
                               "assumption gate failed",
                               witness=report.to_dict())
-    return oracle, rel, report
+    return oracle, report, arrays
 
 
 def _conclusion_order(inst, fam, xhat, x0, name="a"):
@@ -155,17 +160,20 @@ def _conclusion_order(inst, fam, xhat, x0, name="a"):
     return Conclusion(name, holds, {"dominates": x0, "dominated_by": xhat})
 
 
-def _conclusion_strict(inst, fam, xhat, name="b"):
+def _conclusion_strict(inst, fam, xhat, name="b", arrays=None):
     """For every other label some family member separates it from xhat.
 
     One :func:`order_queries` stack asks whether each other label x
     precedes xhat. The first uncovered (family set, value of xhat) query of
-    x is its separation witness; an x with none is a violation.
+    x is its separation witness; an x with none is a violation. ``arrays``
+    are the :func:`order_arrays`, built here when not given.
     """
     labels, lams = inst.labels, fam.lambdas()
     j = inst.space.index(xhat)
     others = np.delete(np.arange(len(labels)), j)
-    first, lam, row = order_queries(inst, order_arrays(inst, fam), others,
+    if arrays is None:
+        arrays = order_arrays(inst, fam)
+    first, lam, row = order_queries(inst, arrays, others,
                                     np.full(len(others), j))
     failures = []
     witnesses = []
@@ -219,11 +227,11 @@ def _separating_functional(H, cone_, tol):
 def solve_evp_general(inst: FiniteInstance, fam, xi, x0, mode="greedy"):
     """Order from an arbitrary validated family plus a monotone scalarization."""
     fam.validate(inst.space, inst.cone, inst.tol)
-    oracle, rel, report = _gate(inst, fam, xi, x0)
+    oracle, report, arrays = _gate(inst, fam, xi, x0)
     xhat, trace = eng.solve(oracle, x0, mode)
     conclusions = [
         _conclusion_order(inst, fam, xhat, x0),
-        _conclusion_strict(inst, fam, xhat),
+        _conclusion_strict(inst, fam, xhat, arrays=arrays),
     ]
     return Certificate("3.1", xhat, conclusions, report, trace,
                        scalarization=_scalarization_info(xi))
@@ -285,11 +293,11 @@ def solve_evp_direction(inst: FiniteInstance, k0, epsilon, lam, x0,
         premise_info["witness_value"] = y0
         theorem = "3.6"
 
-    oracle, rel, report = _gate(inst, fam, xi, x0)
+    oracle, report, arrays = _gate(inst, fam, xi, x0)
     xhat, trace = eng.solve(oracle, x0, mode)
     conclusions = [
         _conclusion_order(inst, fam, xhat, x0),
-        _conclusion_strict(inst, fam, xhat),
+        _conclusion_strict(inst, fam, xhat, arrays=arrays),
         _distance_conclusion(inst, x0, xhat, lam, False, inst.tol),
     ]
     return Certificate(theorem, xhat, conclusions, report, trace,
@@ -310,12 +318,12 @@ def solve_evp_set_direction(inst: FiniteInstance, H: Polytope, gamma, x0,
     xi = _separating_functional(H, inst.cone, inst.tol)
     cls = OpenPolytopeFamily if open_family else PolytopeDirection
     fam = cls(H, gamma).validate(inst.space, inst.cone, inst.tol)
-    oracle, rel, report = _gate(inst, fam, xi, x0)
+    oracle, report, arrays = _gate(inst, fam, xi, x0)
     xhat, trace = eng.solve(oracle, x0, mode)
     bounded_by = d_bounded_certificate(inst)
     conclusions = [
         _conclusion_order(inst, fam, xhat, x0),
-        _conclusion_strict(inst, fam, xhat),
+        _conclusion_strict(inst, fam, xhat, arrays=arrays),
     ]
     notes = (
         "value boundedness: finite value set of "
@@ -336,11 +344,11 @@ def solve_evp_quasimetric(inst: FiniteInstance, H: Polytope, p: QuasiMetric,
     """Set-direction perturbation scaled by a quasi-metric pair weight."""
     fam = QuasiMetricDirection(H, p).validate(inst.space, inst.cone, inst.tol)
     xi = _separating_functional(H, inst.cone, inst.tol)
-    oracle, rel, report = _gate(inst, fam, xi, x0)
+    oracle, report, arrays = _gate(inst, fam, xi, x0)
     xhat, trace = eng.solve(oracle, x0, mode)
     conclusions = [
         _conclusion_order(inst, fam, xhat, x0),
-        _conclusion_strict(inst, fam, xhat),
+        _conclusion_strict(inst, fam, xhat, arrays=arrays),
     ]
     return Certificate("4.4", xhat, conclusions, report, trace,
                        scalarization=_scalarization_info(xi))

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from evpkit import geometry
+from evpkit import geometry, instances
 from evpkit.errors import HypothesisError, InputError, PremiseError
 from evpkit.geometry import (LinearFunctional, Polytope, cone_contains,
                              minkowski_member, orthant, singleton)
@@ -24,8 +24,10 @@ from evpkit.instances import (ExtensionalFamily, FiniteInstance, MetricSpace,
                               OpenPolytopeFamily, PolytopeDirection,
                               QuasiMetric, QuasiMetricDirection, SetValuedMap,
                               SingletonDirection, _pairwise_separation,
-                              _uniform_separation, eps_h_efficient, preceq,
-                              relation_matrix, ti_check, vertex_minima)
+                              _uniform_separation, eps_h_efficient,
+                              family_arrays, pair_arrays, preceq,
+                              relation_matrix, settled_triples, ti_check,
+                              triangle_failure, vertex_minima)
 from evpkit.product import (FMap, ProductInstance, _graph_oracle,
                             _section_of_start, _separation_conclusion,
                             fmap_from_rate, prec_f, prec_fstar, validate_fmap)
@@ -565,6 +567,231 @@ def test_premises_match_loop(m):
                                           np.array_equal(y0, want_y0))
                 outcomes["global"].add(ok)
     assert outcomes == {"pointwise": {True, False}, "global": {True, False}}
+
+
+# ---------------------------------------------------------------------------
+# The structural settle of the triangle sweep.
+# ---------------------------------------------------------------------------
+
+TOL = 1e-9
+
+
+def screen_covers(S, V, C, tol):
+    """``covered[a, b, c]``: the screen of the shared-polytope triangle sweep
+    decides every query of the triple as covered (or the sweep skips it),
+    from the same screen_members call the sweep makes for x1 = a."""
+    origin = np.zeros((1, C.dim))
+    out = []
+    for a in range(len(S)):
+        s = S[a][:, None] + S
+        skip = (s <= tol) & (S[a] <= tol)
+        decided, answer, _ = geometry.screen_members(
+            s[..., None, None, None] * V, origin, S[a][None, :, None, None],
+            V, len(V), C, tol)
+        out.append(skip | (decided & answer).all(axis=(-2, -1)))
+    return np.array(out)
+
+
+def _line(xs):
+    xs = np.asarray(xs, dtype=float)
+    return np.abs(xs[:, None] - xs[None, :])
+
+
+def settle_cases():
+    """(name, distances, rate, H, C, quasi-metric or None): knife-edge
+    polytopes, large scales, collinear points, metrics broken by less and
+    by more than the tolerance, quasi-metrics and vertices outside C."""
+    rng = np.random.default_rng(2024)
+    C2 = orthant(2)
+    C3, k0 = random_cone(rng, 3)
+    coords = rng.uniform(0.0, 3.0, size=(6, 2))
+    d = np.linalg.norm(coords[:, None] - coords[None], axis=2)
+    broken = _line([0.0, 1.0, 2.0, 3.5])
+    broken[0, 2] = broken[2, 0] = 2.0 + TOL / 2
+    worse = _line([0.0, 1.0, 2.0, 3.5])
+    worse[0, 2] = worse[2, 0] = 2.0 + 10 * TOL
+    phi = rng.uniform(0.0, 1.0, size=6)
+    quasi = d + np.maximum(phi[None, :] - phi[:, None], 0.0)
+    np.fill_diagonal(quasi, 0.0)
+    out_of_cone = Polytope([sample_cone_member(rng, C3, k0), -0.3 * k0])
+    # S[i, j] = 0.6 tol for i < j: an increasing triple has s13 <= tol, so
+    # the screen asks (s12 + s23) v = 1.2 tol v in C, which fails for v
+    # outside C although (s12 + s23 - s13) v is within tol of C
+    tiny = np.triu(np.full((4, 4), 0.6 * TOL), 1)
+    return [
+        ("knife-zero", d, 0.7, Polytope([[1.0, 0.0], [0.0, 1.0]]), C2, None),
+        ("knife-half-tol", d, 0.7,
+         Polytope([[1.0, -TOL / 2], [-TOL / 2, 1.0]]), C2, None),
+        ("knife-tol", d, 1.0, Polytope([[1.0, -TOL], [0.5, 0.5]]), C2, None),
+        ("large", 1e3 * d, 1e3,
+         Polytope([[1e6, 1e-6], [1e-6, 1e-6]]), C2, None),
+        ("small", 1e-3 * d, 1e-3, Polytope([[1e-6, 2e-6]]), C2, None),
+        ("collinear", _line([0.0, 1.0, 2.0, 3.0, 5.0]), 0.5,
+         Polytope([[1.0, 0.5], [0.2, 1.0]]), C2, None),
+        ("collinear-rounded", _line(0.1 * np.arange(7)), 1.3,
+         Polytope([sample_cone_member(rng, C3, k0) for _ in range(2)]), C3,
+         None),
+        ("broken-within-tol", broken, 1.0, Polytope([[1.0, 1.0]]), C2, None),
+        ("broken-beyond-tol", worse, 1.0,
+         Polytope([[1.0, 0.0], [0.0, 1.0]]), C2, None),
+        ("quasimetric", d, 1.0,
+         Polytope([sample_cone_member(rng, C3, k0) for _ in range(3)]), C3,
+         quasi),
+        ("quasimetric-outside", d, 1.0, out_of_cone, C3, quasi),
+        ("outside", d, 0.8, out_of_cone, C3, None),
+        ("tiny-scales-outside", _line(range(4)), 1.0,
+         Polytope([[-1.0, 1.0]]), C2, tiny.T),
+    ]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return "InputError", str(exc)
+
+
+def _settle_problem(d, rate, H, C, quasi):
+    """The label-order instance and family, and the graph-order instance
+    and fmap_from_rate map, of one settle case."""
+    labels = tuple(f"t{i}" for i in range(len(d)))
+    space = MetricSpace(labels, d)
+    zero = np.zeros(C.dim)
+    inst = FiniteInstance(space, SetValuedMap({x: [zero] for x in labels}), C)
+    fam = (PolytopeDirection(H, rate) if quasi is None
+           else QuasiMetricDirection(H, QuasiMetric(quasi)))
+    graph = tuple((x, zero) for x in labels)
+    pi = ProductInstance(graph, space, graph[0], C)
+    fm = fmap_from_rate(space, H, rate, LinearFunctional(np.ones(C.dim)))
+    return inst, fam, pi, fm
+
+
+@pytest.mark.parametrize("case", settle_cases(), ids=lambda c: c[0])
+def test_settle_matches_loops(case):
+    """ti_check and the triangle sweep of an fmap_from_rate map give the
+    loops' result and witness, and every settled triple is one the screen
+    covers."""
+    _, d, rate, H, C, quasi = case
+    inst, fam, pi, fm = _settle_problem(d, rate, H, C, quasi)
+    assert _outcome(ti_check, inst, fam) == _outcome(loop_ti_check, inst, fam)
+    S, V, _ = family_arrays(inst.space, fam)
+    settled = settled_triples(S[..., 0], V, C, TOL)
+    assert not (settled & ~screen_covers(S[..., 0], V, C, TOL)).any()
+    if quasi is None:
+        labels = pi.base.labels
+        got = _outcome(triangle_failure, labels,
+                       *pair_arrays(labels, fm.value_set), C, TOL)
+        assert got == _outcome(loop_fmap_triangle, pi, fm)
+
+
+def test_settle_cases_settle_and_leave_open():
+    """The cases settle every triple where the structural argument holds
+    with room for rounding, and leave triples to the screen where it does
+    not. A vertex tol/2 outside C settles a triple only while
+    (s12 + s23 - s13) tol/2 stays within tol; at scales near 1e12 the
+    rounding allowance exceeds tol, so a triple with s12 + s23 close to s13
+    is left to the screen."""
+    left = {}
+    for name, d, rate, H, C, quasi in settle_cases():
+        inst, fam, _, _ = _settle_problem(d, rate, H, C, quasi)
+        S, V, _ = family_arrays(inst.space, fam)
+        left[name] = int((~settled_triples(S[..., 0], V, C, TOL)).sum())
+    for name in ("knife-zero", "small", "collinear", "collinear-rounded",
+                 "broken-within-tol", "quasimetric"):
+        assert left[name] == 0, name
+    for name in ("knife-half-tol", "large"):
+        assert 0 < left[name] < 6 ** 3, name
+    for name in ("knife-tol", "broken-beyond-tol", "quasimetric-outside",
+                 "outside", "tiny-scales-outside"):
+        assert left[name] > 0, name
+
+
+def test_settled_triples_are_screened_covered():
+    """Random scale matrices (metric, broken, with negative entries, from
+    1e-6 to 1e6) and polytopes (inside C, on its boundary within tol,
+    outside it): the screen covers every triple the settle settles."""
+    rng = np.random.default_rng(31337)
+    counts = {True: 0, False: 0}
+    for trial in range(60):
+        m = 1 + trial % 3
+        n = int(rng.integers(2, 7))
+        C, k0 = _cone(rng, m)
+        S = _distances(rng, n, metric=trial % 2 == 0)
+        S = S * 10.0 ** rng.uniform(-6, 6)
+        if trial % 5 == 0:
+            S[rng.integers(n), rng.integers(n)] *= -1
+        if trial % 7 == 0:
+            S[rng.integers(n), rng.integers(n)] += rng.choice([-1, 1]) * TOL
+        V = np.array([sample_cone_member(rng, C, k0)
+                      for _ in range(int(rng.integers(1, 4)))])
+        V = V * 10.0 ** rng.uniform(-6, 6)
+        if trial % 3 == 1:
+            V = np.vstack([V, -0.3 * k0])
+        elif trial % 3 == 2:
+            # a vertex on the cone's boundary, off by a fraction of tol
+            row = C.halfspaces[0]
+            V[0] = V[0] - (row @ V[0] + rng.uniform(0, TOL)) * row / (row @ row)
+        settled = settled_triples(S, V, C, TOL)
+        assert not (settled & ~screen_covers(S, V, C, TOL)).any(), trial
+        counts[True] += int(settled.sum())
+        counts[False] += int((~settled).sum())
+    assert counts[True] > 0 and counts[False] > 0
+
+
+def test_negative_scale_raises_past_settled_slabs():
+    """A scale of -1e-10 in the last row of a hand-built quasi-metric family
+    raises as in the loop, after the earlier x1 were settled: the triples
+    before (c, b, a) in that row are covered."""
+    C = orthant(2)
+    labels = ("a", "b", "c")
+    p = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    p[0, 2] = -1e-10    # S = p.T, so F(c, a) has scale -1e-10
+    inst = FiniteInstance(MetricSpace(labels, np.abs(p)),
+                          SetValuedMap({x: [[0.0, 0.0]] for x in labels}), C)
+    fam = QuasiMetricDirection(Polytope([[1.0, 0.0], [0.0, 1.0]]),
+                               QuasiMetric(p))
+    S, V, _ = family_arrays(inst.space, fam)
+    settled = settled_triples(S[..., 0], V, C, TOL)
+    assert settled[:2].all() and not settled[2].all()
+    for fn in (ti_check, loop_ti_check):
+        with pytest.raises(InputError, match="nonnegative"):
+            fn(inst, fam)
+
+
+def _screen_calls(monkeypatch, fn, *args):
+    calls = [0]
+    original = instances.screen_members
+
+    def counted(*a, **kw):
+        calls[0] += 1
+        return original(*a, **kw)
+
+    monkeypatch.setattr(instances, "screen_members", counted)
+    try:
+        result = fn(*args)
+    finally:
+        monkeypatch.setattr(instances, "screen_members", original)
+    return calls[0], result
+
+
+@pytest.mark.parametrize("variant", ["singleton", "polytope", "open_polytope",
+                                     "quasimetric"])
+def test_generated_instances_need_no_screen(monkeypatch, variant):
+    """The load-time invariants of generated instances (H in C, a metric or
+    quasi-metric) settle every triple: the sweep screens no x1."""
+    for seed in (3, 4):
+        bundle = generated_bundle(seed, n=16, m=1 + seed % 3, variant=variant)
+        calls, got = _screen_calls(monkeypatch, ti_check, bundle.instance,
+                                   bundle.family)
+        assert got == (True, None) and calls == 0, (seed, calls)
+
+
+def test_non_metric_instance_is_screened(monkeypatch):
+    rng = np.random.default_rng(8)
+    inst, fam, _ = random_instance(rng, n=6, m=2, kind="polytope",
+                                   metric=False)
+    calls, got = _screen_calls(monkeypatch, ti_check, inst, fam)
+    assert calls >= 1 and got == loop_ti_check(inst, fam)
 
 
 # ---------------------------------------------------------------------------

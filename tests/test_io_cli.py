@@ -116,6 +116,10 @@ REJECTIONS = [
     ("lambda-null", ("params", "lambda"), None, ("lambda",)),
     ("params-gamma-bool", ("params", "gamma"), False, ("gamma",)),
     ("tolerance-string", ("params", "tolerance"), "1e-9", ("tolerance",)),
+    ("tolerance-zero", ("params", "tolerance"), 0,
+     ("tolerance", "strictly positive")),
+    ("tolerance-negative", ("params", "tolerance"), -1e-9,
+     ("tolerance", "strictly positive")),
     ("perturbation-gamma-string", ("perturbation", "gamma"), "1",
      ("gamma",)),
     ("k0-bool-item", ("perturbation", "k0"), [True], ("k0",)),
