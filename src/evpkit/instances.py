@@ -645,11 +645,10 @@ def triangle_failure(labels, S, V, nv, C, tol):
     reaches it.
     """
     origin = np.zeros((1, C.dim))
+    slabs = range(len(labels))
     if V.ndim == 2:
-        screened = ~settled_triples(S, V, C, tol).all(axis=(1, 2))
-    else:
-        screened = np.ones(len(labels), dtype=bool)
-    for a in np.flatnonzero(screened):
+        slabs = np.flatnonzero(~settled_triples(S, V, C, tol).all(axis=(1, 2)))
+    for a in slabs:
         x1 = labels[a]
         s = S[a][:, None] + S                    # s12 + s23 over (x2, x3)
         skip = (s <= tol) & (S[a] <= tol)

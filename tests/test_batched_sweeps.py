@@ -730,7 +730,7 @@ def test_settled_triples_are_screened_covered():
         elif trial % 3 == 2:
             # a vertex on the cone's boundary, off by a fraction of tol
             row = C.halfspaces[0]
-            V[0] = V[0] - (row @ V[0] + rng.uniform(0, TOL)) * row / (row @ row)
+            V[0] -= (row @ V[0] + rng.uniform(0, TOL)) * row / (row @ row)
         settled = settled_triples(S, V, C, TOL)
         assert not (settled & ~screen_covers(S, V, C, TOL)).any(), trial
         counts[True] += int(settled.sum())
@@ -758,22 +758,6 @@ def test_negative_scale_raises_past_settled_slabs():
             fn(inst, fam)
 
 
-def _screen_calls(monkeypatch, fn, *args):
-    calls = [0]
-    original = instances.screen_members
-
-    def counted(*a, **kw):
-        calls[0] += 1
-        return original(*a, **kw)
-
-    monkeypatch.setattr(instances, "screen_members", counted)
-    try:
-        result = fn(*args)
-    finally:
-        monkeypatch.setattr(instances, "screen_members", original)
-    return calls[0], result
-
-
 @pytest.mark.parametrize("variant", ["singleton", "polytope", "open_polytope",
                                      "quasimetric"])
 def test_generated_instances_need_no_screen(monkeypatch, variant):
@@ -781,8 +765,8 @@ def test_generated_instances_need_no_screen(monkeypatch, variant):
     quasi-metric) settle every triple: the sweep screens no x1."""
     for seed in (3, 4):
         bundle = generated_bundle(seed, n=16, m=1 + seed % 3, variant=variant)
-        calls, got = _screen_calls(monkeypatch, ti_check, bundle.instance,
-                                   bundle.family)
+        calls, got = _calls(monkeypatch, instances, "screen_members",
+                            ti_check, bundle.instance, bundle.family)
         assert got == (True, None) and calls == 0, (seed, calls)
 
 
@@ -790,7 +774,8 @@ def test_non_metric_instance_is_screened(monkeypatch):
     rng = np.random.default_rng(8)
     inst, fam, _ = random_instance(rng, n=6, m=2, kind="polytope",
                                    metric=False)
-    calls, got = _screen_calls(monkeypatch, ti_check, inst, fam)
+    calls, got = _calls(monkeypatch, instances, "screen_members", ti_check,
+                        inst, fam)
     assert calls >= 1 and got == loop_ti_check(inst, fam)
 
 
@@ -798,20 +783,25 @@ def test_non_metric_instance_is_screened(monkeypatch):
 # Work: the sweeps never run more phase-1 LPs than the loops.
 # ---------------------------------------------------------------------------
 
-def _lp_calls(monkeypatch, fn, *args):
+def _calls(monkeypatch, owner, name, fn, *args):
+    """How often ``fn(*args)`` calls ``owner.name``, and its result."""
     calls = [0]
-    original = geometry._phase1
+    original = getattr(owner, name)
 
     def counted(*a, **kw):
         calls[0] += 1
         return original(*a, **kw)
 
-    monkeypatch.setattr(geometry, "_phase1", counted)
+    monkeypatch.setattr(owner, name, counted)
     try:
         result = fn(*args)
     finally:
-        monkeypatch.setattr(geometry, "_phase1", original)
+        monkeypatch.setattr(owner, name, original)
     return calls[0], result
+
+
+def _lp_calls(monkeypatch, fn, *args):
+    return _calls(monkeypatch, geometry, "_phase1", fn, *args)
 
 
 def test_sweeps_never_run_more_lps_than_loops(monkeypatch):
