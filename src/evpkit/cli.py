@@ -105,10 +105,8 @@ def _parse_point(text):
 def _family_direction_vertices(bundle):
     """Direction-set vertices the perturbation carries, for separation."""
     spec = bundle.raw["perturbation"]
-    if spec["variant"] == "singleton":
-        return Polytope([spec["k0"]])
-    if spec["variant"] in ("polytope", "quasimetric"):
-        return Polytope(spec["vertices"])
+    if spec["variant"] != "extensional":
+        return _direction_polytope(spec)
     # extensional: pool the vertices of all sets over distinct label pairs
     rows = []
     fam = bundle.family
@@ -311,11 +309,19 @@ def _check_assumptions(args, bundle):
     return payload
 
 
+def _write_out(path, document):
+    """Write ``document`` to ``--out``, or raise InputError naming it."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(document, fh, indent=2)
+    except OSError as e:
+        raise InputError(f"cannot write --out: {e}") from None
+
+
 def _emit(args, payload):
     """Write the emitted instance to ``--out``, if given."""
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload["instance"], fh, indent=2)
+        _write_out(args.out, payload["instance"])
         payload["written"] = args.out
     return payload
 
@@ -354,7 +360,7 @@ def run_command(argv):
     """Execute one CLI invocation; returns ``(exit_code, reports)``.
 
     Reports come back in input order; the exit code is the first nonzero
-    per-report code, or 0.
+    per-report code, or 0; an unwritable ``--out`` adds an input error.
     """
     parser = build_parser()
     try:
@@ -366,11 +372,15 @@ def run_command(argv):
     theorem = getattr(args, "theorem", None)
     reports = [_run_on_path(args.command, path, worker, theorem=theorem)
                for path in getattr(args, "paths", [None])]
-    exit_code = next((r.exit_code for r in reports if r.exit_code), 0)
     if args.out and args.command not in EMITTERS:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"reports": [r.to_dict() for r in reports]}, fh,
-                      indent=2)
+        try:
+            _write_out(args.out, {"reports": [r.to_dict() for r in reports]})
+        except InputError as exc:
+            status, code = _ERROR_STATUS[InputError]
+            reports.append(Report(command=args.command, status=status,
+                                  exit_code=code, theorem=theorem,
+                                  payload={"error": str(exc)}))
+    exit_code = next((r.exit_code for r in reports if r.exit_code), 0)
     return exit_code, reports
 
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import HypothesisError, InputError
 
 MODES = ("faithful", "greedy")
@@ -49,6 +51,16 @@ class PreorderOracle:
                     raise InputError(f"successor {xp!r} of {x!r} is not a label")
         order = {x: i for i, x in enumerate(labels)}
         object.__setattr__(self, "_order", order)
+
+    @classmethod
+    def from_matrix(cls, labels, rel, eta):
+        """The oracle of the order matrix ``rel`` (``rel[i, j]``: labels[i]
+        precedes labels[j]) and the potentials ``eta`` in label order."""
+        labels = tuple(labels)
+        successors = {
+            x: [labels[i] for i in np.flatnonzero(rel[:, j]).tolist()]
+            for j, x in enumerate(labels)}
+        return cls(labels, successors, dict(zip(labels, eta)))
 
     def section(self, x):
         return self.successors[x]
@@ -133,8 +145,7 @@ def solve(oracle: PreorderOracle, x0, mode="greedy"):
         inf_here = min(oracle.eta[z] for z in section)
         if mode == "greedy":
             slack = 0.0
-            best = min(oracle.eta[z] for z in section)
-            candidates = [z for z in section if oracle.eta[z] <= best]
+            candidates = [z for z in section if oracle.eta[z] <= inf_here]
             nxt = min(candidates, key=oracle.rank)
         else:
             slack = 2.0 ** (-n)

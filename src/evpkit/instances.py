@@ -228,49 +228,16 @@ class EvpParams:
 # that of F(labels[i], labels[j]), and the shared polytope H.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SingletonDirection:
-    """F(x2, x1) = rate * d(x2, x1) * {k0}."""
-
-    k0: np.ndarray
-    rate: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "k0", as_point(self.k0))
-        if not self.rate > 0:
-            raise InputError("rate must be strictly positive")
-        object.__setattr__(self, "_H", singleton(self.k0))
-
-    kind = "singleton"
-    open_scaled = False
-
-    def lambdas(self):
-        return ("*",)
-
-    def sets(self, space, x2, x1):
-        return (("*", self.rate * space.d(x2, x1), self._H),)
-
-    def pair_map(self, space):
-        return self.rate * space.dist, self._H
-
-    def validate(self, space, cone_, tol=DEFAULT_TOL):
-        validate_direction_set(self._H, cone_, tol)
-        return self
+def _check_rate(rate):
+    if not 0 < rate < math.inf:
+        raise InputError("rate must be strictly positive and finite")
 
 
-@dataclass(frozen=True, eq=False)
-class PolytopeDirection:
-    """F(x2, x1) = rate * d(x2, x1) * H for a fixed direction polytope H."""
-
-    H: Polytope
-    rate: float
-
-    def __post_init__(self):
-        if not self.rate > 0:
-            raise InputError("rate must be strictly positive")
-
-    kind = "polytope"
-    open_scaled = False
+class _DistanceScaled:
+    """The single index "*", a direction set ``H`` inside the cone, and
+    F(x2, x1) = rate * d(x2, x1) * H unless a family says otherwise. F is
+    stated twice, per pair in ``sets`` (read by :func:`preceq`) and as
+    arrays in ``pair_map``, so that each checks the other."""
 
     def lambdas(self):
         return ("*",)
@@ -287,6 +254,34 @@ class PolytopeDirection:
 
 
 @dataclass(frozen=True, eq=False)
+class SingletonDirection(_DistanceScaled):
+    """F(x2, x1) = rate * d(x2, x1) * {k0}."""
+
+    k0: np.ndarray
+    rate: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "k0", as_point(self.k0))
+        _check_rate(self.rate)
+        object.__setattr__(self, "H", singleton(self.k0))
+
+    kind = "singleton"
+
+
+@dataclass(frozen=True, eq=False)
+class PolytopeDirection(_DistanceScaled):
+    """F(x2, x1) = rate * d(x2, x1) * H for a fixed direction polytope H."""
+
+    H: Polytope
+    rate: float
+
+    def __post_init__(self):
+        _check_rate(self.rate)
+
+    kind = "polytope"
+
+
+@dataclass(frozen=True, eq=False)
 class OpenPolytopeFamily(PolytopeDirection):
     """The family {rate' * d * H : 0 < rate' < rate}.
 
@@ -297,21 +292,16 @@ class OpenPolytopeFamily(PolytopeDirection):
     """
 
     kind = "open_polytope"
-    open_scaled = True
 
 
 @dataclass(frozen=True, eq=False)
-class QuasiMetricDirection:
+class QuasiMetricDirection(_DistanceScaled):
     """F(x2, x1) = p(x1, x2) * H (argument order per the quasi-metric form)."""
 
     H: Polytope
     p: QuasiMetric
 
     kind = "quasimetric"
-    open_scaled = False
-
-    def lambdas(self):
-        return ("*",)
 
     def sets(self, space, x2, x1):
         scale = float(self.p.mat[space.index(x1), space.index(x2)])
@@ -321,7 +311,7 @@ class QuasiMetricDirection:
         return self.p.mat.T, self.H
 
     def validate(self, space, cone_, tol=DEFAULT_TOL):
-        validate_direction_set(self.H, cone_, tol)
+        super().validate(space, cone_, tol)
         self.p.validate(tol)
         if self.p.mat.shape[0] != space.n:
             raise InputError("quasi-metric size does not match the space")
@@ -341,7 +331,6 @@ class ExtensionalFamily:
             raise InputError("extensional family needs at least one index")
 
     kind = "extensional"
-    open_scaled = False
 
     def lambdas(self):
         return self.indices
@@ -384,17 +373,13 @@ class ExtensionalFamily:
 # The induced pre-order.
 # ---------------------------------------------------------------------------
 
-def _covered(inst, base_values, scale, H, y):
-    return minkowski_member(y, base_values, scale, H, inst.cone, inst.tol)
-
-
 def preceq(inst: FiniteInstance, fam, x2, x1):
     """True iff f(x1) lies in f(x2) + F(x2, x1) + cone for every family set."""
     vals1 = inst.fmap.at(x1)
     vals2 = inst.fmap.at(x2)
     for _, scale, H in fam.sets(inst.space, x2, x1):
         for y in vals1:
-            if not _covered(inst, vals2, scale, H, y):
+            if not minkowski_member(y, vals2, scale, H, inst.cone, inst.tol):
                 return False
     return True
 
@@ -430,10 +415,11 @@ def order_arrays(inst: FiniteInstance, fam):
             *stack_rows([inst.fmap.at(x) for x in inst.labels]))
 
 
-def order_queries(inst: FiniteInstance, arrays, x2s, x1s, witness=True):
+def order_queries(inst, arrays, x2s, x1s, witness=True):
     """The order tests ``labels[x2s[p]] before labels[x1s[p]]`` of several
     label pairs as one :func:`covered_queries` stack, ``arrays`` as
-    :func:`order_arrays` gives them.
+    :func:`order_arrays` gives them, or for the graph order a product
+    instance and its :func:`evpkit.product.graph_arrays`.
 
     Each pair is a group of its (family index, value of x1) queries in
     :func:`preceq`'s loop order, over the base f(x2). Returns

@@ -4,16 +4,18 @@ the report type the CLI emits.
 Instance files are UTF-8 JSON with schema version ``evpkit/1``. Loading
 checks each fact once: ``_check`` walks the document against
 ``INSTANCE_SPEC`` for its keys and JSON types (no unknown keys, required
-keys present, numbers that are not booleans, non-empty lists), then the
-builders check the values and every invariant. Either names the field at
+keys present, finite numbers that are not booleans, non-empty lists), then
+the builders check the values and every invariant. Either names the field at
 fault, as in ``$.params.epsilon: expected a number``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -41,7 +43,12 @@ class _Leaf(NamedTuple):
 
 
 def _number(v):
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    """A real, not a boolean, within the float range: RFC 8259 JSON has no
+    Infinity or NaN, and a larger integer has no float value."""
+    if isinstance(v, float):
+        return math.isfinite(v)
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _positive_integer(v):
@@ -138,8 +145,8 @@ def default_tolerance():
             value = float(env)
         except ValueError:
             raise InputError(f"{TOLERANCE_ENV} is not a number: {env!r}")
-        if not value > 0:
-            raise InputError(f"{TOLERANCE_ENV} must be positive")
+        if not 0 < value < math.inf:
+            raise InputError(f"{TOLERANCE_ENV} must be positive and finite")
         return value
     return DEFAULT_TOL
 

@@ -18,10 +18,10 @@ import numpy as np
 from . import engine as eng
 from .errors import HypothesisError, InputError, PremiseError
 from .geometry import (DEFAULT_TOL, PolyhedralCone, Polytope, as_point,
-                       cone_contains, covered_queries, first_outside,
-                       minkowski_member, polytope_contains, singleton,
-                       stack_rows)
-from .instances import MetricSpace, pair_arrays, triangle_failure
+                       cone_contains, first_outside, minkowski_member,
+                       polytope_contains, singleton)
+from .instances import (MetricSpace, _check_rate, order_queries, pair_arrays,
+                        triangle_failure)
 from .scalarize import GerstewitzFn
 from .solvers import Certificate, Conclusion, _jsonable
 
@@ -158,8 +158,7 @@ class FMap:
 
 def fmap_from_rate(base: MetricSpace, H: Polytope, rate, xi):
     """Distance-scaled pair map rate * d(x2, x1) * H over the whole base."""
-    if not rate > 0:
-        raise InputError("rate must be strictly positive")
+    _check_rate(rate)
     d = base.dist.tolist()
     table = {(x2, x1): (rate * d[i][j], H)
              for i, x2 in enumerate(base.labels)
@@ -167,11 +166,20 @@ def fmap_from_rate(base: MetricSpace, H: Polytope, rate, xi):
     return FMap(table, xi)
 
 
-def validate_fmap(pi: ProductInstance, fm: FMap):
+def _check_dimensions(pi, fm):
+    """Every pair-map value has the cone's dimension, so that they stack."""
+    for (x2, x1), (_, H) in fm.table.items():
+        if H.dim != pi.cone.dim:
+            raise InputError(f"pair-map value for ({x2!r}, {x1!r}) has "
+                             f"dimension {H.dim}, expected {pi.cone.dim}")
+
+
+def validate_fmap(pi: ProductInstance, fm: FMap, pair=None):
     """Check the three pair-map conditions; raise HypothesisError on failure.
 
     Returns a report dict with the positivity margin of the scalarization at
-    the smallest positive base distance."""
+    the smallest positive base distance. ``pair`` are the checked
+    :func:`pair_arrays` of a :func:`_validated` solve, built when None."""
     base = pi.base
     C = pi.cone
     tol = pi.tol
@@ -185,12 +193,10 @@ def validate_fmap(pi: ProductInstance, fm: FMap):
         raise HypothesisError(
             "pair_map_in_cone",
             f"pair-map value for ({x2!r}, {x1!r}) leaves the cone")
-    # values at scale <= tol skip the cone check; their dimension must still
-    # match before the triangle sweep stacks all vertex arrays
-    for (x2, x1), (_, H) in fm.table.items():
-        if H.dim != C.dim:
-            raise InputError(f"pair-map value for ({x2!r}, {x1!r}) has "
-                             f"dimension {H.dim}, expected {C.dim}")
+    if pair is None:
+        # values at scale <= tol skip the cone check; their dimension must
+        # still match before the triangle sweep stacks all vertex arrays
+        _check_dimensions(pi, fm)
     for x in base.labels:
         scale, H = fm.value_set(x, x)
         if scale <= tol:
@@ -201,8 +207,8 @@ def validate_fmap(pi: ProductInstance, fm: FMap):
             raise HypothesisError(
                 "reflexive_zero",
                 f"pair-map value at ({x!r}, {x!r}) does not contain 0")
-    triple = triangle_failure(base.labels,
-                              *pair_arrays(base.labels, fm.value_set), C, tol)
+    pair = pair or pair_arrays(base.labels, fm.value_set)
+    triple = triangle_failure(base.labels, *pair, C, tol)
     if triple is not None:
         raise HypothesisError("triangle_inclusion",
                               "pair map fails the triangle inclusion",
@@ -292,72 +298,66 @@ def prec_fstar(pi: ProductInstance, fm: FMap, pair2, pair1):
 ProductCertificate = Certificate
 
 
-def _graph_oracle(pi, fm):
+def graph_arrays(pi, fm, pair=None):
+    """What :func:`order_queries` reads, for the graph order: each graph
+    pair is a label with its one value (``B = Y[:, None]``, ``nb = 1``), and
+    ``S, V, nv`` are the :func:`pair_arrays` ``pair`` (built when None) at
+    the labels of two pairs; a shared polytope stays one ``(J, m)`` array."""
+    S, V, nv = pair or pair_arrays(pi.base.labels, fm.value_set)
+    lab = np.array([pi.base.index(x) for x, _ in pi.graph])
+    at = (lab[:, None], lab)
+    if V.ndim > 2:
+        V, nv = V[at][:, :, None], nv[at][..., None]
+    Y = np.array([y for _, y in pi.graph])
+    return S[at][..., None], V, nv, Y[:, None], np.ones(len(lab), dtype=int)
+
+
+def _validated(pi, fm):
+    """:func:`validate_fmap` and the :func:`graph_arrays` of a solve, from
+    one :func:`pair_arrays` of the dimension-checked map."""
+    _check_dimensions(pi, fm)
+    pair = pair_arrays(pi.base.labels, fm.value_set)
+    return validate_fmap(pi, fm, pair), graph_arrays(pi, fm, pair)
+
+
+def _graph_oracle(pi, fm, arrays=None):
     """Engine oracle over graph pair indices under the strict order.
 
     ``rel[i, j]`` is :func:`prec_fstar` of pairs i and j: the anchored
     scalarization is evaluated once per pair, and coverage is asked only
-    for the pairs with a strict drop, all in one :func:`covered_queries`
-    stack.
+    for the pairs with a strict drop, all in one :func:`order_queries`
+    stack over the :func:`graph_arrays` ``arrays``.
     """
-    pairs = pi.graph
-    n = len(pairs)
-    S, V, nv = pair_arrays(pi.base.labels, fm.value_set)
-    lab = np.array([pi.base.index(x) for x, _ in pairs])
-    Y = np.array([y for _, y in pairs])
-    y0 = pi.y0
-    eta = [fm.xi.value(y - y0) for _, y in pairs]
+    arrays = arrays or graph_arrays(pi, fm)
+    n = len(pi.graph)
+    eta = [fm.xi.value(y - pi.y0) for _, y in pi.graph]
     eta_arr = np.array(eta)
     rel = np.eye(n, dtype=bool)
     # prec_f looks at the scale of every other pair, strict drop or not
-    if np.any((S[lab[:, None], lab] < 0) & ~rel):
+    if np.any((arrays[0][..., 0] < 0) & ~rel):
         raise InputError("scale must be nonnegative")
     i, j = np.nonzero((eta_arr[None, :] - eta_arr[:, None] > pi.tol) & ~rel)
-    a, b = lab[i], lab[j]
-    own = V.ndim > 2
-    first = covered_queries(Y[j], Y[i][:, None], np.ones(len(i), dtype=int),
-                            S[a, b], V[a, b] if own else V,
-                            nv[a, b] if own else nv, pi.cone, pi.tol)
+    first, _, _ = order_queries(pi, arrays, i, j)
     rel[i, j] = first < 0
-    successors = {j: [i for i in range(n) if rel[i, j]] for j in range(n)}
-    labels_idx = tuple(range(n))
-    return eng.PreorderOracle(labels_idx, successors,
-                              dict(enumerate(eta))), rel
+    return eng.PreorderOracle.from_matrix(range(n), rel, eta), rel
 
 
-def _start_index(pi):
-    x0, y0 = pi.start
-    for i, (x, y) in enumerate(pi.graph):
-        if x == x0 and np.array_equal(y, y0):
-            return i
-    raise InputError("start pair not found")  # unreachable after validation
+def _pair_index(pi, x, y):
+    """Position of the graph pair (x, y); the pairs are distinct."""
+    return [(xl, tuple(yl)) for xl, yl in pi.graph].index((x, tuple(y)))
 
 
-def _covered_by_pairs(pi, fm, pairs, x1, y):
-    """:func:`prec_f` of each graph pair in ``pairs`` against the pair
-    ``(x1, y)``: whether y lies in v + F(x, x1) + C, for all pairs (x, v) in
-    one :func:`covered_queries` stack."""
-    C, tol = pi.cone, pi.tol
-    values = [fm.value_set(x, x1) for x, _ in pairs]
-    polys = []
-    for scale, H in values:
-        if H.dim != C.dim:
-            # as in minkowski_member, a zero scale never looks at H
-            if scale > tol:
-                raise InputError("polytope dimension does not match the cone")
-            H = singleton(np.zeros(C.dim))
-        polys.append(H.vertices)
-    V, nv = (polys[0], None) if all(P is polys[0] for P in polys) \
-        else stack_rows(polys)
-    S = np.array([scale for scale, _ in values], dtype=float)
-    B = np.array([v for _, v in pairs])[:, None, :]
-    first = covered_queries(np.tile(y, (len(pairs), 1)), B,
-                            np.ones(len(pairs), dtype=int), S, V, nv, C, tol)
+def _preceding(pi, fm, arrays, others, j):
+    """:func:`prec_f` of the graph pairs at positions ``others`` against
+    pair j, one :func:`order_queries` stack (``arrays`` built when None)."""
+    arrays = arrays or graph_arrays(pi, fm)
+    first, _, _ = order_queries(pi, arrays, others, np.full(len(others), j))
     return first < 0
 
 
-def _section_of_start(pi, fm):
-    covered = _covered_by_pairs(pi, fm, pi.graph, pi.x0, pi.y0)
+def _section_of_start(pi, fm, arrays=None):
+    covered = _preceding(pi, fm, arrays, np.arange(len(pi.graph)),
+                         _pair_index(pi, *pi.start))
     return [p for p, c in zip(pi.graph, covered) if c]
 
 
@@ -365,25 +365,25 @@ def solve_minimal_point(pi: ProductInstance, fm: FMap, mode="greedy"):
     """Minimal pair of the graph under the strict order, certified against
     the plain order conclusions: start coverage and separation of every
     other base label."""
-    checks = validate_fmap(pi, fm)
-    return _minimal_point(pi, fm, mode, checks, _section_of_start(pi, fm))
+    checks, arrays = _validated(pi, fm)
+    return _minimal_point(pi, fm, mode, checks, arrays,
+                          _section_of_start(pi, fm, arrays))
 
 
-def _minimal_point(pi, fm, mode, checks, section):
+def _minimal_point(pi, fm, mode, checks, arrays, section):
     """:func:`solve_minimal_point` after the pair-map checks, given the
-    start section."""
+    :func:`graph_arrays` and the start section."""
     inf_val = min(fm.xi.value(y - pi.y0) for _, y in section)
     if not math.isfinite(inf_val):
         raise HypothesisError("bounded",
                               "scalarization unbounded on the start section")
-    oracle, rel = _graph_oracle(pi, fm)
-    i0 = _start_index(pi)
-    ihat, trace = eng.solve(oracle, i0, mode)
+    oracle, _ = _graph_oracle(pi, fm, arrays)
+    ihat, trace = eng.solve(oracle, _pair_index(pi, *pi.start), mode)
     xhat, yhat = pi.graph[ihat]
     conclusions = [
         _coverage_conclusion(pi, fm, xhat, yhat, name="a"),
         _separation_conclusion(pi, fm, xhat, yhat, exclude_label_only=True,
-                               name="b"),
+                               name="b", arrays=arrays, ihat=ihat),
     ]
     assumptions = dict(checks)
     assumptions["scalar_inf_on_start_section"] = inf_val
@@ -398,18 +398,19 @@ def _coverage_conclusion(pi, fm, xhat, yhat, name):
     return Conclusion(name, holds, {"start_value": pi.y0, "yhat": yhat})
 
 
-def _separation_conclusion(pi, fm, xhat, yhat, exclude_label_only, name):
+def _separation_conclusion(pi, fm, xhat, yhat, exclude_label_only, name,
+                           arrays=None, ihat=None):
     """No other pair pulls yhat down: for label-only exclusion the quantifier
-    skips the whole xhat slice, otherwise only the pair itself. All the
-    other pairs are tested in one stack."""
-    def skipped(x, y):
-        return x == xhat and (exclude_label_only or np.array_equal(y, yhat))
-
-    others = [(x, y) for x, y in pi.graph if not skipped(x, y)]
-    covered = (_covered_by_pairs(pi, fm, others, xhat, yhat) if others
-               else [])
-    violations = [{"x": x, "y": y} for (x, y), c in zip(others, covered)
-                  if c]
+    skips the whole xhat slice, otherwise only the pair itself, at position
+    ``ihat`` (looked up when None). All the other pairs are tested in one
+    stack."""
+    ihat = _pair_index(pi, xhat, yhat) if ihat is None else ihat
+    others = np.array([p for p, (x, _) in enumerate(pi.graph)
+                       if (x != xhat if exclude_label_only else p != ihat)],
+                      dtype=int)
+    covered = _preceding(pi, fm, arrays, others, ihat)
+    violations = [{"x": pi.graph[p][0], "y": pi.graph[p][1]}
+                  for p, c in zip(others, covered) if c]
     return Conclusion(name, not violations, {"violations": violations})
 
 
@@ -417,8 +418,9 @@ def solve_strict_minimal(pi: ProductInstance, fm: FMap, mode="greedy"):
     """Minimal pair post-processed down to a strict Pareto minimum of its
     label slice; the separation conclusion then excludes only the pair
     itself. Requires the strict domination property on every slice the start
-    section touches."""
-    section = _section_of_start(pi, fm)
+    section touches, checked after the pair map."""
+    checks, arrays = _validated(pi, fm)
+    section = _section_of_start(pi, fm, arrays)
     slice_report = {}
     for x in sorted({p[0] for p in section}, key=str):
         values = pi.slice_values(x)
@@ -430,7 +432,7 @@ def solve_strict_minimal(pi: ProductInstance, fm: FMap, mode="greedy"):
                 "strict_domination",
                 f"the value slice at {x!r} lacks the strict domination "
                 "property", witness={"x": x, "uncovered": _jsonable(uncovered)})
-    base_cert = _minimal_point(pi, fm, mode, validate_fmap(pi, fm), section)
+    base_cert = _minimal_point(pi, fm, mode, checks, arrays, section)
     xhat, ytilde = base_cert.xhat, base_cert.yhat
     slice_vals = pi.slice_values(xhat)
     smin = strict_pareto_min(slice_vals, pi.cone, pi.tol)
@@ -451,7 +453,7 @@ def solve_strict_minimal(pi: ProductInstance, fm: FMap, mode="greedy"):
                    {"start_value": pi.y0, "yhat": yhat,
                     "slice_strict_minimum": in_smin}),
         _separation_conclusion(pi, fm, xhat, yhat, exclude_label_only=False,
-                               name="b"),
+                               name="b", arrays=arrays),
     ]
     assumptions = dict(base_cert.assumptions)
     assumptions["slice_strict_domination"] = slice_report

@@ -121,21 +121,17 @@ def _jsonable(value):
 def build_preorder(inst, fam, xi, arrays=None):
     """Engine oracle plus the boolean order matrix (rel[i, j]: label i
     precedes label j) for an instance, family, and scalarization."""
-    labels = inst.labels
     rel = relation_matrix(inst, fam, arrays)
-    successors = {
-        x1: [labels[i] for i in np.nonzero(rel[:, j])[0]]
-        for j, x1 in enumerate(labels)
-    }
-    eta = {x: scalar_inf(xi, inst.fmap.at(x)) for x in labels}
-    return eng.PreorderOracle(labels, successors, eta), rel
+    eta = [scalar_inf(xi, inst.fmap.at(x)) for x in inst.labels]
+    return eng.PreorderOracle.from_matrix(inst.labels, rel, eta), rel
 
 
-def _gate(inst, fam, xi, x0):
-    """Order construction plus the hypothesis gate shared by all solvers.
+def _solve_order(inst, fam, xi, x0, mode):
+    """Order construction, the hypothesis gate, the engine run from x0 and
+    the two order conclusions, shared by all solvers.
 
-    Returns the engine oracle, the assumption report and the
-    :func:`order_arrays`, built once here for every order test of the
+    Returns ``(xhat, conclusions, report, trace)``. The
+    :func:`order_arrays` are built once here for every order test of the
     solve."""
     arrays = order_arrays(inst, fam)
     ok, witness = ti_check(inst, fam, arrays)
@@ -152,7 +148,10 @@ def _gate(inst, fam, xi, x0):
         raise HypothesisError(report.failed_name(),
                               "assumption gate failed",
                               witness=report.to_dict())
-    return oracle, report, arrays
+    xhat, trace = eng.solve(oracle, x0, mode)
+    conclusions = [_conclusion_order(inst, fam, xhat, x0),
+                   _conclusion_strict(inst, fam, xhat, arrays=arrays)]
+    return xhat, conclusions, report, trace
 
 
 def _conclusion_order(inst, fam, xhat, x0, name="a"):
@@ -227,12 +226,7 @@ def _separating_functional(H, cone_, tol):
 def solve_evp_general(inst: FiniteInstance, fam, xi, x0, mode="greedy"):
     """Order from an arbitrary validated family plus a monotone scalarization."""
     fam.validate(inst.space, inst.cone, inst.tol)
-    oracle, report, arrays = _gate(inst, fam, xi, x0)
-    xhat, trace = eng.solve(oracle, x0, mode)
-    conclusions = [
-        _conclusion_order(inst, fam, xhat, x0),
-        _conclusion_strict(inst, fam, xhat, arrays=arrays),
-    ]
+    xhat, conclusions, report, trace = _solve_order(inst, fam, xi, x0, mode)
     return Certificate("3.1", xhat, conclusions, report, trace,
                        scalarization=_scalarization_info(xi))
 
@@ -293,13 +287,9 @@ def solve_evp_direction(inst: FiniteInstance, k0, epsilon, lam, x0,
         premise_info["witness_value"] = y0
         theorem = "3.6"
 
-    oracle, report, arrays = _gate(inst, fam, xi, x0)
-    xhat, trace = eng.solve(oracle, x0, mode)
-    conclusions = [
-        _conclusion_order(inst, fam, xhat, x0),
-        _conclusion_strict(inst, fam, xhat, arrays=arrays),
-        _distance_conclusion(inst, x0, xhat, lam, False, inst.tol),
-    ]
+    xhat, conclusions, report, trace = _solve_order(inst, fam, xi, x0, mode)
+    conclusions.append(
+        _distance_conclusion(inst, x0, xhat, lam, False, inst.tol))
     return Certificate(theorem, xhat, conclusions, report, trace,
                        scalarization=_scalarization_info(xi),
                        premise=premise_info)
@@ -318,13 +308,8 @@ def solve_evp_set_direction(inst: FiniteInstance, H: Polytope, gamma, x0,
     xi = _separating_functional(H, inst.cone, inst.tol)
     cls = OpenPolytopeFamily if open_family else PolytopeDirection
     fam = cls(H, gamma).validate(inst.space, inst.cone, inst.tol)
-    oracle, report, arrays = _gate(inst, fam, xi, x0)
-    xhat, trace = eng.solve(oracle, x0, mode)
+    xhat, conclusions, report, trace = _solve_order(inst, fam, xi, x0, mode)
     bounded_by = d_bounded_certificate(inst)
-    conclusions = [
-        _conclusion_order(inst, fam, xhat, x0),
-        _conclusion_strict(inst, fam, xhat, arrays=arrays),
-    ]
     notes = (
         "value boundedness: finite value set of "
         f"{bounded_by.vertices.shape[0]} points",
@@ -344,12 +329,7 @@ def solve_evp_quasimetric(inst: FiniteInstance, H: Polytope, p: QuasiMetric,
     """Set-direction perturbation scaled by a quasi-metric pair weight."""
     fam = QuasiMetricDirection(H, p).validate(inst.space, inst.cone, inst.tol)
     xi = _separating_functional(H, inst.cone, inst.tol)
-    oracle, report, arrays = _gate(inst, fam, xi, x0)
-    xhat, trace = eng.solve(oracle, x0, mode)
-    conclusions = [
-        _conclusion_order(inst, fam, xhat, x0),
-        _conclusion_strict(inst, fam, xhat, arrays=arrays),
-    ]
+    xhat, conclusions, report, trace = _solve_order(inst, fam, xi, x0, mode)
     return Certificate("4.4", xhat, conclusions, report, trace,
                        scalarization=_scalarization_info(xi))
 

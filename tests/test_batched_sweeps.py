@@ -16,10 +16,11 @@ import math
 import numpy as np
 import pytest
 
-from evpkit import geometry, instances
+from evpkit import geometry, instances, product
 from evpkit.errors import HypothesisError, InputError, PremiseError
-from evpkit.geometry import (LinearFunctional, Polytope, cone_contains,
-                             minkowski_member, orthant, singleton)
+from evpkit.geometry import (LinearFunctional, Polytope, cone, cone_contains,
+                             minkowski_member, orthant, singleton,
+                             strictly_positive_functional)
 from evpkit.instances import (ExtensionalFamily, FiniteInstance, MetricSpace,
                               OpenPolytopeFamily, PolytopeDirection,
                               QuasiMetric, QuasiMetricDirection, SetValuedMap,
@@ -30,7 +31,9 @@ from evpkit.instances import (ExtensionalFamily, FiniteInstance, MetricSpace,
                               triangle_failure, vertex_minima)
 from evpkit.product import (FMap, ProductInstance, _graph_oracle,
                             _section_of_start, _separation_conclusion,
-                            fmap_from_rate, prec_f, prec_fstar, validate_fmap)
+                            fmap_from_rate, prec_f, prec_fstar,
+                            solve_minimal_point, solve_pareto_evp,
+                            solve_strict_minimal, validate_fmap)
 from evpkit.scalarize import GerstewitzFn
 from evpkit.solvers import Conclusion, _conclusion_strict, _pointwise_premise
 
@@ -857,3 +860,23 @@ def test_sweeps_never_run_more_lps_than_loops(monkeypatch):
             totals["batched"] += nb
             totals["loop"] += nl
     assert totals["loop"] > 0  # the LP fallback was exercised
+
+
+def test_graph_solves_build_the_pair_arrays_once(monkeypatch):
+    """A graph solve builds the pair map's arrays once, after the dimension
+    check, and hands them to the triangle sweep and every order test."""
+    for seed in (950, 951, 952):
+        pi = generated_bundle(seed, n=3, m=2, values_per_point=2).product
+        H = singleton([1.0, 1.0])
+        fm = fmap_from_rate(pi.base, H, 0.4,
+                            strictly_positive_functional(H, pi.cone, pi.tol))
+        for solve in (solve_minimal_point, solve_strict_minimal):
+            calls, cert = _calls(monkeypatch, product, "pair_arrays", solve,
+                                 pi, fm)
+            assert calls == 1 and cert.all_hold(), (seed, solve.__name__)
+    base = MetricSpace(("a", "b"), [[0.0, 1.0], [1.0, 0.0]]).validate()
+    graph = (("a", [1.0]), ("b", [0.0]))
+    pi = ProductInstance(graph, base, graph[0], cone([[1.0]], [[1.0]]))
+    calls, cert = _calls(monkeypatch, product, "pair_arrays",
+                         solve_pareto_evp, pi, [1.0], 1.5, 2.0)
+    assert calls == 1 and cert.all_hold()

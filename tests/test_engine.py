@@ -129,6 +129,41 @@ class TestBruteForce:
                 assert verify_conclusions(oracle, x0, xhat)["ok"]
 
 
+class TestFromMatrix:
+    @staticmethod
+    def loop_successors(labels, rel):
+        """The successor lists as the solvers built them before
+        ``from_matrix``: column j's rows in label order."""
+        import numpy as np
+        return {x1: [labels[i] for i in np.nonzero(rel[:, j])[0]]
+                for j, x1 in enumerate(labels)}
+
+    def test_matches_the_column_loop(self):
+        import numpy as np
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 5, 9):
+            mats = [np.zeros((n, n), dtype=bool), np.eye(n, dtype=bool)]
+            mats += [rng.random((n, n)) < p for p in (0.2, 0.5, 0.9)]
+            for labels in (tuple(f"x{i}" for i in range(n)), tuple(range(n))):
+                eta = rng.normal(size=n).tolist()
+                for rel in mats:
+                    o = PreorderOracle.from_matrix(labels, rel, eta)
+                    assert o.labels == labels
+                    assert o.successors == self.loop_successors(labels, rel)
+                    assert o.eta == dict(zip(labels, eta))
+                    # plain labels, so reports serialize as before
+                    assert all(type(z) is type(labels[0])
+                               for s in o.successors.values() for z in s)
+
+    def test_accepts_a_label_range(self):
+        import numpy as np
+        rel = np.array([[True, True], [False, True]])
+        o = PreorderOracle.from_matrix(range(2), rel, [0.0, 1.0])
+        assert o.labels == (0, 1)
+        assert o.successors == {0: [0], 1: [0, 1]}
+        assert solve(o, 1)[0] == 0
+
+
 class TestTraceProperties:
     def test_faithful_slack_schedule(self, chain):
         _, trace = solve(chain, "a", "faithful")

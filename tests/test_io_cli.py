@@ -184,6 +184,17 @@ REJECTIONS = [
     ("top-level-string", (), "evpkit/1", ("object",)),
     ("top-level-number", (), 3, ("object",)),
     ("map-unknown-label", ("map", "zz"), [[1.0]], ("unknown labels", "zz")),
+    # json reads Infinity and NaN, which RFC 8259 JSON does not have
+    ("gamma-infinity", ("perturbation", "gamma"), float("inf"),
+     ("$.perturbation.gamma: expected a number",)),
+    ("epsilon-nan", ("params", "epsilon"), float("nan"),
+     ("$.params.epsilon: expected a number",)),
+    ("tolerance-infinity", ("params", "tolerance"), float("inf"),
+     ("$.params.tolerance: expected a number",)),
+    ("vertex-negative-infinity", ("perturbation", "vertices"),
+     [[-float("inf")]], ("$.perturbation.vertices[0][0]: expected a number",)),
+    ("gamma-integer-beyond-float", ("perturbation", "gamma"), 10 ** 400,
+     ("$.perturbation.gamma: expected a number",)),
     ("source-text-list", _SOURCE, "[1, 2]", ("$: expected an object",)),
     ("source-text-blank-list", _SOURCE, " \n [[]]",
      ("$: expected an object",)),
@@ -443,6 +454,21 @@ class TestCli:
                                      "--out", str(out)])
         assert code == 0 and out.exists()
         load_validate(str(out))
+
+    def test_unwritable_out_is_an_input_error(self, tmp_path):
+        """Both --out writers, the report block and the emitted instance,
+        turn a path that cannot be written into exit 3 naming the path."""
+        out = str(tmp_path / "missing" / "x.json")
+        code, reports = run_command(["validate",
+                                     fixture_path("two_point.json"),
+                                     "--out", out])
+        assert code == 3
+        assert [r.status for r in reports] == ["ok", "input_error"]
+        assert out in reports[1].payload["error"]
+        code, reports = run_command(["generate", "--seed", "1", "--out", out])
+        assert code == 3 and reports[0].status == "input_error"
+        assert out in reports[0].payload["error"]
+        assert not os.path.exists(out)
 
     def test_builtin_writes_and_probes(self, tmp_path):
         out = tmp_path / "ex41.json"

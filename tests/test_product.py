@@ -353,3 +353,54 @@ def test_pair_map_in_cone_names_the_first_value_leaving_the_cone():
         with pytest.raises(InputError, match=r"\('a', 'a'\) has dimension 3"):
             validate_fmap(pi, fmap({("a", "a"): (scale,
                                                  Polytope([[1.0, 1.0, 1.0]]))}))
+
+
+def _ragged_fmap(labels, d, changes):
+    """Pair map over ``labels`` with 1 to 3 vertices per value, all between
+    (0.5, 0.5) and (1, 1), with ``changes`` applied."""
+    shapes = ([[1.0, 1.0]], [[0.5, 0.5], [1.0, 0.5]],
+              [[0.5, 1.0], [1.0, 0.5], [0.5, 0.5]])
+    table = {(x2, x1): (float(d[i, j]), Polytope(shapes[(i + j) % 3]))
+             for i, x2 in enumerate(labels) for j, x1 in enumerate(labels)}
+    table.update(changes)
+    return FMap(table, LinearFunctional([1.0, 1.0]))
+
+
+def test_graph_solvers_name_a_wrong_dimension_value_at_scale_zero():
+    """A value of the wrong dimension at scale 0 skips the cone check; both
+    graph solvers still stop at the dimension check that names the pair,
+    before any stack of the ragged map is built."""
+    labels = ("a", "b", "c")
+    d = np.ones((3, 3)) - np.eye(3)
+    space = MetricSpace(labels, d).validate()
+    graph = (("a", 2 * np.ones(2)), ("b", np.ones(2)), ("c", np.zeros(2)))
+    pi = ProductInstance(graph, space, graph[0], D2)
+    for key in (("b", "a"), ("c", "c")):
+        fm = _ragged_fmap(labels, d, {key: (0.0, Polytope([[1.0, 1.0, 1.0]]))})
+        for solve in (solve_minimal_point, solve_strict_minimal):
+            with pytest.raises(InputError,
+                               match=rf"\({key[0]!r}, {key[1]!r}\) has "
+                                     "dimension 3, expected 2"):
+                solve(pi, fm)
+    # the same map with the right dimension solves
+    cert = solve_strict_minimal(pi, _ragged_fmap(labels, d, {}))
+    assert cert.xhat == "c" and cert.all_hold()
+
+
+def test_strict_minimal_checks_the_pair_map_before_the_slices():
+    """5.2 validates the pair map before it takes the start section, so a
+    map leaving the cone is reported even where a slice also lacks the
+    strict domination property."""
+    base = MetricSpace(("a",), [[0.0]]).validate()
+    halfplane = cone([[0.0, 1.0]])
+    graph = (("a", [0.0, 0.0]), ("a", [1.0, 0.0]))
+    pi = ProductInstance(graph, base, graph[0], halfplane)
+    with pytest.raises(HypothesisError) as err:
+        solve_strict_minimal(pi, FMap({("a", "a"): (0.0, singleton([0, 1]))},
+                                      LinearFunctional([0.0, 1.0])))
+    assert err.value.name == "strict_domination"
+    bad = FMap({("a", "a"): (1.0, singleton([0.0, -1.0]))},
+               LinearFunctional([0.0, 1.0]))
+    with pytest.raises(HypothesisError) as err:
+        solve_strict_minimal(pi, bad)
+    assert err.value.name == "pair_map_in_cone"
