@@ -200,9 +200,16 @@ class FiniteInstance:
         return self.space.labels
 
 
+def check_positive(name, value):
+    """Raise InputError naming ``name`` unless ``value`` is finite and
+    strictly positive; every scalar of the API is checked here."""
+    if not 0 < value < math.inf:
+        raise InputError(f"{name} must be strictly positive and finite")
+
+
 @dataclass(frozen=True)
 class EvpParams:
-    """Solver scalars; each supplied value must be strictly positive."""
+    """Solver scalars; each supplied value must be finite and positive."""
 
     x0: object
     epsilon: float | None = None
@@ -211,12 +218,11 @@ class EvpParams:
     tolerance: float = DEFAULT_TOL
 
     def __post_init__(self):
-        for name in ("epsilon", "lam", "gamma"):
-            v = getattr(self, name)
-            if v is not None and not (v > 0):
-                raise InputError(f"{name} must be strictly positive")
-        if not (self.tolerance > 0):
-            raise InputError("tolerance must be strictly positive")
+        for name, v in (("epsilon", self.epsilon), ("lambda", self.lam),
+                        ("gamma", self.gamma),
+                        ("tolerance", self.tolerance)):
+            if v is not None:
+                check_positive(name, v)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +233,6 @@ class EvpParams:
 # map at once: ``pair_map(space)`` returns the (n, n) scales S, with S[i, j]
 # that of F(labels[i], labels[j]), and the shared polytope H.
 # ---------------------------------------------------------------------------
-
-def _check_rate(rate):
-    if not 0 < rate < math.inf:
-        raise InputError("rate must be strictly positive and finite")
-
 
 class _DistanceScaled:
     """The single index "*", a direction set ``H`` inside the cone, and
@@ -262,7 +263,7 @@ class SingletonDirection(_DistanceScaled):
 
     def __post_init__(self):
         object.__setattr__(self, "k0", as_point(self.k0))
-        _check_rate(self.rate)
+        check_positive("rate", self.rate)
         object.__setattr__(self, "H", singleton(self.k0))
 
     kind = "singleton"
@@ -276,7 +277,7 @@ class PolytopeDirection(_DistanceScaled):
     rate: float
 
     def __post_init__(self):
-        _check_rate(self.rate)
+        check_positive("rate", self.rate)
 
     kind = "polytope"
 
@@ -562,30 +563,11 @@ def _extensional_failure(fam, space, E, counts, C, tol):
 
 
 # ---------------------------------------------------------------------------
-# Pair maps.  A pair map is a callable ``value_set(x2, x1) -> (scale, H)``
-# meaning ``scale * conv(H)``, such as ``FMap.value_set`` for the graph
-# order; a distance-scaled family's ``pair_map`` gives the same map as
-# arrays.
+# Pair maps as arrays ``(S, V, nv)``: the scales ``S[i, j]`` of
+# F(labels[i], labels[j]), and one ``(J, m)`` polytope with ``nv`` vertices
+# or an ``(n, n, J, m)`` :func:`stack_rows` stack with ``(n, n)`` counts, as
+# ``product.pair_arrays`` builds them and ``pair_map`` gives them.
 # ---------------------------------------------------------------------------
-
-def pair_arrays(labels, value_set):
-    """A pair map over all ordered label pairs as arrays ``(S, V, nv)``.
-
-    ``S[i, j]`` is the scale of F(labels[i], labels[j]). When every pair
-    value has the same polytope H (a distance-scaled map), ``V`` is H's
-    ``(J, m)`` vertex array and ``nv`` its vertex count; otherwise ``V`` is
-    the ``(n, n, J, m)`` stack of :func:`stack_rows` and ``nv`` the
-    ``(n, n)`` real vertex counts.
-    """
-    n = len(labels)
-    entries = [value_set(x2, x1) for x2 in labels for x1 in labels]
-    S = np.array([scale for scale, _ in entries], dtype=float).reshape(n, n)
-    polys = [H for _, H in entries]
-    if all(H is polys[0] for H in polys):
-        return S, polys[0].vertices, polys[0].vertices.shape[0]
-    V, nv = stack_rows([H.vertices for H in polys])
-    return S, V.reshape(n, n, *V.shape[1:]), nv.reshape(n, n)
-
 
 def settled_triples(S, V, C, tol):
     """``settled[a, b, c]``: every query that :func:`triangle_failure`
@@ -617,8 +599,8 @@ def settled_triples(S, V, C, tol):
 
 def triangle_failure(labels, S, V, nv, C, tol):
     """First triple (x1, x2, x3), in loop order, with F(x1, x2) + F(x2, x3)
-    outside F(x1, x3) + C, or None when the pair map ``(S, V, nv)`` (as
-    :func:`pair_arrays` gives it) has the triangle inclusion.
+    outside F(x1, x3) + C, or None when the pair map ``(S, V, nv)`` has the
+    triangle inclusion.
 
     Screened one x1 at a time by :func:`screen_members`; undecided queries
     go to the LP in loop order until one is uncovered. With one shared
@@ -794,7 +776,8 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None,
     sep_witness = None
     notes = []
     if linear:
-        minima = vertex_minima(inst, fam, xi, arrays)
+        S, V = (arrays or family_arrays(inst.space, fam))[:2]
+        minima = vertex_minima(S, V, xi)
         sep_pairs, sep_point, pair_witness = _pairwise_separation(
             inst, minima, section)
         sep_uniform, uniform_witness = _uniform_separation(inst, fam, minima)
@@ -812,14 +795,14 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None,
         notes=tuple(notes))
 
 
-def vertex_minima(inst, fam, xi, arrays=None):
-    """``M[i, j, l]``: the infimum of the linear functional ``xi`` over the
-    set of index l of F(labels[i], labels[j]), its scale times the minimum
-    of ``xi`` over the set's vertices, for every pair and index at once."""
-    S, V, _ = (family_arrays(inst.space, fam) if arrays is None
-               else arrays[:3])
+def vertex_minima(S, V, xi):
+    """The infimum of ``xi`` over each set ``S * conv(V)`` of a family's or a
+    pair map's arrays, scale times the minimum over the set's vertices:
+    exact for a linear ``xi`` and, at positive scales, for the positively
+    homogeneous cone scalarization."""
     # padding vertices repeat a real one and leave every minimum unchanged
-    return S * np.min(V @ xi.weights, axis=-1)
+    values = V @ xi.weights if xi.is_linear else xi.values(V)
+    return S * np.min(values, axis=-1)
 
 
 def _pairwise_separation(inst, minima, section):
@@ -910,8 +893,7 @@ def eps_h_efficient(inst: FiniteInstance, x0, epsilon, H: Polytope):
     first escaping value is returned as the witness. All values of f at x0
     are one :func:`covered_queries` group over the shared base f(X).
     """
-    if not epsilon > 0:
-        raise InputError("epsilon must be strictly positive")
+    check_positive("epsilon", epsilon)
     Y0 = inst.fmap.at(x0)
     first = covered_queries(Y0, inst.fmap.all_points(), None,
                             np.full(len(Y0), float(epsilon)), H.vertices,

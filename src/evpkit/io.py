@@ -26,7 +26,7 @@ from .geometry import DEFAULT_TOL, PolyhedralCone, Polytope
 from .instances import (EvpParams, ExtensionalFamily, FiniteInstance,
                         MetricSpace, OpenPolytopeFamily, PolytopeDirection,
                         QuasiMetric, QuasiMetricDirection, SetValuedMap,
-                        SingletonDirection, epi_closed_probe,
+                        SingletonDirection, check_positive, epi_closed_probe,
                         metric_from_coordinates, slm_probe)
 from .product import ProductInstance
 
@@ -145,8 +145,7 @@ def default_tolerance():
             value = float(env)
         except ValueError:
             raise InputError(f"{TOLERANCE_ENV} is not a number: {env!r}")
-        if not 0 < value < math.inf:
-            raise InputError(f"{TOLERANCE_ENV} must be positive and finite")
+        check_positive(TOLERANCE_ENV, value)
         return value
     return DEFAULT_TOL
 

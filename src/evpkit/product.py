@@ -19,9 +19,9 @@ from . import engine as eng
 from .errors import HypothesisError, InputError, PremiseError
 from .geometry import (DEFAULT_TOL, PolyhedralCone, Polytope, as_point,
                        cone_contains, first_outside, minkowski_member,
-                       polytope_contains, singleton)
-from .instances import (MetricSpace, _check_rate, order_queries, pair_arrays,
-                        triangle_failure)
+                       polytope_contains, singleton, stack_rows)
+from .instances import (MetricSpace, check_positive, order_queries,
+                        triangle_failure, vertex_minima)
 from .scalarize import GerstewitzFn
 from .solvers import Certificate, Conclusion, _jsonable
 
@@ -158,7 +158,7 @@ class FMap:
 
 def fmap_from_rate(base: MetricSpace, H: Polytope, rate, xi):
     """Distance-scaled pair map rate * d(x2, x1) * H over the whole base."""
-    _check_rate(rate)
+    check_positive("rate", rate)
     d = base.dist.tolist()
     table = {(x2, x1): (rate * d[i][j], H)
              for i, x2 in enumerate(base.labels)
@@ -166,49 +166,63 @@ def fmap_from_rate(base: MetricSpace, H: Polytope, rate, xi):
     return FMap(table, xi)
 
 
-def _check_dimensions(pi, fm):
-    """Every pair-map value has the cone's dimension, so that they stack."""
-    for (x2, x1), (_, H) in fm.table.items():
-        if H.dim != pi.cone.dim:
+def pair_arrays(pi: ProductInstance, fm: FMap):
+    """The pair map ``fm`` as the arrays ``(S, V, nv)`` the graph solvers
+    read it in, from one walk of ``fm.table``. A key outside the base labels,
+    a value of another dimension than the cone's and a missing pair raise
+    InputError naming the pair."""
+    labels, m = pi.base.labels, pi.cone.dim
+    n = len(labels)
+    index = {x: i for i, x in enumerate(labels)}
+    S = np.zeros(n * n)
+    polys = [None] * (n * n)
+    for (x2, x1), (scale, H) in fm.table.items():
+        if x2 not in index or x1 not in index:
+            raise InputError(f"pair-map key ({x2!r}, {x1!r}) names a label "
+                             "outside the base space")
+        if H.dim != m:
             raise InputError(f"pair-map value for ({x2!r}, {x1!r}) has "
-                             f"dimension {H.dim}, expected {pi.cone.dim}")
+                             f"dimension {H.dim}, expected {m}")
+        k = index[x2] * n + index[x1]
+        S[k], polys[k] = scale, H
+    gap = next((k for k, H in enumerate(polys) if H is None), None)
+    if gap is not None:
+        raise InputError("pair map is not total: missing "
+                         f"({labels[gap // n]!r}, {labels[gap % n]!r})")
+    S = S.reshape(n, n)
+    if all(H is polys[0] for H in polys):
+        return S, polys[0].vertices, polys[0].vertices.shape[0]
+    V, nv = stack_rows([H.vertices for H in polys])
+    return S, V.reshape(n, n, *V.shape[1:]), nv.reshape(n, n)
 
 
 def validate_fmap(pi: ProductInstance, fm: FMap, pair=None):
-    """Check the three pair-map conditions; raise HypothesisError on failure.
-
-    Returns a report dict with the positivity margin of the scalarization at
-    the smallest positive base distance. ``pair`` are the checked
-    :func:`pair_arrays` of a :func:`_validated` solve, built when None."""
-    base = pi.base
-    C = pi.cone
-    tol = pi.tol
-    zero = np.zeros(C.dim)
-    # containment in the cone and reflexive zero membership
-    scaled = [(key, scale * H.vertices)
-              for key, (scale, H) in fm.table.items() if scale > tol]
-    bad = first_outside(C, [W for _, W in scaled], tol)
+    """Check the pair-map conditions on the :func:`pair_arrays` ``pair``
+    (built when None); raise HypothesisError naming the first failing pair
+    in label order. Returns a report dict with the positivity margin of the
+    scalarization at the smallest positive base distance."""
+    base, C, tol = pi.base, pi.cone, pi.tol
+    labels = base.labels
+    S, V, nv = pair = pair or pair_arrays(pi, fm)
+    n, (J, m) = len(labels), V.shape[-2:]
+    W = S[..., None, None] * V            # every scaled value, (n, n, J, m)
+    # containment in the cone of the values at a scale above tol
+    big = np.flatnonzero(S > tol)
+    bad = first_outside(C, list(W.reshape(n * n, J, m)[big]), tol)
     if bad is not None:
-        x2, x1 = scaled[bad][0]
+        x2, x1 = labels[big[bad] // n], labels[big[bad] % n]
         raise HypothesisError(
             "pair_map_in_cone",
             f"pair-map value for ({x2!r}, {x1!r}) leaves the cone")
-    if pair is None:
-        # values at scale <= tol skip the cone check; their dimension must
-        # still match before the triangle sweep stacks all vertex arrays
-        _check_dimensions(pi, fm)
-    for x in base.labels:
-        scale, H = fm.value_set(x, x)
-        if scale <= tol:
-            contains_zero = True
-        else:
-            contains_zero = polytope_contains(H.scaled(scale), zero, tol)
-        if not contains_zero:
+    # reflexive zero membership, on the diagonal
+    counts = np.broadcast_to(nv, (n, n))
+    for i, x in enumerate(labels):
+        if S[i, i] > tol and not polytope_contains(
+                Polytope(W[i, i, :counts[i, i]]), np.zeros(m), tol):
             raise HypothesisError(
                 "reflexive_zero",
                 f"pair-map value at ({x!r}, {x!r}) does not contain 0")
-    pair = pair or pair_arrays(base.labels, fm.value_set)
-    triple = triangle_failure(base.labels, *pair, C, tol)
+    triple = triangle_failure(labels, *pair, C, tol)
     if triple is not None:
         raise HypothesisError("triangle_inclusion",
                               "pair map fails the triangle inclusion",
@@ -222,16 +236,16 @@ def validate_fmap(pi: ProductInstance, fm: FMap, pair=None):
                 "pair maps require a linear functional or the cone "
                 "scalarization")
         k0 = xi.k0
-        k0n = float(k0 @ k0)
-        for (x2, x1), (scale, H) in fm.table.items():
-            for v in H.vertices:
-                c = float(v @ k0) / k0n
-                if np.linalg.norm(v - c * k0, ord=np.inf) > 1e-7:
-                    raise HypothesisError(
-                        "additive_scalarization",
-                        f"pair-map vertex for ({x2!r}, {x1!r}) is off the "
-                        "scalarization ray, so additivity is unavailable")
-    margin = zeta(fm, base.min_positive_distance(), base, tol)
+        c = (V @ k0) / float(k0 @ k0)
+        off = np.max(np.abs(V - c[..., None] * k0), axis=-1) > 1e-7
+        if off.any():
+            first = np.argmax(np.broadcast_to(off.any(axis=-1), (n, n)))
+            x2, x1 = labels[first // n], labels[first % n]
+            raise HypothesisError(
+                "additive_scalarization",
+                f"pair-map vertex for ({x2!r}, {x1!r}) is off the "
+                "scalarization ray, so additivity is unavailable")
+    margin = zeta(S, V, xi, base.dist, base.min_positive_distance())
     if not margin > tol:
         raise HypothesisError(
             "positive_separation",
@@ -241,22 +255,15 @@ def validate_fmap(pi: ProductInstance, fm: FMap, pair=None):
             "additive_scalarization": True, "zeta": margin}
 
 
-def zeta(fm: FMap, delta, base: MetricSpace, tol=DEFAULT_TOL):
-    """Infimum of the scalarization over pair-map values at base distance at
-    least delta; +inf when no pair qualifies. Vertex evaluation is exact for
-    linear functionals and for ray-valued maps under the cone scalarization."""
+def zeta(S, V, xi, dist, delta):
+    """Infimum of the scalarization ``xi`` over the pair-map values
+    ``S * conv(V)`` (:func:`pair_arrays`) at base distance ``dist`` at least
+    delta, the masked minimum of :func:`instances.vertex_minima`; +inf when
+    no pair qualifies."""
     if not delta > 0:
         raise InputError("delta must be strictly positive")
-    best = math.inf
-    d = base.dist.tolist()
-    for i, x2 in enumerate(base.labels):
-        for j, x1 in enumerate(base.labels):
-            if d[i][j] < delta:
-                continue
-            scale, H = fm.value_set(x2, x1)
-            for v in H.vertices:
-                best = min(best, fm.xi.value(scale * v))
-    return best
+    minima = vertex_minima(S, V, xi)[dist >= delta]
+    return float(minima.min()) if minima.size else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +310,7 @@ def graph_arrays(pi, fm, pair=None):
     pair is a label with its one value (``B = Y[:, None]``, ``nb = 1``), and
     ``S, V, nv`` are the :func:`pair_arrays` ``pair`` (built when None) at
     the labels of two pairs; a shared polytope stays one ``(J, m)`` array."""
-    S, V, nv = pair or pair_arrays(pi.base.labels, fm.value_set)
+    S, V, nv = pair or pair_arrays(pi, fm)
     lab = np.array([pi.base.index(x) for x, _ in pi.graph])
     at = (lab[:, None], lab)
     if V.ndim > 2:
@@ -314,9 +321,8 @@ def graph_arrays(pi, fm, pair=None):
 
 def _validated(pi, fm):
     """:func:`validate_fmap` and the :func:`graph_arrays` of a solve, from
-    one :func:`pair_arrays` of the dimension-checked map."""
-    _check_dimensions(pi, fm)
-    pair = pair_arrays(pi.base.labels, fm.value_set)
+    one :func:`pair_arrays` of the map."""
+    pair = pair_arrays(pi, fm)
     return validate_fmap(pi, fm, pair), graph_arrays(pi, fm, pair)
 
 
@@ -465,8 +471,8 @@ def solve_pareto_evp(pi: ProductInstance, k0, epsilon, lam, mode="greedy"):
     """Single-direction pair map with the global escape premise; returns the
     strict-minimal certificate extended with the distance bound."""
     k0 = as_point(k0, pi.cone.dim)
-    if not (epsilon > 0 and lam > 0):
-        raise InputError("epsilon and lambda must be strictly positive")
+    check_positive("epsilon", epsilon)
+    check_positive("lambda", lam)
     all_values = pi.all_values()
     covered = minkowski_member(pi.y0, all_values, epsilon, singleton(k0),
                                pi.cone, pi.tol)

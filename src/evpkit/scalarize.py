@@ -53,6 +53,13 @@ class GerstewitzFn:
     def value(self, y):
         return gz_value(self, y, self.tol)
 
+    def values(self, Y):
+        """:func:`gz_value` of every row of a ``(..., m)`` stack at once."""
+        prods = Y @ self.cone.halfspaces.T
+        top = np.max(prods[..., self._pos_rows] / self._pos_prods, axis=-1)
+        inf = np.any(prods[..., ~self._pos_rows] > self.tol, axis=-1)
+        return np.where(inf, math.inf, top)
+
 
 def gz_value(g: GerstewitzFn, y, tol=None):
     """Closed-form value of the scalarization (finite or ``+inf``)."""

@@ -35,7 +35,8 @@ from .geometry import (Polytope, as_point, covered_queries, singleton,
                        stack_rows, strictly_positive_functional)
 from .instances import (FiniteInstance, OpenPolytopeFamily, PolytopeDirection,
                         QuasiMetric, QuasiMetricDirection, SingletonDirection,
-                        check_assumptions, d_bounded_certificate,
+                        check_assumptions, check_positive,
+                        d_bounded_certificate,
                         eps_h_efficient, order_arrays, order_queries, preceq,
                         relation_matrix, scalar_inf, ti_check)
 # bench/spans.py traces per-call memberships under this name here
@@ -269,8 +270,8 @@ def solve_evp_direction(inst: FiniteInstance, k0, epsilon, lam, x0,
     k0 = as_point(k0, inst.cone.dim)
     if premise not in ("pointwise", "global"):
         raise InputError(f"unknown premise form {premise!r}")
-    if not (epsilon > 0 and lam > 0):
-        raise InputError("epsilon and lambda must be strictly positive")
+    check_positive("epsilon", epsilon)
+    check_positive("lambda", lam)
     H = singleton(k0)
     fam = SingletonDirection(k0, epsilon / lam).validate(
         inst.space, inst.cone, inst.tol)
@@ -303,8 +304,7 @@ def solve_evp_set_direction(inst: FiniteInstance, H: Polytope, gamma, x0,
     for polyhedral data that is equivalent to the gamma endpoint, which is
     what both the order tests and the certificate evaluate.
     """
-    if not gamma > 0:
-        raise InputError("gamma must be strictly positive")
+    check_positive("gamma", gamma)
     xi = _separating_functional(H, inst.cone, inst.tol)
     cls = OpenPolytopeFamily if open_family else PolytopeDirection
     fam = cls(H, gamma).validate(inst.space, inst.cone, inst.tol)
@@ -338,6 +338,10 @@ def solve_evp_approx(inst: FiniteInstance, H: Polytope, epsilon, gamma, x0,
                      strict=False, mode="greedy"):
     """Approximate-efficiency premise plus the set-direction solver and the
     distance bound epsilon/gamma (strict when the fixed-rate order is used)."""
+    check_positive("epsilon", epsilon)
+    check_positive("gamma", gamma)
+    bound = epsilon / gamma
+    check_positive("epsilon / gamma", bound)
     ok, y0 = eps_h_efficient(inst, x0, epsilon, H)
     if not ok:
         raise PremiseError(
@@ -346,7 +350,6 @@ def solve_evp_approx(inst: FiniteInstance, H: Polytope, epsilon, gamma, x0,
             witness={"x0": x0})
     base = solve_evp_set_direction(inst, H, gamma, x0,
                                    open_family=not strict, mode=mode)
-    bound = epsilon / gamma
     conclusions = list(base.conclusions)
     conclusions.append(
         _distance_conclusion(inst, x0, base.xhat, bound, strict, inst.tol))

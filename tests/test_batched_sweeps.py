@@ -26,14 +26,14 @@ from evpkit.instances import (ExtensionalFamily, FiniteInstance, MetricSpace,
                               QuasiMetric, QuasiMetricDirection, SetValuedMap,
                               SingletonDirection, _pairwise_separation,
                               _uniform_separation, eps_h_efficient,
-                              family_arrays, pair_arrays, preceq,
+                              family_arrays, preceq,
                               relation_matrix, settled_triples, ti_check,
                               triangle_failure, vertex_minima)
 from evpkit.product import (FMap, ProductInstance, _graph_oracle,
                             _section_of_start, _separation_conclusion,
-                            fmap_from_rate, prec_f, prec_fstar,
+                            fmap_from_rate, pair_arrays, prec_f, prec_fstar,
                             solve_minimal_point, solve_pareto_evp,
-                            solve_strict_minimal, validate_fmap)
+                            solve_strict_minimal, validate_fmap, zeta)
 from evpkit.scalarize import GerstewitzFn
 from evpkit.solvers import Conclusion, _conclusion_strict, _pointwise_premise
 
@@ -214,6 +214,19 @@ def loop_uniform_separation(inst, fam, xi):
             best_over_lams = worst
             best_witness = {"index": lam, "delta": delta, "inf": worst}
     return best_over_lams > tol, best_witness
+
+
+def loop_zeta(fm, delta, base):
+    best = math.inf
+    d = base.dist.tolist()
+    for i, x2 in enumerate(base.labels):
+        for j, x1 in enumerate(base.labels):
+            if d[i][j] < delta:
+                continue
+            scale, H = fm.value_set(x2, x1)
+            for v in H.vertices:
+                best = min(best, fm.xi.value(scale * v))
+    return best
 
 
 def loop_pointwise_premise(inst, x0, epsilon, H):
@@ -462,6 +475,32 @@ def test_graph_order_matches_loop(m):
             assert oracle.successors[j] == list(np.flatnonzero(rel[:, j]))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_zeta_matches_loop(m):
+    """zeta, the masked minimum of vertex_minima, against the per-vertex
+    loop: linear and cone scalarizations, ragged and shared-polytope maps,
+    at the smallest positive distance, a middle one and one beyond the
+    diameter. ``scale * min(xi(V))`` may round otherwise than
+    ``min(xi(scale * v))``, by a few ulps, never across ``tol``."""
+    rng = np.random.default_rng(1700 + m)
+    for trial in range(12):
+        pi, fm = random_product(rng, n=5, m=m, metric=trial % 3 != 2,
+                                ragged=trial % 2 == 0,
+                                nonlinear=trial % 4 >= 2,
+                                vertices=1 + trial % 3)
+        S, V, _ = pair_arrays(pi, fm)
+        dist = pi.base.dist
+        for delta in (pi.base.min_positive_distance(), float(np.median(dist)),
+                      2 * dist.max()):
+            got = zeta(S, V, fm.xi, dist, delta)
+            want = loop_zeta(fm, delta, pi.base)
+            if want == math.inf:
+                assert got == math.inf, (trial, delta)
+                continue
+            np.testing.assert_array_max_ulp(got, want, maxulp=4)
+            assert (got > TOL) == (want > TOL), (trial, delta)
+
+
 def _same_pairs(got, want):
     return len(got) == len(want) and all(p is q for p, q in zip(got, want))
 
@@ -508,7 +547,8 @@ def test_separation_checks_match_loop(m):
         weights = (A.T @ rng.uniform(0.5, 1.5, size=A.shape[0])
                    if trial % 2 else rng.normal(size=m))
         xi = LinearFunctional(weights)
-        minima = vertex_minima(inst, fam, xi)
+        S, V, _ = family_arrays(inst.space, fam)
+        minima = vertex_minima(S, V, xi)
         for section in (list(inst.labels),
                         [x for x in inst.labels if rng.random() < 0.6]):
             got = _pairwise_separation(inst, minima, section)
@@ -683,7 +723,7 @@ def test_settle_matches_loops(case):
     if quasi is None:
         labels = pi.base.labels
         got = _outcome(triangle_failure, labels,
-                       *pair_arrays(labels, fm.value_set), C, TOL)
+                       *pair_arrays(pi, fm), C, TOL)
         assert got == _outcome(loop_fmap_triangle, pi, fm)
 
 

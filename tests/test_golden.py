@@ -122,11 +122,53 @@ def _golden_path(name):
     return os.path.join(GOLDEN, f"{name}.json")
 
 
+def json_differences(want, got, path="$"):
+    """One line per JSON path where ``got`` differs from ``want``, with both
+    values; leaves are compared as JSON text, so 1 and 1.0 differ."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        lines = []
+        for key in sorted(set(want) | set(got)):
+            sub = f"{path}.{key}"
+            if key not in got:
+                lines.append(f"{sub}: expected {json.dumps(want[key])}, "
+                             "got nothing")
+            elif key not in want:
+                lines.append(f"{sub}: expected nothing, got "
+                             f"{json.dumps(got[key])}")
+            else:
+                lines += json_differences(want[key], got[key], sub)
+        return lines
+    if (isinstance(want, list) and isinstance(got, list)
+            and len(want) == len(got)):
+        return [line for i, (w, g) in enumerate(zip(want, got))
+                for line in json_differences(w, g, f"{path}[{i}]")]
+    if json.dumps(want) == json.dumps(got):
+        return []
+    return [f"{path}: expected {json.dumps(want)}, got {json.dumps(got)}"]
+
+
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
 def test_golden_output(case, tmp_path):
     with open(_golden_path(case[0]), "r", encoding="utf-8") as fh:
         expected = fh.read()
-    assert normalized_output(case, str(tmp_path)) == expected
+    got = normalized_output(case, str(tmp_path))
+    if got != expected:
+        lines = json_differences(json.loads(expected), json.loads(got))
+        pytest.fail(f"{case[0]} differs from its golden file:\n"
+                    + "\n".join(lines or ["equal JSON, different bytes"]),
+                    pytrace=False)
+
+
+def test_json_differences_name_every_path():
+    want = {"a": [1, {"b": 0.5}], "c": 1, "d": True, "f": [1, 2]}
+    got = {"a": [1, {"b": 0.25}], "c": 1.0, "e": None, "f": [1]}
+    assert json_differences(want, got) == [
+        "$.a[1].b: expected 0.5, got 0.25",
+        "$.c: expected 1, got 1.0",
+        "$.d: expected true, got nothing",
+        "$.e: expected nothing, got null",
+        "$.f: expected [1, 2], got [1]"]
+    assert json_differences(want, want) == []
 
 
 def _regenerate():

@@ -10,8 +10,8 @@ from evpkit.geometry import (LinearFunctional, Polytope, cone, orthant,
                              singleton, strictly_positive_functional)
 from evpkit.instances import MetricSpace, metric_from_coordinates
 from evpkit.product import (FMap, ProductInstance, domination_check,
-                            fmap_from_rate, pareto_min, prec_f, prec_fstar,
-                            solve_minimal_point, solve_pareto_evp,
+                            fmap_from_rate, pair_arrays, pareto_min, prec_f,
+                            prec_fstar, solve_minimal_point, solve_pareto_evp,
                             solve_strict_minimal, strict_pareto_min,
                             validate_fmap, zeta)
 from evpkit.scalarize import GerstewitzFn
@@ -154,21 +154,28 @@ class TestGraphOrders:
                         assert p[0] == q[0] and np.array_equal(p[1], q[1])
 
 
+def _zeta(pi, fm, delta):
+    S, V, _ = pair_arrays(pi, fm)
+    return zeta(S, V, fm.xi, pi.base.dist, delta)
+
+
 class TestZeta:
     def test_ray_closed_form(self, plane_pi, plane_fm):
         # rate * delta * value(k0) = 0.25 * 1 * 1
-        assert abs(zeta(plane_fm, 1.0, plane_pi.base) - 0.25) <= 1e-12
+        assert abs(_zeta(plane_pi, plane_fm, 1.0) - 0.25) <= 1e-12
 
     def test_beyond_diameter(self, plane_pi, plane_fm):
-        assert zeta(plane_fm, 99.0, plane_pi.base) == math.inf
+        assert _zeta(plane_pi, plane_fm, 99.0) == math.inf
 
     def test_linear_vertex_form(self):
         base = metric_from_coordinates(("a", "b"), [[0, 0], [2, 0]]).validate()
         H = Polytope([[1.0, 0.0], [0.0, 3.0]])
         xi = strictly_positive_functional(H, D2, 1e-9)
         fm = fmap_from_rate(base, H, 0.5, xi)
+        pi = ProductInstance((("a", [0.0, 0.0]),), base, ("a", [0.0, 0.0]),
+                             D2)
         expected = min(xi.value(0.5 * 2.0 * v) for v in H.vertices)
-        assert abs(zeta(fm, 2.0, base) - expected) <= 1e-9
+        assert abs(_zeta(pi, fm, 2.0) - expected) <= 1e-9
 
 
 class TestValidateFmap:
@@ -325,8 +332,9 @@ class TestInstanceValidation:
 
 def test_pair_map_in_cone_names_the_first_value_leaving_the_cone():
     """Values at a scale above tol are checked together; the first pair in
-    table order is named, a value at scale 0 is not checked, and a vertex
-    of the wrong dimension raises an InputError."""
+    label order is named, a value at scale 0 is not checked, and a vertex
+    of the wrong dimension raises an InputError naming its pair before any
+    check runs."""
     labels = ("a", "b", "c")
     d = np.ones((3, 3)) - np.eye(3)
     space = MetricSpace(labels, d).validate()
@@ -345,7 +353,7 @@ def test_pair_map_in_cone_names_the_first_value_leaving_the_cone():
                                 ("c", "a"): (1.0, Polytope([[-1.0, 1.0]]))}))
     assert err.value.name == "pair_map_in_cone"
     validate_fmap(pi, fmap({("a", "a"): (0.0, Polytope([[1.0, -1.0]]))}))
-    with pytest.raises(InputError, match="dimension mismatch"):
+    with pytest.raises(InputError, match=r"\('b', 'c'\) has dimension 3"):
         validate_fmap(pi, fmap({("b", "c"): (1.0, Polytope([[1.0, 1.0, 1.0]])),
                                 ("c", "a"): (1.0, Polytope([[-1.0, 1.0]]))}))
     # a value at scale 0 skips the cone check but not the dimension check
@@ -404,3 +412,77 @@ def test_strict_minimal_checks_the_pair_map_before_the_slices():
     with pytest.raises(HypothesisError) as err:
         solve_strict_minimal(pi, bad)
     assert err.value.name == "pair_map_in_cone"
+
+
+def _reversed_fmap(labels, d, value, changes, xi):
+    """Pair map with ``value`` at every pair, scaled by distance, whose table
+    lists the pairs in reverse label order, with ``changes`` applied."""
+    table = {(x2, x1): (float(d[i, j]), value)
+             for i, x2 in reversed(list(enumerate(labels)))
+             for j, x1 in reversed(list(enumerate(labels)))}
+    table.update(changes)
+    return FMap(table, xi)
+
+
+def test_pair_map_checks_name_the_first_pair_in_label_order():
+    """The cone and additivity checks read the pair arrays and name the
+    first failing pair in label order, whatever the table's order: here
+    (c, a) comes before (b, c) in the table."""
+    labels = ("a", "b", "c")
+    d = np.ones((3, 3)) - np.eye(3)
+    space = MetricSpace(labels, d).validate()
+    graph = (("a", 2 * np.ones(2)), ("b", np.ones(2)), ("c", np.zeros(2)))
+    pi = ProductInstance(graph, space, graph[0], D2)
+    ray = Polytope([[0.5, 0.5], [1.0, 1.0]])
+    changes = {("c", "a"): (1.0, Polytope([[1.0, 1.0], [-1.0, 1.0]])),
+               ("b", "c"): (1.0, Polytope([[1.0, 1.0], [1.0, -1.0]]))}
+    fm = _reversed_fmap(labels, d, ray, changes, LinearFunctional([1, 1]))
+    assert list(fm.table).index(("c", "a")) < list(fm.table).index(("b", "c"))
+    with pytest.raises(HypothesisError, match=r"\('b', 'c'\) leaves") as err:
+        validate_fmap(pi, fm)
+    assert err.value.name == "pair_map_in_cone"
+    gz = GerstewitzFn(D2, [1.0, 1.0])
+    changes = {("c", "a"): (1.0, Polytope([[1.0, 1.0], [1.0, 0.5]])),
+               ("b", "c"): (1.0, Polytope([[1.0, 0.5], [1.0, 1.0]]))}
+    with pytest.raises(HypothesisError, match=r"\('b', 'c'\) is off") as err:
+        validate_fmap(pi, _reversed_fmap(labels, d, ray, changes, gz))
+    assert err.value.name == "additive_scalarization"
+    # on the ray everywhere, the same map passes with the cone scalarization
+    rep = validate_fmap(pi, _reversed_fmap(labels, d, ray, {}, gz))
+    assert rep["zeta"] == 0.5
+
+
+def test_pair_map_key_outside_the_base_is_rejected():
+    """A key naming a label outside the base space is an InputError naming
+    the key, in a direct check and in both graph solvers, even where its
+    value would leave the cone."""
+    labels = ("a", "b")
+    d = np.ones((2, 2)) - np.eye(2)
+    space = MetricSpace(labels, d).validate()
+    graph = (("a", np.ones(2)), ("b", np.zeros(2)))
+    pi = ProductInstance(graph, space, graph[0], D2)
+    fm = _reversed_fmap(labels, d, singleton([1.0, 1.0]),
+                        {("a", "z"): (1.0, singleton([-1.0, -1.0]))},
+                        LinearFunctional([1.0, 1.0]))
+    for check in (validate_fmap, solve_minimal_point, solve_strict_minimal):
+        with pytest.raises(InputError, match=r"key \('a', 'z'\) names a "
+                                             "label outside the base space"):
+            check(pi, fm)
+
+
+def test_dimension_error_text_is_one_for_all_callers():
+    """A value of the wrong dimension gives the same InputError text from a
+    direct check and from both graph solvers."""
+    labels = ("a", "b")
+    d = np.ones((2, 2)) - np.eye(2)
+    space = MetricSpace(labels, d).validate()
+    graph = (("a", np.ones(2)), ("b", np.zeros(2)))
+    pi = ProductInstance(graph, space, graph[0], D2)
+    fm = _reversed_fmap(labels, d, singleton([1.0, 1.0]),
+                        {("b", "a"): (1.0, singleton([1.0, 1.0, 1.0]))},
+                        LinearFunctional([1.0, 1.0]))
+    for check in (validate_fmap, solve_minimal_point, solve_strict_minimal):
+        with pytest.raises(InputError) as err:
+            check(pi, fm)
+        assert str(err.value) == ("pair-map value for ('b', 'a') has "
+                                  "dimension 3, expected 2")

@@ -1,20 +1,26 @@
 """Solver front-ends: contract examples, fail-fast hypothesis handling, and
 cross-solver consistency."""
 
+import math
+
 import pytest
 
+from evpkit.cli import run_command
 from evpkit.engine import brute_force_minimals
 from evpkit.errors import HypothesisError, InputError, PremiseError
 from evpkit.geometry import (LinearFunctional, Polytope, cone, orthant,
                              singleton, strictly_positive_functional)
-from evpkit.instances import (FiniteInstance, MetricSpace, QuasiMetric,
-                              SetValuedMap, SingletonDirection)
+from evpkit.instances import (EvpParams, FiniteInstance, MetricSpace,
+                              QuasiMetric, SetValuedMap, SingletonDirection,
+                              eps_h_efficient)
+from evpkit.io import load_validate
+from evpkit.product import solve_pareto_evp
 from evpkit.solvers import (build_preorder, solve_evp_approx,
                             solve_evp_direction, solve_evp_general,
                             solve_evp_quasimetric, solve_evp_set_direction)
 
-from conftest import (VARIANT_CYCLE, direction_polytope, generated_bundle,
-                      grow_epsilon)
+from conftest import (VARIANT_CYCLE, direction_polytope, fixture_path,
+                      generated_bundle, grow_epsilon)
 
 D1 = cone([[1.0]], generators=[[1.0]])
 
@@ -264,3 +270,80 @@ class TestCertificateShape:
         cert = solve_evp_direction(inst, [1.0], 1.5, 2.0, "a")
         assert all(c.holds for c in cert.conclusions)
         assert cert.trace.terminal == cert.xhat
+
+
+# (entry point, parameter): the call passes the value under test as that
+# parameter and valid values for every other one, on two_point.json
+API_SCALARS = (
+    ("EvpParams", "epsilon"), ("EvpParams", "lambda"), ("EvpParams", "gamma"),
+    ("EvpParams", "tolerance"),
+    ("solve_evp_direction", "epsilon"), ("solve_evp_direction", "lambda"),
+    ("solve_evp_direction-global", "epsilon"),
+    ("solve_evp_set_direction", "gamma"),
+    ("solve_evp_approx", "epsilon"), ("solve_evp_approx", "gamma"),
+    ("eps_h_efficient", "epsilon"),
+    ("solve_pareto_evp", "epsilon"), ("solve_pareto_evp", "lambda"),
+)
+
+
+GOOD = {"epsilon": 1.5, "lambda": 2.0, "gamma": 0.75, "tolerance": 1e-9}
+
+
+def _api_call(entry, param, value):
+    bundle = load_validate(fixture_path("two_point.json"))
+    inst, pi, H = bundle.instance, bundle.product, singleton([1.0])
+    eps, lam, gamma, tol = (value if param == p else good
+                            for p, good in GOOD.items())
+    if entry == "EvpParams":
+        return EvpParams("a", epsilon=eps, lam=lam, gamma=gamma,
+                         tolerance=tol)
+    if entry.startswith("solve_evp_direction"):
+        premise = "global" if entry.endswith("global") else "pointwise"
+        return solve_evp_direction(inst, [1.0], eps, lam, "a", premise)
+    if entry == "solve_evp_set_direction":
+        return solve_evp_set_direction(inst, H, gamma, "a")
+    if entry == "solve_evp_approx":
+        return solve_evp_approx(inst, H, eps, gamma, "a")
+    if entry == "eps_h_efficient":
+        return eps_h_efficient(inst, "a", eps, H)
+    return solve_pareto_evp(pi, [1.0], eps, lam)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0],
+                         ids=["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("entry,param", API_SCALARS,
+                         ids=[f"{e}-{p}" for e, p in API_SCALARS])
+def test_api_scalars_are_checked_before_any_premise(entry, param, value,
+                                                    monkeypatch):
+    """Each API scalar must be finite and strictly positive; the error names
+    the parameter and comes before any premise or order test runs."""
+    _api_call(entry, param, GOOD[param])  # runs with the fixture's value
+
+    def no_query(*args, **kwargs):
+        raise AssertionError("a membership ran before the scalar check")
+
+    for module in ("evpkit.instances", "evpkit.solvers"):
+        monkeypatch.setattr(f"{module}.covered_queries", no_query)
+    monkeypatch.setattr("evpkit.product.minkowski_member", no_query)
+    with pytest.raises(InputError,
+                       match=f"^{param} must be strictly positive and finite$"):
+        _api_call(entry, param, value)
+
+
+def test_approximate_bound_must_be_finite(tmp_path):
+    """epsilon / gamma overflows at epsilon 1e308 and gamma 1e-308: the
+    solver and the CLI refuse it as an input error (exit 3)."""
+    inst = load_validate(fixture_path("two_point.json")).instance
+    with pytest.raises(InputError, match=r"^epsilon / gamma must be "):
+        solve_evp_approx(inst, singleton([1.0]), 1e308, 1e-308, "a",
+                         strict=True)
+    with open(fixture_path("two_point.json"), encoding="utf-8") as fh:
+        text = fh.read().replace(
+            '"epsilon": 1.5, "lambda": 2.0, "gamma": 0.75',
+            '"epsilon": 1e308, "lambda": 2.0, "gamma": 1e-308')
+    path = tmp_path / "overflow.json"
+    path.write_text(text, encoding="utf-8")
+    code, (report,) = run_command(["solve-evp", "--theorem", "4.6",
+                                   str(path)])
+    assert code == 3 and report.status == "input_error"
+    assert report.payload["error"].startswith("epsilon / gamma must be")
