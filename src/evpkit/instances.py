@@ -201,8 +201,7 @@ class FiniteInstance:
 
 
 def check_positive(name, value):
-    """Raise InputError naming ``name`` unless ``value`` is finite and
-    strictly positive; every scalar of the API is checked here."""
+    """The check of every API scalar: finite and strictly positive."""
     if not 0 < value < math.inf:
         raise InputError(f"{name} must be strictly positive and finite")
 
@@ -797,12 +796,14 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None,
 
 def vertex_minima(S, V, xi):
     """The infimum of ``xi`` over each set ``S * conv(V)`` of a family's or a
-    pair map's arrays, scale times the minimum over the set's vertices:
-    exact for a linear ``xi`` and, at positive scales, for the positively
-    homogeneous cone scalarization."""
+    pair map's arrays: scale times the vertex minimum, exact for a linear
+    ``xi`` and for the positively homogeneous cone scalarization; 0 at a
+    zero scale, even where a vertex value is +inf."""
     # padding vertices repeat a real one and leave every minimum unchanged
     values = V @ xi.weights if xi.is_linear else xi.values(V)
-    return S * np.min(values, axis=-1)
+    low = np.min(values, axis=-1)
+    return np.multiply(S, low, out=np.zeros(np.broadcast(S, low).shape),
+                       where=S != 0)
 
 
 def _pairwise_separation(inst, minima, section):

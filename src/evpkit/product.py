@@ -185,10 +185,9 @@ def pair_arrays(pi: ProductInstance, fm: FMap):
                              f"dimension {H.dim}, expected {m}")
         k = index[x2] * n + index[x1]
         S[k], polys[k] = scale, H
-    gap = next((k for k, H in enumerate(polys) if H is None), None)
-    if gap is not None:
-        raise InputError("pair map is not total: missing "
-                         f"({labels[gap // n]!r}, {labels[gap % n]!r})")
+    if None in polys:  # FMap.value_set raises, naming the missing pair
+        k = polys.index(None)
+        fm.value_set(labels[k // n], labels[k % n])
     S = S.reshape(n, n)
     if all(H is polys[0] for H in polys):
         return S, polys[0].vertices, polys[0].vertices.shape[0]

@@ -452,10 +452,10 @@ def test_pair_map_checks_name_the_first_pair_in_label_order():
     assert rep["zeta"] == 0.5
 
 
-def test_pair_map_key_outside_the_base_is_rejected():
+def test_pair_map_key_outside_the_base_or_missing_is_rejected():
     """A key naming a label outside the base space is an InputError naming
     the key, in a direct check and in both graph solvers, even where its
-    value would leave the cone."""
+    value would leave the cone; so is a missing pair."""
     labels = ("a", "b")
     d = np.ones((2, 2)) - np.eye(2)
     space = MetricSpace(labels, d).validate()
@@ -467,6 +467,11 @@ def test_pair_map_key_outside_the_base_is_rejected():
     for check in (validate_fmap, solve_minimal_point, solve_strict_minimal):
         with pytest.raises(InputError, match=r"key \('a', 'z'\) names a "
                                              "label outside the base space"):
+            check(pi, fm)
+    del fm.table[("a", "z")], fm.table[("b", "a")]
+    for check in (validate_fmap, solve_minimal_point, solve_strict_minimal):
+        with pytest.raises(InputError, match=r"^pair map is not total: "
+                                             r"missing \('b', 'a'\)$"):
             check(pi, fm)
 
 
@@ -486,3 +491,21 @@ def test_dimension_error_text_is_one_for_all_callers():
             check(pi, fm)
         assert str(err.value) == ("pair-map value for ('b', 'a') has "
                                   "dimension 3, expected 2")
+
+
+def test_margin_of_a_zero_scale_value_is_zero():
+    """A value at scale 0 is the set {0}, whose cone scalarization is 0 even
+    when its vertex is at +inf (here (1, 1e-8) along k0 = (1, 0)); the
+    margin is then 0 and the separation check fails."""
+    space = MetricSpace(("a", "b"), np.ones((2, 2)) - np.eye(2)).validate()
+    graph = (("a", [1.0, 0.0]), ("b", [0.0, 0.0]))
+    pi = ProductInstance(graph, space, graph[0], D2)
+    gz = GerstewitzFn(D2, [1.0, 0.0])
+    P = Polytope([[1.0, 1e-8]])
+    assert gz.value(P.vertices[0]) == math.inf
+    table = {("a", "a"): (0.0, P), ("a", "b"): (0.0, P),
+             ("b", "a"): (1.0, P), ("b", "b"): (0.0, P)}
+    with pytest.raises(HypothesisError) as err:
+        validate_fmap(pi, FMap(table, gz))
+    assert err.value.name == "positive_separation"
+    assert err.value.witness == {"zeta": 0.0}
