@@ -29,10 +29,8 @@ _PIVOT_EPS = 1e-11
 # _feas_tol * (1 + |A_i(y - b)|)
 _SEGMENT_MARGIN = 4.0
 _MAX_SIMPLEX_ITERATIONS = 5000
-# from this many tableau cells on, a pivot updates only the nonzero columns
-# of the pivot row; below it the gather costs more than it saves (the two
-# updates break even near 48 rows of a 3-variable separation LP)
-_SPARSE_UPDATE_CELLS = 5000
+# rows strictly_positive_functional solves first, and adds per round
+_SEPARATION_ROWS = 8
 
 
 def as_point(y, m=None):
@@ -80,10 +78,6 @@ def _phase1(M, rhs, tol):
     Each pivot is one rank-1 update of the rows with a nonzero entry in the
     entering column, as a row-by-row elimination would do them, so the
     pivot sequence and the witness bytes are those of that elimination.
-    Large tableaux restrict the update to the nonzero columns of the pivot
-    row plus the right-hand side: a skipped column could only change the
-    sign of a zero, and outside the right-hand side no comparison, pivot or
-    witness sees that sign.
     """
     M = np.asarray(M, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -101,7 +95,6 @@ def _phase1(M, rhs, tol):
     T[m, :n] = -M.sum(axis=0)
     T[m, -1] = -rhs.sum()
     reduced = T[m, :-1]
-    restrict = T.size >= _SPARSE_UPDATE_CELLS
 
     for _ in range(_MAX_SIMPLEX_ITERATIONS):
         improving = reduced < -_PIVOT_EPS
@@ -120,16 +113,8 @@ def _phase1(M, rhs, tol):
         T[leave] /= T[leave, entering]
         f = T[:, entering].copy()
         f[leave] = 0.0
-        pivot_row = T[leave]
-        if restrict:
-            keep = pivot_row != 0.0
-            keep[-1] = True
-            cols = keep.nonzero()[0]
-            hit = f.nonzero()[0]
-            T[hit[:, None], cols] -= f[hit, None] * pivot_row[cols]
-        else:
-            np.subtract(T, np.multiply.outer(f, pivot_row), out=T,
-                        where=(f != 0.0)[:, None])
+        np.subtract(T, np.multiply.outer(f, T[leave]), out=T,
+                    where=(f != 0.0)[:, None])
         basis[leave] = entering
     else:
         raise LinearProgramError("phase-1 simplex exceeded its iteration cap")
@@ -598,17 +583,40 @@ def strictly_positive_functional(H: Polytope, C: PolyhedralCone,
     """A functional in the dual cone of C that is >= 1 on every vertex of H.
 
     Searches ``w = A^T mu`` with ``mu >= 0`` (exactly the dual cone of a
-    halfspace-form C) subject to ``w . h >= 1`` per vertex. Returns a
+    halfspace-form C) subject to ``(A h) . mu >= 1`` per vertex h. Returns a
     LinearFunctional carrying ``alpha = min_H w . h``, or None when the LP is
     infeasible, which in the polyhedral setting certifies that 0 lies in the
     closure of H + C.
+
+    The rows are generated (Kelley's cutting planes): up to
+    ``_SEPARATION_ROWS`` rows of smallest sum are solved first, and each
+    round adds up to as many of the most violated unsolved rows until
+    ``mu`` passes every row, so at most one round per row runs. A subset is
+    a relaxation, so its infeasibility is final; when only rows already
+    solved fall short, the last round solves all of them.
     """
     validate_direction_set(H, C, tol)
     A = C.halfspaces
     rows = H.vertices @ A.T  # per vertex h: coefficients (A h) . mu
-    mu = _feasible_nonneg(None, None, rows, np.ones(rows.shape[0]), tol)
-    if mu is None:
-        return None
+    n = rows.shape[0]
+    active = np.arange(n) if n <= _SEPARATION_ROWS else np.argsort(
+        rows.sum(axis=1), kind="stable")[:_SEPARATION_ROWS]
+    while True:
+        mu = _feasible_nonneg(None, None, rows[active], np.ones(active.size),
+                              tol)
+        if mu is None:
+            return None
+        values = rows @ mu
+        short = values < 1 - tol
+        if not short.any():
+            break
+        if active.size == n:
+            return None
+        short[active] = False
+        fresh = short.nonzero()[0]
+        fresh = fresh[np.argsort(values[fresh], kind="stable")]
+        active = (np.concatenate([active, fresh[:_SEPARATION_ROWS]])
+                  if fresh.size else np.arange(n))
     w = A.T @ mu
     alpha = float(np.min(H.vertices @ w))
     return LinearFunctional(w, alpha=alpha)

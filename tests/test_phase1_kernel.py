@@ -13,10 +13,9 @@ import sys
 import numpy as np
 import pytest
 
-from evpkit import cli, geometry
+from evpkit import geometry
 from evpkit.errors import LinearProgramError
-from evpkit.geometry import (lp_feasible, lp_member,
-                             strictly_positive_functional)
+from evpkit.geometry import lp_feasible, lp_member
 
 from conftest import direction_polytope, generated_bundle, random_cone
 
@@ -108,11 +107,15 @@ def recorded_calls(fn, *args):
     return calls
 
 
-def column_restricted(M):
-    """Whether the vectorized kernel updates only the nonzero columns of
-    the pivot row on this system (tableau ``(m + 1) x (n + m + 1)``)."""
-    m, n = M.shape
-    return (m + 1) * (n + m + 1) >= geometry._SPARSE_UPDATE_CELLS
+def separation_system(bundle):
+    """The full separation system over the pooled direction vertices, one
+    ``(A h) . mu - s_h = 1`` row per vertex ``h``, as one ``(M, rhs, tol)``
+    call: the tableau ``strictly_positive_functional`` solved in one piece
+    before it generated rows."""
+    rows = (direction_polytope(bundle).vertices
+            @ bundle.instance.cone.halfspaces.T)
+    n = rows.shape[0]
+    return [(np.hstack([rows, -np.eye(n)]), np.ones(n), bundle.tol)]
 
 
 def solve_both(M, rhs, tol):
@@ -154,20 +157,14 @@ def iteration_cap(monkeypatch):
 
 @pytest.mark.parametrize("n", range(6, 13))
 def test_functional_lp_of_extensional_instance(n):
-    """The separation LP over pooled direction vertices, as
-    ``solve-evp --theorem 3.1`` builds it: 120 to 528 rows, large enough
-    for the column-restricted update."""
+    """The full separation LP over the pooled direction vertices of
+    ``solve-evp --theorem 3.1``: 120 to 528 rows, the largest tableaux the
+    kernel is given."""
     bundle = generated_bundle(7, n=n, m=3, values_per_point=4,
                               variant="extensional")
-    H = cli._family_direction_vertices(bundle)
-    calls = recorded_calls(strictly_positive_functional, H,
-                           bundle.instance.cone, bundle.tol)
-    assert len(calls) == 1
-    M, _, _ = calls[0]
-    assert M.shape[0] == H.vertices.shape[0]
-    assert 120 <= M.shape[0] <= 528
-    assert column_restricted(M)
-    assert_same(calls)
+    calls = separation_system(bundle)
+    assert 120 <= calls[0][0].shape[0] <= 528
+    assert assert_same(calls)[0] is not None
 
 
 def test_lp_member_shaped_systems():
@@ -213,8 +210,8 @@ def test_signed_zeros(pad):
     """Entries and right-hand sides drawn from -0.0, 0.0, 1, -1 and 2: many
     witnesses hold -0.0, which only an elimination that skips exactly the
     rows with a zero entering entry, and updates the right-hand side of
-    every other row, reproduces. ``pad`` identity rows push the tableau
-    past the size at which the update is column-restricted."""
+    every other row, reproduces. ``pad`` identity rows make the tableau
+    large and mostly zero."""
     rng = np.random.default_rng(5)
     values = np.array([-0.0, 0.0, 1.0, -1.0, 2.0])
     calls = []
@@ -225,7 +222,6 @@ def test_signed_zeros(pad):
         M[m:, n:] = np.eye(pad)
         rhs = np.concatenate([rng.choice(values, size=m), np.ones(pad)])
         calls.append((M, rhs, 1e-9))
-    assert all(column_restricted(M) == (pad > 0) for M, _, _ in calls)
     assert sum(z is not None and bool(np.any(np.signbit(z) & (z == 0)))
                for z in assert_same(calls)) >= 10
 
@@ -235,10 +231,7 @@ def test_round_off_instance():
     column once had no entry above the pivot threshold."""
     bundle = generated_bundle(0, n=14, m=3, values_per_point=1,
                               variant="extensional")
-    calls = recorded_calls(strictly_positive_functional,
-                           direction_polytope(bundle),
-                           bundle.instance.cone, bundle.tol)
-    [z] = assert_same(calls)
+    [z] = assert_same(separation_system(bundle))
     assert z is not None
 
 
@@ -253,9 +246,7 @@ def test_iteration_cap_still_raises(iteration_cap, n):
     else:
         bundle = generated_bundle(7, n=n, m=3, values_per_point=4,
                                   variant="extensional")
-        calls = recorded_calls(strictly_positive_functional,
-                               cli._family_direction_vertices(bundle),
-                               bundle.instance.cone, bundle.tol)
+        calls = separation_system(bundle)
     M, rhs, tol = calls[0]
 
     def raises(cap):
