@@ -347,10 +347,10 @@ def first_outside(C: PolyhedralCone, stacks, tol=DEFAULT_TOL):
 
 
 def _over_rows(ufunc, x):
-    """``ufunc`` reduced over the last axis of ``x``, the few cone rows, by
-    one elementwise call per row: on these stacks several times faster than
-    a numpy reduction over a short last axis, and the same result for
-    minimum, maximum and logical and."""
+    """``ufunc`` reduced over the last axis of ``x``, a short one such as
+    the few cone rows, by one elementwise call per entry: on these stacks
+    several times faster than a numpy reduction over a short last axis, and
+    the same result for minimum, maximum, logical and and logical or."""
     out = x[..., 0]
     for i in range(1, x.shape[-1]):
         out = ufunc(out, x[..., i])
@@ -367,21 +367,23 @@ def screen_members(Y, B, S, V, nv, C: PolyhedralCone, tol=DEFAULT_TOL):
     first; padding rows of ``V`` and ``B`` must repeat an existing row, which
     leaves every any/all test unchanged. Three tests run on all queries at
     once: the cone test when the scale is at most ``tol``, the single-vertex
-    sufficient test, and the conv(V) inside C necessary filter. Queries still
-    undecided with two vertices then take the exact segment test
-    (:func:`_segment_members`).
+    sufficient test, and the conv(V) inside C necessary filter. Only the
+    queries still undecided with two vertices then take the exact segment
+    test (:func:`_segment_members`).
 
     Returns ``(decided, answer, candidates)``: ``answer`` is meaningful
     where ``decided``; ``candidates`` marks the base rows an undecided query
     still has to test with the LP (:func:`lp_member`).
     """
-    A_T = C.halfspaces.T
-    rows = (Y[..., None, :] - B) @ A_T                  # A(y - b)
+    A = C.halfspaces
+    D = Y[..., None, :] - B
+    # A(y - b) as one 2-D product, sized by len(A): -1 fails on empty stacks
+    rows = (D.reshape(-1, D.shape[-1]) @ A.T).reshape(*D.shape[:-1], len(A))
     in_cone = _over_rows(np.minimum, rows) >= -tol
     found = in_cone.any(axis=-1)
     if V is None:
         return np.ones(found.shape, dtype=bool), found, in_cone
-    AV = V @ A_T                                        # A v
+    AV = V @ A.T                                        # A v
     h_in = AV.min(axis=(-2, -1)) >= -tol
     SAV = S[..., None, None] * AV                       # S A v
     # A(y - b - S v) for every base row and vertex
@@ -392,20 +394,32 @@ def screen_members(Y, B, S, V, nv, C: PolyhedralCone, tol=DEFAULT_TOL):
     # S*conv(V) + C lies in C, so only base rows with y - b in C can cover
     rejected = (nv == 1) | (h_in & ~found)
     decided = cone_only | hit | rejected
-    answer = np.where(cone_only, found, hit)
     candidates = in_cone | ~h_in[..., None]
     segment = ~decided & (nv == 2)
-    if segment.any():
-        settled, member = _segment_members(rows, slack, SAV, candidates, tol)
-        decided = decided | (segment & settled)
-        answer = np.where(segment, member, answer)
-    return decided, answer, candidates
+    at = np.flatnonzero(segment)
+    if at.size:
+        shape = np.shape(segment)
+        q = np.unravel_index(at, shape) if shape else ()
+        settled, member = _segment_members(
+            _gather(rows, q, 2), _gather(slack, q, 3), _gather(SAV, q, 2),
+            _gather(candidates, q, 1), tol)
+        decided, hit = np.asarray(decided), np.broadcast_to(hit, shape).copy()
+        np.put(decided, at, settled)
+        np.put(hit, at, member)
+    return decided, np.where(cone_only, found, hit), candidates
+
+
+def _gather(x, q, tail):
+    """``x`` at the unravelled queries ``q``, with its last ``tail`` axes."""
+    lead = x.shape[:x.ndim - tail]
+    return x[tuple(i if d > 1 else 0 for i, d in zip(q[-len(lead):], lead))]
 
 
 def _segment_members(rows, slack, SAV, candidates, tol):
     """Exact test for ``y in B + S * conv{v1, v2} + C``, from the arrays of
-    :func:`screen_members`: ``rows`` is ``A(y - b)``, ``slack`` is
-    ``A(y - b - S v)`` per base row and vertex, ``SAV`` is ``S A v``.
+    :func:`screen_members` at its undecided queries: ``rows`` is
+    ``A(y - b)``, ``slack`` is ``A(y - b - S v)`` per base row and vertex,
+    ``SAV`` is ``S A v``.
 
     With ``t`` the weight of v1, cone row i asks ``c_i - t d_i >= 0`` for
     ``c = A(y - b - S v2) + tol`` and ``d = S A(v1 - v2)``, so the feasible

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import (DEFAULT_TOL, PolyhedralCone, Polytope, as_point,
-                       covered_queries, first_outside, first_uncovered,
-                       lp_member, minkowski_member, screen_members, singleton,
-                       stack_rows, validate_direction_set)
+from .geometry import (DEFAULT_TOL, PolyhedralCone, Polytope, _over_rows,
+                       as_point, covered_queries, first_outside,
+                       first_uncovered, lp_member, minkowski_member,
+                       screen_members, singleton, stack_rows,
+                       validate_direction_set)
 
 
 # ---------------------------------------------------------------------------
@@ -500,64 +501,62 @@ def _extensional_failure(fam, space, E, counts, C, tol):
     vertex sum of F_mu(x1, x2) + F_nu(x2, x3) in F_index(x1, x3) + C, in the
     loop order index, x1, x3, x2; None when there is none.
 
-    One (index, x1) slab at a time, :func:`screen_members` screens the
-    queries (x3, x2, mu, nu, u, v) at once. A pair (x3, x2) is covered when
-    some (mu, nu) has every sum screened in, and dead when every (mu, nu)
-    has a sum screened out. The pairs before the first dead one are walked
-    in loop order; an uncovered one tries its (mu, nu) in order on the LP,
-    skipping those with a sum screened out, until one has every undecided
-    sum covered. ``E[x2, x1, index]`` holds the vertices of F_index(x2, x1)
-    padded to J, and ``counts`` the real ones (:func:`family_arrays`).
+    One :func:`screen_members` call screens the queries (index, x1, x3, x2,
+    (mu, nu), (u, v)) of all (index, x1) slabs. A pair (x3, x2) of a slab is
+    covered when some (mu, nu) has every sum screened in, and dead when
+    every (mu, nu) has a sum screened out. Each slab's pairs before its
+    first dead one are walked in loop order; an uncovered one tries its (mu,
+    nu) in order on the LP, skipping those with a sum screened out, until
+    one has every undecided sum covered. ``E[x2, x1, index]`` holds the
+    vertices of F_index(x2, x1) padded to J, ``counts`` the real ones.
     """
     labels = space.labels
-    n = len(labels)
-    lams = fam.lambdas()
-    L = len(lams)
-    # every sum F_mu(x1, x2)[u] + F_nu(x2, x3)[v] as (x1, x3, x2, mu, nu, u, v)
+    n, L, J = len(labels), len(fam.lambdas()), E.shape[3]
+    # every sum F_mu(x1, x2)[u] + F_nu(x2, x3)[v] as (x1, x3, x2, mu nu, u v)
     Et, ct = E.transpose(1, 0, 2, 3, 4), counts.transpose(1, 0, 2)
     sums = (E[:, None, :, :, None, :, None, :]
-            + Et[None, :, :, None, :, None, :, :])
-    k = np.arange(E.shape[3])
+            + Et[None, :, :, None, :, None, :, :]).reshape(
+                n, n, n, L * L, J * J, C.dim)
+    k = np.arange(J)
     pads = ((k[:, None] >= counts[:, None, :, :, None, None, None])
-            | (k >= ct[None, :, :, None, :, None, None]))
+            | (k >= ct[None, :, :, None, :, None, None])).reshape(
+                n, n, n, L * L, J * J)
     origin = np.zeros((1, C.dim))
-    for c_lam, lam in enumerate(lams):
-        for a, x1 in enumerate(labels):
-            Y, pad = sums[a], pads[a]
-            T = E[a, :, c_lam]                        # F_index(x1, x3)
-            decided, answer, candidates = screen_members(
-                Y, origin, np.float64(1.0),
-                T[:, None, None, None, None, None],
-                counts[a, :, c_lam][:, None, None, None, None, None], C, tol)
-            out = (decided & ~answer & ~pad).any(axis=(-2, -1))
-            covered = ((decided & answer) | pad).all(axis=(-2, -1)).any(
-                axis=(-2, -1))
-            dead = np.flatnonzero(out.all(axis=(-2, -1)))
-            stop = int(dead[0]) if dead.size else None
+    # the targets F_index(x1, x3) as (index, x1, x3)
+    T, tn = E.transpose(2, 0, 1, 3, 4), counts.transpose(2, 0, 1)
+    decided, answer, candidates = screen_members(
+        sums[None], origin, np.float64(1.0), T[:, :, :, None, None, None],
+        tn[..., None, None, None], C, tol)
+    out = _over_rows(np.logical_or, decided & ~answer & ~pads)
+    covered = _over_rows(np.logical_or, _over_rows(
+        np.logical_and, (decided & answer) | pads))
+    dead = _over_rows(np.logical_and, out)
+    # only slabs with an uncovered pair (a dead one included) are walked
+    for s in np.flatnonzero(~covered.all(axis=(-2, -1)).ravel()):
+        c_lam, a = divmod(int(s), n)
+        stops = np.flatnonzero(dead[c_lam, a])
+        stop = int(stops[0]) if stops.size else None
 
-            def covers(c, b, mu, nu):
-                # (mu, nu) puts every sum of the pair (x3, x2) = (c, b) in
-                # the target, the undecided sums by LP in (u, v) order
-                if out[c, b, mu, nu]:
-                    return False
-                settled = pad[c, b, mu, nu].ravel()
-                points = Y[c, b, mu, nu].reshape(-1, C.dim)
-                rows = candidates[c, b, mu, nu].reshape(len(points), -1)
-                target = T[c, :counts[a, c, c_lam]]
-                return first_uncovered(
-                    decided[c, b, mu, nu].ravel() | settled,
-                    answer[c, b, mu, nu].ravel() | settled,
-                    lambda q: lp_member(points[q], origin, 1.0, target, C,
-                                        tol, np.flatnonzero(rows[q]))) is None
+        def covers(c, b, g):
+            # (mu, nu) = divmod(g, L) puts every sum of the pair (x3, x2) =
+            # (c, b) in the target, the undecided sums by LP in (u, v) order
+            if out[c_lam, a, c, b, g]:
+                return False
+            settled, rows = pads[a, c, b, g], candidates[c_lam, a, c, b, g]
+            target = T[c_lam, a, c, :tn[c_lam, a, c]]
+            return first_uncovered(
+                decided[c_lam, a, c, b, g] | settled,
+                answer[c_lam, a, c, b, g] | settled,
+                lambda q: lp_member(sums[a, c, b, g, q], origin, 1.0, target,
+                                    C, tol, np.flatnonzero(rows[q]))) is None
 
-            for p in np.flatnonzero(~covered.ravel()[:stop]):
-                c, b = divmod(int(p), n)
-                if not any(covers(c, b, mu, nu)
-                           for mu in range(L) for nu in range(L)):
-                    return x1, labels[b], labels[c], lam
-            if stop is not None:
-                c, b = divmod(stop, n)
-                return x1, labels[b], labels[c], lam
+        for p in np.flatnonzero(~covered[c_lam, a].ravel()[:stop]):
+            c, b = divmod(int(p), n)
+            if not any(covers(c, b, g) for g in range(L * L)):
+                return labels[a], labels[b], labels[c], fam.lambdas()[c_lam]
+        if stop is not None:
+            c, b = divmod(stop, n)
+            return labels[a], labels[b], labels[c], fam.lambdas()[c_lam]
     return None
 
 

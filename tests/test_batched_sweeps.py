@@ -19,7 +19,8 @@ import pytest
 from evpkit import geometry, instances, product
 from evpkit.errors import HypothesisError, InputError, PremiseError
 from evpkit.geometry import (LinearFunctional, Polytope, cone, cone_contains,
-                             minkowski_member, orthant, singleton,
+                             first_uncovered, lp_member, minkowski_member,
+                             orthant, screen_members, singleton,
                              strictly_positive_functional)
 from evpkit.instances import (ExtensionalFamily, FiniteInstance, MetricSpace,
                               OpenPolytopeFamily, PolytopeDirection,
@@ -95,6 +96,70 @@ def loop_ti_extensional(inst, fam):
                     if not search(x1, x2, x3, target):
                         return False, (x1, x2, x3, lam)
     return True, None
+
+
+def slab_ti_extensional(inst, fam):
+    """The extensional search with one screen per (index, x1) slab, as
+    ``instances._extensional_failure`` was before it screened all slabs in
+    one call (kept verbatim below): the same walk, so the same witnesses and
+    the same LP calls."""
+    _, E, counts = family_arrays(inst.space, fam)
+    witness = slab_extensional_failure(fam, inst.space, E, counts, inst.cone,
+                                       inst.tol)
+    return (True, None) if witness is None else (False, witness)
+
+
+def slab_extensional_failure(fam, space, E, counts, C, tol):
+    labels = space.labels
+    n = len(labels)
+    lams = fam.lambdas()
+    L = len(lams)
+    # every sum F_mu(x1, x2)[u] + F_nu(x2, x3)[v] as (x1, x3, x2, mu, nu, u, v)
+    Et, ct = E.transpose(1, 0, 2, 3, 4), counts.transpose(1, 0, 2)
+    sums = (E[:, None, :, :, None, :, None, :]
+            + Et[None, :, :, None, :, None, :, :])
+    k = np.arange(E.shape[3])
+    pads = ((k[:, None] >= counts[:, None, :, :, None, None, None])
+            | (k >= ct[None, :, :, None, :, None, None]))
+    origin = np.zeros((1, C.dim))
+    for c_lam, lam in enumerate(lams):
+        for a, x1 in enumerate(labels):
+            Y, pad = sums[a], pads[a]
+            T = E[a, :, c_lam]                        # F_index(x1, x3)
+            decided, answer, candidates = screen_members(
+                Y, origin, np.float64(1.0),
+                T[:, None, None, None, None, None],
+                counts[a, :, c_lam][:, None, None, None, None, None], C, tol)
+            out = (decided & ~answer & ~pad).any(axis=(-2, -1))
+            covered = ((decided & answer) | pad).all(axis=(-2, -1)).any(
+                axis=(-2, -1))
+            dead = np.flatnonzero(out.all(axis=(-2, -1)))
+            stop = int(dead[0]) if dead.size else None
+
+            def covers(c, b, mu, nu):
+                # (mu, nu) puts every sum of the pair (x3, x2) = (c, b) in
+                # the target, the undecided sums by LP in (u, v) order
+                if out[c, b, mu, nu]:
+                    return False
+                settled = pad[c, b, mu, nu].ravel()
+                points = Y[c, b, mu, nu].reshape(-1, C.dim)
+                rows = candidates[c, b, mu, nu].reshape(len(points), -1)
+                target = T[c, :counts[a, c, c_lam]]
+                return first_uncovered(
+                    decided[c, b, mu, nu].ravel() | settled,
+                    answer[c, b, mu, nu].ravel() | settled,
+                    lambda q: lp_member(points[q], origin, 1.0, target, C,
+                                        tol, np.flatnonzero(rows[q]))) is None
+
+            for p in np.flatnonzero(~covered.ravel()[:stop]):
+                c, b = divmod(int(p), n)
+                if not any(covers(c, b, mu, nu)
+                           for mu in range(L) for nu in range(L)):
+                    return x1, labels[b], labels[c], lam
+            if stop is not None:
+                c, b = divmod(stop, n)
+                return x1, labels[b], labels[c], lam
+    return None
 
 
 def loop_fmap_triangle(pi, fm):
@@ -900,6 +965,47 @@ def test_sweeps_never_run_more_lps_than_loops(monkeypatch):
             totals["batched"] += nb
             totals["loop"] += nl
     assert totals["loop"] > 0  # the LP fallback was exercised
+
+
+def test_extensional_search_screens_once(monkeypatch):
+    """One screen_members call per extensional ti_check, for failing random
+    tables and passing generated ones at n = 3 to 8."""
+    rng = np.random.default_rng(61)
+    outcomes = set()
+    for n in range(3, 9):
+        for inst, fam in (random_instance(rng, n=n, m=1 + n % 3,
+                                          kind="extensional")[:2],
+                          generated_extensional(n, n, 1 + n % 3)):
+            calls, got = _calls(monkeypatch, instances, "screen_members",
+                                ti_check, inst, fam)
+            assert calls == 1, (n, got)
+            outcomes.add(got[0])
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_extensional_search_matches_slab_search_and_loop(monkeypatch, m):
+    """Failing, ragged random tables at n = 3 to 8: the witness is the
+    loop's, and the _phase1 count is that of the slab-by-slab search, which
+    is at most the loop's (the loop tries every index pair on the LP, the
+    searches skip those the screen rules out or covers)."""
+    rng = np.random.default_rng(900 + m)
+    lps = {"got": 0, "loop": 0}
+    failing = 0
+    for trial in range(12):
+        inst, fam, _ = random_instance(rng, n=3 + trial % 6, m=m,
+                                       kind="extensional",
+                                       metric=trial % 3 != 0,
+                                       ragged=trial % 4 != 1)
+        nb, got = _lp_calls(monkeypatch, ti_check, inst, fam)
+        ns, slab = _lp_calls(monkeypatch, slab_ti_extensional, inst, fam)
+        nl, want = _lp_calls(monkeypatch, loop_ti_extensional, inst, fam)
+        assert got == slab == want, trial
+        assert nb == ns <= nl, (trial, nb, ns, nl)
+        failing += not got[0]
+        lps["got"] += nb
+        lps["loop"] += nl
+    assert failing >= 6 and lps["got"] > 0, (failing, lps)
 
 
 def test_graph_solves_build_the_pair_arrays_once(monkeypatch):

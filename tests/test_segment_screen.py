@@ -9,13 +9,18 @@ query is a member iff ``t* >= -tol``. Where t* lies within ``BAND`` of
 ``lp_member`` is compared, and only there may the screen leave a two-vertex
 query undecided. A scale at most ``tol`` reads as scale 0 (the cone test),
 as in ``minkowski_member``.
+
+``loop_screen``, the screen as it was when it ran one stacked product and
+the segment test on every query of a stack, must give the same three arrays
+bit for bit on any stack, broadcast or not.
 """
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from evpkit.geometry import lp_member, orthant, screen_members
+from evpkit.geometry import (_SEGMENT_MARGIN, _feas_tol, _over_rows,
+                             lp_member, orthant, screen_members)
 
 from conftest import random_cone, sample_cone_member
 
@@ -172,3 +177,177 @@ def test_only_queries_at_the_tolerance_edge_reach_the_lp():
                     assert abs(t + TOL) <= 1e-7 * (1.0 + np.abs(y).max()), \
                         (case, t)
     assert undecided < 0.02 * total
+
+
+# ---------------------------------------------------------------------------
+# The screen against its earlier form, which ran one stacked product and the
+# segment test on every query of the stack (kept verbatim).
+# ---------------------------------------------------------------------------
+
+def loop_screen(Y, B, S, V, nv, C, tol):
+    A_T = C.halfspaces.T
+    rows = (Y[..., None, :] - B) @ A_T                  # A(y - b)
+    in_cone = _over_rows(np.minimum, rows) >= -tol
+    found = in_cone.any(axis=-1)
+    if V is None:
+        return np.ones(found.shape, dtype=bool), found, in_cone
+    AV = V @ A_T                                        # A v
+    h_in = AV.min(axis=(-2, -1)) >= -tol
+    SAV = S[..., None, None] * AV                       # S A v
+    # A(y - b - S v) for every base row and vertex
+    slack = rows[..., :, None, :] - SAV[..., None, :, :]
+    hit = (_over_rows(np.minimum, slack) >= -tol).any(axis=(-2, -1))
+    cone_only = S <= tol
+    # one vertex: the single-vertex test was exact; conv(V) inside C: then
+    # S*conv(V) + C lies in C, so only base rows with y - b in C can cover
+    rejected = (nv == 1) | (h_in & ~found)
+    decided = cone_only | hit | rejected
+    answer = np.where(cone_only, found, hit)
+    candidates = in_cone | ~h_in[..., None]
+    segment = ~decided & (nv == 2)
+    if segment.any():
+        settled, member = loop_segment(rows, slack, SAV, candidates, tol)
+        decided = decided | (segment & settled)
+        answer = np.where(segment, member, answer)
+    return decided, answer, candidates
+
+
+def loop_segment(rows, slack, SAV, candidates, tol):
+    s1 = slack[..., 1, :]
+    d = s1 - slack[..., 0, :]
+    scale = (np.abs(SAV[..., 0, :]) + np.abs(SAV[..., 1, :]))[..., None, :]
+    widen = _SEGMENT_MARGIN * _feas_tol(tol) * (1.0 + np.abs(rows) + scale)
+    c = s1 + tol
+    c = np.stack([c, c + widen])                # exact and widened rows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = c / d
+    up, down = d > 0, d < 0
+    hi = np.minimum(_over_rows(np.minimum, np.where(up, ratio, 1.0)), 1.0)
+    lo = np.maximum(_over_rows(np.maximum, np.where(down, ratio, 0.0)), 0.0)
+    # rows with d = 0 need c >= 0
+    flat = _over_rows(np.logical_and, (c >= 0) | up | down)
+    member, widened = (flat & (lo <= hi) & candidates).any(axis=-1)
+    return member | ~widened, member
+
+
+def same_screen(Y, B, S, V, nv, C):
+    """The screen's arrays, after checking them against ``loop_screen``."""
+    got = screen_members(Y, B, S, V, nv, C, TOL)
+    want = loop_screen(Y, B, S, V, nv, C, TOL)
+    for name, g, w in zip(("decided", "answer", "candidates"), got, want):
+        assert np.shape(g) == np.shape(w), name
+        assert np.array_equal(g, w), name
+    return got
+
+
+def _pad(rows, size):
+    return np.vstack([rows] + [rows[-1:]] * (size - len(rows)))
+
+
+SCALES = (0.0, 0.5 * TOL, TOL, 2 * TOL)
+
+
+def _facet_groups(rng, m, orthant_cone):
+    """Groups of ten points that share (B, s, V): each on a facet through a
+    point of s conv(V) and nudged by -2..2 tol off it, at the cone's apex
+    too. ``nv`` is 1 to 3, padded to J = 3, and ``nb`` 1 to 3, padded."""
+    C, k0 = _cone(rng, m, orthant_cone)
+    A = C.halfspaces
+    groups = []
+    for g in range(24):
+        nb, nv = int(rng.integers(1, 4)), 1 + g % 3
+        B = rng.normal(size=(nb, m))
+        V = np.array([sample_cone_member(rng, C, k0) for _ in range(nv)])
+        if g % 5 == 4:
+            V[-1] = -0.3 * k0                   # a vertex outside C
+        s = float(SCALES[g % 8] if g % 8 < 4 else rng.uniform(0.1, 2.0))
+        w = rng.dirichlet(np.ones(nv))
+        i = int(rng.integers(A.shape[0]))
+        a = A[i] / (A[i] @ A[i])
+        ys = []
+        for nudge in (-2.0, -1.0, 0.0, 1.0, 2.0):
+            z = sample_cone_member(rng, C, k0)
+            z = z - (A[i] @ z) * a
+            ys.append(B[-1] + s * (w @ V) + z + nudge * TOL * a)
+            ys.append(B[-1] + s * (w @ V) + nudge * TOL * a)
+        groups.append((np.array(ys), _pad(B, 3), nb, s, _pad(V, 3), nv))
+    return C, groups
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("orthant_cone", [True, False])
+def test_screen_matches_loop_screen_on_flat_and_broadcast_stacks(
+        m, orthant_cone):
+    """One flat stack of all queries, and the same queries as a (group,
+    point) stack whose B, S, V and nv broadcast over the points; a scale of
+    0, tol/2, tol, 2 tol or more; 1 to 3 vertices; points within 2 tol of a
+    cone row."""
+    rng = np.random.default_rng(400 + 10 * m + orthant_cone)
+    C, groups = _facet_groups(rng, m, orthant_cone)
+    Y = np.array([g[0] for g in groups])                    # (G, 10, m)
+    B = np.array([g[1] for g in groups])[:, None]           # (G, 1, 3, m)
+    S = np.array([g[3] for g in groups])[:, None]           # (G, 1)
+    V = np.array([g[4] for g in groups])[:, None]           # (G, 1, 3, m)
+    nv = np.array([g[5] for g in groups])[:, None]          # (G, 1)
+    decided, answer, _ = same_screen(Y, B, S, V, nv, C)
+    points = Y.shape[1]
+    flat = same_screen(Y.reshape(-1, m), np.repeat(B[:, 0], points, axis=0),
+                       np.repeat(S[:, 0], points),
+                       np.repeat(V[:, 0], points, axis=0),
+                       np.repeat(nv[:, 0], points), C)
+    assert np.array_equal(flat[0], decided.ravel())
+    # both answers, and queries the screen leaves to the LP, are compared
+    assert answer[decided].any() and not answer[decided].all()
+    # every group's scale and polytope against the points of every group,
+    # over their own base rows: a (G, G, 10) stack
+    same_screen(Y[None], B, S[:, :, None], V[:, None], nv[:, None], C)
+    # no polytope: the cone test alone
+    same_screen(Y, B, S, None, nv, C)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_screen_matches_loop_screen_on_triangle_slabs(m):
+    """The stacks of the extensional triangle search: every vertex sum of a
+    random ragged table against the targets of one (index, x1) slab, and
+    against those of all slabs at once."""
+    rng = np.random.default_rng(500 + m)
+    C, k0 = _cone(rng, m, m == 2)
+    n, L, J = 4, 2, 3
+    counts = rng.integers(1, J + 1, size=(n, n, L))
+    E = np.array([_pad(np.array([sample_cone_member(rng, C, k0)
+                                 for _ in range(c)]), J)
+                  for c in counts.ravel()]).reshape(n, n, L, J, m)
+    sums = (E[:, None, :, :, None, :, None, :]
+            + E.transpose(1, 0, 2, 3, 4)[None, :, :, None, :, None, :, :])
+    origin = np.zeros((1, m))
+    one = np.float64(1.0)
+    for a in range(n):
+        for lam in range(L):
+            same_screen(sums[a], origin, one,
+                        E[a, :, lam][:, None, None, None, None, None],
+                        counts[a, :, lam][:, None, None, None, None, None], C)
+    tail = (None,) * 5
+    T, tn = E.transpose(2, 0, 1, 3, 4), counts.transpose(2, 0, 1)
+    decided, _, _ = same_screen(sums[None], origin, one,
+                                T[(..., *tail, slice(None), slice(None))],
+                                tn[(..., *tail)], C)
+    # a scale per target: 0, tol or larger
+    S = rng.choice(SCALES + (0.7, 1.3), size=(L, n, n))[(..., *tail)]
+    same_screen(sums[None], origin, S,
+                T[(..., *tail, slice(None), slice(None))], tn[(..., *tail)],
+                C)
+    assert decided.shape == (L, n, n, n, L, L, J, J)
+
+
+def test_screen_matches_loop_screen_on_one_query_and_an_empty_stack():
+    rng = np.random.default_rng(9)
+    C, groups = _facet_groups(rng, 2, False)
+    for Y, B, nb, s, V, nv in groups:
+        for y in Y:
+            same_screen(y, B[:nb], np.float64(s), V[:nv], nv, C)
+    # an empty stack keeps its shape
+    decided, answer, candidates = same_screen(
+        np.zeros((0, 2)), np.zeros((0, 3, 2)), np.zeros(0),
+        np.zeros((0, 3, 2)), np.zeros(0, dtype=int), C)
+    assert decided.shape == answer.shape == (0,)
+    assert candidates.shape == (0, 3)
