@@ -57,9 +57,12 @@ class PreorderOracle:
         """The oracle of the order matrix ``rel`` (``rel[i, j]``: labels[i]
         precedes labels[j]) and the potentials ``eta`` in label order."""
         labels = tuple(labels)
-        successors = {
-            x: [labels[i] for i in np.flatnonzero(rel[:, j]).tolist()]
-            for j, x in enumerate(labels)}
+        # the nonzeros of rel.T come column of rel by column, rows ascending
+        cols, rows = np.nonzero(rel.T)
+        ends = np.searchsorted(cols, np.arange(len(labels) + 1)).tolist()
+        rows = [labels[i] for i in rows.tolist()]
+        successors = {x: rows[ends[j]:ends[j + 1]]
+                      for j, x in enumerate(labels)}
         return cls(labels, successors, dict(zip(labels, eta)))
 
     def section(self, x):

@@ -18,8 +18,8 @@ import numpy as np
 from . import engine as eng
 from .errors import HypothesisError, InputError, PremiseError
 from .geometry import (DEFAULT_TOL, PolyhedralCone, Polytope, as_point,
-                       cone_contains, first_outside, minkowski_member,
-                       polytope_contains, singleton, stack_rows)
+                       first_outside, minkowski_member, polytope_contains,
+                       singleton, stack_rows)
 from .instances import (MetricSpace, check_positive, order_queries,
                         triangle_failure, vertex_minima)
 from .scalarize import GerstewitzFn
@@ -30,30 +30,30 @@ from .solvers import Certificate, Conclusion, _jsonable
 # Pareto minima of a finite point set.
 # ---------------------------------------------------------------------------
 
-def _below(C, y, ybar, tol):
-    """y is below ybar in the cone order: ybar - y in C."""
-    return cone_contains(C, np.asarray(ybar, dtype=float) -
-                         np.asarray(y, dtype=float), tol)
+def _under(B, C: PolyhedralCone, tol):
+    """The points of B and ``under[i, j]``: B[j] is below B[i] in the cone
+    order (``B[i] - B[j]`` in C), for all list positions from one stacked
+    product, which rounds as :func:`cone_contains` does pair by pair."""
+    B = [as_point(y, C.dim) for y in B]
+    if not B:
+        raise InputError("empty point set")
+    Y = np.array(B)
+    D = Y[:, None, :] - Y[None, :, :]
+    return B, np.all((C.halfspaces @ D[..., None])[..., 0] >= -tol, axis=-1)
+
+
+def _minimal(under, strict):
+    """Mask of the (strict) minimal positions of an :func:`_under` matrix."""
+    if strict:
+        return ~(under & ~np.eye(len(under), dtype=bool)).any(axis=1)
+    return ~(under & ~under.T).any(axis=1)
 
 
 def pareto_min(B, C: PolyhedralCone, tol=DEFAULT_TOL):
     """Points of B minimal in the cone order: anything below them is also
     above them. Pairwise tests over list positions; returns the points."""
-    B = [as_point(y, C.dim) for y in B]
-    if not B:
-        raise InputError("empty point set")
-    out = []
-    for i, ybar in enumerate(B):
-        minimal = True
-        for j, y in enumerate(B):
-            if i == j:
-                continue
-            if _below(C, y, ybar, tol) and not _below(C, ybar, y, tol):
-                minimal = False
-                break
-        if minimal:
-            out.append(ybar)
-    return out
+    B, under = _under(B, C, tol)
+    return [B[i] for i in np.flatnonzero(_minimal(under, False))]
 
 
 def strict_pareto_min(B, C: PolyhedralCone, tol=DEFAULT_TOL):
@@ -62,27 +62,18 @@ def strict_pareto_min(B, C: PolyhedralCone, tol=DEFAULT_TOL):
     Read position-wise: a duplicated value sees its twin below it (zero is
     in the cone), so both copies are excluded. Equals pareto_min whenever the
     cone is pointed and B has no duplicates."""
-    B = [as_point(y, C.dim) for y in B]
-    if not B:
-        raise InputError("empty point set")
-    out = []
-    for i, ybar in enumerate(B):
-        if all(not _below(C, y, ybar, tol)
-               for j, y in enumerate(B) if j != i):
-            out.append(ybar)
-    return out
+    B, under = _under(B, C, tol)
+    return [B[i] for i in np.flatnonzero(_minimal(under, True))]
 
 
 def domination_check(B, C: PolyhedralCone, strict=False, tol=DEFAULT_TOL):
     """Every point of B sits above some (strict) minimal point of B.
 
-    Returns ``(True, None)`` or ``(False, uncovered_point)``."""
-    minimals = (strict_pareto_min if strict else pareto_min)(B, C, tol)
-    for y in B:
-        y = as_point(y, C.dim)
-        if not any(_below(C, m, y, tol) for m in minimals):
-            return False, y
-    return True, None
+    Returns ``(True, None)`` or ``(False, uncovered_point)``, the first one
+    in list order."""
+    B, under = _under(B, C, tol)
+    bare = np.flatnonzero(~under[:, _minimal(under, strict)].any(axis=1))
+    return (False, B[bare[0]]) if bare.size else (True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -325,26 +316,36 @@ def _validated(pi, fm):
     return validate_fmap(pi, fm, pair), graph_arrays(pi, fm, pair)
 
 
-def _graph_oracle(pi, fm, arrays=None):
+def anchored_values(pi, xi):
+    """``xi.value(y - y0)`` of every graph value ``y`` as one array, bit for
+    bit: the stacked products ``w . d`` and ``A d`` round as the per-pair
+    ones do (a plain ``D @ w`` or ``D @ A.T`` does not). ``xi`` is a linear
+    functional or the cone scalarization."""
+    D = np.array([y for _, y in pi.graph]) - pi.y0
+    if getattr(xi, "is_linear", False):
+        return (D[:, None, :] @ xi.weights[:, None])[:, 0, 0]
+    return xi.from_products((xi.cone.halfspaces @ D[..., None])[..., 0])
+
+
+def _graph_oracle(pi, fm, arrays=None, eta=None):
     """Engine oracle over graph pair indices under the strict order.
 
-    ``rel[i, j]`` is :func:`prec_fstar` of pairs i and j: the anchored
-    scalarization is evaluated once per pair, and coverage is asked only
-    for the pairs with a strict drop, all in one :func:`order_queries`
-    stack over the :func:`graph_arrays` ``arrays``.
+    ``rel[i, j]`` is :func:`prec_fstar` of pairs i and j: ``eta`` is the
+    :func:`anchored_values` array (computed when None), and coverage is
+    asked only for the pairs with a strict drop, all in one
+    :func:`order_queries` stack over the :func:`graph_arrays` ``arrays``.
     """
     arrays = arrays or graph_arrays(pi, fm)
+    eta = anchored_values(pi, fm.xi) if eta is None else eta
     n = len(pi.graph)
-    eta = [fm.xi.value(y - pi.y0) for _, y in pi.graph]
-    eta_arr = np.array(eta)
     rel = np.eye(n, dtype=bool)
     # prec_f looks at the scale of every other pair, strict drop or not
     if np.any((arrays[0][..., 0] < 0) & ~rel):
         raise InputError("scale must be nonnegative")
-    i, j = np.nonzero((eta_arr[None, :] - eta_arr[:, None] > pi.tol) & ~rel)
+    i, j = np.nonzero((eta[None, :] - eta[:, None] > pi.tol) & ~rel)
     first, _, _ = order_queries(pi, arrays, i, j)
     rel[i, j] = first < 0
-    return eng.PreorderOracle.from_matrix(range(n), rel, eta), rel
+    return eng.PreorderOracle.from_matrix(range(n), rel, eta.tolist()), rel
 
 
 def _pair_index(pi, x, y):
@@ -360,10 +361,11 @@ def _preceding(pi, fm, arrays, others, j):
     return first < 0
 
 
-def _section_of_start(pi, fm, arrays=None):
-    covered = _preceding(pi, fm, arrays, np.arange(len(pi.graph)),
-                         _pair_index(pi, *pi.start))
-    return [p for p, c in zip(pi.graph, covered) if c]
+def _section_of_start(pi, fm, arrays=None, start=None):
+    """Mask of the graph pairs that precede the start pair, at position
+    ``start`` (looked up when None)."""
+    start = _pair_index(pi, *pi.start) if start is None else start
+    return _preceding(pi, fm, arrays, np.arange(len(pi.graph)), start)
 
 
 def solve_minimal_point(pi: ProductInstance, fm: FMap, mode="greedy"):
@@ -371,30 +373,35 @@ def solve_minimal_point(pi: ProductInstance, fm: FMap, mode="greedy"):
     the plain order conclusions: start coverage and separation of every
     other base label."""
     checks, arrays = _validated(pi, fm)
-    return _minimal_point(pi, fm, mode, checks, arrays,
-                          _section_of_start(pi, fm, arrays))
-
-
-def _minimal_point(pi, fm, mode, checks, arrays, section):
-    """:func:`solve_minimal_point` after the pair-map checks, given the
-    :func:`graph_arrays` and the start section."""
-    inf_val = min(fm.xi.value(y - pi.y0) for _, y in section)
-    if not math.isfinite(inf_val):
-        raise HypothesisError("bounded",
-                              "scalarization unbounded on the start section")
-    oracle, _ = _graph_oracle(pi, fm, arrays)
-    ihat, trace = eng.solve(oracle, _pair_index(pi, *pi.start), mode)
+    start = _pair_index(pi, *pi.start)
+    ihat, trace, assumptions = _minimal_point(
+        pi, fm, mode, checks, arrays, start,
+        _section_of_start(pi, fm, arrays, start))
     xhat, yhat = pi.graph[ihat]
     conclusions = [
         _coverage_conclusion(pi, fm, xhat, yhat, name="a"),
         _separation_conclusion(pi, fm, xhat, yhat, exclude_label_only=True,
                                name="b", arrays=arrays, ihat=ihat),
     ]
+    return Certificate("5.1", xhat, conclusions, assumptions, trace,
+                       yhat=yhat)
+
+
+def _minimal_point(pi, fm, mode, checks, arrays, start, section):
+    """The engine run of :func:`solve_minimal_point` after the pair-map
+    checks, given the :func:`graph_arrays`, the start pair's position and
+    the start section's mask: ``(ihat, trace, assumptions)``."""
+    eta = anchored_values(pi, fm.xi)
+    inf_val = float(eta[section].min())
+    if not math.isfinite(inf_val):
+        raise HypothesisError("bounded",
+                              "scalarization unbounded on the start section")
+    oracle, _ = _graph_oracle(pi, fm, arrays, eta)
+    ihat, trace = eng.solve(oracle, start, mode)
     assumptions = dict(checks)
     assumptions["scalar_inf_on_start_section"] = inf_val
     assumptions["chain_conditions"] = "structural: finite graph"
-    return Certificate("5.1", xhat, conclusions, assumptions, trace,
-                       yhat=yhat)
+    return ihat, trace, assumptions
 
 
 def _coverage_conclusion(pi, fm, xhat, yhat, name):
@@ -425,9 +432,11 @@ def solve_strict_minimal(pi: ProductInstance, fm: FMap, mode="greedy"):
     itself. Requires the strict domination property on every slice the start
     section touches, checked after the pair map."""
     checks, arrays = _validated(pi, fm)
-    section = _section_of_start(pi, fm, arrays)
+    start = _pair_index(pi, *pi.start)
+    section = _section_of_start(pi, fm, arrays, start)
     slice_report = {}
-    for x in sorted({p[0] for p in section}, key=str):
+    for x in sorted({pi.graph[p][0] for p in np.flatnonzero(section)},
+                    key=str):
         values = pi.slice_values(x)
         ok, uncovered = domination_check(values, pi.cone, strict=True,
                                          tol=pi.tol)
@@ -437,32 +446,30 @@ def solve_strict_minimal(pi: ProductInstance, fm: FMap, mode="greedy"):
                 "strict_domination",
                 f"the value slice at {x!r} lacks the strict domination "
                 "property", witness={"x": x, "uncovered": _jsonable(uncovered)})
-    base_cert = _minimal_point(pi, fm, mode, checks, arrays, section)
-    xhat, ytilde = base_cert.xhat, base_cert.yhat
-    slice_vals = pi.slice_values(xhat)
-    smin = strict_pareto_min(slice_vals, pi.cone, pi.tol)
-    yhat = None
-    for cand in smin:
-        if cone_contains(pi.cone, ytilde - cand, pi.tol):
-            yhat = cand
-            break
-    if yhat is None:
+    ihat, trace, assumptions = _minimal_point(pi, fm, mode, checks, arrays,
+                                              start, section)
+    xhat = pi.graph[ihat][0]
+    # the xhat slice by graph position; row ``at.index(ihat)`` of its order
+    # holds the slice values below the engine value
+    at = [p for p, (x, _) in enumerate(pi.graph) if x == xhat]
+    _, under = _under([pi.graph[p][1] for p in at], pi.cone, pi.tol)
+    below = np.flatnonzero(_minimal(under, True) & under[at.index(ihat)])
+    if not below.size:
         raise HypothesisError(
             "strict_domination",
             f"no strict Pareto minimum of the {xhat!r} slice sits below the "
             "engine value")
-    in_smin = any(np.array_equal(yhat, m) for m in smin)
+    ihat = at[below[0]]
+    yhat = pi.graph[ihat][1]
     cover = _coverage_conclusion(pi, fm, xhat, yhat, name="a")
     conclusions = [
-        Conclusion("a", cover.holds and in_smin,
-                   {"start_value": pi.y0, "yhat": yhat,
-                    "slice_strict_minimum": in_smin}),
+        Conclusion("a", cover.holds, {"start_value": pi.y0, "yhat": yhat,
+                                      "slice_strict_minimum": True}),
         _separation_conclusion(pi, fm, xhat, yhat, exclude_label_only=False,
-                               name="b", arrays=arrays),
+                               name="b", arrays=arrays, ihat=ihat),
     ]
-    assumptions = dict(base_cert.assumptions)
     assumptions["slice_strict_domination"] = slice_report
-    return Certificate("5.2", xhat, conclusions, assumptions, base_cert.trace,
+    return Certificate("5.2", xhat, conclusions, assumptions, trace,
                        yhat=yhat)
 
 

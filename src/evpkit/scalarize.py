@@ -55,7 +55,12 @@ class GerstewitzFn:
 
     def values(self, Y):
         """:func:`gz_value` of every row of a ``(..., m)`` stack at once."""
-        prods = Y @ self.cone.halfspaces.T
+        return self.from_products(Y @ self.cone.halfspaces.T)
+
+    def from_products(self, prods):
+        """:func:`gz_value` read from the cone-row products ``A y`` on the
+        last axis of ``prods``: ``+inf`` where a zero row exceeds ``tol``,
+        else the maximum over the positive rows."""
         top = np.max(prods[..., self._pos_rows] / self._pos_prods, axis=-1)
         inf = np.any(prods[..., ~self._pos_rows] > self.tol, axis=-1)
         return np.where(inf, math.inf, top)

@@ -16,11 +16,12 @@ import math
 import numpy as np
 import pytest
 
-from evpkit import geometry, instances, product
+from evpkit import geometry, instances, product, scalarize
 from evpkit.errors import HypothesisError, InputError, PremiseError
-from evpkit.geometry import (LinearFunctional, Polytope, cone, cone_contains,
-                             first_uncovered, lp_member, minkowski_member,
-                             orthant, screen_members, singleton,
+from evpkit.geometry import (DEFAULT_TOL, LinearFunctional, Polytope,
+                             as_point, cone, cone_contains, first_uncovered,
+                             lp_member, minkowski_member, orthant,
+                             screen_members, singleton,
                              strictly_positive_functional)
 from evpkit.instances import (ExtensionalFamily, FiniteInstance, MetricSpace,
                               OpenPolytopeFamily, PolytopeDirection,
@@ -32,10 +33,12 @@ from evpkit.instances import (ExtensionalFamily, FiniteInstance, MetricSpace,
                               triangle_failure, vertex_minima)
 from evpkit.product import (FMap, ProductInstance, _graph_oracle,
                             _section_of_start, _separation_conclusion,
-                            fmap_from_rate, pair_arrays, prec_f, prec_fstar,
-                            solve_minimal_point, solve_pareto_evp,
-                            solve_strict_minimal, validate_fmap, zeta)
-from evpkit.scalarize import GerstewitzFn
+                            anchored_values, domination_check,
+                            fmap_from_rate, pair_arrays, pareto_min, prec_f,
+                            prec_fstar, solve_minimal_point, solve_pareto_evp,
+                            solve_strict_minimal, strict_pareto_min,
+                            validate_fmap, zeta)
+from evpkit.scalarize import GerstewitzFn, gz_bisect_oracle
 from evpkit.solvers import Conclusion, _conclusion_strict, _pointwise_premise
 
 from conftest import generated_bundle, random_cone, sample_cone_member
@@ -314,6 +317,56 @@ def loop_eps_h_efficient(inst, x0, epsilon, H):
                                 inst.tol):
             return True, y0
     return False, None
+
+
+def _below(C, y, ybar, tol):
+    """y is below ybar in the cone order: ybar - y in C."""
+    return cone_contains(C, np.asarray(ybar, dtype=float) -
+                         np.asarray(y, dtype=float), tol)
+
+
+def loop_pareto_min(B, C, tol=DEFAULT_TOL):
+    """Points of B minimal in the cone order: anything below them is also
+    above them. Pairwise tests over list positions; returns the points."""
+    B = [as_point(y, C.dim) for y in B]
+    if not B:
+        raise InputError("empty point set")
+    out = []
+    for i, ybar in enumerate(B):
+        minimal = True
+        for j, y in enumerate(B):
+            if i == j:
+                continue
+            if _below(C, y, ybar, tol) and not _below(C, ybar, y, tol):
+                minimal = False
+                break
+        if minimal:
+            out.append(ybar)
+    return out
+
+
+def loop_strict_pareto_min(B, C, tol=DEFAULT_TOL):
+    """Points of B with no other list member below them (position-wise)."""
+    B = [as_point(y, C.dim) for y in B]
+    if not B:
+        raise InputError("empty point set")
+    out = []
+    for i, ybar in enumerate(B):
+        if all(not _below(C, y, ybar, tol)
+               for j, y in enumerate(B) if j != i):
+            out.append(ybar)
+    return out
+
+
+def loop_domination_check(B, C, strict=False, tol=DEFAULT_TOL):
+    """``(True, None)`` or ``(False, first uncovered point)``."""
+    minimals = (loop_strict_pareto_min if strict else loop_pareto_min)(B, C,
+                                                                       tol)
+    for y in B:
+        y = as_point(y, C.dim)
+        if not any(_below(C, m, y, tol) for m in minimals):
+            return False, y
+    return True, None
 
 
 def batched_fmap_triangle(pi, fm):
@@ -639,7 +692,8 @@ def test_graph_certificates_match_loop(m):
                                 vertices=1 + trial % 3)
         for start in pi.graph[::3]:
             moved = ProductInstance(pi.graph, pi.base, start, pi.cone)
-            assert _same_pairs(_section_of_start(moved, fm),
+            section = _section_of_start(moved, fm)
+            assert _same_pairs([p for p, c in zip(moved.graph, section) if c],
                                loop_section_of_start(moved, fm))
         for xhat, yhat in pi.graph:
             for label_only in (True, False):
@@ -1026,3 +1080,167 @@ def test_graph_solves_build_the_pair_arrays_once(monkeypatch):
     calls, cert = _calls(monkeypatch, product, "pair_arrays",
                          solve_pareto_evp, pi, [1.0], 1.5, 2.0)
     assert calls == 1 and cert.all_hold()
+
+
+# ---------------------------------------------------------------------------
+# Pareto minima from one (P, P, k) array, anchored values from one product.
+# ---------------------------------------------------------------------------
+
+def _same_points(got, want):
+    return len(got) == len(want) and all(
+        np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _assert_pareto_like_loops(B, C, tol):
+    for fn, loop in ((pareto_min, loop_pareto_min),
+                     (strict_pareto_min, loop_strict_pareto_min)):
+        assert _same_points(fn(B, C, tol), loop(B, C, tol)), (B, tol)
+    for strict in (False, True):
+        ok, point = domination_check(B, C, strict, tol)
+        want_ok, want_point = loop_domination_check(B, C, strict, tol)
+        assert ok == want_ok and (point is None if want_point is None
+                                  else np.array_equal(point, want_point))
+
+
+def _scaled_rows(C, rng):
+    """C with every halfspace row scaled by 1e-3 or 1e3."""
+    A = C.halfspaces * rng.choice([1e-3, 1e3], size=(len(C.halfspaces), 1))
+    return cone(A)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_pareto_minima_match_loops(m):
+    """Random sets of 1 to 12 points, on a coarse grid (so duplicates and
+    comparable pairs are common) or spread, over orthants and random cones,
+    their rows scaled by 1e-3 and 1e3, at tol 0 and 1e-9."""
+    rng = np.random.default_rng(3100 + m)
+    outcomes = set()
+    for trial in range(60):
+        C, _ = _cone(rng, m)
+        if trial % 3 == 2:
+            C = _scaled_rows(C, rng)
+        P = 1 + trial % 12
+        B = (rng.integers(0, 3, size=(P, m)).astype(float) if trial % 2
+             else rng.normal(size=(P, m)))
+        for tol in (0.0, 1e-9):
+            _assert_pareto_like_loops(list(B), C, tol)
+            outcomes.add(domination_check(list(B), C, True, tol)[0])
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_pareto_minima_at_the_tolerance_edge(tol):
+    """Points exactly tol above and below a cone row's boundary, twins, and
+    rows scaled by 1e-3 and 1e3: the stacked test decides each pair as
+    cone_contains does."""
+    rng = np.random.default_rng(3200)
+    for C in (orthant(2), cone([[1e-3, 0.0], [0.0, 1e3]]),
+              cone([[1e3, 0.0], [0.0, 1e-3]])):
+        for edge in (tol, -tol, 2 * tol, -2 * tol):
+            B = [[0.0, 0.0], [1.0, edge], [edge, 1.0], [1.0, edge],
+                 [2.0, 2.0 + edge]]
+            _assert_pareto_like_loops(B, C, tol)
+            for _ in range(4):
+                _assert_pareto_like_loops(
+                    [B[i] for i in rng.permutation(len(B))], C, tol)
+
+
+def test_strict_pareto_min_excludes_both_twins():
+    B = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+    C = orthant(2)
+    assert _same_points(strict_pareto_min(B, C), [np.array([0.0, 1.0])])
+    assert len(pareto_min(B, C)) == 3
+    _assert_pareto_like_loops(B, C, DEFAULT_TOL)
+    ok, point = domination_check(B, C, strict=True)
+    assert not ok and np.array_equal(point, [1.0, 0.0])
+
+
+def test_pareto_minima_of_an_empty_list_raise():
+    for fn in (pareto_min, strict_pareto_min, domination_check,
+               loop_pareto_min, loop_strict_pareto_min,
+               loop_domination_check):
+        with pytest.raises(InputError, match="empty point set"):
+            fn([], orthant(2))
+
+
+def _loop_anchored(pi, xi):
+    return np.array([xi.value(y - pi.y0) for _, y in pi.graph])
+
+
+def test_anchored_values_are_the_per_pair_values():
+    """Bit for bit, for linear functionals and the cone scalarization, on
+    random products (m = 1 to 3) and a graph with values on the +inf branch;
+    the finite cone-scalarization values agree with the bisection oracle."""
+    rng = np.random.default_rng(3300)
+    base = MetricSpace(("a", "b"), [[0.0, 1.0], [1.0, 0.0]]).validate()
+    graph = (("a", [0.0, 0.0]), ("a", [1.0, 1.0]), ("b", [2.0, -1.0]),
+             ("b", [-1.0, 0.5]))
+    edge = ProductInstance(graph, base, graph[0], orthant(2))
+    cases = [(edge, GerstewitzFn(edge.cone, [1.0, 0.0]))]
+    for trial in range(24):
+        pi, fm = random_product(rng, n=4, m=1 + trial % 3,
+                                nonlinear=trial % 2 == 1)
+        cases.append((pi, fm.xi))
+    kinds = set()
+    for pi, xi in cases:
+        got = anchored_values(pi, xi)
+        assert got.tobytes() == _loop_anchored(pi, xi).tobytes()
+        kinds.add(type(xi).__name__)
+        if isinstance(xi, GerstewitzFn):
+            for (_, y), v in zip(pi.graph, got):
+                if math.isfinite(v):
+                    want = gz_bisect_oracle(xi, y - pi.y0, tol=1e-12)
+                    assert abs(v - want) <= pi.tol, (v, want)
+    assert kinds == {"LinearFunctional", "GerstewitzFn"}
+    assert np.isinf(anchored_values(edge, cases[0][1])).tolist() == [
+        False, True, False, True]
+
+
+def test_strict_graph_solves_ask_three_stacks_and_no_gz_value(monkeypatch):
+    """5.2 and 5.6 ask order_queries for the start section, the graph order
+    and their own separation conclusion only (the 5.1 conclusions are not
+    built), and 5.6 reads the cone scalarization from one stacked product,
+    with no per-pair gz_value."""
+    for seed in (950, 951, 952):
+        pi = generated_bundle(seed, n=3, m=2, values_per_point=2).product
+        H = singleton([1.0, 1.0])
+        fm = fmap_from_rate(pi.base, H, 0.4,
+                            strictly_positive_functional(H, pi.cone, pi.tol))
+        calls, cert = _calls(monkeypatch, product, "order_queries",
+                             solve_strict_minimal, pi, fm)
+        assert calls == 3 and cert.all_hold(), seed
+        calls, cert = _calls(monkeypatch, product, "order_queries",
+                             solve_minimal_point, pi, fm)
+        assert calls == 3 and cert.all_hold(), seed
+    base = MetricSpace(("a", "b"), [[0.0, 1.0], [1.0, 0.0]]).validate()
+    graph = (("a", [1.0]), ("b", [0.0]))
+    pi = ProductInstance(graph, base, graph[0], cone([[1.0]], [[1.0]]))
+    for owner, name in ((product, "order_queries"), (scalarize, "gz_value")):
+        calls, cert = _calls(monkeypatch, owner, name, solve_pareto_evp, pi,
+                             [1.0], 1.5, 2.0)
+        assert calls == (3 if name == "order_queries" else 0)
+        assert cert.all_hold()
+
+
+def test_strict_minimal_takes_the_first_strict_minimum_below():
+    """5.2's yhat is the first strict Pareto minimum of the xhat slice, in
+    list order, below the engine's value (the yhat of 5.1), as the loops
+    find it. In some cases the first one below the slice's first value is
+    another point, so the row of the engine value is the one read."""
+    other_row = 0
+    for seed in range(960, 1000):
+        pi = generated_bundle(seed, n=4, m=2, values_per_point=3 + seed % 2
+                              ).product
+        H = singleton([1.0, 1.0])
+        fm = fmap_from_rate(pi.base, H, 0.4,
+                            strictly_positive_functional(H, pi.cone, pi.tol))
+        cert = solve_strict_minimal(pi, fm)
+        engine = solve_minimal_point(pi, fm)
+        assert cert.xhat == engine.xhat and cert.trace == engine.trace
+        values = pi.slice_values(cert.xhat)
+        smin = loop_strict_pareto_min(values, pi.cone, pi.tol)
+        below = [y for y in smin if _below(pi.cone, y, engine.yhat, pi.tol)]
+        assert np.array_equal(cert.yhat, below[0]), seed
+        decoy = [y for y in smin if _below(pi.cone, y, values[0], pi.tol)]
+        other_row += not decoy or not np.array_equal(decoy[0], below[0])
+    assert other_row > 0

@@ -141,9 +141,14 @@ class TestFromMatrix:
     def test_matches_the_column_loop(self):
         import numpy as np
         rng = np.random.default_rng(31)
-        for n in (1, 2, 5, 9):
+        for n in (1, 2, 5, 9, 16, 40):
             mats = [np.zeros((n, n), dtype=bool), np.eye(n, dtype=bool)]
             mats += [rng.random((n, n)) < p for p in (0.2, 0.5, 0.9)]
+            # a transposed, non-contiguous view, and an all-false column
+            mats.append((rng.random((2 * n, n)) < 0.5).T[:, ::2])
+            assert not mats[-1].flags.c_contiguous or n == 1
+            mats.append(rng.random((n, n)) < 0.5)
+            mats[-1][:, n // 2] = False
             for labels in (tuple(f"x{i}" for i in range(n)), tuple(range(n))):
                 eta = rng.normal(size=n).tolist()
                 for rel in mats:
