@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 import time
 
@@ -310,10 +312,19 @@ def _check_assumptions(args, bundle):
 
 
 def _write_out(path, document):
-    """Write ``document`` to ``--out``, or raise InputError naming it."""
+    """Write ``document`` to ``--out``, or raise InputError naming it.
+
+    An existing file is written over in place and then cut at the written
+    end, not emptied first: on ext4, closing a file that was truncated to
+    zero length flushes it to disk, which costs more than the write. Only a
+    regular file is cut, so ``/dev/null`` and pipes take the text as they
+    did."""
+    text = json.dumps(document, indent=2).encode("utf-8")
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     except OSError as e:
         raise InputError(f"cannot write --out: {e}") from None
 

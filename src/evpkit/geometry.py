@@ -367,9 +367,11 @@ def screen_members(Y, B, S, V, nv, C: PolyhedralCone, tol=DEFAULT_TOL):
     first; padding rows of ``V`` and ``B`` must repeat an existing row, which
     leaves every any/all test unchanged. Three tests run on all queries at
     once: the cone test when the scale is at most ``tol``, the single-vertex
-    sufficient test, and the conv(V) inside C necessary filter. Only the
-    queries still undecided with two vertices then take the exact segment
-    test (:func:`_segment_members`).
+    sufficient test, and the conv(V) inside C necessary filter; each of
+    their numpy calls runs over the whole stack, one cone row and one vertex
+    at a time. Only the queries still undecided with two vertices then take
+    the exact segment test (:func:`_segment_members`), and only for them is
+    the slack of every base row, vertex and cone row built.
 
     Returns ``(decided, answer, candidates)``: ``answer`` is meaningful
     where ``decided``; ``candidates`` marks the base rows an undecided query
@@ -386,9 +388,16 @@ def screen_members(Y, B, S, V, nv, C: PolyhedralCone, tol=DEFAULT_TOL):
     AV = V @ A.T                                        # A v
     h_in = AV.min(axis=(-2, -1)) >= -tol
     SAV = S[..., None, None] * AV                       # S A v
-    # A(y - b - S v) for every base row and vertex
-    slack = rows[..., :, None, :] - SAV[..., None, :, :]
-    hit = (_over_rows(np.minimum, slack) >= -tol).any(axis=(-2, -1))
+    # min_i A(y - b - S v)_i for every base row, one vertex at a time and
+    # one cone row at a time, so that each call runs over the whole stack;
+    # fmax skips a NaN as the any over booleans does
+    best = None
+    for j in range(SAV.shape[-2]):
+        low = rows[..., 0] - SAV[..., None, j, 0]
+        for i in range(1, len(A)):
+            low = np.minimum(low, rows[..., i] - SAV[..., None, j, i])
+        best = low if best is None else np.fmax(best, low)
+    hit = _over_rows(np.fmax, best) >= -tol
     cone_only = S <= tol
     # one vertex: the single-vertex test was exact; conv(V) inside C: then
     # S*conv(V) + C lies in C, so only base rows with y - b in C can cover
@@ -400,8 +409,10 @@ def screen_members(Y, B, S, V, nv, C: PolyhedralCone, tol=DEFAULT_TOL):
     if at.size:
         shape = np.shape(segment)
         q = np.unravel_index(at, shape) if shape else ()
+        rows_q, SAV_q = _gather(rows, q, 2), _gather(SAV, q, 2)
+        # A(y - b - S v) for every base row and vertex of these queries
         settled, member = _segment_members(
-            _gather(rows, q, 2), _gather(slack, q, 3), _gather(SAV, q, 2),
+            rows_q, rows_q[..., :, None, :] - SAV_q[..., None, :, :], SAV_q,
             _gather(candidates, q, 1), tol)
         decided, hit = np.asarray(decided), np.broadcast_to(hit, shape).copy()
         np.put(decided, at, settled)

@@ -662,6 +662,12 @@ def scalar_inf(xi, values):
     return min(xi.value(v) for v in values)
 
 
+def label_infima(inst: FiniteInstance, xi):
+    """:func:`scalar_inf` of ``xi`` over f(x) of every label, in label
+    order."""
+    return [scalar_inf(xi, inst.fmap.at(x)) for x in inst.labels]
+
+
 @dataclass
 class AssumptionReport:
     """Per-hypothesis booleans with witness data.
@@ -722,16 +728,17 @@ class AssumptionReport:
 
 
 def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None,
-                      arrays=None):
+                      arrays=None, eta=None):
     """Evaluate every named hypothesis by enumeration.
 
     Lower sections are read from the order matrix ``rel`` (as built by
     :func:`relation_matrix`, which runs when it is not given; ``arrays`` as
-    :func:`order_arrays` gives them). Infima of a
-    linear functional over polytopes are taken over vertices, for every pair
-    and family index at once (:func:`vertex_minima`); the separation
-    conditions are linear-functional-only and are reported as None for
-    nonlinear scalarizations.
+    :func:`order_arrays` gives them). ``eta`` are the :func:`label_infima`,
+    computed here when not given. Infima of a linear functional over
+    polytopes are taken over vertices, for every pair and family index at
+    once (:func:`vertex_minima`); the separation conditions are
+    linear-functional-only and are reported as None for nonlinear
+    scalarizations.
     """
     tol = inst.tol
     labels = inst.labels
@@ -750,7 +757,7 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None,
             separated_uniform=None, separation_witness=None,
             notes=("start section is empty",))
 
-    eta = {x: scalar_inf(xi, inst.fmap.at(x)) for x in inst.labels}
+    eta = dict(zip(labels, label_infima(inst, xi) if eta is None else eta))
     inf_value = min(eta[x] for x in section)
     bounded = math.isfinite(inf_value)
 

@@ -30,16 +30,29 @@ from .solvers import Certificate, Conclusion, _jsonable
 # Pareto minima of a finite point set.
 # ---------------------------------------------------------------------------
 
+# _under decides blocks of whole rows up to this many point pairs at a time,
+# so that its arrays stay small at any point count
+_UNDER_PAIRS = 65536
+
+
 def _under(B, C: PolyhedralCone, tol):
     """The points of B and ``under[i, j]``: B[j] is below B[i] in the cone
-    order (``B[i] - B[j]`` in C), for all list positions from one stacked
-    product, which rounds as :func:`cone_contains` does pair by pair."""
+    order (``B[i] - B[j]`` in C), for all list positions from stacked
+    products, which round as :func:`cone_contains` does pair by pair. The
+    rows are decided in blocks of at most ``_UNDER_PAIRS`` pairs, and at
+    least one row."""
     B = [as_point(y, C.dim) for y in B]
     if not B:
         raise InputError("empty point set")
     Y = np.array(B)
-    D = Y[:, None, :] - Y[None, :, :]
-    return B, np.all((C.halfspaces @ D[..., None])[..., 0] >= -tol, axis=-1)
+    P = len(Y)
+    step = max(1, _UNDER_PAIRS // P)
+    under = np.empty((P, P), dtype=bool)
+    for start in range(0, P, step):
+        D = Y[start:start + step, None, :] - Y[None, :, :]
+        under[start:start + step] = np.all(
+            (C.halfspaces @ D[..., None])[..., 0] >= -tol, axis=-1)
+    return B, under
 
 
 def _minimal(under, strict):

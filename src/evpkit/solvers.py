@@ -37,10 +37,11 @@ from .instances import (FiniteInstance, OpenPolytopeFamily, PolytopeDirection,
                         QuasiMetric, QuasiMetricDirection, SingletonDirection,
                         check_assumptions, check_positive,
                         d_bounded_certificate,
-                        eps_h_efficient, order_arrays, order_queries, preceq,
-                        relation_matrix, scalar_inf, ti_check)
-# bench/spans.py traces per-call memberships under this name here
-from .instances import minkowski_member  # noqa: F401
+                        eps_h_efficient, label_infima, order_arrays,
+                        order_queries, relation_matrix, ti_check)
+# bench/spans.py traces per-call memberships and order tests under these
+# names here
+from .instances import minkowski_member, preceq  # noqa: F401
 from .scalarize import GerstewitzFn, ShiftedGerstewitz
 
 
@@ -119,11 +120,13 @@ def _jsonable(value):
 # Shared machinery.
 # ---------------------------------------------------------------------------
 
-def build_preorder(inst, fam, xi, arrays=None):
+def build_preorder(inst, fam, xi, arrays=None, eta=None):
     """Engine oracle plus the boolean order matrix (rel[i, j]: label i
-    precedes label j) for an instance, family, and scalarization."""
+    precedes label j) for an instance, family, and scalarization; ``eta``
+    are the :func:`label_infima`, computed here when not given."""
     rel = relation_matrix(inst, fam, arrays)
-    eta = [scalar_inf(xi, inst.fmap.at(x)) for x in inst.labels]
+    if eta is None:
+        eta = label_infima(inst, xi)
     return eng.PreorderOracle.from_matrix(inst.labels, rel, eta), rel
 
 
@@ -132,32 +135,41 @@ def _solve_order(inst, fam, xi, x0, mode):
     the two order conclusions, shared by all solvers.
 
     Returns ``(xhat, conclusions, report, trace)``. The
-    :func:`order_arrays` are built once here for every order test of the
-    solve."""
+    :func:`order_arrays` and the :func:`label_infima` are computed once here
+    for every order test and hypothesis of the solve."""
     arrays = order_arrays(inst, fam)
     ok, witness = ti_check(inst, fam, arrays)
     if not ok:
         raise HypothesisError("triangle_inclusion",
                               "the perturbation family fails the triangle "
                               "inclusion property", witness={"triple": witness})
-    oracle, rel = build_preorder(inst, fam, xi, arrays)
+    eta = label_infima(inst, xi)
+    oracle, rel = build_preorder(inst, fam, xi, arrays, eta)
     if not oracle.section(x0):
         raise HypothesisError("nonempty_start",
                               f"the lower section of {x0!r} is empty")
-    report = check_assumptions(inst, fam, xi, x0, rel, arrays)
+    report = check_assumptions(inst, fam, xi, x0, rel, arrays, eta)
     if not report.solvable():
         raise HypothesisError(report.failed_name(),
                               "assumption gate failed",
                               witness=report.to_dict())
     xhat, trace = eng.solve(oracle, x0, mode)
-    conclusions = [_conclusion_order(inst, fam, xhat, x0),
+    conclusions = [_conclusion_order(inst, fam, xhat, x0, arrays=arrays),
                    _conclusion_strict(inst, fam, xhat, arrays=arrays)]
     return xhat, conclusions, report, trace
 
 
-def _conclusion_order(inst, fam, xhat, x0, name="a"):
-    holds = preceq(inst, fam, xhat, x0)
-    return Conclusion(name, holds, {"dominates": x0, "dominated_by": xhat})
+def _conclusion_order(inst, fam, xhat, x0, name="a", arrays=None):
+    """xhat precedes x0, asked as one :func:`order_queries` stack of the
+    pair (xhat, x0) as :func:`preceq` decides it; ``arrays`` are the
+    :func:`order_arrays`, built here when not given."""
+    if arrays is None:
+        arrays = order_arrays(inst, fam)
+    index = inst.space.index
+    first, _, _ = order_queries(inst, arrays, np.array([index(xhat)]),
+                                np.array([index(x0)]), witness=False)
+    return Conclusion(name, bool(first[0] < 0),
+                      {"dominates": x0, "dominated_by": xhat})
 
 
 def _conclusion_strict(inst, fam, xhat, name="b", arrays=None):

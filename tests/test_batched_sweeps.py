@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from evpkit import geometry, instances, product, scalarize
+from evpkit import geometry, instances, product, scalarize, solvers
 from evpkit.errors import HypothesisError, InputError, PremiseError
 from evpkit.geometry import (DEFAULT_TOL, LinearFunctional, Polytope,
                              as_point, cone, cone_contains, first_uncovered,
@@ -39,9 +39,12 @@ from evpkit.product import (FMap, ProductInstance, _graph_oracle,
                             solve_strict_minimal, strict_pareto_min,
                             validate_fmap, zeta)
 from evpkit.scalarize import GerstewitzFn, gz_bisect_oracle
-from evpkit.solvers import Conclusion, _conclusion_strict, _pointwise_premise
+from evpkit.solvers import (Conclusion, _conclusion_order, _conclusion_strict,
+                            _pointwise_premise, solve_evp_general,
+                            solve_evp_quasimetric, solve_evp_set_direction)
 
-from conftest import generated_bundle, random_cone, sample_cone_member
+from conftest import (direction_polytope, generated_bundle, random_cone,
+                      sample_cone_member)
 
 KINDS = ("singleton", "polytope", "open_polytope", "quasimetric",
          "extensional")
@@ -1062,6 +1065,65 @@ def test_extensional_search_matches_slab_search_and_loop(monkeypatch, m):
     assert failing >= 6 and lps["got"] > 0, (failing, lps)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_conclusion_order_matches_preceq(m):
+    """Conclusion (a) from one order_queries stack decides every ordered
+    label pair of random instances of each family kind as preceq does, on
+    pairs where the first label precedes the second and on pairs where it
+    does not."""
+    rng = np.random.default_rng(1500 + m)
+    outcomes = set()
+    for trial, kind in enumerate(KINDS * 2):
+        inst, fam, _ = random_instance(rng, n=4, m=m, kind=kind,
+                                       metric=trial % 3 != 2,
+                                       ragged=trial % 2 == 0)
+        for xhat in inst.labels:
+            for x0 in inst.labels:
+                got = _conclusion_order(inst, fam, xhat, x0)
+                want = preceq(inst, fam, xhat, x0)
+                assert got == Conclusion("a", want, {
+                    "dominates": x0, "dominated_by": xhat}), (kind, xhat, x0)
+                outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def _label_order_solve(name, seed):
+    """A certificate and its bundle: 3.1 on an extensional, polytope or
+    quasi-metric instance, 4.1 and 4.2 on a polytope one, 4.4 on a
+    quasi-metric one."""
+    theorem, _, variant = name.partition(" ")
+    b = generated_bundle(seed, n=5, m=2, variant=variant)
+    inst, x0 = b.instance, b.params.x0
+    if theorem == "3.1":
+        xi = strictly_positive_functional(direction_polytope(b), inst.cone,
+                                          b.tol)
+        return solve_evp_general(inst, b.family, xi, x0), b
+    if theorem == "4.4":
+        return solve_evp_quasimetric(inst, b.family.H, b.family.p, x0), b
+    H = Polytope(b.raw["perturbation"]["vertices"])
+    return solve_evp_set_direction(inst, H, b.params.gamma, x0,
+                                   open_family=theorem == "4.1"), b
+
+
+@pytest.mark.parametrize("name", ["3.1 extensional", "3.1 polytope",
+                                  "3.1 quasimetric", "4.1 polytope",
+                                  "4.2 polytope", "4.4 quasimetric"])
+def test_label_order_solves_ask_no_single_membership(monkeypatch, name):
+    """A label-order solve asks every order test as a stack, conclusion (a)
+    included, so it makes no minkowski_member call, and it takes the scalar
+    infimum of each label once."""
+    def single(*args, **kwargs):
+        raise AssertionError("minkowski_member called")
+
+    for owner in (geometry, instances, solvers):
+        monkeypatch.setattr(owner, "minkowski_member", single)
+    for seed in (1600, 1601, 1602):
+        calls, (cert, bundle) = _calls(monkeypatch, instances, "scalar_inf",
+                                       _label_order_solve, name, seed)
+        assert cert.all_hold(), (name, seed)
+        assert calls == len(bundle.instance.labels), (name, seed, calls)
+
+
 def test_graph_solves_build_the_pair_arrays_once(monkeypatch):
     """A graph solve builds the pair map's arrays once, after the dimension
     check, and hands them to the triangle sweep and every order test."""
@@ -1143,6 +1205,22 @@ def test_pareto_minima_at_the_tolerance_edge(tol):
             for _ in range(4):
                 _assert_pareto_like_loops(
                     [B[i] for i in rng.permutation(len(B))], C, tol)
+
+
+@pytest.mark.parametrize("budget", [1, 5, 64])
+def test_pareto_minima_in_row_blocks_match_loops(monkeypatch, budget):
+    """With a pair budget of 1, 5 or 64, the below matrix is built in
+    blocks of one row, of fewer rows than the points and of whole rows with
+    a short last block; the minima are the loops'."""
+    monkeypatch.setattr(product, "_UNDER_PAIRS", budget)
+    rng = np.random.default_rng(3200 + budget)
+    for trial in range(12):
+        m = 1 + trial % 3
+        C, _ = _cone(rng, m)
+        P = 3 + 2 * trial
+        B = (rng.integers(0, 3, size=(P, m)).astype(float) if trial % 2
+             else rng.normal(size=(P, m)))
+        _assert_pareto_like_loops(list(B), C, 1e-9)
 
 
 def test_strict_pareto_min_excludes_both_twins():

@@ -470,6 +470,37 @@ class TestCli:
         assert out in reports[0].payload["error"]
         assert not os.path.exists(out)
 
+    def test_out_over_a_longer_file_keeps_no_tail(self, tmp_path):
+        """Both --out writers write over an existing, longer file in place
+        and cut it at the new end: the report block parses and holds one
+        report, and the emitted instance has the bytes of a fresh file."""
+        out, fresh = tmp_path / "out.json", tmp_path / "fresh.json"
+        for command in (["solve-evp", "--theorem", "3.1"], ["validate"]):
+            out.write_text("{" + " " * 50000 + "}\n")
+            code, _ = run_command(command + [fixture_path("two_point.json"),
+                                             "--out", str(out)])
+            assert code == 0
+            assert len(json.loads(out.read_text())["reports"]) == 1
+        out.write_text("x" * 50000)
+        for path in (out, fresh):
+            code, _ = run_command(["generate", "--seed", "1", "--n", "2",
+                                   "--out", str(path)])
+            assert code == 0
+        assert out.read_bytes() == fresh.read_bytes()
+        load_validate(str(out))
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull),
+                        reason="no null device")
+    def test_out_to_the_null_device(self):
+        """A target that is not a regular file takes the text uncut."""
+        code, reports = run_command(["validate",
+                                     fixture_path("two_point.json"),
+                                     "--out", os.devnull])
+        assert code == 0 and [r.status for r in reports] == ["ok"]
+        code, _ = run_command(["generate", "--seed", "1", "--out",
+                               os.devnull])
+        assert code == 0
+
     def test_builtin_writes_and_probes(self, tmp_path):
         out = tmp_path / "ex41.json"
         code, reports = run_command(["builtin", "--name", "example41",

@@ -12,15 +12,18 @@ as in ``minkowski_member``.
 
 ``loop_screen``, the screen as it was when it ran one stacked product and
 the segment test on every query of a stack, must give the same three arrays
-bit for bit on any stack, broadcast or not.
+bit for bit on the stacks below, broadcast or not. ``slack_screen``, the
+screen as it was before it ran one cone row at a time, must give them on
+any stack, the tolerance edge included.
 """
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from evpkit.geometry import (_SEGMENT_MARGIN, _feas_tol, _over_rows,
-                             lp_member, orthant, screen_members)
+from evpkit.geometry import (_SEGMENT_MARGIN, _feas_tol, _gather,
+                             _over_rows, _segment_members, lp_member,
+                             orthant, screen_members)
 
 from conftest import random_cone, sample_cone_member
 
@@ -230,10 +233,54 @@ def loop_segment(rows, slack, SAV, candidates, tol):
     return member | ~widened, member
 
 
-def same_screen(Y, B, S, V, nv, C):
-    """The screen's arrays, after checking them against ``loop_screen``."""
+# ---------------------------------------------------------------------------
+# The screen against its form before it ran over one cone row at a time: one
+# 2-D product for A(y - b), then the whole (..., nb, J, k) slack array,
+# reduced over its cone rows and then over base rows and vertices (kept
+# verbatim). Its 2-D product can round a row of A(y - b) one unit apart from
+# the stacked product of ``loop_screen``, so at the tolerance edge only this
+# form is the screen bit for bit.
+# ---------------------------------------------------------------------------
+
+def slack_screen(Y, B, S, V, nv, C, tol):
+    A = C.halfspaces
+    D = Y[..., None, :] - B
+    # A(y - b) as one 2-D product, sized by len(A): -1 fails on empty stacks
+    rows = (D.reshape(-1, D.shape[-1]) @ A.T).reshape(*D.shape[:-1], len(A))
+    in_cone = _over_rows(np.minimum, rows) >= -tol
+    found = in_cone.any(axis=-1)
+    if V is None:
+        return np.ones(found.shape, dtype=bool), found, in_cone
+    AV = V @ A.T                                        # A v
+    h_in = AV.min(axis=(-2, -1)) >= -tol
+    SAV = S[..., None, None] * AV                       # S A v
+    # A(y - b - S v) for every base row and vertex
+    slack = rows[..., :, None, :] - SAV[..., None, :, :]
+    hit = (_over_rows(np.minimum, slack) >= -tol).any(axis=(-2, -1))
+    cone_only = S <= tol
+    # one vertex: the single-vertex test was exact; conv(V) inside C: then
+    # S*conv(V) + C lies in C, so only base rows with y - b in C can cover
+    rejected = (nv == 1) | (h_in & ~found)
+    decided = cone_only | hit | rejected
+    candidates = in_cone | ~h_in[..., None]
+    segment = ~decided & (nv == 2)
+    at = np.flatnonzero(segment)
+    if at.size:
+        shape = np.shape(segment)
+        q = np.unravel_index(at, shape) if shape else ()
+        settled, member = _segment_members(
+            _gather(rows, q, 2), _gather(slack, q, 3), _gather(SAV, q, 2),
+            _gather(candidates, q, 1), tol)
+        decided, hit = np.asarray(decided), np.broadcast_to(hit, shape).copy()
+        np.put(decided, at, settled)
+        np.put(hit, at, member)
+    return decided, np.where(cone_only, found, hit), candidates
+
+
+def same_screen(Y, B, S, V, nv, C, reference=loop_screen):
+    """The screen's arrays, after checking them against ``reference``."""
     got = screen_members(Y, B, S, V, nv, C, TOL)
-    want = loop_screen(Y, B, S, V, nv, C, TOL)
+    want = reference(Y, B, S, V, nv, C, TOL)
     for name, g, w in zip(("decided", "answer", "candidates"), got, want):
         assert np.shape(g) == np.shape(w), name
         assert np.array_equal(g, w), name
@@ -351,3 +398,84 @@ def test_screen_matches_loop_screen_on_one_query_and_an_empty_stack():
         np.zeros((0, 3, 2)), np.zeros(0, dtype=int), C)
     assert decided.shape == answer.shape == (0,)
     assert candidates.shape == (0, 3)
+
+
+def _ragged_stack(rng, C, k0, Q, nb, J):
+    """Q queries with ``nb`` base rows and ``J`` vertices each, of which 1
+    to nb and 1 to J are real (the rest repeat the last real one); each
+    point sits on a facet through a point of s conv(V) of one of its base
+    rows, nudged by -2..2 tol off it, and a fifth of the queries have a
+    vertex outside C."""
+    A, m = C.halfspaces, C.dim
+    Y, B, S, V = (np.empty((Q, m)), np.empty((Q, nb, m)), np.empty(Q),
+                  np.empty((Q, J, m)))
+    nv = rng.integers(1, J + 1, size=Q)
+    for q in range(Q):
+        rows = int(rng.integers(1, nb + 1))
+        B[q] = _pad(rng.normal(size=(rows, m)), nb)
+        real = np.array([sample_cone_member(rng, C, k0)
+                         for _ in range(nv[q])])
+        if q % 5 == 4:
+            real[-1] = -0.3 * k0
+        V[q] = _pad(real, J)
+        S[q] = SCALES[q % 8] if q % 8 < 4 else rng.uniform(0.1, 2.0)
+        i = int(rng.integers(len(A)))
+        a = A[i] / (A[i] @ A[i])
+        z = sample_cone_member(rng, C, k0) if q % 2 else np.zeros(m)
+        Y[q] = (B[q, int(rng.integers(rows))] + S[q] * (
+            rng.dirichlet(np.ones(nv[q])) @ real) + z - (A[i] @ z) * a
+            + rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0]) * TOL * a)
+    return Y, B, S, V, nv
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("orthant_cone", [True, False])
+def test_screen_matches_loop_screen_over_base_rows_and_vertices(
+        m, orthant_cone):
+    """Every base row count nb = 1 to 4 with every vertex count J = 1 to 3,
+    the real vertex counts mixed within a stack: the screen's reductions
+    over cone rows, vertices and base rows give the arrays of
+    ``slack_screen``, at the tolerance edge too."""
+    rng = np.random.default_rng(700 + 10 * m + orthant_cone)
+    C, k0 = _cone(rng, m, orthant_cone)
+    answers = set()
+    for nb in (1, 2, 3, 4):
+        for J in (1, 2, 3):
+            Y, B, S, V, nv = _ragged_stack(rng, C, k0, 40, nb, J)
+            decided, answer, _ = same_screen(Y, B, S, V, nv, C, slack_screen)
+            answers.update(answer[decided].tolist())
+            # one base and one polytope shared by the stack, broadcast
+            same_screen(Y, B[0], S, V[0], nv[0], C, slack_screen)
+    assert answers == {True, False}
+
+
+def test_screen_matches_loop_screen_on_a_relation_matrix_block():
+    """A stack of ``relation_matrix``'s block size: 1024 queries over four
+    base rows and up to three vertices each."""
+    rng = np.random.default_rng(733)
+    for m, orthant_cone in ((2, True), (3, False)):
+        C, k0 = _cone(rng, m, orthant_cone)
+        Y, B, S, V, nv = _ragged_stack(rng, C, k0, 1024, 4, 3)
+        decided, answer, _ = same_screen(Y, B, S, V, nv, C, slack_screen)
+        assert answer[decided].any() and not answer[decided].all()
+        assert not decided.all()
+
+
+def test_screen_reads_a_nan_row_as_any_does():
+    """A base row or a vertex whose products overflow to NaN is not a hit,
+    and it leaves the hit of another row or vertex standing, as the
+    boolean any of ``slack_screen`` does."""
+    C = orthant(2)
+    huge = np.finfo(float).max
+    Y = np.array([[huge, 1.0], [huge, 1.0], [1.0, 1.0], [1.0, 1.0]])
+    # (y - b) overflows to (inf, 0) on the first base row: A(y - b) has NaN
+    B = np.array([[[-huge, 0.0], [huge, 0.0]], [[huge, 0.0], [-huge, 0.0]],
+                  [[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
+    # a vertex with an infinite coordinate gives A v with NaN
+    V = np.array([[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]],
+                  [[np.inf, 0.0], [0.5, 0.5]], [[0.5, 0.5], [np.inf, 0.0]]])
+    S = np.full(4, 0.5)
+    nv = np.full(4, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        decided, answer, _ = same_screen(Y, B, S, V, nv, C, slack_screen)
+    assert decided.all() and answer.all()
