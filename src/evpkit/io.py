@@ -188,6 +188,11 @@ def _build_family(spec, space, cone_, tol):
         if "lambdas" not in spec or "table" not in spec:
             raise InputError("perturbation.lambdas and perturbation.table "
                              "are required for 'extensional'")
+        unlisted = [lam for lam in spec["table"]
+                    if lam not in spec["lambdas"]]
+        if unlisted:
+            raise InputError(f"perturbation.table index {unlisted[0]!r} is "
+                             "not listed in perturbation.lambdas")
         table = {}
         for lam in spec["lambdas"]:
             rows = spec["table"].get(lam)
@@ -244,7 +249,8 @@ def load_validate(source):
     params = EvpParams(
         x0=params_spec["x0"], epsilon=params_spec.get("epsilon"),
         lam=params_spec.get("lambda"), gamma=params_spec.get("gamma"),
-        tolerance=params_spec.get("tolerance", default_tolerance()))
+        tolerance=(params_spec["tolerance"] if "tolerance" in params_spec
+                   else default_tolerance()))
     tol = params.tolerance
 
     cone_ = PolyhedralCone(data["cone"]["halfspaces"],
@@ -296,6 +302,8 @@ def generate(seed, n=4, m=2, values_per_point=2, variant="singleton",
     """
     if n < 1 or m < 1 or values_per_point < 1:
         raise InputError("n, m and values_per_point must be at least 1")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     if variant not in VARIANTS:
         raise InputError(f"unknown variant {variant!r} (choose from {VARIANTS})")
     rng = np.random.default_rng(seed)

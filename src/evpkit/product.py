@@ -340,16 +340,14 @@ def anchored_values(pi, xi):
     return xi.from_products((xi.cone.halfspaces @ D[..., None])[..., 0])
 
 
-def _graph_oracle(pi, fm, arrays=None, eta=None):
+def _graph_oracle(pi, arrays, eta):
     """Engine oracle over graph pair indices under the strict order.
 
     ``rel[i, j]`` is :func:`prec_fstar` of pairs i and j: ``eta`` is the
-    :func:`anchored_values` array (computed when None), and coverage is
-    asked only for the pairs with a strict drop, all in one
-    :func:`order_queries` stack over the :func:`graph_arrays` ``arrays``.
+    :func:`anchored_values` array, and coverage is asked only for the pairs
+    with a strict drop, all in one :func:`order_queries` stack over the
+    :func:`graph_arrays` ``arrays``.
     """
-    arrays = arrays or graph_arrays(pi, fm)
-    eta = anchored_values(pi, fm.xi) if eta is None else eta
     n = len(pi.graph)
     rel = np.eye(n, dtype=bool)
     # prec_f looks at the scale of every other pair, strict drop or not
@@ -366,19 +364,13 @@ def _pair_index(pi, x, y):
     return [(xl, tuple(yl)) for xl, yl in pi.graph].index((x, tuple(y)))
 
 
-def _preceding(pi, fm, arrays, others, j):
-    """:func:`prec_f` of the graph pairs at positions ``others`` against
-    pair j, one :func:`order_queries` stack (``arrays`` built when None)."""
-    arrays = arrays or graph_arrays(pi, fm)
-    first, _, _ = order_queries(pi, arrays, others, np.full(len(others), j))
-    return first < 0
-
-
-def _section_of_start(pi, fm, arrays=None, start=None):
+def _section_of_start(pi, arrays, start):
     """Mask of the graph pairs that precede the start pair, at position
-    ``start`` (looked up when None)."""
-    start = _pair_index(pi, *pi.start) if start is None else start
-    return _preceding(pi, fm, arrays, np.arange(len(pi.graph)), start)
+    ``start``: :func:`prec_f` of every pair against it, one
+    :func:`order_queries` stack over the :func:`graph_arrays` ``arrays``."""
+    n = len(pi.graph)
+    first, _, _ = order_queries(pi, arrays, np.arange(n), np.full(n, start))
+    return first < 0
 
 
 def solve_minimal_point(pi: ProductInstance, fm: FMap, mode="greedy"):
@@ -389,13 +381,10 @@ def solve_minimal_point(pi: ProductInstance, fm: FMap, mode="greedy"):
     start = _pair_index(pi, *pi.start)
     ihat, trace, assumptions = _minimal_point(
         pi, fm, mode, checks, arrays, start,
-        _section_of_start(pi, fm, arrays, start))
+        _section_of_start(pi, arrays, start))
     xhat, yhat = pi.graph[ihat]
-    conclusions = [
-        _coverage_conclusion(pi, fm, xhat, yhat, name="a"),
-        _separation_conclusion(pi, fm, xhat, yhat, exclude_label_only=True,
-                               name="b", arrays=arrays, ihat=ihat),
-    ]
+    conclusions = _graph_conclusions(pi, arrays, ihat, start,
+                                     exclude_label_only=True)
     return Certificate("5.1", xhat, conclusions, assumptions, trace,
                        yhat=yhat)
 
@@ -409,7 +398,7 @@ def _minimal_point(pi, fm, mode, checks, arrays, start, section):
     if not math.isfinite(inf_val):
         raise HypothesisError("bounded",
                               "scalarization unbounded on the start section")
-    oracle, _ = _graph_oracle(pi, fm, arrays, eta)
+    oracle, _ = _graph_oracle(pi, arrays, eta)
     ihat, trace = eng.solve(oracle, start, mode)
     assumptions = dict(checks)
     assumptions["scalar_inf_on_start_section"] = inf_val
@@ -417,26 +406,24 @@ def _minimal_point(pi, fm, mode, checks, arrays, start, section):
     return ihat, trace, assumptions
 
 
-def _coverage_conclusion(pi, fm, xhat, yhat, name):
-    scale, H = fm.value_set(xhat, pi.x0)
-    holds = minkowski_member(pi.y0, [yhat], scale, H, pi.cone, pi.tol)
-    return Conclusion(name, holds, {"start_value": pi.y0, "yhat": yhat})
-
-
-def _separation_conclusion(pi, fm, xhat, yhat, exclude_label_only, name,
-                           arrays=None, ihat=None):
-    """No other pair pulls yhat down: for label-only exclusion the quantifier
-    skips the whole xhat slice, otherwise only the pair itself, at position
-    ``ihat`` (looked up when None). All the other pairs are tested in one
-    stack."""
-    ihat = _pair_index(pi, xhat, yhat) if ihat is None else ihat
+def _graph_conclusions(pi, arrays, ihat, start, exclude_label_only):
+    """Conclusions (a) and (b) for the terminal pair at position ``ihat``
+    from one :func:`order_queries` stack over the :func:`graph_arrays`
+    ``arrays``: its first pair asks whether pair ihat covers the start pair
+    at position ``start``, and the others whether each other pair precedes
+    pair ihat, a violation of (b). For label-only exclusion the quantifier
+    skips the whole xhat slice, otherwise only the pair itself."""
+    xhat, yhat = pi.graph[ihat]
     others = np.array([p for p, (x, _) in enumerate(pi.graph)
                        if (x != xhat if exclude_label_only else p != ihat)],
                       dtype=int)
-    covered = _preceding(pi, fm, arrays, others, ihat)
+    first, _, _ = order_queries(pi, arrays, np.append(ihat, others),
+                                np.append(start, np.full(len(others), ihat)))
     violations = [{"x": pi.graph[p][0], "y": pi.graph[p][1]}
-                  for p, c in zip(others, covered) if c]
-    return Conclusion(name, not violations, {"violations": violations})
+                  for p, q in zip(others, first[1:]) if q < 0]
+    return [Conclusion("a", bool(first[0] < 0),
+                       {"start_value": pi.y0, "yhat": yhat}),
+            Conclusion("b", not violations, {"violations": violations})]
 
 
 def solve_strict_minimal(pi: ProductInstance, fm: FMap, mode="greedy"):
@@ -446,7 +433,7 @@ def solve_strict_minimal(pi: ProductInstance, fm: FMap, mode="greedy"):
     section touches, checked after the pair map."""
     checks, arrays = _validated(pi, fm)
     start = _pair_index(pi, *pi.start)
-    section = _section_of_start(pi, fm, arrays, start)
+    section = _section_of_start(pi, arrays, start)
     slice_report = {}
     for x in sorted({pi.graph[p][0] for p in np.flatnonzero(section)},
                     key=str):
@@ -474,12 +461,12 @@ def solve_strict_minimal(pi: ProductInstance, fm: FMap, mode="greedy"):
             "engine value")
     ihat = at[below[0]]
     yhat = pi.graph[ihat][1]
-    cover = _coverage_conclusion(pi, fm, xhat, yhat, name="a")
+    cover, separation = _graph_conclusions(pi, arrays, ihat, start,
+                                           exclude_label_only=False)
     conclusions = [
-        Conclusion("a", cover.holds, {"start_value": pi.y0, "yhat": yhat,
+        Conclusion("a", cover.holds, {**cover.witness,
                                       "slice_strict_minimum": True}),
-        _separation_conclusion(pi, fm, xhat, yhat, exclude_label_only=False,
-                               name="b", arrays=arrays, ihat=ihat),
+        separation,
     ]
     assumptions["slice_strict_domination"] = slice_report
     return Certificate("5.2", xhat, conclusions, assumptions, trace,

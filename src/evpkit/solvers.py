@@ -154,49 +154,37 @@ def _solve_order(inst, fam, xi, x0, mode):
                               "assumption gate failed",
                               witness=report.to_dict())
     xhat, trace = eng.solve(oracle, x0, mode)
-    conclusions = [_conclusion_order(inst, fam, xhat, x0, arrays=arrays),
-                   _conclusion_strict(inst, fam, xhat, arrays=arrays)]
-    return xhat, conclusions, report, trace
+    return xhat, _order_conclusions(inst, fam, arrays, xhat, x0), report, trace
 
 
-def _conclusion_order(inst, fam, xhat, x0, name="a", arrays=None):
-    """xhat precedes x0, asked as one :func:`order_queries` stack of the
-    pair (xhat, x0) as :func:`preceq` decides it; ``arrays`` are the
-    :func:`order_arrays`, built here when not given."""
-    if arrays is None:
-        arrays = order_arrays(inst, fam)
-    index = inst.space.index
-    first, _, _ = order_queries(inst, arrays, np.array([index(xhat)]),
-                                np.array([index(x0)]), witness=False)
-    return Conclusion(name, bool(first[0] < 0),
-                      {"dominates": x0, "dominated_by": xhat})
+def _order_conclusions(inst, fam, arrays, xhat, x0):
+    """Conclusions (a) and (b) from one :func:`order_queries` stack on the
+    :func:`order_arrays` ``arrays``: its first pair asks whether xhat
+    precedes x0, as :func:`preceq` decides it, and the others whether each
+    other label x precedes xhat.
 
-
-def _conclusion_strict(inst, fam, xhat, name="b", arrays=None):
-    """For every other label some family member separates it from xhat.
-
-    One :func:`order_queries` stack asks whether each other label x
-    precedes xhat. The first uncovered (family set, value of xhat) query of
-    x is its separation witness; an x with none is a violation. ``arrays``
-    are the :func:`order_arrays`, built here when not given.
+    (b) holds when some family member separates every x from xhat: the
+    first uncovered (family set, value of xhat) query of x is its
+    separation witness, and an x with none is a violation.
     """
     labels, lams = inst.labels, fam.lambdas()
     j = inst.space.index(xhat)
     others = np.delete(np.arange(len(labels)), j)
-    if arrays is None:
-        arrays = order_arrays(inst, fam)
-    first, lam, row = order_queries(inst, arrays, others,
-                                    np.full(len(others), j))
+    first, lam, row = order_queries(
+        inst, arrays, np.append(j, others),
+        np.append(inst.space.index(x0), np.full(len(others), j)))
     failures = []
     witnesses = []
-    for x, q in zip(others, first):
+    for x, q in zip(others, first[1:]):
         if q < 0:
             failures.append(labels[x])
         else:
             witnesses.append({"x": labels[x], "index": lams[lam[q]],
                               "value_row": int(row[q])})
-    return Conclusion(name, not failures,
-                      {"violations": failures, "separations": witnesses})
+    return [Conclusion("a", bool(first[0] < 0),
+                       {"dominates": x0, "dominated_by": xhat}),
+            Conclusion("b", not failures,
+                       {"violations": failures, "separations": witnesses})]
 
 
 def _distance_conclusion(inst, x0, xhat, bound, strict, tol, name="c"):

@@ -2,10 +2,10 @@
 
 ``relation_matrix``, ``ti_check``, the triangle sweep of
 ``validate_fmap`` and the graph order of ``_graph_oracle`` screen whole
-stacks of membership queries at once, and so do the certificate
-conclusions (``_conclusion_strict``, ``_section_of_start``,
-``_separation_conclusion``), the premises and the separation checks of the
-hypothesis gate. The loops below ask the same questions one
+stacks of membership queries at once, and so do the start section
+(``_section_of_start``), the certificate conclusions of each solve
+(``_order_conclusions``, ``_graph_conclusions``), the premises and the
+separation checks of the hypothesis gate. The loops below ask the same questions one
 ``minkowski_member`` call (or one vertex minimum) at a time, in the same
 order; the batched code must return the same matrices, witnesses and
 conclusions, and must never run more phase-1 LPs than the loops.
@@ -28,18 +28,19 @@ from evpkit.instances import (ExtensionalFamily, FiniteInstance, MetricSpace,
                               QuasiMetric, QuasiMetricDirection, SetValuedMap,
                               SingletonDirection, _pairwise_separation,
                               _uniform_separation, eps_h_efficient,
-                              family_arrays, preceq,
+                              family_arrays, order_arrays, preceq,
                               relation_matrix, settled_triples, ti_check,
                               triangle_failure, vertex_minima)
-from evpkit.product import (FMap, ProductInstance, _graph_oracle,
-                            _section_of_start, _separation_conclusion,
+from evpkit.product import (FMap, ProductInstance, _graph_conclusions,
+                            _graph_oracle, _pair_index, _section_of_start,
                             anchored_values, domination_check,
-                            fmap_from_rate, pair_arrays, pareto_min, prec_f,
+                            fmap_from_rate, graph_arrays, pair_arrays,
+                            pareto_min, prec_f,
                             prec_fstar, solve_minimal_point, solve_pareto_evp,
                             solve_strict_minimal, strict_pareto_min,
                             validate_fmap, zeta)
 from evpkit.scalarize import GerstewitzFn, gz_bisect_oracle
-from evpkit.solvers import (Conclusion, _conclusion_order, _conclusion_strict,
+from evpkit.solvers import (Conclusion, _order_conclusions,
                             _pointwise_premise, solve_evp_general,
                             solve_evp_quasimetric, solve_evp_set_direction)
 
@@ -219,6 +220,12 @@ def loop_conclusion_strict(inst, fam, xhat, name="b"):
                       {"violations": failures, "separations": witnesses})
 
 
+def loop_coverage_conclusion(pi, fm, xhat, yhat):
+    """(xhat, yhat) covers the start pair."""
+    return Conclusion("a", prec_f(pi, fm, (xhat, yhat), pi.start),
+                      {"start_value": pi.y0, "yhat": yhat})
+
+
 def loop_section_of_start(pi, fm):
     return [p for p in pi.graph if prec_f(pi, fm, p, pi.start)]
 
@@ -238,6 +245,42 @@ def loop_separation_conclusion(pi, fm, xhat, yhat, exclude_label_only, name):
         if minkowski_member(yhat, [y], scale, H, pi.cone, pi.tol):
             violations.append({"x": x, "y": y})
     return Conclusion(name, not violations, {"violations": violations})
+
+
+def graph_order(pi, fm):
+    """``_graph_oracle`` on the arrays a graph solve hands it."""
+    return _graph_oracle(pi, graph_arrays(pi, fm), anchored_values(pi, fm.xi))
+
+
+def section_of_start(pi, fm):
+    return _section_of_start(pi, graph_arrays(pi, fm),
+                             _pair_index(pi, *pi.start))
+
+
+def graph_conclusions(pi, fm, xhat, yhat, exclude_label_only):
+    """``_graph_conclusions`` of the pair (xhat, yhat), as dicts."""
+    return [c.to_dict() for c in _graph_conclusions(
+        pi, graph_arrays(pi, fm), _pair_index(pi, xhat, yhat),
+        _pair_index(pi, *pi.start), exclude_label_only)]
+
+
+def loop_graph_conclusions(pi, fm, xhat, yhat, exclude_label_only):
+    return [loop_coverage_conclusion(pi, fm, xhat, yhat).to_dict(),
+            loop_separation_conclusion(pi, fm, xhat, yhat,
+                                       exclude_label_only, "b").to_dict()]
+
+
+def order_conclusions(inst, fam, xhat, x0):
+    """``_order_conclusions`` on the arrays a label solve hands it, as
+    dicts."""
+    return [c.to_dict() for c in _order_conclusions(
+        inst, fam, order_arrays(inst, fam), xhat, x0)]
+
+
+def loop_order_conclusions(inst, fam, xhat, x0):
+    return [Conclusion("a", preceq(inst, fam, xhat, x0),
+                       {"dominates": x0, "dominated_by": xhat}).to_dict(),
+            loop_conclusion_strict(inst, fam, xhat).to_dict()]
 
 
 def _family_vertex_min(xi, scale, H):
@@ -577,7 +620,7 @@ def test_negative_self_distance_raises_like_the_loops():
     graph = tuple((x, y) for x in labels for y in fmap.at(x))
     pi = ProductInstance(graph, space, graph[0], C)
     fm = fmap_from_rate(space, H, 0.5, LinearFunctional([1.0, 1.0]))
-    for fn in (lambda: validate_fmap(pi, fm), lambda: _graph_oracle(pi, fm),
+    for fn in (lambda: validate_fmap(pi, fm), lambda: graph_order(pi, fm),
                lambda: loop_graph_order(pi, fm)):
         with pytest.raises(InputError, match="nonnegative"):
             fn()
@@ -590,7 +633,7 @@ def test_graph_order_matches_loop(m):
         pi, fm = random_product(rng, n=4, m=m, metric=trial % 3 != 2,
                                 ragged=trial % 2 == 0,
                                 nonlinear=trial % 3 == 1)
-        oracle, rel = _graph_oracle(pi, fm)
+        oracle, rel = graph_order(pi, fm)
         np.testing.assert_array_equal(rel, loop_graph_order(pi, fm))
         for j in range(len(pi.graph)):
             assert oracle.successors[j] == list(np.flatnonzero(rel[:, j]))
@@ -636,8 +679,10 @@ def _premise_outcome(fn, *args):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_conclusion_strict_matches_loop(m):
-    """Every label as xhat, on every family kind over ragged value sets and
-    orthant or random cones; both violations and separations occur."""
+    """Conclusion (b) of ``_order_conclusions``, every label as xhat, on
+    every family kind over ragged value sets and orthant or random cones;
+    both violations and separations occur. Conclusion (a) of the same stack,
+    with the next label as x0, is preceq's."""
     rng = np.random.default_rng(1300 + m)
     seen = {"violations": 0, "separations": 0}
     for trial in range(10):
@@ -645,12 +690,14 @@ def test_conclusion_strict_matches_loop(m):
         inst, fam, _ = random_instance(rng, n=5, m=m, kind=kind,
                                        metric=trial % 3 != 2,
                                        ragged=trial % 4 != 1)
-        for xhat in inst.labels:
-            got = _conclusion_strict(inst, fam, xhat).to_dict()
-            assert got == loop_conclusion_strict(inst, fam, xhat).to_dict(), \
+        labels = inst.labels
+        for k, xhat in enumerate(labels):
+            x0 = labels[(k + 1) % len(labels)]
+            got = order_conclusions(inst, fam, xhat, x0)
+            assert got == loop_order_conclusions(inst, fam, xhat, x0), \
                 (trial, kind, xhat)
             for key in seen:
-                seen[key] += len(got["witness"][key])
+                seen[key] += len(got[1]["witness"][key])
     assert all(seen.values()), seen
 
 
@@ -695,16 +742,15 @@ def test_graph_certificates_match_loop(m):
                                 vertices=1 + trial % 3)
         for start in pi.graph[::3]:
             moved = ProductInstance(pi.graph, pi.base, start, pi.cone)
-            section = _section_of_start(moved, fm)
+            section = section_of_start(moved, fm)
             assert _same_pairs([p for p, c in zip(moved.graph, section) if c],
                                loop_section_of_start(moved, fm))
         for xhat, yhat in pi.graph:
             for label_only in (True, False):
-                got = _separation_conclusion(pi, fm, xhat, yhat, label_only,
-                                             "b").to_dict()
-                assert got == loop_separation_conclusion(
-                    pi, fm, xhat, yhat, label_only, "b").to_dict()
-                violations += len(got["witness"]["violations"])
+                got = graph_conclusions(pi, fm, xhat, yhat, label_only)
+                assert got == loop_graph_conclusions(pi, fm, xhat, yhat,
+                                                     label_only)
+                violations += len(got[1]["witness"]["violations"])
     assert violations > 0
 
 
@@ -994,31 +1040,31 @@ def test_sweeps_never_run_more_lps_than_loops(monkeypatch):
             totals["batched"] += nb
             totals["loop"] += nl
         for xhat in inst.labels[:3]:
-            nb, got = _lp_calls(monkeypatch, _conclusion_strict, inst, fam,
-                                xhat)
-            nl, want = _lp_calls(monkeypatch, loop_conclusion_strict, inst,
-                                 fam, xhat)
-            assert got.to_dict() == want.to_dict() and nb <= nl, (trial, nb,
-                                                                  nl)
+            x0 = inst.labels[-1]
+            nb, got = _lp_calls(monkeypatch, order_conclusions, inst, fam,
+                                xhat, x0)
+            nl, want = _lp_calls(monkeypatch, loop_order_conclusions, inst,
+                                 fam, xhat, x0)
+            assert got == want and nb <= nl, (trial, nb, nl)
             totals["batched"] += nb
             totals["loop"] += nl
         pi, fm = random_product(rng, n=4, m=m, metric=trial % 2 == 0)
         xhat, yhat = pi.graph[-1]
-        for batched, loop in (
-                (batched_fmap_triangle, loop_fmap_triangle),
-                (lambda p, f: _graph_oracle(p, f)[1], loop_graph_order),
-                (_section_of_start, loop_section_of_start),
-                (lambda p, f: _separation_conclusion(p, f, xhat, yhat, True,
-                                                     "b").to_dict(),
-                 lambda p, f: loop_separation_conclusion(
-                     p, f, xhat, yhat, True, "b").to_dict()),
-                (lambda p, f: _separation_conclusion(p, f, xhat, yhat, False,
-                                                     "b").to_dict(),
-                 lambda p, f: loop_separation_conclusion(
-                     p, f, xhat, yhat, False, "b").to_dict())):
+        # the start section and the graph conclusions ask each pair's one
+        # query once, as the loops do, so they run the loops' LPs exactly
+        for batched, loop, exact in (
+                (batched_fmap_triangle, loop_fmap_triangle, False),
+                (lambda p, f: graph_order(p, f)[1], loop_graph_order, False),
+                (section_of_start, loop_section_of_start, True),
+                (lambda p, f: graph_conclusions(p, f, xhat, yhat, True),
+                 lambda p, f: loop_graph_conclusions(p, f, xhat, yhat, True),
+                 True),
+                (lambda p, f: graph_conclusions(p, f, xhat, yhat, False),
+                 lambda p, f: loop_graph_conclusions(p, f, xhat, yhat,
+                                                     False), True)):
             nb, _ = _lp_calls(monkeypatch, batched, pi, fm)
             nl, _ = _lp_calls(monkeypatch, loop, pi, fm)
-            assert nb <= nl, (trial, nb, nl)
+            assert nb == nl if exact else nb <= nl, (trial, nb, nl)
             totals["batched"] += nb
             totals["loop"] += nl
     assert totals["loop"] > 0  # the LP fallback was exercised
@@ -1067,19 +1113,20 @@ def test_extensional_search_matches_slab_search_and_loop(monkeypatch, m):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_conclusion_order_matches_preceq(m):
-    """Conclusion (a) from one order_queries stack decides every ordered
-    label pair of random instances of each family kind as preceq does, on
-    pairs where the first label precedes the second and on pairs where it
-    does not."""
+    """Conclusion (a) of ``_order_conclusions`` decides every ordered label
+    pair of random instances of each family kind as preceq does, on pairs
+    where the first label precedes the second and on pairs where it does
+    not."""
     rng = np.random.default_rng(1500 + m)
     outcomes = set()
     for trial, kind in enumerate(KINDS * 2):
         inst, fam, _ = random_instance(rng, n=4, m=m, kind=kind,
                                        metric=trial % 3 != 2,
                                        ragged=trial % 2 == 0)
+        arrays = order_arrays(inst, fam)
         for xhat in inst.labels:
             for x0 in inst.labels:
-                got = _conclusion_order(inst, fam, xhat, x0)
+                got = _order_conclusions(inst, fam, arrays, xhat, x0)[0]
                 want = preceq(inst, fam, xhat, x0)
                 assert got == Conclusion("a", want, {
                     "dominates": x0, "dominated_by": xhat}), (kind, xhat, x0)
@@ -1122,6 +1169,105 @@ def test_label_order_solves_ask_no_single_membership(monkeypatch, name):
                                        _label_order_solve, name, seed)
         assert cert.all_hold(), (name, seed)
         assert calls == len(bundle.instance.labels), (name, seed, calls)
+
+
+def test_order_conclusions_run_the_lps_of_their_parts(monkeypatch):
+    """One stack for (a) and (b) runs the phase-1 LPs of a stack for (a)
+    alone plus those of a stack for (b) alone, on every ordered label pair.
+    (a) is asked with a witness; that adds LPs only where (a) fails."""
+    rng = np.random.default_rng(5000)
+    lps = {True: 0, False: 0}
+    for trial in range(10):
+        inst, fam, _ = random_instance(rng, n=5, m=1 + trial % 3,
+                                       kind=KINDS[trial % 5],
+                                       metric=trial % 3 != 2)
+        arrays = order_arrays(inst, fam)
+        index = inst.space.index
+        for xhat in inst.labels:
+            j = index(xhat)
+            others = np.delete(np.arange(len(inst.labels)), j)
+            nb, _ = _lp_calls(monkeypatch, instances.order_queries, inst,
+                              arrays, others, np.full(len(others), j))
+            for x0 in inst.labels:
+                pair = (np.array([j]), np.array([index(x0)]))
+                n, (a, _) = _lp_calls(monkeypatch, _order_conclusions, inst,
+                                      fam, arrays, xhat, x0)
+                na, _ = _lp_calls(monkeypatch, instances.order_queries, inst,
+                                  arrays, *pair)
+                bare, _ = _lp_calls(
+                    monkeypatch, lambda: instances.order_queries(
+                        inst, arrays, *pair, witness=False))
+                assert n == na + nb, (trial, xhat, x0, n, na, nb)
+                assert na == bare or not a.holds, (trial, xhat, x0)
+                lps[a.holds] += n
+    assert all(lps.values()), lps
+
+
+def _graph_solve(name, seed):
+    """A 5.1 or 5.2 certificate on a generated product, or a 5.6 one on a
+    two-pair product (``seed`` unused)."""
+    if name == "5.6":
+        base = MetricSpace(("a", "b"), [[0.0, 1.0], [1.0, 0.0]]).validate()
+        graph = (("a", [1.0]), ("b", [0.0]))
+        pi = ProductInstance(graph, base, graph[0], cone([[1.0]], [[1.0]]))
+        return solve_pareto_evp(pi, [1.0], 1.5, 2.0)
+    pi = generated_bundle(seed, n=3, m=2, values_per_point=2).product
+    H = singleton([1.0, 1.0])
+    fm = fmap_from_rate(pi.base, H, 0.4,
+                        strictly_positive_functional(H, pi.cone, pi.tol))
+    solve = solve_minimal_point if name == "5.1" else solve_strict_minimal
+    return solve(pi, fm)
+
+
+@pytest.mark.parametrize("name", ["5.1", "5.2", "5.6"])
+def test_graph_solves_ask_no_single_membership(monkeypatch, name):
+    """5.1 and 5.2 ask coverage of the start pair in the stack of their
+    conclusions, so they make no minkowski_member call; 5.6 makes exactly
+    one, its global escape premise."""
+    for seed in (950, 951, 952):
+        for owner in (geometry, instances, product):
+            calls, cert = _calls(monkeypatch, owner, "minkowski_member",
+                                 _graph_solve, name, seed)
+            want = int(name == "5.6" and owner is product)
+            assert calls == want and cert.all_hold(), (name, seed, owner)
+
+
+def _stacks_inside(monkeypatch, owner, name, fn, *args):
+    """The order_queries calls made inside each ``owner.name`` call of
+    ``fn(*args)``, and its result."""
+    stacks = []
+    original = getattr(owner, name)
+
+    def counted(*a, **kw):
+        calls, result = _calls(monkeypatch, owner, "order_queries",
+                               lambda: original(*a, **kw))
+        stacks.append(calls)
+        return result
+
+    monkeypatch.setattr(owner, name, counted)
+    try:
+        result = fn(*args)
+    finally:
+        monkeypatch.setattr(owner, name, original)
+    return stacks, result
+
+
+@pytest.mark.parametrize("name", ["3.1 extensional", "3.1 polytope",
+                                  "4.1 polytope", "4.4 quasimetric",
+                                  "5.1", "5.2", "5.6"])
+def test_each_solve_asks_its_conclusions_as_one_stack(monkeypatch, name):
+    """Every solve builds its order conclusions once, from one
+    order_queries stack."""
+    for seed in (950, 951, 952):
+        if name.startswith("5"):
+            stacks, cert = _stacks_inside(monkeypatch, product,
+                                          "_graph_conclusions", _graph_solve,
+                                          name, seed)
+        else:
+            stacks, (cert, _) = _stacks_inside(
+                monkeypatch, solvers, "_order_conclusions",
+                _label_order_solve, name, seed)
+        assert stacks == [1] and cert.all_hold(), (name, seed, stacks)
 
 
 def test_graph_solves_build_the_pair_arrays_once(monkeypatch):

@@ -76,6 +76,9 @@ class TestLoadValidate:
         monkeypatch.setenv("EVPKIT_TOLERANCE", "bogus")
         with pytest.raises(InputError):
             load_validate(data)
+        # the file's own tolerance wins, and the variable is not read
+        data["params"]["tolerance"] = 1e-7
+        assert load_validate(data).tol == 1e-7
 
 
 _DROP = object()
@@ -171,6 +174,10 @@ REJECTIONS = [
      {"L0": {"a|b": "x"}}, ("table",)),
     ("table-string-entry", ("perturbation", "table"),
      {"L0": {"a|b": [["x"]]}}, ("table",)),
+    ("table-index-unlisted", ("perturbation",),
+     {"variant": "extensional", "lambdas": ["L0"],
+      "table": {"L0": {"a|b": [[1.0]]}, "Lx": {"a|b": [[1.0]]}}},
+     ("perturbation.table index 'Lx'", "perturbation.lambdas")),
     ("graph-item-not-list", ("product", "graph"), ["a"], ("graph",)),
     ("graph-item-short", ("product", "graph"), [["a"]], ("graph",)),
     ("graph-item-long", ("product", "graph"), [["a", [2.0], 1]],
@@ -241,6 +248,13 @@ class TestGenerate:
     def test_deterministic_per_seed(self):
         assert generate(1, n=5, m=2) == generate(1, n=5, m=2)
         assert generate(1, n=5, m=2) != generate(2, n=5, m=2)
+
+    def test_negative_seed_is_an_input_error(self):
+        with pytest.raises(InputError, match="seed must be nonnegative"):
+            generate(-1)
+        code, reports = run_command(["generate", "--seed", "-1"])
+        assert code == 3 and reports[0].status == "input_error"
+        assert "seed" in reports[0].payload["error"]
 
     def test_single_point_instance(self):
         data = generate(4, n=1, m=1)
