@@ -9,16 +9,15 @@ from .geometry import (DEFAULT_TOL, LinearFunctional, PolyhedralCone,
                        minkowski_member, orthant, polytope_contains,
                        singleton, strictly_positive_functional)
 from .scalarize import (GerstewitzFn, ShiftedGerstewitz, gz_bisect_oracle,
-                        gz_level_classify, gz_value)
+                        gz_value)
 from .instances import (EvpParams, ExtensionalFamily, FiniteInstance,
                         MetricSpace, OpenPolytopeFamily, PolytopeDirection,
                         QuasiMetric, QuasiMetricDirection, SetValuedMap,
                         SingletonDirection, check_assumptions,
                         d_bounded_certificate, epi_closed_probe,
                         eps_h_efficient, metric_from_coordinates, preceq,
-                        relation_matrix, s_set, slm_probe, ti_check)
-from .engine import (EngineTrace, PreorderOracle, audit_trace,
-                     brute_force_minimals, solve, verify_conclusions)
+                        relation_matrix, slm_probe, ti_check)
+from .engine import EngineTrace, PreorderOracle, solve
 from .solvers import (Certificate, Conclusion, EvpCertificate,
                       build_preorder, solve_evp_approx, solve_evp_direction,
                       solve_evp_general, solve_evp_quasimetric,
@@ -28,7 +27,6 @@ from .product import (FMap, ProductCertificate, ProductInstance,
                       prec_fstar, solve_minimal_point, solve_pareto_evp,
                       solve_strict_minimal, strict_pareto_min, validate_fmap,
                       zeta)
-from .io import (InstanceBundle, Report, builtin, emit, generate,
-                 load_validate)
+from .io import InstanceBundle, Report, builtin, generate, load_validate
 
 __version__ = "0.1.0"

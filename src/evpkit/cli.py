@@ -17,13 +17,15 @@ import stat
 import sys
 import time
 
+import numpy as np
+
 from . import io as kit_io
 from . import product as prod
 from . import solvers
 from .errors import (HypothesisError, InputError, LinearProgramError,
                      PremiseError)
 from .geometry import Polytope, singleton, strictly_positive_functional
-from .instances import check_assumptions
+from .instances import check_assumptions, family_arrays
 from .io import Report, render
 from .scalarize import GerstewitzFn, gz_bisect_oracle, gz_value
 
@@ -109,19 +111,15 @@ def _family_direction_vertices(bundle):
     spec = bundle.raw["perturbation"]
     if spec["variant"] != "extensional":
         return _direction_polytope(spec)
-    # extensional: pool the vertices of all sets over distinct label pairs
-    rows = []
-    fam = bundle.family
+    # extensional: pool the real vertices of all sets over distinct label
+    # pairs from the family's (x2, x1, index, vertex) stack, in that order
     space = bundle.instance.space
-    for x2 in space.labels:
-        for x1 in space.labels:
-            if x1 == x2:
-                continue
-            for _, scale, H in fam.sets(space, x2, x1):
-                rows.extend((scale * H.vertices).tolist())
-    if not rows:
+    _, V, nv = family_arrays(space, bundle.family)
+    real = np.arange(V.shape[3]) < nv[..., None]
+    real &= ~np.eye(space.n, dtype=bool)[:, :, None, None]
+    if not real.any():
         raise InputError("perturbation has no sets over distinct labels")
-    return Polytope(rows)
+    return Polytope(V[real])
 
 
 def _general_xi(bundle, kind):
@@ -397,8 +395,14 @@ def run_command(argv):
 
 def main(argv=None):
     code, reports = run_command(sys.argv[1:] if argv is None else argv)
-    for report in reports:
-        print(render(report))
+    try:
+        for report in reports:
+            print(render(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # nothing reads stdout any more: point it at devnull, so that the
+        # flush at interpreter exit stays silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

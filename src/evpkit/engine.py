@@ -71,15 +71,6 @@ class PreorderOracle:
     def rank(self, x):
         return self._order[x]
 
-    def validate_monotone(self, tol=0.0):
-        """Sweep: eta may not increase along the order."""
-        for x in self.labels:
-            for xp in self.successors[x]:
-                if self.eta[xp] > self.eta[x] + tol:
-                    raise InputError(
-                        f"potential is not monotone: eta({xp!r}) > eta({x!r})")
-        return self
-
 
 @dataclass(frozen=True)
 class EngineStep:
@@ -172,40 +163,3 @@ def solve(oracle: PreorderOracle, x0, mode="greedy"):
         "strict_decrease",
         f"no terminal point within {cap} steps",
         witness={"cycle": cycle})
-
-
-def brute_force_minimals(oracle: PreorderOracle, x0):
-    """All members of S(x0) whose own section is contained in themselves,
-    by full enumeration. Independent of the iterative construction."""
-    return {x for x in oracle.section(x0) if _terminal(oracle, x)}
-
-
-def verify_conclusions(oracle: PreorderOracle, x0, xhat):
-    """Re-derive both conclusions from the raw successor function."""
-    in_start_section = xhat in set(oracle.section(x0))
-    section_trivial = _terminal(oracle, xhat)
-    return {
-        "in_start_section": in_start_section,
-        "section_trivial": section_trivial,
-        "ok": in_start_section and section_trivial,
-    }
-
-
-def audit_trace(oracle: PreorderOracle, trace: EngineTrace, tol=0.0):
-    """Post-hoc check that every recorded step obeys the selection rule's
-    inequality and that the potential never increased along the run."""
-    steps = trace.steps
-    for prev, step in zip(steps, steps[1:]):
-        section = oracle.section(prev.label)
-        if step.label not in set(section):
-            return False
-        inf_here = min(oracle.eta[z] for z in section)
-        if trace.mode == "faithful":
-            if not step.eta < inf_here + step.slack:
-                return False
-        else:
-            if step.eta > inf_here + tol:
-                return False
-        if step.eta > prev.eta + tol:
-            return False
-    return True

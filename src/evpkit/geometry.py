@@ -271,9 +271,6 @@ class Polytope:
     def dim(self):
         return self.vertices.shape[1]
 
-    def scaled(self, s):
-        return Polytope(s * self.vertices)
-
 
 def singleton(point):
     return Polytope(np.asarray(point, dtype=float).reshape(1, -1))
@@ -358,7 +355,7 @@ def _over_rows(ufunc, x):
 
 
 def screen_members(Y, B, S, V, nv, C: PolyhedralCone, tol=DEFAULT_TOL):
-    """The cheap tests of :func:`minkowski_member` for a stack of queries
+    """The cheap tests of :func:`covered_queries` for a stack of queries
     ``Y[q] in B[q] + S[q] * conv(V[q]) + C``.
 
     Leading axes broadcast: ``Y`` is ``(..., m)``, ``B`` ``(..., nb, m)``,
@@ -461,7 +458,7 @@ def _segment_members(rows, slack, SAV, candidates, tol):
 
 
 def lp_member(y, B, scale, V, C: PolyhedralCone, tol, rows):
-    """Exact LP part of :func:`minkowski_member` over the candidate base
+    """Exact LP part of :func:`covered_queries` over the candidate base
     rows (in order): convex weights w with ``y - B[r] - scale * V^T w`` in C.
     """
     A = C.halfspaces
@@ -491,12 +488,11 @@ def stack_rows(arrays):
     return stack, counts
 
 
-def covered_queries(Y, B, nb, S, V, nv, C: PolyhedralCone, tol=DEFAULT_TOL,
-                    group=None, witness=True):
+def covered_queries(Y, B, nb, S, V, nv, C: PolyhedralCone, tol, group,
+                    witness=True):
     """Decide a flat stack of memberships ``Y[q] in B[q] + S[q] * conv(V[q])
-    + C`` as :func:`minkowski_member` decides each: the cheap tests of
-    :func:`screen_members` on the whole stack, then :func:`lp_member` for
-    the undecided queries in stack order.
+    + C``: the cheap tests of :func:`screen_members` on the whole stack,
+    then :func:`lp_member` for the undecided queries in stack order.
 
     ``Y`` is ``(Q, m)`` and ``S`` ``(Q,)``. ``B`` is a ``(Q, R, m)`` stack
     of base rows with ``nb`` ``(Q,)`` real ones (:func:`stack_rows`), or one
@@ -505,11 +501,11 @@ def covered_queries(Y, B, nb, S, V, nv, C: PolyhedralCone, tol=DEFAULT_TOL,
     query; ``nb`` and ``nv`` are not read for a shared base or polytope. The
     LP sees only the real rows and vertices of a query.
 
-    ``group`` gives each query a group id in 0..G-1; without it every query
-    is its own group. The queries of a group are asked in stack order up to
-    its first uncovered one, so no LP runs that a query-by-query loop would
-    have skipped. With ``witness=False`` only whether a group is covered is
-    wanted, and a group with a screened failure is out without any LP.
+    ``group`` gives each query a group id in 0..G-1. The queries of a
+    group are asked in stack order up to its first uncovered one, so no LP
+    runs that a query-by-query loop would have skipped. With
+    ``witness=False`` only whether a group is covered is wanted, and a
+    group with a screened failure is out without any LP.
 
     Returns ``(G,)`` ints: the first uncovered query of each group (with
     ``witness=False``, some uncovered query), or -1 when all are covered.
@@ -517,16 +513,14 @@ def covered_queries(Y, B, nb, S, V, nv, C: PolyhedralCone, tol=DEFAULT_TOL,
     if np.any(S < 0):
         raise InputError("scale must be nonnegative")
     if V.shape[-1] != C.dim:
-        # as in minkowski_member, a zero scale never looks at the polytope
-        if np.any(S > tol):
+        # a scale at most tol is the cone test and never looks at V
+        if not np.all(S <= tol):
             raise InputError("polytope dimension does not match the cone")
         V = None
     own_b, own_v = B.ndim == 3, V is not None and V.ndim == 3
     if V is not None and not own_v:
         nv = len(V)
     decided, answer, candidates = screen_members(Y, B, S, V, nv, C, tol)
-    if group is None:
-        group = np.arange(len(Y))
     first = np.full(int(group.max()) + 1 if len(group) else 0, -1)
     # the first screened failure of each group
     fails = np.flatnonzero(decided & ~answer)
@@ -565,9 +559,8 @@ def minkowski_member(y, base, scale, H: Polytope | None, C: PolyhedralCone,
 
     True iff some base point ``b`` and convex weights over the vertices of H
     put ``y - b - scale * sum(w_j h_j)`` inside C. With H absent (or zero
-    scale) this reduces to ``y - b in C``. The cheap tests of
-    :func:`screen_members` run first; an undecided query goes to exact LP
-    feasibility per candidate base point.
+    scale) this reduces to ``y - b in C``. Asked as a one-query
+    :func:`covered_queries` stack; an absent H is the zero vertex at scale 0.
     """
     y = as_point(y, C.dim)
     B = _as_matrix(base, m=C.dim, name="base") if len(base) else None
@@ -575,18 +568,11 @@ def minkowski_member(y, base, scale, H: Polytope | None, C: PolyhedralCone,
         raise InputError("empty base set")
     if scale < 0:
         raise InputError("scale must be nonnegative")
-
-    if H is None or scale <= tol:
-        _, answer, _ = screen_members(y, B, None, None, None, C, tol)
-        return bool(answer)
-    V = H.vertices
-    if V.shape[1] != C.dim:
-        raise InputError("polytope dimension does not match the cone")
-    decided, answer, candidates = screen_members(
-        y, B, np.float64(scale), V, V.shape[0], C, tol)
-    if decided:
-        return bool(answer)
-    return lp_member(y, B, scale, V, C, tol, np.nonzero(candidates)[0])
+    V, S = ((np.zeros((1, C.dim)), 0.0) if H is None
+            else (H.vertices, scale))
+    first = covered_queries(y[None], B, None, np.array([S], dtype=float), V,
+                            None, C, tol, np.zeros(1, dtype=int))
+    return bool(first[0] < 0)
 
 
 def polytope_contains(P: Polytope, y, tol=DEFAULT_TOL):

@@ -77,11 +77,8 @@ class MetricSpace:
             raise InputError(
                 f"distinct points {self.labels[i]!r}, {self.labels[j]!r} "
                 f"at zero distance")
-        # triangle inequality on all triples, vectorized:
-        # viol[i, j, k] = d(i, k) - d(i, j) - d(j, k)
-        viol = d[:, None, :] - d[:, :, None] - d[None, :, :]
-        worst = np.unravel_index(np.argmax(viol), viol.shape)
-        if viol[worst] > tol:
+        worst, excess = _worst_triangle(d)
+        if excess > tol:
             i, j, k = worst
             raise InputError(
                 "triangle inequality fails on "
@@ -129,12 +126,34 @@ class QuasiMetric:
             i, j = np.unravel_index(np.argmin(off), p.shape)
             raise InputError(
                 f"quasi-metric vanishes on distinct indices ({i}, {j})")
-        viol = p[:, None, :] - p[:, :, None] - p[None, :, :]
-        worst = np.unravel_index(np.argmax(viol), viol.shape)
-        if viol[worst] > tol:
-            raise InputError(
-                f"directed triangle inequality fails on indices {worst}")
+        worst, excess = _worst_triangle(p)
+        if excess > tol:
+            raise InputError("directed triangle inequality fails on indices "
+                             f"({', '.join(map(str, worst))})")
         return self
+
+
+# _worst_triangle builds the violations of blocks of whole rows up to this
+# many triples at a time, so that its arrays stay small at any n
+_TRIANGLE_TRIPLES = 1 << 20
+
+
+def _worst_triangle(d):
+    """The first (i, j, k) in loop order with the largest violation
+    ``d[i, k] - d[i, j] - d[j, k]`` of the triangle inequality, and that
+    violation. The rows i are taken in blocks of at most
+    ``_TRIANGLE_TRIPLES`` triples, and at least one row."""
+    n = len(d)
+    step = max(1, _TRIANGLE_TRIPLES // (n * n))
+    worst, excess = None, -math.inf
+    for start in range(0, n, step):
+        rows = d[start:start + step]
+        viol = rows[:, None, :] - rows[:, :, None] - d[None, :, :]
+        at = np.argmax(viol)
+        if worst is None or viol.flat[at] > excess:
+            i, j, k = np.unravel_index(at, viol.shape)
+            worst, excess = (start + int(i), int(j), int(k)), viol.flat[at]
+    return worst, excess
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,11 +488,6 @@ def relation_matrix(inst: FiniteInstance, fam, arrays=None):
                                     witness=False)
         rel[rows] = (first < 0).reshape(len(rows), n)
     return rel
-
-
-def s_set(inst: FiniteInstance, fam, x):
-    """The lower section of x: all labels that precede it."""
-    return [x2 for x2 in inst.labels if preceq(inst, fam, x2, x)]
 
 
 def ti_check(inst: FiniteInstance, fam, arrays=None):

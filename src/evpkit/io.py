@@ -279,26 +279,25 @@ def load_validate(source):
                           params=params, product=product)
 
 
-def emit(bundle: InstanceBundle):
-    """Canonical plain-JSON form of a bundle (round-trips through load)."""
-    return json.loads(json.dumps(bundle.raw))
-
-
 # ---------------------------------------------------------------------------
 # Deterministic random instances.
 # ---------------------------------------------------------------------------
 
 VARIANTS = ("singleton", "polytope", "open_polytope", "quasimetric",
             "extensional")
+# generate gives up on a point after this many redraws; at 4000 points the
+# worst one needs a few thousand
+_MAX_REDRAWS = 100_000
 
 
-def generate(seed, n=4, m=2, values_per_point=2, variant="singleton",
-             include_product=True):
+def generate(seed, n=4, m=2, values_per_point=2, variant="singleton"):
     """Deterministic instance dict for a seed and profile.
 
     Distances come from a planar embedding, so the metric axioms hold by
     construction; emitted instances pass load_validate, which callers run
-    (it is not repeated here).
+    (it is not repeated here). The points are drawn at least 0.05 apart;
+    when one point needs more than ``_MAX_REDRAWS`` redraws, generation
+    stops with an InputError.
     """
     if n < 1 or m < 1 or values_per_point < 1:
         raise InputError("n, m and values_per_point must be at least 1")
@@ -311,7 +310,12 @@ def generate(seed, n=4, m=2, values_per_point=2, variant="singleton",
     coords = np.round(rng.uniform(0.0, 4.0, size=(n, 2)), 6)
     # keep points apart so the metric positivity margin is comfortable
     for i in range(1, n):
+        redraws = 0
         while np.min(np.linalg.norm(coords[:i] - coords[i], axis=1)) < 0.05:
+            redraws += 1
+            if redraws > _MAX_REDRAWS:
+                raise InputError(f"cannot place {n} points 0.05 apart in "
+                                 "the generator's square; ask for fewer")
             coords[i] = np.round(rng.uniform(0.0, 4.0, size=2), 6)
 
     value_sets = {
@@ -371,13 +375,12 @@ def generate(seed, n=4, m=2, values_per_point=2, variant="singleton",
                    "lambda": round(float(rng.uniform(1.0, 3.0)), 6),
                    "gamma": gamma},
     }
-    if include_product:
-        graph = []
-        for lab in labels:
-            for v in value_sets[lab]:
-                graph.append([lab, v.tolist()])
-        data["product"] = {"graph": graph,
-                           "y0": value_sets[labels[0]][0].tolist()}
+    graph = []
+    for lab in labels:
+        for v in value_sets[lab]:
+            graph.append([lab, v.tolist()])
+    data["product"] = {"graph": graph,
+                       "y0": value_sets[labels[0]][0].tolist()}
     return data
 
 
@@ -510,10 +513,6 @@ class Report:
             "timing_s": self.timing_s,
             "tolerance": self.tolerance,
         }
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**data)
 
 
 def render(report: Report):

@@ -51,7 +51,7 @@ class GerstewitzFn:
     is_linear = False
 
     def value(self, y):
-        return gz_value(self, y, self.tol)
+        return gz_value(self, y)
 
     def values(self, Y):
         """:func:`gz_value` of every row of a ``(..., m)`` stack at once."""
@@ -66,31 +66,14 @@ class GerstewitzFn:
         return np.where(inf, math.inf, top)
 
 
-def gz_value(g: GerstewitzFn, y, tol=None):
+def gz_value(g: GerstewitzFn, y):
     """Closed-form value of the scalarization (finite or ``+inf``)."""
-    tol = g.tol if tol is None else tol
     y = as_point(y, g.cone.dim)
     prods = g.cone.halfspaces @ y
     pos = g._pos_rows
-    if np.any(prods[~pos] > tol):
+    if np.any(prods[~pos] > g.tol):
         return math.inf
     return float(np.max(prods[pos] / g._pos_prods))
-
-
-def gz_level_classify(g: GerstewitzFn, y, r, tol=None):
-    """Place y relative to the level r of the scalarization.
-
-    Returns ``"below"`` (value < r), ``"above"`` (value > r), or
-    ``"boundary"`` when |value - r| <= tol; the strict sides of a level set
-    are not decidable closer than the tolerance, so ties are reported rather
-    than forced."""
-    tol = g.tol if tol is None else tol
-    v = gz_value(g, y, tol)
-    if v == math.inf:
-        return "above"
-    if abs(v - r) <= tol:
-        return "boundary"
-    return "below" if v < r else "above"
 
 
 @dataclass(frozen=True, eq=False)

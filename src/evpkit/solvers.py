@@ -187,7 +187,7 @@ def _order_conclusions(inst, fam, arrays, xhat, x0):
                        {"violations": failures, "separations": witnesses})]
 
 
-def _distance_conclusion(inst, x0, xhat, bound, strict, tol, name="c"):
+def _distance_conclusion(inst, x0, xhat, bound, strict, tol):
     d = inst.space.d(x0, xhat)
     if strict:
         holds = d < bound - tol
@@ -195,8 +195,8 @@ def _distance_conclusion(inst, x0, xhat, bound, strict, tol, name="c"):
     else:
         holds = d <= bound + tol
         boundary = False
-    return Conclusion(name, holds, {"distance": d, "bound": bound,
-                                    "strict": strict, "boundary": boundary})
+    return Conclusion("c", holds, {"distance": d, "bound": bound,
+                                   "strict": strict, "boundary": boundary})
 
 
 def _scalarization_info(xi):

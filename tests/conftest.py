@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: deterministic random cones, instances,
-and scalarizations."""
+and scalarizations, and the enumeration oracles of the minimal-point
+engine."""
 
 import os
 
@@ -99,3 +100,57 @@ def grow_epsilon(fn, start=0.25, cap=1e6):
         except PremiseError:
             eps *= 2.0
     raise AssertionError("no epsilon satisfied the premise")
+
+
+# ---------------------------------------------------------------------------
+# Oracles of the minimal-point engine, from the raw successor lists of a
+# PreorderOracle and independent of the iterative construction.
+# ---------------------------------------------------------------------------
+
+def _terminal(oracle, x):
+    return all(z == x for z in oracle.section(x))
+
+
+def brute_force_minimals(oracle, x0):
+    """All members of S(x0) whose own section is contained in themselves,
+    by full enumeration."""
+    return {x for x in oracle.section(x0) if _terminal(oracle, x)}
+
+
+def verify_conclusions(oracle, x0, xhat):
+    """Re-derive both conclusions from the raw successor function."""
+    in_start_section = xhat in set(oracle.section(x0))
+    section_trivial = _terminal(oracle, xhat)
+    return {
+        "in_start_section": in_start_section,
+        "section_trivial": section_trivial,
+        "ok": in_start_section and section_trivial,
+    }
+
+
+def audit_trace(oracle, trace, tol=0.0):
+    """Post-hoc check that every recorded step obeys the selection rule's
+    inequality and that the potential never increased along the run."""
+    steps = trace.steps
+    for prev, step in zip(steps, steps[1:]):
+        section = oracle.section(prev.label)
+        if step.label not in set(section):
+            return False
+        inf_here = min(oracle.eta[z] for z in section)
+        if trace.mode == "faithful":
+            if not step.eta < inf_here + step.slack:
+                return False
+        else:
+            if step.eta > inf_here + tol:
+                return False
+        if step.eta > prev.eta + tol:
+            return False
+    return True
+
+
+def assert_monotone(oracle, tol=0.0):
+    """Sweep: eta may not increase along the order."""
+    for x in oracle.labels:
+        for xp in oracle.successors[x]:
+            assert oracle.eta[xp] <= oracle.eta[x] + tol, \
+                f"potential is not monotone: eta({xp!r}) > eta({x!r})"

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from evpkit.engine import brute_force_minimals, solve, verify_conclusions
+from evpkit.engine import solve
 from evpkit.errors import HypothesisError, PremiseError
 from evpkit.geometry import (Polytope, cone_contains, orthant, singleton,
                              strictly_positive_functional)
@@ -26,9 +26,10 @@ from evpkit.solvers import (build_preorder, solve_evp_approx,
                             solve_evp_direction, solve_evp_general,
                             solve_evp_quasimetric, solve_evp_set_direction)
 
-from conftest import (VARIANT_CYCLE, direction_polytope, fixture_path,
-                      generated_bundle, grow_epsilon, pointed_cone,
-                      random_cone, sample_cone_member)
+from conftest import (VARIANT_CYCLE, brute_force_minimals, direction_polytope,
+                      fixture_path, generated_bundle, grow_epsilon,
+                      pointed_cone, random_cone, sample_cone_member,
+                      verify_conclusions)
 
 MEMBERSHIP_TOL = 1e-9
 PROP_TOL = 1e-8

@@ -5,13 +5,14 @@ import math
 
 import pytest
 
-from evpkit.engine import (PreorderOracle, audit_trace, brute_force_minimals,
-                           solve, verify_conclusions)
+from evpkit.engine import PreorderOracle, solve
 from evpkit.errors import HypothesisError, InputError
 from evpkit.geometry import strictly_positive_functional
 from evpkit.solvers import build_preorder
 
-from conftest import VARIANT_CYCLE, direction_polytope, generated_bundle
+from conftest import (VARIANT_CYCLE, assert_monotone, audit_trace,
+                      brute_force_minimals, direction_polytope,
+                      generated_bundle, verify_conclusions)
 
 
 @pytest.fixture
@@ -183,7 +184,7 @@ class TestTraceProperties:
             xi = strictly_positive_functional(direction_polytope(b),
                                               b.instance.cone, b.tol)
             oracle, _ = build_preorder(b.instance, b.family, xi)
-            oracle.validate_monotone(tol=1e-7)
+            assert_monotone(oracle, tol=1e-7)
             _, trace = solve(oracle, b.params.x0, "faithful")
             etas = [s.eta for s in trace.steps]
             labels = [s.label for s in trace.steps]

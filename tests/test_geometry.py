@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from evpkit import geometry
 from evpkit.errors import InputError
 from evpkit.geometry import (Polytope, cone, cone_contains, lp_feasible,
                              minkowski_member, orthant, polytope_contains,
@@ -141,6 +142,115 @@ class TestMinkowskiMember:
             if minkowski_member(y, base, s, H, C, TOL):
                 for frac in (0.5, 0.1, 0.0):
                     assert minkowski_member(y, base, frac * s, H, C, TOL)
+
+
+def single_query_member(y, base, scale, H, C, tol=geometry.DEFAULT_TOL):
+    """``minkowski_member`` as it was before it became one
+    ``covered_queries`` query: the screen on the single query (the cone test
+    alone when H is absent or the scale at most tol), then the LP over its
+    candidate base rows."""
+    y = geometry.as_point(y, C.dim)
+    B = geometry._as_matrix(base, m=C.dim, name="base") if len(base) else None
+    if B is None:
+        raise InputError("empty base set")
+    if scale < 0:
+        raise InputError("scale must be nonnegative")
+
+    if H is None or scale <= tol:
+        _, answer, _ = geometry.screen_members(y, B, None, None, None, C, tol)
+        return bool(answer)
+    V = H.vertices
+    if V.shape[1] != C.dim:
+        raise InputError("polytope dimension does not match the cone")
+    decided, answer, candidates = geometry.screen_members(
+        y, B, np.float64(scale), V, V.shape[0], C, tol)
+    if decided:
+        return bool(answer)
+    return geometry.lp_member(y, B, scale, V, C, tol,
+                              np.nonzero(candidates)[0])
+
+
+def _recorded(monkeypatch, fn, *args):
+    """``fn(*args)`` (its answer or its InputError text) and the
+    ``lp_member`` calls it made: their point, scale and base rows."""
+    calls = []
+    lp = geometry.lp_member
+
+    def recording(y, B, scale, V, C, tol, rows):
+        calls.append((y.tobytes(), float(scale), list(map(int, rows))))
+        return lp(y, B, scale, V, C, tol, rows)
+
+    monkeypatch.setattr(geometry, "lp_member", recording)
+    try:
+        out = fn(*args)
+    except InputError as exc:
+        out = f"InputError: {exc}"
+    finally:
+        monkeypatch.setattr(geometry, "lp_member", lp)
+    return out, calls
+
+
+def test_one_query_stack_matches_the_single_query_member(monkeypatch):
+    """Answers and LP calls of ``minkowski_member`` equal the single-query
+    screen-then-LP form's: H absent or of 1 to 4 vertices (inside the cone
+    or not), 1 to 4 base rows, scales 0, tol/2, tol, 2 tol and larger, and
+    points within 2 tol of a cone row of some base row plus a scaled
+    vertex."""
+    rng = np.random.default_rng(4242)
+    lp_calls = 0
+    for trial in range(600):
+        m = int(rng.integers(1, 4))
+        C, k0 = random_cone(rng, m)
+        J = int(rng.integers(1, 5))
+        V = np.array([sample_cone_member(rng, C, k0) if rng.uniform() < 0.6
+                      else rng.normal(size=m) for _ in range(J)])
+        H = None if trial % 7 == 0 else Polytope(V)
+        base = rng.normal(size=(int(rng.integers(1, 5)), m))
+        scale = [0.0, TOL / 2, TOL, 2 * TOL,
+                 float(rng.uniform(0.1, 2.0))][trial % 5]
+        # y - b - scale v on a cone row i, moved off it by at most 2 tol
+        A = C.halfspaces
+        i = int(rng.integers(len(A)))
+        z = rng.normal(size=m)
+        z += (rng.uniform(-2 * TOL, 2 * TOL) - A[i] @ z) / (A[i] @ A[i]) * A[i]
+        y = base[int(rng.integers(len(base)))] + z
+        if rng.uniform() < 0.7:
+            y = y + scale * V[int(rng.integers(J))]
+        want = _recorded(monkeypatch, single_query_member, y, base, scale, H,
+                         C, TOL)
+        got = _recorded(monkeypatch, minkowski_member, y, base, scale, H, C,
+                        TOL)
+        assert got == want, trial
+        lp_calls += len(want[1])
+    assert lp_calls > 20
+
+
+@pytest.mark.parametrize("args", [
+    ([0, 0], [], 1.0, None),
+    ([0, 0], [], -1.0, Polytope([[1, 2, 3]])),
+    ([0, 0], [[0, 0]], -1.0, None),
+    ([0, 0], [[0, 0]], -1e-12, Polytope([[1, 2, 3]])),
+    ([0, 0], [[0, 0]], 1.0, Polytope([[1, 2, 3]])),
+    ([0, 0], [[0, 0]], 2 * TOL, Polytope([[1, 2, 3]])),
+    ([0, 0], [[0, 0]], TOL, Polytope([[1, 2, 3]])),
+    ([0, 0], [[0, 0]], 0.0, Polytope([[1, 2, 3]])),
+    ([1, 1], [[0, 0]], 0.0, Polytope([[-1]])),
+    ([0, 0, 0], [[0, 0]], 1.0, None),
+    ([0, 0], [[0, 0, 0]], 1.0, None),
+    ([0, 0], [[0, np.inf]], 1.0, None),
+], ids=["empty-base", "empty-base-first", "negative-scale",
+        "negative-scale-first", "polytope-dimension", "polytope-2tol",
+        "polytope-at-tol", "polytope-at-zero", "polytope-at-zero-member",
+        "point-dimension", "base-dimension", "base-infinite"])
+def test_one_query_stack_keeps_the_error_texts(monkeypatch, args):
+    """Every error of ``minkowski_member``, in the same order, with the same
+    text; a polytope of the wrong dimension is not looked at, and raises
+    nothing, at a scale at most tol."""
+    want = _recorded(monkeypatch, single_query_member, *args, orthant(2), TOL)
+    got = _recorded(monkeypatch, minkowski_member, *args, orthant(2), TOL)
+    assert got == want
+    if 0 <= args[2] <= TOL:
+        assert isinstance(got[0], bool)
 
 
 class TestStrictlyPositiveFunctional:

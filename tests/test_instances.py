@@ -13,13 +13,17 @@ from evpkit.instances import (ExtensionalFamily, FiniteInstance, MetricSpace,
                               SingletonDirection, check_assumptions,
                               d_bounded_certificate, epi_closed_probe,
                               eps_h_efficient, metric_from_coordinates,
-                              preceq, relation_matrix, s_set, slm_probe,
-                              ti_check)
+                              preceq, relation_matrix, slm_probe, ti_check)
 from evpkit.scalarize import GerstewitzFn
 
 from conftest import VARIANT_CYCLE, generated_bundle
 
 D1 = cone([[1.0]], generators=[[1.0]])
+
+
+def s_set(inst, fam, x):
+    """The lower section of x: all labels that precede it."""
+    return [x2 for x2 in inst.labels if preceq(inst, fam, x2, x)]
 
 
 @pytest.fixture
@@ -349,3 +353,60 @@ def test_extensional_validate_reports_the_first_failure(changes, message):
             table[key] = Polytope(vertices)
     with pytest.raises(InputError, match=message):
         ExtensionalFamily(("L0", "L1"), table).validate(space, orthant(2))
+
+
+def whole_array_triangle(d):
+    """The first largest triangle violation ``d[i, k] - d[i, j] - d[j, k]``
+    and its (i, j, k), from one (n, n, n) array."""
+    viol = d[:, None, :] - d[:, :, None] - d[None, :, :]
+    worst = np.unravel_index(np.argmax(viol), viol.shape)
+    return tuple(int(i) for i in worst), viol[worst]
+
+
+@pytest.mark.parametrize("budget", [1, 50, 130, 1 << 20])
+def test_triangle_blocks_match_the_whole_array(monkeypatch, budget):
+    """The triangle checks of both metric types, in row blocks of any size,
+    name the triple that the whole (n, n, n) array names: the first
+    largest violation in (i, j, k) order. Small integer distances tie the
+    largest violation often."""
+    monkeypatch.setattr("evpkit.instances._TRIANGLE_TRIPLES", budget)
+    rng = np.random.default_rng(budget)
+    fails = 0
+    for _ in range(150):
+        n = int(rng.integers(1, 9))
+        p = rng.integers(1, 5, size=(n, n)).astype(float)
+        np.fill_diagonal(p, 0.0)
+        d = p + p.T
+        labels = tuple(f"x{i}" for i in range(n))
+        for matrix, check in ((p, lambda: QuasiMetric(p).validate()),
+                              (d, lambda: MetricSpace(labels, d).validate())):
+            (i, j, k), excess = whole_array_triangle(matrix)
+            if excess <= 1e-9:
+                check()
+                continue
+            fails += 1
+            want = (f"directed triangle inequality fails on indices "
+                    f"({i}, {j}, {k})" if matrix is p else
+                    "triangle inequality fails on "
+                    f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})")
+            with pytest.raises(InputError) as err:
+                check()
+            assert str(err.value) == want
+    assert fails > 100
+
+
+def test_triangle_check_memory_is_bounded():
+    """At n = 200 the whole (n, n, n) array of violations would be 64 MB;
+    the row blocks keep the peak of the check far below that."""
+    import tracemalloc
+    rng = np.random.default_rng(5)
+    space = metric_from_coordinates(tuple(range(200)),
+                                    rng.uniform(0.0, 4.0, size=(200, 2)))
+    tracemalloc.start()
+    try:
+        space.validate(1e-12)
+        QuasiMetric(space.dist).validate(1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6

