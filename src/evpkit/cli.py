@@ -24,7 +24,7 @@ from . import product as prod
 from . import solvers
 from .errors import (HypothesisError, InputError, LinearProgramError,
                      PremiseError)
-from .geometry import Polytope, singleton, strictly_positive_functional
+from .geometry import Polytope, strictly_positive_functional
 from .instances import check_assumptions, family_arrays
 from .io import Report, render
 from .scalarize import GerstewitzFn, gz_bisect_oracle, gz_value
@@ -108,9 +108,8 @@ def _parse_point(text):
 
 def _family_direction_vertices(bundle):
     """Direction-set vertices the perturbation carries, for separation."""
-    spec = bundle.raw["perturbation"]
-    if spec["variant"] != "extensional":
-        return _direction_polytope(spec)
+    if bundle.family.kind != "extensional":
+        return _direction_polytope(bundle)
     # extensional: pool the real vertices of all sets over distinct label
     # pairs from the family's (x2, x1, index, vertex) stack, in that order
     space = bundle.instance.space
@@ -122,6 +121,15 @@ def _family_direction_vertices(bundle):
     return Polytope(V[real])
 
 
+def _positive_functional(H, cone_, tol, what):
+    """The separating functional of H; its absence names ``what``."""
+    xi = strictly_positive_functional(H, cone_, tol)
+    if xi is None:
+        raise HypothesisError(
+            "separation", f"no strictly positive functional for {what}")
+    return xi
+
+
 def _general_xi(bundle, kind):
     inst = bundle.instance
     if kind == "gerstewitz":
@@ -130,13 +138,9 @@ def _general_xi(bundle, kind):
         if k0 is None:
             raise InputError("gerstewitz scalarization needs perturbation.k0")
         return GerstewitzFn(inst.cone, k0, inst.tol)
-    H = _family_direction_vertices(bundle)
-    xi = strictly_positive_functional(H, inst.cone, inst.tol)
-    if xi is None:
-        raise HypothesisError(
-            "separation", "no strictly positive functional for the "
-            "perturbation's direction vertices")
-    return xi
+    return _positive_functional(_family_direction_vertices(bundle), inst.cone,
+                                inst.tol, "the perturbation's direction "
+                                "vertices")
 
 
 def _require(params, *names):
@@ -146,49 +150,50 @@ def _require(params, *names):
             raise InputError(f"params.{name} is required for this solver")
 
 
+def _direction_k0(bundle):
+    """``perturbation.k0``; epsilon and lambda must be given too."""
+    _require(bundle.params, "epsilon", "lambda")
+    k0 = bundle.raw["perturbation"].get("k0")
+    if k0 is None:
+        raise InputError("perturbation.k0 is required for this solver")
+    return k0
+
+
 def _dispatch_evp(bundle, theorem, mode, xi_kind):
     inst = bundle.instance
     params = bundle.params
-    spec = bundle.raw["perturbation"]
     if theorem == "3.1":
         xi = _general_xi(bundle, xi_kind)
         return solvers.solve_evp_general(inst, bundle.family, xi,
                                          params.x0, mode)
     if theorem in ("3.5", "3.6"):
-        _require(params, "epsilon", "lambda")
-        if spec.get("k0") is None:
-            raise InputError("perturbation.k0 is required for this solver")
         premise = "pointwise" if theorem == "3.5" else "global"
-        return solvers.solve_evp_direction(inst, spec["k0"], params.epsilon,
-                                           params.lam, params.x0,
-                                           premise=premise, mode=mode)
+        return solvers.solve_evp_direction(
+            inst, _direction_k0(bundle), params.epsilon, params.lam,
+            params.x0, premise=premise, mode=mode)
     if theorem in ("4.1", "4.2"):
         _require(params, "gamma")
-        H = _direction_polytope(spec)
         return solvers.solve_evp_set_direction(
-            inst, H, params.gamma, params.x0,
+            inst, _direction_polytope(bundle), params.gamma, params.x0,
             open_family=theorem == "4.1", mode=mode)
     if theorem == "4.4":
-        if spec["variant"] != "quasimetric":
+        if bundle.family.kind != "quasimetric":
             raise InputError("this solver needs a quasimetric perturbation")
         return solvers.solve_evp_quasimetric(
-            inst, Polytope(spec["vertices"]),
-            bundle.family.p, params.x0, mode=mode)
+            inst, bundle.family.H, bundle.family.p, params.x0, mode=mode)
     if theorem in ("4.5", "4.6"):
         _require(params, "epsilon", "gamma")
-        H = _direction_polytope(spec)
         return solvers.solve_evp_approx(
-            inst, H, params.epsilon, params.gamma, params.x0,
-            strict=theorem == "4.6", mode=mode)
+            inst, _direction_polytope(bundle), params.epsilon, params.gamma,
+            params.x0, strict=theorem == "4.6", mode=mode)
     raise InputError(f"unknown theorem {theorem!r}")
 
 
-def _direction_polytope(spec):
-    if spec["variant"] == "singleton":
-        return singleton(spec["k0"])
-    if "vertices" in spec:
-        return Polytope(spec["vertices"])
-    raise InputError("perturbation carries no direction set")
+def _direction_polytope(bundle):
+    """The loaded family's direction set H."""
+    if bundle.family.kind == "extensional":
+        raise InputError("perturbation carries no direction set")
+    return bundle.family.H
 
 
 def _dispatch_product(bundle, theorem, mode):
@@ -196,22 +201,15 @@ def _dispatch_product(bundle, theorem, mode):
         raise InputError("instance has no product block")
     pi = bundle.product
     params = bundle.params
-    spec = bundle.raw["perturbation"]
     if theorem == "5.6":
-        _require(params, "epsilon", "lambda")
-        if spec.get("k0") is None:
-            raise InputError("perturbation.k0 is required for this solver")
-        return prod.solve_pareto_evp(pi, spec["k0"], params.epsilon,
-                                     params.lam, mode=mode)
-    gamma = params.gamma if params.gamma is not None else spec.get("gamma")
+        return prod.solve_pareto_evp(pi, _direction_k0(bundle),
+                                     params.epsilon, params.lam, mode=mode)
+    gamma = (params.gamma if params.gamma is not None
+             else bundle.raw["perturbation"].get("gamma"))
     if gamma is None:
         raise InputError("params.gamma is required for this solver")
-    H = _direction_polytope(spec)
-    xi = strictly_positive_functional(H, pi.cone, pi.tol)
-    if xi is None:
-        raise HypothesisError(
-            "separation", "no strictly positive functional for the "
-            "direction set")
+    H = _direction_polytope(bundle)
+    xi = _positive_functional(H, pi.cone, pi.tol, "the direction set")
     fm = prod.fmap_from_rate(pi.base, H, gamma, xi)
     if theorem == "5.1":
         return prod.solve_minimal_point(pi, fm, mode=mode)

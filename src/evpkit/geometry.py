@@ -247,9 +247,9 @@ class PolyhedralCone:
         raise InputError("cone is trivial ({0})")
 
 
-def cone(halfspaces, generators=None, tol=DEFAULT_TOL):
+def cone(halfspaces, generators=None):
     """Build and validate a PolyhedralCone."""
-    return PolyhedralCone(halfspaces, generators).validate(tol)
+    return PolyhedralCone(halfspaces, generators).validate()
 
 
 def orthant(m):

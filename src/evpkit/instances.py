@@ -746,16 +746,19 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None,
     """Evaluate every named hypothesis by enumeration.
 
     Lower sections are read from the order matrix ``rel`` (as built by
-    :func:`relation_matrix`, which runs when it is not given; ``arrays`` as
-    :func:`order_arrays` gives them). ``eta`` are the :func:`label_infima`,
-    computed here when not given. Infima of a linear functional over
-    polytopes are taken over vertices, for every pair and family index at
-    once (:func:`vertex_minima`); the separation conditions are
-    linear-functional-only and are reported as None for nonlinear
-    scalarizations.
+    :func:`relation_matrix`, which runs when it is not given). The order
+    matrix and the separation minima read one build of the
+    :func:`order_arrays` ``arrays``, made here when not given. ``eta`` are
+    the :func:`label_infima`, computed here when not given. Infima of a
+    linear functional over polytopes are taken over vertices, for every pair
+    and family index at once (:func:`vertex_minima`); the separation
+    conditions are linear-functional-only and are reported as None for
+    nonlinear scalarizations.
     """
     tol = inst.tol
     labels = inst.labels
+    if arrays is None:
+        arrays = order_arrays(inst, fam)
     if rel is None:
         rel = relation_matrix(inst, fam, arrays)
 
@@ -795,8 +798,7 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None,
     sep_witness = None
     notes = []
     if linear:
-        S, V = (arrays or family_arrays(inst.space, fam))[:2]
-        minima = vertex_minima(S, V, xi)
+        minima = vertex_minima(*arrays[:2], xi)
         sep_pairs, sep_point, pair_witness = _pairwise_separation(
             inst, minima, section)
         sep_uniform, uniform_witness = _uniform_separation(inst, fam, minima)

@@ -4,9 +4,10 @@ the report type the CLI emits.
 Instance files are UTF-8 JSON with schema version ``evpkit/1``. Loading
 checks each fact once: ``_check`` walks the document against
 ``INSTANCE_SPEC`` for its keys and JSON types (no unknown keys, required
-keys present, finite numbers that are not booleans, non-empty lists), then
-the builders check the values and every invariant. Either names the field at
-fault, as in ``$.params.epsilon: expected a number``.
+keys present, finite numbers that are not booleans, non-empty lists, matrix
+rows of one length), then the builders check the values and every
+invariant. Either names the field at fault, as in
+``$.params.epsilon: expected a number``.
 """
 
 from __future__ import annotations
@@ -121,6 +122,10 @@ def _check(value, spec, path="$"):
                 else "a non-empty list"))
         for i, item in enumerate(value):
             _check(item, spec[i] if exact else spec[0], f"{path}[{i}]")
+            if (not exact and isinstance(spec[0], list)
+                    and len(item) != len(value[0])):
+                raise InputError(f"{path}[{i}]: expected a list of "
+                                 f"{len(value[0])} items")
 
 
 @dataclass

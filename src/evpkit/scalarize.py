@@ -61,19 +61,15 @@ class GerstewitzFn:
         """:func:`gz_value` read from the cone-row products ``A y`` on the
         last axis of ``prods``: ``+inf`` where a zero row exceeds ``tol``,
         else the maximum over the positive rows."""
-        top = np.max(prods[..., self._pos_rows] / self._pos_prods, axis=-1)
-        inf = np.any(prods[..., ~self._pos_rows] > self.tol, axis=-1)
+        # array methods: np.max and np.any add a third to a point's cost
+        top = (prods[..., self._pos_rows] / self._pos_prods).max(axis=-1)
+        inf = (prods[..., ~self._pos_rows] > self.tol).any(axis=-1)
         return np.where(inf, math.inf, top)
 
 
 def gz_value(g: GerstewitzFn, y):
     """Closed-form value of the scalarization (finite or ``+inf``)."""
-    y = as_point(y, g.cone.dim)
-    prods = g.cone.halfspaces @ y
-    pos = g._pos_rows
-    if np.any(prods[~pos] > g.tol):
-        return math.inf
-    return float(np.max(prods[pos] / g._pos_prods))
+    return float(g.from_products(g.cone.halfspaces @ as_point(y, g.cone.dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,13 +88,13 @@ class ShiftedGerstewitz:
         return gz_value(self.base, np.asarray(y, dtype=float) - self.shift)
 
 
-def gz_bisect_oracle(g: GerstewitzFn, y, lo=None, hi=None, tol=None,
-                     max_expand=80):
+def gz_bisect_oracle(g: GerstewitzFn, y, tol=None):
     """Independent oracle: binary search for ``inf {t : t*k0 - y in cone}``.
 
     Membership is monotone in ``t`` (upward closed), so once a bracket
-    ``lo < t* <= hi`` is found bisection converges linearly. Reports ``+inf``
-    when no upper bracket exists after ``max_expand`` doublings.
+    ``lo < t* <= hi`` is found bisection converges linearly. The bracket
+    starts at ``[-s, s]`` with ``s = max |y_i| + 1``; reports ``+inf`` when
+    no upper bracket exists after 80 doublings.
     """
     tol = g.tol if tol is None else tol
     y = as_point(y, g.cone.dim)
@@ -106,20 +102,19 @@ def gz_bisect_oracle(g: GerstewitzFn, y, lo=None, hi=None, tol=None,
     def member(t):
         return cone_contains(g.cone, t * g.k0 - y, tol)
 
-    span = float(np.max(np.abs(y))) + 1.0
-    hi = span if hi is None else float(hi)
-    lo = -span if lo is None else float(lo)
+    hi = float(np.max(np.abs(y))) + 1.0
+    lo = -hi
     expansions = 0
     while not member(hi):
-        hi = 2.0 * hi if hi > 0 else 1.0
+        hi *= 2.0
         expansions += 1
-        if expansions > max_expand:
+        if expansions > 80:
             return math.inf
     expansions = 0
     while member(lo):
-        lo = 2.0 * lo if lo < 0 else -1.0
+        lo *= 2.0
         expansions += 1
-        if expansions > max_expand:
+        if expansions > 80:
             raise InputError("lower bracket expansion cap exceeded; "
                              "the scalarization would be -inf")
     for _ in range(200):

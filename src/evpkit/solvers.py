@@ -120,14 +120,12 @@ def _jsonable(value):
 # Shared machinery.
 # ---------------------------------------------------------------------------
 
-def build_preorder(inst, fam, xi, arrays=None, eta=None):
+def build_preorder(inst, fam, xi):
     """Engine oracle plus the boolean order matrix (rel[i, j]: label i
-    precedes label j) for an instance, family, and scalarization; ``eta``
-    are the :func:`label_infima`, computed here when not given."""
-    rel = relation_matrix(inst, fam, arrays)
-    if eta is None:
-        eta = label_infima(inst, xi)
-    return eng.PreorderOracle.from_matrix(inst.labels, rel, eta), rel
+    precedes label j) for an instance, family, and scalarization."""
+    rel = relation_matrix(inst, fam)
+    return eng.PreorderOracle.from_matrix(inst.labels, rel,
+                                          label_infima(inst, xi)), rel
 
 
 def _solve_order(inst, fam, xi, x0, mode):
@@ -144,7 +142,8 @@ def _solve_order(inst, fam, xi, x0, mode):
                               "the perturbation family fails the triangle "
                               "inclusion property", witness={"triple": witness})
     eta = label_infima(inst, xi)
-    oracle, rel = build_preorder(inst, fam, xi, arrays, eta)
+    rel = relation_matrix(inst, fam, arrays)
+    oracle = eng.PreorderOracle.from_matrix(inst.labels, rel, eta)
     if not oracle.section(x0):
         raise HypothesisError("nonempty_start",
                               f"the lower section of {x0!r} is empty")
@@ -306,8 +305,8 @@ def solve_evp_set_direction(inst: FiniteInstance, H: Polytope, gamma, x0,
     """
     check_positive("gamma", gamma)
     xi = _separating_functional(H, inst.cone, inst.tol)
-    cls = OpenPolytopeFamily if open_family else PolytopeDirection
-    fam = cls(H, gamma).validate(inst.space, inst.cone, inst.tol)
+    # _separating_functional has checked H as the family's validate would
+    fam = (OpenPolytopeFamily if open_family else PolytopeDirection)(H, gamma)
     xhat, conclusions, report, trace = _solve_order(inst, fam, xi, x0, mode)
     bounded_by = d_bounded_certificate(inst)
     notes = (

@@ -10,6 +10,9 @@ import sys
 import numpy as np
 import pytest
 
+from evpkit import cli, geometry, instances, solvers
+from evpkit import io as kit_io
+from evpkit import product as prod
 from evpkit.cli import _family_direction_vertices, main, run_command
 from evpkit.errors import InputError
 from evpkit.geometry import Polytope
@@ -180,6 +183,23 @@ REJECTIONS = [
      {"L0": {"a|b": "x"}}, ("table",)),
     ("table-string-entry", ("perturbation", "table"),
      {"L0": {"a|b": [["x"]]}}, ("table",)),
+    # a ragged matrix is named at its first short or long row, after that
+    # row's own entries are checked
+    ("map-ragged-row", ("map", "a"), [[1.0], [1.0, 2.0]],
+     ("$.map.a[1]: expected a list of 1 items",)),
+    ("map-ragged-row-string-entry", ("map", "a"), [[1.0, 2.0], ["x"]],
+     ("$.map.a[1][0]: expected a number",)),
+    ("halfspaces-ragged-row", ("cone", "halfspaces"), [[1.0], [1.0, 2.0]],
+     ("$.cone.halfspaces[1]: expected a list of 1 items",)),
+    ("coordinates-ragged-row", ("space", "coordinates"),
+     [[0.0], [1.0], [2.0, 0.0]],
+     ("$.space.coordinates[2]: expected a list of 1 items",)),
+    ("vertices-ragged-row", ("perturbation", "vertices"),
+     [[1.0, 0.0], [1.0]],
+     ("$.perturbation.vertices[1]: expected a list of 2 items",)),
+    ("table-ragged-row", ("perturbation", "table"),
+     {"L0": {"a|b": [[1.0], [1.0, 2.0]]}},
+     ("$.perturbation.table.L0.a|b[1]: expected a list of 1 items",)),
     ("table-index-unlisted", ("perturbation",),
      {"variant": "extensional", "lambdas": ["L0"],
       "table": {"L0": {"a|b": [[1.0]]}, "Lx": {"a|b": [[1.0]]}}},
@@ -644,6 +664,93 @@ def test_pooled_direction_vertices_match_the_table_walk(n):
         want = loop_direction_vertices(bundle).vertices
         got = _family_direction_vertices(bundle).vertices
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Work: a command repeats no check or build that the load or an earlier step
+# of the solve made.
+# ---------------------------------------------------------------------------
+
+def _counted(monkeypatch, name, *owners):
+    """A one-item list that counts the calls of ``name`` through each of
+    ``owners``."""
+    calls = [0]
+    for owner in owners:
+        original = getattr(owner, name)
+
+        def counted(*a, _original=original, **kw):
+            calls[0] += 1
+            return _original(*a, **kw)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _generated_file(tmp_path, seed, variant):
+    path = tmp_path / f"{variant}-{seed}.json"
+    path.write_text(json.dumps(generate(seed, n=5, m=2, variant=variant)))
+    return str(path)
+
+
+@pytest.mark.parametrize("theorem", ["4.1", "4.2"])
+def test_set_direction_solve_checks_the_direction_set_twice(
+        monkeypatch, tmp_path, theorem):
+    """The load checks H once and the separating functional once; the
+    solver's family is built from that H without a third check."""
+    for seed in (3, 4, 5):
+        path = _generated_file(tmp_path, seed, "polytope")
+        calls = _counted(monkeypatch, "validate_direction_set", geometry,
+                         instances)
+        _, reports = run_command(["solve-evp", "--theorem", theorem, path])
+        assert reports[0].status in ("certified", "hypothesis_failed")
+        assert calls[0] == 2, (seed, calls[0])
+        monkeypatch.undo()
+
+
+def test_assumption_gate_builds_the_family_arrays_twice(monkeypatch,
+                                                        tmp_path):
+    """check-assumptions on an extensional file: one build pools the
+    direction vertices for the functional, and the gate's order matrix and
+    separation minima share the other."""
+    for seed in (6, 7):
+        path = _generated_file(tmp_path, seed, "extensional")
+        calls = _counted(monkeypatch, "family_arrays", cli, instances)
+        _, reports = run_command(["check-assumptions", path])
+        assert reports[0].status in ("ok", "hypothesis_failed")
+        assert calls[0] == 2, (seed, calls[0])
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("theorem,variant,owner,name", [
+    ("4.1", "polytope", solvers, "solve_evp_set_direction"),
+    ("4.2", "polytope", solvers, "solve_evp_set_direction"),
+    ("4.4", "quasimetric", solvers, "solve_evp_quasimetric"),
+    ("4.5", "polytope", solvers, "solve_evp_approx"),
+    ("4.6", "polytope", solvers, "solve_evp_approx"),
+    ("5.1", "polytope", prod, "fmap_from_rate"),
+    ("5.2", "singleton", prod, "fmap_from_rate"),
+], ids=["4.1", "4.2", "4.4", "4.5", "4.6", "5.1", "5.2"])
+def test_dispatch_hands_over_the_loaded_direction_set(
+        monkeypatch, tmp_path, theorem, variant, owner, name):
+    """The dispatch gives the solver the loaded family's H itself, not a
+    polytope parsed again from the file."""
+    bundles, handed = [], []
+    load, solve = kit_io.load_validate, getattr(owner, name)
+
+    def loaded(source):
+        bundles.append(load(source))
+        return bundles[-1]
+
+    def solving(*args, **kwargs):
+        handed.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(kit_io, "load_validate", loaded)
+    monkeypatch.setattr(owner, name, solving)
+    command = "solve-minimal-point" if theorem[0] == "5" else "solve-evp"
+    run_command([command, "--theorem", theorem,
+                 _generated_file(tmp_path, 8, variant)])
+    assert handed and handed[0] is bundles[0].family.H
 
 
 class TestReport:
