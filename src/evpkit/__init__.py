@@ -19,7 +19,7 @@ from .instances import (EvpParams, ExtensionalFamily, FiniteInstance,
                         relation_matrix, slm_probe, ti_check)
 from .engine import EngineTrace, PreorderOracle, solve
 from .solvers import (Certificate, Conclusion, EvpCertificate,
-                      build_preorder, solve_evp_approx, solve_evp_direction,
+                      solve_evp_approx, solve_evp_direction,
                       solve_evp_general, solve_evp_quasimetric,
                       solve_evp_set_direction)
 from .product import (FMap, ProductCertificate, ProductInstance,

@@ -33,9 +33,19 @@ _MAX_SIMPLEX_ITERATIONS = 5000
 _SEPARATION_ROWS = 8
 
 
+def float_array(x, name):
+    """``x`` as a float ndarray; nesting that is not rectangular (or an entry
+    that is no number) raises InputError instead of numpy's ValueError."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be a rectangular array of numbers"
+                         ) from None
+
+
 def as_point(y, m=None):
     """Coerce to a finite 1-D float array, optionally checking the dimension."""
-    arr = np.asarray(y, dtype=float)
+    arr = float_array(y, "point")
     if arr.ndim != 1:
         raise InputError(f"point must be 1-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -46,7 +56,7 @@ def as_point(y, m=None):
 
 
 def _as_matrix(rows, m=None, name="matrix"):
-    arr = np.asarray(rows, dtype=float)
+    arr = float_array(rows, name)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2 or arr.shape[0] == 0:
@@ -536,21 +546,6 @@ def covered_queries(Y, B, nb, S, V, nv, C: PolyhedralCone, tol, group,
                          np.flatnonzero(rows)):
             first[g] = q
     return first
-
-
-def first_uncovered(decided, answer, lp):
-    """Index of the first uncovered query of a flat, ordered stack, or None.
-
-    ``decided``/``answer`` come from :func:`screen_members`. Undecided
-    queries before the first decided failure are settled by ``lp(q)`` in
-    order, so no LP runs that a query-by-query loop would have skipped.
-    """
-    fails = np.flatnonzero(decided & ~answer)
-    stop = int(fails[0]) if fails.size else None
-    for q in np.flatnonzero(~decided[:stop]):
-        if not lp(int(q)):
-            return int(q)
-    return stop
 
 
 def minkowski_member(y, base, scale, H: Polytope | None, C: PolyhedralCone,

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InputError
 from .geometry import (DEFAULT_TOL, PolyhedralCone, Polytope, _over_rows,
                        as_point, covered_queries, first_outside,
-                       first_uncovered, lp_member, minkowski_member,
+                       float_array, lp_member, minkowski_member,
                        screen_members, singleton, stack_rows,
                        validate_direction_set)
 
@@ -39,7 +39,7 @@ class MetricSpace:
             raise InputError("space needs at least one point")
         if len(set(labels)) != len(labels):
             raise InputError("duplicate labels")
-        d = np.asarray(self.dist, dtype=float)
+        d = float_array(self.dist, "distance matrix")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dist", d)
 
@@ -110,7 +110,8 @@ class QuasiMetric:
     mat: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", np.asarray(self.mat, dtype=float))
+        object.__setattr__(self, "mat", float_array(self.mat,
+                                                    "quasi-metric matrix"))
 
     def validate(self, tol=DEFAULT_TOL):
         p = self.mat
@@ -166,7 +167,7 @@ class SetValuedMap:
         out = {}
         m = None
         for label, pts in self.values.items():
-            arr = np.asarray(pts, dtype=float)
+            arr = float_array(pts, f"value set of {label!r}")
             if arr.size == 0:
                 raise InputError(f"value set of {label!r} must be nonempty")
             if arr.ndim == 1:
@@ -491,116 +492,55 @@ def relation_matrix(inst: FiniteInstance, fam, arrays=None):
 
 
 def ti_check(inst: FiniteInstance, fam, arrays=None):
-    """Triangle-inclusion property of the family over all label triples.
-
-    A distance-scaled family is one pair map F(x2, x1), swept by
-    :func:`triangle_failure`; an extensional family is searched over its
-    index pairs by :func:`_extensional_failure`. Returns ``(True, None)`` or
-    ``(False, witness)``, the first failing (x1, x2, x3, index) in loop
-    order.
+    """Triangle-inclusion property of the family over all label triples,
+    searched by :func:`triangle_failure` on the :func:`family_arrays` (the
+    first three of ``arrays`` when given). Returns ``(True, None)`` or
+    ``(False, witness)``, the first failing (x1, x2, x3, index) in the loop
+    order index, x1, x3, x2.
     """
-    space = inst.space
-    S, V, nv = (family_arrays(space, fam) if arrays is None
+    S, V, nv = (family_arrays(inst.space, fam) if arrays is None
                 else arrays[:3])
-    if fam.kind == "extensional":
-        witness = _extensional_failure(fam, space, V, nv, inst.cone, inst.tol)
-        return (True, None) if witness is None else (False, witness)
-    triple = triangle_failure(inst.labels, S[..., 0], V, nv, inst.cone,
-                              inst.tol)
-    return (True, None) if triple is None else (False, (*triple, "*"))
-
-
-def _extensional_failure(fam, space, E, counts, C, tol):
-    """First (x1, x2, x3, index) with no index pair (mu, nu) that puts every
-    vertex sum of F_mu(x1, x2) + F_nu(x2, x3) in F_index(x1, x3) + C, in the
-    loop order index, x1, x3, x2; None when there is none.
-
-    One :func:`screen_members` call screens the queries (index, x1, x3, x2,
-    (mu, nu), (u, v)) of all (index, x1) slabs. A pair (x3, x2) of a slab is
-    covered when some (mu, nu) has every sum screened in, and dead when
-    every (mu, nu) has a sum screened out. Each slab's pairs before its
-    first dead one are walked in loop order; an uncovered one tries its (mu,
-    nu) in order on the LP, skipping those with a sum screened out, until
-    one has every undecided sum covered. ``E[x2, x1, index]`` holds the
-    vertices of F_index(x2, x1) padded to J, ``counts`` the real ones.
-    """
-    labels = space.labels
-    n, L, J = len(labels), len(fam.lambdas()), E.shape[3]
-    # every sum F_mu(x1, x2)[u] + F_nu(x2, x3)[v] as (x1, x3, x2, mu nu, u v)
-    Et, ct = E.transpose(1, 0, 2, 3, 4), counts.transpose(1, 0, 2)
-    sums = (E[:, None, :, :, None, :, None, :]
-            + Et[None, :, :, None, :, None, :, :]).reshape(
-                n, n, n, L * L, J * J, C.dim)
-    k = np.arange(J)
-    pads = ((k[:, None] >= counts[:, None, :, :, None, None, None])
-            | (k >= ct[None, :, :, None, :, None, None])).reshape(
-                n, n, n, L * L, J * J)
-    origin = np.zeros((1, C.dim))
-    # the targets F_index(x1, x3) as (index, x1, x3)
-    T, tn = E.transpose(2, 0, 1, 3, 4), counts.transpose(2, 0, 1)
-    decided, answer, candidates = screen_members(
-        sums[None], origin, np.float64(1.0), T[:, :, :, None, None, None],
-        tn[..., None, None, None], C, tol)
-    out = _over_rows(np.logical_or, decided & ~answer & ~pads)
-    covered = _over_rows(np.logical_or, _over_rows(
-        np.logical_and, (decided & answer) | pads))
-    dead = _over_rows(np.logical_and, out)
-    # only slabs with an uncovered pair (a dead one included) are walked
-    for s in np.flatnonzero(~covered.all(axis=(-2, -1)).ravel()):
-        c_lam, a = divmod(int(s), n)
-        stops = np.flatnonzero(dead[c_lam, a])
-        stop = int(stops[0]) if stops.size else None
-
-        def covers(c, b, g):
-            # (mu, nu) = divmod(g, L) puts every sum of the pair (x3, x2) =
-            # (c, b) in the target, the undecided sums by LP in (u, v) order
-            if out[c_lam, a, c, b, g]:
-                return False
-            settled, rows = pads[a, c, b, g], candidates[c_lam, a, c, b, g]
-            target = T[c_lam, a, c, :tn[c_lam, a, c]]
-            return first_uncovered(
-                decided[c_lam, a, c, b, g] | settled,
-                answer[c_lam, a, c, b, g] | settled,
-                lambda q: lp_member(sums[a, c, b, g, q], origin, 1.0, target,
-                                    C, tol, np.flatnonzero(rows[q]))) is None
-
-        for p in np.flatnonzero(~covered[c_lam, a].ravel()[:stop]):
-            c, b = divmod(int(p), n)
-            if not any(covers(c, b, g) for g in range(L * L)):
-                return labels[a], labels[b], labels[c], fam.lambdas()[c_lam]
-        if stop is not None:
-            c, b = divmod(stop, n)
-            return labels[a], labels[b], labels[c], fam.lambdas()[c_lam]
-    return None
+    hit = triangle_failure(S, V, nv, inst.cone, inst.tol)
+    if hit is None:
+        return True, None
+    lam, a, b, c = hit
+    labels = inst.labels
+    return False, (labels[a], labels[b], labels[c], fam.lambdas()[lam])
 
 
 # ---------------------------------------------------------------------------
-# Pair maps as arrays ``(S, V, nv)``: the scales ``S[i, j]`` of
-# F(labels[i], labels[j]), and one ``(J, m)`` polytope with ``nv`` vertices
-# or an ``(n, n, J, m)`` :func:`stack_rows` stack with ``(n, n)`` counts, as
-# ``product.pair_arrays`` builds them and ``pair_map`` gives them.
+# Triangle inclusion, F(x1, x2) + F(x2, x3) inside F(x1, x3) + C, on the
+# arrays ``(S, V, nv)`` of :func:`family_arrays`: the scales ``S[i, j, l]``
+# of the set of index l of F(labels[i], labels[j]), and one shared ``(J, m)``
+# polytope with ``nv`` vertices or an ``(n, n, L, J, m)`` :func:`stack_rows`
+# stack with ``(n, n, L)`` counts. A pair map (``product.pair_arrays``) is
+# the case of one index.
 # ---------------------------------------------------------------------------
 
-def settled_triples(S, V, C, tol):
-    """``settled[a, b, c]``: every query that :func:`triangle_failure`
-    screens for the triple (labels[a], labels[b], labels[c]) of the pair map
-    ``S`` over one shared polytope with vertices ``V`` is covered, read from
-    ``S`` and ``A V`` alone, without assuming H in C or a metric ``S``.
+# triangle_failure screens whole (index, x1) slabs in blocks of up to this
+# many queries, and at least one slab, so that its arrays stay small at any n
+_TRIANGLE_QUERIES = 1 << 16
 
-    With s = s12 + s23, the screen asks s v in s13 H + C for each vertex v,
-    and its single-vertex test at v computes A(s v) - s13 A v = r A v with
+
+def settled_triples(s, s13, V, C, tol):
+    """``settled``: every query that :func:`triangle_failure` screens for an
+    index pair of a triple with the scales ``s = s12 + s23`` and ``s13``
+    (arrays that broadcast), over one shared polytope with vertices ``V``,
+    is covered, read from the scales and ``A V`` alone, without assuming H
+    in C or a metric ``S``.
+
+    The screen asks s v in s13 H + C for each vertex v, and its
+    single-vertex test at v computes A(s v) - s13 A v = r A v with
     r = s - s13; when s13 <= tol it asks s v in C, so r = s. The test hits
     when min(r min(AV), r max(AV)) is at least -tol, less an allowance for
     the rounding of both products: (2 m + 6) ulps of
     (|s| + |s13|) max |A||v| + tol. So a settled triple is one the screen
-    already covers. Triples the sweep skips (s and s13 at most ``tol``) are
-    settled; any other triple with a negative s13 is not.
+    already covers. Triples the search skips (s and s13 at most ``tol``)
+    are settled; any other triple with a negative s13 is not.
     """
     A = C.halfspaces
     AV = V @ A.T
     size = np.max(np.abs(V) @ np.abs(A).T)
-    s13 = S[:, None, :]
-    s = S[:, :, None] + S[None, :, :]
     r = np.where(s13 > tol, s - s13, s)
     low = np.minimum(r * AV.min(), r * AV.max())
     allowance = (2 * C.dim + 6) * np.finfo(float).eps * (
@@ -609,59 +549,114 @@ def settled_triples(S, V, C, tol):
     return skip | ((s13 >= 0) & (low - allowance >= -tol))
 
 
-def triangle_failure(labels, S, V, nv, C, tol):
-    """First triple (x1, x2, x3), in loop order, with F(x1, x2) + F(x2, x3)
-    outside F(x1, x3) + C, or None when the pair map ``(S, V, nv)`` has the
-    triangle inclusion.
+def triangle_failure(S, V, nv, C, tol):
+    """The first failing triple of the arrays ``(S, V, nv)`` as positions
+    ``(index, x1, x2, x3)``, in the loop order index, x1, x3, x2, or None
+    when the triangle inclusion holds. A triple fails for an index when no
+    index pair (mu, nu) puts every query of F_mu(x1, x2) + F_nu(x2, x3) in
+    F_index(x1, x3) + C.
 
-    Screened one x1 at a time by :func:`screen_members`; undecided queries
-    go to the LP in loop order until one is uncovered. With one shared
-    polytope H every sum s12 u + s23 v lies in (s12 + s23) H, so only the
-    vertices of (s12 + s23) H are tested against s13 H, and only the x1
-    that hold a triple :func:`settled_triples` leaves open are screened at
-    all; otherwise every vertex sum s12 u + s23 v is tested against
-    s13 H13. A triple with both s12 + s23 and s13 at most ``tol`` is
-    covered; any other negative s13 raises InputError when the sweep
-    reaches it.
+    Only the queries depend on the input. With one shared polytope H every
+    sum s12 u + s23 v lies in (s12 + s23) H, so the queries are the vertices
+    of (s12 + s23) H, and an x1 whose triples :func:`settled_triples`
+    settles for every index is not screened; otherwise they are the vertex
+    sums s12 u + s23 v of the padded stacks. A padding query repeats a real
+    one, so it changes no screen result, and it is never sent to the LP. A
+    triple with both s12 + s23 and s13 at most ``tol`` is covered; any other
+    negative s13 raises InputError when the walk reaches it.
+
+    The (index, x1) slabs are screened by :func:`screen_members` in blocks
+    of at most ``_TRIANGLE_QUERIES`` queries, and at least one slab: runs of
+    indices with all their slabs when those fit, else runs of x1 of one
+    index. The queries do not depend on the index, so a block builds them
+    once per x1 and screens them against the targets F_index(x1, x3) of all
+    its indices. Each block is walked before the next is screened. A pair
+    (x3, x2) of a slab is covered when some (mu, nu) has every query
+    screened in, and dead when every (mu, nu) has one screened out. Each
+    slab's pairs before its first dead one are walked in loop order; an
+    uncovered one tries its (mu, nu) in order on the LP, skipping those with
+    a query screened out, until one has every undecided query covered. So
+    no LP runs that a loop over the triples would skip.
     """
+    n, _, L = S.shape
+    shared = V.ndim == 2
+    J = V.shape[-2]
+    per_slab = n * n * L * L * (J if shared else J * J)
+    run = max(1, _TRIANGLE_QUERIES // per_slab)     # slabs per block
+    lrun = max(1, run // n)
+    blocks = [(slice(l0, l0 + lrun), slice(a0, a0 + run))
+              for l0 in range(0, L, lrun) for a0 in range(0, n, min(run, n))]
     origin = np.zeros((1, C.dim))
-    slabs = range(len(labels))
-    if V.ndim == 2:
-        slabs = np.flatnonzero(~settled_triples(S, V, C, tol).all(axis=(1, 2)))
-    for a in slabs:
-        x1 = labels[a]
-        s = S[a][:, None] + S                    # s12 + s23 over (x2, x3)
-        skip = (s <= tol) & (S[a] <= tol)
-        negative = (S[a] < 0) & ~skip
-        if V.ndim == 2:
-            # queries (x2, x3, -, v): (s12 + s23) v in s13 H + C
-            W = s[..., None, None, None] * V
-            T, tn, pad = V, nv, False
+    if not shared:
+        SV, k = S[..., None, None] * V, np.arange(J)   # scaled vertices
+    for at in blocks:                       # (index, x1) slices
+        lams, a = np.arange(L)[at[0]], np.arange(n)[at[1]]
+        # s12 + s23 over (x1, x2, x3, mu, nu), s13 over (index, x1, x3)
+        s = S[at[1]][:, :, None, :, None] + S[None, :, :, None, :]
+        s13 = S.transpose(2, 0, 1)[at]
+        if shared:
+            settled = settled_triples(s, s13[:, :, None, :, None, None], V,
+                                      C, tol)
+            settled = settled.reshape(*settled.shape[:4], L * L)
+            keep = ~_over_rows(np.logical_or, settled).all(axis=(0, 2, 3))
+            if not keep.any():
+                continue
+            a, s, s13 = a[keep], s[keep], s13[:, keep]
+        # s12 + s23 over (x1, x3, x2, (mu, nu)), the order of the walk
+        s = s.transpose(0, 2, 1, 3, 4).reshape(len(a), n, n, L * L)
+        if shared:
+            # queries (x1, x3, x2, (mu, nu), v): (s12 + s23) v
+            W, T, tn = s[..., None, None] * V, V, nv
         else:
-            # queries (x2, x3, u, v): s12 u + s23 v in s13 H13 + C
-            W = (S[a][:, None, None, None, None] * V[a][:, None, :, None, :]
-                 + S[:, :, None, None, None] * V[:, :, None, :, :])
-            T, tn = V[a][None, :, None, None], nv[a][None, :, None, None]
-            k = np.arange(V.shape[2])
-            pad = ((k[:, None] >= nv[a][:, None, None, None])
-                   | (k >= nv[:, :, None, None]))
+            # queries (x1, x3, x2, (mu, nu), (u, v)): s12 u + s23 v
+            W = (SV[at[1]][:, None, :, :, None, :, None]
+                 + SV.transpose(1, 0, 2, 3, 4)[None, :, :, None, :, None]
+                 ).reshape(len(a), n, n, L * L, J * J, C.dim)
+            T = V.transpose(2, 0, 1, 3, 4)[at][:, :, :, None, None, None]
+            tn = nv.transpose(2, 0, 1)[at][..., None, None, None]
         decided, answer, candidates = screen_members(
-            W, origin, S[a][None, :, None, None], T, tn, C, tol)
-        settled = skip[..., None, None] | pad
-        decided = (decided | settled) & ~negative[..., None, None]
+            W[None], origin, s13[..., None, None, None], T, tn, C, tol)
+        skip = (s <= tol) & (s13[..., None, None] <= tol)
+        decided = decided & ~((s13[..., None, None] < 0) & ~skip)[..., None]
+        free = skip[..., None]                  # covered without a test
+        out = _over_rows(np.logical_or, decided & ~answer & ~free)
+        covered = _over_rows(np.logical_or, _over_rows(
+            np.logical_and, (decided & answer) | free))
+        dead = _over_rows(np.logical_and, out)
 
-        def lp(q):
-            b, c, u, v = np.unravel_index(q, decided.shape)
-            if S[a, c] < 0:
+        def covers(li, ai, c, b, g):
+            # (mu, nu) = divmod(g, L) puts every query of the pair
+            # (x3, x2) = (c, b) of the slab in the target: none is screened
+            # out, and the undecided ones but padding are covered by LP in
+            # order
+            if out[li, ai, c, b, g]:
+                return False
+            if s13[li, ai, c] < 0:
                 raise InputError("scale must be nonnegative")
-            return lp_member(W[b, c, u, v], origin, S[a, c],
-                             V if V.ndim == 2 else V[a, c, :nv[a, c]], C,
-                             tol, np.flatnonzero(candidates[b, c, u, v]))
+            x1, lam = a[ai], lams[li]
+            target, f = V, free[li, ai, c, b, g]
+            if not shared:
+                mu, nu = divmod(g, L)
+                target = V[x1, c, lam, :nv[x1, c, lam]]
+                f = f | ((k[:, None] >= nv[x1, b, mu])
+                         | (k >= nv[b, c, nu])).ravel()
+            return all(lp_member(W[ai, c, b, g, q], origin, s13[li, ai, c],
+                                 target, C, tol, np.flatnonzero(
+                                     candidates[li, ai, c, b, g, q]))
+                       for q in np.flatnonzero(~(decided[li, ai, c, b, g]
+                                                 | f)))
 
-        q = first_uncovered(decided.ravel(), (answer | settled).ravel(), lp)
-        if q is not None:
-            b, c, _, _ = np.unravel_index(q, decided.shape)
-            return x1, labels[b], labels[c]
+        # only slabs with an uncovered pair (a dead one included) are walked
+        for li, ai in zip(*np.nonzero(~covered.all(axis=(2, 3)))):
+            stops = np.flatnonzero(dead[li, ai])
+            stop = int(stops[0]) if stops.size else None
+            for p in np.flatnonzero(~covered[li, ai].ravel()[:stop]):
+                c, b = divmod(int(p), n)
+                if not any(covers(li, ai, c, b, g) for g in range(L * L)):
+                    return int(lams[li]), int(a[ai]), b, c
+            if stop is not None:
+                c, b = divmod(stop, n)
+                return int(lams[li]), int(a[ai]), b, c
     return None
 
 

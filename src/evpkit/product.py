@@ -225,11 +225,14 @@ def validate_fmap(pi: ProductInstance, fm: FMap, pair=None):
             raise HypothesisError(
                 "reflexive_zero",
                 f"pair-map value at ({x!r}, {x!r}) does not contain 0")
-    triple = triangle_failure(labels, *pair, C, tol)
-    if triple is not None:
+    # the pair map is a family of one index
+    one = (V, nv) if V.ndim == 2 else (V[:, :, None], nv[..., None])
+    hit = triangle_failure(S[..., None], *one, C, tol)
+    if hit is not None:
         raise HypothesisError("triangle_inclusion",
                               "pair map fails the triangle inclusion",
-                              witness={"triple": triple})
+                              witness={"triple": tuple(labels[k]
+                                                       for k in hit[1:])})
     # additivity of the scalarization on pair-map values
     xi = fm.xi
     if not getattr(xi, "is_linear", False):

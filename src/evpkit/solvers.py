@@ -120,14 +120,6 @@ def _jsonable(value):
 # Shared machinery.
 # ---------------------------------------------------------------------------
 
-def build_preorder(inst, fam, xi):
-    """Engine oracle plus the boolean order matrix (rel[i, j]: label i
-    precedes label j) for an instance, family, and scalarization."""
-    rel = relation_matrix(inst, fam)
-    return eng.PreorderOracle.from_matrix(inst.labels, rel,
-                                          label_infima(inst, xi)), rel
-
-
 def _solve_order(inst, fam, xi, x0, mode):
     """Order construction, the hypothesis gate, the engine run from x0 and
     the two order conclusions, shared by all solvers.

@@ -7,8 +7,10 @@ import os
 import numpy as np
 
 from evpkit.cli import _family_direction_vertices
+from evpkit.engine import PreorderOracle
 from evpkit.errors import PremiseError
 from evpkit.geometry import cone, singleton
+from evpkit.instances import label_infima, relation_matrix
 from evpkit.io import generate, load_validate
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -106,6 +108,14 @@ def grow_epsilon(fn, start=0.25, cap=1e6):
 # Oracles of the minimal-point engine, from the raw successor lists of a
 # PreorderOracle and independent of the iterative construction.
 # ---------------------------------------------------------------------------
+
+def build_preorder(inst, fam, xi):
+    """Engine oracle plus the boolean order matrix (rel[i, j]: label i
+    precedes label j) for an instance, family, and scalarization."""
+    rel = relation_matrix(inst, fam)
+    return PreorderOracle.from_matrix(inst.labels, rel,
+                                      label_infima(inst, xi)), rel
+
 
 def _terminal(oracle, x):
     return all(z == x for z in oracle.section(x))

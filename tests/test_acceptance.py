@@ -22,14 +22,14 @@ from evpkit.product import (fmap_from_rate, pareto_min, prec_f, prec_fstar,
                             solve_pareto_evp, solve_strict_minimal,
                             strict_pareto_min)
 from evpkit.scalarize import GerstewitzFn, gz_bisect_oracle, gz_value
-from evpkit.solvers import (build_preorder, solve_evp_approx,
-                            solve_evp_direction, solve_evp_general,
-                            solve_evp_quasimetric, solve_evp_set_direction)
+from evpkit.solvers import (solve_evp_approx, solve_evp_direction,
+                            solve_evp_general, solve_evp_quasimetric,
+                            solve_evp_set_direction)
 
-from conftest import (VARIANT_CYCLE, brute_force_minimals, direction_polytope,
-                      fixture_path, generated_bundle, grow_epsilon,
-                      pointed_cone, random_cone, sample_cone_member,
-                      verify_conclusions)
+from conftest import (VARIANT_CYCLE, brute_force_minimals, build_preorder,
+                      direction_polytope, fixture_path, generated_bundle,
+                      grow_epsilon, pointed_cone, random_cone,
+                      sample_cone_member, verify_conclusions)
 
 MEMBERSHIP_TOL = 1e-9
 PROP_TOL = 1e-8

@@ -19,10 +19,9 @@ import pytest
 from evpkit import geometry, instances, product, scalarize, solvers
 from evpkit.errors import HypothesisError, InputError, PremiseError
 from evpkit.geometry import (DEFAULT_TOL, LinearFunctional, Polytope,
-                             as_point, cone, cone_contains, first_uncovered,
-                             lp_member, minkowski_member, orthant,
-                             screen_members, singleton,
-                             strictly_positive_functional)
+                             as_point, cone, cone_contains, lp_member,
+                             minkowski_member, orthant, screen_members,
+                             singleton, strictly_positive_functional)
 from evpkit.instances import (ExtensionalFamily, FiniteInstance, MetricSpace,
                               OpenPolytopeFamily, PolytopeDirection,
                               QuasiMetric, QuasiMetricDirection, SetValuedMap,
@@ -66,8 +65,8 @@ def loop_ti_check(inst, fam):
     if fam.kind == "extensional":
         return loop_ti_extensional(inst, fam)
     for x1 in labels:
-        for x2 in labels:
-            for x3 in labels:
+        for x3 in labels:
+            for x2 in labels:
                 (_, s12, H) = fam.sets(space, x1, x2)[0]
                 (_, s23, _) = fam.sets(space, x2, x3)[0]
                 (_, s13, _) = fam.sets(space, x1, x3)[0]
@@ -105,11 +104,27 @@ def loop_ti_extensional(inst, fam):
     return True, None
 
 
+def first_uncovered(decided, answer, lp):
+    """Index of the first uncovered query of a flat, ordered stack, or None
+    (the walk of ``slab_extensional_failure``, once a library helper).
+
+    ``decided``/``answer`` come from ``screen_members``. Undecided
+    queries before the first decided failure are settled by ``lp(q)`` in
+    order, so no LP runs that a query-by-query loop would have skipped.
+    """
+    fails = np.flatnonzero(decided & ~answer)
+    stop = int(fails[0]) if fails.size else None
+    for q in np.flatnonzero(~decided[:stop]):
+        if not lp(int(q)):
+            return int(q)
+    return stop
+
+
 def slab_ti_extensional(inst, fam):
-    """The extensional search with one screen per (index, x1) slab, as
-    ``instances._extensional_failure`` was before it screened all slabs in
-    one call (kept verbatim below): the same walk, so the same witnesses and
-    the same LP calls."""
+    """The extensional search with one screen per (index, x1) slab, as it
+    was before slabs were screened together (kept verbatim below):
+    ``triangle_failure`` walks the same way, so it finds the same witnesses
+    with the same LP calls."""
     _, E, counts = family_arrays(inst.space, fam)
     witness = slab_extensional_failure(fam, inst.space, E, counts, inst.cone,
                                        inst.tol)
@@ -174,8 +189,8 @@ def loop_fmap_triangle(pi, fm):
     zero = np.zeros(C.dim)
     labels = pi.base.labels
     for x1 in labels:
-        for x2 in labels:
-            for x3 in labels:
+        for x3 in labels:
+            for x2 in labels:
                 s12, H12 = fm.value_set(x1, x2)
                 s23, H23 = fm.value_set(x2, x3)
                 s13, H13 = fm.value_set(x1, x3)
@@ -787,10 +802,25 @@ def test_premises_match_loop(m):
 TOL = 1e-9
 
 
+def settled_over_triples(S, V, C, tol):
+    """``settled_triples`` of every triple (x1, x2, x3) of the ``(n, n)``
+    scales ``S``, as ``settled[a, b, c]``."""
+    return settled_triples(S[:, :, None] + S[None], S[:, None, :], V, C, tol)
+
+
+def pair_map_triangle(pi, fm):
+    """``triangle_failure`` on the ``pair_arrays`` of ``fm``, as a label
+    triple."""
+    S, V, nv = pair_arrays(pi, fm)
+    one = (V, nv) if V.ndim == 2 else (V[:, :, None], nv[..., None])
+    hit = triangle_failure(S[..., None], *one, pi.cone, pi.tol)
+    return None if hit is None else tuple(pi.base.labels[k] for k in hit[1:])
+
+
 def screen_covers(S, V, C, tol):
-    """``covered[a, b, c]``: the screen of the shared-polytope triangle sweep
-    decides every query of the triple as covered (or the sweep skips it),
-    from the same screen_members call the sweep makes for x1 = a."""
+    """``covered[a, b, c]``: the screen of the shared-polytope triangle
+    search decides every query of the triple as covered (or the search
+    skips it), from one screen_members call per slab x1 = a."""
     origin = np.zeros((1, C.dim))
     out = []
     for a in range(len(S)):
@@ -886,12 +916,10 @@ def test_settle_matches_loops(case):
     inst, fam, pi, fm = _settle_problem(d, rate, H, C, quasi)
     assert _outcome(ti_check, inst, fam) == _outcome(loop_ti_check, inst, fam)
     S, V, _ = family_arrays(inst.space, fam)
-    settled = settled_triples(S[..., 0], V, C, TOL)
+    settled = settled_over_triples(S[..., 0], V, C, TOL)
     assert not (settled & ~screen_covers(S[..., 0], V, C, TOL)).any()
     if quasi is None:
-        labels = pi.base.labels
-        got = _outcome(triangle_failure, labels,
-                       *pair_arrays(pi, fm), C, TOL)
+        got = _outcome(pair_map_triangle, pi, fm)
         assert got == _outcome(loop_fmap_triangle, pi, fm)
 
 
@@ -906,7 +934,8 @@ def test_settle_cases_settle_and_leave_open():
     for name, d, rate, H, C, quasi in settle_cases():
         inst, fam, _, _ = _settle_problem(d, rate, H, C, quasi)
         S, V, _ = family_arrays(inst.space, fam)
-        left[name] = int((~settled_triples(S[..., 0], V, C, TOL)).sum())
+        left[name] = int((~settled_over_triples(S[..., 0], V, C,
+                                                TOL)).sum())
     for name in ("knife-zero", "small", "collinear", "collinear-rounded",
                  "broken-within-tol", "quasimetric"):
         assert left[name] == 0, name
@@ -942,7 +971,7 @@ def test_settled_triples_are_screened_covered():
             # a vertex on the cone's boundary, off by a fraction of tol
             row = C.halfspaces[0]
             V[0] -= (row @ V[0] + rng.uniform(0, TOL)) * row / (row @ row)
-        settled = settled_triples(S, V, C, TOL)
+        settled = settled_over_triples(S, V, C, TOL)
         assert not (settled & ~screen_covers(S, V, C, TOL)).any(), trial
         counts[True] += int(settled.sum())
         counts[False] += int((~settled).sum())
@@ -962,7 +991,7 @@ def test_negative_scale_raises_past_settled_slabs():
     fam = QuasiMetricDirection(Polytope([[1.0, 0.0], [0.0, 1.0]]),
                                QuasiMetric(p))
     S, V, _ = family_arrays(inst.space, fam)
-    settled = settled_triples(S[..., 0], V, C, TOL)
+    settled = settled_over_triples(S[..., 0], V, C, TOL)
     assert settled[:2].all() and not settled[2].all()
     for fn in (ti_check, loop_ti_check):
         with pytest.raises(InputError, match="nonnegative"):
@@ -1070,20 +1099,99 @@ def test_sweeps_never_run_more_lps_than_loops(monkeypatch):
     assert totals["loop"] > 0  # the LP fallback was exercised
 
 
-def test_extensional_search_screens_once(monkeypatch):
-    """One screen_members call per extensional ti_check, for failing random
-    tables and passing generated ones at n = 3 to 8."""
+def _screens_per_search(monkeypatch):
+    """For failing random tables and passing generated ones at n = 3 to 8:
+    the screen_members calls of ti_check, and the number of (index, x1)
+    slabs the search reaches, up to the witness's."""
     rng = np.random.default_rng(61)
-    outcomes = set()
+    out = []
     for n in range(3, 9):
         for inst, fam in (random_instance(rng, n=n, m=1 + n % 3,
                                           kind="extensional")[:2],
                           generated_extensional(n, n, 1 + n % 3)):
             calls, got = _calls(monkeypatch, instances, "screen_members",
                                 ti_check, inst, fam)
-            assert calls == 1, (n, got)
-            outcomes.add(got[0])
-    assert outcomes == {True, False}
+            lams = fam.lambdas()
+            reached = (len(lams) * n if got[0] else
+                       lams.index(got[1][3]) * n + inst.labels.index(
+                           got[1][0]) + 1)
+            out.append((calls, reached, got[0]))
+    assert {ok for _, _, ok in out} == {True, False}
+    return out
+
+
+def test_extensional_search_screens_once(monkeypatch):
+    """One screen_members call per block of slabs, and the default budget
+    holds every query of these tables (16,384 at n = 8 with two indices
+    and two vertices), so each search screens once."""
+    assert all(calls == 1 for calls, _, _ in _screens_per_search(monkeypatch))
+
+
+def test_extensional_search_screens_once_per_block(monkeypatch):
+    """With a budget of one slab per block, a search screens once per slab
+    it reaches."""
+    monkeypatch.setattr(instances, "_TRIANGLE_QUERIES", 1)
+    for calls, reached, ok in _screens_per_search(monkeypatch):
+        assert calls == reached, (calls, reached, ok)
+
+
+@pytest.mark.parametrize("budget", [1, 50, 1 << 20])
+def test_triangle_search_blocks_change_nothing(monkeypatch, budget):
+    """Whatever the block budget, the search returns the same witnesses
+    and runs the same _phase1 calls as with the default one: on random
+    tables and families of every kind (non-metric ones are screened),
+    passing generated tables, and ragged and shared-polytope pair maps."""
+    rng = np.random.default_rng(2718)
+    cases = []
+    for trial in range(10):
+        inst, fam, _ = random_instance(rng, n=5, m=1 + trial % 3,
+                                       kind=KINDS[trial % 5],
+                                       metric=trial % 2 == 0)
+        cases.append((ti_check, inst, fam))
+    for n in (4, 6):
+        cases.append((ti_check, *generated_extensional(n, n, 2)))
+    for trial in range(6):
+        cases.append((batched_fmap_triangle, *random_product(
+            rng, n=4, m=1 + trial % 3, metric=trial % 3 == 0,
+            ragged=trial % 2 == 0)))
+    want = [_lp_calls(monkeypatch, *case) for case in cases]
+    monkeypatch.setattr(instances, "_TRIANGLE_QUERIES", budget)
+    assert [_lp_calls(monkeypatch, *case) for case in cases] == want
+    results = [result for _, result in want]
+    assert sum(calls for calls, _ in want) > 0
+    assert (True, None) in results and None in results
+    assert any(r not in ((True, None), None) for r in results)
+
+
+def test_one_index_table_and_pair_map_search_alike(monkeypatch):
+    """An extensional table with one index and the hand-built pair map of
+    the same polytopes at unit scales are one search: the same witness and
+    the same _phase1 count, on each index of failing random tables and of
+    passing generated ones."""
+    rng = np.random.default_rng(404)
+    outcomes, lps = set(), 0
+    for trial in range(8):
+        m = 2 + trial % 2
+        inst, fam = (random_instance(rng, n=6, m=m, kind="extensional",
+                                     metric=trial % 2 == 0)[:2]
+                     if trial % 4 else generated_extensional(trial, 5, m))
+        labels = inst.labels
+        graph = tuple((x, y) for x in labels for y in inst.fmap.at(x))
+        pi = ProductInstance(graph, inst.space, graph[0], inst.cone)
+        for lam in fam.lambdas():
+            one = ExtensionalFamily((lam,), {key: P for key, P in
+                                             fam.table.items()
+                                             if key[0] == lam})
+            fm = FMap({(x2, x1): (1.0, one.table[(lam, x2, x1)])
+                       for x2 in labels for x1 in labels},
+                      LinearFunctional(np.ones(m)))
+            nt, (ok, witness) = _lp_calls(monkeypatch, ti_check, inst, one)
+            npair, triple = _lp_calls(monkeypatch, pair_map_triangle, pi, fm)
+            assert triple == (None if ok else witness[:3]), (trial, lam)
+            assert nt == npair, (trial, lam, nt, npair)
+            outcomes.add(ok)
+            lps += nt
+    assert outcomes == {True, False} and lps > 0, (outcomes, lps)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

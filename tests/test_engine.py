@@ -8,10 +8,8 @@ import pytest
 from evpkit.engine import PreorderOracle, solve
 from evpkit.errors import HypothesisError, InputError
 from evpkit.geometry import strictly_positive_functional
-from evpkit.solvers import build_preorder
-
 from conftest import (VARIANT_CYCLE, assert_monotone, audit_trace,
-                      brute_force_minimals, direction_polytope,
+                      brute_force_minimals, build_preorder, direction_polytope,
                       generated_bundle, verify_conclusions)
 
 

@@ -68,6 +68,10 @@ CASES = (
          [(211, 6, 3, 2, "polytope"), (212, 5, 2, 2, "extensional")]),
         ("fixtures-validate", ["validate"],
          ("two_point.json", "bad_triangle.json")),
+        # two triples of the slab x1 = a fail; the witness is the first in
+        # the search's (index, x1, x3, x2) order
+        ("fixtures-triangle-order", ["solve-evp", "--theorem", "3.1"],
+         ("triangle_order.json",)),
         ("fixtures-pareto", ["pareto"], FIXTURE_NAMES),
         ("fixtures-pareto-strict", ["pareto", "--strict"], FIXTURE_NAMES),
         ("fixtures-scalarize", ["scalarize", "--y", "2,3", "--k0", "1,1"],

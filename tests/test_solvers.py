@@ -14,12 +14,13 @@ from evpkit.instances import (EvpParams, FiniteInstance, MetricSpace,
                               eps_h_efficient)
 from evpkit.io import load_validate
 from evpkit.product import solve_pareto_evp
-from evpkit.solvers import (build_preorder, solve_evp_approx,
-                            solve_evp_direction, solve_evp_general,
-                            solve_evp_quasimetric, solve_evp_set_direction)
+from evpkit.solvers import (solve_evp_approx, solve_evp_direction,
+                            solve_evp_general, solve_evp_quasimetric,
+                            solve_evp_set_direction)
 
-from conftest import (VARIANT_CYCLE, brute_force_minimals, direction_polytope,
-                      fixture_path, generated_bundle, grow_epsilon)
+from conftest import (VARIANT_CYCLE, brute_force_minimals, build_preorder,
+                      direction_polytope, fixture_path, generated_bundle,
+                      grow_epsilon)
 
 D1 = cone([[1.0]], generators=[[1.0]])
 
