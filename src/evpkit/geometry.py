@@ -333,24 +333,12 @@ def cone_contains(C: PolyhedralCone, y, tol=DEFAULT_TOL):
     return bool(np.all(C.halfspaces @ y >= -tol))
 
 
-def first_outside(C: PolyhedralCone, stacks, tol=DEFAULT_TOL):
-    """Index of the first vertex array in ``stacks`` with a row outside C
-    (:func:`cone_contains`), or None, from one product with all rows. An
-    array of the wrong dimension raises InputError as :func:`cone_contains`
-    does, unless an earlier array has a row outside C."""
-    m = C.dim
-    good = next((i for i, V in enumerate(stacks) if V.shape[1] != m),
-                len(stacks))
-    if good:
-        owner = np.repeat(np.arange(good), [V.shape[0] for V in stacks[:good]])
-        rows = np.vstack(stacks[:good])
-        out = np.flatnonzero(~np.all(C.halfspaces @ rows.T >= -tol, axis=0))
-        if out.size:
-            return int(owner[out[0]])
-    if good < len(stacks):
-        raise InputError(f"dimension mismatch: expected {m}, "
-                         f"got {stacks[good].shape[1]}")
-    return None
+def first_outside(C: PolyhedralCone, W, tol=DEFAULT_TOL):
+    """Index of the first array of the padded ``(P, J, m)`` stack ``W``
+    with a row outside C (:func:`cone_contains`), or None."""
+    inside = C.halfspaces @ W.reshape(-1, C.dim).T >= -tol
+    out = np.flatnonzero(~inside.all(axis=0).reshape(W.shape[:2]).all(axis=1))
+    return int(out[0]) if out.size else None
 
 
 def _over_rows(ufunc, x):

@@ -357,36 +357,15 @@ class ExtensionalFamily:
         return self.indices
 
     def sets(self, space, x2, x1):
-        out = []
-        for lam in self.indices:
-            try:
-                P = self.table[(lam, x2, x1)]
-            except KeyError:
-                raise InputError(
-                    f"extensional family is not total: missing "
-                    f"({lam!r}, {x2!r}, {x1!r})") from None
-            out.append((lam, 1.0, P))
-        return tuple(out)
+        try:
+            return tuple([(lam, 1.0, self.table[(lam, x2, x1)])
+                          for lam in self.indices])
+        except KeyError as exc:
+            raise InputError("extensional family is not total: missing "
+                             f"{exc.args[0]!r}") from None
 
     def validate(self, space, cone_, tol=DEFAULT_TOL):
-        # the sets up to the first missing one, in (x2, x1, index) order; a
-        # value leaving the cone before that entry is reported first
-        keys, polys, missing = [], [], None
-        try:
-            for x2 in space.labels:
-                for x1 in space.labels:
-                    for lam, _, P in self.sets(space, x2, x1):
-                        keys.append((lam, x2, x1))
-                        polys.append(P.vertices)
-        except InputError as exc:
-            missing = exc
-        bad = first_outside(cone_, polys, tol)
-        if bad is not None:
-            lam, x2, x1 = keys[bad]
-            raise InputError(f"family value for ({lam!r}, {x2!r}, {x1!r}) "
-                             f"leaves the cone")
-        if missing is not None:
-            raise missing
+        _table_arrays(space, self, cone_, tol)
         return self
 
 
@@ -418,12 +397,38 @@ def family_arrays(space, fam):
     if fam.kind != "extensional":
         S, H = fam.pair_map(space)
         return S[..., None], H.vertices, H.vertices.shape[0]
-    labels = space.labels
-    n, L = len(labels), len(fam.lambdas())
-    V, nv = stack_rows([P.vertices for x2 in labels for x1 in labels
-                        for _, _, P in fam.sets(space, x2, x1)])
-    return (np.ones((n, n, L)), V.reshape(n, n, L, *V.shape[1:]),
-            nv.reshape(n, n, L))
+    return _table_arrays(space, fam)
+
+
+def _table_arrays(space, fam, cone_=None, tol=DEFAULT_TOL):
+    """:func:`family_arrays` of an extensional table from one walk through
+    ``fam.sets`` in (x2, x1, index) order. With ``cone_`` it is also
+    :meth:`ExtensionalFamily.validate`: a value leaving the cone is raised
+    before a missing entry or an entry of another dimension after it."""
+    labels, lams, n = space.labels, fam.lambdas(), space.n
+    polys, fault = [], None
+    try:
+        for x2 in labels:
+            for x1 in labels:
+                for _, _, P in fam.sets(space, x2, x1):
+                    if cone_ is not None and P.dim != cone_.dim:
+                        raise InputError(f"dimension mismatch: expected "
+                                         f"{cone_.dim}, got {P.dim}")
+                    polys.append(P.vertices)
+    except InputError as exc:
+        fault = exc
+    if not polys:
+        raise fault
+    V, nv = stack_rows(polys)
+    if cone_ is not None and (bad := first_outside(cone_, V, tol)) is not None:
+        pair, lam = divmod(bad, len(lams))
+        raise InputError(f"family value for ({lams[lam]!r}, "
+                         f"{labels[pair // n]!r}, {labels[pair % n]!r}) "
+                         "leaves the cone")
+    if fault is not None:
+        raise fault
+    S = np.ones((n, n, len(lams)))
+    return S, V.reshape(*S.shape, *V.shape[1:]), nv.reshape(S.shape)
 
 
 def order_arrays(inst: FiniteInstance, fam):
@@ -433,6 +438,15 @@ def order_arrays(inst: FiniteInstance, fam):
     function that takes ``arrays`` builds them itself when they are not
     given."""
     return (*family_arrays(inst.space, fam),
+            *stack_rows([inst.fmap.at(x) for x in inst.labels]))
+
+
+def validated_order_arrays(inst: FiniteInstance, fam):
+    """:func:`order_arrays` after ``fam.validate`` for ``inst``; an
+    extensional table is checked on the stack of its arrays, in one walk."""
+    if fam.kind != "extensional":
+        return order_arrays(inst, fam.validate(inst.space, inst.cone, inst.tol))
+    return (*_table_arrays(inst.space, fam, inst.cone, inst.tol),
             *stack_rows([inst.fmap.at(x) for x in inst.labels]))
 
 
@@ -522,12 +536,21 @@ def ti_check(inst: FiniteInstance, fam, arrays=None):
 _TRIANGLE_QUERIES = 1 << 16
 
 
-def settled_triples(s, s13, V, C, tol):
+def vertex_bounds(V, C):
+    """What :func:`settled_triples` reads of a shared polytope with
+    vertices ``V``: the least and the largest entry of ``A V`` over the cone
+    rows A, and the largest entry of ``|A||V|``."""
+    A = C.halfspaces
+    AV = V @ A.T
+    return AV.min(), AV.max(), np.max(np.abs(V) @ np.abs(A).T)
+
+
+def settled_triples(s, s13, bounds, C, tol):
     """``settled``: every query that :func:`triangle_failure` screens for an
     index pair of a triple with the scales ``s = s12 + s23`` and ``s13``
-    (arrays that broadcast), over one shared polytope with vertices ``V``,
-    is covered, read from the scales and ``A V`` alone, without assuming H
-    in C or a metric ``S``.
+    (arrays that broadcast), over one shared polytope with
+    :func:`vertex_bounds` ``bounds``, is covered, read from the scales and
+    ``A V`` alone, without assuming H in C or a metric ``S``.
 
     The screen asks s v in s13 H + C for each vertex v, and its
     single-vertex test at v computes A(s v) - s13 A v = r A v with
@@ -538,11 +561,9 @@ def settled_triples(s, s13, V, C, tol):
     already covers. Triples the search skips (s and s13 at most ``tol``)
     are settled; any other triple with a negative s13 is not.
     """
-    A = C.halfspaces
-    AV = V @ A.T
-    size = np.max(np.abs(V) @ np.abs(A).T)
+    lo, hi, size = bounds
     r = np.where(s13 > tol, s - s13, s)
-    low = np.minimum(r * AV.min(), r * AV.max())
+    low = np.minimum(r * lo, r * hi)
     allowance = (2 * C.dim + 6) * np.finfo(float).eps * (
         (np.abs(s) + np.abs(s13)) * size + tol)
     skip = (s <= tol) & (s13 <= tol)
@@ -587,7 +608,9 @@ def triangle_failure(S, V, nv, C, tol):
     blocks = [(slice(l0, l0 + lrun), slice(a0, a0 + run))
               for l0 in range(0, L, lrun) for a0 in range(0, n, min(run, n))]
     origin = np.zeros((1, C.dim))
-    if not shared:
+    if shared:
+        bounds = vertex_bounds(V, C)
+    else:
         SV, k = S[..., None, None] * V, np.arange(J)   # scaled vertices
     for at in blocks:                       # (index, x1) slices
         lams, a = np.arange(L)[at[0]], np.arange(n)[at[1]]
@@ -595,8 +618,8 @@ def triangle_failure(S, V, nv, C, tol):
         s = S[at[1]][:, :, None, :, None] + S[None, :, :, None, :]
         s13 = S.transpose(2, 0, 1)[at]
         if shared:
-            settled = settled_triples(s, s13[:, :, None, :, None, None], V,
-                                      C, tol)
+            settled = settled_triples(s, s13[:, :, None, :, None, None],
+                                      bounds, C, tol)
             settled = settled.reshape(*settled.shape[:4], L * L)
             keep = ~_over_rows(np.logical_or, settled).all(axis=(0, 2, 3))
             if not keep.any():

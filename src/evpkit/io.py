@@ -293,6 +293,40 @@ VARIANTS = ("singleton", "polytope", "open_polytope", "quasimetric",
 # generate gives up on a point after this many redraws; at 4000 points the
 # worst one needs a few thousand
 _MAX_REDRAWS = 100_000
+# generated points are drawn at least this far apart
+_SPACING = 0.05
+
+
+def _place(rng, n):
+    """``n`` points of the generator's square, rounded to 6 digits, each
+    redrawn until it lies at least ``_SPACING`` from the points before it.
+
+    A candidate is measured only against the points placed in the 5 x 5
+    cells of side ``_SPACING`` around its own. A point within ``_SPACING``
+    of it lies at most one cell away, and one more cell covers any rounding
+    of the cell index, so the test decides as one against every point
+    would: the same redraws, and the same points."""
+    coords = np.round(rng.uniform(0.0, 4.0, size=(n, 2)), 6)
+    near = {}       # cell -> the points placed in the 5 x 5 cells around it
+
+    def cell(i):
+        x, y = coords[i].tolist()
+        return int(x // _SPACING), int(y // _SPACING)
+
+    for i in range(n):
+        redraws = 0
+        while (close := near.get(cell(i))) and np.min(np.linalg.norm(
+                coords[close] - coords[i], axis=1)) < _SPACING:
+            redraws += 1
+            if redraws > _MAX_REDRAWS:
+                raise InputError(f"cannot place {n} points 0.05 apart in "
+                                 "the generator's square; ask for fewer")
+            coords[i] = np.round(rng.uniform(0.0, 4.0, size=2), 6)
+        cx, cy = cell(i)
+        for a in range(cx - 2, cx + 3):
+            for b in range(cy - 2, cy + 3):
+                near.setdefault((a, b), []).append(i)
+    return coords
 
 
 def generate(seed, n=4, m=2, values_per_point=2, variant="singleton"):
@@ -312,16 +346,8 @@ def generate(seed, n=4, m=2, values_per_point=2, variant="singleton"):
         raise InputError(f"unknown variant {variant!r} (choose from {VARIANTS})")
     rng = np.random.default_rng(seed)
     labels = [f"p{i}" for i in range(n)]
-    coords = np.round(rng.uniform(0.0, 4.0, size=(n, 2)), 6)
     # keep points apart so the metric positivity margin is comfortable
-    for i in range(1, n):
-        redraws = 0
-        while np.min(np.linalg.norm(coords[:i] - coords[i], axis=1)) < 0.05:
-            redraws += 1
-            if redraws > _MAX_REDRAWS:
-                raise InputError(f"cannot place {n} points 0.05 apart in "
-                                 "the generator's square; ask for fewer")
-            coords[i] = np.round(rng.uniform(0.0, 4.0, size=2), 6)
+    coords = _place(rng, n)
 
     value_sets = {
         lab: np.round(rng.uniform(-2.0, 2.0, size=(values_per_point, m)), 6)

@@ -211,7 +211,7 @@ def validate_fmap(pi: ProductInstance, fm: FMap, pair=None):
     W = S[..., None, None] * V            # every scaled value, (n, n, J, m)
     # containment in the cone of the values at a scale above tol
     big = np.flatnonzero(S > tol)
-    bad = first_outside(C, list(W.reshape(n * n, J, m)[big]), tol)
+    bad = first_outside(C, W.reshape(n * n, J, m)[big], tol)
     if bad is not None:
         x2, x1 = labels[big[bad] // n], labels[big[bad] % n]
         raise HypothesisError(

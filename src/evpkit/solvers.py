@@ -36,9 +36,9 @@ from .geometry import (Polytope, as_point, covered_queries, singleton,
 from .instances import (FiniteInstance, OpenPolytopeFamily, PolytopeDirection,
                         QuasiMetric, QuasiMetricDirection, SingletonDirection,
                         check_assumptions, check_positive,
-                        d_bounded_certificate,
-                        eps_h_efficient, label_infima, order_arrays,
-                        order_queries, relation_matrix, ti_check)
+                        d_bounded_certificate, eps_h_efficient, label_infima,
+                        order_arrays, order_queries, relation_matrix,
+                        ti_check, validated_order_arrays)
 # bench/spans.py traces per-call memberships and order tests under these
 # names here
 from .instances import minkowski_member, preceq  # noqa: F401
@@ -120,14 +120,14 @@ def _jsonable(value):
 # Shared machinery.
 # ---------------------------------------------------------------------------
 
-def _solve_order(inst, fam, xi, x0, mode):
+def _solve_order(inst, fam, xi, x0, mode, arrays=None):
     """Order construction, the hypothesis gate, the engine run from x0 and
     the two order conclusions, shared by all solvers.
 
     Returns ``(xhat, conclusions, report, trace)``. The
-    :func:`order_arrays` and the :func:`label_infima` are computed once here
-    for every order test and hypothesis of the solve."""
-    arrays = order_arrays(inst, fam)
+    :func:`order_arrays` (unless given) and the :func:`label_infima` are
+    computed once here for every order test and hypothesis of the solve."""
+    arrays = arrays or order_arrays(inst, fam)
     ok, witness = ti_check(inst, fam, arrays)
     if not ok:
         raise HypothesisError("triangle_inclusion",
@@ -216,9 +216,9 @@ def _separating_functional(H, cone_, tol):
 # ---------------------------------------------------------------------------
 
 def solve_evp_general(inst: FiniteInstance, fam, xi, x0, mode="greedy"):
-    """Order from an arbitrary validated family plus a monotone scalarization."""
-    fam.validate(inst.space, inst.cone, inst.tol)
-    xhat, conclusions, report, trace = _solve_order(inst, fam, xi, x0, mode)
+    """Order from a family validated here plus a monotone scalarization."""
+    xhat, conclusions, report, trace = _solve_order(
+        inst, fam, xi, x0, mode, validated_order_arrays(inst, fam))
     return Certificate("3.1", xhat, conclusions, report, trace,
                        scalarization=_scalarization_info(xi))
 

@@ -29,7 +29,8 @@ from evpkit.instances import (ExtensionalFamily, FiniteInstance, MetricSpace,
                               _uniform_separation, eps_h_efficient,
                               family_arrays, order_arrays, preceq,
                               relation_matrix, settled_triples, ti_check,
-                              triangle_failure, vertex_minima)
+                              triangle_failure, vertex_bounds,
+                              vertex_minima)
 from evpkit.product import (FMap, ProductInstance, _graph_conclusions,
                             _graph_oracle, _pair_index, _section_of_start,
                             anchored_values, domination_check,
@@ -805,7 +806,8 @@ TOL = 1e-9
 def settled_over_triples(S, V, C, tol):
     """``settled_triples`` of every triple (x1, x2, x3) of the ``(n, n)``
     scales ``S``, as ``settled[a, b, c]``."""
-    return settled_triples(S[:, :, None] + S[None], S[:, None, :], V, C, tol)
+    return settled_triples(S[:, :, None] + S[None], S[:, None, :],
+                           vertex_bounds(V, C), C, tol)
 
 
 def pair_map_triangle(pi, fm):
@@ -1161,6 +1163,54 @@ def test_triangle_search_blocks_change_nothing(monkeypatch, budget):
     assert sum(calls for calls, _ in want) > 0
     assert (True, None) in results and None in results
     assert any(r not in ((True, None), None) for r in results)
+
+
+def settled_reading_vertices(s, s13, V, C, tol):
+    """``settled_triples`` as it was when it read ``V`` itself and computed
+    ``A V``, ``|A||V|`` and their extremes in every block."""
+    A = C.halfspaces
+    AV = V @ A.T
+    size = np.max(np.abs(V) @ np.abs(A).T)
+    r = np.where(s13 > tol, s - s13, s)
+    low = np.minimum(r * AV.min(), r * AV.max())
+    allowance = (2 * C.dim + 6) * np.finfo(float).eps * (
+        (np.abs(s) + np.abs(s13)) * size + tol)
+    skip = (s <= tol) & (s13 <= tol)
+    return skip | ((s13 >= 0) & (low - allowance >= -tol))
+
+
+@pytest.mark.parametrize("budget", [1, 100])
+def test_shared_search_bounds_vertices_once(monkeypatch, budget):
+    """With blocks of one slab or a few, a shared-polytope search takes
+    ``vertex_bounds`` once and settles each block as the settle did when it
+    read the vertices in every block: the same masks, and the witnesses of
+    the default budget."""
+    rng = np.random.default_rng(1618)
+    cases = [random_instance(rng, n=6, m=1 + t % 3, kind=KINDS[t % 4],
+                             metric=t % 3 != 2)[:2] for t in range(12)]
+    want = [ti_check(inst, fam) for inst, fam in cases]
+    masks, bounds = [], []
+    settle, vertex = instances.settled_triples, instances.vertex_bounds
+
+    def recording(s, s13, b, C, tol):
+        masks.append((settle(s, s13, b, C, tol), s, s13))
+        return masks[-1][0]
+
+    monkeypatch.setattr(instances, "_TRIANGLE_QUERIES", budget)
+    monkeypatch.setattr(instances, "settled_triples", recording)
+    monkeypatch.setattr(instances, "vertex_bounds",
+                        lambda V, C: bounds.append(V) or vertex(V, C))
+    blocks = []
+    for (inst, fam), result in zip(cases, want):
+        masks.clear(), bounds.clear()
+        assert ti_check(inst, fam) == result
+        V = family_arrays(inst.space, fam)[1]
+        assert len(bounds) == 1 and bounds[0] is V
+        for got, s, s13 in masks:
+            assert np.array_equal(got, settled_reading_vertices(
+                s, s13, V, inst.cone, inst.tol))
+        blocks.append(len(masks))
+    assert max(blocks) > 2 and {ok for ok, _ in want} == {True, False}
 
 
 def test_one_index_table_and_pair_map_search_alike(monkeypatch):

@@ -338,6 +338,13 @@ class TestValidationErrors:
     ({("L1", "b", "a"): [[1.0, 1.0], [1.0, -1.0]],
       ("L0", "b", "a"): [[1.0, 0.0], [-1.0, 0.0]]},
      r"value for \('L0', 'b', 'a'\) leaves the cone"),
+    # a missing entry hides the rest of its pair
+    ({("L0", "b", "a"): None, ("L1", "b", "a"): [[1.0, -1.0]]},
+     r"not total: missing \('L0', 'b', 'a'\)"),
+    ({("L0", "a", "c"): [[1.0, -1.0]], ("L1", "a", "c"): None},
+     r"not total: missing \('L1', 'a', 'c'\)"),
+    ({("L0", "a", "c"): [[1.0, 1.0, 1.0]], ("L1", "a", "c"): None},
+     r"not total: missing \('L1', 'a', 'c'\)"),
 ])
 def test_extensional_validate_reports_the_first_failure(changes, message):
     """Every vertex is checked at once, but the error is the first one met

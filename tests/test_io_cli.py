@@ -300,6 +300,51 @@ class TestGenerate:
         monkeypatch.setattr("evpkit.io._MAX_REDRAWS", 1000)
         assert generate(1, n=200) == data
 
+    def test_placement_is_the_all_points_loop(self, monkeypatch):
+        """The grid placement draws, redraws and emits exactly what the
+        loop that measures each candidate against every point so far does:
+        over several seeds, at sizes with and without redraws, every
+        variant at n = 6, and the redraw bound's error."""
+        redraws = []
+
+        def place_all_points(rng, n):
+            coords = np.round(rng.uniform(0.0, 4.0, size=(n, 2)), 6)
+            for i in range(1, n):
+                count = 0
+                while np.min(np.linalg.norm(coords[:i] - coords[i],
+                                            axis=1)) < 0.05:
+                    count += 1
+                    if count > kit_io._MAX_REDRAWS:
+                        raise InputError(f"cannot place {n} points 0.05 "
+                                         "apart in the generator's square; "
+                                         "ask for fewer")
+                    coords[i] = np.round(rng.uniform(0.0, 4.0, size=2), 6)
+                redraws.append(count)
+            return coords
+
+        def both(*args, **kwargs):
+            results = []
+            for place in (kit_io._place, place_all_points):
+                with monkeypatch.context() as patch:
+                    patch.setattr(kit_io, "_place", place)
+                    try:
+                        results.append(json.dumps(generate(*args, **kwargs)))
+                    except InputError as exc:
+                        results.append(str(exc))
+            return results
+
+        for seed in range(8):
+            for n in (2, 40, 600):
+                grid, loop = both(seed, n=n)
+                assert grid == loop, (seed, n)
+            for variant in VARIANTS:
+                grid, loop = both(seed, n=6, variant=variant)
+                assert grid == loop, (seed, variant)
+        assert sum(redraws) > 0
+        monkeypatch.setattr(kit_io, "_MAX_REDRAWS", 2)
+        grid, loop = both(1, n=600)
+        assert grid == loop and "cannot place 600 points" in grid
+
     def test_single_point_instance(self):
         data = generate(4, n=1, m=1)
         b = load_validate(data)
@@ -719,6 +764,47 @@ def test_assumption_gate_builds_the_family_arrays_twice(monkeypatch,
         assert reports[0].status in ("ok", "hypothesis_failed")
         assert calls[0] == 2, (seed, calls[0])
         monkeypatch.undo()
+
+
+class CountingTable(dict):
+    """An extensional table that counts its entry reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        CountingTable.reads += 1
+        return super().__getitem__(key)
+
+
+def test_extensional_table_walks(monkeypatch, tmp_path):
+    """Each walk of an n = 6, two-index table reads its 72 entries once:
+    the load walks it once to validate it, a library 3.1 solve once for
+    its order arrays (validated on them), and the CLI's 3.1 solve and
+    check-assumptions once more to pool the direction vertices."""
+    monkeypatch.setattr(kit_io, "ExtensionalFamily", lambda indices, table:
+                        instances.ExtensionalFamily(indices,
+                                                    CountingTable(table)))
+    path = tmp_path / "extensional.json"
+    path.write_text(json.dumps(generate(1, n=6, m=2, variant="extensional")))
+
+    def walks(run):
+        CountingTable.reads = 0
+        result = run()
+        assert CountingTable.reads % 72 == 0
+        return result, CountingTable.reads // 72
+
+    bundle, count = walks(lambda: load_validate(str(path)))
+    assert count == 1
+    inst = bundle.instance
+    xi = geometry.strictly_positive_functional(
+        _family_direction_vertices(bundle), inst.cone, inst.tol)
+    cert, count = walks(lambda: solvers.solve_evp_general(
+        inst, bundle.family, xi, bundle.params.x0))
+    assert cert.all_hold() and count == 1
+    for argv, status in ((["solve-evp", "--theorem", "3.1"], "certified"),
+                         (["check-assumptions"], "ok")):
+        (_, reports), count = walks(lambda: run_command(argv + [str(path)]))
+        assert reports[0].status == status and count == 3, argv
 
 
 @pytest.mark.parametrize("theorem,variant,owner,name", [
