@@ -25,7 +25,7 @@ from . import solvers
 from .errors import (HypothesisError, InputError, LinearProgramError,
                      PremiseError)
 from .geometry import Polytope, strictly_positive_functional
-from .instances import check_assumptions, family_arrays
+from .instances import check_assumptions
 from .io import Report, render
 from .scalarize import GerstewitzFn, gz_bisect_oracle, gz_value
 
@@ -113,7 +113,7 @@ def _family_direction_vertices(bundle):
     # extensional: pool the real vertices of all sets over distinct label
     # pairs from the family's (x2, x1, index, vertex) stack, in that order
     space = bundle.instance.space
-    _, V, nv = family_arrays(space, bundle.family)
+    _, V, nv = bundle.family.arrays(space)
     real = np.arange(V.shape[3]) < nv[..., None]
     real &= ~np.eye(space.n, dtype=bool)[:, :, None, None]
     if not real.any():

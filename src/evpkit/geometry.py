@@ -376,12 +376,14 @@ def screen_members(Y, B, S, V, nv, C: PolyhedralCone, tol=DEFAULT_TOL):
     D = Y[..., None, :] - B
     # A(y - b) as one 2-D product, sized by len(A): -1 fails on empty stacks
     rows = (D.reshape(-1, D.shape[-1]) @ A.T).reshape(*D.shape[:-1], len(A))
-    in_cone = _over_rows(np.minimum, rows) >= -tol
+    margin = _over_rows(np.minimum, rows)               # min_i A(y - b)
+    in_cone = margin >= -tol
     found = in_cone.any(axis=-1)
     if V is None:
         return np.ones(found.shape, dtype=bool), found, in_cone
     AV = V @ A.T                                        # A v
-    h_in = AV.min(axis=(-2, -1)) >= -tol
+    out = np.maximum(-AV.min(axis=(-2, -1)), 0.0)       # conv(V) leaves C by
+    h_in = out <= tol
     SAV = S[..., None, None] * AV                       # S A v
     # min_i A(y - b - S v)_i for every base row, one vertex at a time and
     # one cone row at a time, so that each call runs over the whole stack;
@@ -394,11 +396,13 @@ def screen_members(Y, B, S, V, nv, C: PolyhedralCone, tol=DEFAULT_TOL):
         best = low if best is None else np.fmax(best, low)
     hit = _over_rows(np.fmax, best) >= -tol
     cone_only = S <= tol
-    # one vertex: the single-vertex test was exact; conv(V) inside C: then
-    # S*conv(V) + C lies in C, so only base rows with y - b in C can cover
-    rejected = (nv == 1) | (h_in & ~found)
+    # one vertex: the single-vertex test was exact; conv(V) inside C up to
+    # tol: A conv(V) >= -out, so only base rows with A(y - b) >= -tol - S out
+    # can cover
+    near = margin >= -tol - (S * out)[..., None]
+    rejected = (nv == 1) | (h_in & ~near.any(axis=-1))
     decided = cone_only | hit | rejected
-    candidates = in_cone | ~h_in[..., None]
+    candidates = near | ~h_in[..., None]
     segment = ~decided & (nv == 2)
     at = np.flatnonzero(segment)
     if at.size:

@@ -9,8 +9,10 @@ All order tests reduce to LP memberships from :mod:`evpkit.geometry`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -248,17 +250,19 @@ class EvpParams:
 # ---------------------------------------------------------------------------
 # Perturbation families.  Each family enumerates, for an ordered pair of
 # labels, the sets F(x2, x1) as (index, scale, polytope) triples meaning
-# ``scale * conv(polytope)``. The distance-scaled families (all but the
-# extensional one) have the single index "*" and also give their whole pair
-# map at once: ``pair_map(space)`` returns the (n, n) scales S, with S[i, j]
-# that of F(labels[i], labels[j]), and the shared polytope H.
+# ``scale * conv(polytope)``, and gives them for all pairs at once as
+# ``arrays(space) = (S, V, nv)``: ``S[i, j, l]`` is the scale of the set of
+# index l of F(labels[i], labels[j]), and ``V`` one ``(J, m)`` polytope with
+# ``nv`` vertices or an ``(n, n, L, J, m)`` :func:`stack_rows` stack with
+# ``(n, n, L)`` counts. The distance-scaled families (all but the extensional
+# one) have the single index "*".
 # ---------------------------------------------------------------------------
 
 class _DistanceScaled:
     """The single index "*", a direction set ``H`` inside the cone, and
     F(x2, x1) = rate * d(x2, x1) * H unless a family says otherwise. F is
     stated twice, per pair in ``sets`` (read by :func:`preceq`) and as
-    arrays in ``pair_map``, so that each checks the other."""
+    arrays in ``arrays``, so that each checks the other."""
 
     def lambdas(self):
         return ("*",)
@@ -266,8 +270,9 @@ class _DistanceScaled:
     def sets(self, space, x2, x1):
         return (("*", self.rate * space.d(x2, x1), self.H),)
 
-    def pair_map(self, space):
-        return self.rate * space.dist, self.H
+    def arrays(self, space):
+        V = self.H.vertices
+        return (self.rate * space.dist)[..., None], V, len(V)
 
     def validate(self, space, cone_, tol=DEFAULT_TOL):
         validate_direction_set(self.H, cone_, tol)
@@ -328,8 +333,8 @@ class QuasiMetricDirection(_DistanceScaled):
         scale = float(self.p.mat[space.index(x1), space.index(x2)])
         return (("*", scale, self.H),)
 
-    def pair_map(self, space):
-        return self.p.mat.T, self.H
+    def arrays(self, space):
+        return self.p.mat.T[..., None], self.H.vertices, len(self.H.vertices)
 
     def validate(self, space, cone_, tol=DEFAULT_TOL):
         super().validate(space, cone_, tol)
@@ -341,15 +346,41 @@ class QuasiMetricDirection(_DistanceScaled):
 
 @dataclass(frozen=True, eq=False)
 class ExtensionalFamily:
-    """An explicit table (index, x2, x1) -> polytope over a finite index set."""
+    """An explicit table (index, x2, x1) -> polytope over a finite index set
+    and a space's labels. Its ``arrays`` are stacked when it is made, in one
+    walk in (x2, x1, index) order that stops at the first pair with a
+    missing entry or at the first entry of another dimension than the
+    first's; ``validate`` and ``arrays`` raise that fault. ``table`` is a
+    read-only copy of the given table."""
 
+    labels: tuple
     indices: tuple
     table: dict  # (index, x2, x1) -> Polytope
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(self.indices))
-        if not self.indices:
+        n, L = len(self.labels), len(self.indices)
+        if not L:
             raise InputError("extensional family needs at least one index")
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "indices", tuple(self.indices))
+        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
+        polys, fault = [], None
+        for x2, x1 in itertools.product(self.labels, self.labels):
+            try:
+                polys += [P.vertices for _, _, P in self.sets(None, x2, x1)]
+            except InputError as exc:
+                fault = str(exc)
+                break
+        m = [V.shape[1] for V in polys]
+        if (k := next((k for k, d in enumerate(m) if d != m[0]), 0)):
+            polys = polys[:k]
+            fault = f"dimension mismatch: expected {m[0]}, got {m[k]}"
+        V, nv = stack_rows(polys) if polys else (None, None)
+        object.__setattr__(self, "_flat", V)          # (P, J, m) or None
+        object.__setattr__(self, "_fault", fault)
+        object.__setattr__(self, "_arrays", None if fault or V is None else (
+            np.ones((n, n, L)), V.reshape(n, n, L, *V.shape[1:]),
+            nv.reshape(n, n, L)))
 
     kind = "extensional"
 
@@ -364,8 +395,31 @@ class ExtensionalFamily:
             raise InputError("extensional family is not total: missing "
                              f"{exc.args[0]!r}") from None
 
+    def _reject(self, space, fault=None):
+        if space.labels != self.labels:
+            raise InputError("the space's labels are not the extensional "
+                             "family's, in its order")
+        if fault is not None:
+            raise InputError(fault)
+
+    def arrays(self, space):
+        self._reject(space, self._fault)
+        return self._arrays
+
     def validate(self, space, cone_, tol=DEFAULT_TOL):
-        _table_arrays(space, self, cone_, tol)
+        """A value outside the cone is named before the walk's fault."""
+        self._reject(space)
+        V = self._flat
+        if V is not None and V.shape[-1] != cone_.dim:
+            raise InputError(f"dimension mismatch: expected {cone_.dim}, "
+                             f"got {V.shape[-1]}")
+        if V is not None and (bad := first_outside(cone_, V, tol)) is not None:
+            pair, lam = divmod(bad, len(self.indices))
+            raise InputError(
+                f"family value for ({self.indices[lam]!r}, "
+                f"{self.labels[pair // len(self.labels)]!r}, "
+                f"{self.labels[pair % len(self.labels)]!r}) leaves the cone")
+        self._reject(space, self._fault)
         return self
 
 
@@ -384,69 +438,12 @@ def preceq(inst: FiniteInstance, fam, x2, x1):
     return True
 
 
-def family_arrays(space, fam):
-    """A family over all ordered label pairs as arrays ``(S, V, nv)``.
-
-    ``S[i, j, l]`` is the scale of the set of index l (in ``fam.lambdas()``
-    order) of F(labels[i], labels[j]). A distance-scaled family gives its
-    pair map at once (``pair_map``): ``V`` is H's ``(J, m)`` vertex array and
-    ``nv`` its vertex count. An extensional family has unit scales, ``V`` is
-    the ``(n, n, L, J, m)`` stack of :func:`stack_rows` over its table and
-    ``nv`` the ``(n, n, L)`` real vertex counts.
-    """
-    if fam.kind != "extensional":
-        S, H = fam.pair_map(space)
-        return S[..., None], H.vertices, H.vertices.shape[0]
-    return _table_arrays(space, fam)
-
-
-def _table_arrays(space, fam, cone_=None, tol=DEFAULT_TOL):
-    """:func:`family_arrays` of an extensional table from one walk through
-    ``fam.sets`` in (x2, x1, index) order. With ``cone_`` it is also
-    :meth:`ExtensionalFamily.validate`: a value leaving the cone is raised
-    before a missing entry or an entry of another dimension after it."""
-    labels, lams, n = space.labels, fam.lambdas(), space.n
-    polys, fault = [], None
-    try:
-        for x2 in labels:
-            for x1 in labels:
-                for _, _, P in fam.sets(space, x2, x1):
-                    if cone_ is not None and P.dim != cone_.dim:
-                        raise InputError(f"dimension mismatch: expected "
-                                         f"{cone_.dim}, got {P.dim}")
-                    polys.append(P.vertices)
-    except InputError as exc:
-        fault = exc
-    if not polys:
-        raise fault
-    V, nv = stack_rows(polys)
-    if cone_ is not None and (bad := first_outside(cone_, V, tol)) is not None:
-        pair, lam = divmod(bad, len(lams))
-        raise InputError(f"family value for ({lams[lam]!r}, "
-                         f"{labels[pair // n]!r}, {labels[pair % n]!r}) "
-                         "leaves the cone")
-    if fault is not None:
-        raise fault
-    S = np.ones((n, n, len(lams)))
-    return S, V.reshape(*S.shape, *V.shape[1:]), nv.reshape(S.shape)
-
-
 def order_arrays(inst: FiniteInstance, fam):
-    """What :func:`order_queries` reads: :func:`family_arrays` followed by
+    """What :func:`order_queries` reads: the family's ``arrays`` followed by
     the value sets of all labels as one stack (:func:`stack_rows`). A solver
-    builds them once and hands them to every order test it makes; each
-    function that takes ``arrays`` builds them itself when they are not
-    given."""
-    return (*family_arrays(inst.space, fam),
-            *stack_rows([inst.fmap.at(x) for x in inst.labels]))
-
-
-def validated_order_arrays(inst: FiniteInstance, fam):
-    """:func:`order_arrays` after ``fam.validate`` for ``inst``; an
-    extensional table is checked on the stack of its arrays, in one walk."""
-    if fam.kind != "extensional":
-        return order_arrays(inst, fam.validate(inst.space, inst.cone, inst.tol))
-    return (*_table_arrays(inst.space, fam, inst.cone, inst.tol),
+    builds them once for every order test it makes; a function that takes
+    ``arrays`` builds them when they are not given."""
+    return (*fam.arrays(inst.space),
             *stack_rows([inst.fmap.at(x) for x in inst.labels]))
 
 
@@ -505,15 +502,13 @@ def relation_matrix(inst: FiniteInstance, fam, arrays=None):
     return rel
 
 
-def ti_check(inst: FiniteInstance, fam, arrays=None):
+def ti_check(inst: FiniteInstance, fam):
     """Triangle-inclusion property of the family over all label triples,
-    searched by :func:`triangle_failure` on the :func:`family_arrays` (the
-    first three of ``arrays`` when given). Returns ``(True, None)`` or
-    ``(False, witness)``, the first failing (x1, x2, x3, index) in the loop
-    order index, x1, x3, x2.
+    searched by :func:`triangle_failure` on the family's ``arrays``.
+    Returns ``(True, None)`` or ``(False, witness)``, the first failing
+    (x1, x2, x3, index) in the loop order index, x1, x3, x2.
     """
-    S, V, nv = (family_arrays(inst.space, fam) if arrays is None
-                else arrays[:3])
+    S, V, nv = fam.arrays(inst.space)
     hit = triangle_failure(S, V, nv, inst.cone, inst.tol)
     if hit is None:
         return True, None
@@ -523,12 +518,9 @@ def ti_check(inst: FiniteInstance, fam, arrays=None):
 
 
 # ---------------------------------------------------------------------------
-# Triangle inclusion, F(x1, x2) + F(x2, x3) inside F(x1, x3) + C, on the
-# arrays ``(S, V, nv)`` of :func:`family_arrays`: the scales ``S[i, j, l]``
-# of the set of index l of F(labels[i], labels[j]), and one shared ``(J, m)``
-# polytope with ``nv`` vertices or an ``(n, n, L, J, m)`` :func:`stack_rows`
-# stack with ``(n, n, L)`` counts. A pair map (``product.pair_arrays``) is
-# the case of one index.
+# Triangle inclusion, F(x1, x2) + F(x2, x3) inside F(x1, x3) + C, on a
+# family's ``arrays`` ``(S, V, nv)`` (see "Perturbation families" above). A
+# pair map (``product.pair_arrays``) is the case of one index.
 # ---------------------------------------------------------------------------
 
 # triangle_failure screens whole (index, x1) slabs in blocks of up to this

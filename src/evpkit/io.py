@@ -214,7 +214,7 @@ def _build_family(spec, space, cone_, tol):
                         raise InputError(
                             f"perturbation.table references unknown label {x!r}")
                 table[(lam, x2, x1)] = Polytope(vertices)
-        fam = ExtensionalFamily(tuple(spec["lambdas"]), table)
+        fam = ExtensionalFamily(space.labels, tuple(spec["lambdas"]), table)
     return fam.validate(space, cone_, tol)
 
 

@@ -38,7 +38,7 @@ from .instances import (FiniteInstance, OpenPolytopeFamily, PolytopeDirection,
                         check_assumptions, check_positive,
                         d_bounded_certificate, eps_h_efficient, label_infima,
                         order_arrays, order_queries, relation_matrix,
-                        ti_check, validated_order_arrays)
+                        ti_check)
 # bench/spans.py traces per-call memberships and order tests under these
 # names here
 from .instances import minkowski_member, preceq  # noqa: F401
@@ -120,15 +120,15 @@ def _jsonable(value):
 # Shared machinery.
 # ---------------------------------------------------------------------------
 
-def _solve_order(inst, fam, xi, x0, mode, arrays=None):
+def _solve_order(inst, fam, xi, x0, mode):
     """Order construction, the hypothesis gate, the engine run from x0 and
     the two order conclusions, shared by all solvers.
 
     Returns ``(xhat, conclusions, report, trace)``. The
-    :func:`order_arrays` (unless given) and the :func:`label_infima` are
-    computed once here for every order test and hypothesis of the solve."""
-    arrays = arrays or order_arrays(inst, fam)
-    ok, witness = ti_check(inst, fam, arrays)
+    :func:`order_arrays` and the :func:`label_infima` are computed once here
+    for every order test and hypothesis of the solve."""
+    arrays = order_arrays(inst, fam)
+    ok, witness = ti_check(inst, fam)
     if not ok:
         raise HypothesisError("triangle_inclusion",
                               "the perturbation family fails the triangle "
@@ -218,7 +218,7 @@ def _separating_functional(H, cone_, tol):
 def solve_evp_general(inst: FiniteInstance, fam, xi, x0, mode="greedy"):
     """Order from a family validated here plus a monotone scalarization."""
     xhat, conclusions, report, trace = _solve_order(
-        inst, fam, xi, x0, mode, validated_order_arrays(inst, fam))
+        inst, fam.validate(inst.space, inst.cone, inst.tol), xi, x0, mode)
     return Certificate("3.1", xhat, conclusions, report, trace,
                        scalarization=_scalarization_info(xi))
 

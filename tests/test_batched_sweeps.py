@@ -27,7 +27,7 @@ from evpkit.instances import (ExtensionalFamily, FiniteInstance, MetricSpace,
                               QuasiMetric, QuasiMetricDirection, SetValuedMap,
                               SingletonDirection, _pairwise_separation,
                               _uniform_separation, eps_h_efficient,
-                              family_arrays, order_arrays, preceq,
+                              order_arrays, preceq,
                               relation_matrix, settled_triples, ti_check,
                               triangle_failure, vertex_bounds,
                               vertex_minima)
@@ -126,7 +126,7 @@ def slab_ti_extensional(inst, fam):
     was before slabs were screened together (kept verbatim below):
     ``triangle_failure`` walks the same way, so it finds the same witnesses
     with the same LP calls."""
-    _, E, counts = family_arrays(inst.space, fam)
+    _, E, counts = fam.arrays(inst.space)
     witness = slab_extensional_failure(fam, inst.space, E, counts, inst.cone,
                                        inst.tol)
     return (True, None) if witness is None else (False, witness)
@@ -505,7 +505,7 @@ def random_instance(rng, n, m, kind, metric=True, ragged=True):
                     table[(lam, x2, x1)] = _polytope(
                         rng, C, k0, int(rng.integers(1, 4)),
                         scale=rate * d[i, j] + c)
-        fam = ExtensionalFamily(("L0", "L1"), table)
+        fam = ExtensionalFamily(labels, ("L0", "L1"), table)
     return inst, fam, k0
 
 
@@ -731,7 +731,7 @@ def test_separation_checks_match_loop(m):
         weights = (A.T @ rng.uniform(0.5, 1.5, size=A.shape[0])
                    if trial % 2 else rng.normal(size=m))
         xi = LinearFunctional(weights)
-        S, V, _ = family_arrays(inst.space, fam)
+        S, V, _ = fam.arrays(inst.space)
         minima = vertex_minima(S, V, xi)
         for section in (list(inst.labels),
                         [x for x in inst.labels if rng.random() < 0.6]):
@@ -917,7 +917,7 @@ def test_settle_matches_loops(case):
     _, d, rate, H, C, quasi = case
     inst, fam, pi, fm = _settle_problem(d, rate, H, C, quasi)
     assert _outcome(ti_check, inst, fam) == _outcome(loop_ti_check, inst, fam)
-    S, V, _ = family_arrays(inst.space, fam)
+    S, V, _ = fam.arrays(inst.space)
     settled = settled_over_triples(S[..., 0], V, C, TOL)
     assert not (settled & ~screen_covers(S[..., 0], V, C, TOL)).any()
     if quasi is None:
@@ -935,7 +935,7 @@ def test_settle_cases_settle_and_leave_open():
     left = {}
     for name, d, rate, H, C, quasi in settle_cases():
         inst, fam, _, _ = _settle_problem(d, rate, H, C, quasi)
-        S, V, _ = family_arrays(inst.space, fam)
+        S, V, _ = fam.arrays(inst.space)
         left[name] = int((~settled_over_triples(S[..., 0], V, C,
                                                 TOL)).sum())
     for name in ("knife-zero", "small", "collinear", "collinear-rounded",
@@ -992,7 +992,7 @@ def test_negative_scale_raises_past_settled_slabs():
                           SetValuedMap({x: [[0.0, 0.0]] for x in labels}), C)
     fam = QuasiMetricDirection(Polytope([[1.0, 0.0], [0.0, 1.0]]),
                                QuasiMetric(p))
-    S, V, _ = family_arrays(inst.space, fam)
+    S, V, _ = fam.arrays(inst.space)
     settled = settled_over_triples(S[..., 0], V, C, TOL)
     assert settled[:2].all() and not settled[2].all()
     for fn in (ti_check, loop_ti_check):
@@ -1204,7 +1204,7 @@ def test_shared_search_bounds_vertices_once(monkeypatch, budget):
     for (inst, fam), result in zip(cases, want):
         masks.clear(), bounds.clear()
         assert ti_check(inst, fam) == result
-        V = family_arrays(inst.space, fam)[1]
+        V = fam.arrays(inst.space)[1]
         assert len(bounds) == 1 and bounds[0] is V
         for got, s, s13 in masks:
             assert np.array_equal(got, settled_reading_vertices(
@@ -1229,9 +1229,9 @@ def test_one_index_table_and_pair_map_search_alike(monkeypatch):
         graph = tuple((x, y) for x in labels for y in inst.fmap.at(x))
         pi = ProductInstance(graph, inst.space, graph[0], inst.cone)
         for lam in fam.lambdas():
-            one = ExtensionalFamily((lam,), {key: P for key, P in
-                                             fam.table.items()
-                                             if key[0] == lam})
+            one = ExtensionalFamily(labels, (lam,),
+                                    {key: P for key, P in fam.table.items()
+                                     if key[0] == lam})
             fm = FMap({(x2, x1): (1.0, one.table[(lam, x2, x1)])
                        for x2 in labels for x1 in labels},
                       LinearFunctional(np.ones(m)))

@@ -12,7 +12,7 @@ from evpkit.instances import (ExtensionalFamily, FiniteInstance, MetricSpace,
                               SetValuedMap,
                               SingletonDirection, check_assumptions,
                               d_bounded_certificate, epi_closed_probe,
-                              eps_h_efficient, family_arrays,
+                              eps_h_efficient,
                               metric_from_coordinates, preceq,
                               relation_matrix, slm_probe, ti_check)
 from evpkit.scalarize import GerstewitzFn
@@ -133,7 +133,7 @@ class TestTiCheck:
                 table[("L", x2, x1)] = Polytope([[d if d else 0.0]])
         # demand far more along the long edge than the two short ones give
         table[("L", "a", "c")] = Polytope([[9.0]])
-        fam = ExtensionalFamily(("L",), table)
+        fam = ExtensionalFamily(space.labels, ("L",), table)
         ok, witness = ti_check(inst, fam)
         assert not ok
         assert witness[0] == "a" and witness[2] == "c"
@@ -360,7 +360,53 @@ def test_extensional_validate_reports_the_first_failure(changes, message):
         else:
             table[key] = Polytope(vertices)
     with pytest.raises(InputError, match=message):
-        ExtensionalFamily(("L0", "L1"), table).validate(space, orthant(2))
+        ExtensionalFamily(space.labels, ("L0", "L1"), table).validate(
+            space, orthant(2))
+
+
+@pytest.mark.parametrize("check", [
+    lambda inst, fam: ti_check(inst, fam),
+    lambda inst, fam: relation_matrix(inst, fam),
+    lambda inst, fam: fam.validate(inst.space, inst.cone, inst.tol),
+], ids=["ti_check", "relation_matrix", "validate"])
+def test_mixed_dimension_table_is_an_input_error(check):
+    """A hand-built table with one 3-D entry among 2-D ones is an
+    InputError naming the dimensions, not numpy's ValueError, whichever
+    reader meets it first."""
+    labels = ("a", "b", "c")
+    space = MetricSpace(labels, np.ones((3, 3)) - np.eye(3)).validate()
+    inst = FiniteInstance(space, SetValuedMap({x: [[1.0, 1.0]]
+                                               for x in labels}), orthant(2))
+    table = {(lam, x2, x1): Polytope([[0.5, 0.5], [1.0, 0.0]])
+             for lam in ("L0", "L1") for x2 in labels for x1 in labels}
+    table[("L1", "b", "c")] = Polytope([[1.0, 1.0, 1.0]])
+    fam = ExtensionalFamily(labels, ("L0", "L1"), table)
+    with pytest.raises(InputError, match="dimension mismatch: expected 2, "
+                                         "got 3"):
+        check(inst, fam)
+
+
+def test_extensional_family_reads_its_own_label_order():
+    """The stack is in the family's label order, so a space that lists the
+    labels in another order is rejected by every reader of the stack."""
+    labels = ("a", "b")
+    table = {("L", x2, x1): Polytope([[1.0]]) for x2 in labels
+             for x1 in labels}
+    fam = ExtensionalFamily(labels, ("L",), table)
+    space = MetricSpace(("b", "a"), [[0.0, 1.0], [1.0, 0.0]]).validate()
+    inst = FiniteInstance(space, SetValuedMap({"a": [[0.0]], "b": [[1.0]]}),
+                          D1)
+    for check in (lambda: fam.validate(space, D1),
+                  lambda: fam.arrays(space), lambda: ti_check(inst, fam),
+                  lambda: relation_matrix(inst, fam)):
+        with pytest.raises(InputError, match="labels"):
+            check()
+    # the table is the family's own copy: changing the given one moves
+    # neither the stack nor the sets
+    table[("L", "a", "b")] = Polytope([[5.0]])
+    assert fam.table[("L", "a", "b")].vertices[0, 0] == 1.0
+    with pytest.raises(TypeError):
+        fam.table[("L", "a", "b")] = Polytope([[5.0]])
 
 
 def whole_array_triangle(d):
@@ -428,10 +474,9 @@ def test_triangle_search_memory_is_bounded():
     bundle = generated_bundle(7, n=32, m=3, values_per_point=2,
                               variant="extensional")
     inst, fam = bundle.instance, bundle.family
-    arrays = family_arrays(inst.space, fam)
     tracemalloc.start()
     try:
-        assert ti_check(inst, fam, arrays) == (True, None)
+        assert ti_check(inst, fam) == (True, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

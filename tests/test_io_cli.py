@@ -752,46 +752,40 @@ def test_set_direction_solve_checks_the_direction_set_twice(
         monkeypatch.undo()
 
 
-def test_assumption_gate_builds_the_family_arrays_twice(monkeypatch,
-                                                        tmp_path):
-    """check-assumptions on an extensional file: one build pools the
-    direction vertices for the functional, and the gate's order matrix and
-    separation minima share the other."""
+def test_assumption_gate_builds_the_family_stack_once(monkeypatch,
+                                                      tmp_path):
+    """check-assumptions on an extensional file: the load builds the
+    family's stack, and the pooled direction vertices for the functional
+    and the gate's order matrix and separation minima all read it."""
     for seed in (6, 7):
         path = _generated_file(tmp_path, seed, "extensional")
-        calls = _counted(monkeypatch, "family_arrays", cli, instances)
+        builds = _counted(monkeypatch, "__post_init__",
+                          instances.ExtensionalFamily)
+        read = []
+        arrays = instances.ExtensionalFamily.arrays
+        monkeypatch.setattr(instances.ExtensionalFamily, "arrays",
+                            lambda fam, space: read.append(
+                                arrays(fam, space)) or read[-1])
         _, reports = run_command(["check-assumptions", path])
         assert reports[0].status in ("ok", "hypothesis_failed")
-        assert calls[0] == 2, (seed, calls[0])
+        assert builds[0] == 1, (seed, builds[0])
+        assert len(read) == 2 and read[0] is read[1], seed
         monkeypatch.undo()
 
 
-class CountingTable(dict):
-    """An extensional table that counts its entry reads."""
-
-    reads = 0
-
-    def __getitem__(self, key):
-        CountingTable.reads += 1
-        return super().__getitem__(key)
-
-
 def test_extensional_table_walks(monkeypatch, tmp_path):
-    """Each walk of an n = 6, two-index table reads its 72 entries once:
-    the load walks it once to validate it, a library 3.1 solve once for
-    its order arrays (validated on them), and the CLI's 3.1 solve and
-    check-assumptions once more to pool the direction vertices."""
-    monkeypatch.setattr(kit_io, "ExtensionalFamily", lambda indices, table:
-                        instances.ExtensionalFamily(indices,
-                                                    CountingTable(table)))
+    """The table of an extensional family is walked into its stack once,
+    when the family is made: by the load, and by no solve. A library 3.1
+    solve builds no stack, and the CLI's 3.1 solve and check-assumptions
+    build only the load's."""
+    builds = _counted(monkeypatch, "__post_init__",
+                      instances.ExtensionalFamily)
     path = tmp_path / "extensional.json"
     path.write_text(json.dumps(generate(1, n=6, m=2, variant="extensional")))
 
     def walks(run):
-        CountingTable.reads = 0
-        result = run()
-        assert CountingTable.reads % 72 == 0
-        return result, CountingTable.reads // 72
+        builds[0] = 0
+        return run(), builds[0]
 
     bundle, count = walks(lambda: load_validate(str(path)))
     assert count == 1
@@ -800,11 +794,11 @@ def test_extensional_table_walks(monkeypatch, tmp_path):
         _family_direction_vertices(bundle), inst.cone, inst.tol)
     cert, count = walks(lambda: solvers.solve_evp_general(
         inst, bundle.family, xi, bundle.params.x0))
-    assert cert.all_hold() and count == 1
+    assert cert.all_hold() and count == 0
     for argv, status in ((["solve-evp", "--theorem", "3.1"], "certified"),
                          (["check-assumptions"], "ok")):
         (_, reports), count = walks(lambda: run_command(argv + [str(path)]))
-        assert reports[0].status == status and count == 3, argv
+        assert reports[0].status == status and count == 1, argv
 
 
 @pytest.mark.parametrize("theorem,variant,owner,name", [

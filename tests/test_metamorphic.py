@@ -1,0 +1,91 @@
+"""Decisions do not depend on the order in which the labels are listed.
+
+An instance file is loaded as generated and again with its labels in a
+random order: the space's labels and coordinates, the value map, the
+quasi-metric's rows and columns and an extensional table's rows are all
+listed in that order. The order matrix (permuted the same way), the
+triangle-inclusion verdict, the assumption gate and the booleans of the
+3.1 conclusions must come out the same. An extensional table may have the
+sets of one pair shrunk, so that triangle inclusion can fail, and the start
+and the linear scalarization are drawn too, so that the gate can fail.
+"""
+
+import copy
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evpkit import solvers
+from evpkit.errors import HypothesisError
+from evpkit.geometry import LinearFunctional, strictly_positive_functional
+from evpkit.instances import check_assumptions, relation_matrix, ti_check
+from evpkit.io import generate, load_validate
+
+from conftest import VARIANT_CYCLE, direction_polytope
+
+
+def _permuted(raw, perm):
+    """``raw`` with its labels listed in the order ``labels[perm]``."""
+    out = copy.deepcopy(raw)
+    space = out["space"]
+    labels = [space["labels"][i] for i in perm]
+    space["labels"] = labels
+    space["coordinates"] = [space["coordinates"][i] for i in perm]
+    out["map"] = {x: out["map"][x] for x in labels}
+    spec = out["perturbation"]
+    if spec["variant"] == "quasimetric":
+        spec["matrix"] = np.asarray(spec["matrix"])[np.ix_(perm, perm)].tolist()
+    if spec["variant"] == "extensional":
+        spec["table"] = {lam: {f"{x2}|{x1}": rows[f"{x2}|{x1}"]
+                               for x2 in labels for x1 in labels}
+                         for lam, rows in spec["table"].items()}
+    return out
+
+
+def _decisions(bundle, xi):
+    """What must not move: the order matrix, the triangle-inclusion
+    verdict, the gate and the 3.1 conclusion booleans (or the name of the
+    hypothesis that stops the solve)."""
+    inst, fam, x0 = bundle.instance, bundle.family, bundle.params.x0
+    try:
+        cert = solvers.solve_evp_general(inst, fam, xi, x0)
+        solved = [c.holds for c in cert.conclusions]
+    except HypothesisError as exc:
+        solved = exc.name
+    return (relation_matrix(inst, fam), ti_check(inst, fam)[0],
+            check_assumptions(inst, fam, xi, x0).solvable(), solved)
+
+
+@st.composite
+def permuted_instances(draw):
+    variant = draw(st.sampled_from(VARIANT_CYCLE))
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 3))
+    raw = generate(draw(st.integers(0, 10_000)), n=n, m=m,
+                   values_per_point=draw(st.integers(1, 3)), variant=variant)
+    table = raw["perturbation"].get("table", {})
+    if table and draw(st.booleans()):
+        x2, x1 = draw(st.permutations(raw["space"]["labels"]))[:2]
+        for rows in table.values():
+            rows[f"{x2}|{x1}"] = (0.05 * np.asarray(rows[f"{x2}|{x1}"])).tolist()
+    raw["params"]["x0"] = draw(st.sampled_from(raw["space"]["labels"]))
+    del raw["product"]                      # its start pair is at p0
+    weights = draw(st.none() | st.lists(st.floats(-1.0, 1.0), min_size=m,
+                                        max_size=m))
+    return raw, weights, draw(st.permutations(range(n)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(permuted_instances())
+def test_label_order_changes_no_decision(case):
+    raw, weights, perm = case
+    bundle = load_validate(raw)
+    inst = bundle.instance
+    xi = (strictly_positive_functional(direction_polytope(bundle), inst.cone,
+                                       inst.tol) if weights is None
+          else LinearFunctional(weights))
+    rel, ti, solvable, solved = _decisions(bundle, xi)
+    moved = _decisions(load_validate(_permuted(raw, perm)), xi)
+    assert np.array_equal(moved[0], rel[np.ix_(perm, perm)])
+    assert moved[1:] == (ti, solvable, solved)

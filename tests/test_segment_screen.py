@@ -14,16 +14,21 @@ as in ``minkowski_member``.
 the segment test on every query of a stack, must give the same three arrays
 bit for bit on the stacks below, broadcast or not. ``slack_screen``, the
 screen as it was before it ran one cone row at a time, must give them on
-any stack, the tolerance edge included.
+any stack, the tolerance edge included. Both reject on ``y - b`` in C up to
+tol when conv(V) lies in C up to tol; the screen widens that test by
+``S * max(0, -min A v)``, so they are the screen only where the widening
+moves no rejection or candidate, as on every stack they are compared on
+below. Vertices in the band ``-tol <= A_i v < 0`` are checked against
+``lp_member`` instead.
 """
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from evpkit.geometry import (_SEGMENT_MARGIN, _feas_tol, _gather,
+from evpkit.geometry import (_SEGMENT_MARGIN, Polytope, _feas_tol, _gather,
                              _over_rows, _segment_members, lp_member,
-                             orthant, screen_members)
+                             minkowski_member, orthant, screen_members)
 
 from conftest import random_cone, sample_cone_member
 
@@ -180,6 +185,78 @@ def test_only_queries_at_the_tolerance_edge_reach_the_lp():
                     assert abs(t + TOL) <= 1e-7 * (1.0 + np.abs(y).max()), \
                         (case, t)
     assert undecided < 0.02 * total
+
+
+def _band_queries(rng, m, orthant_cone):
+    """(y, B, s, V) tuples whose vertices lie in the tolerance band outside
+    C: each is a cone member put on a facet i and pushed out of it by the
+    same u tol, u from 0.1 to 1, so that ``A_i v = -u tol`` on every vertex.
+    Each query lies on that facet through a point of s conv(V) off a random
+    base row, nudged by -6..4 tol off it, so its margin on row i is the
+    nudge for every convex weight: a non-member stays at least 3 tol below
+    the edge at -tol, where the phase-1 slack reads the tolerance its own
+    way. Scales of 1 to 20 carry s u tol past tol, so y - b leaves C by more
+    than tol at a member."""
+    C, k0 = _cone(rng, m, orthant_cone)
+    A = C.halfspaces
+    out = []
+    for _ in range(24):
+        i = int(rng.integers(A.shape[0]))
+        a = A[i] / (A[i] @ A[i])
+        u = rng.uniform(0.1, 1.0)
+        V = np.array([v - (A[i] @ v + u * TOL) * a
+                      for v in (sample_cone_member(rng, C, k0)
+                                for _ in range(int(rng.integers(1, 4))))])
+        B = rng.normal(size=(int(rng.integers(1, 4)), m))
+        s = float(rng.uniform(1.0, 20.0))
+        h = rng.dirichlet(np.ones(len(V))) @ V
+        b = B[int(rng.integers(len(B)))]
+        out.append((b + s * h, B, s, V))            # the apex of the cone
+        for nudge in (-6.0, -4.0, 0.0, 2.0, 4.0):
+            z = sample_cone_member(rng, C, k0)
+            z = z - (A[i] @ z) * a
+            out.append((b + s * h + z + nudge * TOL * a, B, s, V))
+    return C, out
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("orthant_cone", [True, False])
+def test_screen_matches_lp_with_vertices_in_the_tolerance_band(
+        m, orthant_cone):
+    """Vertices with ``-tol <= A_i v < 0`` and queries near them: every
+    query the screen decides gets ``lp_member``'s answer over all base
+    rows, and an undecided one gets it over the candidate rows alone. Some
+    members have no base row b with y - b in C up to tol; they are the
+    queries a screen that rejects on ``y - b`` in C alone gets wrong."""
+    rng = np.random.default_rng(97 * m + orthant_cone)
+    C, queries = _band_queries(rng, m, orthant_cone)
+    A = C.halfspaces
+    answers, band_members = {True: 0, False: 0}, 0
+    for y, B, s, V in queries:
+        decided, answer, rows = _screen_one(y, B, s, V, len(V), C)
+        member = lp_member(y, B, s, V, C, TOL, range(len(B)))
+        if decided:
+            assert answer == member, (y, s)
+            answers[answer] += 1
+        else:
+            assert lp_member(y, B, s, V, C, TOL, rows) == member, (y, s)
+        if member and ((y - B) @ A.T).min(axis=1).max() < -TOL:
+            band_members += 1
+    assert answers[True] > 0 and answers[False] > 0
+    assert band_members > 0
+
+
+def test_screen_keeps_a_member_that_only_convex_weights_reach():
+    """Two vertices 5e-10 outside the orthant in R^3 at scale 10: y - b
+    leaves the cone by 2 tol, but the weights (0.5, 0.5) put y in b + 10
+    conv(V) + C, and no single vertex does."""
+    C = orthant(3)
+    V = np.array([[-5e-10, 2.0, 0.0], [-5e-10, 0.0, 2.0]])
+    y, B = np.array([-2e-9, 10.0, 10.0]), np.zeros((1, 3))
+    decided, answer, rows = _screen_one(y, B, 10.0, V, 2, C)
+    assert lp_member(y, B, 10.0, V, C, TOL, [0])
+    assert list(rows) == [0] and (not decided or answer)
+    assert minkowski_member(y, B, 10.0, Polytope(V), C, TOL)
 
 
 # ---------------------------------------------------------------------------
