@@ -459,6 +459,31 @@ def _segment_members(rows, slack, SAV, candidates, tol):
     return member | ~widened, member
 
 
+def segment_band(size, m, tol):
+    """The band of margins in which :func:`screen_members` may decide a
+    query against one base point and a polytope of one or two vertices, at
+    a scale above ``tol``, otherwise than by the sign of its margin: the
+    largest ``mu`` such that some weight ``t`` in [0, 1] meets every row of
+    :func:`_segment_members`' system with ``mu`` to spare. ``size`` bounds
+    ``|A||y|`` by 2 size and ``|A||S v|`` by size, for the cone rows A and
+    every vertex v.
+
+    Returns ``(inside, outside)``. A margin of at least ``inside`` is a
+    member: the single-vertex, rejection and interval tests all see a
+    nonempty interval. A margin below ``-outside`` is a non-member: no
+    vertex hits, and the rows ``_segment_members`` widens by at most
+    ``_SEGMENT_MARGIN * _feas_tol(tol) * (1 + 4 size)`` still leave an empty
+    interval. ``inside`` is an allowance for the rounding of the screen's
+    arithmetic and of a margin computed another way, as in
+    ``settled_triples``: (16 m + 64) ulps of ``4 size + tol`` plus the
+    widening, about twice the sum of the per-step bounds; ``outside`` adds
+    the widening to it.
+    """
+    widen = _SEGMENT_MARGIN * _feas_tol(tol) * (1.0 + 4.0 * size)
+    ulps = (16 * m + 64) * np.finfo(float).eps * (4.0 * size + tol + widen)
+    return ulps, widen + ulps
+
+
 def lp_member(y, B, scale, V, C: PolyhedralCone, tol, rows):
     """Exact LP part of :func:`covered_queries` over the candidate base
     rows (in order): convex weights w with ``y - B[r] - scale * V^T w`` in C.
@@ -482,12 +507,16 @@ def lp_member(y, B, scale, V, C: PolyhedralCone, tol, rows):
 def stack_rows(arrays):
     """Several row arrays (vertex lists, value sets) as one ``(P, R, m)``
     stack plus the real row counts; shorter arrays are padded by repeating
-    their last row, as :func:`screen_members` requires."""
+    their last row, as :func:`screen_members` requires. Arrays of one row
+    count are stacked as they are; ragged ones are joined once and read
+    back through the row index ``min(k, count - 1)``."""
     counts = np.array([A.shape[0] for A in arrays])
     R = counts.max()
-    stack = np.array([A if c == R else np.vstack([A] + [A[-1:]] * (R - c))
-                      for A, c in zip(arrays, counts)])
-    return stack, counts
+    if counts.min() == R:
+        return np.array(arrays), counts
+    first = np.cumsum(counts) - counts
+    rows = first[:, None] + np.minimum(np.arange(R), counts[:, None] - 1)
+    return np.concatenate(arrays)[rows], counts
 
 
 def covered_queries(Y, B, nb, S, V, nv, C: PolyhedralCone, tol, group,

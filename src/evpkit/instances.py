@@ -20,8 +20,8 @@ from .errors import InputError
 from .geometry import (DEFAULT_TOL, PolyhedralCone, Polytope, _over_rows,
                        as_point, covered_queries, first_outside,
                        float_array, lp_member, minkowski_member,
-                       screen_members, singleton, stack_rows,
-                       validate_direction_set)
+                       screen_members, segment_band, singleton,
+                       stack_rows, validate_direction_set)
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +562,110 @@ def settled_triples(s, s13, bounds, C, tol):
     return skip | ((s13 >= 0) & (low - allowance >= -tol))
 
 
+@np.errstate(all="ignore")
+def facet_tables(S, SV, nv, C, tol):
+    """What :func:`facet_verdicts` reads of a per-pair stack, built once
+    per search from the scales ``S``, the scaled vertices ``SV = S * V``
+    (``(n, n, L, J, m)``) and the counts ``nv``.
+
+    A target ``s13 conv{t1, t2} + C``, with ``t`` the weight of ``t1``,
+    asks ``c_i - t d_i >= 0`` of every cone row i, the system of
+    :func:`geometry._segment_members`. Eliminating ``t`` leaves conditions
+    ``w . A q >= theta`` on the query ``q``, each with ``w >= 0`` and
+    ``sum w = 1``: one per cone row, ``A_i q >= min_j A_i s13 t_j - tol``,
+    and one per pair of rows (i, k) whose ``d`` have opposite signs, with
+    ``w`` proportional to ``|d_k| e_i + |d_i| e_k`` and ``theta = w . A
+    s13 t2 - tol``. The least ``w . A q - theta`` over them is the margin
+    of :func:`geometry.segment_band`.
+
+    The row minima of a scaled set do not depend on the target, and a pair
+    condition weighs ``A s v`` as ``base + w_i * slope`` with the
+    target-free ``base = A_k s v`` and ``slope = (A_i - A_k) s v``. Returns
+    ``(rows, pairs, fit, band)``, every table laid out so that (x3, x2)
+    come last, as :func:`facet_verdicts` reads them:
+
+    * ``rows``: the row minima per cone row as ``(k, x1, mu, x2)`` and
+      ``(k, nu, x3, x2)``, and less ``tol`` as ``(k, index, x1, x3)``;
+    * ``pairs``: ``base`` and ``slope`` per row pair and scaled vertex as
+      ``(K, x1, mu, u, x2)`` and ``(K, nu, v, x3, x2)``, and ``w_i`` and
+      ``theta`` as ``(K, index, x1, x3)``. A pair with opposite signs in
+      no target is left out; where a target's signs do not oppose,
+      ``theta`` is ``-inf``;
+    * ``fit``: the targets the facets may decide, ``(index, x1, x3)``:
+      ``s13`` above ``tol`` and at most two vertices, and none when a
+      margin, at most ``7 size + tol`` in magnitude, could overflow;
+    * ``band``: :func:`geometry.segment_band`.
+
+    Overflow and invalid values raise no warning here: a NaN margin is
+    neither covered nor dead, so its triple goes to the screen.
+    """
+    A, m = C.halfspaces, C.dim
+    n, _, L, J, _ = SV.shape
+    ASV = (A @ SV.reshape(-1, m).T).reshape(len(A), n, n, L, J)
+    R = _over_rows(np.minimum, ASV)                     # (k, x, y, L)
+    rows = (np.ascontiguousarray(R.transpose(0, 1, 3, 2)),
+            np.ascontiguousarray(R.transpose(0, 3, 2, 1)),
+            R.transpose(0, 3, 1, 2) - tol)
+    t2 = ASV[..., min(1, J - 1)]
+    d = ASV[..., 0] - t2
+    i, j = np.array([*itertools.combinations(range(len(A)), 2)],
+                    dtype=int).reshape(-1, 2).T
+    pair = d[i] * d[j] < 0
+    live = pair.any(axis=(1, 2, 3))
+    i, j, pair = i[live], j[live], pair[live]
+    di, dj = np.abs(d[i]), np.abs(d[j])
+    w = np.where(pair, dj / (di + dj), 0.0)
+    th = np.where(pair, w * t2[i] + (1.0 - w) * t2[j] - tol, -np.inf)
+    base, slope = ASV[j], ASV[i] - ASV[j]
+    pairs = (tuple(np.ascontiguousarray(x.transpose(axes))
+                   for axes in ((0, 1, 3, 4, 2), (0, 3, 4, 2, 1))
+                   for x in (base, slope)),
+             w.transpose(0, 3, 1, 2), th.transpose(0, 3, 1, 2))
+    # |A||y| <= 2 size for a vertex sum y, and |A||s v| <= size
+    size = np.abs(SV).max() * np.abs(A).sum(axis=1).max()
+    fit = (S > tol) & (nv <= 2) & np.isfinite(8.0 * size)
+    return rows, pairs, fit.transpose(2, 0, 1), segment_band(size, m, tol)
+
+
+@np.errstate(all="ignore")
+def facet_verdicts(tables, at):
+    """The facet test of the (index, x1) slabs ``at`` (two slices), from
+    :func:`facet_tables`: masks ``(covered, dead)`` over (index, x1, x3,
+    x2). A pair (x3, x2) is covered when some (mu, nu) has a margin of at
+    least the band's inner edge at every vertex sum ``s12 u + s23 v``, and
+    dead when every (mu, nu) has a vertex sum whose margin is below its
+    outer edge (:func:`geometry.segment_band`); a pair whose target the
+    facets may not decide is neither. A condition is linear in the query,
+    so every vertex sum meets it when the least ``w . A s12 u`` plus the
+    least ``w . A s23 v`` does: no vertex sum is built. Every array keeps
+    (x3, x2) last, so each numpy call runs over whole label pairs.
+    """
+    (R12, R23, R13), ((b12, s12, b23, s23), w, th), fit, band = tables
+    l, a = at
+    # margins over (index, x1, mu, nu, x3, x2): the row conditions, then
+    # the row pairs, one vertex of each source at a time
+    low = ((R12[:, None, a, :, None, None] - R13[:, l, a, None, None, :, None])
+           + R23[:, None, None, None]).min(axis=0)
+    if len(w):
+        b12, s12 = b12[:, None, a, :, :, None], s12[:, None, a, :, :, None]
+        b23, s23 = b23[:, None, None], s23[:, None, None]
+        w = w[:, l, a, None, :, None]           # (K, index, x1, 1, x3, 1)
+        lo12 = lo23 = None
+        for u in range(b23.shape[4]):
+            # over (K, index, x1, mu, x3, x2) and (K, index, x1, nu, x3, x2)
+            x = b12[..., u, :, :] + w * s12[..., u, :, :]
+            y = b23[..., u, :, :] + w * s23[..., u, :, :]
+            lo12 = x if lo12 is None else np.minimum(lo12, x)
+            lo23 = y if lo23 is None else np.minimum(lo23, y)
+        lo12 -= th[:, l, a, None, :, None]
+        low = np.minimum(low, (lo12[:, :, :, :, None]
+                               + lo23[:, :, :, None]).min(axis=0))
+    low = low.reshape(low.shape[0], low.shape[1], -1, *low.shape[-2:])
+    fit = fit[at][..., None]
+    return (fit & (low >= band[0]).any(axis=2),
+            fit & (low < -band[1]).all(axis=2))
+
+
 def triangle_failure(S, V, nv, C, tol):
     """The first failing triple of the arrays ``(S, V, nv)`` as positions
     ``(index, x1, x2, x3)``, in the loop order index, x1, x3, x2, or None
@@ -578,18 +682,22 @@ def triangle_failure(S, V, nv, C, tol):
     triple with both s12 + s23 and s13 at most ``tol`` is covered; any other
     negative s13 raises InputError when the walk reaches it.
 
-    The (index, x1) slabs are screened by :func:`screen_members` in blocks
-    of at most ``_TRIANGLE_QUERIES`` queries, and at least one slab: runs of
-    indices with all their slabs when those fit, else runs of x1 of one
-    index. The queries do not depend on the index, so a block builds them
-    once per x1 and screens them against the targets F_index(x1, x3) of all
-    its indices. Each block is walked before the next is screened. A pair
-    (x3, x2) of a slab is covered when some (mu, nu) has every query
-    screened in, and dead when every (mu, nu) has one screened out. Each
-    slab's pairs before its first dead one are walked in loop order; an
-    uncovered one tries its (mu, nu) in order on the LP, skipping those with
-    a query screened out, until one has every undecided query covered. So
-    no LP runs that a loop over the triples would skip.
+    The (index, x1) slabs are taken in blocks of at most
+    ``_TRIANGLE_QUERIES`` queries, and at least one slab: runs of indices
+    with all their slabs when those fit, else runs of x1 of one index. Each
+    block is walked before the next is screened. A pair (x3, x2) of a slab
+    is covered when some (mu, nu) has every query screened in, and dead
+    when every (mu, nu) has one screened out. A shared polytope's block
+    screens its queries with :func:`screen_members` once per x1, against the
+    targets F_index(x1, x3) of all its indices. A per-pair block first
+    decides its pairs by :func:`facet_verdicts`, which calls covered and
+    dead only pairs the screen calls so, and screens only the slabs with a
+    pair it leaves open before their first dead one, up to the first slab
+    it makes fail. Each slab's pairs before its first dead one are walked
+    in loop order; an uncovered one tries its (mu, nu) in order on the LP,
+    skipping those with a query screened out, until one has every
+    undecided query covered. So no LP runs that a loop over the triples
+    would skip, and a slab the facets decide runs none.
     """
     n, _, L = S.shape
     shared = V.ndim == 2
@@ -600,16 +708,20 @@ def triangle_failure(S, V, nv, C, tol):
     blocks = [(slice(l0, l0 + lrun), slice(a0, a0 + run))
               for l0 in range(0, L, lrun) for a0 in range(0, n, min(run, n))]
     origin = np.zeros((1, C.dim))
+    St = S.transpose(2, 0, 1)
     if shared:
         bounds = vertex_bounds(V, C)
     else:
         SV, k = S[..., None, None] * V, np.arange(J)   # scaled vertices
+        SVt, Vt = SV.transpose(1, 0, 2, 3, 4), V.transpose(2, 0, 1, 3, 4)
+        nvt = nv.transpose(2, 0, 1)
+        facets = facet_tables(S, SV, nv, C, tol)
     for at in blocks:                       # (index, x1) slices
         lams, a = np.arange(L)[at[0]], np.arange(n)[at[1]]
-        # s12 + s23 over (x1, x2, x3, mu, nu), s13 over (index, x1, x3)
-        s = S[at[1]][:, :, None, :, None] + S[None, :, :, None, :]
-        s13 = S.transpose(2, 0, 1)[at]
+        s13 = St[at]                        # s13 over (index, x1, x3)
         if shared:
+            # s12 + s23 over (x1, x2, x3, mu, nu)
+            s = S[at[1]][:, :, None, :, None] + S[None, :, :, None, :]
             settled = settled_triples(s, s13[:, :, None, :, None, None],
                                       bounds, C, tol)
             settled = settled.reshape(*settled.shape[:4], L * L)
@@ -617,61 +729,96 @@ def triangle_failure(S, V, nv, C, tol):
             if not keep.any():
                 continue
             a, s, s13 = a[keep], s[keep], s13[:, keep]
-        # s12 + s23 over (x1, x3, x2, (mu, nu)), the order of the walk
-        s = s.transpose(0, 2, 1, 3, 4).reshape(len(a), n, n, L * L)
+            # s12 + s23 over (x1, x3, x2, (mu, nu)), the order of the walk
+            s = s.transpose(0, 2, 1, 3, 4).reshape(len(a), n, n, L * L)
+        # the block's slabs in walk order; sel: the screened ones
+        lam, x1 = np.repeat(lams, len(a)), np.tile(a, len(lams))
+        P = len(lam)
         if shared:
             # queries (x1, x3, x2, (mu, nu), v): (s12 + s23) v
-            W, T, tn = s[..., None, None] * V, V, nv
+            W, sel = s[..., None, None] * V, np.arange(P)
+            wrow = np.tile(np.arange(len(a)), len(lams))
+            dec, ans, cand = (x.reshape(P, *x.shape[2:]) for x in
+                              screen_members(W[None], origin,
+                                             s13[..., None, None, None], V,
+                                             nv, C, tol))
+            skip = ((s <= tol) & (s13[..., None, None] <= tol)).reshape(
+                P, n, n, L * L)
+            s13 = s13.reshape(P, n)
         else:
-            # queries (x1, x3, x2, (mu, nu), (u, v)): s12 u + s23 v
-            W = (SV[at[1]][:, None, :, :, None, :, None]
-                 + SV.transpose(1, 0, 2, 3, 4)[None, :, :, None, :, None]
-                 ).reshape(len(a), n, n, L * L, J * J, C.dim)
-            T = V.transpose(2, 0, 1, 3, 4)[at][:, :, :, None, None, None]
-            tn = nv.transpose(2, 0, 1)[at][..., None, None, None]
-        decided, answer, candidates = screen_members(
-            W[None], origin, s13[..., None, None, None], T, tn, C, tol)
-        skip = (s <= tol) & (s13[..., None, None] <= tol)
-        decided = decided & ~((s13[..., None, None] < 0) & ~skip)[..., None]
-        free = skip[..., None]                  # covered without a test
-        out = _over_rows(np.logical_or, decided & ~answer & ~free)
-        covered = _over_rows(np.logical_or, _over_rows(
-            np.logical_and, (decided & answer) | free))
-        dead = _over_rows(np.logical_and, out)
+            covered, dead = (x.reshape(P, n, n)
+                             for x in facet_verdicts(facets, at))
+            # a slab is screened when it has an open pair before its first
+            # dead one, and comes before the first slab the facets fail
+            dead_at = dead.reshape(P, -1)
+            open_ = ~(covered | dead).reshape(P, -1)
+            screen = (open_ & ~np.logical_or.accumulate(dead_at, axis=1)
+                      ).any(axis=1)
+            fails = np.flatnonzero(dead_at.any(axis=1) & ~screen)
+            sel = np.flatnonzero(screen[:fails[0] if fails.size else None])
+            if sel.size:
+                xs, ls = x1[sel], lam[sel]
+                # queries (slab, x3, x2, (mu, nu), (u, v)): s12 u + s23 v
+                W = (SV[xs][:, None, :, :, None, :, None]
+                     + SVt[None, :, :, None, :, None]
+                     ).reshape(len(sel), n, n, L * L, J * J, C.dim)
+                wrow, s13 = np.arange(len(sel)), St[ls, xs]
+                dec, ans, cand = screen_members(
+                    W, origin, s13[..., None, None, None],
+                    Vt[ls, xs][:, :, None, None, None],
+                    nvt[ls, xs][..., None, None, None], C, tol)
+                s = (S[xs][:, None, :, :, None]
+                     + S.transpose(1, 0, 2)[None, :, :, None, :])
+                skip = ((s.reshape(len(sel), n, n, L * L) <= tol)
+                        & (s13[..., None, None] <= tol))
+        pos = np.full(P, -1)
+        pos[sel] = np.arange(len(sel))
+        if sel.size:
+            free = skip[..., None]              # covered without a test
+            dec = dec & ~((s13[..., None, None] < 0) & ~skip)[..., None]
+            out = _over_rows(np.logical_or, dec & ~ans & ~free)
+            hit = _over_rows(np.logical_or, _over_rows(
+                np.logical_and, (dec & ans) | free))
+            if shared:
+                covered, dead = hit, _over_rows(np.logical_and, out)
+            else:
+                covered[sel], dead[sel] = hit, _over_rows(np.logical_and,
+                                                          out)
 
-        def covers(li, ai, c, b, g):
+        def covers(p, c, b, g):
             # (mu, nu) = divmod(g, L) puts every query of the pair
-            # (x3, x2) = (c, b) of the slab in the target: none is screened
-            # out, and the undecided ones but padding are covered by LP in
-            # order
-            if out[li, ai, c, b, g]:
+            # (x3, x2) = (c, b) of the screened slab p in the target: none
+            # is screened out, and the undecided ones but padding are
+            # covered by LP in order
+            r = pos[p]
+            if out[r, c, b, g]:
                 return False
-            if s13[li, ai, c] < 0:
+            if s13[r, c] < 0:
                 raise InputError("scale must be nonnegative")
-            x1, lam = a[ai], lams[li]
-            target, f = V, free[li, ai, c, b, g]
+            target, f = V, free[r, c, b, g]
             if not shared:
                 mu, nu = divmod(g, L)
-                target = V[x1, c, lam, :nv[x1, c, lam]]
-                f = f | ((k[:, None] >= nv[x1, b, mu])
+                x, l = x1[p], lam[p]
+                target = V[x, c, l, :nv[x, c, l]]
+                f = f | ((k[:, None] >= nv[x, b, mu])
                          | (k >= nv[b, c, nu])).ravel()
-            return all(lp_member(W[ai, c, b, g, q], origin, s13[li, ai, c],
-                                 target, C, tol, np.flatnonzero(
-                                     candidates[li, ai, c, b, g, q]))
-                       for q in np.flatnonzero(~(decided[li, ai, c, b, g]
-                                                 | f)))
+            return all(lp_member(W[wrow[r], c, b, g, q], origin, s13[r, c],
+                                 target, C, tol,
+                                 np.flatnonzero(cand[r, c, b, g, q]))
+                       for q in np.flatnonzero(~(dec[r, c, b, g] | f)))
 
-        # only slabs with an uncovered pair (a dead one included) are walked
-        for li, ai in zip(*np.nonzero(~covered.all(axis=(2, 3)))):
-            stops = np.flatnonzero(dead[li, ai])
+        # only slabs with an uncovered pair (a dead one included) are
+        # walked; a slab the facets decide has none before its first dead
+        for p in np.flatnonzero(~covered.all(axis=(1, 2))):
+            stops = np.flatnonzero(dead[p])
             stop = int(stops[0]) if stops.size else None
-            for p in np.flatnonzero(~covered[li, ai].ravel()[:stop]):
-                c, b = divmod(int(p), n)
-                if not any(covers(li, ai, c, b, g) for g in range(L * L)):
-                    return int(lams[li]), int(a[ai]), b, c
+            for q in np.flatnonzero(~covered[p].ravel()[:stop]):
+                c, b = divmod(int(q), n)
+                if not any(covers(p, c, b, g) for g in range(L * L)):
+                    return int(lam[p]), int(x1[p]), b, c
             if stop is not None:
                 c, b = divmod(stop, n)
-                return int(lams[li]), int(a[ai]), b, c
+                return int(lam[p]), int(x1[p]), b, c
     return None
 
 

@@ -11,6 +11,7 @@ order; the batched code must return the same matrices, witnesses and
 conclusions, and must never run more phase-1 LPs than the loops.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -21,16 +22,17 @@ from evpkit.errors import HypothesisError, InputError, PremiseError
 from evpkit.geometry import (DEFAULT_TOL, LinearFunctional, Polytope,
                              as_point, cone, cone_contains, lp_member,
                              minkowski_member, orthant, screen_members,
-                             singleton, strictly_positive_functional)
+                             singleton, stack_rows,
+                             strictly_positive_functional)
 from evpkit.instances import (ExtensionalFamily, FiniteInstance, MetricSpace,
                               OpenPolytopeFamily, PolytopeDirection,
                               QuasiMetric, QuasiMetricDirection, SetValuedMap,
                               SingletonDirection, _pairwise_separation,
                               _uniform_separation, eps_h_efficient,
                               order_arrays, preceq,
-                              relation_matrix, settled_triples, ti_check,
-                              triangle_failure, vertex_bounds,
-                              vertex_minima)
+                              facet_tables, facet_verdicts, relation_matrix,
+                              settled_triples, ti_check, triangle_failure,
+                              vertex_bounds, vertex_minima)
 from evpkit.product import (FMap, ProductInstance, _graph_conclusions,
                             _graph_oracle, _pair_index, _section_of_start,
                             anchored_values, domination_check,
@@ -1101,40 +1103,89 @@ def test_sweeps_never_run_more_lps_than_loops(monkeypatch):
     assert totals["loop"] > 0  # the LP fallback was exercised
 
 
-def _screens_per_search(monkeypatch):
+def facet_open_slabs(inst, fam):
+    """The (index, x1) slabs of a table, in walk order, that hold a pair
+    ``facet_verdicts`` leaves open before their first dead pair, up to the
+    first slab whose first dead pair has no open pair before it (a failure
+    the facets decide); and that slab, or None."""
+    S, V, nv = fam.arrays(inst.space)
+    n, _, L = S.shape
+    tables = facet_tables(S, S[..., None, None] * V, nv, inst.cone, inst.tol)
+    covered, dead = facet_verdicts(tables, (slice(0, L), slice(0, n)))
+    opened = []
+    for slab in itertools.product(range(L), range(n)):
+        pairs = list(zip(covered[slab].ravel(), dead[slab].ravel()))
+        stop = next((p for p, (_, d) in enumerate(pairs) if d), len(pairs))
+        if any(not c and not d for c, d in pairs[:stop]):
+            opened.append(slab)
+        elif stop < len(pairs):
+            return opened, slab
+    return opened, None
+
+
+def _screened_slabs(monkeypatch):
     """For failing random tables and passing generated ones at n = 3 to 8:
-    the screen_members calls of ti_check, and the number of (index, x1)
-    slabs the search reaches, up to the witness's."""
+    whether the table is generated, the number of slabs each screen_members
+    call of ti_check screens, the facet-open slabs and the facets' failing
+    slab (:func:`facet_open_slabs`), and the slabs the search reaches, in
+    walk order up to the one it stops in."""
     rng = np.random.default_rng(61)
-    out = []
+    screened, out = [], []
+
+    def recording(Y, *args):
+        screened.append(len(Y))
+        return screen_members(Y, *args)
+
+    monkeypatch.setattr(instances, "screen_members", recording)
     for n in range(3, 9):
-        for inst, fam in (random_instance(rng, n=n, m=1 + n % 3,
-                                          kind="extensional")[:2],
-                          generated_extensional(n, n, 1 + n % 3)):
-            calls, got = _calls(monkeypatch, instances, "screen_members",
-                                ti_check, inst, fam)
-            lams = fam.lambdas()
-            reached = (len(lams) * n if got[0] else
-                       lams.index(got[1][3]) * n + inst.labels.index(
-                           got[1][0]) + 1)
-            out.append((calls, reached, got[0]))
-    assert {ok for _, _, ok in out} == {True, False}
+        for generated, (inst, fam) in (
+                (False, random_instance(rng, n=n, m=1 + n % 3,
+                                        kind="extensional")[:2]),
+                (True, generated_extensional(n, n, 1 + n % 3))):
+            screened.clear()
+            ok, witness = ti_check(inst, fam)
+            slabs = list(itertools.product(range(len(fam.lambdas())),
+                                           range(n)))
+            stop = len(slabs) if ok else slabs.index(
+                (fam.lambdas().index(witness[3]),
+                 inst.labels.index(witness[0]))) + 1
+            opened, failed = facet_open_slabs(inst, fam)
+            assert failed is None or slabs[stop - 1] <= failed
+            out.append((generated, list(screened), opened, failed,
+                        slabs[:stop], ok))
+    assert {ok for *_, ok in out} == {True, False}
     return out
 
 
-def test_extensional_search_screens_once(monkeypatch):
-    """One screen_members call per block of slabs, and the default budget
-    holds every query of these tables (16,384 at n = 8 with two indices
-    and two vertices), so each search screens once."""
-    assert all(calls == 1 for calls, _, _ in _screens_per_search(monkeypatch))
+def test_extensional_search_screens_facet_open_slabs(monkeypatch):
+    """The facet test decides every triple of the generated passing tables,
+    so their searches screen nothing. On the random tables the one block
+    (at most 16,384 queries at n = 8 with two indices and two vertices)
+    screens exactly the slabs that hold a pair the facets leave open before
+    their first dead one, up to the first slab the facets fail, and the
+    slabs the facets decide are not screened."""
+    screened_total = decided_total = 0
+    for generated, screened, opened, failed, reached, ok in _screened_slabs(
+            monkeypatch):
+        want = [s for s in opened if failed is None or s < failed]
+        if generated:
+            assert ok and opened == [] and screened == []
+            continue
+        assert screened == ([len(want)] if want else []), (screened, want)
+        if not want:
+            assert reached[-1] == failed
+        screened_total += len(want)
+        decided_total += len(set(reached) - set(opened))
+    assert screened_total > 0 and decided_total > 0
 
 
-def test_extensional_search_screens_once_per_block(monkeypatch):
-    """With a budget of one slab per block, a search screens once per slab
-    it reaches."""
+def test_extensional_search_screens_facet_open_slabs_per_block(monkeypatch):
+    """With a budget of one slab per block, a search screens each facet-open
+    slab it reaches, one per call, and no other."""
     monkeypatch.setattr(instances, "_TRIANGLE_QUERIES", 1)
-    for calls, reached, ok in _screens_per_search(monkeypatch):
-        assert calls == reached, (calls, reached, ok)
+    for _, screened, opened, _, reached, _ in _screened_slabs(monkeypatch):
+        assert screened == [1] * len(set(opened) & set(reached)), (
+            screened, opened, reached)
 
 
 @pytest.mark.parametrize("budget", [1, 50, 1 << 20])
@@ -1267,6 +1318,206 @@ def test_extensional_search_matches_slab_search_and_loop(monkeypatch, m):
         lps["got"] += nb
         lps["loop"] += nl
     assert failing >= 6 and lps["got"] > 0, (failing, lps)
+
+
+def screen_pair_verdicts(S, V, nv, C, tol):
+    """Each pair's verdict by the screen alone, one (index, x1) slab at a
+    time as ``slab_extensional_failure`` screens it: masks ``(covered,
+    dead)`` over (index, x1, x3, x2), covered when some (mu, nu) has every
+    vertex sum screened in, dead when every (mu, nu) has one screened out."""
+    n, _, L = S.shape
+    SV = S[..., None, None] * V
+    origin = np.zeros((1, C.dim))
+    covered = np.zeros((L, n, n, n), dtype=bool)
+    dead = np.zeros_like(covered)
+    # sums over (x3, x2, mu, nu, u, v)
+    for lam, x1 in itertools.product(range(L), range(n)):
+        Y = (SV[x1][None, :, :, None, :, None]
+             + SV.transpose(1, 0, 2, 3, 4)[:, :, None, :, None, :])
+        at = (x1, slice(None), lam, None, None, None, None, None)
+        decided, answer, _ = screen_members(Y, origin, S[at], V[at], nv[at],
+                                            C, tol)
+        covered[lam, x1] = (decided & answer).all(axis=(-2, -1)).any(
+            axis=(-2, -1))
+        dead[lam, x1] = (decided & ~answer).any(axis=(-2, -1)).all(
+            axis=(-2, -1))
+    return covered, dead
+
+
+def assert_facets_agree_with_screen(S, V, nv, C, tol):
+    """Every pair the facet test covers, the screen covers, and every pair
+    it finds dead, the screen finds dead. Returns the number of pairs it
+    decides and of pairs of targets it may decide that it leaves open."""
+    n, _, L = S.shape
+    covered, dead = facet_verdicts(
+        facet_tables(S, S[..., None, None] * V, nv, C, tol),
+        (slice(0, L), slice(0, n)))
+    screen_covered, screen_dead = screen_pair_verdicts(S, V, nv, C, tol)
+    assert not (covered & ~screen_covered).any()
+    assert not (dead & ~screen_dead).any()
+    fit = ((S > tol) & (nv <= 2)).transpose(2, 0, 1)[..., None]
+    return int((covered | dead).sum()), int((fit & ~covered & ~dead).sum())
+
+
+def assert_search_matches_slab_and_loop(monkeypatch, inst, fam):
+    """``ti_check`` returns the slab search's witness with its _phase1
+    count, which is at most the loop's; returns the witness and count."""
+    nb, got = _lp_calls(monkeypatch, ti_check, inst, fam)
+    ns, slab = _lp_calls(monkeypatch, slab_ti_extensional, inst, fam)
+    nl, want = _lp_calls(monkeypatch, loop_ti_extensional, inst, fam)
+    assert got == slab == want
+    assert nb == ns <= nl, (nb, ns, nl)
+    return got, nb
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_facet_search_matches_slab_search(monkeypatch, m):
+    """Random tables at n = 3 to 6, ragged (1 to 3 vertices a target) or
+    not, over metric and non-metric distances, failing ones included, and
+    generated passing ones: the facet search finds the slab search's
+    witnesses with its _phase1 counts, and its verdicts agree with the
+    screen's."""
+    rng = np.random.default_rng(1300 + m)
+    outcomes, decided = set(), 0
+    for trial in range(8):
+        inst, fam, _ = random_instance(rng, n=3 + trial % 4, m=m,
+                                       kind="extensional",
+                                       metric=trial % 2 == 0,
+                                       ragged=trial % 4 != 1)
+        cases = [(inst, fam)]
+        if m < 4 and trial < 2:
+            cases.append(generated_extensional(trial, 4 + trial, m))
+        for inst, fam in cases:
+            (ok, _), _ = assert_search_matches_slab_and_loop(
+                monkeypatch, inst, fam)
+            outcomes.add(ok)
+            decided += assert_facets_agree_with_screen(
+                *fam.arrays(inst.space), inst.cone, inst.tol)[0]
+    assert decided > 0 and False in outcomes
+    assert outcomes == {True, False} or m == 4
+
+
+def test_facet_search_mixes_two_and_three_vertex_targets(monkeypatch):
+    """Generated tables with a third vertex added to some entries: the
+    triples with a three-vertex target go to the screen and the walk, the
+    others are decided by facets, and the search is the slab search."""
+    rng = np.random.default_rng(3141)
+    outcomes = set()
+    for trial in range(6):
+        m = 2 + trial % 2
+        inst, fam = generated_extensional(40 + trial, 4 + trial % 3, m)
+        table = dict(fam.table)
+        for key, P in fam.table.items():
+            if key[1] != key[2] and rng.random() < 0.3:
+                mid = P.vertices.mean(axis=0)
+                # against the cone's direction a source can leave a target
+                grow = rng.uniform(-1.5 if trial % 2 else 0.0, 0.5, size=m)
+                table[key] = Polytope(np.vstack([P.vertices, mid + grow]))
+        fam = ExtensionalFamily(fam.labels, fam.indices, table)
+        nv = fam.arrays(inst.space)[2]
+        assert set(np.unique(nv)) == {1, 2, 3}
+        (ok, _), _ = assert_search_matches_slab_and_loop(monkeypatch, inst,
+                                                         fam)
+        outcomes.add(ok)
+        decided, _ = assert_facets_agree_with_screen(
+            *fam.arrays(inst.space), inst.cone, inst.tol)
+        assert decided > 0
+    assert outcomes == {True, False}, outcomes
+
+
+def band_family(rng, n, L, m, tol):
+    """A table near the tolerance band: labels on a line, so that F(x1, x2)
+    + F(x2, x3) = d(x1, x3) H13 when x2 lies between, with F(x, y) = d(x,
+    y) H of a polytope H per index whose 1 to 3 vertices lie 0.1 to 1 tol
+    outside a facet of the cone, and most entries shifted 1 to 3 tol off
+    that facet, to one side or the other."""
+    C, k0 = (orthant(m), None) if rng.random() < 0.5 else random_cone(rng, m)
+    A = C.halfspaces
+    labels = tuple(f"p{i}" for i in range(n))
+    position = rng.permutation(np.sort(rng.uniform(0.0, 3.0, size=n)))
+    d = np.abs(position[:, None] - position[None])
+    table = {}
+    for lam in ("L0", "L1")[:L]:
+        row = A[rng.integers(len(A))]
+        a = row / (row @ row)           # moves row . y by one unit
+        vertices = []
+        for _ in range(int(rng.integers(1, 4))):
+            for _ in range(100):
+                h = (rng.uniform(0.2, 1.5, size=m) if k0 is None
+                     else sample_cone_member(rng, C, k0))
+                h = h - (row @ h) * a   # on the facet
+                if np.all(A @ h >= -1e-12):
+                    break
+            vertices.append(h - rng.uniform(0.1, 1.0) * tol * a)
+        H = np.array(vertices)
+        for i, x in enumerate(labels):
+            for j, y in enumerate(labels):
+                shift = (rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 3.0) * tol
+                         * a * (rng.random() < 0.7))
+                table[(lam, x, y)] = Polytope(d[i, j] * H + shift if i != j
+                                              else shift[None])
+    space = MetricSpace(labels, d)
+    fmap = SetValuedMap({x: np.zeros((1, m)) for x in labels})
+    return (FiniteInstance(space, fmap, C),
+            ExtensionalFamily(labels, ("L0", "L1")[:L], table))
+
+
+def test_facet_search_in_the_tolerance_band(monkeypatch):
+    """Tables whose vertices lie 0.1 to 1 tol outside a facet, with vertex
+    sums 1 to 3 tol off the targets' facets: the facet test leaves such
+    triples open, decides none otherwise than the screen, and the search
+    is the slab search."""
+    rng = np.random.default_rng(2024)
+    opened = decided = 0
+    for trial in range(18):
+        inst, fam = band_family(rng, 3 + trial % 3, 1 + trial % 2,
+                                1 + trial % 3, DEFAULT_TOL)
+        assert_search_matches_slab_and_loop(monkeypatch, inst, fam)
+        d, o = assert_facets_agree_with_screen(
+            *fam.arrays(inst.space), inst.cone, inst.tol)
+        decided += d
+        opened += o
+    assert opened > 0 and decided > 0, (opened, decided)
+
+
+def test_facet_search_with_zero_and_negative_scales(monkeypatch):
+    """Pair maps with zero, sub-tol and negative scales: the targets with
+    s13 at most tol go to the screen and the walk, so the search returns
+    the witness, or raises the InputError, of a search whose facet test
+    decides nothing, with the same _phase1 count."""
+    real = instances.facet_verdicts
+
+    def search(S, V, nv, C, tol):
+        try:
+            return triangle_failure(S, V, nv, C, tol)
+        except InputError as exc:
+            return str(exc)
+
+    rng = np.random.default_rng(8080)
+    results = []
+    for trial in range(24):
+        n, m = 3 + trial % 4, 1 + trial % 3
+        C, k0 = _cone(rng, m)
+        S = rng.uniform(0.0, 2.0, size=(n, n))
+        S[rng.random((n, n)) < 0.2] = 0.0
+        S[rng.random((n, n)) < 0.1] = 5e-10
+        if trial % 2:
+            np.fill_diagonal(S, 0.0)
+        if trial % 3 == 0:
+            S[0, rng.integers(2)] = -0.5    # a target of the first slab
+        V, nv = stack_rows([np.array([sample_cone_member(rng, C, k0)
+                                      for _ in range(rng.integers(1, 4))])
+                            for _ in range(n * n)])
+        arrays = (S[..., None], V.reshape(n, n, 1, *V.shape[1:]),
+                  nv.reshape(n, n, 1), C, 1e-9)
+        got = _lp_calls(monkeypatch, search, *arrays)
+        monkeypatch.setattr(instances, "facet_verdicts", lambda t, at: tuple(
+            np.zeros_like(x) for x in real(t, at)))
+        assert _lp_calls(monkeypatch, search, *arrays) == got, trial
+        monkeypatch.setattr(instances, "facet_verdicts", real)
+        results.append(got[1])
+    assert any(isinstance(r, str) for r in results)
+    assert any(isinstance(r, tuple) for r in results)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

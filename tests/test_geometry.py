@@ -356,3 +356,28 @@ def test_direction_set_reports_its_first_bad_vertex(vertices, message):
     a vertex that is zero (within tol) is reported as zero."""
     with pytest.raises(InputError, match=message):
         validate_direction_set(Polytope(vertices), orthant(2))
+
+
+def vstack_rows(arrays):
+    """``stack_rows`` as it was: each short array padded by its own
+    ``np.vstack`` of repeated last rows, then the list stacked."""
+    counts = np.array([A.shape[0] for A in arrays])
+    R = counts.max()
+    stack = np.array([A if c == R else np.vstack([A] + [A[-1:]] * (R - c))
+                      for A, c in zip(arrays, counts)])
+    return stack, counts
+
+
+@pytest.mark.parametrize("counts", [
+    [3, 1, 2, 3, 1], [1, 4], [2, 2, 2], [1, 1, 1], [1], [3], [5, 1, 1, 1]])
+def test_stack_rows_is_the_vstack_padding(counts):
+    """Ragged, uniform, single-row and one-array lists give the stack and
+    the counts of the per-array padding, bit for bit."""
+    rng = np.random.default_rng(sum(counts) * 31 + len(counts))
+    for m in (1, 3):
+        arrays = [rng.normal(size=(c, m)) for c in counts]
+        got, want = geometry.stack_rows(arrays), vstack_rows(arrays)
+        assert got[0].shape == want[0].shape == (len(counts), max(counts), m)
+        assert got[0].dtype == want[0].dtype
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
