@@ -350,8 +350,9 @@ class ExtensionalFamily:
     and a space's labels. Its ``arrays`` are stacked when it is made, in one
     walk in (x2, x1, index) order that stops at the first pair with a
     missing entry or at the first entry of another dimension than the
-    first's; ``validate`` and ``arrays`` raise that fault. ``table`` is a
-    read-only copy of the given table."""
+    first's; ``validate`` and ``arrays`` raise that fault. A table key that
+    names an index or a label the family does not list is rejected when the
+    family is made. ``table`` is a read-only copy of the given table."""
 
     labels: tuple
     indices: tuple
@@ -364,6 +365,12 @@ class ExtensionalFamily:
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "indices", tuple(self.indices))
         object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
+        known = set(itertools.product(self.indices, self.labels, self.labels))
+        extra = [key for key in self.table if key not in known]
+        if extra:
+            raise InputError(f"extensional family table key {extra[0]!r} "
+                             "names an index or a label the family does not "
+                             "list")
         polys, fault = [], None
         for x2, x1 in itertools.product(self.labels, self.labels):
             try:
@@ -520,7 +527,7 @@ def ti_check(inst: FiniteInstance, fam):
 # ---------------------------------------------------------------------------
 # Triangle inclusion, F(x1, x2) + F(x2, x3) inside F(x1, x3) + C, on a
 # family's ``arrays`` ``(S, V, nv)`` (see "Perturbation families" above). A
-# pair map (``product.pair_arrays``) is the case of one index.
+# pair map (``product.FMap``) is a family of one index.
 # ---------------------------------------------------------------------------
 
 # triangle_failure screens whole (index, x1) slabs in blocks of up to this

@@ -19,9 +19,9 @@ from . import engine as eng
 from .errors import HypothesisError, InputError, PremiseError
 from .geometry import (DEFAULT_TOL, PolyhedralCone, Polytope, as_point,
                        first_outside, minkowski_member, polytope_contains,
-                       singleton, stack_rows)
-from .instances import (MetricSpace, check_positive, order_queries,
-                        triangle_failure, vertex_minima)
+                       singleton)
+from .instances import (MetricSpace, PolytopeDirection, check_positive,
+                        order_queries, triangle_failure, vertex_minima)
 from .scalarize import GerstewitzFn
 from .solvers import Certificate, Conclusion, _jsonable
 
@@ -141,74 +141,45 @@ class ProductInstance:
 
 @dataclass(frozen=True, eq=False)
 class FMap:
-    """Pair map (x2, x1) -> scale * conv(H) plus the additive scalarization.
+    """Pair map (x2, x1) -> F(x2, x1) plus the additive scalarization.
 
-    ``table`` maps ordered label pairs to ``(scale, Polytope)``. The
-    scalarization must be additive on every pair-map value: exact for a
-    linear functional; for the cone scalarization this is enforced by
-    requiring all pair-map vertices to sit on the direction ray, where
-    translation-additivity makes values exact."""
+    ``family`` is a perturbation family of one index: a distance-scaled one
+    (:func:`fmap_from_rate`) or an :class:`ExtensionalFamily` whose
+    polytopes carry their scale. The scalarization must be additive on every
+    pair-map value: exact for a linear functional; for the cone
+    scalarization this is enforced by requiring all pair-map vertices to sit
+    on the direction ray, where translation-additivity makes values exact."""
 
-    table: dict
+    family: object
     xi: object
 
-    def value_set(self, x2, x1):
-        try:
-            return self.table[(x2, x1)]
-        except KeyError:
-            raise InputError(f"pair map is not total: missing ({x2!r}, {x1!r})"
-                             ) from None
+    def __post_init__(self):
+        if len(self.family.lambdas()) != 1:
+            raise InputError("a pair map is a family of one index")
 
 
 def fmap_from_rate(base: MetricSpace, H: Polytope, rate, xi):
-    """Distance-scaled pair map rate * d(x2, x1) * H over the whole base."""
-    check_positive("rate", rate)
-    d = base.dist.tolist()
-    table = {(x2, x1): (rate * d[i][j], H)
-             for i, x2 in enumerate(base.labels)
-             for j, x1 in enumerate(base.labels)}
-    return FMap(table, xi)
+    """Distance-scaled pair map rate * d(x2, x1) * H over the whole base.
+    The family reads d from the space it is given when it is used, the
+    product instance's base, which ``base`` must be."""
+    return FMap(PolytopeDirection(H, rate), xi)
 
 
-def pair_arrays(pi: ProductInstance, fm: FMap):
-    """The pair map ``fm`` as the arrays ``(S, V, nv)`` the graph solvers
-    read it in, from one walk of ``fm.table``. A key outside the base labels,
-    a value of another dimension than the cone's and a missing pair raise
-    InputError naming the pair."""
-    labels, m = pi.base.labels, pi.cone.dim
-    n = len(labels)
-    index = {x: i for i, x in enumerate(labels)}
-    S = np.zeros(n * n)
-    polys = [None] * (n * n)
-    for (x2, x1), (scale, H) in fm.table.items():
-        if x2 not in index or x1 not in index:
-            raise InputError(f"pair-map key ({x2!r}, {x1!r}) names a label "
-                             "outside the base space")
-        if H.dim != m:
-            raise InputError(f"pair-map value for ({x2!r}, {x1!r}) has "
-                             f"dimension {H.dim}, expected {m}")
-        k = index[x2] * n + index[x1]
-        S[k], polys[k] = scale, H
-    if None in polys:  # FMap.value_set raises, naming the missing pair
-        k = polys.index(None)
-        fm.value_set(labels[k // n], labels[k % n])
-    S = S.reshape(n, n)
-    if all(H is polys[0] for H in polys):
-        return S, polys[0].vertices, polys[0].vertices.shape[0]
-    V, nv = stack_rows([H.vertices for H in polys])
-    return S, V.reshape(n, n, *V.shape[1:]), nv.reshape(n, n)
-
-
-def validate_fmap(pi: ProductInstance, fm: FMap, pair=None):
-    """Check the pair-map conditions on the :func:`pair_arrays` ``pair``
-    (built when None); raise HypothesisError naming the first failing pair
-    in label order. Returns a report dict with the positivity margin of the
-    scalarization at the smallest positive base distance."""
+def validate_fmap(pi: ProductInstance, fm: FMap):
+    """Check the pair-map conditions on the family's ``arrays``; raise
+    HypothesisError naming the first failing pair in label order. A value
+    whose dimension is not the cone's raises InputError before any check.
+    Returns a report dict with the positivity margin of the scalarization
+    at the smallest positive base distance."""
     base, C, tol = pi.base, pi.cone, pi.tol
     labels = base.labels
-    S, V, nv = pair = pair or pair_arrays(pi, fm)
+    S, V, nv = fm.family.arrays(base)
     n, (J, m) = len(labels), V.shape[-2:]
-    W = S[..., None, None] * V            # every scaled value, (n, n, J, m)
+    if m != C.dim:
+        raise InputError(f"pair-map value for ({labels[0]!r}, "
+                         f"{labels[0]!r}) has dimension {m}, "
+                         f"expected {C.dim}")
+    W = S[..., None, None] * V            # every scaled value, (n, n, 1, J, m)
     # containment in the cone of the values at a scale above tol
     big = np.flatnonzero(S > tol)
     bad = first_outside(C, W.reshape(n * n, J, m)[big], tol)
@@ -218,16 +189,14 @@ def validate_fmap(pi: ProductInstance, fm: FMap, pair=None):
             "pair_map_in_cone",
             f"pair-map value for ({x2!r}, {x1!r}) leaves the cone")
     # reflexive zero membership, on the diagonal
-    counts = np.broadcast_to(nv, (n, n))
+    counts = np.broadcast_to(nv, S.shape)
     for i, x in enumerate(labels):
-        if S[i, i] > tol and not polytope_contains(
-                Polytope(W[i, i, :counts[i, i]]), np.zeros(m), tol):
+        if S[i, i, 0] > tol and not polytope_contains(
+                Polytope(W[i, i, 0, :counts[i, i, 0]]), np.zeros(m), tol):
             raise HypothesisError(
                 "reflexive_zero",
                 f"pair-map value at ({x!r}, {x!r}) does not contain 0")
-    # the pair map is a family of one index
-    one = (V, nv) if V.ndim == 2 else (V[:, :, None], nv[..., None])
-    hit = triangle_failure(S[..., None], *one, C, tol)
+    hit = triangle_failure(S, V, nv, C, tol)
     if hit is not None:
         raise HypothesisError("triangle_inclusion",
                               "pair map fails the triangle inclusion",
@@ -245,7 +214,7 @@ def validate_fmap(pi: ProductInstance, fm: FMap, pair=None):
         c = (V @ k0) / float(k0 @ k0)
         off = np.max(np.abs(V - c[..., None] * k0), axis=-1) > 1e-7
         if off.any():
-            first = np.argmax(np.broadcast_to(off.any(axis=-1), (n, n)))
+            first = np.argmax(np.broadcast_to(off.any(axis=-1), S.shape))
             x2, x1 = labels[first // n], labels[first % n]
             raise HypothesisError(
                 "additive_scalarization",
@@ -263,7 +232,7 @@ def validate_fmap(pi: ProductInstance, fm: FMap, pair=None):
 
 def zeta(S, V, xi, dist, delta):
     """Infimum of the scalarization ``xi`` over the pair-map values
-    ``S * conv(V)`` (:func:`pair_arrays`) at base distance ``dist`` at least
+    ``S * conv(V)`` of a pair map's arrays at base distance ``dist`` at least
     delta, the masked minimum of :func:`instances.vertex_minima`; +inf when
     no pair qualifies."""
     if not delta > 0:
@@ -280,7 +249,7 @@ def prec_f(pi: ProductInstance, fm: FMap, pair2, pair1):
     """(x2, y2) precedes (x1, y1): y1 is covered by y2 + F(x2, x1) + cone."""
     x2, y2 = pair2
     x1, y1 = pair1
-    scale, H = fm.value_set(x2, x1)
+    (_, scale, H), = fm.family.sets(pi.base, x2, x1)
     return minkowski_member(as_point(y1, pi.cone.dim), [as_point(y2)],
                             scale, H, pi.cone, pi.tol)
 
@@ -311,25 +280,18 @@ def prec_fstar(pi: ProductInstance, fm: FMap, pair2, pair1):
 ProductCertificate = Certificate
 
 
-def graph_arrays(pi, fm, pair=None):
+def graph_arrays(pi, fm):
     """What :func:`order_queries` reads, for the graph order: each graph
     pair is a label with its one value (``B = Y[:, None]``, ``nb = 1``), and
-    ``S, V, nv`` are the :func:`pair_arrays` ``pair`` (built when None) at
-    the labels of two pairs; a shared polytope stays one ``(J, m)`` array."""
-    S, V, nv = pair or pair_arrays(pi, fm)
+    ``S, V, nv`` are the pair map's ``arrays`` at the labels of two pairs;
+    a shared polytope stays one ``(J, m)`` array."""
+    S, V, nv = fm.family.arrays(pi.base)
     lab = np.array([pi.base.index(x) for x, _ in pi.graph])
     at = (lab[:, None], lab)
     if V.ndim > 2:
-        V, nv = V[at][:, :, None], nv[at][..., None]
+        V, nv = V[at], nv[at]
     Y = np.array([y for _, y in pi.graph])
-    return S[at][..., None], V, nv, Y[:, None], np.ones(len(lab), dtype=int)
-
-
-def _validated(pi, fm):
-    """:func:`validate_fmap` and the :func:`graph_arrays` of a solve, from
-    one :func:`pair_arrays` of the map."""
-    pair = pair_arrays(pi, fm)
-    return validate_fmap(pi, fm, pair), graph_arrays(pi, fm, pair)
+    return S[at], V, nv, Y[:, None], np.ones(len(lab), dtype=int)
 
 
 def anchored_values(pi, xi):
@@ -380,7 +342,7 @@ def solve_minimal_point(pi: ProductInstance, fm: FMap, mode="greedy"):
     """Minimal pair of the graph under the strict order, certified against
     the plain order conclusions: start coverage and separation of every
     other base label."""
-    checks, arrays = _validated(pi, fm)
+    checks, arrays = validate_fmap(pi, fm), graph_arrays(pi, fm)
     start = _pair_index(pi, *pi.start)
     ihat, trace, assumptions = _minimal_point(
         pi, fm, mode, checks, arrays, start,
@@ -434,7 +396,7 @@ def solve_strict_minimal(pi: ProductInstance, fm: FMap, mode="greedy"):
     label slice; the separation conclusion then excludes only the pair
     itself. Requires the strict domination property on every slice the start
     section touches, checked after the pair map."""
-    checks, arrays = _validated(pi, fm)
+    checks, arrays = validate_fmap(pi, fm), graph_arrays(pi, fm)
     start = _pair_index(pi, *pi.start)
     section = _section_of_start(pi, arrays, start)
     slice_report = {}

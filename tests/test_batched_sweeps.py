@@ -36,8 +36,8 @@ from evpkit.instances import (ExtensionalFamily, FiniteInstance, MetricSpace,
 from evpkit.product import (FMap, ProductInstance, _graph_conclusions,
                             _graph_oracle, _pair_index, _section_of_start,
                             anchored_values, domination_check,
-                            fmap_from_rate, graph_arrays, pair_arrays,
-                            pareto_min, prec_f,
+                            fmap_from_rate, graph_arrays, pareto_min,
+                            prec_f,
                             prec_fstar, solve_minimal_point, solve_pareto_evp,
                             solve_strict_minimal, strict_pareto_min,
                             validate_fmap, zeta)
@@ -187,6 +187,13 @@ def slab_extensional_failure(fam, space, E, counts, C, tol):
     return None
 
 
+def pair_set(pi, fm, x2, x1):
+    """``(scale, polytope)`` of F(x2, x1), the one set of the pair map's
+    family at that pair."""
+    (_, scale, H), = fm.family.sets(pi.base, x2, x1)
+    return scale, H
+
+
 def loop_fmap_triangle(pi, fm):
     C, tol = pi.cone, pi.tol
     zero = np.zeros(C.dim)
@@ -194,9 +201,9 @@ def loop_fmap_triangle(pi, fm):
     for x1 in labels:
         for x3 in labels:
             for x2 in labels:
-                s12, H12 = fm.value_set(x1, x2)
-                s23, H23 = fm.value_set(x2, x3)
-                s13, H13 = fm.value_set(x1, x3)
+                s12, H12 = pair_set(pi, fm, x1, x2)
+                s23, H23 = pair_set(pi, fm, x2, x3)
+                s13, H13 = pair_set(pi, fm, x1, x3)
                 for u in H12.vertices:
                     for v in H23.vertices:
                         w = s12 * u + s23 * v
@@ -259,7 +266,7 @@ def loop_separation_conclusion(pi, fm, xhat, yhat, exclude_label_only, name):
         else:
             if x == xhat and np.array_equal(y, yhat):
                 continue
-        scale, H = fm.value_set(x, xhat)
+        scale, H = pair_set(pi, fm, x, xhat)
         if minkowski_member(yhat, [y], scale, H, pi.cone, pi.tol):
             violations.append({"x": x, "y": y})
     return Conclusion(name, not violations, {"violations": violations})
@@ -348,14 +355,15 @@ def loop_uniform_separation(inst, fam, xi):
     return best_over_lams > tol, best_witness
 
 
-def loop_zeta(fm, delta, base):
+def loop_zeta(pi, fm, delta):
     best = math.inf
+    base = pi.base
     d = base.dist.tolist()
     for i, x2 in enumerate(base.labels):
         for j, x1 in enumerate(base.labels):
             if d[i][j] < delta:
                 continue
-            scale, H = fm.value_set(x2, x1)
+            scale, H = pair_set(pi, fm, x2, x1)
             for v in H.vertices:
                 best = min(best, fm.xi.value(scale * v))
     return best
@@ -513,9 +521,9 @@ def random_instance(rng, n, m, kind, metric=True, ragged=True):
 
 def random_product(rng, n, m, metric=True, ragged=True, nonlinear=False,
                    vertices=2):
-    """Product instance over a random base with a pair map whose vertex
-    lists have 1 to 3 vertices per pair (or fmap_from_rate over a polytope
-    with ``vertices`` vertices)."""
+    """Product instance over a random base with a hand-built pair map whose
+    vertex lists have 1 to 3 vertices per pair, scaled by the distance (or
+    fmap_from_rate over a polytope with ``vertices`` vertices)."""
     inst, _, k0 = random_instance(rng, n, m, "singleton", metric=metric,
                                   ragged=ragged)
     C, space = inst.cone, inst.space
@@ -528,9 +536,9 @@ def random_product(rng, n, m, metric=True, ragged=True, nonlinear=False,
         for i, x2 in enumerate(space.labels):
             for j, x1 in enumerate(space.labels):
                 H = _polytope(rng, C, k0, int(rng.integers(1, 4)))
-                table[(x2, x1)] = (0.0 if i == j else float(space.dist[i, j]),
-                                   H)
-        return pi, FMap(table, xi)
+                scale = 0.0 if i == j else float(space.dist[i, j])
+                table[("F", x2, x1)] = Polytope(scale * H.vertices)
+        return pi, FMap(ExtensionalFamily(space.labels, ("F",), table), xi)
     return pi, fmap_from_rate(space, _polytope(rng, C, k0, vertices), 0.8, xi)
 
 
@@ -605,10 +613,11 @@ def test_hand_built_fmap_fails_triangle_inclusion():
     d = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     space = MetricSpace(labels, d).validate()
     square = Polytope([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-    table = {(x2, x1): (2.0 * d[i, j], square)
+    table = {("F", x2, x1): Polytope(2.0 * d[i, j] * square.vertices)
              for i, x2 in enumerate(labels) for j, x1 in enumerate(labels)}
-    table[("a", "c")] = (1.0, Polytope([[0.5, 0.5]]))
-    fm = FMap(table, LinearFunctional([1.0, 1.0]))
+    table[("F", "a", "c")] = Polytope([[0.5, 0.5]])
+    fm = FMap(ExtensionalFamily(labels, ("F",), table),
+              LinearFunctional([1.0, 1.0]))
     graph = (("a", np.zeros(2)), ("b", np.ones(2)), ("c", 2 * np.ones(2)))
     pi = ProductInstance(graph, space, graph[0], C)
     assert loop_fmap_triangle(pi, fm) == ("a", "b", "c")
@@ -670,12 +679,12 @@ def test_zeta_matches_loop(m):
                                 ragged=trial % 2 == 0,
                                 nonlinear=trial % 4 >= 2,
                                 vertices=1 + trial % 3)
-        S, V, _ = pair_arrays(pi, fm)
+        S, V, _ = fm.family.arrays(pi.base)
         dist = pi.base.dist
         for delta in (pi.base.min_positive_distance(), float(np.median(dist)),
                       2 * dist.max()):
             got = zeta(S, V, fm.xi, dist, delta)
-            want = loop_zeta(fm, delta, pi.base)
+            want = loop_zeta(pi, fm, delta)
             if want == math.inf:
                 assert got == math.inf, (trial, delta)
                 continue
@@ -813,11 +822,9 @@ def settled_over_triples(S, V, C, tol):
 
 
 def pair_map_triangle(pi, fm):
-    """``triangle_failure`` on the ``pair_arrays`` of ``fm``, as a label
+    """``triangle_failure`` on the family arrays of ``fm``, as a label
     triple."""
-    S, V, nv = pair_arrays(pi, fm)
-    one = (V, nv) if V.ndim == 2 else (V[:, :, None], nv[..., None])
-    hit = triangle_failure(S[..., None], *one, pi.cone, pi.tol)
+    hit = triangle_failure(*fm.family.arrays(pi.base), pi.cone, pi.tol)
     return None if hit is None else tuple(pi.base.labels[k] for k in hit[1:])
 
 
@@ -1265,10 +1272,9 @@ def test_shared_search_bounds_vertices_once(monkeypatch, budget):
 
 
 def test_one_index_table_and_pair_map_search_alike(monkeypatch):
-    """An extensional table with one index and the hand-built pair map of
-    the same polytopes at unit scales are one search: the same witness and
-    the same _phase1 count, on each index of failing random tables and of
-    passing generated ones."""
+    """An extensional table with one index and the pair map of that table
+    are one search: the same witness and the same _phase1 count, on each
+    index of failing random tables and of passing generated ones."""
     rng = np.random.default_rng(404)
     outcomes, lps = set(), 0
     for trial in range(8):
@@ -1283,9 +1289,7 @@ def test_one_index_table_and_pair_map_search_alike(monkeypatch):
             one = ExtensionalFamily(labels, (lam,),
                                     {key: P for key, P in fam.table.items()
                                      if key[0] == lam})
-            fm = FMap({(x2, x1): (1.0, one.table[(lam, x2, x1)])
-                       for x2 in labels for x1 in labels},
-                      LinearFunctional(np.ones(m)))
+            fm = FMap(one, LinearFunctional(np.ones(m)))
             nt, (ok, witness) = _lp_calls(monkeypatch, ti_check, inst, one)
             npair, triple = _lp_calls(monkeypatch, pair_map_triangle, pi, fm)
             assert triple == (None if ok else witness[:3]), (trial, lam)
@@ -1679,24 +1683,96 @@ def test_each_solve_asks_its_conclusions_as_one_stack(monkeypatch, name):
         assert stacks == [1] and cert.all_hold(), (name, seed, stacks)
 
 
-def test_graph_solves_build_the_pair_arrays_once(monkeypatch):
-    """A graph solve builds the pair map's arrays once, after the dimension
-    check, and hands them to the triangle sweep and every order test."""
+def test_graph_solves_read_the_pair_map_arrays_only(monkeypatch):
+    """A graph solve on a hand-built pair map reads the table's held stack,
+    calling ``ExtensionalFamily.sets`` for no pair, and an fmap_from_rate
+    map reaches the triangle search with its one shared ``(J, m)``
+    polytope."""
+    shapes = []
+
+    def seen(S, V, nv, C, tol):
+        shapes.append(V.shape)
+        return triangle_failure(S, V, nv, C, tol)
+
+    monkeypatch.setattr(product, "triangle_failure", seen)
     for seed in (950, 951, 952):
         pi = generated_bundle(seed, n=3, m=2, values_per_point=2).product
-        H = singleton([1.0, 1.0])
-        fm = fmap_from_rate(pi.base, H, 0.4,
-                            strictly_positive_functional(H, pi.cone, pi.tol))
+        H = Polytope([[1.0, 1.0], [0.5, 1.5]])
+        xi = strictly_positive_functional(H, pi.cone, pi.tol)
+        rate = fmap_from_rate(pi.base, H, 0.4, xi)
+        labels = pi.base.labels
+        S = rate.family.arrays(pi.base)[0][..., 0]
+        fm = FMap(ExtensionalFamily(labels, ("F",), {
+            ("F", x2, x1): Polytope(S[i, j] * H.vertices)
+            for i, x2 in enumerate(labels) for j, x1 in enumerate(labels)}),
+            xi)
         for solve in (solve_minimal_point, solve_strict_minimal):
-            calls, cert = _calls(monkeypatch, product, "pair_arrays", solve,
-                                 pi, fm)
-            assert calls == 1 and cert.all_hold(), (seed, solve.__name__)
+            calls, cert = _calls(monkeypatch, ExtensionalFamily, "sets",
+                                 solve, pi, fm)
+            assert calls == 0 and cert.all_hold(), (seed, solve.__name__)
+            shapes.clear()
+            assert solve(pi, rate).all_hold(), (seed, solve.__name__)
+            assert shapes == [H.vertices.shape], (seed, shapes)
     base = MetricSpace(("a", "b"), [[0.0, 1.0], [1.0, 0.0]]).validate()
     graph = (("a", [1.0]), ("b", [0.0]))
     pi = ProductInstance(graph, base, graph[0], cone([[1.0]], [[1.0]]))
-    calls, cert = _calls(monkeypatch, product, "pair_arrays",
-                         solve_pareto_evp, pi, [1.0], 1.5, 2.0)
-    assert calls == 1 and cert.all_hold()
+    shapes.clear()
+    assert solve_pareto_evp(pi, [1.0], 1.5, 2.0).all_hold()
+    assert shapes == [(1, 1)]
+
+
+def _as_table(pi, fm):
+    """The pair map ``fm`` as the equal one-index extensional table, with
+    the polytope ``s * H`` at every pair of scale ``s``."""
+    S, V, _ = fm.family.arrays(pi.base)
+    labels = pi.base.labels
+    return FMap(ExtensionalFamily(labels, ("F",), {
+        ("F", x2, x1): Polytope(S[i, j, 0] * V)
+        for i, x2 in enumerate(labels) for j, x1 in enumerate(labels)}),
+        fm.xi)
+
+
+def _graph_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (HypothesisError, InputError) as exc:
+        return type(exc).__name__, getattr(exc, "name", None), str(exc)
+
+
+@pytest.mark.parametrize("variant", ["polytope", "singleton"])
+def test_rate_map_and_its_table_agree(variant):
+    """On generated products at n = 3 to 8, an fmap_from_rate map and the
+    one-index extensional table with the vertices ``rate * d * H`` give the
+    same validate_fmap verdict, graph order matrix and 5.1 and 5.2 results.
+    ``zeta`` agrees to 1e-12 relative: scale times the vertex minimum may
+    round otherwise than the minimum over the scaled vertices."""
+    solved = 0
+    for seed in range(12):
+        b = generated_bundle(7100 + seed, n=3 + seed % 6, m=2 + seed % 2,
+                             values_per_point=2, variant=variant)
+        pi, H = b.product, b.family.H
+        xi = strictly_positive_functional(H, pi.cone, pi.tol)
+        rate = fmap_from_rate(pi.base, H, b.params.gamma, xi)
+        table = _as_table(pi, rate)
+        assert table.family.arrays(pi.base)[1].ndim == 5
+        checks = [_graph_outcome(validate_fmap, pi, fm)
+                  for fm in (rate, table)]
+        if isinstance(checks[0], dict):
+            a, z = checks[0].pop("zeta"), checks[1].pop("zeta")
+            assert abs(a - z) <= 1e-12 * abs(a), (seed, a, z)
+        assert checks[0] == checks[1], seed
+        np.testing.assert_array_equal(graph_order(pi, rate)[1],
+                                      graph_order(pi, table)[1])
+        for solve in (solve_minimal_point, solve_strict_minimal):
+            got = [_graph_outcome(solve, pi, fm) for fm in (rate, table)]
+            if isinstance(got[0], tuple):
+                assert got[0] == got[1], (seed, solve.__name__)
+                continue
+            (a, b_), solved = got, solved + 1
+            assert a.xhat == b_.xhat and np.array_equal(a.yhat, b_.yhat)
+            assert ([c.holds for c in a.conclusions]
+                    == [c.holds for c in b_.conclusions])
+    assert solved > 0
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,28 @@ def test_extensional_family_reads_its_own_label_order():
         fam.table[("L", "a", "b")] = Polytope([[5.0]])
 
 
+
+def test_extensional_family_rejects_keys_it_does_not_list():
+    """A table entry under a label or an index the family does not list is
+    an InputError naming the first such key, raised when the family is made
+    and so before any check of the entry's value: ('L', 'a', 'z') lies
+    outside the cone, and ('M', 'a', 'b') has dimension 3."""
+    labels = ("a", "b")
+    table = {("L", x2, x1): Polytope([[0.0, 0.0]] if x2 == x1 else
+                                     [[1.0, 1.0]])
+             for x2 in labels for x1 in labels}
+    ExtensionalFamily(labels, ("L",), table).validate(
+        MetricSpace(labels, [[0.0, 1.0], [1.0, 0.0]]).validate(), orthant(2))
+    extra = {("L", "a", "z"): Polytope([[-1.0, -1.0]]),
+             ("M", "a", "b"): Polytope([[-1.0, -1.0, 5.0]])}
+    for keys in (list(extra), list(extra)[::-1]):
+        with pytest.raises(InputError) as err:
+            ExtensionalFamily(labels, ("L",),
+                              {**table, **{k: extra[k] for k in keys}})
+        assert str(err.value) == (f"extensional family table key {keys[0]!r} "
+                                  "names an index or a label the family "
+                                  "does not list")
+
 def whole_array_triangle(d):
     """The first largest triangle violation ``d[i, k] - d[i, j] - d[j, k]``
     and its (i, j, k), from one (n, n, n) array."""

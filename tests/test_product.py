@@ -8,9 +8,10 @@ import pytest
 from evpkit.errors import HypothesisError, InputError, PremiseError
 from evpkit.geometry import (LinearFunctional, Polytope, cone, orthant,
                              singleton, strictly_positive_functional)
-from evpkit.instances import MetricSpace, metric_from_coordinates
+from evpkit.instances import (ExtensionalFamily, MetricSpace,
+                              metric_from_coordinates, vertex_minima)
 from evpkit.product import (FMap, ProductInstance, domination_check,
-                            fmap_from_rate, pair_arrays, pareto_min, prec_f,
+                            fmap_from_rate, pareto_min, prec_f,
                             prec_fstar, solve_minimal_point, solve_pareto_evp,
                             solve_strict_minimal, strict_pareto_min,
                             validate_fmap, zeta)
@@ -19,6 +20,13 @@ from evpkit.scalarize import GerstewitzFn
 from conftest import generated_bundle
 
 D2 = orthant(2)
+
+
+def pair_map(labels, values, xi):
+    """The hand-built pair map of ``values``, ``{(x2, x1): Polytope}`` in
+    the given key order, as an extensional family of the one index "F"."""
+    return FMap(ExtensionalFamily(labels, ("F",), {
+        ("F", *key): P for key, P in values.items()}), xi)
 
 
 def as_set(points):
@@ -155,7 +163,7 @@ class TestGraphOrders:
 
 
 def _zeta(pi, fm, delta):
-    S, V, _ = pair_arrays(pi, fm)
+    S, V, _ = fm.family.arrays(pi.base)
     return zeta(S, V, fm.xi, pi.base.dist, delta)
 
 
@@ -192,11 +200,11 @@ class TestValidateFmap:
 
     def test_missing_zero_rejected(self, plane_pi):
         gz = GerstewitzFn(D2, [1.0, 1.0])
-        table = {(x2, x1): (1.0, singleton([1.0, 1.0]))
-                 for x2 in plane_pi.base.labels
-                 for x1 in plane_pi.base.labels}
+        labels = plane_pi.base.labels
+        values = {(x2, x1): singleton([1.0, 1.0])
+                  for x2 in labels for x1 in labels}
         with pytest.raises(HypothesisError) as err:
-            validate_fmap(plane_pi, FMap(table, gz))
+            validate_fmap(plane_pi, pair_map(labels, values, gz))
         assert err.value.name == "reflexive_zero"
 
 
@@ -330,65 +338,84 @@ class TestInstanceValidation:
             ProductInstance((("a", [1.0, 1.0]),), base, ("a", [0.0, 0.0]), D2)
 
 
-def test_pair_map_in_cone_names_the_first_value_leaving_the_cone():
-    """Values at a scale above tol are checked together; the first pair in
-    label order is named, a value at scale 0 is not checked, and a vertex
-    of the wrong dimension raises an InputError naming its pair before any
-    check runs."""
+def _three_labels(values):
+    """A product instance over three labels at distance 1 with ``values``
+    at a, b, c."""
     labels = ("a", "b", "c")
     d = np.ones((3, 3)) - np.eye(3)
     space = MetricSpace(labels, d).validate()
-    graph = (("a", np.zeros(2)), ("b", np.ones(2)), ("c", 2 * np.ones(2)))
-    pi = ProductInstance(graph, space, graph[0], D2)
+    graph = tuple(zip(labels, values))
+    return labels, d, ProductInstance(graph, space, graph[0], D2)
+
+
+def test_pair_map_in_cone_names_the_first_value_leaving_the_cone():
+    """Values at a scale above tol are checked together and the first pair
+    in label order is named; a distance-scaled value at scale 0 is not
+    checked, and a value of the wrong dimension raises an InputError before
+    any check runs."""
+    labels, d, pi = _three_labels((np.zeros(2), np.ones(2), 2 * np.ones(2)))
+    V = np.array([[0.5, 0.5], [1.0, 0.0]])
 
     def fmap(changes):
-        table = {(x2, x1): (float(d[i, j]), Polytope([[0.5, 0.5], [1.0, 0.0]]))
-                 for i, x2 in enumerate(labels)
-                 for j, x1 in enumerate(labels)}
-        table.update(changes)
-        return FMap(table, LinearFunctional([1.0, 1.0]))
+        values = {(x2, x1): Polytope(d[i, j] * V)
+                  for i, x2 in enumerate(labels)
+                  for j, x1 in enumerate(labels)}
+        values.update(changes)
+        return pair_map(labels, values, LinearFunctional([1.0, 1.0]))
 
     with pytest.raises(HypothesisError, match=r"\('b', 'a'\) leaves") as err:
-        validate_fmap(pi, fmap({("b", "a"): (1.0, Polytope([[1.0, -1.0]])),
-                                ("c", "a"): (1.0, Polytope([[-1.0, 1.0]]))}))
+        validate_fmap(pi, fmap({("b", "a"): Polytope([[1.0, -1.0]]),
+                                ("c", "a"): Polytope([[-1.0, 1.0]])}))
     assert err.value.name == "pair_map_in_cone"
-    validate_fmap(pi, fmap({("a", "a"): (0.0, Polytope([[1.0, -1.0]]))}))
-    with pytest.raises(InputError, match=r"\('b', 'c'\) has dimension 3"):
-        validate_fmap(pi, fmap({("b", "c"): (1.0, Polytope([[1.0, 1.0, 1.0]])),
-                                ("c", "a"): (1.0, Polytope([[-1.0, 1.0]]))}))
-    # a value at scale 0 skips the cone check but not the dimension check
-    for scale in (0.0, 1e-12):
+    validate_fmap(pi, fmap({}))
+    with pytest.raises(InputError,
+                       match=r"^dimension mismatch: expected 2, got 3$"):
+        validate_fmap(pi, fmap({("b", "c"): Polytope([[1.0, 1.0, 1.0]]),
+                                ("c", "a"): Polytope([[-1.0, 1.0]])}))
+    # over one label every scale is 0: H outside the cone is not checked
+    base = MetricSpace(("a",), [[0.0]]).validate()
+    one = ProductInstance((("a", np.zeros(2)),), base, ("a", np.zeros(2)), D2)
+    out = fmap_from_rate(base, Polytope([[1.0, -1.0]]), 1.0,
+                         LinearFunctional([1.0, 1.0]))
+    assert validate_fmap(one, out)["zeta"] == math.inf
+    # a value at scale 0 or 1e-12 skips the cone check but not the
+    # dimension check
+    for space, rate in ((base, 1.0), (pi.base, 1e-12)):
+        one = ProductInstance((("a", np.zeros(2)),), space,
+                              ("a", np.zeros(2)), D2)
+        fm = fmap_from_rate(space, Polytope([[1.0, 1.0, 1.0]]), rate,
+                            LinearFunctional([1.0, 1.0]))
         with pytest.raises(InputError, match=r"\('a', 'a'\) has dimension 3"):
-            validate_fmap(pi, fmap({("a", "a"): (scale,
-                                                 Polytope([[1.0, 1.0, 1.0]]))}))
+            validate_fmap(one, fm)
 
 
 def _ragged_fmap(labels, d, changes):
     """Pair map over ``labels`` with 1 to 3 vertices per value, all between
-    (0.5, 0.5) and (1, 1), with ``changes`` applied."""
+    (0.5, 0.5) and (1, 1) times the distance, with ``changes`` applied."""
     shapes = ([[1.0, 1.0]], [[0.5, 0.5], [1.0, 0.5]],
               [[0.5, 1.0], [1.0, 0.5], [0.5, 0.5]])
-    table = {(x2, x1): (float(d[i, j]), Polytope(shapes[(i + j) % 3]))
-             for i, x2 in enumerate(labels) for j, x1 in enumerate(labels)}
-    table.update(changes)
-    return FMap(table, LinearFunctional([1.0, 1.0]))
+    values = {(x2, x1): Polytope(d[i, j] * np.array(shapes[(i + j) % 3]))
+              for i, x2 in enumerate(labels) for j, x1 in enumerate(labels)}
+    values.update(changes)
+    return pair_map(labels, values, LinearFunctional([1.0, 1.0]))
 
 
 def test_graph_solvers_name_a_wrong_dimension_value_at_scale_zero():
-    """A value of the wrong dimension at scale 0 skips the cone check; both
-    graph solvers still stop at the dimension check that names the pair,
-    before any stack of the ragged map is built."""
-    labels = ("a", "b", "c")
-    d = np.ones((3, 3)) - np.eye(3)
-    space = MetricSpace(labels, d).validate()
-    graph = (("a", 2 * np.ones(2)), ("b", np.ones(2)), ("c", np.zeros(2)))
-    pi = ProductInstance(graph, space, graph[0], D2)
-    for key in (("b", "a"), ("c", "c")):
-        fm = _ragged_fmap(labels, d, {key: (0.0, Polytope([[1.0, 1.0, 1.0]]))})
-        for solve in (solve_minimal_point, solve_strict_minimal):
-            with pytest.raises(InputError,
-                               match=rf"\({key[0]!r}, {key[1]!r}\) has "
-                                     "dimension 3, expected 2"):
+    """Both graph solvers stop at the dimension check, before any order
+    test: a distance-scaled map names the pair (a, a), whose scale is 0, and
+    a hand-built map gives its family's walk text."""
+    labels, d, pi = _three_labels((2 * np.ones(2), np.ones(2), np.zeros(2)))
+    rate = fmap_from_rate(pi.base, Polytope([[1.0, 1.0, 1.0]]), 0.5,
+                          LinearFunctional([1.0, 1.0]))
+    for solve in (solve_minimal_point, solve_strict_minimal):
+        with pytest.raises(InputError, match=r"^pair-map value for \('a', "
+                                             r"'a'\) has dimension 3, "
+                                             "expected 2$"):
+            solve(pi, rate)
+        for key in (("b", "a"), ("c", "c")):
+            fm = _ragged_fmap(labels, d, {key: Polytope([[1.0, 1.0, 1.0]])})
+            with pytest.raises(InputError, match="^dimension mismatch: "
+                                                 "expected 2, got 3$"):
                 solve(pi, fm)
     # the same map with the right dimension solves
     cert = solve_strict_minimal(pi, _ragged_fmap(labels, d, {}))
@@ -403,12 +430,12 @@ def test_strict_minimal_checks_the_pair_map_before_the_slices():
     halfplane = cone([[0.0, 1.0]])
     graph = (("a", [0.0, 0.0]), ("a", [1.0, 0.0]))
     pi = ProductInstance(graph, base, graph[0], halfplane)
+    xi = LinearFunctional([0.0, 1.0])
     with pytest.raises(HypothesisError) as err:
-        solve_strict_minimal(pi, FMap({("a", "a"): (0.0, singleton([0, 1]))},
-                                      LinearFunctional([0.0, 1.0])))
+        solve_strict_minimal(pi, pair_map(("a",), {("a", "a"): singleton(
+            [0.0, 0.0])}, xi))
     assert err.value.name == "strict_domination"
-    bad = FMap({("a", "a"): (1.0, singleton([0.0, -1.0]))},
-               LinearFunctional([0.0, 1.0]))
+    bad = pair_map(("a",), {("a", "a"): singleton([0.0, -1.0])}, xi)
     with pytest.raises(HypothesisError) as err:
         solve_strict_minimal(pi, bad)
     assert err.value.name == "pair_map_in_cone"
@@ -417,33 +444,30 @@ def test_strict_minimal_checks_the_pair_map_before_the_slices():
 def _reversed_fmap(labels, d, value, changes, xi):
     """Pair map with ``value`` at every pair, scaled by distance, whose table
     lists the pairs in reverse label order, with ``changes`` applied."""
-    table = {(x2, x1): (float(d[i, j]), value)
-             for i, x2 in reversed(list(enumerate(labels)))
-             for j, x1 in reversed(list(enumerate(labels)))}
-    table.update(changes)
-    return FMap(table, xi)
+    values = {(x2, x1): Polytope(d[i, j] * value.vertices)
+              for i, x2 in reversed(list(enumerate(labels)))
+              for j, x1 in reversed(list(enumerate(labels)))}
+    values.update(changes)
+    return pair_map(labels, values, xi)
 
 
 def test_pair_map_checks_name_the_first_pair_in_label_order():
     """The cone and additivity checks read the pair arrays and name the
     first failing pair in label order, whatever the table's order: here
     (c, a) comes before (b, c) in the table."""
-    labels = ("a", "b", "c")
-    d = np.ones((3, 3)) - np.eye(3)
-    space = MetricSpace(labels, d).validate()
-    graph = (("a", 2 * np.ones(2)), ("b", np.ones(2)), ("c", np.zeros(2)))
-    pi = ProductInstance(graph, space, graph[0], D2)
+    labels, d, pi = _three_labels((2 * np.ones(2), np.ones(2), np.zeros(2)))
     ray = Polytope([[0.5, 0.5], [1.0, 1.0]])
-    changes = {("c", "a"): (1.0, Polytope([[1.0, 1.0], [-1.0, 1.0]])),
-               ("b", "c"): (1.0, Polytope([[1.0, 1.0], [1.0, -1.0]]))}
+    changes = {("c", "a"): Polytope([[1.0, 1.0], [-1.0, 1.0]]),
+               ("b", "c"): Polytope([[1.0, 1.0], [1.0, -1.0]])}
     fm = _reversed_fmap(labels, d, ray, changes, LinearFunctional([1, 1]))
-    assert list(fm.table).index(("c", "a")) < list(fm.table).index(("b", "c"))
+    keys = list(fm.family.table)
+    assert keys.index(("F", "c", "a")) < keys.index(("F", "b", "c"))
     with pytest.raises(HypothesisError, match=r"\('b', 'c'\) leaves") as err:
         validate_fmap(pi, fm)
     assert err.value.name == "pair_map_in_cone"
     gz = GerstewitzFn(D2, [1.0, 1.0])
-    changes = {("c", "a"): (1.0, Polytope([[1.0, 1.0], [1.0, 0.5]])),
-               ("b", "c"): (1.0, Polytope([[1.0, 0.5], [1.0, 1.0]]))}
+    changes = {("c", "a"): Polytope([[1.0, 1.0], [1.0, 0.5]]),
+               ("b", "c"): Polytope([[1.0, 0.5], [1.0, 1.0]])}
     with pytest.raises(HypothesisError, match=r"\('b', 'c'\) is off") as err:
         validate_fmap(pi, _reversed_fmap(labels, d, ray, changes, gz))
     assert err.value.name == "additive_scalarization"
@@ -453,59 +477,90 @@ def test_pair_map_checks_name_the_first_pair_in_label_order():
 
 
 def test_pair_map_key_outside_the_base_or_missing_is_rejected():
-    """A key naming a label outside the base space is an InputError naming
-    the key, in a direct check and in both graph solvers, even where its
-    value would leave the cone; so is a missing pair."""
+    """A key naming a label outside the map's labels is an InputError naming
+    the key when the map is made, even where its value would leave the
+    cone; a missing pair and labels other than the base's are InputErrors
+    from a direct check and from both graph solvers."""
     labels = ("a", "b")
     d = np.ones((2, 2)) - np.eye(2)
     space = MetricSpace(labels, d).validate()
     graph = (("a", np.ones(2)), ("b", np.zeros(2)))
     pi = ProductInstance(graph, space, graph[0], D2)
-    fm = _reversed_fmap(labels, d, singleton([1.0, 1.0]),
-                        {("a", "z"): (1.0, singleton([-1.0, -1.0]))},
-                        LinearFunctional([1.0, 1.0]))
-    for check in (validate_fmap, solve_minimal_point, solve_strict_minimal):
-        with pytest.raises(InputError, match=r"key \('a', 'z'\) names a "
-                                             "label outside the base space"):
-            check(pi, fm)
-    del fm.table[("a", "z")], fm.table[("b", "a")]
-    for check in (validate_fmap, solve_minimal_point, solve_strict_minimal):
-        with pytest.raises(InputError, match=r"^pair map is not total: "
-                                             r"missing \('b', 'a'\)$"):
-            check(pi, fm)
+    xi = LinearFunctional([1.0, 1.0])
+    H = singleton([1.0, 1.0])
+    with pytest.raises(InputError, match=r"key \('F', 'a', 'z'\) names an "
+                                         "index or a label"):
+        _reversed_fmap(labels, d, H, {("a", "z"): singleton([-1.0, -1.0])},
+                       xi)
+    values = {(x2, x1): H for x2 in labels for x1 in labels
+              if (x2, x1) != ("b", "a")}
+    other = {(x2, x1): H for x2 in ("a", "z") for x1 in ("a", "z")}
+    for fm, text in (
+            (pair_map(labels, values, xi),
+             r"^extensional family is not total: missing \('F', 'b', 'a'\)$"),
+            (pair_map(("a", "z"), other, xi),
+             "^the space's labels are not the extensional family's")):
+        for check in (validate_fmap, solve_minimal_point,
+                      solve_strict_minimal):
+            with pytest.raises(InputError, match=text):
+                check(pi, fm)
+
+
+def test_pair_map_is_a_family_of_one_index():
+    """A family with two indices is no pair map."""
+    labels = ("a",)
+    two = ExtensionalFamily(labels, ("F", "G"), {
+        (lam, "a", "a"): singleton([0.0, 0.0]) for lam in ("F", "G")})
+    with pytest.raises(InputError, match="^a pair map is a family of one "
+                                         "index$"):
+        FMap(two, LinearFunctional([1.0, 1.0]))
 
 
 def test_dimension_error_text_is_one_for_all_callers():
     """A value of the wrong dimension gives the same InputError text from a
-    direct check and from both graph solvers."""
+    direct check and from both graph solvers, with no numpy error: an
+    fmap_from_rate map names the pair (a, a) whatever its H, a hand-built
+    map with mixed dimensions gives its family's walk text, and one whose
+    values all have the wrong dimension names its first pair, (a, a)."""
     labels = ("a", "b")
     d = np.ones((2, 2)) - np.eye(2)
     space = MetricSpace(labels, d).validate()
     graph = (("a", np.ones(2)), ("b", np.zeros(2)))
     pi = ProductInstance(graph, space, graph[0], D2)
-    fm = _reversed_fmap(labels, d, singleton([1.0, 1.0]),
-                        {("b", "a"): (1.0, singleton([1.0, 1.0, 1.0]))},
-                        LinearFunctional([1.0, 1.0]))
-    for check in (validate_fmap, solve_minimal_point, solve_strict_minimal):
-        with pytest.raises(InputError) as err:
-            check(pi, fm)
-        assert str(err.value) == ("pair-map value for ('b', 'a') has "
-                                  "dimension 3, expected 2")
+    xi = LinearFunctional([1.0, 1.0])
+    flat = singleton([1.0, 1.0, 1.0])
+    pair_text = "pair-map value for ('a', 'a') has dimension 3, expected 2"
+    cases = [(fmap_from_rate(space, Polytope([[1, 1, 1]]), 0.5, xi),
+              pair_text),
+             (fmap_from_rate(space, Polytope([[1, 1, 1], [2, 1, 1]]), 0.5,
+                             xi), pair_text),
+             (_reversed_fmap(labels, d, singleton([1.0, 1.0]),
+                             {("b", "a"): flat}, xi),
+              "dimension mismatch: expected 2, got 3"),
+             (_reversed_fmap(labels, d, flat, {}, xi), pair_text)]
+    for fm, text in cases:
+        for check in (validate_fmap, solve_minimal_point,
+                      solve_strict_minimal):
+            with pytest.raises(InputError) as err:
+                check(pi, fm)
+            assert str(err.value) == text
 
 
 def test_margin_of_a_zero_scale_value_is_zero():
-    """A value at scale 0 is the set {0}, whose cone scalarization is 0 even
-    when its vertex is at +inf (here (1, 1e-8) along k0 = (1, 0)); the
-    margin is then 0 and the separation check fails."""
+    """A zero value has cone scalarization 0, so the margin is 0 and the
+    separation check fails. The value at scale 0 of a distance-scaled set is
+    that set too: its minimum is 0 even where its vertex is at +inf (here
+    (1, 1e-8) along k0 = (1, 0))."""
     space = MetricSpace(("a", "b"), np.ones((2, 2)) - np.eye(2)).validate()
     graph = (("a", [1.0, 0.0]), ("b", [0.0, 0.0]))
     pi = ProductInstance(graph, space, graph[0], D2)
     gz = GerstewitzFn(D2, [1.0, 0.0])
-    P = Polytope([[1.0, 1e-8]])
+    P, zero = Polytope([[1.0, 1e-8]]), singleton([0.0, 0.0])
     assert gz.value(P.vertices[0]) == math.inf
-    table = {("a", "a"): (0.0, P), ("a", "b"): (0.0, P),
-             ("b", "a"): (1.0, P), ("b", "b"): (0.0, P)}
+    assert vertex_minima(np.zeros(1), P.vertices, gz)[0] == 0.0
+    values = {("a", "a"): zero, ("a", "b"): zero,
+              ("b", "a"): P, ("b", "b"): zero}
     with pytest.raises(HypothesisError) as err:
-        validate_fmap(pi, FMap(table, gz))
+        validate_fmap(pi, pair_map(("a", "b"), values, gz))
     assert err.value.name == "positive_separation"
     assert err.value.witness == {"zeta": 0.0}
