@@ -530,8 +530,9 @@ def ti_check(inst: FiniteInstance, fam):
 # pair map (``product.FMap``) is a family of one index.
 # ---------------------------------------------------------------------------
 
-# triangle_failure screens whole (index, x1) slabs in blocks of up to this
-# many queries, and at least one slab, so that its arrays stay small at any n
+# triangle_failure's structural pass takes whole (index, x1) slabs in blocks
+# of up to this many queries, and at least one slab, so that its arrays stay
+# small at any n; a screen holds one slab
 _TRIANGLE_QUERIES = 1 << 16
 
 
@@ -682,29 +683,28 @@ def triangle_failure(S, V, nv, C, tol):
 
     Only the queries depend on the input. With one shared polytope H every
     sum s12 u + s23 v lies in (s12 + s23) H, so the queries are the vertices
-    of (s12 + s23) H, and an x1 whose triples :func:`settled_triples`
-    settles for every index is not screened; otherwise they are the vertex
-    sums s12 u + s23 v of the padded stacks. A padding query repeats a real
-    one, so it changes no screen result, and it is never sent to the LP. A
-    triple with both s12 + s23 and s13 at most ``tol`` is covered; any other
-    negative s13 raises InputError when the walk reaches it.
+    of (s12 + s23) H; otherwise they are the vertex sums s12 u + s23 v of
+    the padded stacks. A padding query repeats a real one, so it changes no
+    screen result, and it is never sent to the LP. A triple with both
+    s12 + s23 and s13 at most ``tol`` is covered; any other negative s13
+    raises InputError when the walk reaches it.
 
     The (index, x1) slabs are taken in blocks of at most
     ``_TRIANGLE_QUERIES`` queries, and at least one slab: runs of indices
-    with all their slabs when those fit, else runs of x1 of one index. Each
-    block is walked before the next is screened. A pair (x3, x2) of a slab
-    is covered when some (mu, nu) has every query screened in, and dead
-    when every (mu, nu) has one screened out. A shared polytope's block
-    screens its queries with :func:`screen_members` once per x1, against the
-    targets F_index(x1, x3) of all its indices. A per-pair block first
-    decides its pairs by :func:`facet_verdicts`, which calls covered and
-    dead only pairs the screen calls so, and screens only the slabs with a
-    pair it leaves open before their first dead one, up to the first slab
-    it makes fail. Each slab's pairs before its first dead one are walked
-    in loop order; an uncovered one tries its (mu, nu) in order on the LP,
-    skipping those with a query screened out, until one has every
-    undecided query covered. So no LP runs that a loop over the triples
-    would skip, and a slab the facets decide runs none.
+    with all their slabs when those fit, else runs of x1 of one index. A
+    block's structural pass marks pairs (x3, x2) covered or dead without a
+    query, and only where the screen would: :func:`settled_triples` covers
+    a pair settled for some (mu, nu) of a shared polytope, and
+    :func:`facet_verdicts` decides the pairs of a stack. A block with every
+    pair covered is skipped. The walk screens a slab with an open pair
+    before its first dead one alone, by one :func:`screen_members` call,
+    when it reaches it: a pair is then covered when some (mu, nu) has every
+    query screened in, and dead when every (mu, nu) has one screened out.
+    Each slab's pairs before its first dead one are walked in loop order;
+    an uncovered one tries its (mu, nu) in order on the LP, skipping those
+    with a query screened out, until one has every undecided query covered.
+    So no LP runs that a loop over the triples would skip, and no slab is
+    screened past the one the search stops in.
     """
     n, _, L = S.shape
     shared = V.ndim == 2
@@ -715,117 +715,91 @@ def triangle_failure(S, V, nv, C, tol):
     blocks = [(slice(l0, l0 + lrun), slice(a0, a0 + run))
               for l0 in range(0, L, lrun) for a0 in range(0, n, min(run, n))]
     origin = np.zeros((1, C.dim))
-    St = S.transpose(2, 0, 1)
+    St, S23 = S.transpose(2, 0, 1), S.transpose(1, 0, 2)
     if shared:
         bounds = vertex_bounds(V, C)
     else:
         SV, k = S[..., None, None] * V, np.arange(J)   # scaled vertices
-        SVt, Vt = SV.transpose(1, 0, 2, 3, 4), V.transpose(2, 0, 1, 3, 4)
-        nvt = nv.transpose(2, 0, 1)
+        SVt, nvt = SV.transpose(1, 0, 2, 3, 4), nv.transpose(1, 0, 2)
         facets = facet_tables(S, SV, nv, C, tol)
+
+    def first(mask):
+        return int(mask.argmax()) if mask.any() else mask.size
+
+    def screen(l, x):
+        # the slab (index, x1) = (l, x) alone: its flat masks (covered,
+        # dead) over (x3, x2), and covers(c, b, g): (mu, nu) = divmod(g, L)
+        # has no query of the pair (x3, x2) = (c, b) screened out, and the
+        # LP covers its undecided ones but padding, in order
+        s13 = St[l, x]
+        s = (S[x][None, :, :, None] + S23[:, :, None, :]).reshape(n, n, -1)
+        if shared:
+            # queries (x3, x2, (mu, nu), v): (s12 + s23) v
+            W, pad = s[..., None, None] * V, False
+            T, nT = np.broadcast_to(V, (n, J, C.dim)), np.full(n, nv)
+            target = V, nv
+        else:
+            # queries (x3, x2, (mu, nu), (u, v)): s12 u + s23 v
+            W = (SV[x][None, :, :, None, :, None]
+                 + SVt[:, :, None, :, None, :]).reshape(n, n, -1, J * J,
+                                                         C.dim)
+            pad = ((k >= nv[x][..., None])[None, :, :, None, :, None]
+                   | (k >= nvt[..., None])[:, :, None, :, None, :]
+                   ).reshape(n, n, -1, J * J)
+            T, nT = V[x, :, l], nv[x, :, l]
+            target = T[:, None, None, None], nT[:, None, None, None]
+        dec, ans, cand = screen_members(W, origin, s13[:, None, None, None],
+                                        *target, C, tol)
+        skip = (s <= tol) & (s13[:, None, None] <= tol)
+        free = skip[..., None] | pad            # covered without a test
+        dec = dec & ~((s13[:, None, None] < 0) & ~skip)[..., None]
+        out = _over_rows(np.logical_or, dec & ~ans & ~free)
+        hit = _over_rows(np.logical_or, _over_rows(
+            np.logical_and, (dec & ans) | free))
+        todo = ~(dec | free)
+
+        def covers(c, b, g):
+            if out[c, b, g]:
+                return False
+            if s13[c] < 0:
+                raise InputError("scale must be nonnegative")
+            return all(lp_member(W[c, b, g, q], origin, s13[c],
+                                 T[c, :nT[c]], C, tol,
+                                 np.flatnonzero(cand[c, b, g, q]))
+                       for q in np.flatnonzero(todo[c, b, g]))
+
+        return (hit.ravel(), _over_rows(np.logical_and, out).ravel(),
+                covers)
+
     for at in blocks:                       # (index, x1) slices
         lams, a = np.arange(L)[at[0]], np.arange(n)[at[1]]
         s13 = St[at]                        # s13 over (index, x1, x3)
         if shared:
-            # s12 + s23 over (x1, x2, x3, mu, nu)
-            s = S[at[1]][:, :, None, :, None] + S[None, :, :, None, :]
-            settled = settled_triples(s, s13[:, :, None, :, None, None],
-                                      bounds, C, tol)
-            settled = settled.reshape(*settled.shape[:4], L * L)
-            keep = ~_over_rows(np.logical_or, settled).all(axis=(0, 2, 3))
-            if not keep.any():
-                continue
-            a, s, s13 = a[keep], s[keep], s13[:, keep]
-            # s12 + s23 over (x1, x3, x2, (mu, nu)), the order of the walk
-            s = s.transpose(0, 2, 1, 3, 4).reshape(len(a), n, n, L * L)
-        # the block's slabs in walk order; sel: the screened ones
-        lam, x1 = np.repeat(lams, len(a)), np.tile(a, len(lams))
-        P = len(lam)
-        if shared:
-            # queries (x1, x3, x2, (mu, nu), v): (s12 + s23) v
-            W, sel = s[..., None, None] * V, np.arange(P)
-            wrow = np.tile(np.arange(len(a)), len(lams))
-            dec, ans, cand = (x.reshape(P, *x.shape[2:]) for x in
-                              screen_members(W[None], origin,
-                                             s13[..., None, None, None], V,
-                                             nv, C, tol))
-            skip = ((s <= tol) & (s13[..., None, None] <= tol)).reshape(
-                P, n, n, L * L)
-            s13 = s13.reshape(P, n)
+            # s12 + s23 over (x1, x2, x3, (mu, nu))
+            s = (S[at[1]][:, :, None, :, None]
+                 + S[None, :, :, None, :]).reshape(len(a), n, n, -1)
+            covered = _over_rows(np.logical_or, settled_triples(
+                s, s13[:, :, None, :, None], bounds, C, tol)).swapaxes(2, 3)
+            dead = np.zeros(covered.shape, dtype=bool)
         else:
-            covered, dead = (x.reshape(P, n, n)
-                             for x in facet_verdicts(facets, at))
-            # a slab is screened when it has an open pair before its first
-            # dead one, and comes before the first slab the facets fail
-            dead_at = dead.reshape(P, -1)
-            open_ = ~(covered | dead).reshape(P, -1)
-            screen = (open_ & ~np.logical_or.accumulate(dead_at, axis=1)
-                      ).any(axis=1)
-            fails = np.flatnonzero(dead_at.any(axis=1) & ~screen)
-            sel = np.flatnonzero(screen[:fails[0] if fails.size else None])
-            if sel.size:
-                xs, ls = x1[sel], lam[sel]
-                # queries (slab, x3, x2, (mu, nu), (u, v)): s12 u + s23 v
-                W = (SV[xs][:, None, :, :, None, :, None]
-                     + SVt[None, :, :, None, :, None]
-                     ).reshape(len(sel), n, n, L * L, J * J, C.dim)
-                wrow, s13 = np.arange(len(sel)), St[ls, xs]
-                dec, ans, cand = screen_members(
-                    W, origin, s13[..., None, None, None],
-                    Vt[ls, xs][:, :, None, None, None],
-                    nvt[ls, xs][..., None, None, None], C, tol)
-                s = (S[xs][:, None, :, :, None]
-                     + S.transpose(1, 0, 2)[None, :, :, None, :])
-                skip = ((s.reshape(len(sel), n, n, L * L) <= tol)
-                        & (s13[..., None, None] <= tol))
-        pos = np.full(P, -1)
-        pos[sel] = np.arange(len(sel))
-        if sel.size:
-            free = skip[..., None]              # covered without a test
-            dec = dec & ~((s13[..., None, None] < 0) & ~skip)[..., None]
-            out = _over_rows(np.logical_or, dec & ~ans & ~free)
-            hit = _over_rows(np.logical_or, _over_rows(
-                np.logical_and, (dec & ans) | free))
-            if shared:
-                covered, dead = hit, _over_rows(np.logical_and, out)
-            else:
-                covered[sel], dead[sel] = hit, _over_rows(np.logical_and,
-                                                          out)
-
-        def covers(p, c, b, g):
-            # (mu, nu) = divmod(g, L) puts every query of the pair
-            # (x3, x2) = (c, b) of the screened slab p in the target: none
-            # is screened out, and the undecided ones but padding are
-            # covered by LP in order
-            r = pos[p]
-            if out[r, c, b, g]:
-                return False
-            if s13[r, c] < 0:
-                raise InputError("scale must be nonnegative")
-            target, f = V, free[r, c, b, g]
-            if not shared:
-                mu, nu = divmod(g, L)
-                x, l = x1[p], lam[p]
-                target = V[x, c, l, :nv[x, c, l]]
-                f = f | ((k[:, None] >= nv[x, b, mu])
-                         | (k >= nv[b, c, nu])).ravel()
-            return all(lp_member(W[wrow[r], c, b, g, q], origin, s13[r, c],
-                                 target, C, tol,
-                                 np.flatnonzero(cand[r, c, b, g, q]))
-                       for q in np.flatnonzero(~(dec[r, c, b, g] | f)))
-
+            covered, dead = facet_verdicts(facets, at)
+        if covered.all():
+            continue
+        covered, dead = (x.reshape(-1, n * n) for x in (covered, dead))
         # only slabs with an uncovered pair (a dead one included) are
-        # walked; a slab the facets decide has none before its first dead
-        for p in np.flatnonzero(~covered.all(axis=(1, 2))):
-            stops = np.flatnonzero(dead[p])
-            stop = int(stops[0]) if stops.size else None
-            for q in np.flatnonzero(~covered[p].ravel()[:stop]):
-                c, b = divmod(int(q), n)
-                if not any(covers(p, c, b, g) for g in range(L * L)):
-                    return int(lam[p]), int(x1[p]), b, c
-            if stop is not None:
+        # walked, each up to its first dead pair (n * n when none)
+        for p in np.flatnonzero(~covered.all(axis=1)):
+            l, x = int(lams[p // len(a)]), int(a[p % len(a)])
+            cov, dd = covered[p], dead[p]
+            if not cov[:first(dd)].all():
+                cov, dd, covers = screen(l, x)
+                for q in np.flatnonzero(~cov[:first(dd)]):
+                    c, b = divmod(int(q), n)
+                    if not any(covers(c, b, g) for g in range(L * L)):
+                        return l, x, b, c
+            if (stop := first(dd)) < n * n:
                 c, b = divmod(stop, n)
-                return int(lam[p]), int(x1[p]), b, c
+                return l, x, b, c
     return None
 
 

@@ -5,6 +5,7 @@ engine."""
 import os
 
 import numpy as np
+from scipy.optimize import linprog
 
 from evpkit.cli import _family_direction_vertices
 from evpkit.engine import PreorderOracle
@@ -35,6 +36,25 @@ def random_cone(rng, m, rows=None):
             a = -a
         A.append(a)
     return cone(np.array(A)), k0
+
+
+def highs_margin(y, B, s, V, C):
+    """max over base rows b and convex w of min_i A(y - b - s V^T w)_i, by
+    scipy's HiGHS: ``y`` is in ``B + s conv(V) + C`` up to tol iff it is at
+    least ``-tol``."""
+    A = C.halfspaces
+    J = V.shape[0]
+    best = -np.inf
+    for b in B:
+        # variables (w, t): maximize t with t + s (A V^T w)_i <= A(y - b)_i
+        A_ub = np.hstack([s * (A @ V.T), np.ones((A.shape[0], 1))])
+        res = linprog(np.r_[np.zeros(J), -1.0], A_ub=A_ub, b_ub=A @ (y - b),
+                      A_eq=np.r_[np.ones(J), 0.0][None, :], b_eq=[1.0],
+                      bounds=[(0, None)] * J + [(None, None)],
+                      method="highs")
+        assert res.status == 0, res.message
+        best = max(best, -res.fun)
+    return best
 
 
 def pointed_cone(rng, m):

@@ -46,8 +46,8 @@ from evpkit.solvers import (Conclusion, _order_conclusions,
                             _pointwise_premise, solve_evp_general,
                             solve_evp_quasimetric, solve_evp_set_direction)
 
-from conftest import (direction_polytope, generated_bundle, random_cone,
-                      sample_cone_member)
+from conftest import (direction_polytope, generated_bundle, highs_margin,
+                      random_cone, sample_cone_member)
 
 KINDS = ("singleton", "polytope", "open_polytope", "quasimetric",
          "extensional")
@@ -1022,12 +1022,20 @@ def test_generated_instances_need_no_screen(monkeypatch, variant):
 
 
 def test_non_metric_instance_is_screened(monkeypatch):
+    """Distances that break the triangle inequality leave triples open: the
+    search screens exactly the x1 slabs that hold a triple settled_triples
+    leaves open, one call each, up to the witness's slab."""
     rng = np.random.default_rng(8)
     inst, fam, _ = random_instance(rng, n=6, m=2, kind="polytope",
                                    metric=False)
-    calls, got = _calls(monkeypatch, instances, "screen_members", ti_check,
-                        inst, fam)
-    assert calls >= 1 and got == loop_ti_check(inst, fam)
+    arrays = fam.arrays(inst.space)
+    screened, got = _screened(monkeypatch, arrays, ti_check, inst, fam)
+    S, V, _ = arrays
+    settled = settled_over_triples(S[..., 0], V, inst.cone, inst.tol)
+    last = len(S) if got[0] else inst.labels.index(got[1][0])
+    assert screened == [(0, int(a)) for a in np.flatnonzero(
+        ~settled.all(axis=(1, 2))) if a <= last]
+    assert screened and got == loop_ti_check(inst, fam)
 
 
 # ---------------------------------------------------------------------------
@@ -1053,6 +1061,57 @@ def _calls(monkeypatch, owner, name, fn, *args):
 
 def _lp_calls(monkeypatch, fn, *args):
     return _calls(monkeypatch, geometry, "_phase1", fn, *args)
+
+
+def loop_slab_queries(S, V, x):
+    """The queries of the slabs (index, x1 = x) of the triangle search, one
+    at a time, over (x3, x2, (mu, nu), vertex): (s12 + s23) v for each
+    vertex v of a shared polytope, else the vertex sums s12 u + s23 v of the
+    padded stacks, u of F_mu(x1, x2) and v of F_nu(x2, x3)."""
+    n, _, L = S.shape
+    Y = []
+    for c, b, mu, nu in itertools.product(range(n), range(n), range(L),
+                                          range(L)):
+        s12, s23 = S[x, b, mu], S[b, c, nu]
+        if V.ndim == 2:
+            Y.append([(s12 + s23) * v for v in V])
+        else:
+            Y.append([s12 * u + s23 * v for u in V[x, b, mu]
+                      for v in V[b, c, nu]])
+    return np.array(Y).reshape(n, n, L * L, -1, V.shape[-1])
+
+
+def screened_slab(arrays, Y, s13, target):
+    """The (index, x1) slab of the search arrays whose queries, scales s13
+    and targets one screen_members call holds: the call holds one slab and
+    no more."""
+    S, V, _ = arrays
+    n, _, L = S.shape
+    slabs = [(lam, x) for lam, x in itertools.product(range(L), range(n))
+             if np.array_equal(np.ravel(s13), S[x, :, lam])
+             and (target is V if V.ndim == 2 else np.array_equal(
+                 np.ravel(target), V[x, :, lam].ravel()))
+             and np.array_equal(np.ravel(Y),
+                                loop_slab_queries(S, V, x).ravel())]
+    assert len(slabs) == 1, (np.shape(Y), slabs)
+    return slabs[0]
+
+
+def _screened(monkeypatch, arrays, fn, *args):
+    """The (index, x1) slabs that ``fn(*args)`` screens in its triangle
+    search on ``arrays``, in call order, and its result."""
+    slabs = []
+
+    def recording(Y, B, s13, target, *rest):
+        slabs.append(screened_slab(arrays, Y, s13, target))
+        return screen_members(Y, B, s13, target, *rest)
+
+    monkeypatch.setattr(instances, "screen_members", recording)
+    try:
+        result = fn(*args)
+    finally:
+        monkeypatch.setattr(instances, "screen_members", screen_members)
+    return slabs, result
 
 
 def test_sweeps_never_run_more_lps_than_loops(monkeypatch):
@@ -1132,25 +1191,19 @@ def facet_open_slabs(inst, fam):
 
 def _screened_slabs(monkeypatch):
     """For failing random tables and passing generated ones at n = 3 to 8:
-    whether the table is generated, the number of slabs each screen_members
-    call of ti_check screens, the facet-open slabs and the facets' failing
+    n, whether the table is generated, the slabs ti_check screens in call
+    order (:func:`_screened`), the facet-open slabs and the facets' failing
     slab (:func:`facet_open_slabs`), and the slabs the search reaches, in
     walk order up to the one it stops in."""
     rng = np.random.default_rng(61)
-    screened, out = [], []
-
-    def recording(Y, *args):
-        screened.append(len(Y))
-        return screen_members(Y, *args)
-
-    monkeypatch.setattr(instances, "screen_members", recording)
+    out = []
     for n in range(3, 9):
         for generated, (inst, fam) in (
                 (False, random_instance(rng, n=n, m=1 + n % 3,
                                         kind="extensional")[:2]),
                 (True, generated_extensional(n, n, 1 + n % 3))):
-            screened.clear()
-            ok, witness = ti_check(inst, fam)
+            screened, (ok, witness) = _screened(
+                monkeypatch, fam.arrays(inst.space), ti_check, inst, fam)
             slabs = list(itertools.product(range(len(fam.lambdas())),
                                            range(n)))
             stop = len(slabs) if ok else slabs.index(
@@ -1158,69 +1211,149 @@ def _screened_slabs(monkeypatch):
                  inst.labels.index(witness[0]))) + 1
             opened, failed = facet_open_slabs(inst, fam)
             assert failed is None or slabs[stop - 1] <= failed
-            out.append((generated, list(screened), opened, failed,
+            out.append((n, generated, screened, opened, failed,
                         slabs[:stop], ok))
     assert {ok for *_, ok in out} == {True, False}
     return out
 
 
-def test_extensional_search_screens_facet_open_slabs(monkeypatch):
-    """The facet test decides every triple of the generated passing tables,
-    so their searches screen nothing. On the random tables the one block
-    (at most 16,384 queries at n = 8 with two indices and two vertices)
-    screens exactly the slabs that hold a pair the facets leave open before
-    their first dead one, up to the first slab the facets fail, and the
-    slabs the facets decide are not screened."""
-    screened_total = decided_total = 0
-    for generated, screened, opened, failed, reached, ok in _screened_slabs(
-            monkeypatch):
-        want = [s for s in opened if failed is None or s < failed]
+@pytest.mark.parametrize("budget", [None, 1])
+def test_extensional_search_screens_each_reached_slab_alone(monkeypatch,
+                                                            budget):
+    """Whatever the block budget, a search screens each facet-open slab the
+    walk reaches, alone and when the walk reaches it, and no slab after the
+    one it stops in. The facet test decides every triple of the generated
+    passing tables, so their searches screen nothing. The random table at
+    n = 4 leaves two slabs open before the facets' failing one, and its
+    search stops in the first: it screens one."""
+    if budget is not None:
+        monkeypatch.setattr(instances, "_TRIANGLE_QUERIES", budget)
+    screened_total = unreached = decided_total = 0
+    for n, generated, screened, opened, failed, reached, ok in (
+            _screened_slabs(monkeypatch)):
+        assert screened == [s for s in opened if s in reached], (
+            n, screened, opened, reached)
         if generated:
             assert ok and opened == [] and screened == []
             continue
-        assert screened == ([len(want)] if want else []), (screened, want)
-        if not want:
-            assert reached[-1] == failed
-        screened_total += len(want)
+        if n == 4:
+            assert len(screened) == 1 and not ok
+            assert len([s for s in opened if s < failed]) == 2
+        screened_total += len(screened)
+        unreached += len([s for s in opened
+                          if (failed is None or s < failed)
+                          and s not in reached])
         decided_total += len(set(reached) - set(opened))
-    assert screened_total > 0 and decided_total > 0
-
-
-def test_extensional_search_screens_facet_open_slabs_per_block(monkeypatch):
-    """With a budget of one slab per block, a search screens each facet-open
-    slab it reaches, one per call, and no other."""
-    monkeypatch.setattr(instances, "_TRIANGLE_QUERIES", 1)
-    for _, screened, opened, _, reached, _ in _screened_slabs(monkeypatch):
-        assert screened == [1] * len(set(opened) & set(reached)), (
-            screened, opened, reached)
+    assert screened_total > 0 and unreached > 0 and decided_total > 0
 
 
 @pytest.mark.parametrize("budget", [1, 50, 1 << 20])
 def test_triangle_search_blocks_change_nothing(monkeypatch, budget):
-    """Whatever the block budget, the search returns the same witnesses
-    and runs the same _phase1 calls as with the default one: on random
-    tables and families of every kind (non-metric ones are screened),
-    passing generated tables, and ragged and shared-polytope pair maps."""
+    """Whatever the block budget, the search returns the same witnesses,
+    runs the same _phase1 calls and screens the same (index, x1) slabs as
+    with the default one: on random tables and families of every kind
+    (non-metric ones are screened), passing generated tables, and ragged
+    and shared-polytope pair maps."""
     rng = np.random.default_rng(2718)
     cases = []
     for trial in range(10):
         inst, fam, _ = random_instance(rng, n=5, m=1 + trial % 3,
                                        kind=KINDS[trial % 5],
                                        metric=trial % 2 == 0)
-        cases.append((ti_check, inst, fam))
+        cases.append((fam.arrays(inst.space), ti_check, inst, fam))
     for n in (4, 6):
-        cases.append((ti_check, *generated_extensional(n, n, 2)))
+        inst, fam = generated_extensional(n, n, 2)
+        cases.append((fam.arrays(inst.space), ti_check, inst, fam))
     for trial in range(6):
-        cases.append((batched_fmap_triangle, *random_product(
-            rng, n=4, m=1 + trial % 3, metric=trial % 3 == 0,
-            ragged=trial % 2 == 0)))
-    want = [_lp_calls(monkeypatch, *case) for case in cases]
+        pi, fm = random_product(rng, n=4, m=1 + trial % 3,
+                                metric=trial % 3 == 0, ragged=trial % 2 == 0)
+        cases.append((fm.family.arrays(pi.base), batched_fmap_triangle, pi,
+                      fm))
+
+    def outcomes():
+        return [_lp_calls(monkeypatch, _screened, monkeypatch, *case)
+                for case in cases]
+
+    want = outcomes()
     monkeypatch.setattr(instances, "_TRIANGLE_QUERIES", budget)
-    assert [_lp_calls(monkeypatch, *case) for case in cases] == want
-    results = [result for _, result in want]
+    assert outcomes() == want
+    results = [result for _, (_, result) in want]
     assert sum(calls for calls, _ in want) > 0
+    assert sum(len(slabs) for _, (slabs, _) in want) > 0
     assert (True, None) in results and None in results
     assert any(r not in ((True, None), None) for r in results)
+
+
+HIGHS_BAND = 1e-7
+
+
+def highs_triple(S, V, nv, C, tol, lam, a, b, c):
+    """Whether F_mu(x1, x2) + F_nu(x2, x3) lies in F_lam(x1, x3) + C for
+    some (mu, nu), for (x1, x2, x3) = (a, b, c), from the HiGHS margins of
+    the real vertex sums (of (s12 + s23) H with a shared H): True, False,
+    or None when the deciding margin lies within HIGHS_BAND of -tol. A
+    scale s13 at most tol asks the cone alone; a (mu, nu) with s12 + s23
+    and s13 at most tol covers."""
+    shared = V.ndim == 2
+    s13 = S[a, c, lam]
+    T = V if shared else V[a, c, lam, :nv[a, c, lam]]
+    verdict = False
+    for mu, nu in itertools.product(range(S.shape[2]), repeat=2):
+        s12, s23 = S[a, b, mu], S[b, c, nu]
+        if s12 + s23 <= tol and s13 <= tol:
+            return True
+        queries = ([(s12 + s23) * v for v in V] if shared else
+                   [s12 * u + s23 * v for u in V[a, b, mu, :nv[a, b, mu]]
+                    for v in V[b, c, nu, :nv[b, c, nu]]])
+        low = min(highs_margin(q, np.zeros((1, len(q))),
+                               s13 if s13 > tol else 0.0, T, C)
+                  for q in queries)
+        if low >= -tol + HIGHS_BAND:
+            return True
+        if low > -tol - HIGHS_BAND:
+            verdict = None
+    return verdict
+
+
+@pytest.mark.parametrize("kind", ["polytope", "extensional"])
+def test_triangle_search_matches_highs(kind):
+    """ti_check against an LP that shares no code with evpkit, on
+    non-metric shared-polytope instances and ragged random tables at n = 3
+    to 6, m = 1 to 3: every triple before the witness, in the loop order
+    index, x1, x3, x2, has some (mu, nu) with every HiGHS margin at least
+    -tol, and the witness has none. A case whose deciding margin lies
+    within HIGHS_BAND of -tol is skipped. The instances take tol = 1e-6:
+    a triple with x2 = x1 or x2 = x3 has a vertex sum on a target vertex,
+    a margin of exactly 0, which would lie in that band at tol = 1e-9."""
+    rng = np.random.default_rng(3141 + len(kind))
+    checked = before = 0
+    outcomes = set()
+    for trial in range(24):
+        n, m = 3 + trial % 4, 1 + trial % 3
+        inst, fam, _ = random_instance(rng, n=n, m=m, kind=kind,
+                                       metric=kind == "extensional"
+                                       and trial % 2 == 0)
+        inst = FiniteInstance(inst.space, inst.fmap, inst.cone, tol=1e-6)
+        S, V, nv = fam.arrays(inst.space)
+        ok, witness = ti_check(inst, fam)
+        hit = None if ok else (fam.lambdas().index(witness[3]),
+                               *map(inst.labels.index, witness[:3]))
+        verdicts = []
+        for lam, a, c, b in itertools.product(range(S.shape[2]), range(n),
+                                              range(n), range(n)):
+            verdicts.append(highs_triple(S, V, nv, inst.cone, inst.tol,
+                                         lam, a, b, c))
+            if (lam, a, b, c) == hit:
+                break
+        if None in verdicts:
+            continue
+        assert verdicts == [True] * (len(verdicts) - (not ok)) + [False] * (
+            not ok), (trial, witness, verdicts)
+        checked += 1
+        before += len(verdicts) - (not ok)
+        outcomes.add(ok)
+    assert checked >= 16 and before > 0 and outcomes == {True, False}, (
+        checked, before, outcomes)
 
 
 def settled_reading_vertices(s, s13, V, C, tol):

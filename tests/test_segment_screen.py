@@ -24,13 +24,12 @@ below. Vertices in the band ``-tol <= A_i v < 0`` are checked against
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from evpkit.geometry import (_SEGMENT_MARGIN, Polytope, _feas_tol, _gather,
                              _over_rows, _segment_members, lp_member,
                              minkowski_member, orthant, screen_members)
 
-from conftest import random_cone, sample_cone_member
+from conftest import highs_margin, random_cone, sample_cone_member
 
 TOL = 1e-9
 BAND = 1e-7
@@ -38,24 +37,6 @@ BAND = 1e-7
 
 def lp_scale(s):
     return s if s > TOL else 0.0
-
-
-def highs_margin(y, B, s, V, C):
-    """max over base rows and convex w of min_i A(y - b - s V^T w)_i."""
-    A = C.halfspaces
-    s = lp_scale(s)
-    J = V.shape[0]
-    best = -np.inf
-    for b in B:
-        # variables (w, t): maximize t with t + s (A V^T w)_i <= A(y - b)_i
-        A_ub = np.hstack([s * (A @ V.T), np.ones((A.shape[0], 1))])
-        res = linprog(np.r_[np.zeros(J), -1.0], A_ub=A_ub, b_ub=A @ (y - b),
-                      A_eq=np.r_[np.ones(J), 0.0][None, :], b_eq=[1.0],
-                      bounds=[(0, None)] * J + [(None, None)],
-                      method="highs")
-        assert res.status == 0, res.message
-        best = max(best, -res.fun)
-    return best
 
 
 def _cone(rng, m, orthant_cone):
@@ -124,7 +105,7 @@ def test_segment_screen_matches_lp_and_highs(m, orthant_cone):
     cases = set()
     for y, B, s, V, nv, case in queries:
         decided, answer, rows = _screen_one(y, B, s, V, nv, C)
-        t = highs_margin(y, B, s, V, C)
+        t = highs_margin(y, B, lp_scale(s), V, C)
         near = abs(t + TOL) <= BAND * (1.0 + np.abs(y).max())
         if not near:
             # away from the tolerance edge the screen decides, as HiGHS does
@@ -181,7 +162,7 @@ def test_only_queries_at_the_tolerance_edge_reach_the_lp():
             for y, B, s, V, nv, case in queries:
                 if not _screen_one(y, B, s, V, nv, C)[0]:
                     undecided += 1
-                    t = highs_margin(y, B, s, V, C)
+                    t = highs_margin(y, B, lp_scale(s), V, C)
                     assert abs(t + TOL) <= 1e-7 * (1.0 + np.abs(y).max()), \
                         (case, t)
     assert undecided < 0.02 * total
