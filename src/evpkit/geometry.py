@@ -129,14 +129,27 @@ def _phase1(M, rhs, tol):
     else:
         raise LinearProgramError("phase-1 simplex exceeded its iteration cap")
 
+    # feasibility is read from the basic artificial values alone: the
+    # objective row's right-hand side, minus their sum, drifts over many
+    # pivots, and once read -3.8e-6 with no artificial variable basic
     feas_tol = _feas_tol(tol)
-    if T[m, -1] < -feas_tol:
-        return None
     z = np.zeros(n + m)
     # max(x, 0.0) per basic row, keeping -0.0 as the builtin max does
     z[basis] = np.where(T[:m, -1] < 0.0, 0.0, T[:m, -1])
     if z[n:].sum() > feas_tol:
         return None
+    miss = np.abs(M @ z[:n] - rhs).max(initial=0.0)
+    if miss > feas_tol and (basis < n).all():
+        # the right-hand sides drift too: a witness that misses M z = rhs
+        # by more than feas_tol gives way to the basis solved again, when
+        # that misses by less. The decision stands either way
+        x = z.copy()
+        try:
+            x[basis] = np.maximum(np.linalg.solve(M[:, basis], rhs), 0.0)
+        except np.linalg.LinAlgError:
+            pass
+        if np.abs(M @ x[:n] - rhs).max() < miss:
+            z = x
     return z[:n]
 
 

@@ -488,24 +488,92 @@ _BLOCK_QUERIES = 1024
 def relation_matrix(inst: FiniteInstance, fam, arrays=None):
     """rel[i, j] = True iff labels[i] precedes labels[j] in the order.
 
-    Decided for blocks of rows (x2) at a time, each one
-    :func:`order_queries` stack: a pair with a screened failure is out, and
-    the undecided queries of the other pairs go to the LP in
-    :func:`preceq`'s loop order until one is uncovered. A block holds as
-    many whole rows as fit in ``_BLOCK_QUERIES`` queries, and at least one.
+    Decided for blocks of rows (x2) at a time; a block holds as many whole
+    rows as fit in ``_BLOCK_QUERIES`` queries, and at least one. A facet
+    pass first reads each query ``y in f(x2) + s conv{t1, t2} + C`` of the
+    block from the conditions of its target (:func:`target_tables`), with
+    ``A y`` taken once for every value row: a query is covered when some
+    base row's least margin ``w . A(y - b) - theta`` is at least the inner
+    edge of :func:`geometry.segment_band`, and dead when every base row's
+    is below its outer edge. A target with ``s <= tol`` is the cone test:
+    its row minima are 0 and it has no row pair. A pair with every query
+    covered is true and a pair with a dead query false, as the screen
+    would decide them with no LP. The other pairs (targets with three or
+    more vertices, every pair of a shared one, margins inside the band, a
+    block with a negative scale, magnitudes that could overflow) are one
+    :func:`order_queries` stack: a pair with a screened failure is out,
+    and the undecided queries of the other pairs go to the LP in
+    :func:`preceq`'s loop order until one is uncovered.
     """
     n = len(inst.labels)
     if arrays is None:
         arrays = order_arrays(inst, fam)
-    S, _, _, _, nb = arrays
+    S, V, nv, B, nb = arrays
+    A, m, tol = inst.cone.halfspaces, inst.cone.dim, inst.tol
     step = max(1, _BLOCK_QUERIES // (S.shape[-1] * int(nb.sum())))
+    # A y of every value row, (k, R, n) per label and (k, N) flat, where
+    # the run of label x starts at starts[x]; A v of every vertex, (J, k)
+    # or (J, k, L, n, n)
+    starts = np.cumsum(nb) - nb
+    owner = np.repeat(np.arange(n), nb)
+    AY = (B.reshape(-1, m) @ A.T).reshape(*B.shape[:2], len(A))
+    Y = np.ascontiguousarray(
+        AY[owner, np.arange(len(owner)) - starts[owner]].T)
+    AY = np.ascontiguousarray(AY.transpose(2, 1, 0))
+    shared = V.ndim == 2
+    AV = None if V.shape[-1] != m else (
+        V.reshape(-1, m) @ A.T).reshape(*V.shape[:-1], len(A))
+    if not shared and AV is not None:
+        AV = np.ascontiguousarray(AV.transpose(3, 4, 2, 0, 1))
+    # |A||y| <= size over the values, |A||s v| <= size over the targets
+    with np.errstate(all="ignore"):
+        size = np.maximum(np.abs(B).max(), np.abs(S).max() * np.abs(V).max()
+                          ) * np.abs(A).sum(axis=1).max()
+        inside, outside = segment_band(size, m, tol)
+    # the pass needs the cone's dimension and margins that cannot overflow;
+    # one polytope of three or more vertices would leave it the cone tests
+    usable = (AV is not None and np.isfinite(8.0 * size)
+              and not (shared and nv > 2))
+
+    @np.errstate(all="ignore")
+    def facets(rows):
+        # masks (true, false) over (x2 in the slice rows, x1); neither
+        # where the pass leaves the pair to the screen. The arrays keep
+        # the value rows y last, so each numpy call runs over whole rows
+        s = S[rows].transpose(2, 0, 1)                  # (L, r, n)
+        if not usable or (s < 0).any():
+            none = np.zeros(s.shape[1:], dtype=bool)
+            return none, none
+        ASV = np.where(s > tol, s, 0.0) * (
+            AV[:, :, None, None, None] if shared else AV[:, :, :, rows])
+        R, (i, j, w, th), fit = target_tables(
+            ASV.transpose(1, 2, 3, 4, 0), s,
+            nv if shared else nv[rows].transpose(2, 0, 1), tol)
+        fit |= s <= tol
+        # A(y - b) over (k, row of x2, x2, y); margins over (L, ...)
+        D = Y[:, None, None] - AY[:, :nb[rows].max(), rows, None]
+        low = (D[:, None] - np.take(R - tol, owner, axis=3)[:, :, None]
+               ).min(axis=0)
+        if len(w):
+            low = np.minimum(low, (
+                D[j][:, None] + np.take(w, owner, axis=3)[:, :, None]
+                * (D[i] - D[j])[:, None]
+                - np.take(th, owner, axis=3)[:, :, None]).min(axis=0))
+        covered = fit & np.logical_and.reduceat((low >= inside).any(axis=1),
+                                                starts, axis=2)
+        dead = fit & np.logical_or.reduceat((low < -outside).all(axis=1),
+                                            starts, axis=2)
+        return covered.all(axis=0), dead.any(axis=0)
+
     rel = np.zeros((n, n), dtype=bool)
     for start in range(0, n, step):
-        rows = np.arange(start, min(start + step, n))
-        first, _, _ = order_queries(inst, arrays, np.repeat(rows, n),
-                                    np.tile(np.arange(n), len(rows)),
-                                    witness=False)
-        rel[rows] = (first < 0).reshape(len(rows), n)
+        true, false = facets(slice(start, start + step))
+        rel[start:start + step] = true
+        a, x1s = np.nonzero(~(true | false))
+        if len(a):
+            first, _, _ = order_queries(inst, arrays, start + a, x1s,
+                                        witness=False)
+            rel[start + a, x1s] = first < 0
     return rel
 
 
@@ -571,20 +639,49 @@ def settled_triples(s, s13, bounds, C, tol):
 
 
 @np.errstate(all="ignore")
+def target_tables(ASV, S, nv, tol):
+    """The facet conditions of targets ``s conv{t1, t2} + C``, given as
+    ``ASV``, the products ``A s t_j`` over (cone row, ..., vertex), with
+    their scales ``S`` and vertex counts ``nv`` over (...).
+
+    With ``t`` the weight of ``t1``, a target asks ``c_i - t d_i >= 0`` of
+    every cone row i, the system of :func:`geometry._segment_members`.
+    Eliminating ``t`` leaves conditions ``w . A q >= theta`` on the query
+    ``q``, each with ``w >= 0`` and ``sum w = 1``: one per cone row, ``A_i
+    q >= min_j A_i s t_j - tol``, and one per pair of rows (i, k) whose
+    ``d`` have opposite signs, with ``w`` proportional to ``|d_k| e_i +
+    |d_i| e_k`` and ``theta = w . A s t2 - tol``. The least ``w . A q -
+    theta`` over them is the margin of :func:`geometry.segment_band`.
+
+    Returns ``(R, (i, k, w, theta), fit)``: the row minima ``min_j A s
+    t_j`` over (cone row, ...); the row pairs (i, k) with opposite signs in
+    some target, and per pair and target the weight ``w_i`` of row i
+    (``1 - w_i`` is that of row k) and ``theta``, ``-inf`` where the
+    target's signs do not oppose; and the targets of a scale above ``tol``
+    and at most two vertices, which these conditions describe. A padding
+    vertex repeats the last real one, so a one-vertex target has no pair.
+    """
+    J = ASV.shape[-1]
+    R = _over_rows(np.minimum, ASV)
+    t2 = ASV[..., min(1, J - 1)]
+    d = ASV[..., 0] - t2
+    i, j = np.array([*itertools.combinations(range(len(ASV)), 2)],
+                    dtype=int).reshape(-1, 2).T
+    pair = d[i] * d[j] < 0
+    live = pair.any(axis=tuple(range(1, pair.ndim)))
+    i, j, pair = i[live], j[live], pair[live]
+    di, dj = np.abs(d[i]), np.abs(d[j])
+    w = np.where(pair, dj / (di + dj), 0.0)
+    th = np.where(pair, w * t2[i] + (1.0 - w) * t2[j] - tol, -np.inf)
+    return R, (i, j, w, th), (S > tol) & (nv <= 2)
+
+
+@np.errstate(all="ignore")
 def facet_tables(S, SV, nv, C, tol):
     """What :func:`facet_verdicts` reads of a per-pair stack, built once
     per search from the scales ``S``, the scaled vertices ``SV = S * V``
-    (``(n, n, L, J, m)``) and the counts ``nv``.
-
-    A target ``s13 conv{t1, t2} + C``, with ``t`` the weight of ``t1``,
-    asks ``c_i - t d_i >= 0`` of every cone row i, the system of
-    :func:`geometry._segment_members`. Eliminating ``t`` leaves conditions
-    ``w . A q >= theta`` on the query ``q``, each with ``w >= 0`` and
-    ``sum w = 1``: one per cone row, ``A_i q >= min_j A_i s13 t_j - tol``,
-    and one per pair of rows (i, k) whose ``d`` have opposite signs, with
-    ``w`` proportional to ``|d_k| e_i + |d_i| e_k`` and ``theta = w . A
-    s13 t2 - tol``. The least ``w . A q - theta`` over them is the margin
-    of :func:`geometry.segment_band`.
+    (``(n, n, L, J, m)``) and the counts ``nv``: the conditions of every
+    target by :func:`target_tables`, and what the sources need of them.
 
     The row minima of a scaled set do not depend on the target, and a pair
     condition weighs ``A s v`` as ``base + w_i * slope`` with the
@@ -610,20 +707,10 @@ def facet_tables(S, SV, nv, C, tol):
     A, m = C.halfspaces, C.dim
     n, _, L, J, _ = SV.shape
     ASV = (A @ SV.reshape(-1, m).T).reshape(len(A), n, n, L, J)
-    R = _over_rows(np.minimum, ASV)                     # (k, x, y, L)
+    R, (i, j, w, th), fit = target_tables(ASV, S, nv, tol)  # R: (k, x, y, L)
     rows = (np.ascontiguousarray(R.transpose(0, 1, 3, 2)),
             np.ascontiguousarray(R.transpose(0, 3, 2, 1)),
             R.transpose(0, 3, 1, 2) - tol)
-    t2 = ASV[..., min(1, J - 1)]
-    d = ASV[..., 0] - t2
-    i, j = np.array([*itertools.combinations(range(len(A)), 2)],
-                    dtype=int).reshape(-1, 2).T
-    pair = d[i] * d[j] < 0
-    live = pair.any(axis=(1, 2, 3))
-    i, j, pair = i[live], j[live], pair[live]
-    di, dj = np.abs(d[i]), np.abs(d[j])
-    w = np.where(pair, dj / (di + dj), 0.0)
-    th = np.where(pair, w * t2[i] + (1.0 - w) * t2[j] - tol, -np.inf)
     base, slope = ASV[j], ASV[i] - ASV[j]
     pairs = (tuple(np.ascontiguousarray(x.transpose(axes))
                    for axes in ((0, 1, 3, 4, 2), (0, 3, 4, 2, 1))
@@ -631,7 +718,7 @@ def facet_tables(S, SV, nv, C, tol):
              w.transpose(0, 3, 1, 2), th.transpose(0, 3, 1, 2))
     # |A||y| <= 2 size for a vertex sum y, and |A||s v| <= size
     size = np.abs(SV).max() * np.abs(A).sum(axis=1).max()
-    fit = (S > tol) & (nv <= 2) & np.isfinite(8.0 * size)
+    fit &= np.isfinite(8.0 * size)
     return rows, pairs, fit.transpose(2, 0, 1), segment_band(size, m, tol)
 
 

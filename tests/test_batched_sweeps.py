@@ -29,7 +29,8 @@ from evpkit.instances import (ExtensionalFamily, FiniteInstance, MetricSpace,
                               QuasiMetric, QuasiMetricDirection, SetValuedMap,
                               SingletonDirection, _pairwise_separation,
                               _uniform_separation, eps_h_efficient,
-                              order_arrays, preceq,
+                              _BLOCK_QUERIES, order_arrays, order_queries,
+                              preceq,
                               facet_tables, facet_verdicts, relation_matrix,
                               settled_triples, ti_check, triangle_failure,
                               vertex_bounds, vertex_minima)
@@ -61,6 +62,25 @@ def loop_relation_matrix(inst, fam):
     labels = inst.labels
     return np.array([[preceq(inst, fam, x2, x1) for x1 in labels]
                      for x2 in labels])
+
+
+def screen_relation_matrix(inst, fam, arrays=None):
+    """``relation_matrix`` as it was before its facet pass, kept verbatim
+    apart from its name and this docstring: every pair of a block is one
+    ``order_queries`` stack."""
+    n = len(inst.labels)
+    if arrays is None:
+        arrays = order_arrays(inst, fam)
+    S, _, _, _, nb = arrays
+    step = max(1, _BLOCK_QUERIES // (S.shape[-1] * int(nb.sum())))
+    rel = np.zeros((n, n), dtype=bool)
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        first, _, _ = order_queries(inst, arrays, np.repeat(rows, n),
+                                    np.tile(np.arange(n), len(rows)),
+                                    witness=False)
+        rel[rows] = (first < 0).reshape(len(rows), n)
+    return rel
 
 
 def loop_ti_check(inst, fam):
@@ -1655,6 +1675,190 @@ def test_facet_search_with_zero_and_negative_scales(monkeypatch):
         results.append(got[1])
     assert any(isinstance(r, str) for r in results)
     assert any(isinstance(r, tuple) for r in results)
+
+
+# ---------------------------------------------------------------------------
+# The facet pass of relation_matrix against the screen it runs before.
+# ---------------------------------------------------------------------------
+
+def assert_order_matches_screen(monkeypatch, inst, fam, budget=None):
+    """``relation_matrix`` gives ``screen_relation_matrix``'s order matrix,
+    or its InputError text, with its _phase1 count, and so does
+    ``loop_relation_matrix``, with no fewer; ``budget`` sets the block size
+    of ``relation_matrix`` alone. Returns the number of pairs the facet
+    pass left to ``order_queries``."""
+    left = []
+    real = instances.order_queries
+
+    def counting(inst, arrays, x2s, x1s, witness=True):
+        left.append(len(x2s))
+        return real(inst, arrays, x2s, x1s, witness)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(instances, "order_queries", counting)
+        if budget is not None:
+            mp.setattr(instances, "_BLOCK_QUERIES", budget)
+        nb, got = _lp_calls(monkeypatch, _outcome, relation_matrix,
+                            inst, fam)
+    ns, want = _lp_calls(monkeypatch, _outcome, screen_relation_matrix,
+                         inst, fam)
+    nl, slow = _lp_calls(monkeypatch, _outcome, loop_relation_matrix,
+                         inst, fam)
+    assert type(got) is type(want) and np.array_equal(got, want), (got, want)
+    assert type(slow) is type(want) and np.array_equal(slow, want)
+    assert nb == ns <= nl, (nb, ns, nl)
+    return sum(left)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", KINDS)
+def test_facet_pass_matches_screen_and_loop(monkeypatch, m, kind):
+    """Random instances of every family kind at n = 4 to 6, ragged value
+    sets or not, on metric and non-metric distances, with 1 to 3 vertices
+    (a shared polytope sometimes has one more, outside the cone), in one
+    block and in blocks of one row: the order matrix and the _phase1 count
+    are the screen's, and the facet pass decides some pairs."""
+    rng = np.random.default_rng(4400 + 10 * m + KINDS.index(kind))
+    decided = 0
+    for trial in range(4):
+        n = 4 + trial % 3
+        inst, fam, _ = random_instance(rng, n=n, m=m, kind=kind,
+                                       metric=trial % 2 == 0,
+                                       ragged=trial != 1)
+        decided += n * n - assert_order_matches_screen(
+            monkeypatch, inst, fam, budget=1 if trial == 3 else None)
+    assert decided > 0
+
+
+def band_direction(rng, n, m, tol):
+    """The shared-polytope analogue of ``band_family`` for the order:
+    labels on a line at distances |p - q|, and a direction set H (rate 1)
+    of 1 to 3 vertices 0.1 to 1 tol outside a facet of the cone. Each label
+    p has the value p h, for a point h of conv(H), shifted 1 to 3 tol off
+    that facet to one side or the other, and a random value; so y - b -
+    d h lies 0 to 6 tol off the facet for many pairs."""
+    C, k0 = (orthant(m), None) if rng.random() < 0.5 else random_cone(rng, m)
+    A = C.halfspaces
+    row = A[rng.integers(len(A))]
+    a = row / (row @ row)               # moves row . y by one unit
+    vertices = []
+    for _ in range(int(rng.choice([1, 2, 2, 3]))):
+        for _ in range(100):
+            h = (rng.uniform(0.2, 1.5, size=m) if k0 is None
+                 else sample_cone_member(rng, C, k0))
+            h = h - (row @ h) * a       # on the facet
+            if np.all(A @ h >= -1e-12):
+                break
+        vertices.append(h - rng.uniform(0.1, 1.0) * tol * a)
+    H = np.array(vertices)
+    h = rng.dirichlet(np.ones(len(H))) @ H
+    labels = tuple(f"p{i}" for i in range(n))
+    position = rng.permutation(np.sort(rng.uniform(0.0, 3.0, size=n)))
+    values = {x: np.vstack([p * h + rng.choice([-1.0, 1.0])
+                            * rng.uniform(1.0, 3.0) * tol * a,
+                            rng.normal(size=m)])
+              for x, p in zip(labels, position)}
+    space = MetricSpace(labels, np.abs(position[:, None] - position[None]))
+    return (FiniteInstance(space, SetValuedMap(values), C),
+            PolytopeDirection(Polytope(H), 1.0))
+
+
+def notch_direction(rng, n, m, tol):
+    """A two-vertex direction set H (rate 1) on a face ``w . h = 1`` of
+    conv(H) + C, for a w of the dual cone, and labels on a line at
+    distances |p - q| whose values p h sit 0.3, 3 tol, tol or 0 off that
+    face, to one side or the other, for one point h strictly between the
+    vertices. So y - b - d h lies along w, where the row-pair conditions
+    of the targets separate the members: a point just below the face can
+    meet every row condition."""
+    C, k0 = (orthant(m), np.ones(m)) if rng.random() < 0.5 \
+        else random_cone(rng, m)
+    A = C.halfspaces
+    w = A.T @ rng.uniform(0.2, 1.0, size=len(A))
+    H = np.array([v / (w @ v) for v in (sample_cone_member(rng, C, k0)
+                                        for _ in range(2))])
+    h = rng.uniform(0.2, 0.8) * (H[0] - H[1]) + H[1]
+    labels = tuple(f"p{i}" for i in range(n))
+    position = rng.permutation(np.sort(rng.uniform(0.0, 3.0, size=n)))
+    offsets = np.array([0.3, 3 * tol, tol, 0.0])
+    values = {x: p * h + rng.choice([-1.0, 1.0]) * rng.choice(offsets) * w
+              / (w @ w) for x, p in zip(labels, position)}
+    space = MetricSpace(labels, np.abs(position[:, None] - position[None]))
+    return (FiniteInstance(space, SetValuedMap(values), C),
+            PolytopeDirection(Polytope(H), 1.0))
+
+
+def test_facet_pass_in_the_tolerance_band(monkeypatch):
+    """Direction sets and tables whose vertices lie 0.1 to 1 tol outside a
+    facet, against values 1 to 3 tol off it, and direction sets whose
+    values sit on either side of a face that only the row-pair conditions
+    describe: the pass leaves the pairs inside the band to the screen, on
+    shared polytopes too, decides the others, and decides none otherwise
+    than the screen."""
+    rng = np.random.default_rng(2025)
+    left = {"shared": 0, "table": 0, "notch": 0}
+    decided = dict.fromkeys(left, 0)
+    for trial in range(36):
+        n, kind = 3 + trial % 4, ("table", "shared", "notch")[trial % 3]
+        if kind == "table":
+            inst, fam = band_family(rng, n, 1 + trial % 2, 1 + trial % 3,
+                                    DEFAULT_TOL)
+        elif kind == "shared":
+            inst, fam = band_direction(rng, n, 1 + trial % 3, DEFAULT_TOL)
+        else:
+            inst, fam = notch_direction(rng, n, 2 + trial % 3, DEFAULT_TOL)
+        sent = assert_order_matches_screen(monkeypatch, inst, fam)
+        left[kind] += sent
+        decided[kind] += n * n - sent
+    assert min(left.values()) > 0 and min(decided.values()) > 0, (left,
+                                                                  decided)
+
+
+def test_facet_pass_with_zero_and_negative_scales(monkeypatch):
+    """Quasi-metric families whose matrix, never validated, holds zero,
+    sub-tol and negative scales, over 1 to 3 vertices, in one block and in
+    blocks of one row: a target with a scale at most tol is the cone test,
+    and a negative scale raises the screen's InputError, after the blocks
+    before it."""
+    rng = np.random.default_rng(8181)
+    outcomes = set()
+    for trial in range(24):
+        n, m = 3 + trial % 4, 1 + trial % 3
+        C, k0 = _cone(rng, m)
+        p = rng.uniform(0.0, 2.0, size=(n, n))
+        p[rng.random((n, n)) < 0.2] = 0.0
+        p[rng.random((n, n)) < 0.1] = 5e-10
+        if trial % 3 == 0:
+            p[rng.integers(n), rng.integers(n)] = -0.5
+        labels = tuple(f"q{i}" for i in range(n))
+        fmap = SetValuedMap({x: rng.normal(size=(int(rng.integers(1, 4)), m))
+                             for x in labels})
+        inst = FiniteInstance(MetricSpace(labels, _distances(rng, n, True)),
+                              fmap, C)
+        fam = QuasiMetricDirection(_polytope(rng, C, k0, 1 + trial % 3),
+                                   QuasiMetric(p))
+        assert_order_matches_screen(monkeypatch, inst, fam,
+                                    budget=1 if trial % 2 else None)
+        outcomes.add(_outcome(relation_matrix, inst, fam).__class__)
+    assert outcomes == {tuple, np.ndarray}
+
+
+def test_facet_pass_leaves_overflowing_values_to_the_screen(monkeypatch):
+    """Values of +-1.5e308 make A y, y - b and the margins overflow to inf
+    or NaN: the pass leaves every pair to the screen, whose matrix stands.
+    Overflow warnings are off here, as the screen raises them."""
+    rng = np.random.default_rng(9090)
+    for trial in range(10):
+        n, m = 3 + trial % 3, 1 + trial % 3
+        inst, fam, _ = random_instance(rng, n=n, m=m, kind=KINDS[trial % 5],
+                                       metric=trial % 2 == 0)
+        values = {x: np.where(rng.random(Y.shape) < 0.3,
+                              np.sign(Y) * 1.5e308, Y)
+                  for x, Y in inst.fmap.values.items()}
+        inst = FiniteInstance(inst.space, SetValuedMap(values), inst.cone)
+        with np.errstate(all="ignore"):
+            assert assert_order_matches_screen(monkeypatch, inst,
+                                               fam) == n * n
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -76,14 +76,15 @@ def test_separation_matches_highs(seed, n, m):
         assert xi.alpha == float(np.min(V @ xi.weights))
 
 
-@pytest.mark.xfail(strict=True, reason="after 373 pivots no artificial "
-                   "variable is basic, but the phase-1 objective row has "
-                   "drifted to -3.8e-6, below -tol, so phase 1 reports "
-                   "infeasible")
 def test_phase1_objective_row_drift():
     """``_phase1`` on the full 288-row separation system of ``generate
     --seed 84003000 --n 9 --m 3 --values 4 --variant extensional``, which
-    HiGHS finds feasible: ``[A h | -I] (mu, s) = 1`` with ``mu, s >= 0``."""
+    HiGHS finds feasible: ``[A h | -I] (mu, s) = 1`` with ``mu, s >= 0``.
+    After 373 pivots no artificial variable is basic, but the objective
+    row's right-hand side has drifted to -3.8e-6 and the basic values miss
+    ``M z = rhs`` by 4.7e-6. Feasibility is read from the artificial
+    values, and the witness is the basis solved again: it meets the system
+    within the kernel's slack, and ``mu`` separates every vertex."""
     bundle = generated_bundle(84003000, n=9, m=3, values_per_point=4,
                               variant="extensional")
     rows = (_family_direction_vertices(bundle).vertices
@@ -94,7 +95,10 @@ def test_phase1_objective_row_drift():
                   method="highs")
     assert res.status == 0
     M = np.hstack([rows, -np.eye(rows.shape[0])])
-    assert geometry._phase1(M, np.ones(rows.shape[0]), bundle.tol) is not None
+    z = geometry._phase1(M, np.ones(rows.shape[0]), bundle.tol)
+    assert z is not None and z.min() >= 0.0
+    assert np.abs(M @ z - 1.0).max() <= geometry._feas_tol(bundle.tol)
+    assert (rows @ z[:rows.shape[1]]).min() >= 1.0 - bundle.tol
 
 
 def test_lp_iteration_cap_gives_report_and_exit_4(monkeypatch, tmp_path):

@@ -1,4 +1,4 @@
-"""Decisions do not depend on the order in which the labels are listed.
+"""Decisions do not depend on how equivalent data is written.
 
 An instance file is loaded as generated and again with its labels in a
 random order: the space's labels and coordinates, the value map, the
@@ -8,12 +8,17 @@ triangle-inclusion verdict, the assumption gate and the booleans of the
 3.1 conclusions must come out the same. An extensional table may have the
 sets of one pair shrunk, so that triangle inclusion can fail, and the start
 and the linear scalarization are drawn too, so that the gate can fail.
+
+A direction set of two vertices is also loaded with one of them listed
+twice: the same polytope, whose targets the facet pass of
+``relation_matrix`` and the facet test of the triangle search then leave to
+the screen and the LP. The same decisions must come out.
 """
 
 import copy
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evpkit import solvers
@@ -88,4 +93,42 @@ def test_label_order_changes_no_decision(case):
     rel, ti, solvable, solved = _decisions(bundle, xi)
     moved = _decisions(load_validate(_permuted(raw, perm)), xi)
     assert np.array_equal(moved[0], rel[np.ix_(perm, perm)])
+    assert moved[1:] == (ti, solvable, solved)
+
+
+@st.composite
+def duplicated_vertex_instances(draw):
+    variant = draw(st.sampled_from(("polytope", "open_polytope",
+                                    "quasimetric")))
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 3))
+    raw = generate(draw(st.integers(0, 10_000)), n=n, m=m,
+                   values_per_point=draw(st.integers(1, 3)), variant=variant)
+    spec = raw["perturbation"]
+    assume(len(spec["vertices"]) >= 2)
+    spec["vertices"] = spec["vertices"][:2]
+    raw["params"]["x0"] = draw(st.sampled_from(raw["space"]["labels"]))
+    del raw["product"]                      # its start pair is at p0
+    twice = copy.deepcopy(raw)
+    vertices = twice["perturbation"]["vertices"]
+    vertices.insert(draw(st.integers(0, 2)), vertices[draw(st.integers(0, 1))])
+    weights = draw(st.none() | st.lists(st.floats(-1.0, 1.0), min_size=m,
+                                        max_size=m))
+    return raw, twice, weights
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(duplicated_vertex_instances())
+def test_a_repeated_direction_vertex_changes_no_decision(case):
+    raw, twice, weights = case
+    bundle = load_validate(raw)
+    inst = bundle.instance
+    xi = (strictly_positive_functional(direction_polytope(bundle), inst.cone,
+                                       inst.tol) if weights is None
+          else LinearFunctional(weights))
+    repeated = load_validate(twice)
+    assert len(direction_polytope(repeated).vertices) == 3
+    rel, ti, solvable, solved = _decisions(bundle, xi)
+    moved = _decisions(repeated, xi)
+    assert np.array_equal(moved[0], rel)
     assert moved[1:] == (ti, solvable, solved)
