@@ -29,8 +29,6 @@ _PIVOT_EPS = 1e-11
 # _feas_tol * (1 + |A_i(y - b)|)
 _SEGMENT_MARGIN = 4.0
 _MAX_SIMPLEX_ITERATIONS = 5000
-# rows strictly_positive_functional solves first, and adds per round
-_SEPARATION_ROWS = 8
 
 
 def float_array(x, name):
@@ -624,39 +622,33 @@ def strictly_positive_functional(H: Polytope, C: PolyhedralCone,
 
     Searches ``w = A^T mu`` with ``mu >= 0`` (exactly the dual cone of a
     halfspace-form C) subject to ``(A h) . mu >= 1`` per vertex h. Returns a
-    LinearFunctional carrying ``alpha = min_H w . h``, or None when the LP is
-    infeasible, which in the polyhedral setting certifies that 0 lies in the
-    closure of H + C.
+    LinearFunctional carrying ``alpha = min_H w . h``, or None when no such
+    ``mu`` exists, which in the polyhedral setting certifies that 0 lies in
+    the closure of H + C.
 
-    The rows are generated (Kelley's cutting planes): up to
-    ``_SEPARATION_ROWS`` rows of smallest sum are solved first, and each
-    round adds up to as many of the most violated unsolved rows until
-    ``mu`` passes every row, so at most one round per row runs. A subset is
-    a relaxation, so its infeasibility is final; when only rows already
-    solved fall short, the last round solves all of them.
+    The uniform ``mu = 1 / least``, with ``least`` the least row sum
+    ``min_h sum(A h)``, gives every row ``(A h) . mu = sum(A h) / least >= 1``
+    whenever ``least > 0``. Every vertex lies in C, so every ``A h`` is
+    ``>= -tol``, and ``least`` is positive unless some vertex lies within
+    ``tol`` of 0 or of the cone's lineality space. That ``mu`` is taken when
+    ``w`` is finite and every row reaches ``1 - tol``; otherwise (no positive
+    row sum, an overflow, or a row short by round-off) the full system is
+    solved once by phase 1.
     """
     validate_direction_set(H, C, tol)
     A = C.halfspaces
     rows = H.vertices @ A.T  # per vertex h: coefficients (A h) . mu
-    n = rows.shape[0]
-    active = np.arange(n) if n <= _SEPARATION_ROWS else np.argsort(
-        rows.sum(axis=1), kind="stable")[:_SEPARATION_ROWS]
-    while True:
-        mu = _feasible_nonneg(None, None, rows[active], np.ones(active.size),
-                              tol)
+    w = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        least = rows.sum(axis=1).min()
+        if least > 0:
+            mu = np.full(A.shape[0], 1.0 / least)
+            w = A.T @ mu
+            if not (np.isfinite(w).all() and (rows @ mu >= 1 - tol).all()):
+                w = None
+    if w is None:
+        mu = _feasible_nonneg(None, None, rows, np.ones(rows.shape[0]), tol)
         if mu is None:
             return None
-        values = rows @ mu
-        short = values < 1 - tol
-        if not short.any():
-            break
-        if active.size == n:
-            return None
-        short[active] = False
-        fresh = short.nonzero()[0]
-        fresh = fresh[np.argsort(values[fresh], kind="stable")]
-        active = (np.concatenate([active, fresh[:_SEPARATION_ROWS]])
-                  if fresh.size else np.arange(n))
-    w = A.T @ mu
-    alpha = float(np.min(H.vertices @ w))
-    return LinearFunctional(w, alpha=alpha)
+        w = A.T @ mu
+    return LinearFunctional(w, alpha=float(np.min(H.vertices @ w)))

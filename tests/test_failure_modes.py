@@ -48,16 +48,15 @@ def test_phase1_round_off_is_not_infeasibility():
     # --variant extensional``)
     (20, 12, 2), (78, 12, 2), (81, 12, 2), (84003000, 9, 2),
     (20, 12, 3), (78, 12, 3), (81, 12, 3),
-    # the full tableau drifts (``test_phase1_objective_row_drift``); the
-    # generated rows reach a functional from 8 of the 288 rows
+    # the full tableau drifts (``test_phase1_objective_row_drift``)
     (84003000, 9, 3),
 ])
 def test_separation_matches_highs(seed, n, m):
     """``strictly_positive_functional`` on 120- to 528-row pooled
     extensional tableaux: feasible exactly when HiGHS finds some mu >= 0
     with (A^T mu) . h >= 1 on every pooled vertex h, and then the returned
-    w is >= 1 - tol on every one of them. The rows are generated, so
-    most of these systems are solved on a few of their rows."""
+    w is >= 1 - tol on every one of them. Their least row sums are
+    positive, so these systems are solved in closed form."""
     bundle = generated_bundle(seed, n=n, m=m, values_per_point=4,
                               variant="extensional")
     H = _family_direction_vertices(bundle)
@@ -102,11 +101,28 @@ def test_phase1_objective_row_drift():
 
 
 def test_lp_iteration_cap_gives_report_and_exit_4(monkeypatch, tmp_path):
+    """The direction ``k0 = (0, 1)`` lies on the lineality line of the cone
+    ``{y_1 >= 0}``, so its row sum is 0 and the separating functional is
+    left to the LP: without a cap it finds none, and with a cap of 0 pivots
+    the run ends in a report with exit code 4."""
+    doc = json.loads(open(fixture_path("two_point.json")).read())
+    doc.update(dimension=2,
+               cone={"halfspaces": [[1.0, 0.0]],
+                     "generators": [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]},
+               map={"a": [[1.0, 0.0]], "b": [[0.0, 0.0]]},
+               perturbation={"variant": "singleton", "k0": [0.0, 1.0],
+                             "gamma": 0.75},
+               product={"graph": [["a", [1.0, 0.0]], ["b", [0.0, 0.0]]],
+                        "y0": [1.0, 0.0]})
+    path = tmp_path / "lineality.json"
+    path.write_text(json.dumps(doc))
+    argv = ["solve-evp", "--theorem", "3.1", str(path)]
+    code, reports = run_command(argv)
+    assert code == 2
+    assert reports[0].payload["failed_hypothesis"] == "separation"
     monkeypatch.setattr(geometry, "_MAX_SIMPLEX_ITERATIONS", 0)
     out = tmp_path / "r.json"
-    code, reports = run_command(["solve-evp", "--theorem", "3.1",
-                                 fixture_path("two_point.json"),
-                                 "--out", str(out)])
+    code, reports = run_command(argv + ["--out", str(out)])
     assert code == 4
     assert len(reports) == 1
     assert reports[0].status == "lp_error"

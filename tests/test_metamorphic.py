@@ -13,6 +13,13 @@ A direction set of two vertices is also loaded with one of them listed
 twice: the same polytope, whose targets the facet pass of
 ``relation_matrix`` and the facet test of the triangle search then leave to
 the screen and the LP. The same decisions must come out.
+
+The separating functional is checked the same way. Scaling the cone's
+halfspace rows by positive factors leaves the cone as it is, so whether a
+functional exists must not change, and the one found for the scaled rows
+must be valid for the original ones. Relabelling an extensional table only
+reorders its pooled direction vertices, so the functional must not move by
+a single bit.
 """
 
 import copy
@@ -20,14 +27,16 @@ import copy
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from evpkit import solvers
 from evpkit.errors import HypothesisError
-from evpkit.geometry import LinearFunctional, strictly_positive_functional
+from evpkit.geometry import (DEFAULT_TOL, LinearFunctional, Polytope, cone,
+                             strictly_positive_functional)
 from evpkit.instances import check_assumptions, relation_matrix, ti_check
 from evpkit.io import generate, load_validate
 
-from conftest import VARIANT_CYCLE, direction_polytope
+from conftest import VARIANT_CYCLE, direction_polytope, random_cone
 
 
 def _permuted(raw, perm):
@@ -132,3 +141,78 @@ def test_a_repeated_direction_vertex_changes_no_decision(case):
     moved = _decisions(repeated, xi)
     assert np.array_equal(moved[0], rel)
     assert moved[1:] == (ti, solvable, solved)
+
+
+@st.composite
+def scaled_cones(draw):
+    """Halfspace rows, a direction set inside their cone and one positive
+    factor per row: a generated instance's pooled direction vertices, a
+    random pointed cone, or ``{y_1, ..., y_{m-1} >= 0}``, whose lineality
+    line ``e_m`` may hold a vertex that no functional separates."""
+    source = draw(st.sampled_from(("generated", "pointed", "lineality")))
+    m = draw(st.integers(1 if source == "pointed" else 2, 3))
+    if source == "generated":
+        bundle = load_validate(generate(
+            draw(st.integers(0, 10_000)), n=draw(st.integers(2, 5)), m=m,
+            values_per_point=draw(st.integers(1, 3)),
+            variant=draw(st.sampled_from(VARIANT_CYCLE))))
+        A, H = bundle.instance.cone.halfspaces, direction_polytope(bundle)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if source == "pointed":
+            C, k0 = random_cone(rng, m)
+            A = C.halfspaces
+        else:
+            A, k0 = np.eye(m)[:-1], np.r_[np.ones(m - 1), 0.0]
+        count = draw(st.integers(1, 12))
+        V = []
+        while len(V) < count:
+            v = rng.uniform(0.1, 2.0) * k0 + rng.normal(scale=0.3, size=m)
+            if np.all(A @ v >= 0.01):
+                V.append(v)
+        if source == "lineality" and draw(st.booleans()):
+            V[0] = np.eye(m)[-1] * draw(st.sampled_from((-1.0, 1.0)))
+        H = Polytope(V)
+    factors = draw(st.lists(st.floats(0.5, 4.0), min_size=len(A),
+                            max_size=len(A)))
+    return A, H, np.array(factors)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(scaled_cones())
+def test_positive_row_scaling_keeps_the_separation(case):
+    A, H, factors = case
+    xi = strictly_positive_functional(H, cone(A))
+    got = strictly_positive_functional(H, cone(factors[:, None] * A))
+    assert (got is None) == (xi is None)
+    if got is not None:
+        # valid for the original rows: >= 1 - tol on every vertex, and
+        # A^T mu for some mu >= 0
+        assert np.all(H.vertices @ got.weights >= 1 - DEFAULT_TOL)
+        res = linprog(np.zeros(len(A)), A_eq=A.T, b_eq=got.weights,
+                      bounds=(0, None), method="highs")
+        assert res.status == 0
+
+
+@st.composite
+def relabelled_tables(draw):
+    n = draw(st.integers(2, 6))
+    raw = generate(draw(st.integers(0, 10_000)), n=n,
+                   m=draw(st.integers(1, 3)),
+                   values_per_point=draw(st.integers(1, 4)),
+                   variant="extensional")
+    return raw, draw(st.permutations(range(n)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(relabelled_tables())
+def test_relabelling_a_table_keeps_the_pooled_functional(case):
+    raw, perm = case
+    functionals = []
+    for bundle in (load_validate(raw), load_validate(_permuted(raw, perm))):
+        H = direction_polytope(bundle)
+        functionals.append(strictly_positive_functional(
+            H, bundle.instance.cone, bundle.tol))
+    xi, moved = functionals
+    assert moved.weights.tobytes() == xi.weights.tobytes()
+    assert moved.alpha == xi.alpha

@@ -120,8 +120,8 @@ def recorded_calls(fn, *args):
 def separation_system(bundle):
     """The full separation system over the pooled direction vertices, one
     ``(A h) . mu - s_h = 1`` row per vertex ``h``, as one ``(M, rhs, tol)``
-    call: the tableau ``strictly_positive_functional`` solved in one piece
-    before it generated rows."""
+    call: the tableau ``strictly_positive_functional`` solves when the
+    least row sum leaves no closed form."""
     rows = (direction_polytope(bundle).vertices
             @ bundle.instance.cone.halfspaces.T)
     n = rows.shape[0]

@@ -141,7 +141,9 @@ class TestGraphOrders:
         base = MetricSpace(("a", "b"), [[0.0, 1.0], [1.0, 0.0]]).validate()
         graph = (("a", [0.0, 1.0]), ("a", [1.0, 1.0]), ("b", [0.0, 0.0]))
         pi = ProductInstance(graph, base, ("a", [1.0, 1.0]), D2)
-        xi = strictly_positive_functional(singleton([0.0, 1.0]), D2, pi.tol)
+        # w . (0, 1) ties the two values; the closed-form functional of
+        # H = {(0, 1)} would be w = (1, 1), which breaks the tie
+        xi = LinearFunctional([0.0, 1.0], alpha=1.0)
         fm = fmap_from_rate(pi.base, singleton([0.0, 1.0]), 1.0, xi)
         low, high = ("a", [0.0, 1.0]), ("a", [1.0, 1.0])
         assert prec_f(pi, fm, low, high)

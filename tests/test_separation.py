@@ -1,12 +1,15 @@
-"""The separating functional by row generation against the full tableau
-and against HiGHS.
+"""The separating functional in closed form against the full tableau and
+against HiGHS.
 
 ``loop_separation`` is the earlier ``geometry.strictly_positive_functional``,
 copied verbatim apart from its name: one ``_phase1`` call on every
-``(A h) . mu >= 1`` row at once. The generated rows must reach the same
+``(A h) . mu >= 1`` row at once. ``strictly_positive_functional`` takes the
+uniform ``mu = 1 / least`` of the least row sum when that is positive and
+solves the same full tableau otherwise. The two must reach the same
 decisions; where both find a functional, each is >= 1 - tol on every vertex
-and carries ``alpha = min_H w . h``. The weights themselves may differ in
-their last digits, since the two solve different tableaux.
+and carries ``alpha = min_H w . h``. In closed form the weights are
+``A^T mu`` of that uniform ``mu``; on the full tableau they are
+``loop_separation``'s byte for byte.
 """
 
 import numpy as np
@@ -69,7 +72,7 @@ def lp_sizes(monkeypatch, fn, *args):
 
 
 def assert_agree(H, C, tol):
-    """Equal decisions of the generated rows, the full tableau and HiGHS;
+    """Equal decisions of the new functional, the full tableau and HiGHS;
     returns the new functional."""
     got = strictly_positive_functional(H, C, tol)
     want = loop_separation(H, C, tol)
@@ -121,22 +124,34 @@ def test_random_separation_matches_full_tableau():
     assert 0 < sum(decisions) < len(decisions)
 
 
+def uniform_weights(H, C):
+    """``A^T mu`` of the uniform ``mu = 1 / least``, or None when the least
+    row sum is not positive."""
+    A = C.halfspaces
+    least = (H.vertices @ A.T).sum(axis=1).min()
+    return A.T @ np.full(A.shape[0], 1 / least) if least > 0 else None
+
+
 def test_seed_rows_alone_are_infeasible(monkeypatch):
     """The non-pointed cone ``{y1 >= 0}`` in R^2 with vertices (0, 1) and
-    (0, -1) on its lineality line and ten more: the eight seed rows hold
-    both zero rows, so the seed decides, and the full system agrees."""
+    (0, -1) on its lineality line and ten more. Row generation once decided
+    this from its eight seed rows, which held both zero rows. Their row sum
+    is 0, so there is no closed form: the full twelve-row system is solved
+    once, and it is infeasible."""
     C = cone([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     H = Polytope([[0.0, 1.0], [0.0, -1.0]]
                  + [[1.0 + i, 0.5 * i] for i in range(10)])
     sizes, xi = lp_sizes(monkeypatch, strictly_positive_functional, H, C)
-    assert xi is None and sizes == [8]
+    assert xi is None and sizes == [12]
     assert assert_agree(H, C, DEFAULT_TOL) is None
 
 
 def test_infeasibility_found_past_the_seed_rows(monkeypatch):
-    """Eight rows ``(-e, e)`` of row sum 0 make the seed and admit
-    ``mu = (0, 1 / e)``; the row ``(e, -e)`` of a later vertex cancels them,
-    and only the second round, on nine rows, is infeasible."""
+    """Eight rows ``(-e, e)`` of row sum 0, which admit ``mu = (0, 1 / e)``
+    on their own, and the row ``(e, -e)`` of a later vertex that cancels
+    them. Row generation once needed a second round to find this
+    infeasible; the least row sum is 0, so the full fourteen-row system is
+    solved once."""
     tol = 1e-6
     C = cone([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     e = 5e-7 * (1.0 + np.arange(8) / 8.0)
@@ -145,48 +160,97 @@ def test_infeasibility_found_past_the_seed_rows(monkeypatch):
         [[1.0 + i, 2.0, 0.5] for i in range(5)],
         [[5e-7, -5e-7, -1.0]]]))
     sizes, xi = lp_sizes(monkeypatch, strictly_positive_functional, H, C, tol)
-    assert xi is None and sizes == [8, 9]
+    assert xi is None and sizes == [14]
     assert assert_agree(H, C, tol) is None
 
 
-@pytest.mark.parametrize("full_short", [False, True])
-def test_short_solved_rows_fall_back_to_the_full_system(monkeypatch,
-                                                        full_short):
-    """A subset witness shrunk by 1e-6 leaves rows short that are already
-    solved; once no unsolved row is short, the last round solves all rows.
-    A full-system witness that still leaves a row short is no witness."""
-    bundle = generated_bundle(7, n=6, m=3, values_per_point=4,
-                              variant="extensional")
-    H, C = direction_polytope(bundle), bundle.instance.cone
-    n = H.vertices.shape[0]
-    original = geometry._feasible_nonneg
-    sizes = []
-
-    def shrunk(A_eq, b_eq, A_ge, b_ge, tol):
-        sizes.append(len(A_ge))
-        mu = original(A_eq, b_eq, A_ge, b_ge, tol)
-        return mu * (1 - 1e-6) if full_short or len(A_ge) < n else mu
-
-    monkeypatch.setattr(geometry, "_feasible_nonneg", shrunk)
-    xi = strictly_positive_functional(H, C, bundle.tol)
-    assert sizes[0] == 8 and sizes[-1] == n and len(sizes) <= n
-    assert sizes[-2] < n and sorted(sizes) == sizes
-    if full_short:
-        assert xi is None
-    else:
-        want = loop_separation(H, C, bundle.tol)
-        assert xi.weights.tobytes() == want.weights.tobytes()
-
-
-def test_small_direction_sets_solve_the_full_tableau():
-    """At most eight vertices: the rows are not generated, so the weights
-    are those of the full tableau byte for byte."""
-    rng = np.random.default_rng(17)
-    for _ in range(40):
-        m = int(rng.integers(1, 4))
+def test_closed_form_on_pointed_cones(monkeypatch):
+    """Random pointed cones (as many rows as dimensions or more, every row
+    positive on k0) with 1 to 40 random direction vertices inside: every
+    least row sum is positive, no LP runs, and the weights are
+    ``A^T (1 / least, ..., 1 / least)`` byte for byte. They do not depend on
+    the order of the vertices."""
+    rng = np.random.default_rng(23)
+    for _ in range(150):
+        m = int(rng.integers(1, 5))
         C, k0 = random_cone(rng, m)
-        V = [rng.uniform(0.2, 1.5) * k0 for _ in range(int(rng.integers(1, 9)))]
-        got = strictly_positive_functional(Polytope(V), C)
-        want = loop_separation(Polytope(V), C)
-        assert got.weights.tobytes() == want.weights.tobytes()
-        assert got.alpha == want.alpha
+        count = int(rng.integers(1, 41))
+        V = []
+        while len(V) < count:
+            v = (rng.uniform(0.01, 3.0) * k0
+                 + rng.normal(scale=rng.choice([0.0, 0.1, 0.5]), size=m))
+            if np.all(C.halfspaces @ v >= 0) and np.abs(v).max() > 0.01:
+                V.append(v)
+        H = Polytope(V)
+        sizes, xi = lp_sizes(monkeypatch, strictly_positive_functional, H, C)
+        assert sizes == []
+        assert xi.weights.tobytes() == uniform_weights(H, C).tobytes()
+        assert assert_agree(H, C, DEFAULT_TOL).weights.tobytes() == \
+            xi.weights.tobytes()
+        shuffled = Polytope(rng.permutation(H.vertices))
+        again = strictly_positive_functional(shuffled, C)
+        assert again.weights.tobytes() == xi.weights.tobytes()
+        assert again.alpha == xi.alpha
+
+
+def fallback_cases(rng):
+    """Direction sets whose least row sum is at most 0, with their cones:
+    vertices on the lineality line of ``{y_1 >= 0}`` or of ``{y_1, y_2 >=
+    0}`` in R^3, and orthant vertices within tol of 0 in every row."""
+    yield cone([[1.0, 0.0]]), Polytope([[0.0, 1.0]])
+    yield cone([[1.0, 0.0]]), Polytope([[0.0, 1.0], [1.0, 0.5]])
+    yield geometry.orthant(3), Polytope([[2e-9, -1e-9, -1e-9]])
+    yield geometry.orthant(3), Polytope([[2e-9, -1e-9, -1e-9], [1.0, 1.0, 1.0]])
+    for _ in range(60):
+        if rng.integers(2):
+            # {y_1, ..., y_{m-1} >= 0}: e_m spans the lineality line
+            m = int(rng.integers(2, 4))
+            C = cone(np.eye(m)[:-1])
+            odd = np.eye(m)[-1] * rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2)
+            odd[:-1] -= rng.choice([0.0, 1e-10])
+        else:
+            # the orthant and a vertex in the tolerance band of two faces,
+            # in multiples of 2^-32 so that its row sum is exactly 0 or
+            # -2^-32
+            m = 3
+            C = geometry.orthant(m)
+            k = rng.integers(3, 5, size=2)
+            odd = np.r_[k.sum() - rng.integers(2), -k] * 2.0 ** -32
+        V = [odd] + [rng.uniform(0.1, 2.0, size=m)
+                     for _ in range(int(rng.integers(0, 12)))]
+        yield C, Polytope(rng.permutation(V))
+
+
+def test_fallback_solves_the_full_tableau(monkeypatch):
+    """A least row sum of at most 0 leaves no closed form: the full system
+    is solved once, and the weights are ``loop_separation``'s byte for byte,
+    or None where it gives None. Both answers occur."""
+    rng = np.random.default_rng(29)
+    found = []
+    for C, H in fallback_cases(rng):
+        least = (H.vertices @ C.halfspaces.T).sum(axis=1).min()
+        assert least <= 0
+        sizes, xi = lp_sizes(monkeypatch, strictly_positive_functional, H, C)
+        assert sizes == [H.vertices.shape[0]]
+        want = loop_separation(H, C)
+        assert (xi is None) == (want is None)
+        if xi is not None:
+            assert xi.weights.tobytes() == want.weights.tobytes()
+            assert xi.alpha == want.alpha
+        assert_agree(H, C, DEFAULT_TOL)
+        found.append(xi is None)
+    assert 0 < sum(found) < len(found)
+
+
+def test_closed_form_overflow_falls_back(monkeypatch):
+    """A least row sum so small that ``1 / least`` overflows: the uniform
+    ``mu`` is not finite, so the full tableau decides, as in
+    ``loop_separation``."""
+    C = cone([[1.0, 0.0]])
+    H = Polytope([[1e-320, 0.0]])
+    sizes, xi = lp_sizes(monkeypatch, strictly_positive_functional, H, C, 0.0)
+    assert sizes == [1]
+    want = loop_separation(H, C, 0.0)
+    assert (xi is None) == (want is None)
+    if xi is not None:
+        assert xi.weights.tobytes() == want.weights.tobytes()
