@@ -456,15 +456,20 @@ def order_arrays(inst: FiniteInstance, fam):
 
 def order_queries(inst, arrays, x2s, x1s, witness=True):
     """The order tests ``labels[x2s[p]] before labels[x1s[p]]`` of several
-    label pairs as one :func:`covered_queries` stack, ``arrays`` as
-    :func:`order_arrays` gives them, or for the graph order a product
-    instance and its :func:`evpkit.product.graph_arrays`.
+    label pairs as one stack, ``arrays`` as :func:`order_arrays` gives
+    them, or for the graph order a product instance and its
+    :func:`evpkit.product.graph_arrays`.
 
     Each pair is a group of its (family index, value of x1) queries in
-    :func:`preceq`'s loop order, over the base f(x2). Returns
-    ``(first, lam, row)``: each pair's first uncovered query (-1 when x2
-    precedes x1; with ``witness=False`` some uncovered query), and each
-    query's position in ``fam.lambdas()`` and value row of x1.
+    :func:`preceq`'s loop order, over the base f(x2). Every stack takes one
+    path: facets (:func:`_facet_queries`) mark queries covered or dead as
+    the screen would, and the other queries of each pair before its first
+    dead one (with ``witness=False``, of each pair with none) are one
+    :func:`covered_queries` stack, screen then LP, as without the facets.
+
+    Returns ``(first, lam, row)``: each pair's first uncovered query (-1
+    when x2 precedes x1; with ``witness=False`` some uncovered query), and
+    each query's position in ``fam.lambdas()`` and value row of x1.
     """
     S, V, nv, B, nb = arrays
     counts = S.shape[-1] * nb[x1s]
@@ -472,12 +477,74 @@ def order_queries(inst, arrays, x2s, x1s, witness=True):
     pos = np.arange(len(pair)) - np.repeat(np.cumsum(counts) - counts, counts)
     i, j = x2s[pair], x1s[pair]
     lam, row = np.divmod(pos, nb[j])
-    own = V.ndim > 2
-    first = covered_queries(
-        B[j, row], B[i], nb[i], S[i, j, lam],
-        V[i, j, lam] if own else V, nv[i, j, lam] if own else nv,
-        inst.cone, inst.tol, group=pair, witness=witness)
+    covered, dead = _facet_queries(inst, arrays, x2s, x1s,
+                                   (pair, i, j, lam, row))
+    # a pair's first dead query is its answer unless covered_queries finds
+    # an earlier uncovered one
+    first = np.full(len(x1s), -1)
+    dead = np.flatnonzero(dead)
+    at = dead[np.diff(pair[dead], prepend=-1) > 0]
+    first[pair[at]] = at
+    cut = np.full(len(x1s), len(pair))
+    cut[pair[at]] = at if witness else 0
+    keep = np.flatnonzero(~covered & (np.arange(len(pair)) < cut[pair]))
+    if len(keep):
+        i, j, q, r = i[keep], j[keep], lam[keep], row[keep]
+        own = V.ndim > 2
+        sub = covered_queries(
+            B[j, r], B[i], nb[i], S[i, j, q],
+            V[i, j, q] if own else V, nv[i, j, q] if own else nv,
+            inst.cone, inst.tol, group=pair[keep], witness=witness)
+        g = np.flatnonzero(sub >= 0)
+        first[g] = keep[sub[g]]
     return first, lam, row
+
+
+@np.errstate(all="ignore")
+def _facet_queries(inst, arrays, x2s, x1s, query):
+    """The facet pass of :func:`order_queries`: masks ``(covered, dead)``
+    over its queries ``(pair, i, j, lam, row) = query``, value row ``row``
+    of label j in f(i) + F_lam(i, j) + C, read from the conditions of each
+    target asked (:func:`target_tables`) with ``A y`` taken once per value
+    row. A query is covered when some base row's least margin ``w . A(y -
+    b) - theta`` is at least the inner edge of
+    :func:`geometry.segment_band`, and dead when every base row's is below
+    its outer edge. A target with ``s <= tol`` is the cone test. Targets of
+    three or more vertices, and every target of a stack with a negative
+    scale (the screen raises), a shared polytope of three or more vertices,
+    vertices whose dimension is not the cone's or magnitudes that could
+    overflow, are left to the screen."""
+    S, V, nv, B, _ = arrays
+    A, m, tol = inst.cone.halfspaces, inst.cone.dim, inst.tol
+    pair, i, j, lam, row = query
+    k, L, (n, R, _) = len(A), S.shape[-1], B.shape
+    s = S[x2s, x1s].ravel()                     # the targets (pair, index)
+    if V.ndim > 2:
+        V, nv = V[x2s, x1s].reshape(-1, *V.shape[-2:]), nv[x2s, x1s].ravel()
+    # |A||y| <= size over the values, |A||s v| <= size over the targets
+    size = max(np.abs(B).max(), np.abs(s).max(initial=0.0)
+               * np.abs(V).max(initial=0.0)) * np.abs(A).sum(axis=1).max()
+    if (V.shape[-1] != m or not np.isfinite(8.0 * size) or (s < 0).any()
+            or (V.ndim == 2 and nv > 2)):
+        return (np.zeros(len(pair), dtype=bool),) * 2
+    inside, outside = segment_band(size, m, tol)
+    AV = (A @ V.reshape(-1, m).T).reshape(k, -1, V.shape[-2])
+    R_, (ci, ck, w, th), fit = target_tables(
+        np.where(s > tol, s, 0.0)[:, None] * AV, s, nv, tol)
+    t = pair * L + lam
+    # A(y - b) over (k, base row, query); margins over (base row, query)
+    AB = np.ascontiguousarray((B @ A.T).T)              # (k, R, n)
+    D = np.take(AB.reshape(k, -1), row * n + j, axis=1)[:, None] - np.take(
+        AB, i, axis=2)
+    low = (D - np.take(R_ - tol, t, axis=1)[:, None]).min(axis=0)
+    if len(w):
+        Dk = D[ck]
+        low = np.minimum(low, (
+            Dk + np.take(w, t, axis=1)[:, None] * (D[ci] - Dk)
+            - np.take(th, t, axis=1)[:, None]).min(axis=0))
+    fit = (fit | (s <= tol))[t]
+    return (fit & (low >= inside).any(axis=0),
+            fit & (low < -outside).all(axis=0))
 
 
 # relation_matrix stacks whole rows of the order matrix up to this many
@@ -488,93 +555,22 @@ _BLOCK_QUERIES = 1024
 def relation_matrix(inst: FiniteInstance, fam, arrays=None):
     """rel[i, j] = True iff labels[i] precedes labels[j] in the order.
 
-    Decided for blocks of rows (x2) at a time; a block holds as many whole
-    rows as fit in ``_BLOCK_QUERIES`` queries, and at least one. A facet
-    pass first reads each query ``y in f(x2) + s conv{t1, t2} + C`` of the
-    block from the conditions of its target (:func:`target_tables`), with
-    ``A y`` taken once for every value row: a query is covered when some
-    base row's least margin ``w . A(y - b) - theta`` is at least the inner
-    edge of :func:`geometry.segment_band`, and dead when every base row's
-    is below its outer edge. A target with ``s <= tol`` is the cone test:
-    its row minima are 0 and it has no row pair. A pair with every query
-    covered is true and a pair with a dead query false, as the screen
-    would decide them with no LP. The other pairs (targets with three or
-    more vertices, every pair of a shared one, margins inside the band, a
-    block with a negative scale, magnitudes that could overflow) are one
-    :func:`order_queries` stack: a pair with a screened failure is out,
-    and the undecided queries of the other pairs go to the LP in
-    :func:`preceq`'s loop order until one is uncovered.
+    Decided for blocks of rows (x2) at a time, each one
+    :func:`order_queries` stack with ``witness=False``: facets, then the
+    screen, then the LP. A block holds as many whole rows as fit in
+    ``_BLOCK_QUERIES`` queries, and at least one.
     """
     n = len(inst.labels)
     if arrays is None:
         arrays = order_arrays(inst, fam)
-    S, V, nv, B, nb = arrays
-    A, m, tol = inst.cone.halfspaces, inst.cone.dim, inst.tol
-    step = max(1, _BLOCK_QUERIES // (S.shape[-1] * int(nb.sum())))
-    # A y of every value row, (k, R, n) per label and (k, N) flat, where
-    # the run of label x starts at starts[x]; A v of every vertex, (J, k)
-    # or (J, k, L, n, n)
-    starts = np.cumsum(nb) - nb
-    owner = np.repeat(np.arange(n), nb)
-    AY = (B.reshape(-1, m) @ A.T).reshape(*B.shape[:2], len(A))
-    Y = np.ascontiguousarray(
-        AY[owner, np.arange(len(owner)) - starts[owner]].T)
-    AY = np.ascontiguousarray(AY.transpose(2, 1, 0))
-    shared = V.ndim == 2
-    AV = None if V.shape[-1] != m else (
-        V.reshape(-1, m) @ A.T).reshape(*V.shape[:-1], len(A))
-    if not shared and AV is not None:
-        AV = np.ascontiguousarray(AV.transpose(3, 4, 2, 0, 1))
-    # |A||y| <= size over the values, |A||s v| <= size over the targets
-    with np.errstate(all="ignore"):
-        size = np.maximum(np.abs(B).max(), np.abs(S).max() * np.abs(V).max()
-                          ) * np.abs(A).sum(axis=1).max()
-        inside, outside = segment_band(size, m, tol)
-    # the pass needs the cone's dimension and margins that cannot overflow;
-    # one polytope of three or more vertices would leave it the cone tests
-    usable = (AV is not None and np.isfinite(8.0 * size)
-              and not (shared and nv > 2))
-
-    @np.errstate(all="ignore")
-    def facets(rows):
-        # masks (true, false) over (x2 in the slice rows, x1); neither
-        # where the pass leaves the pair to the screen. The arrays keep
-        # the value rows y last, so each numpy call runs over whole rows
-        s = S[rows].transpose(2, 0, 1)                  # (L, r, n)
-        if not usable or (s < 0).any():
-            none = np.zeros(s.shape[1:], dtype=bool)
-            return none, none
-        ASV = np.where(s > tol, s, 0.0) * (
-            AV[:, :, None, None, None] if shared else AV[:, :, :, rows])
-        R, (i, j, w, th), fit = target_tables(
-            ASV.transpose(1, 2, 3, 4, 0), s,
-            nv if shared else nv[rows].transpose(2, 0, 1), tol)
-        fit |= s <= tol
-        # A(y - b) over (k, row of x2, x2, y); margins over (L, ...)
-        D = Y[:, None, None] - AY[:, :nb[rows].max(), rows, None]
-        low = (D[:, None] - np.take(R - tol, owner, axis=3)[:, :, None]
-               ).min(axis=0)
-        if len(w):
-            low = np.minimum(low, (
-                D[j][:, None] + np.take(w, owner, axis=3)[:, :, None]
-                * (D[i] - D[j])[:, None]
-                - np.take(th, owner, axis=3)[:, :, None]).min(axis=0))
-        covered = fit & np.logical_and.reduceat((low >= inside).any(axis=1),
-                                                starts, axis=2)
-        dead = fit & np.logical_or.reduceat((low < -outside).all(axis=1),
-                                            starts, axis=2)
-        return covered.all(axis=0), dead.any(axis=0)
-
-    rel = np.zeros((n, n), dtype=bool)
-    for start in range(0, n, step):
-        true, false = facets(slice(start, start + step))
-        rel[start:start + step] = true
-        a, x1s = np.nonzero(~(true | false))
-        if len(a):
-            first, _, _ = order_queries(inst, arrays, start + a, x1s,
-                                        witness=False)
-            rel[start + a, x1s] = first < 0
-    return rel
+    step = n * max(1, _BLOCK_QUERIES // (arrays[0].shape[-1]
+                                         * int(arrays[4].sum())))
+    rel = np.zeros(n * n, dtype=bool)
+    for start in range(0, n * n, step):
+        x2s, x1s = np.divmod(np.arange(start, min(start + step, n * n)), n)
+        first, _, _ = order_queries(inst, arrays, x2s, x1s, witness=False)
+        rel[start:start + step] = first < 0
+    return rel.reshape(n, n)
 
 
 def ti_check(inst: FiniteInstance, fam):
@@ -1044,10 +1040,17 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None,
 def vertex_minima(S, V, xi):
     """The infimum of ``xi`` over each set ``S * conv(V)`` of a family's or a
     pair map's arrays: scale times the vertex minimum, exact for a linear
-    ``xi`` and for the positively homogeneous cone scalarization; 0 at a
-    zero scale, even where a vertex value is +inf."""
+    ``xi`` and for the positively homogeneous cone scalarization, whose
+    +inf branch is decided at the scaled vertex ``s v`` as
+    :func:`scalarize.gz_value` decides it; 0 at a zero scale."""
     # padding vertices repeat a real one and leave every minimum unchanged
-    values = V @ xi.weights if xi.is_linear else xi.values(V)
+    if xi.is_linear:
+        values = V @ xi.weights
+    else:
+        A = xi.cone.halfspaces
+        values = xi.from_products(np.where(
+            A @ xi.k0 > xi.tol, V @ A.T,
+            (A @ (S[..., None, None] * V)[..., None])[..., 0]))
     low = np.min(values, axis=-1)
     return np.multiply(S, low, out=np.zeros(np.broadcast(S, low).shape),
                        where=S != 0)

@@ -53,10 +53,6 @@ class GerstewitzFn:
     def value(self, y):
         return gz_value(self, y)
 
-    def values(self, Y):
-        """:func:`gz_value` of every row of a ``(..., m)`` stack at once."""
-        return self.from_products(Y @ self.cone.halfspaces.T)
-
     def from_products(self, prods):
         """:func:`gz_value` read from the cone-row products ``A y`` on the
         last axis of ``prods``: ``+inf`` where a zero row exceeds ``tol``,

@@ -13,6 +13,7 @@ conclusions, and must never run more phase-1 LPs than the loops.
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ import pytest
 from evpkit import geometry, instances, product, scalarize, solvers
 from evpkit.errors import HypothesisError, InputError, PremiseError
 from evpkit.geometry import (DEFAULT_TOL, LinearFunctional, Polytope,
-                             as_point, cone, cone_contains, lp_member,
-                             minkowski_member, orthant, screen_members,
+                             as_point, cone, cone_contains, covered_queries,
+                             lp_member, minkowski_member, orthant,
+                             screen_members,
                              singleton, stack_rows,
                              strictly_positive_functional)
 from evpkit.instances import (ExtensionalFamily, FiniteInstance, MetricSpace,
@@ -64,10 +66,29 @@ def loop_relation_matrix(inst, fam):
                      for x2 in labels])
 
 
+def screen_order_queries(inst, arrays, x2s, x1s, witness=True):
+    """``order_queries`` as it was before its facet pass, kept verbatim
+    apart from its name and this docstring: every query of the pairs is one
+    ``covered_queries`` stack, screen then LP."""
+    S, V, nv, B, nb = arrays
+    counts = S.shape[-1] * nb[x1s]
+    pair = np.repeat(np.arange(len(x1s)), counts)
+    pos = np.arange(len(pair)) - np.repeat(np.cumsum(counts) - counts, counts)
+    i, j = x2s[pair], x1s[pair]
+    lam, row = np.divmod(pos, nb[j])
+    own = V.ndim > 2
+    first = covered_queries(
+        B[j, row], B[i], nb[i], S[i, j, lam],
+        V[i, j, lam] if own else V, nv[i, j, lam] if own else nv,
+        inst.cone, inst.tol, group=pair, witness=witness)
+    return first, lam, row
+
+
 def screen_relation_matrix(inst, fam, arrays=None):
     """``relation_matrix`` as it was before its facet pass, kept verbatim
-    apart from its name and this docstring: every pair of a block is one
-    ``order_queries`` stack."""
+    apart from its name, this docstring and ``screen_order_queries`` in
+    place of ``order_queries``: every pair of a block is one stack that
+    goes straight to the screen."""
     n = len(inst.labels)
     if arrays is None:
         arrays = order_arrays(inst, fam)
@@ -76,9 +97,9 @@ def screen_relation_matrix(inst, fam, arrays=None):
     rel = np.zeros((n, n), dtype=bool)
     for start in range(0, n, step):
         rows = np.arange(start, min(start + step, n))
-        first, _, _ = order_queries(inst, arrays, np.repeat(rows, n),
-                                    np.tile(np.arange(n), len(rows)),
-                                    witness=False)
+        first, _, _ = screen_order_queries(inst, arrays, np.repeat(rows, n),
+                                           np.tile(np.arange(n), len(rows)),
+                                           witness=False)
         rel[rows] = (first < 0).reshape(len(rows), n)
     return rel
 
@@ -1678,24 +1699,25 @@ def test_facet_search_with_zero_and_negative_scales(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The facet pass of relation_matrix against the screen it runs before.
+# The facet pass of order_queries against the screen it runs before.
 # ---------------------------------------------------------------------------
 
 def assert_order_matches_screen(monkeypatch, inst, fam, budget=None):
     """``relation_matrix`` gives ``screen_relation_matrix``'s order matrix,
     or its InputError text, with its _phase1 count, and so does
     ``loop_relation_matrix``, with no fewer; ``budget`` sets the block size
-    of ``relation_matrix`` alone. Returns the number of pairs the facet
-    pass left to ``order_queries``."""
+    of ``relation_matrix`` alone. Returns ``(left, total)``: the number of
+    queries the facet pass of ``order_queries`` left to
+    ``covered_queries``, and the number of queries of the order matrix."""
     left = []
-    real = instances.order_queries
+    real = instances.covered_queries
 
-    def counting(inst, arrays, x2s, x1s, witness=True):
-        left.append(len(x2s))
-        return real(inst, arrays, x2s, x1s, witness)
+    def counting(Y, *args, **kwargs):
+        left.append(len(Y))
+        return real(Y, *args, **kwargs)
 
     with monkeypatch.context() as mp:
-        mp.setattr(instances, "order_queries", counting)
+        mp.setattr(instances, "covered_queries", counting)
         if budget is not None:
             mp.setattr(instances, "_BLOCK_QUERIES", budget)
         nb, got = _lp_calls(monkeypatch, _outcome, relation_matrix,
@@ -1707,7 +1729,8 @@ def assert_order_matches_screen(monkeypatch, inst, fam, budget=None):
     assert type(got) is type(want) and np.array_equal(got, want), (got, want)
     assert type(slow) is type(want) and np.array_equal(slow, want)
     assert nb == ns <= nl, (nb, ns, nl)
-    return sum(left)
+    S, _, _, _, counts = order_arrays(inst, fam)
+    return sum(left), len(inst.labels) * S.shape[-1] * int(counts.sum())
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -1717,7 +1740,7 @@ def test_facet_pass_matches_screen_and_loop(monkeypatch, m, kind):
     sets or not, on metric and non-metric distances, with 1 to 3 vertices
     (a shared polytope sometimes has one more, outside the cone), in one
     block and in blocks of one row: the order matrix and the _phase1 count
-    are the screen's, and the facet pass decides some pairs."""
+    are the screen's, and the facet pass decides some queries."""
     rng = np.random.default_rng(4400 + 10 * m + KINDS.index(kind))
     decided = 0
     for trial in range(4):
@@ -1725,8 +1748,9 @@ def test_facet_pass_matches_screen_and_loop(monkeypatch, m, kind):
         inst, fam, _ = random_instance(rng, n=n, m=m, kind=kind,
                                        metric=trial % 2 == 0,
                                        ragged=trial != 1)
-        decided += n * n - assert_order_matches_screen(
+        sent, total = assert_order_matches_screen(
             monkeypatch, inst, fam, budget=1 if trial == 3 else None)
+        decided += total - sent
     assert decided > 0
 
 
@@ -1807,9 +1831,9 @@ def test_facet_pass_in_the_tolerance_band(monkeypatch):
             inst, fam = band_direction(rng, n, 1 + trial % 3, DEFAULT_TOL)
         else:
             inst, fam = notch_direction(rng, n, 2 + trial % 3, DEFAULT_TOL)
-        sent = assert_order_matches_screen(monkeypatch, inst, fam)
+        sent, total = assert_order_matches_screen(monkeypatch, inst, fam)
         left[kind] += sent
-        decided[kind] += n * n - sent
+        decided[kind] += total - sent
     assert min(left.values()) > 0 and min(decided.values()) > 0, (left,
                                                                   decided)
 
@@ -1845,7 +1869,7 @@ def test_facet_pass_with_zero_and_negative_scales(monkeypatch):
 
 def test_facet_pass_leaves_overflowing_values_to_the_screen(monkeypatch):
     """Values of +-1.5e308 make A y, y - b and the margins overflow to inf
-    or NaN: the pass leaves every pair to the screen, whose matrix stands.
+    or NaN: the pass leaves every query to the screen, whose matrix stands.
     Overflow warnings are off here, as the screen raises them."""
     rng = np.random.default_rng(9090)
     for trial in range(10):
@@ -1857,8 +1881,101 @@ def test_facet_pass_leaves_overflowing_values_to_the_screen(monkeypatch):
                   for x, Y in inst.fmap.values.items()}
         inst = FiniteInstance(inst.space, SetValuedMap(values), inst.cone)
         with np.errstate(all="ignore"):
-            assert assert_order_matches_screen(monkeypatch, inst,
-                                               fam) == n * n
+            sent, total = assert_order_matches_screen(monkeypatch, inst, fam)
+            assert sent == total
+
+
+def _as_data(result):
+    """Conclusions as their dicts, arrays as lists, an oracle dropped."""
+    if isinstance(result, tuple):
+        return _as_data(result[-1])
+    if isinstance(result, np.ndarray):
+        return result.tolist()
+    return [c.to_dict() for c in result]
+
+
+def order_stack_cases(rng):
+    """Label instances and product instances with their pair maps: every
+    family kind, ragged value sets or not, on metric and non-metric
+    distances, with 1 to 3 vertices per polytope or table entry, and
+    direction sets and tables whose vertices and values lie in the
+    tolerance band."""
+    labels, graphs = [], []
+    for trial in range(15):
+        labels.append(random_instance(rng, n=4 + trial % 3, m=1 + trial % 3,
+                                      kind=KINDS[trial % 5],
+                                      metric=trial % 3 != 2,
+                                      ragged=trial % 4 != 1)[:2])
+    for trial in range(9):
+        n, m = 3 + trial % 3, 1 + trial % 3
+        labels.append(band_family(rng, n, 2, m, DEFAULT_TOL)
+                      if trial % 3 == 0 else
+                      band_direction(rng, n, m, DEFAULT_TOL)
+                      if trial % 3 == 1 else
+                      notch_direction(rng, n, 1 + m, DEFAULT_TOL))
+    for trial in range(9):
+        graphs.append(random_product(rng, n=4, m=1 + trial % 3,
+                                     metric=trial % 3 != 2,
+                                     ragged=trial % 2 == 0,
+                                     nonlinear=trial % 3 == 1,
+                                     vertices=1 + trial % 3))
+    for trial in range(6):
+        n, m = 3 + trial % 3, 1 + trial % 3
+        inst, fam = (band_family(rng, n, 1, m, DEFAULT_TOL) if trial % 2
+                     else band_direction(rng, n, m, DEFAULT_TOL))
+        graph = tuple((x, y) for x in inst.labels for y in inst.fmap.at(x))
+        A = inst.cone.halfspaces
+        graphs.append((ProductInstance(graph, inst.space, graph[0],
+                                       inst.cone),
+                       FMap(fam, LinearFunctional(A.T @ np.ones(len(A))))))
+    return labels, graphs
+
+
+def test_order_stacks_match_the_screen(monkeypatch):
+    """``_order_conclusions`` of every (xhat, x0), and ``_graph_oracle``,
+    ``_section_of_start`` and ``_graph_conclusions`` of every start and
+    terminal pair, give the witnesses and matrices of their screen-only
+    versions, whose order stacks go straight to ``covered_queries``
+    (``screen_order_queries``), with the same _phase1 count, on
+    ``order_stack_cases``; the facet pass decides some queries of each."""
+    labels, graphs = order_stack_cases(np.random.default_rng(2727))
+    sent = {"pass": 0, "screen": 0}
+    real = instances.covered_queries
+
+    def counting(key):
+        def count(Y, *args, **kwargs):
+            sent[key] += len(Y)
+            return real(Y, *args, **kwargs)
+        return count
+
+    def assert_same(fn, *args):
+        with monkeypatch.context() as mp:
+            mp.setattr(instances, "covered_queries", counting("pass"))
+            n, got = _lp_calls(monkeypatch, fn, *args)
+        with monkeypatch.context() as mp:
+            mp.setattr(solvers, "order_queries", screen_order_queries)
+            mp.setattr(product, "order_queries", screen_order_queries)
+            mp.setattr(sys.modules[__name__], "covered_queries",
+                       counting("screen"))
+            ns, want = _lp_calls(monkeypatch, fn, *args)
+        assert _as_data(got) == _as_data(want) and n == ns, (fn.__name__, n,
+                                                            ns)
+
+    for inst, fam in labels:
+        arrays = order_arrays(inst, fam)
+        for xhat, x0 in itertools.product(inst.labels, repeat=2):
+            assert_same(_order_conclusions, inst, fam, arrays, xhat, x0)
+    assert 0 < sent["pass"] < sent["screen"], sent
+    sent.update(dict.fromkeys(sent, 0))
+    for pi, fm in graphs:
+        arrays = graph_arrays(pi, fm)
+        assert_same(_graph_oracle, pi, arrays, anchored_values(pi, fm.xi))
+        for start in range(len(pi.graph)):
+            assert_same(_section_of_start, pi, arrays, start)
+            for ihat in range(0, len(pi.graph), 2):
+                assert_same(_graph_conclusions, pi, arrays, ihat, start,
+                            start % 2 == 0)
+    assert 0 < sent["pass"] < sent["screen"], sent
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
