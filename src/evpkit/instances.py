@@ -473,21 +473,20 @@ def order_queries(inst, arrays, x2s, x1s, witness=True):
     """
     S, V, nv, B, nb = arrays
     counts = S.shape[-1] * nb[x1s]
+    starts = np.cumsum(counts) - counts
     pair = np.repeat(np.arange(len(x1s)), counts)
-    pos = np.arange(len(pair)) - np.repeat(np.cumsum(counts) - counts, counts)
+    q = np.arange(len(pair))
     i, j = x2s[pair], x1s[pair]
-    lam, row = np.divmod(pos, nb[j])
+    lam, row = np.divmod(q - starts[pair], nb[j])
     covered, dead = _facet_queries(inst, arrays, x2s, x1s,
                                    (pair, i, j, lam, row))
     # a pair's first dead query is its answer unless covered_queries finds
     # an earlier uncovered one
-    first = np.full(len(x1s), -1)
-    dead = np.flatnonzero(dead)
-    at = dead[np.diff(pair[dead], prepend=-1) > 0]
-    first[pair[at]] = at
-    cut = np.full(len(x1s), len(pair))
-    cut[pair[at]] = at if witness else 0
-    keep = np.flatnonzero(~covered & (np.arange(len(pair)) < cut[pair]))
+    cut = np.minimum.reduceat(np.where(dead, q, len(q)), starts)
+    first = np.where(cut < len(q), cut, -1)
+    if not witness:
+        cut[first >= 0] = 0
+    keep = np.flatnonzero(~covered & (q < cut[pair]))
     if len(keep):
         i, j, q, r = i[keep], j[keep], lam[keep], row[keep]
         own = V.ndim > 2

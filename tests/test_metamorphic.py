@@ -4,8 +4,9 @@ An instance file is loaded as generated and again with its labels in a
 random order: the space's labels and coordinates, the value map, the
 quasi-metric's rows and columns and an extensional table's rows are all
 listed in that order. The order matrix (permuted the same way), the
-triangle-inclusion verdict, the assumption gate and the booleans of the
-3.1 conclusions must come out the same. An extensional table may have the
+triangle-inclusion verdict, the assumption gate, the booleans of the 3.1
+conclusions, and the order conclusions of every (xhat, x0) with their
+witnesses named by label must come out the same. An extensional table may have the
 sets of one pair shrunk, so that triangle inclusion can fail, and the start
 and the linear scalarization are drawn too, so that the gate can fail.
 
@@ -23,6 +24,7 @@ a single bit.
 """
 
 import copy
+import itertools
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -33,7 +35,8 @@ from evpkit import solvers
 from evpkit.errors import HypothesisError
 from evpkit.geometry import (DEFAULT_TOL, LinearFunctional, Polytope, cone,
                              strictly_positive_functional)
-from evpkit.instances import check_assumptions, relation_matrix, ti_check
+from evpkit.instances import (check_assumptions, order_arrays,
+                              relation_matrix, ti_check)
 from evpkit.io import generate, load_validate
 
 from conftest import VARIANT_CYCLE, direction_polytope, random_cone
@@ -71,6 +74,20 @@ def _decisions(bundle, xi):
             check_assumptions(inst, fam, xi, x0).solvable(), solved)
 
 
+def _conclusions(bundle):
+    """``_order_conclusions`` of every (xhat, x0) by label names: (a), and
+    (b) with its violations as a set and its separations keyed by x."""
+    inst, fam = bundle.instance, bundle.family
+    arrays = order_arrays(inst, fam)
+    out = {}
+    for xhat, x0 in itertools.product(inst.labels, repeat=2):
+        a, b = solvers._order_conclusions(inst, fam, arrays, xhat, x0)
+        out[xhat, x0] = (a.holds, a.witness, b.holds,
+                         set(b.witness["violations"]),
+                         {w["x"]: w for w in b.witness["separations"]})
+    return out
+
+
 @st.composite
 def permuted_instances(draw):
     variant = draw(st.sampled_from(VARIANT_CYCLE))
@@ -100,9 +117,11 @@ def test_label_order_changes_no_decision(case):
                                        inst.tol) if weights is None
           else LinearFunctional(weights))
     rel, ti, solvable, solved = _decisions(bundle, xi)
-    moved = _decisions(load_validate(_permuted(raw, perm)), xi)
+    permuted = load_validate(_permuted(raw, perm))
+    moved = _decisions(permuted, xi)
     assert np.array_equal(moved[0], rel[np.ix_(perm, perm)])
     assert moved[1:] == (ti, solvable, solved)
+    assert _conclusions(permuted) == _conclusions(bundle)
 
 
 @st.composite

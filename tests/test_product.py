@@ -15,7 +15,7 @@ from evpkit.product import (FMap, ProductInstance, domination_check,
                             prec_fstar, solve_minimal_point, solve_pareto_evp,
                             solve_strict_minimal, strict_pareto_min,
                             validate_fmap, zeta)
-from evpkit.scalarize import GerstewitzFn
+from evpkit.scalarize import GerstewitzFn, gz_value
 
 from conftest import generated_bundle
 
@@ -566,3 +566,20 @@ def test_margin_of_a_zero_scale_value_is_zero():
         validate_fmap(pi, pair_map(("a", "b"), values, gz))
     assert err.value.name == "positive_separation"
     assert err.value.witness == {"zeta": 0.0}
+
+
+def test_margin_decides_infinity_at_the_scaled_value():
+    """The cone scalarization's +inf branch is decided at the scaled value,
+    as gz_value decides it: (1, 1e-8) along k0 = (1, 0) is +inf, but at
+    scale 0.05 its zero row reads 5e-10 <= tol, so the value is 0.05 and
+    the finite branch keeps its bytes, scale times the vertex value."""
+    gz = GerstewitzFn(orthant(2), [1.0, 0.0])
+    V, S = np.array([[1.0, 1e-8]]), np.array([0.05, 2.0])
+    assert gz.value(V[0]) == math.inf
+    got = vertex_minima(S, V, gz)
+    assert got[0] == gz_value(gz, 0.05 * V[0]) == 0.05
+    assert got[1] == gz_value(gz, 2.0 * V[0]) == math.inf
+    base = MetricSpace(("a", "b"), np.ones((2, 2)) - np.eye(2)).validate()
+    P = Polytope([[1.0, 1e-8], [2.0, 2e-8]])
+    assert zeta(np.full((2, 2, 1), 0.05), P.vertices, gz, base.dist,
+                1.0) == 0.05
