@@ -488,12 +488,12 @@ def order_queries(inst, arrays, x2s, x1s, witness=True):
         cut[first >= 0] = 0
     keep = np.flatnonzero(~covered & (q < cut[pair]))
     if len(keep):
-        i, j, q, r = i[keep], j[keep], lam[keep], row[keep]
-        own = V.ndim > 2
+        own, i, j = V.ndim > 2, i[keep], j[keep]
+        at = (i, j, lam[keep])
         sub = covered_queries(
-            B[j, r], B[i], nb[i], S[i, j, q],
-            V[i, j, q] if own else V, nv[i, j, q] if own else nv,
-            inst.cone, inst.tol, group=pair[keep], witness=witness)
+            B[j, row[keep]], B[i], nb[i], S[at], V[at] if own else V,
+            nv[at] if own else nv, inst.cone, inst.tol, group=pair[keep],
+            witness=witness)
         g = np.flatnonzero(sub >= 0)
         first[g] = keep[sub[g]]
     return first, lam, row
@@ -516,7 +516,7 @@ def _facet_queries(inst, arrays, x2s, x1s, query):
     S, V, nv, B, _ = arrays
     A, m, tol = inst.cone.halfspaces, inst.cone.dim, inst.tol
     pair, i, j, lam, row = query
-    k, L, (n, R, _) = len(A), S.shape[-1], B.shape
+    k, L, n = len(A), S.shape[-1], len(B)
     s = S[x2s, x1s].ravel()                     # the targets (pair, index)
     if V.ndim > 2:
         V, nv = V[x2s, x1s].reshape(-1, *V.shape[-2:]), nv[x2s, x1s].ravel()
@@ -528,14 +528,14 @@ def _facet_queries(inst, arrays, x2s, x1s, query):
         return (np.zeros(len(pair), dtype=bool),) * 2
     inside, outside = segment_band(size, m, tol)
     AV = (A @ V.reshape(-1, m).T).reshape(k, -1, V.shape[-2])
-    R_, (ci, ck, w, th), fit = target_tables(
+    R, (ci, ck, w, th), fit = target_tables(
         np.where(s > tol, s, 0.0)[:, None] * AV, s, nv, tol)
     t = pair * L + lam
     # A(y - b) over (k, base row, query); margins over (base row, query)
-    AB = np.ascontiguousarray((B @ A.T).T)              # (k, R, n)
+    AB = np.ascontiguousarray((B @ A.T).T)      # (k, base row, label)
     D = np.take(AB.reshape(k, -1), row * n + j, axis=1)[:, None] - np.take(
         AB, i, axis=2)
-    low = (D - np.take(R_ - tol, t, axis=1)[:, None]).min(axis=0)
+    low = (D - np.take(R - tol, t, axis=1)[:, None]).min(axis=0)
     if len(w):
         Dk = D[ck]
         low = np.minimum(low, (
