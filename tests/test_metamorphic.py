@@ -12,7 +12,7 @@ and the linear scalarization are drawn too, so that the gate can fail.
 
 A direction set of two vertices is also loaded with one of them listed
 twice: the same polytope, whose targets the facet pass of
-``relation_matrix`` and the facet test of the triangle search then leave to
+``order_queries`` and the facet test of the triangle search then leave to
 the screen and the LP. The same decisions must come out.
 
 The separating functional is checked the same way. Scaling the cone's
