@@ -562,8 +562,8 @@ def relation_matrix(inst: FiniteInstance, fam, arrays=None):
     n = len(inst.labels)
     if arrays is None:
         arrays = order_arrays(inst, fam)
-    step = n * max(1, _BLOCK_QUERIES // (arrays[0].shape[-1]
-                                         * int(arrays[4].sum())))
+    S, _, _, _, nb = arrays
+    step = n * max(1, _BLOCK_QUERIES // (S.shape[-1] * int(nb.sum())))
     rel = np.zeros(n * n, dtype=bool)
     for start in range(0, n * n, step):
         x2s, x1s = np.divmod(np.arange(start, min(start + step, n * n)), n)
@@ -1046,6 +1046,7 @@ def vertex_minima(S, V, xi):
     if xi.is_linear:
         values = V @ xi.weights
     else:
+        # the zero rows (a . k0 <= tol) are read at s v, as gz_value does
         A = xi.cone.halfspaces
         values = xi.from_products(np.where(
             A @ xi.k0 > xi.tol, V @ A.T,
