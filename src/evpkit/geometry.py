@@ -470,29 +470,42 @@ def _segment_members(rows, slack, SAV, candidates, tol):
     return member | ~widened, member
 
 
-def segment_band(size, m, tol):
-    """The band of margins in which :func:`screen_members` may decide a
-    query against one base point and a polytope of one or two vertices, at
-    a scale above ``tol``, otherwise than by the sign of its margin: the
-    largest ``mu`` such that some weight ``t`` in [0, 1] meets every row of
-    :func:`_segment_members`' system with ``mu`` to spare. ``size`` bounds
+def segment_band(size, terms, tol, solve=0.0):
+    """The band of margins in which the screen and the LP may decide a
+    query against one base point and a polytope, at a scale above ``tol``,
+    otherwise than by the sign of its margin ``mu``: the largest ``mu`` such
+    that some convex weights meet every cone row of ``y - b - S conv(V) in
+    C`` with ``mu`` to spare, or by minimax the least ``w . A(y - b) -
+    min_j w . A S v_j`` over convex row weights ``w``. ``size`` bounds
     ``|A||y|`` by 2 size and ``|A||S v|`` by size, for the cone rows A and
-    every vertex v.
+    every vertex v; ``terms`` bounds the length of every dot product in the
+    margin's arithmetic (the dimension, plus the cone rows where a condition
+    ``w`` sums over them).
 
     Returns ``(inside, outside)``. A margin of at least ``inside`` is a
     member: the single-vertex, rejection and interval tests all see a
-    nonempty interval. A margin below ``-outside`` is a non-member: no
-    vertex hits, and the rows ``_segment_members`` widens by at most
-    ``_SEGMENT_MARGIN * _feas_tol(tol) * (1 + 4 size)`` still leave an empty
-    interval. ``inside`` is an allowance for the rounding of the screen's
-    arithmetic and of a margin computed another way, as in
-    ``settled_triples``: (16 m + 64) ulps of ``4 size + tol`` plus the
-    widening, about twice the sum of the per-step bounds; ``outside`` adds
-    the widening to it.
+    nonempty interval, and phase 1 finds the weights. A margin below
+    ``-outside`` is a non-member: no vertex hits, the rows
+    ``_segment_members`` widens by at most ``_SEGMENT_MARGIN *
+    _feas_tol(tol) * (1 + 4 size)`` still leave an empty interval, and
+    phase 1 misses by more than its slack. ``ulps`` allows for the rounding
+    of the screen's arithmetic and of a margin computed another way, as in
+    ``settled_triples`` or as ``fl(w . fl(A y)) - fl(w . fl(A b)) - (fl(s
+    theta0) - tol)`` with ``w`` fixed and ``theta0 = min_j w . A v_j``
+    taken once for every scale: each of these steps errs by at most
+    ``(terms + 1)`` ulps of ``4 size + tol``, and ``ulps`` is (16 terms +
+    64) of them, about twice their sum. ``solve`` bounds the l1 distance
+    from each weight vector that attains a least margin to some condition
+    ``w`` the margin is taken over (0 when the conditions are exact, as a
+    closed form gives them): the margin is ``3 size``-Lipschitz in ``w``,
+    so a least margin taken over the conditions overstates the true one by
+    at most ``6 size solve`` after clipping and normalizing, which only
+    ``inside`` adds. A condition is a valid bound whatever its error.
     """
     widen = _SEGMENT_MARGIN * _feas_tol(tol) * (1.0 + 4.0 * size)
-    ulps = (16 * m + 64) * np.finfo(float).eps * (4.0 * size + tol + widen)
-    return ulps, widen + ulps
+    ulps = (16 * terms + 64) * np.finfo(float).eps * (4.0 * size + tol
+                                                      + widen)
+    return ulps + 6.0 * size * solve, widen + ulps
 
 
 def lp_member(y, B, scale, V, C: PolyhedralCone, tol, rows):

@@ -446,12 +446,14 @@ def preceq(inst: FiniteInstance, fam, x2, x1):
 
 
 def order_arrays(inst: FiniteInstance, fam):
-    """What :func:`order_queries` reads: the family's ``arrays`` followed by
-    the value sets of all labels as one stack (:func:`stack_rows`). A solver
-    builds them once for every order test it makes; a function that takes
-    ``arrays`` builds them when they are not given."""
-    return (*fam.arrays(inst.space),
-            *stack_rows([inst.fmap.at(x) for x in inst.labels]))
+    """What :func:`order_queries` reads: the family's ``arrays``, the value
+    sets of all labels as one stack (:func:`stack_rows`) and the
+    :func:`order_facets` of these. A solver builds them once for every
+    order test it makes; a function that takes ``arrays`` builds them when
+    they are not given."""
+    S, V, nv = fam.arrays(inst.space)
+    B, nb = stack_rows([inst.fmap.at(x) for x in inst.labels])
+    return S, V, nv, B, nb, order_facets(S, V, nv, B, inst.cone, inst.tol)
 
 
 def order_queries(inst, arrays, x2s, x1s, witness=True):
@@ -471,15 +473,14 @@ def order_queries(inst, arrays, x2s, x1s, witness=True):
     when x2 precedes x1; with ``witness=False`` some uncovered query), and
     each query's position in ``fam.lambdas()`` and value row of x1.
     """
-    S, V, nv, B, nb = arrays
+    S, V, nv, B, nb, _ = arrays
     counts = S.shape[-1] * nb[x1s]
     starts = np.cumsum(counts) - counts
     pair = np.repeat(np.arange(len(x1s)), counts)
     q = np.arange(len(pair))
     i, j = x2s[pair], x1s[pair]
     lam, row = np.divmod(q - starts[pair], nb[j])
-    covered, dead = _facet_queries(inst, arrays, x2s, x1s,
-                                   (pair, i, j, lam, row))
+    covered, dead = _facet_queries(inst, arrays, (i, j, lam, row))
     # a pair's first dead query is its answer unless covered_queries finds
     # an earlier uncovered one
     cut = np.minimum.reduceat(np.where(dead, q, len(q)), starts)
@@ -500,50 +501,97 @@ def order_queries(inst, arrays, x2s, x1s, witness=True):
 
 
 @np.errstate(all="ignore")
-def _facet_queries(inst, arrays, x2s, x1s, query):
-    """The facet pass of :func:`order_queries`: masks ``(covered, dead)``
-    over its queries ``(pair, i, j, lam, row) = query``, value row ``row``
-    of label j in f(i) + F_lam(i, j) + C, read from the conditions of each
-    target asked (:func:`target_tables`) with ``A y`` taken once per value
-    row. A query is covered when some base row's least margin ``w . A(y -
-    b) - theta`` is at least the inner edge of
-    :func:`geometry.segment_band`, and dead when every base row's is below
-    its outer edge. A target with ``s <= tol`` is the cone test. Targets of
-    three or more vertices, and every target of a stack with a negative
-    scale (the screen raises), a shared polytope of three or more vertices,
-    vertices whose dimension is not the cone's or magnitudes that could
-    overflow, are left to the screen."""
-    S, V, nv, B, _ = arrays
-    A, m, tol = inst.cone.halfspaces, inst.cone.dim, inst.tol
-    pair, i, j, lam, row = query
-    k, L, n = len(A), S.shape[-1], len(B)
-    s = S[x2s, x1s].ravel()                     # the targets (pair, index)
-    if V.ndim > 2:
-        V, nv = V[x2s, x1s].reshape(-1, *V.shape[-2:]), nv[x2s, x1s].ravel()
-    # |A||y| <= size over the values, |A||s v| <= size over the targets
-    size = max(np.abs(B).max(), np.abs(s).max(initial=0.0)
+def order_facets(S, V, nv, B, C, tol):
+    """The facet conditions of every order query of a solve, built once
+    from its arrays ``(S, V, nv)`` and its value stack ``B`` (``(labels,
+    rows, m)``) and read by :func:`_facet_queries`; None when a scale is
+    negative (the screen raises where a stack meets it), the polytopes'
+    dimension is not the cone's, a margin could overflow, or a shared
+    polytope has no :func:`tie_conditions`.
+
+    ``size`` bounds ``|A||y|`` over the values and ``|A||s v|`` over every
+    scale and vertex. A shared polytope H gives ``(W A y, theta0, band)``:
+    the conditions ``w . A q >= s theta0 - tol`` of every target ``s
+    conv(H) + C``, with ``W A y`` over (condition, value row, label), a
+    target with ``s <= tol`` the cone test (``s = 0``). Per-pair polytopes
+    give ``(A y, R, (i, k, w, theta), fit, band)``: :func:`target_tables`
+    over the flat (x2, x1, index) target, where a target with ``s <= tol``
+    has row minima 0 and no row pair, and is fit. ``band`` is
+    :func:`geometry.segment_band` over products of ``k + m`` terms, with
+    the tie conditions' ``solve``."""
+    A, m = C.halfspaces, C.dim
+    k, n = len(A), len(B)
+    size = max(np.abs(B).max(), np.abs(S).max(initial=0.0)
                * np.abs(V).max(initial=0.0)) * np.abs(A).sum(axis=1).max()
-    if (V.shape[-1] != m or not np.isfinite(8.0 * size) or (s < 0).any()
-            or (V.ndim == 2 and nv > 2)):
-        return (np.zeros(len(pair), dtype=bool),) * 2
-    inside, outside = segment_band(size, m, tol)
-    AV = (A @ V.reshape(-1, m).T).reshape(k, -1, V.shape[-2])
+    if V.shape[-1] != m or not np.isfinite(8.0 * size) or (S < 0).any():
+        return None
+    AB = np.ascontiguousarray((B @ A.T).T)      # (k, value row, label)
+    if V.ndim == 2:
+        conditions = tie_conditions(A @ V.T)
+        if conditions is None:
+            return None
+        W, theta0, solve = conditions
+        WAB = (W @ AB.reshape(k, -1)).reshape(len(W), -1, n)
+        return WAB, theta0, segment_band(size, k + m, tol, solve)
+    AV = (A @ V.reshape(-1, m).T).reshape(k, *V.shape[:-1])
     R, (ci, ck, w, th), fit = target_tables(
-        np.where(s > tol, s, 0.0)[:, None] * AV, s, nv, tol)
-    t = pair * L + lam
-    # A(y - b) over (k, base row, query); margins over (base row, query)
-    AB = np.ascontiguousarray((B @ A.T).T)      # (k, base row, label)
-    D = np.take(AB.reshape(k, -1), row * n + j, axis=1)[:, None] - np.take(
-        AB, i, axis=2)
-    low = (D - np.take(R - tol, t, axis=1)[:, None]).min(axis=0)
-    if len(w):
-        Dk = D[ck]
-        low = np.minimum(low, (
-            Dk + np.take(w, t, axis=1)[:, None] * (D[ci] - Dk)
-            - np.take(th, t, axis=1)[:, None]).min(axis=0))
-    fit = (fit | (s <= tol))[t]
-    return (fit & (low >= inside).any(axis=0),
-            fit & (low < -outside).all(axis=0))
+        np.where(S > tol, S, 0.0)[..., None] * AV, S, nv, tol)
+    T = S.size                                  # the flat targets
+    return (AB, R.reshape(k, T), (ci, ck, w.reshape(-1, T), th.reshape(-1, T)),
+            (fit | (S <= tol)).ravel(), segment_band(size, k + m, tol))
+
+
+@np.errstate(all="ignore")
+def _facet_queries(inst, arrays, query):
+    """The facet pass of :func:`order_queries`: masks ``(covered, dead)``
+    over its queries ``(i, j, lam, row) = query``, value row ``row`` of
+    label j in f(i) + F_lam(i, j) + C, gathered from the
+    :func:`order_facets` of the solve in blocks of at most
+    ``_BLOCK_QUERIES`` queries. A query is covered when some base row's
+    least margin ``w . (A y - A b) - theta`` is at least the inner edge of
+    :func:`geometry.segment_band`, and dead when every base row's is below
+    its outer edge. Per-pair targets of three or more vertices, and every
+    query of a solve without facets, are left to the screen."""
+    S, V, _, _, _, facets = arrays
+    i, j, lam, row = query
+    covered, dead = np.zeros((2, len(i)), dtype=bool)
+    if facets is None:
+        return covered, dead
+    n, tol, (inside, outside) = len(S), inst.tol, facets[-1]
+    t = (i * n + j) * S.shape[-1] + lam         # the flat target
+    s = S.reshape(-1)[t]
+    s[s <= tol] = 0.0
+    for at in range(0, len(i), _BLOCK_QUERIES):
+        q = slice(at, at + _BLOCK_QUERIES)
+        y, b = row[q] * n + j[q], i[q]
+        # the products of the values y over (condition, query), and of the
+        # base rows b over (condition, base row, query)
+        Ay = np.take(facets[0].reshape(len(facets[0]), -1), y, axis=1)
+        Ab = np.take(facets[0], b, axis=2)
+        if V.ndim == 2:
+            # w . A y - (s theta0 - tol) - w . A b, least over the conditions
+            _, theta0, _ = facets
+            Ay -= np.multiply.outer(theta0, s[q]) - tol
+            low = np.subtract(Ay[:, None], Ab, out=Ab).min(axis=0)
+            fit = True
+        else:
+            _, R, (ci, ck, w, th), fit, _ = facets
+            tq = t[q]
+            # A(y - b), then the row conditions and the row pairs of each
+            # query's target
+            D = np.subtract(Ay[:, None], Ab, out=Ab)
+            low = (D - (np.take(R, tq, axis=1) - tol)[:, None]).min(axis=0)
+            if len(w):
+                Dk = D[ck]
+                low = np.minimum(low, (
+                    Dk + np.take(w, tq, axis=1)[:, None] * (D[ci] - Dk)
+                    - np.take(th, tq, axis=1)[:, None]).min(axis=0))
+            fit = fit[tq]
+        # the best base row of each query
+        best = low.max(axis=0)
+        covered[q] = fit & (best >= inside)
+        dead[q] = fit & (best < -outside)
+    return covered, dead
 
 
 # relation_matrix stacks whole rows of the order matrix up to this many
@@ -562,7 +610,7 @@ def relation_matrix(inst: FiniteInstance, fam, arrays=None):
     n = len(inst.labels)
     if arrays is None:
         arrays = order_arrays(inst, fam)
-    S, _, _, _, nb = arrays
+    S, _, _, _, nb, _ = arrays
     step = n * max(1, _BLOCK_QUERIES // (S.shape[-1] * int(nb.sum())))
     rel = np.zeros(n * n, dtype=bool)
     for start in range(0, n * n, step):
@@ -669,6 +717,90 @@ def target_tables(ASV, S, nv, tol):
     w = np.where(pair, dj / (di + dj), 0.0)
     th = np.where(pair, w * t2[i] + (1.0 - w) * t2[j] - tol, -np.inf)
     return R, (i, j, w, th), (S > tol) & (nv <= 2)
+
+
+# tie_conditions takes at most this many candidate conditions of a shared
+# polytope, and leaves one that needs more to the screen
+_TIE_SYSTEMS = 256
+# tie_conditions keeps a solved condition whose weights it bounds within
+# this l1 distance of the exact ones, and leaves a polytope with a worse one
+# to the screen
+_TIE_ERROR = 2.0 ** -20
+
+
+@np.errstate(all="ignore")
+def tie_conditions(AH):
+    """The facet conditions of the targets ``s conv(H) + C``, ``s > 0``, of
+    one polytope H, from ``AH``, the products ``A h_j`` over (cone row,
+    vertex): ``(W, theta0, solve)``, or None when H is left to the screen.
+
+    By minimax, ``q`` lies in ``s conv(H) + C`` up to ``tol`` iff the least
+    ``g(w) = w . A q - s min_j w . A h_j`` over the simplex of row weights
+    ``w`` is at least ``-tol``. ``g`` is convex and piecewise linear, so its
+    least value is at a vertex of the cells that the ties ``w . A(h_j -
+    h_l) = 0`` cut from the simplex. At such a vertex some rows ``G`` may
+    have ``w_i > 0`` and the others have ``w_i = 0``, and ``|G| - 1`` ties
+    of a vertex set ``T`` with its first vertex fix ``w`` on ``G`` with
+    ``sum w = 1``. So the candidates are the simplex vertices ``e_i``
+    (``|G| = 1``) and one square system per pair ``(T, G)`` with ``|T| =
+    |G| >= 2``, none of which changes with ``s``. Each row ``w`` of ``W`` is
+    one condition ``w . A q >= s theta0 - tol`` with ``theta0 = min_j w . A
+    h_j``.
+
+    A tie of two vertices on two rows is taken in closed form, as the row
+    pairs of :func:`target_tables` (a pair whose ``A(h_j - h_l)`` has
+    opposite signs): for two vertices these are all the conditions. A
+    larger system is solved: one whose condition number (of rows scaled to
+    unit length) makes its LU error bound reach 1/2 is singular up to the
+    rounding of its rows and is skipped, as an exact vertex is met by an
+    independent system too; a solution below 0 by more than its bound lies
+    outside the simplex and is dropped; the others are clipped to the
+    simplex, and ``solve`` is the largest bound kept. H is left to the
+    screen when it has more than ``_TIE_SYSTEMS`` candidates or a kept
+    bound exceeds ``_TIE_ERROR``."""
+    k, J = AH.shape
+    sizes = range(2, min(J, k) + 1)
+    if sum(math.comb(J, r) * math.comb(k, r) for r in sizes) > _TIE_SYSTEMS:
+        return None
+    eps, solve = np.finfo(float).eps, 0.0
+    W = [np.eye(k)]
+    if J > 1:
+        ties = np.array([*itertools.combinations(range(J), 2)], dtype=int)
+        _, (i, l, w, th), _ = target_tables(AH[:, ties], 1.0, 2, 0.0)
+        c, p = np.nonzero(th > -np.inf)         # opposite signs
+        pairs = np.zeros((len(c), k))
+        pairs[np.arange(len(c)), i[c]] = w[c, p]
+        pairs[np.arange(len(c)), l[c]] = 1.0 - w[c, p]
+        W.append(pairs)
+    for r in sizes[1:]:
+        T, G = (np.array([*itertools.combinations(range(c), r)], dtype=int)
+                for c in (J, k))
+        T, G = np.repeat(T, len(G), axis=0), np.tile(G, (len(T), 1))
+        # rows A_G (h_j - h_T0) for the vertices j of T after its first,
+        # then the weights' sum, each of unit length
+        M = AH[G[:, None, :], T[:, 1:, None]] - AH[G, T[:, :1]][:, None, :]
+        norm = np.linalg.norm(M, axis=-1, keepdims=True)
+        M = np.concatenate([np.divide(M, norm, out=np.zeros_like(M),
+                                      where=norm > 0),
+                            np.full((len(M), 1, r), r ** -0.5)], axis=1)
+        sv = np.linalg.svd(M, compute_uv=False)
+        # forward error of a partial-pivoting solve, relative to |w|
+        rel = 2.0 ** (r + 3) * r * eps * sv[:, 0] / sv[:, -1]
+        live = rel < 0.5
+        w = np.linalg.solve(M[live], np.broadcast_to(
+            np.eye(r)[-1] * r ** -0.5, (int(live.sum()), r))[..., None])[..., 0]
+        err = rel[live] / (1.0 - rel[live]) * np.abs(w).sum(axis=1)
+        keep = w.min(axis=1) >= -err
+        if (err[keep] > _TIE_ERROR).any():
+            return None
+        solve = max(solve, err[keep].max(initial=0.0))
+        w = np.maximum(w[keep], 0.0)
+        full = np.zeros((len(w), k))
+        np.put_along_axis(full, G[live][keep], w / w.sum(axis=1, keepdims=True),
+                          axis=1)
+        W.append(full)
+    W = np.concatenate(W)
+    return W, (W @ AH).min(axis=1), solve
 
 
 @np.errstate(all="ignore")

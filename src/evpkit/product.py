@@ -21,7 +21,8 @@ from .geometry import (DEFAULT_TOL, PolyhedralCone, Polytope, as_point,
                        first_outside, minkowski_member, polytope_contains,
                        singleton)
 from .instances import (MetricSpace, PolytopeDirection, check_positive,
-                        order_queries, triangle_failure, vertex_minima)
+                        order_facets, order_queries, triangle_failure,
+                        vertex_minima)
 from .scalarize import GerstewitzFn
 from .solvers import Certificate, Conclusion, _jsonable
 
@@ -95,7 +96,9 @@ def domination_check(B, C: PolyhedralCone, strict=False, tol=DEFAULT_TOL):
 
 @dataclass(frozen=True, eq=False)
 class ProductInstance:
-    """Finite graph A of (label, value) pairs with a start pair in it."""
+    """Finite graph A of (label, value) pairs with a start pair in it.
+    ``values`` stacks the graph's values, one read-only row per pair, and
+    ``label_index`` holds each pair's position in the base labels."""
 
     graph: tuple           # tuple of (label, ndarray)
     base: MetricSpace
@@ -118,6 +121,12 @@ class ProductInstance:
         if not pairs:
             raise InputError("empty graph")
         object.__setattr__(self, "graph", tuple(pairs))
+        values = np.array([y for _, y in pairs])
+        values.flags.writeable = False
+        position = {x: p for p, x in enumerate(self.base.labels)}
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "label_index",
+                           np.array([position[x] for x, _ in pairs]))
         x0, y0 = self.start
         y0 = as_point(y0, self.cone.dim)
         object.__setattr__(self, "start", (x0, y0))
@@ -136,7 +145,7 @@ class ProductInstance:
         return [y for (xl, y) in self.graph if xl == x]
 
     def all_values(self):
-        return np.vstack([y for _, y in self.graph])
+        return self.values
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,16 +291,18 @@ ProductCertificate = Certificate
 
 def graph_arrays(pi, fm):
     """What :func:`order_queries` reads, for the graph order: each graph
-    pair is a label with its one value (``B = Y[:, None]``, ``nb = 1``), and
-    ``S, V, nv`` are the pair map's ``arrays`` at the labels of two pairs;
-    a shared polytope stays one ``(J, m)`` array."""
+    pair is a label with its one value (``B = Y[:, None]``, ``nb = 1``),
+    ``S, V, nv`` are the pair map's ``arrays`` at the labels of two pairs,
+    a shared polytope staying one ``(J, m)`` array, and last their
+    :func:`order_facets`."""
     S, V, nv = fm.family.arrays(pi.base)
-    lab = np.array([pi.base.index(x) for x, _ in pi.graph])
+    lab = pi.label_index
     at = (lab[:, None], lab)
     if V.ndim > 2:
         V, nv = V[at], nv[at]
-    Y = np.array([y for _, y in pi.graph])
-    return S[at], V, nv, Y[:, None], np.ones(len(lab), dtype=int)
+    S, B = S[at], pi.values[:, None]
+    return (S, V, nv, B, np.ones(len(lab), dtype=int),
+            order_facets(S, V, nv, B, pi.cone, pi.tol))
 
 
 def anchored_values(pi, xi):
@@ -299,7 +310,7 @@ def anchored_values(pi, xi):
     bit: the stacked products ``w . d`` and ``A d`` round as the per-pair
     ones do (a plain ``D @ w`` or ``D @ A.T`` does not). ``xi`` is a linear
     functional or the cone scalarization."""
-    D = np.array([y for _, y in pi.graph]) - pi.y0
+    D = pi.values - pi.y0
     if getattr(xi, "is_linear", False):
         return (D[:, None, :] @ xi.weights[:, None])[:, 0, 0]
     return xi.from_products((xi.cone.halfspaces @ D[..., None])[..., 0])
@@ -325,8 +336,10 @@ def _graph_oracle(pi, arrays, eta):
 
 
 def _pair_index(pi, x, y):
-    """Position of the graph pair (x, y); the pairs are distinct."""
-    return [(xl, tuple(yl)) for xl, yl in pi.graph].index((x, tuple(y)))
+    """Position of the graph pair (x, y), which is one of the graph's; the
+    pairs are distinct."""
+    at = (pi.label_index == pi.base.index(x)) & (pi.values == y).all(axis=1)
+    return int(np.flatnonzero(at)[0])
 
 
 def _section_of_start(pi, arrays, start):
