@@ -557,17 +557,18 @@ def _facet_queries(inst, arrays, query):
     covered, dead = np.zeros((2, len(i)), dtype=bool)
     if facets is None:
         return covered, dead
-    n, tol, (inside, outside) = len(S), inst.tol, facets[-1]
+    # the products W A y or A y over (condition, value row, label)
+    P, (inside, outside) = facets[0], facets[-1]
+    n, tol = len(S), inst.tol
     t = (i * n + j) * S.shape[-1] + lam         # the flat target
     s = S.reshape(-1)[t]
     s[s <= tol] = 0.0
     for at in range(0, len(i), _BLOCK_QUERIES):
         q = slice(at, at + _BLOCK_QUERIES)
-        y, b = row[q] * n + j[q], i[q]
         # the products of the values y over (condition, query), and of the
         # base rows b over (condition, base row, query)
-        Ay = np.take(facets[0].reshape(len(facets[0]), -1), y, axis=1)
-        Ab = np.take(facets[0], b, axis=2)
+        Ay = np.take(P.reshape(len(P), -1), row[q] * n + j[q], axis=1)
+        Ab = np.take(P, i[q], axis=2)
         if V.ndim == 2:
             # w . A y - (s theta0 - tol) - w . A b, least over the conditions
             _, theta0, _ = facets
@@ -595,7 +596,8 @@ def _facet_queries(inst, arrays, query):
 
 
 # relation_matrix stacks whole rows of the order matrix up to this many
-# queries, so that its arrays stay small at any n
+# queries, and _facet_queries takes its queries in blocks of this many, so
+# that their arrays stay small at any n
 _BLOCK_QUERIES = 1024
 
 
@@ -787,16 +789,18 @@ def tie_conditions(AH):
         # forward error of a partial-pivoting solve, relative to |w|
         rel = 2.0 ** (r + 3) * r * eps * sv[:, 0] / sv[:, -1]
         live = rel < 0.5
-        w = np.linalg.solve(M[live], np.broadcast_to(
-            np.eye(r)[-1] * r ** -0.5, (int(live.sum()), r))[..., None])[..., 0]
-        err = rel[live] / (1.0 - rel[live]) * np.abs(w).sum(axis=1)
+        M, G, rel = M[live], G[live], rel[live]
+        rhs = np.zeros((len(M), r, 1))
+        rhs[:, -1] = r ** -0.5
+        w = np.linalg.solve(M, rhs)[..., 0]
+        err = rel / (1.0 - rel) * np.abs(w).sum(axis=1)
         keep = w.min(axis=1) >= -err
         if (err[keep] > _TIE_ERROR).any():
             return None
         solve = max(solve, err[keep].max(initial=0.0))
         w = np.maximum(w[keep], 0.0)
         full = np.zeros((len(w), k))
-        np.put_along_axis(full, G[live][keep], w / w.sum(axis=1, keepdims=True),
+        np.put_along_axis(full, G[keep], w / w.sum(axis=1, keepdims=True),
                           axis=1)
         W.append(full)
     W = np.concatenate(W)
