@@ -561,10 +561,9 @@ def _facet_queries(inst, arrays, query):
     P, (inside, outside) = facets[0], facets[-1]
     n, tol = len(S), inst.tol
     t = (i * n + j) * S.shape[-1] + lam         # the flat target
-    s = S.reshape(-1)[t]
-    s[s <= tol] = 0.0
     for at in range(0, len(i), _BLOCK_QUERIES):
         q = slice(at, at + _BLOCK_QUERIES)
+        tq = t[q]
         # the products of the values y over (condition, query), and of the
         # base rows b over (condition, base row, query)
         Ay = np.take(P.reshape(len(P), -1), row[q] * n + j[q], axis=1)
@@ -572,12 +571,12 @@ def _facet_queries(inst, arrays, query):
         if V.ndim == 2:
             # w . A y - (s theta0 - tol) - w . A b, least over the conditions
             _, theta0, _ = facets
-            Ay -= np.multiply.outer(theta0, s[q]) - tol
+            s = S[i[q], j[q], lam[q]]
+            Ay -= np.multiply.outer(theta0, np.where(s > tol, s, 0.0)) - tol
             low = np.subtract(Ay[:, None], Ab, out=Ab).min(axis=0)
             fit = True
         else:
             _, R, (ci, ck, w, th), fit, _ = facets
-            tq = t[q]
             # A(y - b), then the row conditions and the row pairs of each
             # query's target
             D = np.subtract(Ay[:, None], Ab, out=Ab)

@@ -1804,7 +1804,8 @@ def notch_direction(rng, n, m, tol, count=2):
     w = A.T @ rng.uniform(0.2, 1.0, size=len(A))
     H = np.array([v / (w @ v) for v in (sample_cone_member(rng, C, k0)
                                         for _ in range(count))])
-    h = rng.dirichlet(np.full(count, 4.0)) @ H
+    h = (rng.uniform(0.2, 0.8) * (H[0] - H[1]) + H[1] if count == 2
+         else rng.dirichlet(np.full(count, 4.0)) @ H)
     labels = tuple(f"p{i}" for i in range(n))
     position = rng.permutation(np.sort(rng.uniform(0.0, 3.0, size=n)))
     offsets = np.array([0.3, 3 * tol, tol, 0.0])
@@ -1823,11 +1824,12 @@ def test_facet_pass_in_the_tolerance_band(monkeypatch):
     the band to the screen, on shared polytopes of three vertices too,
     decides the others, and decides none otherwise than the screen."""
     rng = np.random.default_rng(2025)
-    kinds = ("table", "shared", "notch", "shared3", "notch3")
-    left = dict.fromkeys(kinds, 0)
+    left = dict.fromkeys(("table", "shared", "notch", "shared3", "notch3"), 0)
     decided = dict.fromkeys(left, 0)
     for trial in range(60):
-        n, kind = 3 + trial % 4, kinds[trial % 5]
+        n = 3 + trial % 4
+        kind = (("table", "shared", "notch")[trial % 3] if trial < 36
+                else ("shared3", "notch3")[trial % 2])
         if kind == "table":
             inst, fam = band_family(rng, n, 1 + trial % 2, 1 + trial % 3,
                                     DEFAULT_TOL)
@@ -1980,8 +1982,8 @@ def test_shared_order_stacks_match_highs(monkeypatch, count):
     1e6, against an LP that shares no code with evpkit: the order matrix,
     and the graph oracle, start sections and graph conclusions of the
     product instance of every (label, value) pair, decide each pair as the
-    HiGHS margins do wherever those lie outside 1e-7 of their magnitude of
-    -tol; the facets decide some queries of each stack."""
+    HiGHS margins do wherever those lie outside the band of
+    ``highs_covers``; the facets decide some queries of each stack."""
     rng = np.random.default_rng(5150 + count)
     checked, decided = 0, {"matrix": 0, "graph": 0}
     real = instances.covered_queries
@@ -2021,12 +2023,13 @@ def test_shared_order_stacks_match_highs(monkeypatch, count):
         eta = anchored_values(pi, fm.xi)
         sent.clear()
         _, order = _graph_oracle(pi, arrays, eta)
-        drop = (eta[None, :] - eta[:, None] > tol) & (cover != None)  # noqa
+        strict = eta[None, :] - eta[:, None] > tol
+        drop = strict & (cover != None)  # noqa: E711, elementwise
         assert np.array_equal(order[drop], cover[drop].astype(bool))
-        decided["graph"] += int(drop.sum()) - sum(sent)
+        decided["graph"] += int(strict.sum()) - sum(sent)
         for start in range(len(graph)):
             section = _section_of_start(pi, arrays, start)
-            known = cover[:, start] != None  # noqa
+            known = cover[:, start] != None  # noqa: E711, elementwise
             assert np.array_equal(section[known],
                                   cover[known, start].astype(bool))
             for ihat in range(len(graph)):

@@ -10,8 +10,9 @@ from evpkit.geometry import (LinearFunctional, Polytope, cone, orthant,
                              singleton, strictly_positive_functional)
 from evpkit.instances import (ExtensionalFamily, MetricSpace,
                               metric_from_coordinates, vertex_minima)
-from evpkit.product import (FMap, ProductInstance, domination_check,
-                            fmap_from_rate, pareto_min, prec_f,
+from evpkit.product import (FMap, ProductInstance, _pair_index,
+                            domination_check, fmap_from_rate, graph_arrays,
+                            pareto_min, prec_f,
                             prec_fstar, solve_minimal_point, solve_pareto_evp,
                             solve_strict_minimal, strict_pareto_min,
                             validate_fmap, zeta)
@@ -107,6 +108,18 @@ def plane_fm(plane_pi):
 
 
 class TestGraphOrders:
+    def test_graph_is_stacked_once(self, plane_pi, plane_fm):
+        """``values`` and ``label_index`` hold the graph's values and the
+        base positions of their labels, read-only; ``all_values``,
+        ``graph_arrays`` and ``_pair_index`` read them."""
+        pi = plane_pi
+        assert np.array_equal(pi.values, np.array([y for _, y in pi.graph]))
+        assert pi.label_index.tolist() == [0, 1, 1]
+        assert not pi.values.flags.writeable
+        assert pi.all_values() is pi.values
+        assert np.array_equal(graph_arrays(pi, plane_fm)[3][:, 0], pi.values)
+        assert [_pair_index(pi, x, y) for x, y in pi.graph] == [0, 1, 2]
+
     def test_reflexive(self, plane_pi, plane_fm):
         for pair in plane_pi.graph:
             assert prec_f(plane_pi, plane_fm, pair, pair)
