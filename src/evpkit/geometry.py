@@ -22,11 +22,10 @@ from .errors import InputError, LinearProgramError
 DEFAULT_TOL = 1e-9
 
 _PIVOT_EPS = 1e-11
-# screen_members leaves to the LP a two-vertex query whose interval is empty
-# by less than this many times the phase-1 acceptance slack on every cone
-# row, scaled by the row's magnitudes: phase 1 accepts a query through that
-# slack when convex weights miss no row i by more than about
-# _feas_tol * (1 + |A_i(y - b)|)
+# segment_band widens its outer edge by this many times the phase-1
+# acceptance slack, scaled by the magnitudes of the rows: phase 1 accepts a
+# query through that slack when convex weights miss no cone row i by more
+# than about _feas_tol * (1 + |A_i(y - b)| + max_j |S A_i v_j|)
 _SEGMENT_MARGIN = 4.0
 _MAX_SIMPLEX_ITERATIONS = 5000
 
@@ -375,9 +374,8 @@ def screen_members(Y, B, S, V, nv, C: PolyhedralCone, tol=DEFAULT_TOL):
     once: the cone test when the scale is at most ``tol``, the single-vertex
     sufficient test, and the conv(V) inside C necessary filter; each of
     their numpy calls runs over the whole stack, one cone row and one vertex
-    at a time. Only the queries still undecided with two vertices then take
-    the exact segment test (:func:`_segment_members`), and only for them is
-    the slack of every base row, vertex and cone row built.
+    at a time. A query they leave undecided, of any vertex count, is the
+    LP's.
 
     Returns ``(decided, answer, candidates)``: ``answer`` is meaningful
     where ``decided``; ``candidates`` marks the base rows an undecided query
@@ -414,60 +412,7 @@ def screen_members(Y, B, S, V, nv, C: PolyhedralCone, tol=DEFAULT_TOL):
     rejected = (nv == 1) | (h_in & ~near.any(axis=-1))
     decided = cone_only | hit | rejected
     candidates = near | ~h_in[..., None]
-    segment = ~decided & (nv == 2)
-    at = np.flatnonzero(segment)
-    if at.size:
-        shape = np.shape(segment)
-        q = np.unravel_index(at, shape) if shape else ()
-        rows_q, SAV_q = _gather(rows, q, 2), _gather(SAV, q, 2)
-        # A(y - b - S v) for every base row and vertex of these queries
-        settled, member = _segment_members(
-            rows_q, rows_q[..., :, None, :] - SAV_q[..., None, :, :], SAV_q,
-            _gather(candidates, q, 1), tol)
-        decided, hit = np.asarray(decided), np.broadcast_to(hit, shape).copy()
-        np.put(decided, at, settled)
-        np.put(hit, at, member)
     return decided, np.where(cone_only, found, hit), candidates
-
-
-def _gather(x, q, tail):
-    """``x`` at the unravelled queries ``q``, with its last ``tail`` axes."""
-    lead = x.shape[:x.ndim - tail]
-    return x[tuple(i if d > 1 else 0 for i, d in zip(q[-len(lead):], lead))]
-
-
-def _segment_members(rows, slack, SAV, candidates, tol):
-    """Exact test for ``y in B + S * conv{v1, v2} + C``, from the arrays of
-    :func:`screen_members` at its undecided queries: ``rows`` is
-    ``A(y - b)``, ``slack`` is ``A(y - b - S v)`` per base row and vertex,
-    ``SAV`` is ``S A v``.
-
-    With ``t`` the weight of v1, cone row i asks ``c_i - t d_i >= 0`` for
-    ``c = A(y - b - S v2) + tol`` and ``d = S A(v1 - v2)``, so the feasible
-    ``t`` of a base row is an interval of [0, 1]. A query is a member when
-    some candidate base row has a nonempty interval. It is a non-member
-    only when every candidate's interval stays empty after each row is
-    widened by ``_SEGMENT_MARGIN`` times the LP's acceptance slack, scaled by
-    the row's magnitudes; any other query is left to :func:`lp_member`, so
-    every decision is the LP's.
-
-    Returns ``(settled, member)``, meaningful for two-vertex queries.
-    """
-    s1 = slack[..., 1, :]
-    d = s1 - slack[..., 0, :]
-    scale = (np.abs(SAV[..., 0, :]) + np.abs(SAV[..., 1, :]))[..., None, :]
-    widen = _SEGMENT_MARGIN * _feas_tol(tol) * (1.0 + np.abs(rows) + scale)
-    c = s1 + tol
-    c = np.stack([c, c + widen])                # exact and widened rows
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = c / d
-    up, down = d > 0, d < 0
-    hi = np.minimum(_over_rows(np.minimum, np.where(up, ratio, 1.0)), 1.0)
-    lo = np.maximum(_over_rows(np.maximum, np.where(down, ratio, 0.0)), 0.0)
-    # rows with d = 0 need c >= 0
-    flat = _over_rows(np.logical_and, (c >= 0) | up | down)
-    member, widened = (flat & (lo <= hi) & candidates).any(axis=-1)
-    return member | ~widened, member
 
 
 def segment_band(size, terms, tol, solve=0.0):
@@ -483,24 +428,28 @@ def segment_band(size, terms, tol, solve=0.0):
     ``w`` sums over them).
 
     Returns ``(inside, outside)``. A margin of at least ``inside`` is a
-    member: the single-vertex, rejection and interval tests all see a
-    nonempty interval, and phase 1 finds the weights. A margin below
-    ``-outside`` is a non-member: no vertex hits, the rows
-    ``_segment_members`` widens by at most ``_SEGMENT_MARGIN *
-    _feas_tol(tol) * (1 + 4 size)`` still leave an empty interval, and
-    phase 1 misses by more than its slack. ``ulps`` allows for the rounding
-    of the screen's arithmetic and of a margin computed another way, as in
-    ``settled_triples`` or as ``fl(w . fl(A y)) - fl(w . fl(A b)) - (fl(s
-    theta0) - tol)`` with ``w`` fixed and ``theta0 = min_j w . A v_j``
-    taken once for every scale: each of these steps errs by at most
-    ``(terms + 1)`` ulps of ``4 size + tol``, and ``ulps`` is (16 terms +
-    64) of them, about twice their sum. ``solve`` bounds the l1 distance
-    from each weight vector that attains a least margin to some condition
-    ``w`` the margin is taken over (0 when the conditions are exact, as a
-    closed form gives them): the margin is ``3 size``-Lipschitz in ``w``,
-    so a least margin taken over the conditions overstates the true one by
-    at most ``6 size solve`` after clipping and normalizing, which only
-    ``inside`` adds. A condition is a valid bound whatever its error.
+    member for the screen and for phase 1: the weights that attain it meet
+    every row, so ``A(y - b) >= -S out`` and the rejection keeps the base
+    row, a polytope of one vertex hits, and phase 1 finds the weights. A
+    margin below ``-outside`` is a non-member for both: no vertex hits, so
+    the screen rejects the query or leaves it to phase 1, and phase 1
+    accepts through its slack only weights that miss no row by more than
+    about ``_feas_tol(tol)`` times the row's magnitudes, at most ``1 + 4
+    size``. ``widen`` is ``_SEGMENT_MARGIN`` times that; without it the
+    band would call dead some queries that phase 1 accepts. ``ulps`` allows
+    for the rounding of the screen's arithmetic and of a margin computed
+    another way, as in ``settled_triples`` or as ``fl(w . fl(A y)) - fl(w .
+    fl(A b)) - (fl(s theta0) - tol)`` with ``w`` fixed and ``theta0 = min_j
+    w . A v_j`` taken once for every scale: each of these steps errs by at
+    most ``(terms + 1)`` ulps of ``4 size + tol``, and ``ulps`` is (16
+    terms + 64) of them, about twice their sum. ``solve`` bounds the l1
+    distance from each weight vector that attains a least margin to some
+    condition ``w`` the margin is taken over (0 when the conditions are
+    exact, as a closed form gives them): the margin is ``3 size``-Lipschitz
+    in ``w``, so a least margin taken over the conditions overstates the
+    true one by at most ``6 size solve`` after clipping and normalizing,
+    which only ``inside`` adds. A condition is a valid bound whatever its
+    error.
     """
     widen = _SEGMENT_MARGIN * _feas_tol(tol) * (1.0 + 4.0 * size)
     ulps = (16 * terms + 64) * np.finfo(float).eps * (4.0 * size + tol

@@ -689,7 +689,8 @@ def target_tables(ASV, S, nv, tol):
     their scales ``S`` and vertex counts ``nv`` over (...).
 
     With ``t`` the weight of ``t1``, a target asks ``c_i - t d_i >= 0`` of
-    every cone row i, the system of :func:`geometry._segment_members`.
+    every cone row i, with ``c = A(q - s t2) + tol`` and ``d = A s(t1 -
+    t2)``.
     Eliminating ``t`` leaves conditions ``w . A q >= theta`` on the query
     ``q``, each with ``w >= 0`` and ``sum w = 1``: one per cone row, ``A_i
     q >= min_j A_i s t_j - tol``, and one per pair of rows (i, k) whose
@@ -758,7 +759,8 @@ def tie_conditions(AH):
     outside the simplex and is dropped; the others are clipped to the
     simplex, and ``solve`` is the largest bound kept. H is left to the
     screen when it has more than ``_TIE_SYSTEMS`` candidates or a kept
-    bound exceeds ``_TIE_ERROR``."""
+    bound exceeds ``_TIE_ERROR``. A condition that the ties of several
+    vertex pairs give is kept once."""
     k, J = AH.shape
     sizes = range(2, min(J, k) + 1)
     if sum(math.comb(J, r) * math.comb(k, r) for r in sizes) > _TIE_SYSTEMS:
@@ -803,6 +805,12 @@ def tie_conditions(AH):
                           axis=1)
         W.append(full)
     W = np.concatenate(W)
+    if J >= 3:
+        # the ties of several vertex pairs can give one condition again
+        first = {}
+        for at, w in enumerate(W):
+            first.setdefault(w.tobytes(), at)
+        W = W[list(first.values())]
     return W, (W @ AH).min(axis=1), solve
 
 

@@ -41,7 +41,11 @@ def random_cone(rng, m, rows=None):
 def highs_margin(y, B, s, V, C):
     """max over base rows b and convex w of min_i A(y - b - s V^T w)_i, by
     scipy's HiGHS: ``y`` is in ``B + s conv(V) + C`` up to tol iff it is at
-    least ``-tol``."""
+    least ``-tol``. HiGHS's tolerances are absolute, so it solves the query
+    scaled to magnitude 1, and the margin is scaled back."""
+    size = max(np.abs(y).max(), np.abs(B).max(), s * np.abs(V).max())
+    size = size if size > 0 else 1.0
+    y, B, V = y / size, B / size, V / size
     A = C.halfspaces
     J = V.shape[0]
     best = -np.inf
@@ -54,7 +58,7 @@ def highs_margin(y, B, s, V, C):
                       method="highs")
         assert res.status == 0, res.message
         best = max(best, -res.fun)
-    return best
+    return size * best
 
 
 def pointed_cone(rng, m):

@@ -1,33 +1,33 @@
-"""The exact two-vertex test of ``screen_members`` against the LP.
+"""The screen of ``covered_queries`` against the LP.
 
-Every query the screen decides must get the answer of ``lp_member`` (the
-fallback it replaces, called directly on the screen's candidate base rows)
-and of an independent HiGHS LP. HiGHS computes the largest margin t* with
-``A(y - b - s V^T w) >= t*`` over convex weights w and base rows b; the
-query is a member iff ``t* >= -tol``. Where t* lies within ``BAND`` of
-``-tol`` the two LPs may read the tolerance differently, so there only
-``lp_member`` is compared, and only there may the screen leave a two-vertex
-query undecided. A scale at most ``tol`` reads as scale 0 (the cone test),
-as in ``minkowski_member``.
+``covered_queries``, the screen and then ``lp_member`` on the queries the
+screen leaves undecided, must decide every query as an independent HiGHS LP
+does. HiGHS computes the largest margin t* with ``A(y - b - s V^T w) >=
+t*`` over convex weights w and base rows b; the query is a member iff ``t*
+>= -tol``. Where t* lies within ``BAND`` of ``-tol`` the two LPs may read
+the tolerance differently, so there HiGHS is not compared. Every query the
+screen decides must get the answer of ``lp_member`` on the screen's
+candidate base rows. A scale at most ``tol`` reads as scale 0 (the cone
+test), as in ``minkowski_member``.
 
-``loop_screen``, the screen as it was when it ran one stacked product and
-the segment test on every query of a stack, must give the same three arrays
-bit for bit on the stacks below, broadcast or not. ``slack_screen``, the
-screen as it was before it ran one cone row at a time, must give them on
-any stack, the tolerance edge included. Both reject on ``y - b`` in C up to
-tol when conv(V) lies in C up to tol; the screen widens that test by
-``S * max(0, -min A v)``, so they are the screen only where the widening
-moves no rejection or candidate, as on every stack they are compared on
-below. Vertices in the band ``-tol <= A_i v < 0`` are checked against
-``lp_member`` instead.
+``loop_screen``, the screen as it was when it ran one stacked product, and
+``slack_screen``, the screen as it was before it ran one cone row at a
+time, must give the same three arrays bit for bit on the stacks below,
+broadcast or not; ``loop_screen`` rounds ``A(y - b)`` otherwise than the
+screen, so only ``slack_screen`` is compared at the tolerance edge. Both
+reject on ``y - b`` in C up to tol when conv(V) lies in C up to tol; the
+screen widens that test by ``S * max(0, -min A v)``, so they are the screen
+only where the widening moves no rejection or candidate, as on every stack
+they are compared on below. Vertices in the band ``-tol <= A_i v < 0`` are
+checked against ``lp_member`` instead.
 """
 
 import numpy as np
 import pytest
 
-from evpkit.geometry import (_SEGMENT_MARGIN, Polytope, _feas_tol, _gather,
-                             _over_rows, _segment_members, lp_member,
-                             minkowski_member, orthant, screen_members)
+from evpkit.geometry import (Polytope, _over_rows, covered_queries, lp_member,
+                             minkowski_member, orthant, screen_members,
+                             stack_rows)
 
 from conftest import highs_margin, random_cone, sample_cone_member
 
@@ -45,12 +45,14 @@ def _cone(rng, m, orthant_cone):
     return random_cone(rng, m)
 
 
-def _queries(rng, m, orthant_cone):
-    """(y, B, s, V, nv, case) tuples over one cone, boundary cases included."""
+def _queries(rng, m, orthant_cone, magnitude=1.0, count=24):
+    """(y, B, s, V, nv, case) tuples over one cone, boundary cases included,
+    ``count`` of each kind, with ``y``, ``B`` and ``V`` scaled by
+    ``magnitude``."""
     C, k0 = _cone(rng, m, orthant_cone)
     A = C.halfspaces
     out = []
-    for _ in range(24):
+    for _ in range(count):
         nb = int(rng.integers(1, 4))
         B = rng.normal(size=(nb, m))
         v1 = sample_cone_member(rng, C, k0)
@@ -87,7 +89,8 @@ def _queries(rng, m, orthant_cone):
         # a vertex outside C: the conv(V) inside C filter is off
         out.append((B[0] + rng.normal(size=m), B, s,
                     np.array([v1, -0.3 * k0]), 2, "vertex outside C"))
-    return C, out
+    return C, [(magnitude * y, magnitude * B, s, magnitude * V, nv, case)
+               for y, B, s, V, nv, case in out]
 
 
 def _screen_one(y, B, s, V, nv, C):
@@ -99,27 +102,51 @@ def _screen_one(y, B, s, V, nv, C):
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("orthant_cone", [True, False])
 def test_segment_screen_matches_lp_and_highs(m, orthant_cone):
+    """At magnitudes 1e-6, 1 and 1e6, one ``covered_queries`` stack of the
+    queries decides each as HiGHS does away from the tolerance edge, and
+    every query the screen decides gets ``lp_member``'s answer."""
     rng = np.random.default_rng(31 * m + orthant_cone)
-    C, queries = _queries(rng, m, orthant_cone)
-    answers = {True: 0, False: 0}
     cases = set()
-    for y, B, s, V, nv, case in queries:
-        decided, answer, rows = _screen_one(y, B, s, V, nv, C)
-        t = highs_margin(y, B, lp_scale(s), V, C)
-        near = abs(t + TOL) <= BAND * (1.0 + np.abs(y).max())
-        if not near:
-            # away from the tolerance edge the screen decides, as HiGHS does
-            assert decided, (case, t)
-            assert answer == (t >= -TOL), (case, t)
-        if decided:
-            assert answer == lp_member(y, B, lp_scale(s), V, C, TOL, rows), \
-                (case, t)
-            answers[answer] += 1
-            cases.add(case)
-    # both answers occur, and every kind of query was decided at least once
-    assert answers[True] > 0 and answers[False] > 0
+    for magnitude, count in ((1e-6, 8), (1.0, 24), (1e6, 8)):
+        C, queries = _queries(rng, m, orthant_cone, magnitude, count)
+        B, nb = stack_rows([q[1] for q in queries])
+        first = covered_queries(
+            np.array([q[0] for q in queries]), B, nb,
+            np.array([q[2] for q in queries]),
+            np.array([q[3] for q in queries]), np.full(len(queries), 2), C,
+            TOL, np.arange(len(queries)))
+        answers = {True: 0, False: 0}
+        for (y, B, s, V, nv, case), covered in zip(queries, first < 0):
+            decided, answer, rows = _screen_one(y, B, s, V, nv, C)
+            if decided:
+                assert answer == lp_member(y, B, lp_scale(s), V, C, TOL,
+                                           rows), (magnitude, case)
+            t = highs_margin(y, B, lp_scale(s), V, C)
+            if abs(t + TOL) > 1e-8 + BAND * (magnitude + np.abs(y).max()):
+                # away from the tolerance edge, the decision is HiGHS's
+                assert covered == (t >= -TOL), (magnitude, case, t)
+                answers[bool(covered)] += 1
+                cases.add(case)
+        # both answers occur at every magnitude
+        assert answers[True] > 0 and answers[False] > 0, (magnitude, answers)
+    # every kind of query was compared with HiGHS at least once
     assert cases >= {"random", "facet", "v1 = v2", "s <= tol",
                      "vertex outside C"}
+
+
+def test_highs_margin_reads_small_magnitudes():
+    """Cone tests (scale 0) at magnitudes 1e-8 to 1e-4, where HiGHS's
+    absolute tolerances let an LP on the unscaled query read a margin off
+    by more than the query's own size: ``highs_margin`` gives ``min A(y -
+    b)`` within 1e-7 of the magnitude."""
+    rng = np.random.default_rng(808)
+    for magnitude in (1e-8, 1e-6, 1e-4):
+        for _ in range(20):
+            C, k0 = random_cone(rng, 2, rows=2)
+            y = magnitude * rng.normal(size=2)
+            want = (C.halfspaces @ y).min()
+            got = highs_margin(y, np.zeros((1, 2)), 0.0, k0[None], C)
+            assert abs(got - want) <= 1e-7 * magnitude, (magnitude, got, want)
 
 
 def test_stacked_and_padded_queries_match_single_ones():
@@ -148,24 +175,6 @@ def test_stacked_and_padded_queries_match_single_ones():
                 if decided[k]:
                     assert answer[k] == lp_member(y, b, lp_scale(s), real, C,
                                                   TOL, one[2])
-
-
-def test_only_queries_at_the_tolerance_edge_reach_the_lp():
-    """Two-vertex queries left undecided lie within the fall-back margin of
-    the tolerance edge; far from it none is."""
-    rng = np.random.default_rng(11)
-    undecided = total = 0
-    for m in (1, 2, 3):
-        for orthant_cone in (True, False):
-            C, queries = _queries(rng, m, orthant_cone)
-            total += len(queries)
-            for y, B, s, V, nv, case in queries:
-                if not _screen_one(y, B, s, V, nv, C)[0]:
-                    undecided += 1
-                    t = highs_margin(y, B, lp_scale(s), V, C)
-                    assert abs(t + TOL) <= 1e-7 * (1.0 + np.abs(y).max()), \
-                        (case, t)
-    assert undecided < 0.02 * total
 
 
 def _band_queries(rng, m, orthant_cone):
@@ -241,11 +250,17 @@ def test_screen_keeps_a_member_that_only_convex_weights_reach():
 
 
 # ---------------------------------------------------------------------------
-# The screen against its earlier form, which ran one stacked product and the
-# segment test on every query of the stack (kept verbatim).
+# The screen against its earlier form, which ran one stacked product on every
+# query of the stack (kept verbatim, less the two-vertex segment test that
+# the screen no longer runs).
 # ---------------------------------------------------------------------------
 
 def loop_screen(Y, B, S, V, nv, C, tol):
+    """The screen with ``A(y - b)`` rounded as the stacked product ``(Y[...,
+    None, :] - B) @ A_T``, which can differ by one unit in the last place
+    from the screen's 2-D product. At a point on the tolerance edge that
+    flips an answer, so a test that may meet such a point compares with
+    ``slack_screen``."""
     A_T = C.halfspaces.T
     rows = (Y[..., None, :] - B) @ A_T                  # A(y - b)
     in_cone = _over_rows(np.minimum, rows) >= -tol
@@ -265,39 +280,16 @@ def loop_screen(Y, B, S, V, nv, C, tol):
     decided = cone_only | hit | rejected
     answer = np.where(cone_only, found, hit)
     candidates = in_cone | ~h_in[..., None]
-    segment = ~decided & (nv == 2)
-    if segment.any():
-        settled, member = loop_segment(rows, slack, SAV, candidates, tol)
-        decided = decided | (segment & settled)
-        answer = np.where(segment, member, answer)
     return decided, answer, candidates
-
-
-def loop_segment(rows, slack, SAV, candidates, tol):
-    s1 = slack[..., 1, :]
-    d = s1 - slack[..., 0, :]
-    scale = (np.abs(SAV[..., 0, :]) + np.abs(SAV[..., 1, :]))[..., None, :]
-    widen = _SEGMENT_MARGIN * _feas_tol(tol) * (1.0 + np.abs(rows) + scale)
-    c = s1 + tol
-    c = np.stack([c, c + widen])                # exact and widened rows
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = c / d
-    up, down = d > 0, d < 0
-    hi = np.minimum(_over_rows(np.minimum, np.where(up, ratio, 1.0)), 1.0)
-    lo = np.maximum(_over_rows(np.maximum, np.where(down, ratio, 0.0)), 0.0)
-    # rows with d = 0 need c >= 0
-    flat = _over_rows(np.logical_and, (c >= 0) | up | down)
-    member, widened = (flat & (lo <= hi) & candidates).any(axis=-1)
-    return member | ~widened, member
 
 
 # ---------------------------------------------------------------------------
 # The screen against its form before it ran over one cone row at a time: one
 # 2-D product for A(y - b), then the whole (..., nb, J, k) slack array,
 # reduced over its cone rows and then over base rows and vertices (kept
-# verbatim). Its 2-D product can round a row of A(y - b) one unit apart from
-# the stacked product of ``loop_screen``, so at the tolerance edge only this
-# form is the screen bit for bit.
+# verbatim, less the segment test). Its 2-D product can round a row of
+# A(y - b) one unit apart from the stacked product of ``loop_screen``, so at
+# the tolerance edge only this form is the screen bit for bit.
 # ---------------------------------------------------------------------------
 
 def slack_screen(Y, B, S, V, nv, C, tol):
@@ -321,21 +313,10 @@ def slack_screen(Y, B, S, V, nv, C, tol):
     rejected = (nv == 1) | (h_in & ~found)
     decided = cone_only | hit | rejected
     candidates = in_cone | ~h_in[..., None]
-    segment = ~decided & (nv == 2)
-    at = np.flatnonzero(segment)
-    if at.size:
-        shape = np.shape(segment)
-        q = np.unravel_index(at, shape) if shape else ()
-        settled, member = _segment_members(
-            _gather(rows, q, 2), _gather(slack, q, 3), _gather(SAV, q, 2),
-            _gather(candidates, q, 1), tol)
-        decided, hit = np.asarray(decided), np.broadcast_to(hit, shape).copy()
-        np.put(decided, at, settled)
-        np.put(hit, at, member)
     return decided, np.where(cone_only, found, hit), candidates
 
 
-def same_screen(Y, B, S, V, nv, C, reference=loop_screen):
+def same_screen(Y, B, S, V, nv, C, reference=slack_screen):
     """The screen's arrays, after checking them against ``reference``."""
     got = screen_members(Y, B, S, V, nv, C, TOL)
     want = reference(Y, B, S, V, nv, C, TOL)
@@ -414,7 +395,8 @@ def test_screen_matches_loop_screen_on_flat_and_broadcast_stacks(
 def test_screen_matches_loop_screen_on_triangle_slabs(m):
     """The stacks of the extensional triangle search: every vertex sum of a
     random ragged table against the targets of one (index, x1) slab, and
-    against those of all slabs at once."""
+    against those of all slabs at once. No sum lies on the tolerance edge,
+    so ``loop_screen`` gives the screen's arrays too."""
     rng = np.random.default_rng(500 + m)
     C, k0 = _cone(rng, m, m == 2)
     n, L, J = 4, 2, 3
@@ -430,17 +412,18 @@ def test_screen_matches_loop_screen_on_triangle_slabs(m):
         for lam in range(L):
             same_screen(sums[a], origin, one,
                         E[a, :, lam][:, None, None, None, None, None],
-                        counts[a, :, lam][:, None, None, None, None, None], C)
+                        counts[a, :, lam][:, None, None, None, None, None], C,
+                        loop_screen)
     tail = (None,) * 5
     T, tn = E.transpose(2, 0, 1, 3, 4), counts.transpose(2, 0, 1)
     decided, _, _ = same_screen(sums[None], origin, one,
                                 T[(..., *tail, slice(None), slice(None))],
-                                tn[(..., *tail)], C)
+                                tn[(..., *tail)], C, loop_screen)
     # a scale per target: 0, tol or larger
     S = rng.choice(SCALES + (0.7, 1.3), size=(L, n, n))[(..., *tail)]
     same_screen(sums[None], origin, S,
                 T[(..., *tail, slice(None), slice(None))], tn[(..., *tail)],
-                C)
+                C, loop_screen)
     assert decided.shape == (L, n, n, n, L, L, J, J)
 
 
@@ -500,10 +483,10 @@ def test_screen_matches_loop_screen_over_base_rows_and_vertices(
     for nb in (1, 2, 3, 4):
         for J in (1, 2, 3):
             Y, B, S, V, nv = _ragged_stack(rng, C, k0, 40, nb, J)
-            decided, answer, _ = same_screen(Y, B, S, V, nv, C, slack_screen)
+            decided, answer, _ = same_screen(Y, B, S, V, nv, C)
             answers.update(answer[decided].tolist())
             # one base and one polytope shared by the stack, broadcast
-            same_screen(Y, B[0], S, V[0], nv[0], C, slack_screen)
+            same_screen(Y, B[0], S, V[0], nv[0], C)
     assert answers == {True, False}
 
 
@@ -514,7 +497,7 @@ def test_screen_matches_loop_screen_on_a_relation_matrix_block():
     for m, orthant_cone in ((2, True), (3, False)):
         C, k0 = _cone(rng, m, orthant_cone)
         Y, B, S, V, nv = _ragged_stack(rng, C, k0, 1024, 4, 3)
-        decided, answer, _ = same_screen(Y, B, S, V, nv, C, slack_screen)
+        decided, answer, _ = same_screen(Y, B, S, V, nv, C)
         assert answer[decided].any() and not answer[decided].all()
         assert not decided.all()
 
@@ -535,5 +518,5 @@ def test_screen_reads_a_nan_row_as_any_does():
     S = np.full(4, 0.5)
     nv = np.full(4, 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        decided, answer, _ = same_screen(Y, B, S, V, nv, C, slack_screen)
+        decided, answer, _ = same_screen(Y, B, S, V, nv, C)
     assert decided.all() and answer.all()
