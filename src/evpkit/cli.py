@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import stat
 import sys
@@ -28,6 +29,9 @@ from .geometry import Polytope, strictly_positive_functional
 from .instances import check_assumptions
 from .io import Report, render
 from .scalarize import GerstewitzFn, gz_bisect_oracle, gz_value
+
+# the string escapes of json.dumps with its default ensure_ascii=True
+_json_string = json.encoder.encode_basestring_ascii
 
 EVP_THEOREMS = ("3.1", "3.5", "3.6", "4.1", "4.2", "4.4", "4.5", "4.6")
 PRODUCT_THEOREMS = ("5.1", "5.2", "5.6")
@@ -307,6 +311,81 @@ def _check_assumptions(args, bundle):
     return payload
 
 
+def _json_text(document):
+    """``json.dumps(document, indent=2)``, byte for byte.
+
+    The standard library runs its pure-Python encoder whenever ``indent``
+    is set; this one makes the same choices in the same order (str, None,
+    True, False, int, float, list or tuple, dict), with the same string
+    escapes and number forms, and no generator per container. It does not
+    look for circular references."""
+    parts = []
+    _json_parts(document, "\n", parts)
+    return "".join(parts)
+
+
+def _json_scalar(o):
+    """The JSON text of a scalar, as ``json.dumps`` writes it, or None for a
+    container or any other object."""
+    if isinstance(o, str):
+        return _json_string(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    return None
+
+
+def _json_parts(o, newline, parts):
+    """Append the text of ``o`` to ``parts``; ``newline`` is the line break
+    and indent of its own level."""
+    text = _json_scalar(o)
+    if text is not None:
+        parts.append(text)
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in o:
+            parts.append(sep)
+            sep = "," + inner
+            _json_parts(item, inner, parts)
+        parts.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in o.items():
+            if isinstance(key, (int, float)) or key is None:
+                key = _json_scalar(key)
+            elif not isinstance(key, str):
+                raise TypeError("keys must be str, int, float, bool or None, "
+                                f"not {key.__class__.__name__}")
+            parts.append(sep + _json_string(key) + ": ")
+            sep = "," + inner
+            _json_parts(item, inner, parts)
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} "
+                        "is not JSON serializable")
+
+
 def _write_out(path, document):
     """Write ``document`` to ``--out``, or raise InputError naming it.
 
@@ -315,7 +394,7 @@ def _write_out(path, document):
     zero length flushes it to disk, which costs more than the write. Only a
     regular file is cut, so ``/dev/null`` and pipes take the text as they
     did."""
-    text = json.dumps(document, indent=2).encode("utf-8")
+    text = _json_text(document).encode("utf-8")
     try:
         with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
             fh.write(text)

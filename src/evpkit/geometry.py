@@ -45,7 +45,7 @@ def as_point(y, m=None):
     arr = float_array(y, "point")
     if arr.ndim != 1:
         raise InputError(f"point must be 1-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError("point has non-finite entries")
     if m is not None and arr.shape[0] != m:
         raise InputError(f"dimension mismatch: expected {m}, got {arr.shape[0]}")
@@ -58,7 +58,7 @@ def _as_matrix(rows, m=None, name="matrix"):
         arr = arr.reshape(1, -1)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise InputError(f"{name} must be a nonempty 2-D array")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError(f"{name} has non-finite entries")
     if m is not None and arr.shape[1] != m:
         raise InputError(f"{name}: dimension mismatch (expected {m} columns)")
@@ -242,7 +242,7 @@ class PolyhedralCone:
     def validate(self, tol=DEFAULT_TOL):
         """Check nontriviality and generator consistency; raise InputError."""
         A = self.halfspaces
-        if np.all(np.abs(A) <= tol):
+        if (np.abs(A) <= tol).all():
             raise InputError("cone is the whole space (all halfspace rows vanish)")
         if self.generators is not None:
             prods = A @ self.generators.T
@@ -252,7 +252,7 @@ class PolyhedralCone:
                     f"generator {j} violates halfspace row {i} "
                     f"(value {prods[i, j]:.3g})"
                 )
-            if np.any(np.linalg.norm(self.generators, axis=1) > tol):
+            if (np.linalg.norm(self.generators, axis=1) > tol).any():
                 return self
         # no nonzero generator certificate: look for any nonzero member
         m = self.dim

@@ -63,9 +63,9 @@ class MetricSpace:
         n = self.n
         if d.shape != (n, n):
             raise InputError(f"distance matrix must be {n}x{n}")
-        if not np.all(np.isfinite(d)):
+        if not np.isfinite(d).all():
             raise InputError("distance matrix has non-finite entries")
-        if np.any(np.abs(np.diag(d)) > tol):
+        if (np.abs(np.diag(d)) > tol).any():
             i = int(np.argmax(np.abs(np.diag(d))))
             raise InputError(f"nonzero self-distance at {self.labels[i]!r}")
         if np.max(np.abs(d - d.T)) > tol:

@@ -46,7 +46,7 @@ class _Leaf(NamedTuple):
 def _number(v):
     """A real, not a boolean, within the float range: RFC 8259 JSON has no
     Infinity or NaN, and a larger integer has no float value."""
-    if isinstance(v, float):
+    if type(v) is float or isinstance(v, float):
         return math.isfinite(v)
     return (isinstance(v, numbers.Real) and not isinstance(v, bool)
             and abs(v) <= sys.float_info.max)
@@ -95,37 +95,73 @@ INSTANCE_SPEC = {
 }
 
 
-def _check(value, spec, path="$"):
+class _Fault(Exception):
+    """A place where a value breaks its spec: ``text`` says how, and
+    ``parts`` gathers the path parts from the inside out as the fault passes
+    up through :func:`_walk`."""
+
+    def __init__(self, text, *parts):
+        self.text = text
+        self.parts = list(parts)
+
+
+def _check(value, spec):
     """Raise InputError naming the first place where ``value`` breaks
-    ``spec``; values are only checked for JSON type and shape here."""
-    if isinstance(spec, _Leaf):
+    ``spec``; values are only checked for JSON type and shape here. The
+    path is built only when a check fails."""
+    try:
+        _walk(value, spec)
+    except _Fault as fault:
+        raise InputError("$" + "".join(reversed(fault.parts))
+                         + fault.text) from None
+
+
+def _walk(value, spec):
+    """:func:`_check` without the path: raise a _Fault at the first place
+    where ``value`` breaks ``spec``, each level adding its part."""
+    if type(spec) is _Leaf:
         if not spec.accepts(value):
-            raise InputError(f"{path}: expected {spec.what}")
-    elif isinstance(spec, dict):
+            raise _Fault(f": expected {spec.what}")
+    elif type(spec) is dict:
         if not isinstance(value, dict):
-            raise InputError(f"{path}: expected an object")
+            raise _Fault(": expected an object")
         if not value and spec.get("*", (False,))[0]:
-            raise InputError(f"{path}: expected a non-empty object")
+            raise _Fault(": expected a non-empty object")
         for key, (required, _) in spec.items():
             if required and key != "*" and key not in value:
-                raise InputError(f"{path}.{key}: required but missing")
+                raise _Fault(": required but missing", f".{key}")
         for key, item in value.items():
             if key not in spec and "*" not in spec:
-                raise InputError(f"{path}.{key}: unknown key")
-            _check(item, spec.get(key, spec.get("*"))[1], f"{path}.{key}")
+                raise _Fault(": unknown key", f".{key}")
+            try:
+                _walk(item, spec.get(key, spec.get("*"))[1])
+            except _Fault as fault:
+                fault.parts.append(f".{key}")
+                raise
     else:
-        exact = isinstance(spec, tuple)
+        exact = type(spec) is tuple
         if not (isinstance(value, list) and value
                 and (not exact or len(value) == len(spec))):
-            raise InputError(f"{path}: expected " + (
+            raise _Fault(": expected " + (
                 f"a list of {len(spec)} items" if exact
                 else "a non-empty list"))
+        if not exact and type(spec[0]) is _Leaf:
+            # a list of scalars, such as a _VEC row: one loop, no recursion
+            accepts = spec[0].accepts
+            for i, item in enumerate(value):
+                if not accepts(item):
+                    raise _Fault(f": expected {spec[0].what}", f"[{i}]")
+            return
+        rows = not exact and type(spec[0]) is list
         for i, item in enumerate(value):
-            _check(item, spec[i] if exact else spec[0], f"{path}[{i}]")
-            if (not exact and isinstance(spec[0], list)
-                    and len(item) != len(value[0])):
-                raise InputError(f"{path}[{i}]: expected a list of "
-                                 f"{len(value[0])} items")
+            try:
+                _walk(item, spec[i] if exact else spec[0])
+            except _Fault as fault:
+                fault.parts.append(f"[{i}]")
+                raise
+            if rows and len(item) != len(value[0]):
+                raise _Fault(f": expected a list of {len(value[0])} items",
+                             f"[{i}]")
 
 
 @dataclass
@@ -276,10 +312,8 @@ def load_validate(source):
     product = None
     if "product" in data:
         pspec = data["product"]
-        graph = tuple((x, np.asarray(y, dtype=float))
-                      for x, y in pspec["graph"])
-        y0 = np.asarray(pspec["y0"], dtype=float)
-        product = ProductInstance(graph, space, (x0, y0), cone_, tol)
+        product = ProductInstance(pspec["graph"], space, (x0, pspec["y0"]),
+                                  cone_, tol)
     return InstanceBundle(raw=data, instance=inst, family=family,
                           params=params, product=product)
 

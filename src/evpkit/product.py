@@ -107,30 +107,31 @@ class ProductInstance:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        pairs = []
-        seen = set()
-        for x, y in self.graph:
-            y = as_point(y, self.cone.dim)
-            if x not in self.base.labels:
-                raise InputError(f"graph label {x!r} is not in the base space")
-            key = (x, tuple(y))
-            if key in seen:
-                raise InputError(f"duplicate graph pair {key}")
-            seen.add(key)
-            pairs.append((x, y))
-        if not pairs:
-            raise InputError("empty graph")
-        object.__setattr__(self, "graph", tuple(pairs))
-        values = np.array([y for _, y in pairs])
+        m, labels = self.cone.dim, self.base.labels
+        graph = tuple(self.graph)
+        position = {x: p for p, x in enumerate(labels)}
+        # every value at once: one float array, checked for shape and
+        # finiteness once, and the pairs keyed by its plain float rows; any
+        # fault sends the graph to the pair-by-pair pass, which names it
+        try:
+            xs = [x for x, _ in graph]
+            values = np.array([y for _, y in graph], dtype=float)
+            index = [position[x] for x in xs]
+            keys = (values.shape == (len(graph), m)
+                    and np.isfinite(values).all()
+                    and set(zip(xs, map(tuple, values.tolist()))))
+        except (TypeError, ValueError, KeyError):
+            keys = None
+        if not keys or len(keys) != len(graph):
+            xs, values, index, keys = _graph_pairs(graph, labels, position, m)
         values.flags.writeable = False
-        position = {x: p for p, x in enumerate(self.base.labels)}
+        object.__setattr__(self, "graph", tuple(zip(xs, values.copy())))
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "label_index",
-                           np.array([position[x] for x, _ in pairs]))
+        object.__setattr__(self, "label_index", np.array(index))
         x0, y0 = self.start
-        y0 = as_point(y0, self.cone.dim)
+        y0 = as_point(y0, m)
         object.__setattr__(self, "start", (x0, y0))
-        if (x0, tuple(y0)) not in seen:
+        if (x0, tuple(y0.tolist())) not in keys:
             raise InputError("start pair is not a member of the graph")
 
     @property
@@ -146,6 +147,27 @@ class ProductInstance:
 
     def all_values(self):
         return self.values
+
+
+def _graph_pairs(graph, labels, position, m):
+    """The labels, values, label positions and pair keys of ``graph`` taken
+    pair by pair: each pair's value is checked, then its label, then that
+    it does not repeat an earlier pair, and the first fault is raised as an
+    InputError."""
+    xs, rows, keys = [], [], set()
+    for x, y in graph:
+        y = as_point(y, m)
+        if x not in labels:
+            raise InputError(f"graph label {x!r} is not in the base space")
+        key = (x, tuple(y.tolist()))
+        if key in keys:
+            raise InputError(f"duplicate graph pair {key}")
+        keys.add(key)
+        xs.append(x)
+        rows.append(y)
+    if not rows:
+        raise InputError("empty graph")
+    return xs, np.array(rows), [position[x] for x in xs], keys
 
 
 @dataclass(frozen=True, eq=False)

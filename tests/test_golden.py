@@ -5,7 +5,9 @@ Each case is one ``run_command`` call; its ``--out`` JSON is normalized by
 dropping ``timing_s`` and reducing instance and written paths to their file
 names. ``generate`` and ``builtin`` write the emitted instance to ``--out``,
 so for them the file is checked against the reported instance and the
-returned reports are normalized instead. To
+returned reports are normalized instead. Before any normalization, the
+``--out`` bytes must equal ``json.dumps(document, indent=2)`` of the
+document the command wrote. To
 rewrite the stored files after a deliberate change of behaviour, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
 """
@@ -105,8 +107,13 @@ def normalized_output(case, directory):
     code, reports = run_command(argv + paths + ["--out", out])
     doc = None
     if os.path.exists(out):
-        with open(out, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(out, "rb") as fh:
+            written = fh.read()
+        doc = json.loads(written)
+        # the --out bytes are those of json.dumps(indent=2) of what was sent
+        sent = (reports[0].payload["instance"] if argv[0] in EMITTERS
+                else {"reports": [r.to_dict() for r in reports]})
+        assert written == json.dumps(sent, indent=2).encode("utf-8"), name
     if argv[0] in EMITTERS:
         assert doc == reports[0].payload.get("instance")
         doc = json.loads(json.dumps({"reports": [r.to_dict()

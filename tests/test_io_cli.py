@@ -1,14 +1,18 @@
 """Instance files, generators, builtins, reports, and the CLI surface."""
 
+import copy
 import functools
 import json
 import operator
 import os
+import random
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evpkit import cli, geometry, instances, solvers
 from evpkit import io as kit_io
@@ -213,6 +217,10 @@ REJECTIONS = [
     ("graph-point-empty", ("product", "graph"), [["a", []]], ("graph",)),
     ("graph-point-string-entry", ("product", "graph"), [["a", ["2"]]],
      ("graph",)),
+    # plain floats in the pair, under numpy 1 and 2 alike
+    ("graph-duplicate-pair", ("product", "graph"),
+     [["a", [2.0]], ["b", [1.0]], ["b", [1.0]]],
+     ("duplicate graph pair ('b', (1.0,))",)),
     ("top-level-list", (), [1, 2], ("object",)),
     ("top-level-string", (), "evpkit/1", ("object",)),
     ("top-level-number", (), 3, ("object",)),
@@ -272,6 +280,180 @@ def test_rejection_names_the_field(path, value, words, tmp_path):
     code, reports = run_command(["validate", str(source)])
     assert code == 3 and reports[0].status == "input_error"
     assert reports[0].payload["error"] == str(err.value)
+
+
+def test_duplicate_graph_pair_prints_plain_floats():
+    data = generate(1, n=3, m=2, values_per_point=2, variant="polytope")
+    data["product"]["graph"].append(data["product"]["graph"][0])
+    with pytest.raises(InputError) as err:
+        load_validate(data)
+    assert str(err.value) == ("duplicate graph pair "
+                              "('p0', (1.31081, -0.363203))")
+
+
+_Leaf = kit_io._Leaf
+
+
+def loop_check(value, spec, path="$"):
+    """Raise InputError naming the first place where ``value`` breaks
+    ``spec``; values are only checked for JSON type and shape here."""
+    if isinstance(spec, _Leaf):
+        if not spec.accepts(value):
+            raise InputError(f"{path}: expected {spec.what}")
+    elif isinstance(spec, dict):
+        if not isinstance(value, dict):
+            raise InputError(f"{path}: expected an object")
+        if not value and spec.get("*", (False,))[0]:
+            raise InputError(f"{path}: expected a non-empty object")
+        for key, (required, _) in spec.items():
+            if required and key != "*" and key not in value:
+                raise InputError(f"{path}.{key}: required but missing")
+        for key, item in value.items():
+            if key not in spec and "*" not in spec:
+                raise InputError(f"{path}.{key}: unknown key")
+            loop_check(item, spec.get(key, spec.get("*"))[1], f"{path}.{key}")
+    else:
+        exact = isinstance(spec, tuple)
+        if not (isinstance(value, list) and value
+                and (not exact or len(value) == len(spec))):
+            raise InputError(f"{path}: expected " + (
+                f"a list of {len(spec)} items" if exact
+                else "a non-empty list"))
+        for i, item in enumerate(value):
+            loop_check(item, spec[i] if exact else spec[0], f"{path}[{i}]")
+            if (not exact and isinstance(spec[0], list)
+                    and len(item) != len(value[0])):
+                raise InputError(f"{path}[{i}]: expected a list of "
+                                 f"{len(value[0])} items")
+
+
+# what a mutation puts in place of a value or under a new key
+_WRONG = ("x", "", None, True, False, 0, 1, -1, 2, 1.5, [], {}, [1.0], [2],
+          [[1.0]], [[1.0, 2.0]], [[1.0], [1.0, 2.0]], [["x"]], [True],
+          [[None]], ["a", [1.0]], [["a", [1.0]]], {"k": 1.0}, {"a": [[1.0]]},
+          {"L0": {"a|b": [[1.0]]}}, float("nan"), float("inf"),
+          -float("inf"), 10 ** 400, -10 ** 400, "evpkit/1", "euclidean",
+          "polytope")
+# keys a mutation adds: unknown ones and the optional keys of INSTANCE_SPEC
+_ADDED = ("bogus", "*", "distances", "generators", "metric", "epsilon",
+          "lambda", "gamma", "tolerance", "k0", "vertices", "matrix", "open",
+          "lambdas", "table", "product", "y0", "graph", "p0", "L0")
+
+
+def _places(doc):
+    """Every (container, key or position) inside ``doc``, parents first."""
+    if isinstance(doc, dict):
+        items = list(doc.items())
+    elif isinstance(doc, list):
+        items = list(enumerate(doc))
+    else:
+        return []
+    return [place for k, v in items
+            for place in [(doc, k)] + _places(v)]
+
+
+def _mutate(doc, rng):
+    """One seeded mutation of ``doc`` in place: a dropped key or item, an
+    added key, a wrong value, a longer or shorter list, or an empty list or
+    object."""
+    places = _places(doc)
+    containers = [doc] + [c[k] for c, k in places
+                          if isinstance(c[k], (dict, list))]
+    kind = rng.randrange(5)
+    if kind == 0 and places:
+        container, key = rng.choice(places)
+        del container[key]
+    elif kind == 1:
+        objects = [c for c in containers if isinstance(c, dict)]
+        rng.choice(objects)[rng.choice(_ADDED)] = copy.deepcopy(
+            rng.choice(_WRONG))
+    elif kind == 2 and places:
+        container, key = rng.choice(places)
+        container[key] = copy.deepcopy(rng.choice(_WRONG))
+    elif kind == 3:
+        lists = [c for c in containers if isinstance(c, list) and c]
+        if lists:
+            chosen = rng.choice(lists)
+            if rng.random() < 0.5:
+                chosen.pop()
+            else:
+                chosen.append(copy.deepcopy(rng.choice(chosen)))
+    elif places:
+        container, key = rng.choice(places)
+        container[key] = [] if rng.random() < 0.5 else {}
+
+
+def _check_text(check, doc):
+    try:
+        check(doc, kit_io.INSTANCE_SPEC)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def test_check_equals_the_loop_walker_on_mutated_documents():
+    """The walker that builds its path only on a fault names every fault as
+    the walker that formats a path at each node: seeded mutations of
+    documents of all five variants, each with a product block, give the
+    same text from both or pass both."""
+    rng = random.Random(20261020)
+    bases = [generate(seed, n=n, m=m, values_per_point=2, variant=variant)
+             for variant in VARIANTS for seed, n, m in ((3, 2, 1), (4, 3, 2))]
+    texts, accepted = set(), 0
+    for trial in range(4000):
+        doc = copy.deepcopy(bases[trial % len(bases)])
+        for _ in range(rng.randint(1, 3)):
+            _mutate(doc, rng)
+        want = _check_text(loop_check, doc)
+        assert _check_text(kit_io._check, doc) == want, (trial, want)
+        texts.add(want)
+        accepted += want is None
+    assert 0 < accepted < 2000 and len(texts) > 300
+    for doc in ([], [1], "evpkit/1", 3, None, True, {}):
+        assert _check_text(kit_io._check, doc) == _check_text(loop_check, doc)
+
+
+@st.composite
+def _json_trees(draw):
+    """A JSON tree of every kind of value ``json.dumps`` writes, nested at
+    least five containers deep."""
+    keys = (st.text(max_size=8) | st.integers(-2 ** 70, 2 ** 70)
+            | st.floats() | st.booleans() | st.none())
+    leaves = (st.text() | st.sampled_from(["\"", "\\", "\x00\x1f\x7f",
+                                           "é ü 中 😀", "\ud800"])
+              | st.none() | st.booleans()
+              | st.integers(-2 ** 100, 2 ** 100)
+              | st.floats(allow_nan=True, allow_infinity=True)
+              | st.sampled_from([-0.0, 1e-320, 2 ** 64 + 1, -2 ** 64,
+                                 float("nan"), float("inf"), -float("inf")])
+              | st.floats().map(np.float64))
+    tree = draw(st.recursive(
+        leaves, lambda inner: (st.lists(inner, max_size=4)
+                               | st.tuples(inner, inner)
+                               | st.dictionaries(keys, inner, max_size=4)),
+        max_leaves=24))
+    for wrap in draw(st.lists(st.sampled_from(["list", "tuple", "dict"]),
+                              min_size=5, max_size=7)):
+        sibling = draw(leaves)
+        tree = {"list": [sibling, tree], "tuple": (tree,),
+                "dict": {draw(st.text(max_size=3)): tree}}[wrap]
+    return tree
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_json_trees())
+def test_json_text_is_json_dumps_indent_2(tree):
+    assert cli._json_text(tree) == json.dumps(tree, indent=2)
+
+
+def test_json_text_rejects_what_json_dumps_rejects():
+    for value in ([np.int64(1)], {"a": np.bool_(True)}, {1j: 1.0},
+                  {(1, 2): 1.0}, [{1, 2}], object()):
+        with pytest.raises(TypeError) as want:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as got:
+            cli._json_text(value)
+        assert str(got.value) == str(want.value)
 
 
 class TestGenerate:

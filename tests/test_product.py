@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from evpkit.errors import HypothesisError, InputError, PremiseError
-from evpkit.geometry import (LinearFunctional, Polytope, cone, orthant,
-                             singleton, strictly_positive_functional)
+from evpkit.geometry import (LinearFunctional, Polytope, as_point, cone,
+                             orthant, singleton, strictly_positive_functional)
 from evpkit.instances import (ExtensionalFamily, MetricSpace,
                               metric_from_coordinates, vertex_minima)
 from evpkit.product import (FMap, ProductInstance, _pair_index,
@@ -351,6 +351,131 @@ class TestInstanceValidation:
         base = MetricSpace(("a",), [[0.0]]).validate()
         with pytest.raises(InputError):
             ProductInstance((("a", [1.0, 1.0]),), base, ("a", [0.0, 0.0]), D2)
+
+    @pytest.mark.parametrize("faults,text", [
+        ((("zz", [1.0, 1.0]), ("a", [1.0, 1.0, 1.0])),
+         "graph label 'zz' is not in the base space"),
+        ((("a", [1.0, 1.0, 1.0]), ("zz", [1.0, 1.0])),
+         "dimension mismatch: expected 2, got 3"),
+    ], ids=["label-first", "dimension-first"])
+    def test_the_first_faulty_pair_is_named(self, faults, text):
+        base = MetricSpace(("a",), [[0.0]]).validate()
+        graph = faults + (("a", [0.0, 0.0]),)
+        with pytest.raises(InputError) as err:
+            ProductInstance(graph, base, ("a", [0.0, 0.0]), D2)
+        assert str(err.value) == text
+
+    def test_array_build_equals_the_pair_loop(self):
+        """Random graphs with faults in random pairs, given as lists or
+        arrays: the instance rejects each with the text of the pair-by-pair
+        loop, or accepts it with the loop's pairs."""
+        rng = np.random.default_rng(30)
+        base = MetricSpace(("a", "b", "c"),
+                           np.ones((3, 3)) - np.eye(3)).validate()
+        faults = ([1.0, 2.0, 3.0], [1.0], 1.0, [[1.0, 2.0]], [math.nan, 1.0],
+                  [1.0, -math.inf], [], ["1", "2"], [1, 2], "12", None,
+                  [None, 1.0])
+        outcomes = set()
+        for trial in range(600):
+            graph = [(str(rng.choice(["a", "b", "c"])),
+                      rng.choice([0.0, -0.0, 1.0, 2.5], size=2))
+                     for _ in range(rng.integers(0, 6))]
+            for _ in range(rng.integers(0, 3)):
+                if not graph:
+                    break
+                p = int(rng.integers(len(graph)))
+                kind = rng.integers(3)
+                if kind == 0:
+                    graph[p] = ("zz", graph[p][1])
+                elif kind == 1:
+                    graph[p] = (graph[p][0], faults[rng.integers(len(faults))])
+                else:
+                    graph.insert(p + 1, graph[int(rng.integers(p + 1))])
+            if trial % 2:
+                graph = [(x, y.tolist() if isinstance(y, np.ndarray) else y)
+                         for x, y in graph]
+            start = (graph[int(rng.integers(len(graph)))] if graph
+                     and rng.random() < 0.8 else ("a", [0.5, 0.5]))
+            try:
+                want = loop_product_pairs(graph, base, start, D2)
+            except InputError as exc:
+                want = str(exc)
+            try:
+                pi = ProductInstance(tuple(graph), base, start, D2)
+                got = [(x, y.tolist()) for x, y in pi.graph]
+                assert pi.values.tolist() == [y for _, y in got]
+                assert pi.label_index.tolist() == [
+                    base.labels.index(x) for x, _ in got]
+            except InputError as exc:
+                got = str(exc)
+            if not isinstance(want, str):
+                want = [(x, y.tolist()) for x, y in want]
+            assert got == want, (trial, graph, start)
+            outcomes.add(want if isinstance(want, str) else "accepted")
+        assert len(outcomes) >= 8, outcomes
+
+    def test_start_pair_membership(self):
+        """The start pair is a member by label and value, whatever form the
+        value takes: -0.0 equals 0.0, and an integer list its floats."""
+        base = MetricSpace(("a", "b"), [[0.0, 1.0], [1.0, 0.0]]).validate()
+        graph = (("a", [0.0, 1.0]), ("b", np.array([2.0, 3.0])))
+        for start in (("a", [-0.0, 1.0]), ("a", np.array([0, 1])),
+                      ("b", (2, 3.0))):
+            pi = ProductInstance(graph, base, start, D2)
+            assert pi.y0.tolist() == [float(v) for v in start[1]]
+        for start in (("b", [0.0, 1.0]), ("a", [0.0, 1.0 + 1e-12])):
+            with pytest.raises(InputError, match="start pair is not"):
+                ProductInstance(graph, base, start, D2)
+        with pytest.raises(InputError, match="dimension mismatch"):
+            ProductInstance(graph, base, ("a", [0.0]), D2)
+
+    def test_fields_keep_their_contents_and_writeability(self):
+        """Lists and arrays give the same instance: ``graph`` holds one
+        writeable float row per pair, apart from the read-only ``values``;
+        ``label_index`` and the start value are writeable arrays."""
+        base = MetricSpace(("a", "b"), [[0.0, 1.0], [1.0, 0.0]]).validate()
+        lists = (("b", [0, 1]), ("a", [2.5, -1.0]), ("b", [0.5, 0.5]))
+        arrays = tuple((x, np.array(y, dtype=float)) for x, y in lists)
+        for graph, start in ((lists, ("a", [2.5, -1.0])),
+                             (arrays, ("a", np.array([2.5, -1.0])))):
+            pi = ProductInstance(graph, base, start, D2)
+            assert [x for x, _ in pi.graph] == ["b", "a", "b"]
+            assert pi.values.tolist() == [[0.0, 1.0], [2.5, -1.0],
+                                          [0.5, 0.5]]
+            assert pi.values.dtype == float and not pi.values.flags.writeable
+            assert pi.label_index.tolist() == [1, 0, 1]
+            assert pi.label_index.flags.writeable
+            for p, (_, y) in enumerate(pi.graph):
+                assert y.dtype == float and y.shape == (2,)
+                assert y.flags.writeable
+                assert y.tolist() == pi.values[p].tolist()
+            assert pi.start[0] == "a" and pi.y0.tolist() == [2.5, -1.0]
+            assert pi.y0.flags.writeable
+            pi.graph[0][1][0] = 7.0
+            assert pi.values[0, 0] == 0.0
+
+
+def loop_product_pairs(graph, base, start, C):
+    """The checks of :class:`ProductInstance` made pair by pair, in graph
+    order: each pair's value, then its label, then that it repeats no
+    earlier pair; then that the start pair is one of them. Returns the
+    pairs, or raises the InputError of the first fault."""
+    pairs, seen = [], set()
+    for x, y in graph:
+        y = as_point(y, C.dim)
+        if x not in base.labels:
+            raise InputError(f"graph label {x!r} is not in the base space")
+        key = (x, tuple(y.tolist()))
+        if key in seen:
+            raise InputError(f"duplicate graph pair {key}")
+        seen.add(key)
+        pairs.append((x, y))
+    if not pairs:
+        raise InputError("empty graph")
+    x0, y0 = start
+    if (x0, tuple(as_point(y0, C.dim).tolist())) not in seen:
+        raise InputError("start pair is not a member of the graph")
+    return pairs
 
 
 def _three_labels(values):
