@@ -30,7 +30,13 @@ from .geometry import (DEFAULT_TOL, PolyhedralCone, Polytope, _over_rows,
 
 @dataclass(frozen=True, eq=False)
 class MetricSpace:
-    """Finite metric space given by labels and a distance matrix."""
+    """Finite metric space given by labels and a distance matrix.
+
+    ``validate`` keeps the triangle excess, the largest violation ``d[i, k]
+    - d[i, j] - d[j, k]``, as ``_excess`` (None before; a bound on it for
+    :func:`metric_from_coordinates`), and searches the triples only while
+    no excess below ``tol`` is kept. ``dist`` is a read-only copy of the
+    given matrix, so a kept excess stays the excess of ``dist``."""
 
     labels: tuple
     dist: np.ndarray
@@ -41,9 +47,10 @@ class MetricSpace:
             raise InputError("space needs at least one point")
         if len(set(labels)) != len(labels):
             raise InputError("duplicate labels")
-        d = float_array(self.dist, "distance matrix")
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "dist", d)
+        object.__setattr__(self, "dist", _read_only(self.dist,
+                                                    "distance matrix"))
+        object.__setattr__(self, "_excess", None)
 
     @property
     def n(self):
@@ -65,8 +72,10 @@ class MetricSpace:
             raise InputError(f"distance matrix must be {n}x{n}")
         if not np.isfinite(d).all():
             raise InputError("distance matrix has non-finite entries")
-        if (np.abs(np.diag(d)) > tol).any():
-            i = int(np.argmax(np.abs(np.diag(d))))
+        diag = np.diag(d)
+        bad = (diag < 0) | (diag > tol)
+        if bad.any():
+            i = int(np.argmax(np.where(bad, np.abs(diag), -1.0)))
             raise InputError(f"nonzero self-distance at {self.labels[i]!r}")
         if np.max(np.abs(d - d.T)) > tol:
             i, j = np.unravel_index(np.argmax(np.abs(d - d.T)), d.shape)
@@ -79,12 +88,16 @@ class MetricSpace:
             raise InputError(
                 f"distinct points {self.labels[i]!r}, {self.labels[j]!r} "
                 f"at zero distance")
-        worst, excess = _worst_triangle(d)
-        if excess > tol:
-            i, j, k = worst
-            raise InputError(
-                "triangle inequality fails on "
-                f"({self.labels[i]!r}, {self.labels[j]!r}, {self.labels[k]!r})")
+        excess = self._excess
+        if excess is None or not excess < tol:
+            worst, excess = _worst_triangle(d)
+            if excess > tol:
+                i, j, k = worst
+                raise InputError(
+                    "triangle inequality fails on "
+                    f"({self.labels[i]!r}, {self.labels[j]!r}, "
+                    f"{self.labels[k]!r})")
+        object.__setattr__(self, "_excess", float(excess))
         return self
 
     def min_positive_distance(self):
@@ -95,12 +108,25 @@ class MetricSpace:
 
 
 def metric_from_coordinates(labels, coords):
-    """Euclidean metric induced by an embedding (axioms by construction)."""
+    """Euclidean metric induced by an embedding (axioms by construction).
+
+    The computed norms meet the triangle inequality up to their rounding:
+    each is within ``(m + 4) eps / 4`` of the exact distance, relative, and
+    ``sqrt(m) 2**-537.5`` absolute where squares underflow. The space keeps
+    ``(3 m + 16) eps max d + 4 m 2**-537``, which bounds both the exact
+    violation and the one :func:`_worst_triangle` computes, as its
+    ``_excess``, and ``validate`` searches the triples only when that
+    reaches ``tol``."""
     pts = np.asarray(coords, dtype=float)
     if pts.ndim != 2 or pts.shape[0] != len(labels):
         raise InputError("coordinates must be one row per label")
     diff = pts[:, None, :] - pts[None, :, :]
-    return MetricSpace(tuple(labels), np.linalg.norm(diff, axis=2))
+    space = MetricSpace(tuple(labels), np.linalg.norm(diff, axis=2))
+    m = pts.shape[1]
+    object.__setattr__(space, "_excess", float(
+        (3 * m + 16) * np.finfo(float).eps * space.dist.max()
+        + 4 * m * 2.0 ** -537))
+    return space
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,16 +138,20 @@ class QuasiMetric:
     mat: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", float_array(self.mat,
-                                                    "quasi-metric matrix"))
+        object.__setattr__(self, "mat", _read_only(self.mat,
+                                                   "quasi-metric matrix"))
+        object.__setattr__(self, "_excess", None)
 
     def validate(self, tol=DEFAULT_TOL):
+        """Keeps the directed triangle excess as ``_excess``, and searches
+        the triples only while no excess below ``tol`` is kept, as
+        :meth:`MetricSpace.validate` does; ``mat`` is a read-only copy."""
         p = self.mat
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise InputError("quasi-metric matrix must be square")
         if not np.all(np.isfinite(p)):
             raise InputError("quasi-metric has non-finite entries")
-        if np.min(p) < -tol:
+        if np.min(p) < 0:
             raise InputError("quasi-metric has negative entries")
         n = p.shape[0]
         off = p + np.diag([np.inf] * n)
@@ -129,11 +159,21 @@ class QuasiMetric:
             i, j = np.unravel_index(np.argmin(off), p.shape)
             raise InputError(
                 f"quasi-metric vanishes on distinct indices ({i}, {j})")
-        worst, excess = _worst_triangle(p)
-        if excess > tol:
-            raise InputError("directed triangle inequality fails on indices "
-                             f"({', '.join(map(str, worst))})")
+        excess = self._excess
+        if excess is None or not excess < tol:
+            worst, excess = _worst_triangle(p)
+            if excess > tol:
+                raise InputError("directed triangle inequality fails on "
+                                 f"indices ({', '.join(map(str, worst))})")
+        object.__setattr__(self, "_excess", float(excess))
         return self
+
+
+def _read_only(x, name):
+    """A read-only float copy of ``x``."""
+    a = float_array(x, name).copy()
+    a.flags.writeable = False
+    return a
 
 
 # _worst_triangle builds the violations of blocks of whole rows up to this
@@ -274,6 +314,11 @@ class _DistanceScaled:
         V = self.H.vertices
         return (self.rate * space.dist)[..., None], V, len(V)
 
+    def _excess(self, space):
+        """The triangle excess of the scales ``S`` of ``arrays(space)`` that
+        the load kept, before the rounding of ``rate * d``, or None."""
+        return None if space._excess is None else self.rate * space._excess
+
     def validate(self, space, cone_, tol=DEFAULT_TOL):
         validate_direction_set(self.H, cone_, tol)
         return self
@@ -335,6 +380,11 @@ class QuasiMetricDirection(_DistanceScaled):
 
     def arrays(self, space):
         return self.p.mat.T[..., None], self.H.vertices, len(self.H.vertices)
+
+    def _excess(self, space):
+        # S = p^T, and S's triangle at (x1, x2, x3) is p's directed
+        # triangle at (x3, x2, x1)
+        return self.p._excess
 
     def validate(self, space, cone_, tol=DEFAULT_TOL):
         super().validate(space, cone_, tol)
@@ -412,6 +462,9 @@ class ExtensionalFamily:
     def arrays(self, space):
         self._reject(space, self._fault)
         return self._arrays
+
+    def _excess(self, space):
+        return None
 
     def validate(self, space, cone_, tol=DEFAULT_TOL):
         """A value outside the cone is named before the walk's fault."""
@@ -623,12 +676,14 @@ def relation_matrix(inst: FiniteInstance, fam, arrays=None):
 
 def ti_check(inst: FiniteInstance, fam):
     """Triangle-inclusion property of the family over all label triples,
-    searched by :func:`triangle_failure` on the family's ``arrays``.
+    searched by :func:`triangle_failure` on the family's ``arrays`` with
+    the triangle excess of its scales that the load kept.
     Returns ``(True, None)`` or ``(False, witness)``, the first failing
     (x1, x2, x3, index) in the loop order index, x1, x3, x2.
     """
     S, V, nv = fam.arrays(inst.space)
-    hit = triangle_failure(S, V, nv, inst.cone, inst.tol)
+    hit = triangle_failure(S, V, nv, inst.cone, inst.tol,
+                           fam._excess(inst.space))
     if hit is None:
         return True, None
     lam, a, b, c = hit
@@ -680,6 +735,37 @@ def settled_triples(s, s13, bounds, C, tol):
         (np.abs(s) + np.abs(s13)) * size + tol)
     skip = (s <= tol) & (s13 <= tol)
     return skip | ((s13 >= 0) & (low - allowance >= -tol))
+
+
+@np.errstate(all="ignore")
+def excess_settles(S, excess, bounds, C, tol):
+    """True when :func:`settled_triples` settles every triple of the
+    ``(n, n)`` scales ``S`` over one shared polytope with
+    :func:`vertex_bounds` ``bounds``, read from two endpoints: ``S``'s
+    triangle excess ``excess`` (the largest ``s13 - s12 - s23``, or a bound
+    on it before the rounding of ``rate * d``), or None to find it with
+    :func:`_worst_triangle`.
+
+    With ``min S >= 0`` every triple's ``r`` (``s - s13``, or ``s`` when
+    ``s13 <= tol``) lies in ``[r_lo, r_hi]``: ``r_lo = min(0, -(excess +
+    slack))`` and ``r_hi = 2 max S + slack``, where ``slack = 8 eps (max S +
+    |excess|)`` covers the rounding of ``rate * d``, of the excess and of
+    ``(s12 + s23) - s13``. The settle's ``min(r lo, r hi)`` is concave in
+    ``r``, and as computed it is monotone on each side of 0, where it is 0;
+    its allowance grows with ``|s| + |s13| <= 3 max S``. So when both
+    endpoints pass at that allowance, every triple passes."""
+    top = S.max()
+    if not S.min() >= 0:
+        return False
+    if excess is None:
+        excess = _worst_triangle(S)[1]
+    eps = np.finfo(float).eps
+    slack = 8 * eps * (top + abs(excess))
+    r = np.array([np.minimum(0.0, -(excess + slack)), 2 * top + slack])
+    lo, hi, size = bounds
+    low = np.minimum(r * lo, r * hi).min()
+    allowance = (2 * C.dim + 6) * eps * (3 * top * size + tol)
+    return bool(low - allowance >= -tol)
 
 
 @np.errstate(all="ignore")
@@ -899,7 +985,7 @@ def facet_verdicts(tables, at):
             fit & (low < -band[1]).all(axis=2))
 
 
-def triangle_failure(S, V, nv, C, tol):
+def triangle_failure(S, V, nv, C, tol, excess=None):
     """The first failing triple of the arrays ``(S, V, nv)`` as positions
     ``(index, x1, x2, x3)``, in the loop order index, x1, x3, x2, or None
     when the triangle inclusion holds. A triple fails for an index when no
@@ -913,6 +999,11 @@ def triangle_failure(S, V, nv, C, tol):
     screen result, and it is never sent to the LP. A triple with both
     s12 + s23 and s13 at most ``tol`` is covered; any other negative s13
     raises InputError when the walk reaches it.
+
+    A shared polytope of one index first tries :func:`excess_settles` with
+    ``excess``, the triangle excess of ``S`` that the load kept (found here
+    when None), and returns None at once when it settles every triple.
+    Otherwise the search goes on as follows.
 
     The (index, x1) slabs are taken in blocks of at most
     ``_TRIANGLE_QUERIES`` queries, and at least one slab: runs of indices
@@ -933,6 +1024,10 @@ def triangle_failure(S, V, nv, C, tol):
     """
     n, _, L = S.shape
     shared = V.ndim == 2
+    if shared:
+        bounds = vertex_bounds(V, C)
+        if L == 1 and excess_settles(S[..., 0], excess, bounds, C, tol):
+            return None
     J = V.shape[-2]
     per_slab = n * n * L * L * (J if shared else J * J)
     run = max(1, _TRIANGLE_QUERIES // per_slab)     # slabs per block
@@ -941,9 +1036,7 @@ def triangle_failure(S, V, nv, C, tol):
               for l0 in range(0, L, lrun) for a0 in range(0, n, min(run, n))]
     origin = np.zeros((1, C.dim))
     St, S23 = S.transpose(2, 0, 1), S.transpose(1, 0, 2)
-    if shared:
-        bounds = vertex_bounds(V, C)
-    else:
+    if not shared:
         SV, k = S[..., None, None] * V, np.arange(J)   # scaled vertices
         SVt, nvt = SV.transpose(1, 0, 2, 3, 4), nv.transpose(1, 0, 2)
         facets = facet_tables(S, SV, nv, C, tol)

@@ -227,7 +227,7 @@ def validate_fmap(pi: ProductInstance, fm: FMap):
             raise HypothesisError(
                 "reflexive_zero",
                 f"pair-map value at ({x!r}, {x!r}) does not contain 0")
-    hit = triangle_failure(S, V, nv, C, tol)
+    hit = triangle_failure(S, V, nv, C, tol, fm.family._excess(base))
     if hit is not None:
         raise HypothesisError("triangle_inclusion",
                               "pair map fails the triangle inclusion",

@@ -52,6 +52,7 @@ from evpkit.solvers import (Conclusion, _order_conclusions,
 
 from conftest import (direction_polytope, generated_bundle, highs_margin,
                       random_cone, sample_cone_member)
+import triangle_reference
 from evpkit.io import generate, load_validate
 
 KINDS = ("singleton", "polytope", "open_polytope", "quasimetric",
@@ -671,11 +672,14 @@ def test_hand_built_fmap_fails_triangle_inclusion():
 
 
 def test_negative_self_distance_raises_like_the_loops():
-    """A self-distance of -1e-10 passes metric validation at tol 1e-9 but
-    gives a negative scale: every sweep raises the loops' InputError."""
+    """A self-distance of -1e-10 fails metric validation; on a space that
+    was never validated it gives a negative scale, and every sweep raises
+    the loops' InputError."""
     labels = ("a", "b", "c")
     d = np.array([[-1e-10, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    space = MetricSpace(labels, d).validate()
+    space = MetricSpace(labels, d)
+    with pytest.raises(InputError, match="nonzero self-distance at 'a'"):
+        space.validate()
     C = orthant(2)
     fmap = SetValuedMap({"a": [[0.0, 0.0], [1.0, 0.5]], "b": [[1.0, 1.0]],
                          "c": [[2.0, 0.0]]})
@@ -1082,6 +1086,206 @@ def test_non_metric_instance_is_screened(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The endpoint check of shared polytopes: excess_settles.
+# ---------------------------------------------------------------------------
+
+def _excess_case(rng, trial):
+    """(S, excess, V, C) for one trial: the scales of a metric, of a broken
+    one, of a line with one pair c tol off (an excess near c tol, |c| <= 2)
+    or with a diagonal of c tol (an excess near -c tol), from 1e-6 to 1e6;
+    the excess as found, as a validated space keeps it (``rate`` times the
+    distances' excess) or None; vertices inside C, within tol outside it or
+    far outside it."""
+    m = 1 + trial % 3
+    n = int(rng.integers(3, 7))
+    C, k0 = _cone(rng, m)
+    rate = 10.0 ** rng.uniform(-6, 6)
+    kind = trial % 4
+    d = (_line(np.sort(rng.uniform(0.0, 3.0, size=n))) if kind >= 2
+         else _distances(rng, n, metric=kind != 1))
+    S = rate * d
+    if kind == 2:
+        S[0, 2] = S[2, 0] = S[0, 1] + S[1, 2] + rng.uniform(-2, 2) * TOL
+    elif kind == 3:
+        np.fill_diagonal(S, rng.uniform(0.0, 2.0) * TOL)
+    V = np.array([sample_cone_member(rng, C, k0)
+                  for _ in range(int(rng.integers(1, 4)))])
+    V = V * 10.0 ** rng.uniform(-6, 6) / max(rate, 1.0)
+    if trial % 3 == 1:
+        row = C.halfspaces[0]
+        V[0] -= (row @ V[0] + rng.uniform(0, TOL)) * row / (row @ row)
+    elif trial % 7 == 2:
+        V = np.vstack([V, -0.3 * k0])
+    how = trial % 3
+    if how == 0:
+        excess = None
+    elif how == 1 or kind >= 2:
+        excess = instances._worst_triangle(S)[1]
+    else:
+        excess = rate * instances._worst_triangle(d)[1]
+    return S, excess, V, C
+
+
+def test_excess_settles_only_where_every_triple_settles():
+    """Whenever the two endpoints settle, settled_triples settles every
+    triple (x1, x2, x3): metric and broken scales, excesses near +-tol,
+    magnitudes 1e-6 to 1e6, vertices inside C and within tol outside it."""
+    rng = np.random.default_rng(3131)
+    verdicts = {True: 0, False: 0}
+    for trial in range(600):
+        S, excess, V, C = _excess_case(rng, trial)
+        settles = instances.excess_settles(S, excess, vertex_bounds(V, C),
+                                           C, TOL)
+        if settles:
+            assert settled_over_triples(S, V, C, TOL).all(), trial
+        verdicts[settles] += 1
+    assert min(verdicts.values()) > 100, verdicts
+
+
+def test_excess_settles_needs_nonnegative_finite_scales():
+    """A negative, an infinite or a NaN scale leaves the triples to the
+    sweep whatever excess is given."""
+    C = orthant(2)
+    V = np.array([[1.0, 0.5]])
+    S = _line([0.0, 1.0, 2.0])
+    assert instances.excess_settles(S, 0.0, vertex_bounds(V, C), C, TOL)
+    for at, value in (((0, 0), -1e-300), ((0, 2), np.inf), ((1, 2), np.nan)):
+        bad = S.copy()
+        bad[at] = value
+        for excess in (None, 0.0):
+            assert not instances.excess_settles(bad, excess,
+                                                vertex_bounds(V, C), C, TOL)
+
+
+def _reference_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return "InputError", str(exc)
+    except HypothesisError as exc:
+        return exc.name, exc.witness
+
+
+def _reference_cases():
+    """Label-order instances and families of the four shared kinds, metric
+    and broken, the settle cases and generated instances."""
+    rng = np.random.default_rng(4242)
+    cases = [random_instance(rng, n=int(rng.integers(3, 7)), m=1 + t % 3,
+                             kind=KINDS[t % 4], metric=t % 3 != 2)[:2]
+             for t in range(24)]
+    cases += [_settle_problem(*case[1:])[:2] for case in settle_cases()]
+    for seed in range(6):
+        bundle = generated_bundle(seed, n=6, m=1 + seed % 3,
+                                  variant=KINDS[seed % 4])
+        space = bundle.instance.space
+        inst = FiniteInstance(MetricSpace(space.labels, space.dist),
+                              bundle.instance.fmap, bundle.instance.cone)
+        fam = bundle.family
+        if fam.kind == "quasimetric":
+            fam = QuasiMetricDirection(fam.H, QuasiMetric(fam.p.mat))
+        cases.append((inst, fam))
+    return cases
+
+
+def _kept(inst, fam):
+    """Validate the space (and a quasi-metric) of a case in place, so that
+    they keep their excess; False when validation rejects them."""
+    try:
+        inst.space.validate(inst.tol)
+        if fam.kind == "quasimetric":
+            fam.p.validate(inst.tol)
+    except InputError:
+        return False
+    return True
+
+
+def test_search_with_excess_equals_the_reference(monkeypatch):
+    """ti_check and validate_fmap give the results, witnesses and _phase1
+    counts of the search before it read the excess (kept verbatim in
+    ``triangle_reference``), with the excess found in the call and with
+    the excess a validated space or quasi-metric keeps."""
+    reference = triangle_reference.triangle_failure
+
+    def reference_ti(inst, fam):
+        hit = reference(*fam.arrays(inst.space), inst.cone, inst.tol)
+        if hit is None:
+            return True, None
+        labels = inst.labels
+        return False, tuple(labels[k] for k in hit[1:]) + ("*",)
+
+    def reference_fmap(pi, fm):
+        with monkeypatch.context() as patch:
+            patch.setattr(product, "triangle_failure",
+                          lambda S, V, nv, C, tol, excess: reference(
+                              S, V, nv, C, tol))
+            return _reference_outcome(validate_fmap, pi, fm)
+
+    kept = settled = 0
+    cases = _reference_cases()
+    for inst, fam in cases:
+        graph = tuple((x, y) for x in inst.labels for y in inst.fmap.at(x))
+        pi = ProductInstance(graph, inst.space, graph[0], inst.cone)
+        fm = FMap(fam, LinearFunctional(inst.cone.halfspaces.sum(axis=0)))
+        for _ in range(2):
+            for fn, ref, args in ((ti_check, reference_ti, (inst, fam)),
+                                  (validate_fmap, reference_fmap, (pi, fm))):
+                lps, got = _lp_calls(monkeypatch, _reference_outcome, fn,
+                                     *args)
+                lps_ref, want = _lp_calls(monkeypatch, _reference_outcome,
+                                          ref, *args)
+                assert got == want and lps == lps_ref, (got, want)
+            if not _kept(inst, fam):
+                break
+            kept += 1
+        S, V, _ = fam.arrays(inst.space)
+        settled += instances.excess_settles(
+            S[..., 0], fam._excess(inst.space),
+            vertex_bounds(V, inst.cone), inst.cone, inst.tol)
+    assert kept > 10 and 10 < settled < len(cases), (kept, settled)
+
+
+def test_writing_into_the_given_matrix_changes_nothing():
+    """A space and a quasi-metric keep read-only copies of their matrices:
+    breaking the triangle inequality in the caller's array after validate
+    changes neither ``dist`` (or ``mat``) nor the verdict, which a family
+    on the broken matrix does not share."""
+    C = orthant(2)
+    labels = ("a", "b", "c", "d")
+    d = _line([0.0, 1.0, 2.0, 3.0])
+    space = MetricSpace(labels, d).validate()
+    p = d.copy()
+    quasi = QuasiMetric(p).validate()
+    inst = FiniteInstance(space, SetValuedMap({x: [[0.0, 0.0]]
+                                               for x in labels}), C)
+    H = Polytope([[1.0, 0.0], [0.0, 1.0]])
+    families = (PolytopeDirection(H, 0.5), QuasiMetricDirection(H, quasi))
+    before = [ti_check(inst, fam) for fam in families]
+    assert before == [(True, None)] * 2
+    d[0, 3] = d[3, 0] = p[3, 0] = 10.0
+    assert space.dist[0, 3] == 3.0 and quasi.mat[3, 0] == 3.0
+    assert [ti_check(inst, fam) for fam in families] == before
+    for held in (space.dist, quasi.mat):
+        with pytest.raises(ValueError):
+            held[0, 1] = 5.0
+    broken = FiniteInstance(MetricSpace(labels, d), inst.fmap, C)
+    assert not ti_check(broken, families[0])[0]
+    assert not ti_check(inst, QuasiMetricDirection(H, QuasiMetric(p)))[0]
+
+
+def test_validated_shared_searches_settle_nothing(monkeypatch):
+    """Generated instances of the four shared kinds, loaded: the search
+    settles them from the kept excess, calling settled_triples and
+    _worst_triangle for no block."""
+    for seed in range(8):
+        bundle = generated_bundle(seed, n=12, m=1 + seed % 3,
+                                  variant=KINDS[seed % 4])
+        for name in ("settled_triples", "_worst_triangle"):
+            calls, got = _calls(monkeypatch, instances, name, ti_check,
+                                bundle.instance, bundle.family)
+            assert got == (True, None) and calls == 0, (seed, name)
+
+
+# ---------------------------------------------------------------------------
 # Work: the sweeps never run more phase-1 LPs than the loops.
 # ---------------------------------------------------------------------------
 
@@ -1422,6 +1626,10 @@ def test_shared_search_bounds_vertices_once(monkeypatch, budget):
     rng = np.random.default_rng(1618)
     cases = [random_instance(rng, n=6, m=1 + t % 3, kind=KINDS[t % 4],
                              metric=t % 3 != 2)[:2] for t in range(12)]
+    # a metric at scales where the rounding allowance reaches tol passes,
+    # but excess_settles leaves it to the sweep, which walks every slab
+    cases += [_settle_problem(*case[1:])[:2] for case in settle_cases()
+              if case[0] == "large"]
     want = [ti_check(inst, fam) for inst, fam in cases]
     masks, bounds = [], []
     settle, vertex = instances.settled_triples, instances.vertex_bounds
@@ -1445,6 +1653,7 @@ def test_shared_search_bounds_vertices_once(monkeypatch, budget):
                 s, s13, V, inst.cone, inst.tol))
         blocks.append(len(masks))
     assert max(blocks) > 2 and {ok for ok, _ in want} == {True, False}
+    assert min(blocks[12:]) > 2, blocks
 
 
 def test_one_index_table_and_pair_map_search_alike(monkeypatch):
@@ -2321,9 +2530,9 @@ def test_graph_solves_read_the_pair_map_arrays_only(monkeypatch):
     polytope."""
     shapes = []
 
-    def seen(S, V, nv, C, tol):
+    def seen(S, V, nv, C, tol, excess):
         shapes.append(V.shape)
-        return triangle_failure(S, V, nv, C, tol)
+        return triangle_failure(S, V, nv, C, tol, excess)
 
     monkeypatch.setattr(product, "triangle_failure", seen)
     for seed in (950, 951, 952):

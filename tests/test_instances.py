@@ -4,6 +4,7 @@ checkers, probes, and efficiency tests."""
 import numpy as np
 import pytest
 
+from evpkit import instances
 from evpkit.errors import InputError
 from evpkit.geometry import (LinearFunctional, PolyhedralCone, Polytope,
                              as_point, cone, orthant, singleton)
@@ -476,8 +477,9 @@ def test_triangle_check_memory_is_bounded():
     the row blocks keep the peak of the check far below that."""
     import tracemalloc
     rng = np.random.default_rng(5)
-    space = metric_from_coordinates(tuple(range(200)),
-                                    rng.uniform(0.0, 4.0, size=(200, 2)))
+    # a distance matrix, not coordinates, so that validate searches triples
+    space = MetricSpace(tuple(range(200)), metric_from_coordinates(
+        tuple(range(200)), rng.uniform(0.0, 4.0, size=(200, 2))).dist)
     tracemalloc.start()
     try:
         space.validate(1e-12)
@@ -486,6 +488,53 @@ def test_triangle_check_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+def test_coordinate_bound_covers_the_triangle_excess():
+    """The excess bound a coordinate metric keeps is at least the excess
+    _worst_triangle computes, on random and collinear coordinates (where
+    rounding makes violations above 0), m = 1 to 3, distances 1e-3 to 1e8,
+    and on points offset far from the origin."""
+    rng = np.random.default_rng(77)
+    positive = 0
+    for trial in range(240):
+        m, n = 1 + trial % 3, int(rng.integers(2, 12))
+        scale = 10.0 ** rng.uniform(-3, 8)
+        if trial % 2:
+            coords = rng.uniform(0.0, 1.0, size=(n, 1)) * rng.normal(size=m)
+        else:
+            coords = rng.normal(size=(n, m))
+        coords = coords * scale
+        if trial % 3 == 0:
+            coords = coords + 10.0 ** rng.uniform(0, 4) * scale
+        labels = tuple(range(n))
+        space = metric_from_coordinates(labels, coords)
+        excess = instances._worst_triangle(space.dist)[1]
+        assert space._excess >= excess, (trial, space._excess, excess)
+        positive += excess > 0
+    assert positive > 20
+
+
+def test_coordinate_metric_validates_without_the_triple_search(monkeypatch):
+    """validate searches the triples of a coordinate metric only when its
+    excess bound reaches tol, and keeps the bound or the found excess."""
+    calls = []
+    found = instances._worst_triangle
+    monkeypatch.setattr(instances, "_worst_triangle",
+                        lambda d: calls.append(len(d)) or found(d))
+    rng = np.random.default_rng(3)
+    coords = rng.uniform(0.0, 4.0, size=(30, 2))
+    space = metric_from_coordinates(tuple(range(30)), coords)
+    bound = space._excess
+    assert 0 < bound < 1e-9
+    assert space.validate(1e-9)._excess == bound and calls == []
+    assert space.validate(bound)._excess <= bound and calls == [30]
+    far = metric_from_coordinates(tuple(range(30)), 1e8 * coords)
+    assert far._excess >= 1e-9
+    assert far.validate(1e-9)._excess <= far._excess and calls == [30, 30]
+    plain = MetricSpace(tuple(range(30)), space.dist)
+    assert plain._excess is None
+    assert plain.validate()._excess <= bound and calls == [30, 30, 30]
 
 
 def test_triangle_search_memory_is_bounded():

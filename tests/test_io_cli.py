@@ -229,6 +229,16 @@ REJECTIONS = [
      {"variant": "quasimetric", "vertices": [[1.0]],
       "matrix": [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]},
      ("directed triangle inequality fails on indices (0, 1, 2)",)),
+    # a self-distance or a quasi-metric entry below 0 by less than tol
+    # would give a triangle search a negative scale
+    ("distances-negative-self-distance", ("space",),
+     {"labels": ["a", "b", "c"],
+      "distances": [[0.0, 1.0, 2.0], [1.0, -1e-10, 1.0], [2.0, 1.0, 0.0]]},
+     ("nonzero self-distance at 'b'",)),
+    ("quasimetric-negative-diagonal", ("perturbation",),
+     {"variant": "quasimetric", "vertices": [[1.0]],
+      "matrix": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, -1e-10]]},
+     ("quasi-metric has negative entries",)),
     # json reads Infinity and NaN, which RFC 8259 JSON does not have
     ("gamma-infinity", ("perturbation", "gamma"), float("inf"),
      ("$.perturbation.gamma: expected a number",)),

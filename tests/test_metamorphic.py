@@ -21,6 +21,11 @@ functional exists must not change, and the one found for the scaled rows
 must be valid for the original ones. Relabelling an extensional table only
 reorders its pooled direction vertices, so the functional must not move by
 a single bit.
+
+Translating every value by one vector moves f(x1) and f(x2) + F(x2, x1) + C
+alike, so the order matrix and the Pareto minima must not change. The
+values and the vector are taken on a dyadic grid, so that the translated
+values are exact.
 """
 
 import copy
@@ -38,6 +43,7 @@ from evpkit.geometry import (DEFAULT_TOL, LinearFunctional, Polytope, cone,
 from evpkit.instances import (check_assumptions, order_arrays,
                               relation_matrix, ti_check)
 from evpkit.io import generate, load_validate
+from evpkit.product import pareto_min
 
 from conftest import VARIANT_CYCLE, direction_polytope, random_cone
 
@@ -235,3 +241,42 @@ def test_relabelling_a_table_keeps_the_pooled_functional(case):
     xi, moved = functionals
     assert moved.weights.tobytes() == xi.weights.tobytes()
     assert moved.alpha == xi.alpha
+
+
+# translated values sit on multiples of 2**-_GRID, at most 2**12 apart
+_GRID = 6
+
+
+@st.composite
+def translated_instances(draw):
+    m = draw(st.integers(1, 3))
+    raw = generate(draw(st.integers(0, 10_000)), n=draw(st.integers(2, 6)),
+                   m=m, values_per_point=draw(st.integers(1, 4)),
+                   variant=draw(st.sampled_from(VARIANT_CYCLE)))
+    del raw["product"]                      # its start pair is at p0
+    raw["map"] = {x: (np.round(np.asarray(v) * 2 ** _GRID)
+                      / 2 ** _GRID).tolist() for x, v in raw["map"].items()}
+    shift = draw(st.lists(st.integers(-2 ** 12, 2 ** 12), min_size=m,
+                          max_size=m))
+    moved = copy.deepcopy(raw)
+    moved["map"] = {x: (np.asarray(v) + np.asarray(shift) / 2 ** _GRID
+                        ).tolist() for x, v in raw["map"].items()}
+    return raw, moved, np.asarray(shift) / 2 ** _GRID
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(translated_instances())
+def test_translating_every_value_keeps_the_order(case):
+    raw, moved, shift = case
+    bundle, translated = load_validate(raw), load_validate(moved)
+    for x, values in bundle.instance.fmap.values.items():
+        assert np.array_equal(translated.instance.fmap.at(x), values + shift)
+    assert np.array_equal(relation_matrix(translated.instance,
+                                          translated.family),
+                          relation_matrix(bundle.instance, bundle.family))
+    C = bundle.instance.cone
+    points = bundle.instance.fmap.all_points()
+    minima = np.array(pareto_min(points, C)).reshape(-1, C.dim)
+    assert np.array_equal(
+        np.array(pareto_min(points + shift, C)).reshape(-1, C.dim),
+        minima + shift)
