@@ -517,61 +517,63 @@ def order_queries(inst, arrays, x2s, x1s, witness=True):
 
     Each pair is a group of its (family index, value of x1) queries in
     :func:`preceq`'s loop order, over the base f(x2). Every stack takes one
-    path: facets (:func:`_facet_queries`) mark queries covered or dead as
-    the screen would, and the other queries of each pair before its first
-    dead one (with ``witness=False``, of each pair with none) are one
+    path: the facet pass (:func:`_facet_pass`) decides the pairs it can, in
+    blocks of pairs whose (pair, index, value row) grid holds at most
+    ``_BLOCK_QUERIES`` cells, and the queries it leaves open are one
     :func:`covered_queries` stack, screen then LP, as without the facets.
 
     Returns ``(first, lam, row)``: each pair's first uncovered query (-1
     when x2 precedes x1; with ``witness=False`` some uncovered query), and
     each query's position in ``fam.lambdas()`` and value row of x1.
     """
-    S, V, nv, B, nb, _ = arrays
-    counts = S.shape[-1] * nb[x1s]
-    starts = np.cumsum(counts) - counts
-    pair = np.repeat(np.arange(len(x1s)), counts)
-    q = np.arange(len(pair))
-    i, j = x2s[pair], x1s[pair]
-    lam, row = np.divmod(q - starts[pair], nb[j])
-    covered, dead = _facet_queries(inst, arrays, (i, j, lam, row))
-    # a pair's first dead query is its answer unless covered_queries finds
-    # an earlier uncovered one
-    cut = np.minimum.reduceat(np.where(dead, q, len(q)), starts)
-    first = np.where(cut < len(q), cut, -1)
-    if not witness:
-        cut[first >= 0] = 0
-    keep = np.flatnonzero(~covered & (q < cut[pair]))
-    if len(keep):
-        own, i, j = V.ndim > 2, i[keep], j[keep]
-        at = (i, j, lam[keep])
-        sub = covered_queries(
-            B[j, row[keep]], B[i], nb[i], S[at], V[at] if own else V,
-            nv[at] if own else nv, inst.cone, inst.tol, group=pair[keep],
-            witness=witness)
-        g = np.flatnonzero(sub >= 0)
-        first[g] = keep[sub[g]]
-    return first, lam, row
+    S, _, _, B, nb, _ = arrays
+    L, R = S.shape[-1], B.shape[1]
+    step = max(1, _BLOCK_QUERIES // (L * R))
+    first, open_ = [np.zeros(0, dtype=int)], []
+    for at in range(0, len(x2s), step):
+        block, asked = _facet_pass(
+            inst, arrays, x2s[at:at + step], x1s[at:at + step], witness)
+        first.append(block)
+        if asked is not None:
+            open_.append((asked[0] + at, *asked[1:]))
+    first = np.concatenate(first)
+    if open_:
+        _ask_open(inst, arrays, first, open_, witness)
+    # the queries in loop order are the real cells of the pairs, and each
+    # real cell's position among them is its query's; without padding
+    # every cell is real
+    cells = len(first) * L * R
+    flat = first + np.arange(0, cells, L * R)
+    if nb.min() == R:
+        lam, row = np.divmod(np.arange(cells) % (L * R), R)
+    else:
+        real = np.arange(L * R) % R < nb[x1s][:, None]
+        lam, row = np.divmod(np.nonzero(real)[1], R)
+        flat = (np.cumsum(real) - 1)[flat]
+    return np.where(first >= 0, flat, -1), lam, row
 
 
 @np.errstate(all="ignore")
 def order_facets(S, V, nv, B, C, tol):
     """The facet conditions of every order query of a solve, built once
     from its arrays ``(S, V, nv)`` and its value stack ``B`` (``(labels,
-    rows, m)``) and read by :func:`_facet_queries`; None when a scale is
+    rows, m)``) and read by :func:`_facet_masks`; None when a scale is
     negative (the screen raises where a stack meets it), the polytopes'
     dimension is not the cone's, a margin could overflow, or a shared
     polytope has no :func:`tie_conditions`.
 
     ``size`` bounds ``|A||y|`` over the values and ``|A||s v|`` over every
-    scale and vertex. A shared polytope H gives ``(W A y, theta0, band)``:
-    the conditions ``w . A q >= s theta0 - tol`` of every target ``s
-    conv(H) + C``, with ``W A y`` over (condition, value row, label), a
-    target with ``s <= tol`` the cone test (``s = 0``). Per-pair polytopes
-    give ``(A y, R, (i, k, w, theta), fit, band)``: :func:`target_tables`
-    over the flat (x2, x1, index) target, where a target with ``s <= tol``
-    has row minima 0 and no row pair, and is fit. ``band`` is
-    :func:`geometry.segment_band` over products of ``k + m`` terms, with
-    the tie conditions' ``solve``."""
+    scale and vertex. A shared polytope H gives ``(W A y, theta0, s,
+    band)``: the conditions ``w . A q >= s theta0 - tol`` of every target
+    ``s conv(H) + C``, with ``W A y`` over (condition, value row, label)
+    and the scales ``s`` over (index, x2, x1), a scale at most ``tol`` the
+    cone test (``s = 0``). Per-pair polytopes give ``(A y, R, (i, k, w,
+    theta), fit, band)``: :func:`target_tables` over the (index, x2, x1)
+    targets, where a target with ``s <= tol`` has row minima 0 and no row
+    pair, and is fit. Every table over targets has the pairs last, so that
+    whole rows of the order matrix are views with their pairs contiguous.
+    ``band`` is :func:`geometry.segment_band` over products of ``k + m``
+    terms, with the tie conditions' ``solve``."""
     A, m = C.halfspaces, C.dim
     k, n = len(A), len(B)
     size = max(np.abs(B).max(), np.abs(S).max(initial=0.0)
@@ -579,77 +581,153 @@ def order_facets(S, V, nv, B, C, tol):
     if V.shape[-1] != m or not np.isfinite(8.0 * size) or (S < 0).any():
         return None
     AB = np.ascontiguousarray((B @ A.T).T)      # (k, value row, label)
+    s = np.where(S > tol, S, 0.0)
+
+    def by_index(a):
+        # a table over (..., x2, x1, index) over (..., index, x2, x1)
+        return np.ascontiguousarray(np.moveaxis(a, -1, -3))
+
     if V.ndim == 2:
         conditions = tie_conditions(A @ V.T)
         if conditions is None:
             return None
         W, theta0, solve = conditions
         WAB = (W @ AB.reshape(k, -1)).reshape(len(W), -1, n)
-        return WAB, theta0, segment_band(size, k + m, tol, solve)
+        return WAB, theta0, by_index(s), segment_band(size, k + m, tol, solve)
     AV = (A @ V.reshape(-1, m).T).reshape(k, *V.shape[:-1])
-    R, (ci, ck, w, th), fit = target_tables(
-        np.where(S > tol, S, 0.0)[..., None] * AV, S, nv, tol)
-    T = S.size                                  # the flat targets
-    return (AB, R.reshape(k, T), (ci, ck, w.reshape(-1, T), th.reshape(-1, T)),
-            (fit | (S <= tol)).ravel(), segment_band(size, k + m, tol))
+    R, (ci, ck, w, th), fit = target_tables(s[..., None] * AV, S, nv, tol)
+    return (AB, by_index(R), (ci, ck, by_index(w), by_index(th)),
+            by_index(fit | (S <= tol)), segment_band(size, k + m, tol))
+
+
+def _facet_pass(inst, arrays, x2, x1, witness):
+    """The order tests of one block of label pairs on the (family index,
+    value row of x1, pair) grid, decided by the :func:`order_facets` of the
+    solve where they can be. ``x2`` and ``x1`` are index arrays, one pair
+    each, or two slices, for whole rows x2 of the order matrix over the
+    columns x1.
+
+    Returns ``(first, open)``. ``first`` holds, over the flat pairs, the
+    cell ``lam * R + row`` of each pair's first dead query, with R the
+    rows of the value stack, -1 when it has none. ``open`` is None when the
+    facets leave no query undecided, else ``(pair, x2, x1, cell)``, the
+    flat position in ``first`` and the query of every cell still to ask, in
+    loop order: the real cells that are not covered, of each pair before
+    its first dead one (with ``witness=False``, of each pair with none).
+    """
+    S, _, _, B, nb, facets = arrays
+    L, R = S.shape[-1], B.shape[1]
+    if isinstance(x2, slice):
+        labels = np.arange(len(S))
+        i, j = labels[x2][:, None], labels[x1][None, :]
+        shape = (len(i), j.shape[1])
+    else:
+        i, j, shape = x2, x1, x2.shape
+    # the cells lam * R + row, in loop order
+    cell = np.arange(L * R).reshape(L, R, *(1,) * len(shape))
+    if facets is None:
+        covered = dead = np.zeros((L, R) + shape, dtype=bool)
+    else:
+        covered, dead = _facet_masks(inst, arrays, x2, x1)
+    if nb.min() < R:
+        # a padding cell, past the rows of x1, is neither asked nor dead
+        real = cell % R < nb[j]
+        covered, dead = covered | ~real, dead & real
+    cut = np.minimum.reduce(np.where(dead, cell, L * R).reshape(L * R, -1))
+    first = np.where(cut < L * R, cut, -1)
+    if (covered | dead).all():
+        return first, None
+    if not witness:
+        cut[first >= 0] = 0
+    ask = ~covered & (cell < cut.reshape(shape))
+    # the open cells pair by pair, each pair's in loop order
+    p, c = np.nonzero(ask.reshape(L * R, -1).T)
+    return first, (p, np.broadcast_to(i, shape).flat[p],
+                   np.broadcast_to(j, shape).flat[p], c)
 
 
 @np.errstate(all="ignore")
-def _facet_queries(inst, arrays, query):
-    """The facet pass of :func:`order_queries`: masks ``(covered, dead)``
-    over its queries ``(i, j, lam, row) = query``, value row ``row`` of
-    label j in f(i) + F_lam(i, j) + C, gathered from the
-    :func:`order_facets` of the solve in blocks of at most
-    ``_BLOCK_QUERIES`` queries. A query is covered when some base row's
-    least margin ``w . (A y - A b) - theta`` is at least the inner edge of
-    :func:`geometry.segment_band`, and dead when every base row's is below
-    its outer edge. Per-pair targets of three or more vertices, and every
-    query of a solve without facets, are left to the screen."""
-    S, V, _, _, _, facets = arrays
-    i, j, lam, row = query
-    covered, dead = np.zeros((2, len(i)), dtype=bool)
-    if facets is None:
-        return covered, dead
-    # the products W A y or A y over (condition, value row, label)
+def _facet_masks(inst, arrays, x2, x1):
+    """Masks ``(covered, dead)`` over the (family index, value row of x1,
+    pair) grid of the label pairs ``(x2, x1)`` (index arrays of one pair
+    each, or two slices for the grid of whole rows) in f(x2) + F_lam(x2,
+    x1) + C, from the :func:`order_facets` of the solve. A query is covered
+    when some base row's least margin ``w . (A y - A b) - theta`` is at
+    least the inner edge of :func:`geometry.segment_band`, and dead when
+    every base row's is below its outer edge. Per-pair targets of three or
+    more vertices are left to the screen.
+
+    The margins are one broadcast over (condition, base row, index, value
+    row, pair), with the pairs last: the products of the values of x1 and
+    of the base rows of x2 are read once per label, and the scales and
+    target tables once per pair, as views of whole rows for slices."""
+    V, facets = arrays[1], arrays[5]
     P, (inside, outside) = facets[0], facets[-1]
-    n, tol = len(S), inst.tol
-    t = (i * n + j) * S.shape[-1] + lam         # the flat target
-    for at in range(0, len(i), _BLOCK_QUERIES):
-        q = slice(at, at + _BLOCK_QUERIES)
-        tq = t[q]
-        # the products of the values y over (condition, query), and of the
-        # base rows b over (condition, base row, query)
-        Ay = np.take(P.reshape(len(P), -1), row[q] * n + j[q], axis=1)
-        Ab = np.take(P, i[q], axis=2)
-        if V.ndim == 2:
-            # w . A y - (s theta0 - tol) - w . A b, least over the conditions
-            _, theta0, _ = facets
-            s = S[i[q], j[q], lam[q]]
-            Ay -= np.multiply.outer(theta0, np.where(s > tol, s, 0.0)) - tol
-            low = np.subtract(Ay[:, None], Ab, out=Ab).min(axis=0)
-            fit = True
-        else:
-            _, R, (ci, ck, w, th), fit, _ = facets
-            # A(y - b), then the row conditions and the row pairs of each
-            # query's target
-            D = np.subtract(Ay[:, None], Ab, out=Ab)
-            low = (D - (np.take(R, tq, axis=1) - tol)[:, None]).min(axis=0)
-            if len(w):
-                Dk = D[ck]
-                low = np.minimum(low, (
-                    Dk + np.take(w, tq, axis=1)[:, None] * (D[ci] - Dk)
-                    - np.take(th, tq, axis=1)[:, None]).min(axis=0))
-            fit = fit[tq]
-        # the best base row of each query
-        best = low.max(axis=0)
-        covered[q] = fit & (best >= inside)
-        dead[q] = fit & (best < -outside)
-    return covered, dead
+    n = P.shape[-1]
+    grid = isinstance(x2, slice)
+    # the products W A y or A y of the values y of x1 over (condition, 1,
+    # 1, value row, ...), and of the base rows b of x2 over (condition,
+    # base row, 1, 1, ...); whole rows are the (x2, x1) grid
+    if grid:
+        Ay = P[:, :, x1][:, None, None, :, None]
+        Ab = P[:, :, x2][:, :, None, None, :, None]
+    else:
+        Ay = np.take(P, x1, axis=2)[:, None, None]
+        Ab = np.take(P, x2, axis=2)[:, :, None, None]
+        target = x2 * n + x1
+
+    def at_pairs(a):
+        # a table over (..., index, x2, x1) at the pairs, over (..., index,
+        # pair)
+        if grid:
+            return a[..., x2, x1]
+        return np.take(a.reshape(*a.shape[:-2], n * n), target, axis=-1)
+
+    tol = inst.tol
+    if V.ndim == 2:
+        # w . A y - (s theta0 - tol) - w . A b, least over the conditions
+        _, theta0, s, _ = facets
+        s = np.multiply.outer(theta0, at_pairs(s)) - tol
+        low = np.minimum.reduce((Ay - s[:, None, :, None]) - Ab)
+        fit = True
+    else:
+        _, R, (ci, ck, w, th), fit, _ = facets
+        # A(y - b), then the row conditions and the row pairs of each
+        # query's target, over (..., 1, index, 1, pair)
+        D = Ay - Ab
+        low = np.minimum.reduce(D - (at_pairs(R) - tol)[:, None, :, None])
+        if len(w):
+            Dk = D[ck]
+            low = np.minimum(low, np.minimum.reduce(
+                Dk + at_pairs(w)[:, None, :, None] * (D[ci] - Dk)
+                - at_pairs(th)[:, None, :, None]))
+        fit = at_pairs(fit)[:, None]
+    # the best base row of each query
+    best = np.maximum.reduce(low)
+    if fit is True:
+        return best >= inside, best < -outside
+    return fit & (best >= inside), fit & (best < -outside)
 
 
-# relation_matrix stacks whole rows of the order matrix up to this many
-# queries, and _facet_queries takes its queries in blocks of this many, so
-# that their arrays stay small at any n
+def _ask_open(inst, arrays, first, open_, witness):
+    """The open queries ``open_`` of :func:`_facet_pass`, from one or more
+    blocks, as one :func:`covered_queries` stack in loop order, one group
+    per pair; a pair's first uncovered query, when it finds one, is the
+    pair's ``first`` (its cell), which it sets in place."""
+    p, i, j, cell = map(np.concatenate, zip(*open_))
+    S, V, nv, B, nb, _ = arrays
+    lam, row = np.divmod(cell, B.shape[1])
+    own, at = V.ndim > 2, (i, j, lam)
+    sub = covered_queries(
+        B[j, row], B[i], nb[i], S[at], V[at] if own else V,
+        nv[at] if own else nv, inst.cone, inst.tol, group=p, witness=witness)
+    g = np.flatnonzero(sub >= 0)
+    first[g] = cell[sub[g]]
+
+
+# a block of the facet pass holds at most this many cells of its (pair,
+# family index, value row) grid, and relation_matrix takes whole rows of the
+# order matrix up to this many, so that their arrays stay small at any n
 _BLOCK_QUERIES = 1024
 
 
@@ -657,21 +735,24 @@ def relation_matrix(inst: FiniteInstance, fam, arrays=None):
     """rel[i, j] = True iff labels[i] precedes labels[j] in the order.
 
     Decided for blocks of rows (x2) at a time, each one
-    :func:`order_queries` stack with ``witness=False``: facets, then the
-    screen, then the LP. A block holds as many whole rows as fit in
-    ``_BLOCK_QUERIES`` queries, and at least one.
+    :func:`_facet_pass` over slices of the solve's arrays with
+    ``witness=False``, whose open queries go to the screen, then the LP.
+    A block holds as many whole rows as fit in ``_BLOCK_QUERIES`` cells of
+    the (pair, family index, value row) grid, and at least one.
     """
     n = len(inst.labels)
     if arrays is None:
         arrays = order_arrays(inst, fam)
-    S, _, _, _, nb, _ = arrays
-    step = n * max(1, _BLOCK_QUERIES // (S.shape[-1] * int(nb.sum())))
-    rel = np.zeros(n * n, dtype=bool)
-    for start in range(0, n * n, step):
-        x2s, x1s = np.divmod(np.arange(start, min(start + step, n * n)), n)
-        first, _, _ = order_queries(inst, arrays, x2s, x1s, witness=False)
-        rel[start:start + step] = first < 0
-    return rel.reshape(n, n)
+    S, _, _, B, _, _ = arrays
+    step = max(1, _BLOCK_QUERIES // (n * S.shape[-1] * B.shape[1]))
+    rel = np.zeros((n, n), dtype=bool)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        first, open_ = _facet_pass(inst, arrays, rows, slice(None), False)
+        if open_ is not None:
+            _ask_open(inst, arrays, first, [open_], False)
+        rel[rows] = (first < 0).reshape(-1, n)
+    return rel
 
 
 def ti_check(inst: FiniteInstance, fam):
@@ -1132,10 +1213,27 @@ def scalar_inf(xi, values):
     return min(xi.value(v) for v in values)
 
 
-def label_infima(inst: FiniteInstance, xi):
+def label_infima(inst: FiniteInstance, xi, arrays=None):
     """:func:`scalar_inf` of ``xi`` over f(x) of every label, in label
-    order."""
-    return [scalar_inf(xi, inst.fmap.at(x)) for x in inst.labels]
+    order. For a linear functional these are products over the value stack
+    ``B`` of the :func:`order_arrays` ``arrays`` (stacked here when not
+    given), one per row count: the labels with ``k`` rows are one stacked
+    product of (k, m) rows, whose every row rounds as the per-label
+    ``values @ w`` does, so the infima are :func:`scalar_inf`'s bit for
+    bit. A shorter label padded to a longer row count could round its rows
+    otherwise, as the product would take another BLAS path."""
+    if not getattr(xi, "is_linear", False):
+        return [scalar_inf(xi, inst.fmap.at(x)) for x in inst.labels]
+    B, nb = (arrays[3:5] if arrays is not None
+             else stack_rows([inst.fmap.at(x) for x in inst.labels]))
+    if nb.min() == B.shape[1]:
+        # no padding: one product over the whole stack
+        return (B @ xi.weights).min(axis=1).tolist()
+    eta = np.empty(len(nb))
+    for k in np.unique(nb):
+        at = nb == k
+        eta[at] = (B[at, :k] @ xi.weights).min(axis=1)
+    return eta.tolist()
 
 
 @dataclass
@@ -1230,7 +1328,8 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None,
             separated_uniform=None, separation_witness=None,
             notes=("start section is empty",))
 
-    eta = dict(zip(labels, label_infima(inst, xi) if eta is None else eta))
+    eta = dict(zip(labels, label_infima(inst, xi, arrays) if eta is None
+                   else eta))
     inf_value = min(eta[x] for x in section)
     bounded = math.isfinite(inf_value)
 

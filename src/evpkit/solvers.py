@@ -133,7 +133,7 @@ def _solve_order(inst, fam, xi, x0, mode):
         raise HypothesisError("triangle_inclusion",
                               "the perturbation family fails the triangle "
                               "inclusion property", witness={"triple": witness})
-    eta = label_infima(inst, xi)
+    eta = label_infima(inst, xi, arrays)
     rel = relation_matrix(inst, fam, arrays)
     oracle = eng.PreorderOracle.from_matrix(inst.labels, rel, eta)
     if not oracle.section(x0):
@@ -166,12 +166,13 @@ def _order_conclusions(inst, fam, arrays, xhat, x0):
         np.append(inst.space.index(x0), np.full(len(others), j)))
     failures = []
     witnesses = []
-    for x, q in zip(others, first[1:]):
+    lam, row = lam.tolist(), row.tolist()
+    for x, q in zip(others.tolist(), first[1:].tolist()):
         if q < 0:
             failures.append(labels[x])
         else:
             witnesses.append({"x": labels[x], "index": lams[lam[q]],
-                              "value_row": int(row[q])})
+                              "value_row": row[q]})
     return [Conclusion("a", bool(first[0] < 0),
                        {"dominates": x0, "dominated_by": xhat}),
             Conclusion("b", not failures,

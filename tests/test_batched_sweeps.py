@@ -2411,17 +2411,20 @@ def _label_order_solve(name, seed):
 def test_label_order_solves_ask_no_single_membership(monkeypatch, name):
     """A label-order solve asks every order test as a stack, conclusion (a)
     included, so it makes no minkowski_member call, and it takes the scalar
-    infimum of each label once."""
+    infima of the labels in one label_infima call; with a linear functional
+    that call makes no per-label scalar_inf call."""
     def single(*args, **kwargs):
         raise AssertionError("minkowski_member called")
 
     for owner in (geometry, instances, solvers):
         monkeypatch.setattr(owner, "minkowski_member", single)
     for seed in (1600, 1601, 1602):
-        calls, (cert, bundle) = _calls(monkeypatch, instances, "scalar_inf",
-                                       _label_order_solve, name, seed)
+        infima, (per_label, (cert, bundle)) = _calls(
+            monkeypatch, solvers, "label_infima", _calls, monkeypatch,
+            instances, "scalar_inf", _label_order_solve, name, seed)
         assert cert.all_hold(), (name, seed)
-        assert calls == len(bundle.instance.labels), (name, seed, calls)
+        assert cert.scalarization["kind"] == "linear", (name, seed)
+        assert (infima, per_label) == (1, 0), (name, seed, infima, per_label)
 
 
 def test_order_conclusions_run_the_lps_of_their_parts(monkeypatch):

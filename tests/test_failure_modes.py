@@ -105,7 +105,8 @@ def test_lp_iteration_cap_gives_report_and_exit_4(monkeypatch, tmp_path):
     ``{y_1 >= 0}``, so its row sum is 0 and the separating functional is
     left to the LP: without a cap it finds none, and with a cap of 0 pivots
     the run ends in a report with exit code 4."""
-    doc = json.loads(open(fixture_path("two_point.json")).read())
+    with open(fixture_path("two_point.json")) as fh:
+        doc = json.load(fh)
     doc.update(dimension=2,
                cone={"halfspaces": [[1.0, 0.0]],
                      "generators": [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]},
