@@ -131,9 +131,10 @@ def metric_from_coordinates(labels, coords):
 
 @dataclass(frozen=True, eq=False)
 class QuasiMetric:
-    """Nonnegative pair weight satisfying the directed triangle inequality
-    and positivity off the diagonal. The Cauchy-style axiom is vacuous on
-    finite spaces and is recorded, not checked."""
+    """Nonnegative pair weight satisfying the directed triangle inequality,
+    positivity off the diagonal and a diagonal in ``[0, tol]``. The
+    Cauchy-style axiom is vacuous on finite spaces and is recorded, not
+    checked."""
 
     mat: np.ndarray
 
@@ -153,6 +154,9 @@ class QuasiMetric:
             raise InputError("quasi-metric has non-finite entries")
         if np.min(p) < 0:
             raise InputError("quasi-metric has negative entries")
+        if (np.diag(p) > tol).any():
+            raise InputError("quasi-metric has a nonzero diagonal entry at "
+                             f"index {int(np.argmax(np.diag(p) > tol))}")
         n = p.shape[0]
         off = p + np.diag([np.inf] * n)
         if n > 1 and np.min(off) <= tol:
@@ -509,7 +513,7 @@ def order_arrays(inst: FiniteInstance, fam):
     return S, V, nv, B, nb, order_facets(S, V, nv, B, inst.cone, inst.tol)
 
 
-def order_queries(inst, arrays, x2s, x1s, witness=True):
+def order_queries(inst, arrays, x2s, x1s):
     """The order tests ``labels[x2s[p]] before labels[x1s[p]]`` of several
     label pairs as one stack, ``arrays`` as :func:`order_arrays` gives
     them, or for the graph order a product instance and its
@@ -522,35 +526,24 @@ def order_queries(inst, arrays, x2s, x1s, witness=True):
     ``_BLOCK_QUERIES`` cells, and the queries it leaves open are one
     :func:`covered_queries` stack, screen then LP, as without the facets.
 
-    Returns ``(first, lam, row)``: each pair's first uncovered query (-1
-    when x2 precedes x1; with ``witness=False`` some uncovered query), and
-    each query's position in ``fam.lambdas()`` and value row of x1.
+    Returns each pair's first uncovered query as its cell ``lam * R +
+    row``, with ``lam`` its position in ``fam.lambdas()``, ``row`` its
+    value row of x1 and R the rows of the value stack ``B``; -1 when x2
+    precedes x1.
     """
-    S, _, _, B, nb, _ = arrays
-    L, R = S.shape[-1], B.shape[1]
-    step = max(1, _BLOCK_QUERIES // (L * R))
+    S, B = arrays[0], arrays[3]
+    step = max(1, _BLOCK_QUERIES // (S.shape[-1] * B.shape[1]))
     first, open_ = [np.zeros(0, dtype=int)], []
     for at in range(0, len(x2s), step):
         block, asked = _facet_pass(
-            inst, arrays, x2s[at:at + step], x1s[at:at + step], witness)
+            inst, arrays, x2s[at:at + step], x1s[at:at + step], True)
         first.append(block)
         if asked is not None:
             open_.append((asked[0] + at, *asked[1:]))
     first = np.concatenate(first)
     if open_:
-        _ask_open(inst, arrays, first, open_, witness)
-    # the queries in loop order are the real cells of the pairs, and each
-    # real cell's position among them is its query's; without padding
-    # every cell is real
-    cells = len(first) * L * R
-    flat = first + np.arange(0, cells, L * R)
-    if nb.min() == R:
-        lam, row = np.divmod(np.arange(cells) % (L * R), R)
-    else:
-        real = np.arange(L * R) % R < nb[x1s][:, None]
-        lam, row = np.divmod(np.nonzero(real)[1], R)
-        flat = (np.cumsum(real) - 1)[flat]
-    return np.where(first >= 0, flat, -1), lam, row
+        _ask_open(inst, arrays, first, open_, True)
+    return first
 
 
 @np.errstate(all="ignore")
@@ -613,7 +606,9 @@ def _facet_pass(inst, arrays, x2, x1, witness):
     facets leave no query undecided, else ``(pair, x2, x1, cell)``, the
     flat position in ``first`` and the query of every cell still to ask, in
     loop order: the real cells that are not covered, of each pair before
-    its first dead one (with ``witness=False``, of each pair with none).
+    its first dead one (with ``witness=False``, which
+    :func:`relation_matrix` passes as it reads only coverage, of each pair
+    with none).
     """
     S, _, _, B, nb, facets = arrays
     L, R = S.shape[-1], B.shape[1]
@@ -1303,23 +1298,23 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None,
     :func:`relation_matrix`, which runs when it is not given). The order
     matrix and the separation minima read one build of the
     :func:`order_arrays` ``arrays``, made here when not given. ``eta`` are
-    the :func:`label_infima`, computed here when not given. Infima of a
+    the :func:`label_infima`, computed here when not given. The strict
+    decrease witness is the first (section label x of finite ``eta``, label
+    x' before x) with ``eta(x) - eta(x')`` not above ``tol``. Infima of a
     linear functional over polytopes are taken over vertices, for every pair
     and family index at once (:func:`vertex_minima`); the separation
     conditions are linear-functional-only and are reported as None for
     nonlinear scalarizations.
     """
     tol = inst.tol
-    labels = inst.labels
+    labels, n = inst.labels, len(inst.labels)
     if arrays is None:
         arrays = order_arrays(inst, fam)
     if rel is None:
         rel = relation_matrix(inst, fam, arrays)
 
-    def lower_section(x):
-        return [labels[i] for i in np.flatnonzero(rel[:, inst.space.index(x)])]
-
-    section = lower_section(x0)
+    at = np.flatnonzero(rel[:, inst.space.index(x0)])
+    section = [labels[i] for i in at]
     if not section:
         return AssumptionReport(
             start=x0, section=[], bounded=False, inf_value=math.inf,
@@ -1328,25 +1323,21 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None,
             separated_uniform=None, separation_witness=None,
             notes=("start section is empty",))
 
-    eta = dict(zip(labels, label_infima(inst, xi, arrays) if eta is None
-                   else eta))
-    inf_value = min(eta[x] for x in section)
+    eta = np.asarray(label_infima(inst, xi, arrays) if eta is None else eta,
+                     dtype=float)
+    inf_value = float(eta[at].min())
     bounded = math.isfinite(inf_value)
 
-    strict = True
+    # x' before x and not x; a finite eta(x) makes no difference inf - inf
+    at = at[np.isfinite(eta[at])]
+    fails = np.flatnonzero(rel[:, at].T & (np.arange(n) != at[:, None])
+                           & ~(eta[at, None] - eta > tol))
+    strict = not fails.size
     strict_witness = None
-    for x in section:
-        if not math.isfinite(eta[x]):
-            continue
-        for xp in lower_section(x):
-            if xp == x:
-                continue
-            if not eta[x] - eta[xp] > tol:
-                strict = False
-                strict_witness = (x, xp, eta[x], eta[xp])
-                break
-        if not strict:
-            break
+    if not strict:
+        x, xp = at[fails[0] // n], fails[0] % n
+        strict_witness = (labels[x], labels[xp], float(eta[x]),
+                          float(eta[xp]))
 
     linear = getattr(xi, "is_linear", False)
     sep_pairs = sep_point = sep_uniform = None

@@ -352,8 +352,7 @@ def _graph_oracle(pi, arrays, eta):
     if np.any((arrays[0][..., 0] < 0) & ~rel):
         raise InputError("scale must be nonnegative")
     i, j = np.nonzero((eta[None, :] - eta[:, None] > pi.tol) & ~rel)
-    first, _, _ = order_queries(pi, arrays, i, j)
-    rel[i, j] = first < 0
+    rel[i, j] = order_queries(pi, arrays, i, j) < 0
     return eng.PreorderOracle.from_matrix(range(n), rel, eta.tolist()), rel
 
 
@@ -369,8 +368,7 @@ def _section_of_start(pi, arrays, start):
     ``start``: :func:`prec_f` of every pair against it, one
     :func:`order_queries` stack over the :func:`graph_arrays` ``arrays``."""
     n = len(pi.graph)
-    first, _, _ = order_queries(pi, arrays, np.arange(n), np.full(n, start))
-    return first < 0
+    return order_queries(pi, arrays, np.arange(n), np.full(n, start)) < 0
 
 
 def solve_minimal_point(pi: ProductInstance, fm: FMap, mode="greedy"):
@@ -417,8 +415,8 @@ def _graph_conclusions(pi, arrays, ihat, start, exclude_label_only):
     others = np.array([p for p, (x, _) in enumerate(pi.graph)
                        if (x != xhat if exclude_label_only else p != ihat)],
                       dtype=int)
-    first, _, _ = order_queries(pi, arrays, np.append(ihat, others),
-                                np.append(start, np.full(len(others), ihat)))
+    first = order_queries(pi, arrays, np.append(ihat, others),
+                          np.append(start, np.full(len(others), ihat)))
     violations = [{"x": pi.graph[p][0], "y": pi.graph[p][1]}
                   for p, q in zip(others, first[1:]) if q < 0]
     return [Conclusion("a", bool(first[0] < 0),

@@ -161,18 +161,18 @@ def _order_conclusions(inst, fam, arrays, xhat, x0):
     labels, lams = inst.labels, fam.lambdas()
     j = inst.space.index(xhat)
     others = np.delete(np.arange(len(labels)), j)
-    first, lam, row = order_queries(
+    first = order_queries(
         inst, arrays, np.append(j, others),
         np.append(inst.space.index(x0), np.full(len(others), j)))
+    R = arrays[3].shape[1]
     failures = []
     witnesses = []
-    lam, row = lam.tolist(), row.tolist()
-    for x, q in zip(others.tolist(), first[1:].tolist()):
-        if q < 0:
+    for x, cell in zip(others.tolist(), first[1:].tolist()):
+        if cell < 0:
             failures.append(labels[x])
         else:
-            witnesses.append({"x": labels[x], "index": lams[lam[q]],
-                              "value_row": row[q]})
+            witnesses.append({"x": labels[x], "index": lams[cell // R],
+                              "value_row": cell % R})
     return [Conclusion("a", bool(first[0] < 0),
                        {"dominates": x0, "dominated_by": xhat}),
             Conclusion("b", not failures,

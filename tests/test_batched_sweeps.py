@@ -87,6 +87,18 @@ def screen_order_queries(inst, arrays, x2s, x1s, witness=True):
     return first, lam, row
 
 
+def as_cells(reference):
+    """An order stack ``reference`` that returns ``(first, lam, row)``, as
+    the old ``order_queries`` did, returning instead each pair's first
+    uncovered query as its cell ``lam * R + row`` (R the rows of the value
+    stack), -1 kept, as ``order_queries`` does now."""
+    def cells(inst, arrays, x2s, x1s, *args, **kwargs):
+        first, lam, row = reference(inst, arrays, x2s, x1s, *args, **kwargs)
+        return np.where(first >= 0,
+                        lam[first] * arrays[3].shape[1] + row[first], -1)
+    return cells
+
+
 def screen_relation_matrix(inst, fam, arrays=None):
     """``relation_matrix`` as it was before its facet pass, kept verbatim
     apart from its name, this docstring and ``screen_order_queries`` in
@@ -2339,8 +2351,10 @@ def test_order_stacks_match_the_screen(monkeypatch):
             mp.setattr(instances, "covered_queries", counting("pass"))
             n, got = _lp_calls(monkeypatch, fn, *args)
         with monkeypatch.context() as mp:
-            mp.setattr(solvers, "order_queries", screen_order_queries)
-            mp.setattr(product, "order_queries", screen_order_queries)
+            mp.setattr(solvers, "order_queries",
+                       as_cells(screen_order_queries))
+            mp.setattr(product, "order_queries",
+                       as_cells(screen_order_queries))
             mp.setattr(sys.modules[__name__], "covered_queries",
                        counting("screen"))
             ns, want = _lp_calls(monkeypatch, fn, *args)
@@ -2427,6 +2441,15 @@ def test_label_order_solves_ask_no_single_membership(monkeypatch, name):
         assert (infima, per_label) == (1, 0), (name, seed, infima, per_label)
 
 
+def bare_order_query(inst, arrays, x2s, x1s):
+    """Whether each pair is covered, asked as ``relation_matrix`` asks it:
+    the facet pass and its open queries without a witness."""
+    first, open_ = instances._facet_pass(inst, arrays, x2s, x1s, False)
+    if open_ is not None:
+        instances._ask_open(inst, arrays, first, [open_], False)
+    return first < 0
+
+
 def test_order_conclusions_run_the_lps_of_their_parts(monkeypatch):
     """One stack for (a) and (b) runs the phase-1 LPs of a stack for (a)
     alone plus those of a stack for (b) alone, on every ordered label pair.
@@ -2450,9 +2473,8 @@ def test_order_conclusions_run_the_lps_of_their_parts(monkeypatch):
                                       fam, arrays, xhat, x0)
                 na, _ = _lp_calls(monkeypatch, instances.order_queries, inst,
                                   arrays, *pair)
-                bare, _ = _lp_calls(
-                    monkeypatch, lambda: instances.order_queries(
-                        inst, arrays, *pair, witness=False))
+                bare, _ = _lp_calls(monkeypatch, bare_order_query, inst,
+                                    arrays, *pair)
                 assert n == na + nb, (trial, xhat, x0, n, na, nb)
                 assert na == bare or not a.holds, (trial, xhat, x0)
                 lps[a.holds] += n

@@ -1,6 +1,9 @@
 """Instance model: the induced order, family triangle inclusion, hypothesis
 checkers, probes, and efficiency tests."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,8 @@ from evpkit.instances import (ExtensionalFamily, FiniteInstance, MetricSpace,
                               SetValuedMap,
                               SingletonDirection, check_assumptions,
                               d_bounded_certificate, epi_closed_probe,
-                              eps_h_efficient,
-                              metric_from_coordinates, preceq,
+                              eps_h_efficient, label_infima,
+                              metric_from_coordinates, order_arrays, preceq,
                               relation_matrix, slm_probe, ti_check)
 from evpkit.scalarize import GerstewitzFn
 
@@ -221,6 +224,121 @@ class TestCheckAssumptions:
                 assert rep.strict_decrease
             if rep.separated_pointwise:
                 assert rep.strict_decrease
+
+
+def loop_strict_decrease(inst, rel, eta, x0):
+    """The start section, its infimum and the strict-decrease check of
+    ``check_assumptions`` as they were before it read the section by
+    position, kept verbatim apart from this signature, this docstring and
+    the returns: ``(section, inf_value, strict, witness)``."""
+    tol = inst.tol
+    labels = inst.labels
+
+    def lower_section(x):
+        return [labels[i] for i in np.flatnonzero(rel[:, inst.space.index(x)])]
+
+    section = lower_section(x0)
+    if not section:
+        return [], math.inf, False, None
+
+    eta = dict(zip(labels, eta))
+    inf_value = min(eta[x] for x in section)
+
+    strict = True
+    strict_witness = None
+    for x in section:
+        if not math.isfinite(eta[x]):
+            continue
+        for xp in lower_section(x):
+            if xp == x:
+                continue
+            if not eta[x] - eta[xp] > tol:
+                strict = False
+                strict_witness = (x, xp, eta[x], eta[xp])
+                break
+        if not strict:
+            break
+    return section, inf_value, strict, strict_witness
+
+
+def gate_cases(rng):
+    """Instances in the orthant of m = 1 to 3 dimensions with 1 to 4 values
+    per label, a linear functional or the cone scalarization along the
+    first axis (``+inf`` at a label whose every value has a positive later
+    coordinate), and a direction set of one or two vertices. Yields each
+    with its order matrix, or a random boolean matrix that need be no
+    pre-order, and its label infima, some moved within 2 tol of another
+    label's."""
+    for t in range(60):
+        n, m = 2 + t % 5, 1 + t % 3
+        labels = tuple(f"q{i}" for i in range(n))
+        space = metric_from_coordinates(labels, rng.normal(size=(n, 2)))
+        values = {x: rng.normal(size=(int(rng.integers(1, 5)), m))
+                  for x in labels}
+        inst = FiniteInstance(space, SetValuedMap(values), orthant(m))
+        xi = (GerstewitzFn(orthant(m), np.eye(m)[0])
+              if m > 1 and rng.random() < 0.5
+              else LinearFunctional(rng.uniform(0.1, 1.0, size=m)))
+        fam = PolytopeDirection(
+            Polytope(rng.uniform(0.1, 1.0, size=(int(rng.integers(1, 3)),
+                                                  m))),
+            float(rng.uniform(0.1, 0.5)))
+        rel = (relation_matrix(inst, fam) if rng.random() < 0.6
+               else rng.random((n, n)) < rng.uniform(0.2, 0.9))
+        eta = np.array(label_infima(inst, xi))
+        for i in np.flatnonzero(rng.random(n) < 0.4):
+            k = int(rng.integers(n))
+            if math.isfinite(eta[k]):
+                eta[i] = eta[k] + rng.uniform(-2.0, 2.0) * inst.tol
+        yield inst, fam, xi, rel, eta.tolist()
+
+
+def test_strict_decrease_matches_the_label_loop():
+    """On :func:`gate_cases`, from every start label: the start section,
+    its infimum, strict decrease and its witness are the label loop's
+    (:func:`loop_strict_decrease`), the witness's values plain floats, and
+    no numpy warning is raised. The cases hold failing and holding gates,
+    one-label sections, infinite infima and witnesses at one."""
+    rng = np.random.default_rng(3300)
+    seen = set()
+    for inst, fam, xi, rel, eta in gate_cases(rng):
+        arrays = order_arrays(inst, fam)
+        for x0 in inst.labels:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = check_assumptions(inst, fam, xi, x0, rel, arrays, eta)
+            section, inf_value, strict, witness = loop_strict_decrease(
+                inst, rel, eta, x0)
+            got = rep.section, rep.inf_value, rep.strict_decrease
+            assert got == (section, inf_value, strict), (got, section)
+            assert rep.strict_decrease_witness == witness
+            if witness is not None:
+                assert all(type(v) is float for v in witness[2:]), witness
+                seen.add("infinite witness" if math.isinf(witness[3])
+                         else "witness")
+            seen.add(("empty", "one label")[len(section)]
+                     if len(section) < 2 else "longer")
+            seen.add("holds" if strict else "fails")
+            if math.isinf(inf_value):
+                seen.add("infinite infimum")
+    assert seen == {"empty", "one label", "longer", "holds", "fails",
+                    "witness", "infinite witness", "infinite infimum"}, seen
+
+
+def test_strict_decrease_skips_an_infinite_label_only():
+    """With b before a and both in the section: a finite a above an
+    infinite b fails, its witness holding +inf; an infinite a is skipped,
+    and b has no other label below it."""
+    space = MetricSpace(("a", "b"), [[0.0, 1.0], [1.0, 0.0]]).validate()
+    inst = FiniteInstance(space, SetValuedMap({"a": [[1.0]], "b": [[0.0]]}),
+                          D1)
+    fam = SingletonDirection([1.0], 1.0)
+    xi = LinearFunctional([1.0])
+    rel = np.array([[True, False], [True, True]])
+    rep = check_assumptions(inst, fam, xi, "a", rel, eta=[1.0, math.inf])
+    assert rep.strict_decrease_witness == ("a", "b", 1.0, math.inf)
+    rep = check_assumptions(inst, fam, xi, "a", rel, eta=[math.inf, 1.0])
+    assert rep.strict_decrease and rep.strict_decrease_witness is None
 
 
 class TestProbes:

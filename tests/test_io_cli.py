@@ -239,6 +239,11 @@ REJECTIONS = [
      {"variant": "quasimetric", "vertices": [[1.0]],
       "matrix": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, -1e-10]]},
      ("quasi-metric has negative entries",)),
+    # no label would precede itself, so the family induces no pre-order
+    ("quasimetric-positive-diagonal", ("perturbation",),
+     {"variant": "quasimetric", "vertices": [[1.0]],
+      "matrix": [[0.0, 1.0, 2.0], [1.0, 0.5, 1.0], [2.0, 1.0, 0.0]]},
+     ("quasi-metric has a nonzero diagonal entry at index 1",)),
     # json reads Infinity and NaN, which RFC 8259 JSON does not have
     ("gamma-infinity", ("perturbation", "gamma"), float("inf"),
      ("$.perturbation.gamma: expected a number",)),

@@ -4,8 +4,9 @@ tables, and the stacked label infima against the per-label loop.
 
 Every stack (the order matrix, ``order_queries`` itself, the conclusions of
 a solve, the graph oracle, the start section and the graph conclusions)
-must give the reference's matrices, ``(first, lam, row)`` and InputError
-texts, and must never run more phase-1 LPs.
+must give the reference's matrices, first uncovered queries (its ``(first,
+lam, row)`` read as cells) and InputError texts, and must never run more
+phase-1 LPs.
 """
 
 import itertools
@@ -31,9 +32,10 @@ from evpkit.solvers import _order_conclusions
 import order_reference
 from conftest import random_cone
 from test_batched_sweeps import (KINDS, _all_of, _cone, _distances,
-                                 _polytope, band_direction, band_family,
-                                 highs_covers, notch_direction,
-                                 random_instance, random_product)
+                                 _polytope, as_cells, band_direction,
+                                 band_family, bare_order_query, highs_covers,
+                                 notch_direction, random_instance,
+                                 random_product)
 
 
 def _outcome(fn, *args):
@@ -43,7 +45,7 @@ def _outcome(fn, *args):
     except InputError as exc:
         return "InputError", str(exc)
     if isinstance(result, tuple):
-        # (first, lam, row), or an oracle and its matrix
+        # an oracle and its matrix
         return [r.tolist() for r in result if isinstance(r, np.ndarray)]
     if isinstance(result, np.ndarray):
         return result.tolist()
@@ -74,9 +76,12 @@ def _work_and_outcome(monkeypatch, fn, *args):
 
 
 def _as_reference(mp):
-    """Route the solvers' and graph stacks through the reference."""
-    mp.setattr(solvers, "order_queries", order_reference.order_queries)
-    mp.setattr(product, "order_queries", order_reference.order_queries)
+    """Route the solvers' and graph stacks through the reference, its
+    ``(first, lam, row)`` read as cells."""
+    mp.setattr(solvers, "order_queries",
+               as_cells(order_reference.order_queries))
+    mp.setattr(product, "order_queries",
+               as_cells(order_reference.order_queries))
 
 
 def assert_same(monkeypatch, budget, fn, ref, *args):
@@ -166,10 +171,10 @@ def pair_lists(rng, n):
 def test_grid_pass_equals_the_flat_pass(monkeypatch):
     """On :func:`grid_cases`, with ``_BLOCK_QUERIES`` at 1 to 64 (so that
     the grid runs in several blocks) or at its default: the order matrix,
-    ``order_queries`` on random pair lists with and without witnesses, and
-    the conclusions of (xhat, x0) pairs equal the reference's, outcome for
-    outcome, with no more _phase1 calls. Some matrices stand and some
-    raise the screen's InputError."""
+    ``order_queries`` on random pair lists, with a witness and (as the
+    order matrix asks them) without, and the conclusions of (xhat, x0)
+    pairs equal the reference's, outcome for outcome, with no more _phase1
+    calls. Some matrices stand and some raise the screen's InputError."""
     rng = np.random.default_rng(3200)
     seen = set()
     for inst, fam in grid_cases(rng):
@@ -182,12 +187,12 @@ def test_grid_pass_equals_the_flat_pass(monkeypatch):
         except InputError:
             continue
         for x2s, x1s in pair_lists(rng, len(inst.labels)):
-            for witness in (True, False):
-                assert_same(
-                    monkeypatch, budget,
-                    lambda *a: order_queries(*a, witness=witness),
-                    lambda *a: order_reference.order_queries(
-                        *a, witness=witness), inst, arrays, x2s, x1s)
+            assert_same(monkeypatch, budget, order_queries,
+                        as_cells(order_reference.order_queries), inst,
+                        arrays, x2s, x1s)
+            assert_same(monkeypatch, budget, bare_order_query,
+                        lambda *a: order_reference.order_queries(
+                            *a, witness=False)[0] < 0, inst, arrays, x2s, x1s)
         for xhat, x0 in itertools.islice(
                 itertools.product(inst.labels, repeat=2), 0, None, 3):
             assert_same(monkeypatch, budget, _order_conclusions, None,
