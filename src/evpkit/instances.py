@@ -517,7 +517,9 @@ def order_queries(inst, arrays, x2s, x1s):
     """The order tests ``labels[x2s[p]] before labels[x1s[p]]`` of several
     label pairs as one stack, ``arrays`` as :func:`order_arrays` gives
     them, or for the graph order a product instance and its
-    :func:`evpkit.product.graph_arrays`.
+    :func:`evpkit.product.graph_arrays`. The stacks of a solve read its
+    :class:`OrderGrid` and ask this only for the pairs the grid leaves
+    ``OPEN``.
 
     Each pair is a group of its (family index, value of x1) queries in
     :func:`preceq`'s loop order, over the base f(x2). Every stack takes one
@@ -536,7 +538,7 @@ def order_queries(inst, arrays, x2s, x1s):
     first, open_ = [np.zeros(0, dtype=int)], []
     for at in range(0, len(x2s), step):
         block, asked = _facet_pass(
-            inst, arrays, x2s[at:at + step], x1s[at:at + step], True)
+            inst, arrays, x2s[at:at + step], x1s[at:at + step])
         first.append(block)
         if asked is not None:
             open_.append((asked[0] + at, *asked[1:]))
@@ -593,7 +595,7 @@ def order_facets(S, V, nv, B, C, tol):
             by_index(fit | (S <= tol)), segment_band(size, k + m, tol))
 
 
-def _facet_pass(inst, arrays, x2, x1, witness):
+def _facet_pass(inst, arrays, x2, x1):
     """The order tests of one block of label pairs on the (family index,
     value row of x1, pair) grid, decided by the :func:`order_facets` of the
     solve where they can be. ``x2`` and ``x1`` are index arrays, one pair
@@ -604,11 +606,9 @@ def _facet_pass(inst, arrays, x2, x1, witness):
     cell ``lam * R + row`` of each pair's first dead query, with R the
     rows of the value stack, -1 when it has none. ``open`` is None when the
     facets leave no query undecided, else ``(pair, x2, x1, cell)``, the
-    flat position in ``first`` and the query of every cell still to ask, in
-    loop order: the real cells that are not covered, of each pair before
-    its first dead one (with ``witness=False``, which
-    :func:`relation_matrix` passes as it reads only coverage, of each pair
-    with none).
+    flat position in ``first`` and the query of every cell still to ask,
+    in loop order: the real cells that are not covered, of each pair
+    before its first dead one.
     """
     S, _, _, B, nb, facets = arrays
     L, R = S.shape[-1], B.shape[1]
@@ -632,8 +632,6 @@ def _facet_pass(inst, arrays, x2, x1, witness):
     first = np.where(cut < L * R, cut, -1)
     if (covered | dead).all():
         return first, None
-    if not witness:
-        cut[first >= 0] = 0
     ask = ~covered & (cell < cut.reshape(shape))
     # the open cells pair by pair, each pair's in loop order
     p, c = np.nonzero(ask.reshape(L * R, -1).T)
@@ -721,33 +719,94 @@ def _ask_open(inst, arrays, first, open_, witness):
 
 
 # a block of the facet pass holds at most this many cells of its (pair,
-# family index, value row) grid, and relation_matrix takes whole rows of the
+# family index, value row) grid, and order_grid takes whole rows of the
 # order matrix up to this many, so that their arrays stay small at any n
 _BLOCK_QUERIES = 1024
 
+# the cell of a pair whose first uncovered query is not known
+OPEN = -2
 
-def relation_matrix(inst: FiniteInstance, fam, arrays=None):
-    """rel[i, j] = True iff labels[i] precedes labels[j] in the order.
 
-    Decided for blocks of rows (x2) at a time, each one
-    :func:`_facet_pass` over slices of the solve's arrays with
-    ``witness=False``, whose open queries go to the screen, then the LP.
-    A block holds as many whole rows as fit in ``_BLOCK_QUERIES`` cells of
-    the (pair, family index, value row) grid, and at least one.
-    """
-    n = len(inst.labels)
-    if arrays is None:
-        arrays = order_arrays(inst, fam)
-    S, _, _, B, _, _ = arrays
-    step = max(1, _BLOCK_QUERIES // (n * S.shape[-1] * B.shape[1]))
-    rel = np.zeros((n, n), dtype=bool)
+@dataclass(frozen=True, eq=False)
+class OrderGrid:
+    """The order of a solve as one cell per (x2, x1) label pair, as
+    :func:`order_queries` returns it: -1 when x2 precedes x1, else the
+    first uncovered query ``lam * R + row``, or ``OPEN`` where neither is
+    known yet. ``inst`` and ``arrays`` are what the cells are asked from,
+    as for :func:`order_queries`; :func:`order_grid` builds the grid."""
+
+    inst: object
+    arrays: tuple
+    cells: np.ndarray
+
+    def read(self, x2s, x1s):
+        """The cells of the pairs ``(x2s[p], x1s[p])`` (index arrays). The
+        pairs whose cell is ``OPEN`` are asked as one :func:`order_queries`
+        stack, and their cells are written into the grid, so that no cell
+        is asked twice."""
+        got = self.cells[x2s, x1s]
+        ask = np.flatnonzero(got == OPEN)
+        if ask.size:
+            x2s, x1s = x2s[ask], x1s[ask]
+            got[ask] = self.cells[x2s, x1s] = order_queries(
+                self.inst, self.arrays, x2s, x1s)
+        return got
+
+
+def order_grid(inst, arrays, ask):
+    """The :class:`OrderGrid` of every (x2, x1) pair of ``arrays`` (as
+    :func:`order_queries` reads them) from one facet pass over the whole
+    grid, in blocks of as many whole rows x2 as fit in ``_BLOCK_QUERIES``
+    cells of the (pair, family index, value row) grid, and at least one.
+
+    A pair's cell is exact when the facets cover all its queries, or when
+    its first dead query has no undecided one before it; the other pairs
+    are ``OPEN``. With ``ask``, the pairs without a dead query that the
+    facets leave undecided are also asked whether they are covered, their
+    open queries as one :func:`covered_queries` stack per block with no
+    witness: a covered pair is -1, any other stays ``OPEN``. Every pair
+    is then decided, and ``cells == -1`` is the order matrix."""
+    S, B = arrays[0], arrays[3]
+    n, LR = len(B), S.shape[-1] * B.shape[1]
+    step = max(1, _BLOCK_QUERIES // (n * LR))
+    cells = np.empty((n, n), dtype=np.min_scalar_type(-LR))
     for start in range(0, n, step):
         rows = slice(start, start + step)
-        first, open_ = _facet_pass(inst, arrays, rows, slice(None), False)
-        if open_ is not None:
-            _ask_open(inst, arrays, first, [open_], False)
-        rel[rows] = (first < 0).reshape(-1, n)
-    return rel
+        cells[rows] = _grid_block(inst, arrays, rows, slice(None),
+                                  ask).reshape(-1, n)
+    return OrderGrid(inst, arrays, cells)
+
+
+def _grid_block(inst, arrays, x2, x1, ask):
+    """The cells of one :func:`_facet_pass` block as :func:`order_grid`
+    makes them."""
+    first, open_ = _facet_pass(inst, arrays, x2, x1)
+    if open_ is not None:
+        p = open_[0]
+        if ask:
+            # a pair with a dead query is not covered, whatever precedes it
+            keep = first[p] < 0
+            if keep.any():
+                _ask_open(inst, arrays, first,
+                          [tuple(a[keep] for a in open_)], False)
+            p = p[first[p] >= 0]
+        first[p] = OPEN
+    return first
+
+
+def relation_matrix(inst: FiniteInstance, fam, arrays=None, grid=False):
+    """rel[i, j] = True iff labels[i] precedes labels[j] in the order.
+
+    Decided by :func:`order_grid` with ``ask`` on the solve's arrays: the
+    facet pass over every pair, then the screen and the LP for the pairs
+    with neither a dead query nor all queries covered. With ``grid``,
+    returns that :class:`OrderGrid`, whose exact cells the stacks of the
+    solve read instead of asking them again.
+    """
+    if arrays is None:
+        arrays = order_arrays(inst, fam)
+    built = order_grid(inst, arrays, True)
+    return built if grid else built.cells == -1
 
 
 def ti_check(inst: FiniteInstance, fam):
@@ -1313,8 +1372,8 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None,
     if rel is None:
         rel = relation_matrix(inst, fam, arrays)
 
-    at = np.flatnonzero(rel[:, inst.space.index(x0)])
-    section = [labels[i] for i in at]
+    section_at = np.flatnonzero(rel[:, inst.space.index(x0)])
+    section = [labels[i] for i in section_at]
     if not section:
         return AssumptionReport(
             start=x0, section=[], bounded=False, inf_value=math.inf,
@@ -1325,11 +1384,11 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None,
 
     eta = np.asarray(label_infima(inst, xi, arrays) if eta is None else eta,
                      dtype=float)
-    inf_value = float(eta[at].min())
+    inf_value = float(eta[section_at].min())
     bounded = math.isfinite(inf_value)
 
     # x' before x and not x; a finite eta(x) makes no difference inf - inf
-    at = at[np.isfinite(eta[at])]
+    at = section_at[np.isfinite(eta[section_at])]
     fails = np.flatnonzero(rel[:, at].T & (np.arange(n) != at[:, None])
                            & ~(eta[at, None] - eta > tol))
     strict = not fails.size
@@ -1346,7 +1405,7 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None,
     if linear:
         minima = vertex_minima(*arrays[:2], xi)
         sep_pairs, sep_point, pair_witness = _pairwise_separation(
-            inst, minima, section)
+            inst, minima, section_at)
         sep_uniform, uniform_witness = _uniform_separation(inst, fam, minima)
         sep_witness = {"pairs": pair_witness, "uniform": uniform_witness}
         notes.append("pair separation: infimum over a closed polytope equals "
@@ -1382,20 +1441,22 @@ def vertex_minima(S, V, xi):
                        where=S != 0)
 
 
-def _pairwise_separation(inst, minima, section):
-    """Every ordered pair (x, x') of distinct section labels has a family
-    set of F(x', x) with vertex minimum above ``tol``; the first pair that
-    has none, in loop order, is the witness."""
-    idx = [inst.space.index(x) for x in section]
-    # best[a, b]: the largest minimum over the sets of F(section[b], section[a])
-    best = minima.max(axis=-1)[np.ix_(idx, idx)].T
+def _pairwise_separation(inst, minima, at):
+    """Every ordered pair (x, x') of distinct section labels, at the label
+    positions ``at``, has a family set of F(x', x) with vertex minimum above
+    ``tol``; the first pair that has none, in loop order, is the
+    witness."""
+    # best[a, b]: the largest minimum over the sets of F(x_b, x_a), x_a the
+    # label at at[a]
+    best = minima.max(axis=-1)[at][:, at].T
     bad = ~(best > inst.tol)
     np.fill_diagonal(bad, False)
     fails = np.flatnonzero(bad)
     if not fails.size:
         return True, True, None
-    a, b = divmod(int(fails[0]), len(idx))
-    return False, False, {"pair": [section[a], section[b]],
+    a, b = divmod(int(fails[0]), len(at))
+    labels = inst.labels
+    return False, False, {"pair": [labels[at[a]], labels[at[b]]],
                           "inf": float(best[a, b])}
 
 

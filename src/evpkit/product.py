@@ -20,9 +20,9 @@ from .errors import HypothesisError, InputError, PremiseError
 from .geometry import (DEFAULT_TOL, PolyhedralCone, Polytope, as_point,
                        first_outside, minkowski_member, polytope_contains,
                        singleton)
-from .instances import (MetricSpace, PolytopeDirection, check_positive,
-                        order_facets, order_queries, triangle_failure,
-                        vertex_minima)
+from .instances import (OPEN, MetricSpace, PolytopeDirection,
+                        check_positive, order_facets, order_grid,
+                        triangle_failure, vertex_minima)
 from .scalarize import GerstewitzFn
 from .solvers import Certificate, Conclusion, _jsonable
 
@@ -327,6 +327,14 @@ def graph_arrays(pi, fm):
             order_facets(S, V, nv, B, pi.cone, pi.tol))
 
 
+def graph_grid(pi, fm):
+    """The :class:`OrderGrid` of a graph solve: the facet pass over every
+    pair of graph pairs of the :func:`graph_arrays`, asking nothing. Each
+    pair has one query, so a cell the facets decide is exact, and the stacks
+    of the solve ask only the ``OPEN`` cells they read, each once."""
+    return order_grid(pi, graph_arrays(pi, fm), False)
+
+
 def anchored_values(pi, xi):
     """``xi.value(y - y0)`` of every graph value ``y`` as one array, bit for
     bit: the stacked products ``w . d`` and ``A d`` round as the per-pair
@@ -338,21 +346,22 @@ def anchored_values(pi, xi):
     return xi.from_products((xi.cone.halfspaces @ D[..., None])[..., 0])
 
 
-def _graph_oracle(pi, arrays, eta):
+def _graph_oracle(pi, grid, eta):
     """Engine oracle over graph pair indices under the strict order.
 
     ``rel[i, j]`` is :func:`prec_fstar` of pairs i and j: ``eta`` is the
-    :func:`anchored_values` array, and coverage is asked only for the pairs
-    with a strict drop, all in one :func:`order_queries` stack over the
-    :func:`graph_arrays` ``arrays``.
+    :func:`anchored_values` array, and coverage is read from the
+    :func:`graph_grid` ``grid`` only for the pairs with a strict drop, its
+    ``OPEN`` cells among them asked as one stack.
     """
     n = len(pi.graph)
     rel = np.eye(n, dtype=bool)
     # prec_f looks at the scale of every other pair, strict drop or not
-    if np.any((arrays[0][..., 0] < 0) & ~rel):
+    if np.any((grid.arrays[0][..., 0] < 0) & ~rel):
         raise InputError("scale must be nonnegative")
-    i, j = np.nonzero((eta[None, :] - eta[:, None] > pi.tol) & ~rel)
-    rel[i, j] = order_queries(pi, arrays, i, j) < 0
+    drop = (eta[None, :] - eta[:, None] > pi.tol) & ~rel
+    grid.read(*np.nonzero(drop & (grid.cells == OPEN)))
+    rel |= drop & (grid.cells == -1)
     return eng.PreorderOracle.from_matrix(range(n), rel, eta.tolist()), rel
 
 
@@ -363,40 +372,40 @@ def _pair_index(pi, x, y):
     return int(np.flatnonzero(at)[0])
 
 
-def _section_of_start(pi, arrays, start):
+def _section_of_start(pi, grid, start):
     """Mask of the graph pairs that precede the start pair, at position
-    ``start``: :func:`prec_f` of every pair against it, one
-    :func:`order_queries` stack over the :func:`graph_arrays` ``arrays``."""
+    ``start``: :func:`prec_f` of every pair against it, the column
+    ``start`` of the :func:`graph_grid` ``grid``."""
     n = len(pi.graph)
-    return order_queries(pi, arrays, np.arange(n), np.full(n, start)) < 0
+    return grid.read(np.arange(n), np.full(n, start)) < 0
 
 
 def solve_minimal_point(pi: ProductInstance, fm: FMap, mode="greedy"):
     """Minimal pair of the graph under the strict order, certified against
     the plain order conclusions: start coverage and separation of every
     other base label."""
-    checks, arrays = validate_fmap(pi, fm), graph_arrays(pi, fm)
+    checks, grid = validate_fmap(pi, fm), graph_grid(pi, fm)
     start = _pair_index(pi, *pi.start)
     ihat, trace, assumptions = _minimal_point(
-        pi, fm, mode, checks, arrays, start,
-        _section_of_start(pi, arrays, start))
+        pi, fm, mode, checks, grid, start,
+        _section_of_start(pi, grid, start))
     xhat, yhat = pi.graph[ihat]
-    conclusions = _graph_conclusions(pi, arrays, ihat, start,
+    conclusions = _graph_conclusions(pi, grid, ihat, start,
                                      exclude_label_only=True)
     return Certificate("5.1", xhat, conclusions, assumptions, trace,
                        yhat=yhat)
 
 
-def _minimal_point(pi, fm, mode, checks, arrays, start, section):
+def _minimal_point(pi, fm, mode, checks, grid, start, section):
     """The engine run of :func:`solve_minimal_point` after the pair-map
-    checks, given the :func:`graph_arrays`, the start pair's position and
+    checks, given the :func:`graph_grid`, the start pair's position and
     the start section's mask: ``(ihat, trace, assumptions)``."""
     eta = anchored_values(pi, fm.xi)
     inf_val = float(eta[section].min())
     if not math.isfinite(inf_val):
         raise HypothesisError("bounded",
                               "scalarization unbounded on the start section")
-    oracle, _ = _graph_oracle(pi, arrays, eta)
+    oracle, _ = _graph_oracle(pi, grid, eta)
     ihat, trace = eng.solve(oracle, start, mode)
     assumptions = dict(checks)
     assumptions["scalar_inf_on_start_section"] = inf_val
@@ -404,19 +413,19 @@ def _minimal_point(pi, fm, mode, checks, arrays, start, section):
     return ihat, trace, assumptions
 
 
-def _graph_conclusions(pi, arrays, ihat, start, exclude_label_only):
+def _graph_conclusions(pi, grid, ihat, start, exclude_label_only):
     """Conclusions (a) and (b) for the terminal pair at position ``ihat``
-    from one :func:`order_queries` stack over the :func:`graph_arrays`
-    ``arrays``: its first pair asks whether pair ihat covers the start pair
-    at position ``start``, and the others whether each other pair precedes
+    from the cells of the :func:`graph_grid` ``grid``: the cell (ihat,
+    start) decides whether pair ihat covers the start pair at position
+    ``start``, and the cells (p, ihat) whether each other pair p precedes
     pair ihat, a violation of (b). For label-only exclusion the quantifier
     skips the whole xhat slice, otherwise only the pair itself."""
     xhat, yhat = pi.graph[ihat]
     others = np.array([p for p, (x, _) in enumerate(pi.graph)
                        if (x != xhat if exclude_label_only else p != ihat)],
                       dtype=int)
-    first = order_queries(pi, arrays, np.append(ihat, others),
-                          np.append(start, np.full(len(others), ihat)))
+    first = grid.read(np.append(ihat, others),
+                      np.append(start, np.full(len(others), ihat)))
     violations = [{"x": pi.graph[p][0], "y": pi.graph[p][1]}
                   for p, q in zip(others, first[1:]) if q < 0]
     return [Conclusion("a", bool(first[0] < 0),
@@ -429,9 +438,9 @@ def solve_strict_minimal(pi: ProductInstance, fm: FMap, mode="greedy"):
     label slice; the separation conclusion then excludes only the pair
     itself. Requires the strict domination property on every slice the start
     section touches, checked after the pair map."""
-    checks, arrays = validate_fmap(pi, fm), graph_arrays(pi, fm)
+    checks, grid = validate_fmap(pi, fm), graph_grid(pi, fm)
     start = _pair_index(pi, *pi.start)
-    section = _section_of_start(pi, arrays, start)
+    section = _section_of_start(pi, grid, start)
     slice_report = {}
     for x in sorted({pi.graph[p][0] for p in np.flatnonzero(section)},
                     key=str):
@@ -444,7 +453,7 @@ def solve_strict_minimal(pi: ProductInstance, fm: FMap, mode="greedy"):
                 "strict_domination",
                 f"the value slice at {x!r} lacks the strict domination "
                 "property", witness={"x": x, "uncovered": _jsonable(uncovered)})
-    ihat, trace, assumptions = _minimal_point(pi, fm, mode, checks, arrays,
+    ihat, trace, assumptions = _minimal_point(pi, fm, mode, checks, grid,
                                               start, section)
     xhat = pi.graph[ihat][0]
     # the xhat slice by graph position; row ``at.index(ihat)`` of its order
@@ -459,7 +468,7 @@ def solve_strict_minimal(pi: ProductInstance, fm: FMap, mode="greedy"):
             "engine value")
     ihat = at[below[0]]
     yhat = pi.graph[ihat][1]
-    cover, separation = _graph_conclusions(pi, arrays, ihat, start,
+    cover, separation = _graph_conclusions(pi, grid, ihat, start,
                                            exclude_label_only=False)
     conclusions = [
         Conclusion("a", cover.holds, {**cover.witness,

@@ -37,8 +37,7 @@ from .instances import (FiniteInstance, OpenPolytopeFamily, PolytopeDirection,
                         QuasiMetric, QuasiMetricDirection, SingletonDirection,
                         check_assumptions, check_positive,
                         d_bounded_certificate, eps_h_efficient, label_infima,
-                        order_arrays, order_queries, relation_matrix,
-                        ti_check)
+                        order_arrays, relation_matrix, ti_check)
 # bench/spans.py traces per-call memberships and order tests under these
 # names here
 from .instances import minkowski_member, preceq  # noqa: F401
@@ -126,7 +125,8 @@ def _solve_order(inst, fam, xi, x0, mode):
 
     Returns ``(xhat, conclusions, report, trace)``. The
     :func:`order_arrays` and the :func:`label_infima` are computed once here
-    for every order test and hypothesis of the solve."""
+    for every order test and hypothesis of the solve, and every order test
+    reads the one :class:`OrderGrid` that :func:`relation_matrix` builds."""
     arrays = order_arrays(inst, fam)
     ok, witness = ti_check(inst, fam)
     if not ok:
@@ -134,7 +134,8 @@ def _solve_order(inst, fam, xi, x0, mode):
                               "the perturbation family fails the triangle "
                               "inclusion property", witness={"triple": witness})
     eta = label_infima(inst, xi, arrays)
-    rel = relation_matrix(inst, fam, arrays)
+    grid = relation_matrix(inst, fam, arrays, grid=True)
+    rel = grid.cells == -1
     oracle = eng.PreorderOracle.from_matrix(inst.labels, rel, eta)
     if not oracle.section(x0):
         raise HypothesisError("nonempty_start",
@@ -145,14 +146,15 @@ def _solve_order(inst, fam, xi, x0, mode):
                               "assumption gate failed",
                               witness=report.to_dict())
     xhat, trace = eng.solve(oracle, x0, mode)
-    return xhat, _order_conclusions(inst, fam, arrays, xhat, x0), report, trace
+    return xhat, _order_conclusions(inst, fam, grid, xhat, x0), report, trace
 
 
-def _order_conclusions(inst, fam, arrays, xhat, x0):
-    """Conclusions (a) and (b) from one :func:`order_queries` stack on the
-    :func:`order_arrays` ``arrays``: its first pair asks whether xhat
-    precedes x0, as :func:`preceq` decides it, and the others whether each
-    other label x precedes xhat.
+def _order_conclusions(inst, fam, grid, xhat, x0):
+    """Conclusions (a) and (b) from the cells of the solve's
+    :class:`OrderGrid` ``grid``: the cell (xhat, x0) decides whether xhat
+    precedes x0, as :func:`preceq` decides it, and the cells (x, xhat)
+    whether each other label x precedes xhat. The cells the grid holds
+    ``OPEN`` are asked as one :func:`order_queries` stack.
 
     (b) holds when some family member separates every x from xhat: the
     first uncovered (family set, value of xhat) query of x is its
@@ -160,14 +162,13 @@ def _order_conclusions(inst, fam, arrays, xhat, x0):
     """
     labels, lams = inst.labels, fam.lambdas()
     j = inst.space.index(xhat)
-    others = np.delete(np.arange(len(labels)), j)
-    first = order_queries(
-        inst, arrays, np.append(j, others),
-        np.append(inst.space.index(x0), np.full(len(others), j)))
-    R = arrays[3].shape[1]
+    others = [x for x in range(len(labels)) if x != j]
+    first = grid.read(np.array([j, *others]),
+                      np.array([inst.space.index(x0), *[j] * len(others)]))
+    R = grid.arrays[3].shape[1]
     failures = []
     witnesses = []
-    for x, cell in zip(others.tolist(), first[1:].tolist()):
+    for x, cell in zip(others, first[1:].tolist()):
         if cell < 0:
             failures.append(labels[x])
         else:

@@ -40,8 +40,7 @@ from evpkit import solvers
 from evpkit.errors import HypothesisError
 from evpkit.geometry import (DEFAULT_TOL, LinearFunctional, Polytope, cone,
                              strictly_positive_functional)
-from evpkit.instances import (check_assumptions, order_arrays,
-                              relation_matrix, ti_check)
+from evpkit.instances import check_assumptions, relation_matrix, ti_check
 from evpkit.io import generate, load_validate
 from evpkit.product import pareto_min
 
@@ -81,13 +80,14 @@ def _decisions(bundle, xi):
 
 
 def _conclusions(bundle):
-    """``_order_conclusions`` of every (xhat, x0) by label names: (a), and
-    (b) with its violations as a set and its separations keyed by x."""
+    """``_order_conclusions`` of every (xhat, x0) on the grid of the
+    solve, by label names: (a), and (b) with its violations as a set and
+    its separations keyed by x."""
     inst, fam = bundle.instance, bundle.family
-    arrays = order_arrays(inst, fam)
+    grid = relation_matrix(inst, fam, grid=True)
     out = {}
     for xhat, x0 in itertools.product(inst.labels, repeat=2):
-        a, b = solvers._order_conclusions(inst, fam, arrays, xhat, x0)
+        a, b = solvers._order_conclusions(inst, fam, grid, xhat, x0)
         out[xhat, x0] = (a.holds, a.witness, b.holds,
                          set(b.witness["violations"]),
                          {w["x"]: w for w in b.witness["separations"]})

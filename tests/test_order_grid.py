@@ -6,7 +6,8 @@ Every stack (the order matrix, ``order_queries`` itself, the conclusions of
 a solve, the graph oracle, the start section and the graph conclusions)
 must give the reference's matrices, first uncovered queries (its ``(first,
 lam, row)`` read as cells) and InputError texts, and must never run more
-phase-1 LPs.
+phase-1 LPs: asked whole, on a grid with every cell open, and read from the
+one grid of a solve.
 """
 
 import itertools
@@ -16,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from evpkit import geometry, instances, product, solvers
+from evpkit import geometry, instances
 from evpkit.errors import InputError
 from evpkit.geometry import (DEFAULT_TOL, LinearFunctional, Polytope,
                              stack_rows)
 from evpkit.instances import (ExtensionalFamily, FiniteInstance, MetricSpace,
+                              OPEN, OrderGrid, PolytopeDirection,
                               QuasiMetric, QuasiMetricDirection, SetValuedMap,
                               label_infima, order_arrays, order_queries,
                               relation_matrix, scalar_inf)
@@ -34,8 +36,8 @@ from conftest import random_cone
 from test_batched_sweeps import (KINDS, _all_of, _cone, _distances,
                                  _polytope, as_cells, band_direction,
                                  band_family, bare_order_query, highs_covers,
-                                 notch_direction, random_instance,
-                                 random_product)
+                                 notch_direction, on_open_grid, open_grid,
+                                 random_instance, random_product)
 
 
 def _outcome(fn, *args):
@@ -76,11 +78,9 @@ def _work_and_outcome(monkeypatch, fn, *args):
 
 
 def _as_reference(mp):
-    """Route the solvers' and graph stacks through the reference, its
+    """Route the order stacks that a grid asks through the reference, its
     ``(first, lam, row)`` read as cells."""
-    mp.setattr(solvers, "order_queries",
-               as_cells(order_reference.order_queries))
-    mp.setattr(product, "order_queries",
+    mp.setattr(instances, "order_queries",
                as_cells(order_reference.order_queries))
 
 
@@ -173,7 +173,7 @@ def test_grid_pass_equals_the_flat_pass(monkeypatch):
     the grid runs in several blocks) or at its default: the order matrix,
     ``order_queries`` on random pair lists, with a witness and (as the
     order matrix asks them) without, and the conclusions of (xhat, x0)
-    pairs equal the reference's, outcome for outcome, with no more _phase1
+    pairs on a grid with every cell open equal the reference's, outcome for outcome, with no more _phase1
     calls. Some matrices stand and some raise the screen's InputError."""
     rng = np.random.default_rng(3200)
     seen = set()
@@ -195,9 +195,20 @@ def test_grid_pass_equals_the_flat_pass(monkeypatch):
                             *a, witness=False)[0] < 0, inst, arrays, x2s, x1s)
         for xhat, x0 in itertools.islice(
                 itertools.product(inst.labels, repeat=2), 0, None, 3):
-            assert_same(monkeypatch, budget, _order_conclusions, None,
-                        inst, fam, arrays, xhat, x0)
+            assert_same(monkeypatch, budget,
+                        on_open_grid(_order_conclusions, 2), None, inst, fam,
+                        arrays, xhat, x0)
     assert seen == {"InputError", "matrix"}, seen
+
+
+def as_graph(inst, fam):
+    """The product instance of every (label, value) pair of a label
+    instance, started at the first, with the one-index family ``fam`` as
+    its pair map and a linear functional positive on the cone."""
+    graph = tuple((x, y) for x in inst.labels for y in inst.fmap.at(x))
+    A = inst.cone.halfspaces
+    return (ProductInstance(graph, inst.space, graph[0], inst.cone),
+            FMap(fam, LinearFunctional(A.T @ np.ones(len(A)))))
 
 
 def graph_cases(rng):
@@ -209,32 +220,185 @@ def graph_cases(rng):
                             nonlinear=t % 3 == 1, vertices=1 + t % 3)
              for t in range(6)]
     for t in range(3):
-        inst, fam = (band_family(rng, 3 + t, 1, 1 + t, DEFAULT_TOL) if t % 2
-                     else band_direction(rng, 3 + t, 1 + t, DEFAULT_TOL))
-        graph = tuple((x, y) for x in inst.labels for y in inst.fmap.at(x))
-        A = inst.cone.halfspaces
-        cases.append((ProductInstance(graph, inst.space, graph[0], inst.cone),
-                      FMap(fam, LinearFunctional(A.T @ np.ones(len(A))))))
+        cases.append(as_graph(*(
+            band_family(rng, 3 + t, 1, 1 + t, DEFAULT_TOL) if t % 2
+            else band_direction(rng, 3 + t, 1 + t, DEFAULT_TOL))))
     return cases
 
 
 def test_graph_stacks_equal_the_flat_pass(monkeypatch):
     """The graph oracle, the start sections and the graph conclusions of
-    :func:`graph_cases`, with ``_BLOCK_QUERIES`` at 1 to 64 or at its
+    :func:`graph_cases`, each on a grid with every cell open (so that it
+    asks its whole stack), with ``_BLOCK_QUERIES`` at 1 to 64 or at its
     default, equal their outcomes through the reference with no more
     _phase1 calls."""
     rng = np.random.default_rng(3300)
     for pi, fm in graph_cases(rng):
         budget = int(rng.integers(1, 65)) if rng.random() < 0.75 else None
         arrays = graph_arrays(pi, fm)
-        assert_same(monkeypatch, budget, _graph_oracle, None, pi, arrays,
-                    anchored_values(pi, fm.xi))
+        assert_same(monkeypatch, budget, on_open_grid(_graph_oracle, 1), None,
+                    pi, arrays, anchored_values(pi, fm.xi))
         for start in range(len(pi.graph)):
-            assert_same(monkeypatch, budget, _section_of_start, None, pi,
-                        arrays, start)
+            assert_same(monkeypatch, budget,
+                        on_open_grid(_section_of_start, 1), None, pi, arrays,
+                        start)
             for ihat in range(start % 2, len(pi.graph), 3):
-                assert_same(monkeypatch, budget, _graph_conclusions, None,
-                            pi, arrays, ihat, start, start % 2 == 0)
+                assert_same(monkeypatch, budget,
+                            on_open_grid(_graph_conclusions, 1), None, pi,
+                            arrays, ihat, start, start % 2 == 0)
+
+
+def untied_instance(rng, n):
+    """A shared polytope of 8 random vertices in m = 4, which has more tie
+    systems than ``_TIE_SYSTEMS``: no facets, so every query is open."""
+    C, k0 = _cone(rng, 4)
+    labels = tuple(f"q{i}" for i in range(n))
+    fmap = SetValuedMap({x: rng.normal(size=(int(rng.integers(1, 4)), 4))
+                         for x in labels})
+    inst = FiniteInstance(MetricSpace(labels, _distances(rng, n, True)),
+                          fmap, C)
+    return inst, PolytopeDirection(_polytope(rng, C, k0, 8),
+                                   float(rng.uniform(0.3, 1.2)))
+
+
+def every_pair(n):
+    return np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+
+
+def assert_held_cells(grid):
+    """Each cell a grid holds other than ``OPEN`` is the cell that
+    ``order_queries`` and the reference give its pair. Returns those cells
+    of every pair and the mask of the held ones; None where both raise the
+    screen's InputError, as a negative scale makes them, and the facets
+    have then decided no cell."""
+    inst, arrays = grid.inst, grid.arrays
+    x2s, x1s = every_pair(len(grid.cells))
+    want, ref = (_outcome(fn, inst, arrays, x2s, x1s) for fn in (
+        order_queries, as_cells(order_reference.order_queries)))
+    assert want == ref, (want, ref)
+    held = grid.cells.ravel() != OPEN
+    if want[0] == "InputError":
+        assert not held.any()
+        return None
+    want = np.array(want)
+    assert grid.cells.ravel()[held].tolist() == want[held].tolist()
+    return want, held
+
+
+def _lps(monkeypatch, fn, *args):
+    """The _phase1 calls of ``fn(*args)`` and its result, or its InputError
+    text."""
+    lps, phase1 = [0], geometry._phase1
+
+    def counted(*a, **kw):
+        lps[0] += 1
+        return phase1(*a, **kw)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(geometry, "_phase1", counted)
+        try:
+            result = fn(*args)
+        except InputError as exc:
+            result = "InputError", str(exc)
+    return lps[0], result
+
+
+def _dicts(conclusions):
+    if conclusions[0] == "InputError":
+        return conclusions
+    return [c.to_dict() for c in conclusions]
+
+
+def test_grid_cells_equal_the_stacks(monkeypatch):
+    """The cells of a solve's grid against ``order_queries`` and the
+    reference, on :func:`grid_cases` (every family kind, ragged value sets,
+    tables of one and two indices, values within 2 tol of a facet, a
+    negative scale) and on shared polytopes with no facets
+    (:func:`untied_instance`), and on the graphs of :func:`graph_cases` and
+    of those. Each exact cell of the grid is the cell of its pair; an
+    ``OPEN`` cell of the order matrix's grid is a pair that is not
+    covered; reading every pair gives every cell. A label solve (the order
+    matrix, then the conclusions of one (xhat, x0)) and a graph solve (the
+    start section, the oracle and the conclusions of one (ihat, start), on
+    one grid) give the witnesses, matrices and InputError texts of the
+    same stacks each asked whole through the reference, with no more
+    _phase1 calls."""
+    rng = np.random.default_rng(3400)
+    labels = grid_cases(rng) + [untied_instance(rng, 3 + t % 3)
+                                for t in range(3)]
+    seen, opened, asked = set(), 0, 0
+    for inst, fam in labels:
+        try:
+            arrays = order_arrays(inst, fam)
+        except InputError:
+            continue
+        n_grid, got = _lps(monkeypatch, relation_matrix, inst, fam, arrays)
+        n_rel, rel = _lps(monkeypatch, order_reference.relation_matrix, inst,
+                          fam, arrays)
+        if isinstance(rel, tuple):
+            assert got == rel, (got, rel)
+            seen.add("label InputError")
+            continue
+        assert got.tolist() == rel.tolist()
+        grid = relation_matrix(inst, fam, arrays, grid=True)
+        seen.add("untied" if arrays[5] is None else "facets")
+        want, held = assert_held_cells(grid)
+        assert (want[~held] >= 0).all()
+        opened += int((~held).sum())
+        for xhat, x0 in itertools.islice(
+                itertools.product(inst.labels, repeat=2), 0, None, 4):
+            solve = OrderGrid(inst, arrays, grid.cells.copy())
+            n_new, got = _lps(monkeypatch, _order_conclusions, inst, fam,
+                              solve, xhat, x0)
+            with monkeypatch.context() as mp:
+                _as_reference(mp)
+                n_old, old = _lps(monkeypatch,
+                                  on_open_grid(_order_conclusions, 2), inst,
+                                  fam, arrays, xhat, x0)
+            assert _dicts(got) == _dicts(old), (xhat, x0)
+            assert n_grid + n_new <= n_rel + n_old, (n_grid, n_new, n_rel,
+                                                     n_old)
+            asked += n_rel + n_old
+        x2s, x1s = every_pair(len(inst.labels))
+        assert grid.read(x2s, x1s).tolist() == want.tolist()
+        assert (grid.cells != OPEN).all()
+
+    def graph_solve(pi, arrays, eta, start, ihat, make):
+        grid = make(pi, arrays)
+        return [_section_of_start(pi, grid, start).tolist(),
+                _graph_oracle(pi, grid, eta)[1].tolist(),
+                *_dicts(_graph_conclusions(pi, grid, ihat, start,
+                                           start % 2 == 0))]
+
+    graphs = graph_cases(rng) + [as_graph(*untied_instance(rng, 3))] + [
+        as_graph(*negative_scale_instance(rng, 3 + t, 1 + t, 1 + t))
+        for t in range(2)]
+    for pi, fm in graphs:
+        arrays = graph_arrays(pi, fm)
+        grid = instances.order_grid(pi, arrays, False)
+        cells = assert_held_cells(grid)
+        opened += int((grid.cells == OPEN).sum())
+        eta = anchored_values(pi, fm.xi)
+        P = len(pi.graph)
+        for start, ihat in ((0, P - 1), (P // 2, 0), (P - 1, P // 2)):
+            n_new, got = _lps(monkeypatch, graph_solve, pi, arrays, eta,
+                              start, ihat,
+                              lambda p, a: instances.order_grid(p, a, False))
+            with monkeypatch.context() as mp:
+                _as_reference(mp)
+                n_old, old = _lps(monkeypatch, graph_solve, pi, arrays, eta,
+                                  start, ihat, open_grid)
+            assert got == old, (start, ihat, got, old)
+            assert n_new <= n_old, (n_new, n_old)
+            asked += n_old
+            seen.add("graph InputError" if got[0] == "InputError"
+                     else "graph")
+        if cells is not None:
+            x2s, x1s = every_pair(P)
+            assert grid.read(x2s, x1s).tolist() == cells[0].tolist()
+    assert seen == {"label InputError", "untied", "facets",
+                    "graph InputError", "graph"}, seen
+    assert opened > 0 and asked > 0, (opened, asked)
 
 
 def highs_table(rng, n, m, L, magnitude):
