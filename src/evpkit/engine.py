@@ -19,6 +19,7 @@ carrying the offending cycle.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,25 +29,58 @@ from .errors import HypothesisError, InputError
 MODES = ("faithful", "greedy")
 
 
+class _Columns(Mapping):
+    """The successor lists of an order matrix ``rel`` by label, each read
+    as its column ``rel[:, j]`` the first time it is asked for."""
+
+    def __init__(self, labels, rel):
+        self._labels, self._rel = labels, rel
+        self._at = {x: j for j, x in enumerate(labels)}
+        self._lists = {}
+
+    def __getitem__(self, x):
+        lists = self._lists
+        if x not in lists:
+            rows = np.flatnonzero(self._rel[:, self._at[x]]).tolist()
+            lists[x] = [self._labels[i] for i in rows]
+        return lists[x]
+
+    def __contains__(self, x):
+        return x in self._at
+
+    def __iter__(self):
+        return iter(self._labels)
+
+    def __len__(self):
+        return len(self._labels)
+
+
 @dataclass(frozen=True, eq=False)
 class PreorderOracle:
     """Raw order data: per-label successor lists (lower sections) and the
-    potential eta. Labels are hashables; list order fixes tie-breaking."""
+    potential eta. Labels are hashables; list order fixes tie-breaking.
+    ``successors`` maps every label to its list: a dict, or, from
+    :meth:`from_matrix`, a mapping that reads a label's list from its
+    column of the order matrix the first time the list is asked for, so
+    that the engine decides only the sections it walks."""
 
     labels: tuple
-    successors: dict
+    successors: Mapping
     eta: dict
 
     def __post_init__(self):
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
         known = set(labels)
+        # from_matrix reads every label's list from a column, whose rows
+        # are labels
+        given = not isinstance(self.successors, _Columns)
         for x in labels:
-            if x not in self.successors:
+            if given and x not in self.successors:
                 raise InputError(f"no successor list for {x!r}")
             if x not in self.eta:
                 raise InputError(f"no potential value for {x!r}")
-            for xp in self.successors[x]:
+            for xp in self.successors[x] if given else ():
                 if xp not in known:
                     raise InputError(f"successor {xp!r} of {x!r} is not a label")
         order = {x: i for i, x in enumerate(labels)}
@@ -55,15 +89,14 @@ class PreorderOracle:
     @classmethod
     def from_matrix(cls, labels, rel, eta):
         """The oracle of the order matrix ``rel`` (``rel[i, j]``: labels[i]
-        precedes labels[j]) and the potentials ``eta`` in label order."""
+        precedes labels[j]) and the potentials ``eta`` in label order.
+        ``rel`` is read by whole columns: the section of labels[j] holds
+        the labels of the rows of ``rel[:, j]``, ascending, read the first
+        time it is asked for. ``rel`` is an array, or an
+        :class:`evpkit.instances.OrderColumns` that decides each column
+        when it is read."""
         labels = tuple(labels)
-        # the nonzeros of rel.T come column of rel by column, rows ascending
-        cols, rows = np.nonzero(rel.T)
-        ends = np.searchsorted(cols, np.arange(len(labels) + 1)).tolist()
-        rows = [labels[i] for i in rows.tolist()]
-        successors = {x: rows[ends[j]:ends[j + 1]]
-                      for j, x in enumerate(labels)}
-        return cls(labels, successors, dict(zip(labels, eta)))
+        return cls(labels, _Columns(labels, rel), dict(zip(labels, eta)))
 
     def section(self, x):
         return self.successors[x]

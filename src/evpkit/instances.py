@@ -35,8 +35,10 @@ class MetricSpace:
     ``validate`` keeps the triangle excess, the largest violation ``d[i, k]
     - d[i, j] - d[j, k]``, as ``_excess`` (None before; a bound on it for
     :func:`metric_from_coordinates`), and searches the triples only while
-    no excess below ``tol`` is kept. ``dist`` is a read-only copy of the
-    given matrix, so a kept excess stays the excess of ``dist``."""
+    no excess below ``tol`` is kept. It keeps the smallest distance between
+    distinct points too, for :meth:`min_positive_distance`. ``dist`` is a
+    read-only copy of the given matrix, so what is kept stays true of
+    ``dist``."""
 
     labels: tuple
     dist: np.ndarray
@@ -51,6 +53,7 @@ class MetricSpace:
         object.__setattr__(self, "dist", _read_only(self.dist,
                                                     "distance matrix"))
         object.__setattr__(self, "_excess", None)
+        object.__setattr__(self, "_least", None)
 
     @property
     def n(self):
@@ -83,11 +86,13 @@ class MetricSpace:
                 f"asymmetric distance between {self.labels[i]!r} and "
                 f"{self.labels[j]!r}")
         off = d + np.diag([np.inf] * n)
-        if np.min(off) <= tol:
+        least = float(np.min(off))
+        if least <= tol:
             i, j = np.unravel_index(np.argmin(off), d.shape)
             raise InputError(
                 f"distinct points {self.labels[i]!r}, {self.labels[j]!r} "
                 f"at zero distance")
+        object.__setattr__(self, "_least", least)
         excess = self._excess
         if excess is None or not excess < tol:
             worst, excess = _worst_triangle(d)
@@ -101,10 +106,13 @@ class MetricSpace:
         return self
 
     def min_positive_distance(self):
-        if self.n == 1:
-            return math.inf
-        off = self.dist + np.diag([np.inf] * self.n)
-        return float(np.min(off))
+        """The smallest distance between distinct points, +inf for one
+        point: kept by ``validate``, or computed once here."""
+        if self._least is None:
+            object.__setattr__(self, "_least", math.inf if self.n == 1 else
+                               float(np.min(self.dist + np.diag(
+                                   [np.inf] * self.n))))
+        return self._least
 
 
 def metric_from_coordinates(labels, coords):
@@ -599,8 +607,9 @@ def _facet_pass(inst, arrays, x2, x1):
     """The order tests of one block of label pairs on the (family index,
     value row of x1, pair) grid, decided by the :func:`order_facets` of the
     solve where they can be. ``x2`` and ``x1`` are index arrays, one pair
-    each, or two slices, for whole rows x2 of the order matrix over the
-    columns x1.
+    each, or a slice ``x2`` of rows of the order matrix and a slice or an
+    index array ``x1`` of its columns, for the grid of those rows over
+    those columns.
 
     Returns ``(first, open)``. ``first`` holds, over the flat pairs, the
     cell ``lam * R + row`` of each pair's first dead query, with R the
@@ -643,17 +652,18 @@ def _facet_pass(inst, arrays, x2, x1):
 def _facet_masks(inst, arrays, x2, x1):
     """Masks ``(covered, dead)`` over the (family index, value row of x1,
     pair) grid of the label pairs ``(x2, x1)`` (index arrays of one pair
-    each, or two slices for the grid of whole rows) in f(x2) + F_lam(x2,
-    x1) + C, from the :func:`order_facets` of the solve. A query is covered
-    when some base row's least margin ``w . (A y - A b) - theta`` is at
-    least the inner edge of :func:`geometry.segment_band`, and dead when
-    every base row's is below its outer edge. Per-pair targets of three or
-    more vertices are left to the screen.
+    each, or the grid of rows over columns that :func:`_facet_pass` takes)
+    in f(x2) + F_lam(x2, x1) + C, from the :func:`order_facets` of the
+    solve. A query is covered when some base row's least margin ``w . (A
+    y - A b) - theta`` is at least the inner edge of
+    :func:`geometry.segment_band`, and dead when every base row's is below
+    its outer edge. Per-pair targets of three or more vertices are left to
+    the screen.
 
     The margins are one broadcast over (condition, base row, index, value
     row, pair), with the pairs last: the products of the values of x1 and
     of the base rows of x2 are read once per label, and the scales and
-    target tables once per pair, as views of whole rows for slices."""
+    target tables once per pair, as views for slices."""
     V, facets = arrays[1], arrays[5]
     P, (inside, outside) = facets[0], facets[-1]
     n = P.shape[-1]
@@ -719,12 +729,34 @@ def _ask_open(inst, arrays, first, open_, witness):
 
 
 # a block of the facet pass holds at most this many cells of its (pair,
-# family index, value row) grid, and order_grid takes whole rows of the
-# order matrix up to this many, so that their arrays stay small at any n
+# family index, value row) grid: an OrderGrid passes as many whole columns
+# of the order matrix at a time, and relation_matrix as many whole rows, up
+# to this many, so that their arrays stay small at any n
 _BLOCK_QUERIES = 1024
 
 # the cell of a pair whose first uncovered query is not known
 OPEN = -2
+
+# the cells of a column that no facet pass has decided yet
+UNPASSED = -3
+
+
+@dataclass(frozen=True)
+class OrderColumns:
+    """An order matrix read by whole columns: ``rel[:, j]``, for a column
+    index ``j`` or an index array of them, is ``column(j)``. A solve reads
+    its order matrix so, from the :class:`OrderGrid` that decides each
+    column the first time it is read, where it would read a whole matrix:
+    in :func:`check_assumptions` and in
+    :meth:`evpkit.engine.PreorderOracle.from_matrix`."""
+
+    column: object
+
+    def __getitem__(self, key):
+        rows, j = key
+        if not (isinstance(rows, slice) and rows == slice(None)):
+            raise IndexError("an order matrix is read by whole columns")
+        return self.column(j)
 
 
 @dataclass(frozen=True, eq=False)
@@ -733,17 +765,43 @@ class OrderGrid:
     :func:`order_queries` returns it: -1 when x2 precedes x1, else the
     first uncovered query ``lam * R + row``, or ``OPEN`` where neither is
     known yet. ``inst`` and ``arrays`` are what the cells are asked from,
-    as for :func:`order_queries`; :func:`order_grid` builds the grid."""
+    as for :func:`order_queries`; :func:`order_grid` builds the grid.
+
+    The cells of a column x1 are ``UNPASSED`` until the column is first
+    read. It is then decided whole by :func:`_grid_block` with the rule
+    ``ask``, the columns that one read needs in blocks of
+    :func:`_lines_per_block` columns. A solve passes the columns of the
+    start section, of the sections the engine walks and of xhat, and no
+    other."""
 
     inst: object
     arrays: tuple
     cells: np.ndarray
+    ask: bool = False
+
+    def pass_columns(self, x1s):
+        """Decide the columns ``x1s`` (a column index or an index array)
+        that no facet pass has decided yet."""
+        new = self.cells[0, x1s] == UNPASSED
+        if not new.any():
+            return
+        todo = sorted(set(np.extract(new, x1s).tolist()))
+        n, step = len(self.cells), _lines_per_block(self.arrays)
+        for at in range(0, len(todo), step):
+            cols = todo[at:at + step]
+            # a run of columns, whose tables the pass reads as views
+            cols = (slice(cols[0], cols[-1] + 1)
+                    if cols[-1] - cols[0] == len(cols) - 1 else np.array(cols))
+            self.cells[:, cols] = _grid_block(
+                self.inst, self.arrays, slice(None), cols,
+                self.ask).reshape(n, -1)
 
     def read(self, x2s, x1s):
-        """The cells of the pairs ``(x2s[p], x1s[p])`` (index arrays). The
-        pairs whose cell is ``OPEN`` are asked as one :func:`order_queries`
-        stack, and their cells are written into the grid, so that no cell
-        is asked twice."""
+        """The cells of the pairs ``(x2s[p], x1s[p])`` (index arrays),
+        their columns passed first. The pairs whose cell is ``OPEN`` are
+        asked as one :func:`order_queries` stack, and their cells are
+        written into the grid, so that no cell is asked twice."""
+        self.pass_columns(x1s)
         got = self.cells[x2s, x1s]
         ask = np.flatnonzero(got == OPEN)
         if ask.size:
@@ -752,34 +810,67 @@ class OrderGrid:
                 self.inst, self.arrays, x2s, x1s)
         return got
 
+    def matrix(self):
+        """The order matrix of a grid built with ``ask``, read by whole
+        columns (:class:`OrderColumns`): there a passed cell other than -1
+        is a pair that is not covered, so that no cell is asked."""
+        def column(j):
+            self.pass_columns(j)
+            return self.cells[:, j] == -1
+        return OrderColumns(column)
+
 
 def order_grid(inst, arrays, ask):
-    """The :class:`OrderGrid` of every (x2, x1) pair of ``arrays`` (as
-    :func:`order_queries` reads them) from one facet pass over the whole
-    grid, in blocks of as many whole rows x2 as fit in ``_BLOCK_QUERIES``
-    cells of the (pair, family index, value row) grid, and at least one.
+    """A new :class:`OrderGrid` over ``arrays`` (as :func:`order_queries`
+    reads them), each column passed with the rule ``ask`` when it is first
+    read; building it runs no facet pass.
 
     A pair's cell is exact when the facets cover all its queries, or when
     its first dead query has no undecided one before it; the other pairs
     are ``OPEN``. With ``ask``, the pairs without a dead query that the
     facets leave undecided are also asked whether they are covered, their
     open queries as one :func:`covered_queries` stack per block with no
-    witness: a covered pair is -1, any other stays ``OPEN``. Every pair
-    is then decided, and ``cells == -1`` is the order matrix."""
+    witness: a covered pair is -1, any other stays ``OPEN``. Every pair of
+    a passed column is then decided (:meth:`OrderGrid.matrix`).
+
+    With ``ask``, :func:`_screen_faults` raises here, before any column is
+    read."""
+    if ask:
+        _screen_faults(inst, arrays)
     S, B = arrays[0], arrays[3]
     n, LR = len(B), S.shape[-1] * B.shape[1]
-    step = max(1, _BLOCK_QUERIES // (n * LR))
-    cells = np.empty((n, n), dtype=np.min_scalar_type(-LR))
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        cells[rows] = _grid_block(inst, arrays, rows, slice(None),
-                                  ask).reshape(-1, n)
-    return OrderGrid(inst, arrays, cells)
+    return OrderGrid(inst, arrays, np.full(
+        (n, n), UNPASSED, dtype=np.min_scalar_type(-LR)), ask)
+
+
+def _screen_faults(inst, arrays):
+    """Raise the InputError of the screen for a negative scale, or else for
+    polytopes whose dimension is not the cone's at a scale above ``tol``,
+    in the order matrix's ``arrays``. Either leaves :func:`order_facets`
+    None, so that a pass with ``ask`` asks every query it meets and the
+    screen raises at the first such scale; checked over every pair at once,
+    the text does not hang on which pairs a pass meets first."""
+    S, V, facets = arrays[0], arrays[1], arrays[5]
+    if facets is not None:
+        return
+    if (S < 0).any():
+        raise InputError("scale must be nonnegative")
+    if V.shape[-1] != inst.cone.dim and (S > inst.tol).any():
+        raise InputError("polytope dimension does not match the cone")
+
+
+def _lines_per_block(arrays):
+    """How many whole rows or columns of the order matrix of ``arrays`` go
+    in one block of the facet pass: as many as fit in ``_BLOCK_QUERIES``
+    cells of its (pair, family index, value row) grid, and at least one."""
+    S, B = arrays[0], arrays[3]
+    return max(1, _BLOCK_QUERIES // (len(B) * S.shape[-1] * B.shape[1]))
 
 
 def _grid_block(inst, arrays, x2, x1, ask):
-    """The cells of one :func:`_facet_pass` block as :func:`order_grid`
-    makes them."""
+    """The cells of one :func:`_facet_pass` block, by the rule of
+    :func:`order_grid`: whole columns of an :class:`OrderGrid`, or whole
+    rows of :func:`relation_matrix`."""
     first, open_ = _facet_pass(inst, arrays, x2, x1)
     if open_ is not None:
         p = open_[0]
@@ -797,16 +888,27 @@ def _grid_block(inst, arrays, x2, x1, ask):
 def relation_matrix(inst: FiniteInstance, fam, arrays=None, grid=False):
     """rel[i, j] = True iff labels[i] precedes labels[j] in the order.
 
-    Decided by :func:`order_grid` with ``ask`` on the solve's arrays: the
-    facet pass over every pair, then the screen and the LP for the pairs
-    with neither a dead query nor all queries covered. With ``grid``,
-    returns that :class:`OrderGrid`, whose exact cells the stacks of the
-    solve read instead of asking them again.
+    Every pair is decided on the solve's arrays by the facet pass, in
+    blocks of :func:`_lines_per_block` whole rows, with the rule of
+    :func:`order_grid` with ``ask``: the screen and the LP for the pairs
+    with neither a dead query nor all queries covered; the InputError of
+    :func:`_screen_faults` comes first. With ``grid``, returns a new
+    :func:`order_grid` with ``ask`` instead, which decides a column only
+    when a stack of the solve reads it, and whose exact cells the stacks
+    do not ask again.
     """
     if arrays is None:
         arrays = order_arrays(inst, fam)
-    built = order_grid(inst, arrays, True)
-    return built if grid else built.cells == -1
+    if grid:
+        return order_grid(inst, arrays, True)
+    _screen_faults(inst, arrays)
+    n, step = len(arrays[3]), _lines_per_block(arrays)
+    rel = np.empty((n, n), dtype=bool)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        rel[rows] = (_grid_block(inst, arrays, rows, slice(None), True)
+                     == -1).reshape(-1, n)
+    return rel
 
 
 def ti_check(inst: FiniteInstance, fam):
@@ -1353,10 +1455,13 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None,
                       arrays=None, eta=None):
     """Evaluate every named hypothesis by enumeration.
 
-    Lower sections are read from the order matrix ``rel`` (as built by
-    :func:`relation_matrix`, which runs when it is not given). The order
-    matrix and the separation minima read one build of the
-    :func:`order_arrays` ``arrays``, made here when not given. ``eta`` are
+    Lower sections are read from the order matrix ``rel``, as
+    :func:`relation_matrix` builds it, or read by whole columns
+    (:class:`OrderColumns`) from the :meth:`OrderGrid.matrix` of a solve
+    (a new grid when not given): the column of x0, then the columns of
+    its section, and no other. The order matrix and the separation minima
+    read one build of the :func:`order_arrays` ``arrays``, made here when
+    not given. ``eta`` are
     the :func:`label_infima`, computed here when not given. The strict
     decrease witness is the first (section label x of finite ``eta``, label
     x' before x) with ``eta(x) - eta(x')`` not above ``tol``. Infima of a
@@ -1370,7 +1475,7 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None,
     if arrays is None:
         arrays = order_arrays(inst, fam)
     if rel is None:
-        rel = relation_matrix(inst, fam, arrays)
+        rel = relation_matrix(inst, fam, arrays, grid=True).matrix()
 
     section_at = np.flatnonzero(rel[:, inst.space.index(x0)])
     section = [labels[i] for i in section_at]

@@ -20,7 +20,7 @@ from .errors import HypothesisError, InputError, PremiseError
 from .geometry import (DEFAULT_TOL, PolyhedralCone, Polytope, as_point,
                        first_outside, minkowski_member, polytope_contains,
                        singleton)
-from .instances import (OPEN, MetricSpace, PolytopeDirection,
+from .instances import (MetricSpace, OrderColumns, PolytopeDirection,
                         check_positive, order_facets, order_grid,
                         triangle_failure, vertex_minima)
 from .scalarize import GerstewitzFn
@@ -328,10 +328,11 @@ def graph_arrays(pi, fm):
 
 
 def graph_grid(pi, fm):
-    """The :class:`OrderGrid` of a graph solve: the facet pass over every
-    pair of graph pairs of the :func:`graph_arrays`, asking nothing. Each
-    pair has one query, so a cell the facets decide is exact, and the stacks
-    of the solve ask only the ``OPEN`` cells they read, each once."""
+    """The :class:`OrderGrid` of a graph solve over the pairs of graph pairs
+    of the :func:`graph_arrays`, whose columns are passed without asking
+    when they are first read. Each pair has one query, so a cell the facets
+    decide is exact, and the stacks of the solve ask only the ``OPEN``
+    cells they read, each once."""
     return order_grid(pi, graph_arrays(pi, fm), False)
 
 
@@ -347,22 +348,32 @@ def anchored_values(pi, xi):
 
 
 def _graph_oracle(pi, grid, eta):
-    """Engine oracle over graph pair indices under the strict order.
-
-    ``rel[i, j]`` is :func:`prec_fstar` of pairs i and j: ``eta`` is the
-    :func:`anchored_values` array, and coverage is read from the
-    :func:`graph_grid` ``grid`` only for the pairs with a strict drop, its
-    ``OPEN`` cells among them asked as one stack.
+    """Engine oracle over graph pair indices under the strict order,
+    :func:`prec_fstar` of pairs i and j, read by columns: ``eta`` is the
+    :func:`anchored_values` array, and the section of pair j holds j and
+    the pairs i with a strict drop ``eta[j] - eta[i] > tol`` whose cell
+    (i, j) of the :func:`graph_grid` ``grid`` is covered. A column is read
+    the first time the engine asks for its section, its ``OPEN`` cells
+    among the pairs with a strict drop asked as one stack.
     """
     n = len(pi.graph)
-    rel = np.eye(n, dtype=bool)
     # prec_f looks at the scale of every other pair, strict drop or not
-    if np.any((grid.arrays[0][..., 0] < 0) & ~rel):
+    negative = grid.arrays[0][..., 0] < 0
+    np.fill_diagonal(negative, False)
+    if negative.any():
         raise InputError("scale must be nonnegative")
-    drop = (eta[None, :] - eta[:, None] > pi.tol) & ~rel
-    grid.read(*np.nonzero(drop & (grid.cells == OPEN)))
-    rel |= drop & (grid.cells == -1)
-    return eng.PreorderOracle.from_matrix(range(n), rel, eta.tolist()), rel
+
+    def column(j):
+        drop = eta[j] - eta > pi.tol
+        drop[j] = False
+        rows = np.flatnonzero(drop)
+        rel = np.zeros(n, dtype=bool)
+        rel[j] = True
+        rel[rows] = grid.read(rows, np.full(len(rows), j)) < 0
+        return rel
+
+    return eng.PreorderOracle.from_matrix(range(n), OrderColumns(column),
+                                          eta.tolist())
 
 
 def _pair_index(pi, x, y):
@@ -405,7 +416,7 @@ def _minimal_point(pi, fm, mode, checks, grid, start, section):
     if not math.isfinite(inf_val):
         raise HypothesisError("bounded",
                               "scalarization unbounded on the start section")
-    oracle, _ = _graph_oracle(pi, grid, eta)
+    oracle = _graph_oracle(pi, grid, eta)
     ihat, trace = eng.solve(oracle, start, mode)
     assumptions = dict(checks)
     assumptions["scalar_inf_on_start_section"] = inf_val

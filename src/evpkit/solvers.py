@@ -126,7 +126,10 @@ def _solve_order(inst, fam, xi, x0, mode):
     Returns ``(xhat, conclusions, report, trace)``. The
     :func:`order_arrays` and the :func:`label_infima` are computed once here
     for every order test and hypothesis of the solve, and every order test
-    reads the one :class:`OrderGrid` that :func:`relation_matrix` builds."""
+    reads the one :class:`OrderGrid` that :func:`relation_matrix` builds,
+    which decides a column the first time it is read: the start section's
+    column, the columns of its labels in :func:`check_assumptions`, those
+    of the sections the engine walks, and xhat's, for the conclusions."""
     arrays = order_arrays(inst, fam)
     ok, witness = ti_check(inst, fam)
     if not ok:
@@ -135,7 +138,7 @@ def _solve_order(inst, fam, xi, x0, mode):
                               "inclusion property", witness={"triple": witness})
     eta = label_infima(inst, xi, arrays)
     grid = relation_matrix(inst, fam, arrays, grid=True)
-    rel = grid.cells == -1
+    rel = grid.matrix()
     oracle = eng.PreorderOracle.from_matrix(inst.labels, rel, eta)
     if not oracle.section(x0):
         raise HypothesisError("nonempty_start",

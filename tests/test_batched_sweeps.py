@@ -98,10 +98,12 @@ def open_grid(inst, arrays):
 
 
 def on_open_grid(stack, at):
-    """The order stack ``stack`` (``_order_conclusions``, ``_graph_oracle``,
-    ``_section_of_start`` or ``_graph_conclusions``) given the arrays in the
-    place of its grid, argument ``at``, and run on a fresh ``open_grid``
-    over them: it asks all its pairs as one ``order_queries`` stack."""
+    """The order stack ``stack`` (``_order_conclusions``,
+    ``graph_oracle_matrix``, ``_section_of_start`` or
+    ``_graph_conclusions``) given the arrays in the place of its grid,
+    argument ``at``, and run on a fresh ``open_grid`` over them: it asks
+    every pair it reads, each read as one ``order_queries`` stack (one per
+    column for ``graph_oracle_matrix``)."""
     def run(*args):
         return stack(*args[:at], open_grid(args[0], args[at]),
                      *args[at + 1:])
@@ -350,9 +352,28 @@ def loop_separation_conclusion(pi, fm, xhat, yhat, exclude_label_only, name):
     return Conclusion(name, not violations, {"violations": violations})
 
 
+def oracle_matrix(oracle):
+    """The order matrix of a graph-order oracle, read section by section:
+    column j holds the section of pair j, which the oracle reads from its
+    grid when it is asked for."""
+    n = len(oracle.labels)
+    rel = np.zeros((n, n), dtype=bool)
+    for j in range(n):
+        rel[oracle.section(j), j] = True
+    return rel
+
+
+def graph_oracle_matrix(pi, grid, eta):
+    """The order matrix of ``_graph_oracle`` on ``grid``, every column
+    read (``oracle_matrix``)."""
+    return oracle_matrix(_graph_oracle(pi, grid, eta))
+
+
 def graph_order(pi, fm):
-    """``_graph_oracle`` on the grid a graph solve hands it."""
-    return _graph_oracle(pi, graph_grid(pi, fm), anchored_values(pi, fm.xi))
+    """``_graph_oracle`` on the grid a graph solve hands it, and its order
+    matrix, every column read from that grid."""
+    oracle = _graph_oracle(pi, graph_grid(pi, fm), anchored_values(pi, fm.xi))
+    return oracle, oracle_matrix(oracle)
 
 
 def section_of_start(pi, fm):
@@ -2293,7 +2314,7 @@ def test_shared_order_stacks_match_highs(monkeypatch, count):
         grid = graph_grid(pi, fm)
         eta = anchored_values(pi, fm.xi)
         sent.clear()
-        _, order = _graph_oracle(pi, grid, eta)
+        order = graph_oracle_matrix(pi, grid, eta)
         strict = eta[None, :] - eta[:, None] > tol
         drop = strict & (cover != None)  # noqa: E711, elementwise
         assert np.array_equal(order[drop], cover[drop].astype(bool))
@@ -2317,9 +2338,7 @@ def test_shared_order_stacks_match_highs(monkeypatch, count):
 
 
 def _as_data(result):
-    """Conclusions as their dicts, arrays as lists, an oracle dropped."""
-    if isinstance(result, tuple):
-        return _as_data(result[-1])
+    """Conclusions as their dicts, arrays as lists."""
     if isinstance(result, np.ndarray):
         return result.tolist()
     return [c.to_dict() for c in result]
@@ -2363,13 +2382,14 @@ def order_stack_cases(rng):
 
 
 def test_order_stacks_match_the_screen(monkeypatch):
-    """``_order_conclusions`` of every (xhat, x0), and ``_graph_oracle``,
-    ``_section_of_start`` and ``_graph_conclusions`` of every start and
-    terminal pair, on grids with every cell open (so that each asks its
-    whole stack), give the witnesses and matrices of their screen-only
-    versions, whose order stacks go straight to ``covered_queries``
-    (``screen_order_queries``), with the same _phase1 count, on
-    ``order_stack_cases``; the facet pass decides some queries of each."""
+    """``_order_conclusions`` of every (xhat, x0), and ``_graph_oracle``
+    (its every column read), ``_section_of_start`` and
+    ``_graph_conclusions`` of every start and terminal pair, on grids with
+    every cell open (so that each asks every pair it reads), give the
+    witnesses and matrices of their screen-only versions, whose order
+    stacks go straight to ``covered_queries`` (``screen_order_queries``),
+    with the same _phase1 count, on ``order_stack_cases``; the facet pass
+    decides some queries of each."""
     labels, graphs = order_stack_cases(np.random.default_rng(2727))
     sent = {"pass": 0, "screen": 0}
     real = instances.covered_queries
@@ -2402,7 +2422,8 @@ def test_order_stacks_match_the_screen(monkeypatch):
     sent.update(dict.fromkeys(sent, 0))
     for pi, fm in graphs:
         arrays = graph_arrays(pi, fm)
-        assert_same(_graph_oracle, pi, arrays, anchored_values(pi, fm.xi))
+        assert_same(graph_oracle_matrix, pi, arrays,
+                    anchored_values(pi, fm.xi))
         for start in range(len(pi.graph)):
             assert_same(_section_of_start, pi, arrays, start)
             for ihat in range(0, len(pi.graph), 2):

@@ -38,6 +38,26 @@ def two_point():
     return FiniteInstance(space, fmap, D1)
 
 
+def test_min_positive_distance_is_the_masked_minimum():
+    """The smallest distance between distinct points, kept by ``validate``
+    or computed once on a space never validated, is the minimum of ``dist
+    + diag(inf)`` that each call once recomputed: on random spaces of 1 to
+    9 points, +inf for one point."""
+    rng = np.random.default_rng(4100)
+    for trial in range(45):
+        n = 1 + trial % 9
+        coords = rng.normal(size=(n, 1 + trial % 3))
+        d = np.linalg.norm(coords[:, None] - coords[None], axis=2)
+        old = (math.inf if n == 1
+               else float(np.min(d + np.diag([np.inf] * n))))
+        labels = tuple(f"p{i}" for i in range(n))
+        kept = MetricSpace(labels, d).validate()
+        assert kept._least == old
+        for space in (kept, MetricSpace(labels, d)):
+            assert space.min_positive_distance() == old
+            assert space.min_positive_distance() == old
+
+
 def test_instance_map_keys_match_the_labels():
     """Labels without value sets and value sets for unknown labels are both
     InputErrors of the instance itself, missing labels checked first."""

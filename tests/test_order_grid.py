@@ -7,35 +7,41 @@ a solve, the graph oracle, the start section and the graph conclusions)
 must give the reference's matrices, first uncovered queries (its ``(first,
 lam, row)`` read as cells) and InputError texts, and must never run more
 phase-1 LPs: asked whole, on a grid with every cell open, and read from the
-one grid of a solve.
+one grid of a solve, which passes each column the first time it is read; a
+solve passes only the columns it reads.
 """
 
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from evpkit import geometry, instances
-from evpkit.errors import InputError
+from evpkit.engine import PreorderOracle, solve
+from evpkit.errors import HypothesisError, InputError
 from evpkit.geometry import (DEFAULT_TOL, LinearFunctional, Polytope,
-                             stack_rows)
-from evpkit.instances import (ExtensionalFamily, FiniteInstance, MetricSpace,
-                              OPEN, OrderGrid, PolytopeDirection,
+                             stack_rows, strictly_positive_functional)
+from evpkit.instances import (OPEN, UNPASSED, ExtensionalFamily,
+                              FiniteInstance, MetricSpace, PolytopeDirection,
                               QuasiMetric, QuasiMetricDirection, SetValuedMap,
-                              label_infima, order_arrays, order_queries,
-                              relation_matrix, scalar_inf)
+                              check_assumptions, label_infima, order_arrays,
+                              order_queries, relation_matrix, scalar_inf,
+                              ti_check)
 from evpkit.product import (FMap, ProductInstance, _graph_conclusions,
-                            _graph_oracle, _section_of_start, anchored_values,
-                            graph_arrays)
-from evpkit.solvers import _order_conclusions
+                            _section_of_start, anchored_values, fmap_from_rate,
+                            graph_arrays, graph_grid, solve_minimal_point,
+                            solve_strict_minimal)
+from evpkit.solvers import _order_conclusions, _solve_order, solve_evp_general
 
 import order_reference
-from conftest import random_cone
+from conftest import direction_polytope, generated_bundle, random_cone
 from test_batched_sweeps import (KINDS, _all_of, _cone, _distances,
                                  _polytope, as_cells, band_direction,
-                                 band_family, bare_order_query, highs_covers,
+                                 band_family, bare_order_query,
+                                 graph_oracle_matrix, highs_covers,
                                  notch_direction, on_open_grid, open_grid,
                                  random_instance, random_product)
 
@@ -46,9 +52,6 @@ def _outcome(fn, *args):
         result = fn(*args)
     except InputError as exc:
         return "InputError", str(exc)
-    if isinstance(result, tuple):
-        # an oracle and its matrix
-        return [r.tolist() for r in result if isinstance(r, np.ndarray)]
     if isinstance(result, np.ndarray):
         return result.tolist()
     return [c.to_dict() for c in result]
@@ -236,8 +239,8 @@ def test_graph_stacks_equal_the_flat_pass(monkeypatch):
     for pi, fm in graph_cases(rng):
         budget = int(rng.integers(1, 65)) if rng.random() < 0.75 else None
         arrays = graph_arrays(pi, fm)
-        assert_same(monkeypatch, budget, on_open_grid(_graph_oracle, 1), None,
-                    pi, arrays, anchored_values(pi, fm.xi))
+        assert_same(monkeypatch, budget, on_open_grid(graph_oracle_matrix, 1),
+                    None, pi, arrays, anchored_values(pi, fm.xi))
         for start in range(len(pi.graph)):
             assert_same(monkeypatch, budget,
                         on_open_grid(_section_of_start, 1), None, pi, arrays,
@@ -309,20 +312,42 @@ def _dicts(conclusions):
     return [c.to_dict() for c in conclusions]
 
 
+def column_chunks(rng, n):
+    """The columns 0 to n - 1 in a random order, in chunks of one to n
+    columns, some with a column of another chunk or a repeat added."""
+    order = rng.permutation(n)
+    cuts = np.sort(rng.choice(np.arange(1, n), replace=False,
+                              size=int(rng.integers(0, n))))
+    for cols in np.split(order, cuts):
+        if rng.random() < 0.3:
+            cols = np.append(cols, rng.choice(order, size=2))
+        yield cols
+
+
+def pass_in_chunks(grid, rng):
+    """Pass every column of ``grid`` by :func:`column_chunks`."""
+    for cols in column_chunks(rng, len(grid.cells)):
+        grid.pass_columns(cols)
+
+
 def test_grid_cells_equal_the_stacks(monkeypatch):
     """The cells of a solve's grid against ``order_queries`` and the
     reference, on :func:`grid_cases` (every family kind, ragged value sets,
     tables of one and two indices, values within 2 tol of a facet, a
     negative scale) and on shared polytopes with no facets
     (:func:`untied_instance`), and on the graphs of :func:`graph_cases` and
-    of those. Each exact cell of the grid is the cell of its pair; an
-    ``OPEN`` cell of the order matrix's grid is a pair that is not
-    covered; reading every pair gives every cell. A label solve (the order
-    matrix, then the conclusions of one (xhat, x0)) and a graph solve (the
-    start section, the oracle and the conclusions of one (ihat, start), on
-    one grid) give the witnesses, matrices and InputError texts of the
-    same stacks each asked whole through the reference, with no more
-    _phase1 calls."""
+    of those, every column passed in a random order (:func:`pass_in_chunks`).
+    Each exact cell of the grid is the cell of its pair; an ``OPEN`` cell
+    of the order matrix's grid is a pair that is not covered; reading
+    every pair gives every cell. The order matrix's grid raises the
+    reference's InputError when it is built, and passing its columns runs
+    no more _phase1 calls than the reference's matrix. A label solve (the
+    conclusions of one (xhat, x0) on a new grid, which passes the columns
+    they read) and a graph solve (the start section, the oracle with every
+    column read and the conclusions of one (ihat, start), on one new grid)
+    give the witnesses, matrices and InputError texts of the same stacks
+    each asked whole through the reference, the label solve's after the
+    reference's matrix, with no more _phase1 calls."""
     rng = np.random.default_rng(3400)
     labels = grid_cases(rng) + [untied_instance(rng, 3 + t % 3)
                                 for t in range(3)]
@@ -335,19 +360,23 @@ def test_grid_cells_equal_the_stacks(monkeypatch):
         n_grid, got = _lps(monkeypatch, relation_matrix, inst, fam, arrays)
         n_rel, rel = _lps(monkeypatch, order_reference.relation_matrix, inst,
                           fam, arrays)
+        _, grid = _lps(monkeypatch, relation_matrix, inst, fam, arrays, True)
         if isinstance(rel, tuple):
-            assert got == rel, (got, rel)
+            assert got == rel == grid, (got, rel, grid)
             seen.add("label InputError")
             continue
         assert got.tolist() == rel.tolist()
-        grid = relation_matrix(inst, fam, arrays, grid=True)
+        assert (grid.cells == UNPASSED).all()
+        n_pass, _ = _lps(monkeypatch, pass_in_chunks, grid, rng)
+        assert n_pass <= n_rel, (n_pass, n_rel)
+        assert (grid.cells == -1).tolist() == rel.tolist()
         seen.add("untied" if arrays[5] is None else "facets")
         want, held = assert_held_cells(grid)
         assert (want[~held] >= 0).all()
         opened += int((~held).sum())
         for xhat, x0 in itertools.islice(
                 itertools.product(inst.labels, repeat=2), 0, None, 4):
-            solve = OrderGrid(inst, arrays, grid.cells.copy())
+            solve = relation_matrix(inst, fam, arrays, grid=True)
             n_new, got = _lps(monkeypatch, _order_conclusions, inst, fam,
                               solve, xhat, x0)
             with monkeypatch.context() as mp:
@@ -356,8 +385,7 @@ def test_grid_cells_equal_the_stacks(monkeypatch):
                                   on_open_grid(_order_conclusions, 2), inst,
                                   fam, arrays, xhat, x0)
             assert _dicts(got) == _dicts(old), (xhat, x0)
-            assert n_grid + n_new <= n_rel + n_old, (n_grid, n_new, n_rel,
-                                                     n_old)
+            assert n_new <= n_rel + n_old, (n_new, n_rel, n_old)
             asked += n_rel + n_old
         x2s, x1s = every_pair(len(inst.labels))
         assert grid.read(x2s, x1s).tolist() == want.tolist()
@@ -366,7 +394,7 @@ def test_grid_cells_equal_the_stacks(monkeypatch):
     def graph_solve(pi, arrays, eta, start, ihat, make):
         grid = make(pi, arrays)
         return [_section_of_start(pi, grid, start).tolist(),
-                _graph_oracle(pi, grid, eta)[1].tolist(),
+                graph_oracle_matrix(pi, grid, eta).tolist(),
                 *_dicts(_graph_conclusions(pi, grid, ihat, start,
                                            start % 2 == 0))]
 
@@ -376,6 +404,7 @@ def test_grid_cells_equal_the_stacks(monkeypatch):
     for pi, fm in graphs:
         arrays = graph_arrays(pi, fm)
         grid = instances.order_grid(pi, arrays, False)
+        pass_in_chunks(grid, rng)
         cells = assert_held_cells(grid)
         opened += int((grid.cells == OPEN).sum())
         eta = anchored_values(pi, fm.xi)
@@ -399,6 +428,250 @@ def test_grid_cells_equal_the_stacks(monkeypatch):
     assert seen == {"label InputError", "untied", "facets",
                     "graph InputError", "graph"}, seen
     assert opened > 0 and asked > 0, (opened, asked)
+
+
+def wrong_dimension_instance(rng, n, m, negative):
+    """A quasi-metric family, never validated, whose polytope has m + 1
+    coordinates in a cone of m, so that it has no facets and the screen
+    raises; with ``negative``, a scale in the last row is negative too."""
+    C, k0 = _cone(rng, m)
+    p = rng.uniform(0.5, 2.0, size=(n, n))
+    np.fill_diagonal(p, 0.0)
+    if negative:
+        p[-1, 0] = -0.5
+    labels = tuple(f"q{i}" for i in range(n))
+    fmap = SetValuedMap({x: rng.normal(size=(int(rng.integers(1, 3)), m))
+                         for x in labels})
+    inst = FiniteInstance(MetricSpace(labels, _distances(rng, n, True)),
+                          fmap, C)
+    return inst, QuasiMetricDirection(
+        Polytope(rng.uniform(0.1, 1.0, size=(2, m + 1))), QuasiMetric(p))
+
+
+def assert_passed(grid, want, read):
+    """The columns ``read`` (a mask) of ``grid`` are passed and no other;
+    their exact cells are ``want``'s, and their ``OPEN`` cells are pairs
+    that are not covered."""
+    assert (grid.cells[:, ~read] == UNPASSED).all()
+    got, ref = grid.cells[:, read], want[:, read]
+    held = got != OPEN
+    assert got[held].tolist() == ref[held].tolist()
+    assert (ref[~held] >= 0).all()
+
+
+def test_columns_read_in_any_order_equal_the_reference():
+    """A new grid decides no column until one is read. The columns of the
+    order matrices of :func:`grid_cases` and of shared polytopes of 8
+    vertices, beyond ``_TIE_SYSTEMS`` (:func:`untied_instance`), read in
+    random orders and chunks, are the columns of ``relation_matrix`` and of
+    the reference's matrix, and only the columns read are passed; each
+    exact cell is the cell of ``order_queries`` and of the reference. The
+    graph grids of :func:`graph_cases` and of those read so give the
+    reference's cells. Where the reference raises the screen's InputError,
+    as a negative scale or a polytope of the wrong dimension makes it, the
+    order matrix's grid raises its text when it is built."""
+    rng = np.random.default_rng(3500)
+    labels = grid_cases(rng) + [untied_instance(rng, 3 + t % 4)
+                                for t in range(4)]
+    labels += [wrong_dimension_instance(rng, 3 + t, 1 + t, t == 1)
+               for t in range(2)]
+    seen = set()
+    for inst, fam in labels:
+        try:
+            arrays = order_arrays(inst, fam)
+        except InputError:
+            continue
+        rel = _outcome(order_reference.relation_matrix, inst, fam, arrays)
+        if rel[0] == "InputError":
+            for grid in (False, True):
+                with pytest.raises(InputError) as err:
+                    relation_matrix(inst, fam, arrays, grid=grid)
+                assert str(err.value) == rel[1]
+            seen.add(rel[1])
+            continue
+        rel = np.array(rel)
+        assert relation_matrix(inst, fam, arrays).tolist() == rel.tolist()
+        n = len(inst.labels)
+        x2s, x1s = every_pair(n)
+        want = as_cells(order_reference.order_queries)(inst, arrays, x2s, x1s)
+        assert order_queries(inst, arrays, x2s, x1s).tolist() == \
+            want.tolist()
+        want = want.reshape(n, n)
+        grid = relation_matrix(inst, fam, arrays, grid=True)
+        matrix, read = grid.matrix(), np.zeros(n, dtype=bool)
+        assert_passed(grid, want, read)
+        for cols in column_chunks(rng, n):
+            assert matrix[:, cols].tolist() == rel[:, cols].tolist()
+            read[cols] = True
+            assert_passed(grid, want, read)
+        assert matrix[:, cols[0]].tolist() == rel[:, cols[0]].tolist()
+        seen.add("untied" if arrays[5] is None else "facets")
+
+    graphs = graph_cases(rng) + [as_graph(*untied_instance(rng, 3))]
+    for pi, fm in graphs:
+        arrays = graph_arrays(pi, fm)
+        P = len(pi.graph)
+        rows = np.arange(P)
+        want = as_cells(order_reference.order_queries)(
+            pi, arrays, *every_pair(P)).reshape(P, P)
+        grid, read = graph_grid(pi, fm), np.zeros(P, dtype=bool)
+        for cols in column_chunks(rng, P):
+            x2s, x1s = np.tile(rows, len(cols)), np.repeat(cols, P)
+            assert grid.read(x2s, x1s).tolist() == want[x2s, x1s].tolist()
+            read[cols] = True
+            assert (grid.cells[:, ~read] == UNPASSED).all()
+            assert grid.cells[:, read].tolist() == want[:, read].tolist()
+        seen.add("graph")
+    assert seen == {"facets", "untied", "graph", "scale must be nonnegative",
+                    "polytope dimension does not match the cone"}, seen
+
+
+def reference_solve(inst, fam, xi, x0):
+    """``solvers._solve_order`` as it was before its grid decided columns
+    when they are read: the reference's whole order matrix, the engine
+    oracle and the hypothesis gate over that matrix, and the conclusions
+    on a grid with every cell open, whose one stack goes through the
+    reference."""
+    arrays = order_arrays(inst, fam)
+    ok, witness = ti_check(inst, fam)
+    if not ok:
+        raise HypothesisError(
+            "triangle_inclusion", "the perturbation family fails the "
+            "triangle inclusion property", witness={"triple": witness})
+    eta = label_infima(inst, xi, arrays)
+    rel = order_reference.relation_matrix(inst, fam, arrays)
+    oracle = PreorderOracle.from_matrix(inst.labels, rel, eta)
+    if not oracle.section(x0):
+        raise HypothesisError("nonempty_start",
+                              f"the lower section of {x0!r} is empty")
+    report = check_assumptions(inst, fam, xi, x0, rel, arrays, eta)
+    if not report.solvable():
+        raise HypothesisError(report.failed_name(), "assumption gate failed",
+                              witness=report.to_dict())
+    xhat, trace = solve(oracle, x0, "greedy")
+    return (xhat, _order_conclusions(inst, fam, open_grid(inst, arrays),
+                                     xhat, x0), report, trace)
+
+
+def _solve_data(fn, *args):
+    """A solve's terminal label, conclusions, report and trace as plain
+    data, or its error's type, text, name and witness."""
+    try:
+        xhat, conclusions, report, trace = fn(*args)
+    except (HypothesisError, InputError) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "name", None),
+                getattr(exc, "witness", None))
+    return (xhat, [c.to_dict() for c in conclusions], report.to_dict(),
+            trace.to_dict())
+
+
+def test_label_solves_equal_the_reference_solve(monkeypatch):
+    """``_solve_order`` from several starts of :func:`grid_cases` and of
+    shared polytopes of 8 vertices, with a linear functional positive on
+    the cone, gives the terminal label, conclusions and witnesses,
+    hypothesis report, trace and error texts of :func:`reference_solve`,
+    with no more _phase1 calls; so does ``check_assumptions`` left to build
+    its own order against the reference's matrix."""
+    rng = np.random.default_rng(3600)
+    cases = grid_cases(rng) + [untied_instance(rng, 3 + t % 3)
+                               for t in range(3)]
+    seen = set()
+    for inst, fam in cases:
+        A = inst.cone.halfspaces
+        xi = LinearFunctional(A.T @ np.ones(len(A)))
+        for x0 in inst.labels[::2]:
+            n_new, got = _lps(monkeypatch, _solve_data, _solve_order, inst,
+                              fam, xi, x0, "greedy")
+            with monkeypatch.context() as mp:
+                _as_reference(mp)
+                n_old, want = _lps(monkeypatch, _solve_data, reference_solve,
+                                   inst, fam, xi, x0)
+            assert got == want, (x0, got, want)
+            assert n_new <= n_old, (n_new, n_old)
+            seen.add("solved" if isinstance(got[1], list) else got[0])
+            try:
+                rel = order_reference.relation_matrix(inst, fam)
+            except InputError as exc:
+                with pytest.raises(InputError) as err:
+                    check_assumptions(inst, fam, xi, x0)
+                assert str(err.value) == str(exc)
+                seen.add("check InputError")
+                continue
+            assert check_assumptions(inst, fam, xi, x0).to_dict() == \
+                check_assumptions(inst, fam, xi, x0, rel).to_dict()
+    assert seen == {"solved", "HypothesisError", "check InputError"}, seen
+
+
+def counted_pairs(monkeypatch):
+    """Count the pairs that ``_facet_pass`` sees: those of whole columns
+    (a slice of rows) and those of ``order_queries`` stacks (index
+    arrays)."""
+    seen = {"columns": 0, "stacks": 0}
+    real = instances._facet_pass
+
+    def counting(inst, arrays, x2, x1):
+        if isinstance(x2, slice):
+            labels = range(len(arrays[3]))
+            seen["columns"] += len(labels[x2]) * len(
+                labels[x1] if isinstance(x1, slice) else x1)
+        else:
+            seen["stacks"] += len(x2)
+        return real(inst, arrays, x2, x1)
+
+    monkeypatch.setattr(instances, "_facet_pass", counting)
+    return seen
+
+
+def test_a_solve_passes_only_the_columns_it_reads(monkeypatch):
+    """A label solve passes the columns of its start section, n pairs each,
+    and asks at most n more pairs in its conclusions: at most 2n pairs when
+    the start section is {x0}. A graph solve (5.1, 5.2) passes the start
+    column, the columns of the sections the engine walks and the column of
+    its terminal pair: at most 2 columns when the start section is the
+    start pair alone."""
+    lone = {"label": 0, "graph": 0}
+    for seed in range(8):
+        b = generated_bundle(3700 + seed, n=6 + seed % 5, m=2 + seed % 2,
+                             values_per_point=2,
+                             variant=("polytope", "singleton",
+                                      "quasimetric")[seed % 3])
+        inst, fam = b.instance, b.family
+        xi = strictly_positive_functional(direction_polytope(b), inst.cone,
+                                          inst.tol)
+        rel = relation_matrix(inst, fam)
+        n = len(inst.labels)
+        for j, x0 in enumerate(inst.labels):
+            with monkeypatch.context() as mp:
+                seen = counted_pairs(mp)
+                assert solve_evp_general(inst, fam, xi, x0).all_hold()
+            size = int(rel[:, j].sum())
+            assert seen["columns"] == n * size, (seed, x0, seen, size)
+            assert seen["stacks"] <= n, (seed, x0, seen)
+            if size == 1:
+                assert sum(seen.values()) <= 2 * n, (seed, x0, seen)
+                lone["label"] += 1
+        pi = b.product
+        H = direction_polytope(b)
+        fm = fmap_from_rate(pi.base, H, 0.4,
+                            strictly_positive_functional(H, pi.cone, pi.tol))
+        P = len(pi.graph)
+        grid = graph_grid(pi, fm)
+        for start in range(P):
+            size = int(_section_of_start(pi, grid, start).sum())
+            at = ProductInstance(pi.graph, pi.base, pi.graph[start],
+                                 pi.cone, pi.tol)
+            for solve_ in (solve_minimal_point, solve_strict_minimal):
+                with monkeypatch.context() as mp:
+                    seen = counted_pairs(mp)
+                    try:
+                        steps = len(solve_(at, fm).trace.steps)
+                    except HypothesisError:
+                        continue
+                assert seen["columns"] <= P * (2 + steps), (seed, seen)
+                if size == 1:
+                    assert seen["columns"] <= 2 * P, (seed, start, seen)
+                    lone["graph"] += 1
+    assert min(lone.values()) > 0, lone
 
 
 def highs_table(rng, n, m, L, magnitude):
