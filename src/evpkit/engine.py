@@ -93,8 +93,9 @@ class PreorderOracle:
         ``rel`` is read by whole columns: the section of labels[j] holds
         the labels of the rows of ``rel[:, j]``, ascending, read the first
         time it is asked for. ``rel`` is an array, or an
-        :class:`evpkit.instances.OrderColumns` that decides each column
-        when it is read."""
+        :class:`evpkit.instances.OrderColumns` that reads each column from
+        a solve's :class:`evpkit.instances.OrderGrid` when it is asked
+        for."""
         labels = tuple(labels)
         return cls(labels, _Columns(labels, rel), dict(zip(labels, eta)))
 

@@ -511,49 +511,14 @@ def preceq(inst: FiniteInstance, fam, x2, x1):
 
 
 def order_arrays(inst: FiniteInstance, fam):
-    """What :func:`order_queries` reads: the family's ``arrays``, the value
-    sets of all labels as one stack (:func:`stack_rows`) and the
-    :func:`order_facets` of these. A solver builds them once for every
-    order test it makes; a function that takes ``arrays`` builds them when
-    they are not given."""
+    """What the order's facet pass reads (:func:`_facet_pass`): the
+    family's ``arrays``, the value sets of all labels as one stack
+    (:func:`stack_rows`) and the :func:`order_facets` of these. A solver
+    builds them once for every order test it makes; a function that takes
+    ``arrays`` builds them when they are not given."""
     S, V, nv = fam.arrays(inst.space)
     B, nb = stack_rows([inst.fmap.at(x) for x in inst.labels])
     return S, V, nv, B, nb, order_facets(S, V, nv, B, inst.cone, inst.tol)
-
-
-def order_queries(inst, arrays, x2s, x1s):
-    """The order tests ``labels[x2s[p]] before labels[x1s[p]]`` of several
-    label pairs as one stack, ``arrays`` as :func:`order_arrays` gives
-    them, or for the graph order a product instance and its
-    :func:`evpkit.product.graph_arrays`. The stacks of a solve read its
-    :class:`OrderGrid` and ask this only for the pairs the grid leaves
-    ``OPEN``.
-
-    Each pair is a group of its (family index, value of x1) queries in
-    :func:`preceq`'s loop order, over the base f(x2). Every stack takes one
-    path: the facet pass (:func:`_facet_pass`) decides the pairs it can, in
-    blocks of pairs whose (pair, index, value row) grid holds at most
-    ``_BLOCK_QUERIES`` cells, and the queries it leaves open are one
-    :func:`covered_queries` stack, screen then LP, as without the facets.
-
-    Returns each pair's first uncovered query as its cell ``lam * R +
-    row``, with ``lam`` its position in ``fam.lambdas()``, ``row`` its
-    value row of x1 and R the rows of the value stack ``B``; -1 when x2
-    precedes x1.
-    """
-    S, B = arrays[0], arrays[3]
-    step = max(1, _BLOCK_QUERIES // (S.shape[-1] * B.shape[1]))
-    first, open_ = [np.zeros(0, dtype=int)], []
-    for at in range(0, len(x2s), step):
-        block, asked = _facet_pass(
-            inst, arrays, x2s[at:at + step], x1s[at:at + step])
-        first.append(block)
-        if asked is not None:
-            open_.append((asked[0] + at, *asked[1:]))
-    first = np.concatenate(first)
-    if open_:
-        _ask_open(inst, arrays, first, open_, True)
-    return first
 
 
 @np.errstate(all="ignore")
@@ -604,31 +569,27 @@ def order_facets(S, V, nv, B, C, tol):
 
 
 def _facet_pass(inst, arrays, x2, x1):
-    """The order tests of one block of label pairs on the (family index,
-    value row of x1, pair) grid, decided by the :func:`order_facets` of the
-    solve where they can be. ``x2`` and ``x1`` are index arrays, one pair
-    each, or a slice ``x2`` of rows of the order matrix and a slice or an
-    index array ``x1`` of its columns, for the grid of those rows over
-    those columns.
+    """The order tests of the grid of rows ``x2`` over columns ``x1`` of the
+    order matrix, on the (family index, value row of x1, row, column) grid,
+    decided by the :func:`order_facets` of the solve where they can be.
+    Each of ``x2`` and ``x1`` is a slice or an index array; rows may be
+    unsorted or repeated.
 
-    Returns ``(first, open)``. ``first`` holds, over the flat pairs, the
-    cell ``lam * R + row`` of each pair's first dead query, with R the
-    rows of the value stack, -1 when it has none. ``open`` is None when the
-    facets leave no query undecided, else ``(pair, x2, x1, cell)``, the
-    flat position in ``first`` and the query of every cell still to ask,
-    in loop order: the real cells that are not covered, of each pair
-    before its first dead one.
+    Returns ``(first, open)``. ``first`` holds, over the flat (row, column)
+    pairs, the cell ``lam * R + row`` of each pair's first dead query, with
+    R the rows of the value stack, -1 when it has none. ``open`` is None
+    when the facets leave no query undecided, else ``(pair, x2, x1,
+    cell)``, the flat position in ``first`` and the query of every cell
+    still to ask, in loop order: the real cells that are not covered, of
+    each pair before its first dead one.
     """
     S, _, _, B, nb, facets = arrays
     L, R = S.shape[-1], B.shape[1]
-    if isinstance(x2, slice):
-        labels = np.arange(len(S))
-        i, j = labels[x2][:, None], labels[x1][None, :]
-        shape = (len(i), j.shape[1])
-    else:
-        i, j, shape = x2, x1, x2.shape
+    labels = np.arange(len(S))
+    i, j = labels[x2][:, None], labels[x1][None, :]
+    shape = (len(i), j.shape[1])
     # the cells lam * R + row, in loop order
-    cell = np.arange(L * R).reshape(L, R, *(1,) * len(shape))
+    cell = np.arange(L * R).reshape(L, R, 1, 1)
     if facets is None:
         covered = dead = np.zeros((L, R) + shape, dtype=bool)
     else:
@@ -651,40 +612,30 @@ def _facet_pass(inst, arrays, x2, x1):
 @np.errstate(all="ignore")
 def _facet_masks(inst, arrays, x2, x1):
     """Masks ``(covered, dead)`` over the (family index, value row of x1,
-    pair) grid of the label pairs ``(x2, x1)`` (index arrays of one pair
-    each, or the grid of rows over columns that :func:`_facet_pass` takes)
-    in f(x2) + F_lam(x2, x1) + C, from the :func:`order_facets` of the
-    solve. A query is covered when some base row's least margin ``w . (A
-    y - A b) - theta`` is at least the inner edge of
-    :func:`geometry.segment_band`, and dead when every base row's is below
-    its outer edge. Per-pair targets of three or more vertices are left to
-    the screen.
+    row, column) grid of the rows ``x2`` over the columns ``x1`` that
+    :func:`_facet_pass` takes, in f(x2) + F_lam(x2, x1) + C, from the
+    :func:`order_facets` of the solve. A query is covered when some base
+    row's least margin ``w . (A y - A b) - theta`` is at least the inner
+    edge of :func:`geometry.segment_band`, and dead when every base row's
+    is below its outer edge. Per-pair targets of three or more vertices are
+    left to the screen.
 
     The margins are one broadcast over (condition, base row, index, value
-    row, pair), with the pairs last: the products of the values of x1 and
-    of the base rows of x2 are read once per label, and the scales and
-    target tables once per pair, as views for slices."""
+    row, row, column): the products of the values of x1 and of the base
+    rows of x2 are read once per label, and the scales and target tables
+    once per pair, as views where rows and columns are slices."""
     V, facets = arrays[1], arrays[5]
     P, (inside, outside) = facets[0], facets[-1]
-    n = P.shape[-1]
-    grid = isinstance(x2, slice)
     # the products W A y or A y of the values y of x1 over (condition, 1,
-    # 1, value row, ...), and of the base rows b of x2 over (condition,
-    # base row, 1, 1, ...); whole rows are the (x2, x1) grid
-    if grid:
-        Ay = P[:, :, x1][:, None, None, :, None]
-        Ab = P[:, :, x2][:, :, None, None, :, None]
-    else:
-        Ay = np.take(P, x1, axis=2)[:, None, None]
-        Ab = np.take(P, x2, axis=2)[:, :, None, None]
-        target = x2 * n + x1
+    # 1, value row, 1, column), and of the base rows b of x2 over
+    # (condition, base row, 1, 1, row, 1)
+    Ay = P[:, :, x1][:, None, None, :, None]
+    Ab = P[:, :, x2][:, :, None, None, :, None]
 
     def at_pairs(a):
-        # a table over (..., index, x2, x1) at the pairs, over (..., index,
-        # pair)
-        if grid:
-            return a[..., x2, x1]
-        return np.take(a.reshape(*a.shape[:-2], n * n), target, axis=-1)
+        # a table over (..., index, x2, x1) at the grid, over (..., index,
+        # row, column)
+        return a[..., x2, :][..., x1]
 
     tol = inst.tol
     if V.ndim == 2:
@@ -696,7 +647,7 @@ def _facet_masks(inst, arrays, x2, x1):
     else:
         _, R, (ci, ck, w, th), fit, _ = facets
         # A(y - b), then the row conditions and the row pairs of each
-        # query's target, over (..., 1, index, 1, pair)
+        # query's target, over (..., 1, index, 1, row, column)
         D = Ay - Ab
         low = np.minimum.reduce(D - (at_pairs(R) - tol)[:, None, :, None])
         if len(w):
@@ -728,10 +679,33 @@ def _ask_open(inst, arrays, first, open_, witness):
     first[g] = cell[sub[g]]
 
 
-# a block of the facet pass holds at most this many cells of its (pair,
-# family index, value row) grid: an OrderGrid passes as many whole columns
-# of the order matrix at a time, and relation_matrix as many whole rows, up
-# to this many, so that their arrays stay small at any n
+def _ask_column(inst, arrays, rows, j):
+    """The cells of the pairs ``(rows[p], j)``, ``rows`` a nonempty index
+    array, as one stack: the facet pass decides what it can, in blocks of
+    rows whose (row, family index, value row) grid over the column holds
+    at most ``_BLOCK_QUERIES`` cells, and the queries it leaves open are one
+    :func:`covered_queries` stack with a witness (:func:`_ask_open`), so
+    that every fault of the screen raises before any LP. Each pair's cell
+    is its first uncovered query ``lam * R + row``, -1 when x2 precedes
+    x1."""
+    step, column = _lines_per_block(arrays, 1), np.array([j])
+    first, open_ = [], []
+    for at in range(0, len(rows), step):
+        block, asked = _facet_pass(inst, arrays, rows[at:at + step], column)
+        first.append(block)
+        if asked is not None:
+            open_.append((asked[0] + at, *asked[1:]))
+    first = np.concatenate(first)
+    if open_:
+        _ask_open(inst, arrays, first, open_, True)
+    return first
+
+
+# a block of the facet pass holds at most this many cells of its (row,
+# column, family index, value row) grid: an OrderGrid passes as many whole
+# columns of the order matrix at a time and re-asks as many rows of one,
+# and relation_matrix passes as many whole rows, up to this many, so that
+# their arrays stay small at any n
 _BLOCK_QUERIES = 1024
 
 # the cell of a pair whose first uncovered query is not known
@@ -761,18 +735,19 @@ class OrderColumns:
 
 @dataclass(frozen=True, eq=False)
 class OrderGrid:
-    """The order of a solve as one cell per (x2, x1) label pair, as
-    :func:`order_queries` returns it: -1 when x2 precedes x1, else the
-    first uncovered query ``lam * R + row``, or ``OPEN`` where neither is
-    known yet. ``inst`` and ``arrays`` are what the cells are asked from,
-    as for :func:`order_queries`; :func:`order_grid` builds the grid.
+    """The order of a solve as one cell per (x2, x1) label pair: -1 when x2
+    precedes x1, else the first uncovered query ``lam * R + row``, or
+    ``OPEN`` where neither is known yet. ``inst`` and ``arrays`` are what
+    the cells are asked from (:func:`order_arrays`, or a product instance
+    and its :func:`evpkit.product.graph_arrays`); :func:`order_grid` builds
+    the grid.
 
-    The cells of a column x1 are ``UNPASSED`` until the column is first
-    read. It is then decided whole by :func:`_grid_block` with the rule
-    ``ask``, the columns that one read needs in blocks of
-    :func:`_lines_per_block` columns. A solve passes the columns of the
-    start section, of the sections the engine walks and of xhat, and no
-    other."""
+    The grid is read by columns, as the order's lower sections are. The
+    cells of a column x1 are ``UNPASSED`` until the column is first read.
+    It is then decided whole by :func:`_grid_block` with the rule ``ask``,
+    the columns that one read needs in blocks of :func:`_lines_per_block`
+    columns. A solve passes the columns of the start section, of the
+    sections the engine walks and of xhat, and no other."""
 
     inst: object
     arrays: tuple
@@ -786,7 +761,8 @@ class OrderGrid:
         if not new.any():
             return
         todo = sorted(set(np.extract(new, x1s).tolist()))
-        n, step = len(self.cells), _lines_per_block(self.arrays)
+        n = len(self.cells)
+        step = _lines_per_block(self.arrays, n)
         for at in range(0, len(todo), step):
             cols = todo[at:at + step]
             # a run of columns, whose tables the pass reads as views
@@ -796,18 +772,20 @@ class OrderGrid:
                 self.inst, self.arrays, slice(None), cols,
                 self.ask).reshape(n, -1)
 
-    def read(self, x2s, x1s):
-        """The cells of the pairs ``(x2s[p], x1s[p])`` (index arrays),
-        their columns passed first. The pairs whose cell is ``OPEN`` are
-        asked as one :func:`order_queries` stack, and their cells are
-        written into the grid, so that no cell is asked twice."""
-        self.pass_columns(x1s)
-        got = self.cells[x2s, x1s]
-        ask = np.flatnonzero(got == OPEN)
+    def column(self, j, rows=None):
+        """The cells of the rows ``rows`` (an index array, every row when
+        None) of column ``j``, the column passed first. Its ``OPEN`` cells
+        among them are asked by :func:`_ask_column` as one stack with a
+        witness, and written into the grid, so that no cell is asked
+        twice."""
+        self.pass_columns(j)
+        if rows is None:
+            rows = np.arange(len(self.cells))
+        got = self.cells[rows, j]
+        ask = (got == OPEN).nonzero()[0]
         if ask.size:
-            x2s, x1s = x2s[ask], x1s[ask]
-            got[ask] = self.cells[x2s, x1s] = order_queries(
-                self.inst, self.arrays, x2s, x1s)
+            got[ask] = self.cells[rows[ask], j] = _ask_column(
+                self.inst, self.arrays, rows[ask], j)
         return got
 
     def matrix(self):
@@ -821,9 +799,11 @@ class OrderGrid:
 
 
 def order_grid(inst, arrays, ask):
-    """A new :class:`OrderGrid` over ``arrays`` (as :func:`order_queries`
-    reads them), each column passed with the rule ``ask`` when it is first
-    read; building it runs no facet pass.
+    """A new :class:`OrderGrid` over ``arrays`` (:func:`order_arrays`, or
+    :func:`evpkit.product.graph_arrays`), each column passed with the rule
+    ``ask`` when it is first read; building it runs no facet pass. A label
+    solve and :func:`check_assumptions` build theirs with ``ask``, a graph
+    solve without (:func:`evpkit.product.graph_grid`).
 
     A pair's cell is exact when the facets cover all its queries, or when
     its first dead query has no undecided one before it; the other pairs
@@ -859,12 +839,13 @@ def _screen_faults(inst, arrays):
         raise InputError("polytope dimension does not match the cone")
 
 
-def _lines_per_block(arrays):
-    """How many whole rows or columns of the order matrix of ``arrays`` go
-    in one block of the facet pass: as many as fit in ``_BLOCK_QUERIES``
-    cells of its (pair, family index, value row) grid, and at least one."""
+def _lines_per_block(arrays, pairs):
+    """How many lines of ``pairs`` pairs each (whole rows or columns of the
+    order matrix of ``arrays``, or single pairs) go in one block of the
+    facet pass: as many as fit in ``_BLOCK_QUERIES`` cells of its (pair,
+    family index, value row) grid, and at least one."""
     S, B = arrays[0], arrays[3]
-    return max(1, _BLOCK_QUERIES // (len(B) * S.shape[-1] * B.shape[1]))
+    return max(1, _BLOCK_QUERIES // (pairs * S.shape[-1] * B.shape[1]))
 
 
 def _grid_block(inst, arrays, x2, x1, ask):
@@ -885,24 +866,23 @@ def _grid_block(inst, arrays, x2, x1, ask):
     return first
 
 
-def relation_matrix(inst: FiniteInstance, fam, arrays=None, grid=False):
-    """rel[i, j] = True iff labels[i] precedes labels[j] in the order.
+def relation_matrix(inst: FiniteInstance, fam, arrays=None):
+    """rel[i, j] = True iff labels[i] precedes labels[j] in the order, as
+    one bool matrix.
 
-    Every pair is decided on the solve's arrays by the facet pass, in
-    blocks of :func:`_lines_per_block` whole rows, with the rule of
+    Every pair is decided on the :func:`order_arrays` ``arrays`` (built
+    here when not given) by the facet pass, in blocks of
+    :func:`_lines_per_block` whole rows, with the rule of
     :func:`order_grid` with ``ask``: the screen and the LP for the pairs
     with neither a dead query nor all queries covered; the InputError of
-    :func:`_screen_faults` comes first. With ``grid``, returns a new
-    :func:`order_grid` with ``ask`` instead, which decides a column only
-    when a stack of the solve reads it, and whose exact cells the stacks
-    do not ask again.
+    :func:`_screen_faults` comes first. A solve does not build it: it reads
+    the columns it needs from its own :func:`order_grid`.
     """
     if arrays is None:
         arrays = order_arrays(inst, fam)
-    if grid:
-        return order_grid(inst, arrays, True)
     _screen_faults(inst, arrays)
-    n, step = len(arrays[3]), _lines_per_block(arrays)
+    n = len(arrays[3])
+    step = _lines_per_block(arrays, n)
     rel = np.empty((n, n), dtype=bool)
     for start in range(0, n, step):
         rows = slice(start, start + step)
@@ -1458,11 +1438,11 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None,
     Lower sections are read from the order matrix ``rel``, as
     :func:`relation_matrix` builds it, or read by whole columns
     (:class:`OrderColumns`) from the :meth:`OrderGrid.matrix` of a solve
-    (a new grid when not given): the column of x0, then the columns of
-    its section, and no other. The order matrix and the separation minima
-    read one build of the :func:`order_arrays` ``arrays``, made here when
-    not given. ``eta`` are
-    the :func:`label_infima`, computed here when not given. The strict
+    (a new :func:`order_grid` with ``ask`` when not given): the column of
+    x0, then the columns of its section, and no other. The order matrix
+    and the separation minima read one build of the :func:`order_arrays`
+    ``arrays``, made here when not given. ``eta`` are the
+    :func:`label_infima`, computed here when not given. The strict
     decrease witness is the first (section label x of finite ``eta``, label
     x' before x) with ``eta(x) - eta(x')`` not above ``tol``. Infima of a
     linear functional over polytopes are taken over vertices, for every pair
@@ -1475,7 +1455,7 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None,
     if arrays is None:
         arrays = order_arrays(inst, fam)
     if rel is None:
-        rel = relation_matrix(inst, fam, arrays, grid=True).matrix()
+        rel = order_grid(inst, arrays, True).matrix()
 
     section_at = np.flatnonzero(rel[:, inst.space.index(x0)])
     section = [labels[i] for i in section_at]

@@ -312,7 +312,8 @@ ProductCertificate = Certificate
 
 
 def graph_arrays(pi, fm):
-    """What :func:`order_queries` reads, for the graph order: each graph
+    """What the order's facet pass reads, for the graph order (as
+    :func:`evpkit.instances.order_arrays` for the label order): each graph
     pair is a label with its one value (``B = Y[:, None]``, ``nb = 1``),
     ``S, V, nv`` are the pair map's ``arrays`` at the labels of two pairs,
     a shared polytope staying one ``(J, m)`` array, and last their
@@ -354,7 +355,8 @@ def _graph_oracle(pi, grid, eta):
     the pairs i with a strict drop ``eta[j] - eta[i] > tol`` whose cell
     (i, j) of the :func:`graph_grid` ``grid`` is covered. A column is read
     the first time the engine asks for its section, its ``OPEN`` cells
-    among the pairs with a strict drop asked as one stack.
+    among the pairs with a strict drop asked as one stack
+    (:meth:`evpkit.instances.OrderGrid.column`).
     """
     n = len(pi.graph)
     # prec_f looks at the scale of every other pair, strict drop or not
@@ -369,7 +371,7 @@ def _graph_oracle(pi, grid, eta):
         rows = np.flatnonzero(drop)
         rel = np.zeros(n, dtype=bool)
         rel[j] = True
-        rel[rows] = grid.read(rows, np.full(len(rows), j)) < 0
+        rel[rows] = grid.column(j, rows) < 0
         return rel
 
     return eng.PreorderOracle.from_matrix(range(n), OrderColumns(column),
@@ -386,9 +388,8 @@ def _pair_index(pi, x, y):
 def _section_of_start(pi, grid, start):
     """Mask of the graph pairs that precede the start pair, at position
     ``start``: :func:`prec_f` of every pair against it, the column
-    ``start`` of the :func:`graph_grid` ``grid``."""
-    n = len(pi.graph)
-    return grid.read(np.arange(n), np.full(n, start)) < 0
+    ``start`` of the :func:`graph_grid` ``grid``, read whole."""
+    return grid.column(start) < 0
 
 
 def solve_minimal_point(pi: ProductInstance, fm: FMap, mode="greedy"):
@@ -426,20 +427,20 @@ def _minimal_point(pi, fm, mode, checks, grid, start, section):
 
 def _graph_conclusions(pi, grid, ihat, start, exclude_label_only):
     """Conclusions (a) and (b) for the terminal pair at position ``ihat``
-    from the cells of the :func:`graph_grid` ``grid``: the cell (ihat,
-    start) decides whether pair ihat covers the start pair at position
-    ``start``, and the cells (p, ihat) whether each other pair p precedes
-    pair ihat, a violation of (b). For label-only exclusion the quantifier
-    skips the whole xhat slice, otherwise only the pair itself."""
+    from two column reads of the :func:`graph_grid` ``grid``: the cell
+    (ihat, start) of column ``start`` decides whether pair ihat covers the
+    start pair at that position, and the cells (p, ihat) of column ihat
+    whether each other pair p precedes pair ihat, a violation of (b). For
+    label-only exclusion the quantifier skips the whole xhat slice,
+    otherwise only the pair itself."""
     xhat, yhat = pi.graph[ihat]
     others = np.array([p for p, (x, _) in enumerate(pi.graph)
                        if (x != xhat if exclude_label_only else p != ihat)],
                       dtype=int)
-    first = grid.read(np.append(ihat, others),
-                      np.append(start, np.full(len(others), ihat)))
+    covers = grid.column(start, np.array([ihat]))[0] < 0
     violations = [{"x": pi.graph[p][0], "y": pi.graph[p][1]}
-                  for p, q in zip(others, first[1:]) if q < 0]
-    return [Conclusion("a", bool(first[0] < 0),
+                  for p, q in zip(others, grid.column(ihat, others)) if q < 0]
+    return [Conclusion("a", bool(covers),
                        {"start_value": pi.y0, "yhat": yhat}),
             Conclusion("b", not violations, {"violations": violations})]
 

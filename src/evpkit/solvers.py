@@ -37,10 +37,10 @@ from .instances import (FiniteInstance, OpenPolytopeFamily, PolytopeDirection,
                         QuasiMetric, QuasiMetricDirection, SingletonDirection,
                         check_assumptions, check_positive,
                         d_bounded_certificate, eps_h_efficient, label_infima,
-                        order_arrays, relation_matrix, ti_check)
-# bench/spans.py traces per-call memberships and order tests under these
-# names here
-from .instances import minkowski_member, preceq  # noqa: F401
+                        order_arrays, order_grid, ti_check)
+# bench/spans.py traces per-call memberships, order tests and the order
+# matrix under these names here
+from .instances import minkowski_member, preceq, relation_matrix  # noqa: F401
 from .scalarize import GerstewitzFn, ShiftedGerstewitz
 
 
@@ -126,10 +126,10 @@ def _solve_order(inst, fam, xi, x0, mode):
     Returns ``(xhat, conclusions, report, trace)``. The
     :func:`order_arrays` and the :func:`label_infima` are computed once here
     for every order test and hypothesis of the solve, and every order test
-    reads the one :class:`OrderGrid` that :func:`relation_matrix` builds,
-    which decides a column the first time it is read: the start section's
-    column, the columns of its labels in :func:`check_assumptions`, those
-    of the sections the engine walks, and xhat's, for the conclusions."""
+    reads the one :func:`order_grid` of the solve by columns, each decided
+    the first time it is read: the start section's column, the columns of
+    its labels in :func:`check_assumptions`, those of the sections the
+    engine walks, and x0's and xhat's, for the conclusions."""
     arrays = order_arrays(inst, fam)
     ok, witness = ti_check(inst, fam)
     if not ok:
@@ -137,7 +137,7 @@ def _solve_order(inst, fam, xi, x0, mode):
                               "the perturbation family fails the triangle "
                               "inclusion property", witness={"triple": witness})
     eta = label_infima(inst, xi, arrays)
-    grid = relation_matrix(inst, fam, arrays, grid=True)
+    grid = order_grid(inst, arrays, True)
     rel = grid.matrix()
     oracle = eng.PreorderOracle.from_matrix(inst.labels, rel, eta)
     if not oracle.section(x0):
@@ -153,11 +153,12 @@ def _solve_order(inst, fam, xi, x0, mode):
 
 
 def _order_conclusions(inst, fam, grid, xhat, x0):
-    """Conclusions (a) and (b) from the cells of the solve's
-    :class:`OrderGrid` ``grid``: the cell (xhat, x0) decides whether xhat
-    precedes x0, as :func:`preceq` decides it, and the cells (x, xhat)
-    whether each other label x precedes xhat. The cells the grid holds
-    ``OPEN`` are asked as one :func:`order_queries` stack.
+    """Conclusions (a) and (b) from two column reads of the solve's
+    :class:`OrderGrid` ``grid``: the cell (xhat, x0) of column x0 decides
+    whether xhat precedes x0, as :func:`preceq` decides it, and the cells
+    (x, xhat) of column xhat whether each other label x precedes xhat.
+    Each read asks the cells the grid holds ``OPEN`` as one stack
+    (:meth:`OrderGrid.column`).
 
     (b) holds when some family member separates every x from xhat: the
     first uncovered (family set, value of xhat) query of x is its
@@ -165,19 +166,18 @@ def _order_conclusions(inst, fam, grid, xhat, x0):
     """
     labels, lams = inst.labels, fam.lambdas()
     j = inst.space.index(xhat)
-    others = [x for x in range(len(labels)) if x != j]
-    first = grid.read(np.array([j, *others]),
-                      np.array([inst.space.index(x0), *[j] * len(others)]))
+    others = np.array([x for x in range(len(labels)) if x != j], dtype=int)
+    covers = grid.column(inst.space.index(x0), np.array([j]))[0] < 0
     R = grid.arrays[3].shape[1]
     failures = []
     witnesses = []
-    for x, cell in zip(others, first[1:].tolist()):
+    for x, cell in zip(others.tolist(), grid.column(j, others).tolist()):
         if cell < 0:
             failures.append(labels[x])
         else:
             witnesses.append({"x": labels[x], "index": lams[cell // R],
                               "value_row": cell % R})
-    return [Conclusion("a", bool(first[0] < 0),
+    return [Conclusion("a", bool(covers),
                        {"dominates": x0, "dominated_by": xhat}),
             Conclusion("b", not failures,
                        {"violations": failures, "separations": witnesses})]

@@ -33,7 +33,7 @@ from evpkit.instances import (OPEN, ExtensionalFamily, FiniteInstance,
                               QuasiMetricDirection, SetValuedMap,
                               SingletonDirection, _pairwise_separation,
                               _uniform_separation, eps_h_efficient,
-                              _BLOCK_QUERIES, order_arrays, order_queries,
+                              _BLOCK_QUERIES, order_arrays, order_grid,
                               preceq,
                               facet_tables, facet_verdicts, relation_matrix,
                               settled_triples, ti_check, tie_conditions,
@@ -91,8 +91,9 @@ def screen_order_queries(inst, arrays, x2s, x1s, witness=True):
 
 def open_grid(inst, arrays):
     """An ``OrderGrid`` over ``arrays`` with every cell ``OPEN``: a stack
-    that reads it asks all its pairs as one ``order_queries`` stack, as the
-    stacks did before they read the grid of their solve."""
+    that reads it asks all the rows it reads of a column as one re-ask
+    (``instances._ask_column``), as the stacks did before they read the
+    grid of their solve."""
     n = len(arrays[3])
     return OrderGrid(inst, arrays, np.full((n, n), OPEN))
 
@@ -102,8 +103,8 @@ def on_open_grid(stack, at):
     ``graph_oracle_matrix``, ``_section_of_start`` or
     ``_graph_conclusions``) given the arrays in the place of its grid,
     argument ``at``, and run on a fresh ``open_grid`` over them: it asks
-    every pair it reads, each read as one ``order_queries`` stack (one per
-    column for ``graph_oracle_matrix``)."""
+    every pair it reads, each column read as one ``instances._ask_column``
+    stack."""
     def run(*args):
         return stack(*args[:at], open_grid(args[0], args[at]),
                      *args[at + 1:])
@@ -112,15 +113,26 @@ def on_open_grid(stack, at):
 
 
 def as_cells(reference):
-    """An order stack ``reference`` that returns ``(first, lam, row)``, as
-    the old ``order_queries`` did, returning instead each pair's first
-    uncovered query as its cell ``lam * R + row`` (R the rows of the value
-    stack), -1 kept, as ``order_queries`` does now."""
+    """An order stack ``reference`` over pair lists that returns ``(first,
+    lam, row)``, as the old ``order_queries`` did, returning instead each
+    pair's first uncovered query as its cell ``lam * R + row`` (R the rows
+    of the value stack), -1 kept, as the grid holds it."""
     def cells(inst, arrays, x2s, x1s, *args, **kwargs):
         first, lam, row = reference(inst, arrays, x2s, x1s, *args, **kwargs)
         return np.where(first >= 0,
                         lam[first] * arrays[3].shape[1] + row[first], -1)
     return cells
+
+
+def as_column(reference):
+    """An order stack ``reference`` over pair lists (as for ``as_cells``)
+    in the place of the column re-ask ``instances._ask_column``: the pairs
+    ``(rows[p], j)`` as one stack, their cells returned."""
+    cells = as_cells(reference)
+
+    def column(inst, arrays, rows, j):
+        return cells(inst, arrays, rows, np.full(len(rows), j))
+    return column
 
 
 def screen_relation_matrix(inst, fam, arrays=None):
@@ -399,7 +411,7 @@ def order_conclusions(inst, fam, xhat, x0, grid=None):
     """``_order_conclusions`` on the grid a label solve hands it (built
     here when not given), as dicts."""
     if grid is None:
-        grid = relation_matrix(inst, fam, grid=True)
+        grid = order_grid(inst, order_arrays(inst, fam), True)
     return [c.to_dict() for c in _order_conclusions(inst, fam, grid, xhat,
                                                     x0)]
 
@@ -1444,9 +1456,8 @@ def test_sweeps_never_run_more_lps_than_loops(monkeypatch):
             assert got == want and nb <= nl, (trial, nb, nl)
             totals["batched"] += nb
             totals["loop"] += nl
-        # the conclusions read the grid of the order matrix above, which
-        # has run its LPs
-        grid = relation_matrix(inst, fam, grid=True)
+        # the conclusions read a label solve's grid of the order
+        grid = order_grid(inst, order_arrays(inst, fam), True)
         for xhat in inst.labels[:3]:
             x0 = inst.labels[-1]
             nb, got = _lp_calls(monkeypatch, order_conclusions, inst, fam,
@@ -1976,7 +1987,7 @@ def test_facet_search_with_zero_and_negative_scales(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The facet pass of order_queries against the screen it runs before.
+# The facet pass of the order stacks against the screen it runs before.
 # ---------------------------------------------------------------------------
 
 def assert_order_matches_screen(monkeypatch, inst, fam, budget=None):
@@ -1984,7 +1995,7 @@ def assert_order_matches_screen(monkeypatch, inst, fam, budget=None):
     or its InputError text, with its _phase1 count, and so does
     ``loop_relation_matrix``, with no fewer; ``budget`` sets the block size
     of ``relation_matrix`` alone. Returns ``(left, total)``: the number of
-    queries the facet pass of ``order_queries`` left to
+    queries the facet pass of ``relation_matrix`` left to
     ``covered_queries``, and the number of queries of the order matrix."""
     left = []
     real = instances.covered_queries
@@ -2187,7 +2198,7 @@ def test_three_vertex_shared_stacks_need_no_screen(monkeypatch):
         arrays = order_arrays(inst, fam)
         with monkeypatch.context() as mp:
             mp.setattr(instances, "covered_queries", None)
-            grid = relation_matrix(inst, fam, arrays, grid=True)
+            grid = order_grid(inst, arrays, True)
             for xhat, x0 in itertools.product(inst.labels, repeat=2):
                 _order_conclusions(inst, fam, grid, xhat, x0)
                 _order_conclusions(inst, fam, open_grid(inst, arrays), xhat,
@@ -2387,7 +2398,8 @@ def test_order_stacks_match_the_screen(monkeypatch):
     ``_graph_conclusions`` of every start and terminal pair, on grids with
     every cell open (so that each asks every pair it reads), give the
     witnesses and matrices of their screen-only versions, whose order
-    stacks go straight to ``covered_queries`` (``screen_order_queries``),
+    stacks go straight to ``covered_queries`` (``screen_order_queries``
+    in the place of each column re-ask),
     with the same _phase1 count, on ``order_stack_cases``; the facet pass
     decides some queries of each."""
     labels, graphs = order_stack_cases(np.random.default_rng(2727))
@@ -2406,8 +2418,8 @@ def test_order_stacks_match_the_screen(monkeypatch):
             mp.setattr(instances, "covered_queries", counting("pass"))
             n, got = _lp_calls(monkeypatch, on_open, *args)
         with monkeypatch.context() as mp:
-            mp.setattr(instances, "order_queries",
-                       as_cells(screen_order_queries))
+            mp.setattr(instances, "_ask_column",
+                       as_column(screen_order_queries))
             mp.setattr(sys.modules[__name__], "covered_queries",
                        counting("screen"))
             ns, want = _lp_calls(monkeypatch, on_open, *args)
@@ -2444,7 +2456,7 @@ def test_conclusion_order_matches_preceq(m):
         inst, fam, _ = random_instance(rng, n=4, m=m, kind=kind,
                                        metric=trial % 3 != 2,
                                        ragged=trial % 2 == 0)
-        grid = relation_matrix(inst, fam, grid=True)
+        grid = order_grid(inst, order_arrays(inst, fam), True)
         for xhat in inst.labels:
             for x0 in inst.labels:
                 got = _order_conclusions(inst, fam, grid, xhat, x0)[0]
@@ -2495,18 +2507,19 @@ def test_label_order_solves_ask_no_single_membership(monkeypatch, name):
         assert (infima, per_label) == (1, 0), (name, seed, infima, per_label)
 
 
-def bare_order_query(inst, arrays, x2s, x1s):
-    """Whether each pair is covered, asked as ``relation_matrix`` asks it:
-    one block of its grid, the facet pass and the open queries of the pairs
-    without a dead one, with no witness."""
-    return instances._grid_block(inst, arrays, x2s, x1s, True) == -1
+def bare_order_query(inst, arrays, rows, cols):
+    """Whether each pair of the rows ``rows`` over the columns ``cols`` is
+    covered, asked as ``relation_matrix`` asks it: one block of its grid,
+    the facet pass and the open queries of the pairs without a dead one,
+    with no witness."""
+    return instances._grid_block(inst, arrays, rows, cols, True) == -1
 
 
 def test_order_conclusions_run_the_lps_of_their_parts(monkeypatch):
-    """One stack for (a) and (b), read from a grid with every cell open,
-    runs the phase-1 LPs of a stack for (a) alone plus those of a stack for
-    (b) alone, on every ordered label pair. (a) is asked with a witness;
-    that adds LPs only where (a) fails."""
+    """The column reads of (a) and (b), from a grid with every cell open,
+    run the phase-1 LPs of a re-ask of (a)'s column alone plus those of a
+    re-ask of (b)'s alone, on every ordered label pair. (a) is asked with a
+    witness; that adds LPs only where (a) fails."""
     rng = np.random.default_rng(5000)
     lps = {True: 0, False: 0}
     for trial in range(10):
@@ -2518,16 +2531,16 @@ def test_order_conclusions_run_the_lps_of_their_parts(monkeypatch):
         for xhat in inst.labels:
             j = index(xhat)
             others = np.delete(np.arange(len(inst.labels)), j)
-            nb, _ = _lp_calls(monkeypatch, instances.order_queries, inst,
-                              arrays, others, np.full(len(others), j))
+            nb, _ = _lp_calls(monkeypatch, instances._ask_column, inst,
+                              arrays, others, j)
             for x0 in inst.labels:
-                pair = (np.array([j]), np.array([index(x0)]))
+                rows, col = np.array([j]), index(x0)
                 n, (a, _) = _lp_calls(monkeypatch, _order_conclusions, inst,
                                       fam, open_grid(inst, arrays), xhat, x0)
-                na, _ = _lp_calls(monkeypatch, instances.order_queries, inst,
-                                  arrays, *pair)
+                na, _ = _lp_calls(monkeypatch, instances._ask_column, inst,
+                                  arrays, rows, col)
                 bare, _ = _lp_calls(monkeypatch, bare_order_query, inst,
-                                    arrays, *pair)
+                                    arrays, rows, np.array([col]))
                 assert n == na + nb, (trial, xhat, x0, n, na, nb)
                 assert na == bare or not a.holds, (trial, xhat, x0)
                 lps[a.holds] += n
@@ -2564,15 +2577,17 @@ def test_graph_solves_ask_no_single_membership(monkeypatch, name):
 
 
 def _stacks_inside(monkeypatch, owner, name, fn, *args):
-    """The order_queries calls made inside each ``owner.name`` call of
-    ``fn(*args)``, and its result."""
+    """The column reads (``OrderGrid.column``) and the column re-asks
+    (``instances._ask_column``) made inside each ``owner.name`` call of
+    ``fn(*args)``, as ``(reads, re-asks)``, and its result."""
     stacks = []
     original = getattr(owner, name)
 
     def counted(*a, **kw):
-        calls, result = _calls(monkeypatch, instances, "order_queries",
-                               lambda: original(*a, **kw))
-        stacks.append(calls)
+        reads, (asks, result) = _calls(
+            monkeypatch, OrderGrid, "column", _calls, monkeypatch, instances,
+            "_ask_column", lambda: original(*a, **kw))
+        stacks.append((reads, asks))
         return result
 
     monkeypatch.setattr(owner, name, counted)
@@ -2587,9 +2602,9 @@ def _stacks_inside(monkeypatch, owner, name, fn, *args):
                                   "4.1 polytope", "4.4 quasimetric",
                                   "5.1", "5.2", "5.6"])
 def test_each_solve_asks_its_conclusions_as_one_stack(monkeypatch, name):
-    """Every solve builds its order conclusions once, from the cells of its
-    grid, with at most one order_queries stack for the cells the grid holds
-    open."""
+    """Every solve builds its order conclusions once, from two column
+    reads of its grid, (a) and (b), each with at most one re-ask for the
+    cells the grid holds open."""
     for seed in (950, 951, 952):
         if name.startswith("5"):
             stacks, cert = _stacks_inside(monkeypatch, product,
@@ -2599,8 +2614,8 @@ def test_each_solve_asks_its_conclusions_as_one_stack(monkeypatch, name):
             stacks, (cert, _) = _stacks_inside(
                 monkeypatch, solvers, "_order_conclusions",
                 _label_order_solve, name, seed)
-        assert stacks in ([0], [1]) and cert.all_hold(), (name, seed,
-                                                          stacks)
+        assert len(stacks) == 1 and stacks[0][0] == 2, (name, seed, stacks)
+        assert stacks[0][1] <= 2 and cert.all_hold(), (name, seed, stacks)
 
 
 def test_graph_solves_read_the_pair_map_arrays_only(monkeypatch):
@@ -2827,17 +2842,18 @@ def test_anchored_values_are_the_per_pair_values():
 
 def test_strict_graph_solves_ask_three_stacks_and_no_gz_value(monkeypatch):
     """5.1, 5.2 and 5.6 make one facet pass over the graph order, and read
-    it for the start section, the graph order and their own separation
-    conclusion only (the 5.1 conclusions are not built by 5.2), each with
-    at most one order_queries stack for the cells it leaves open; 5.6
-    reads the cone scalarization from one stacked product, with no
-    per-pair gz_value."""
+    it by columns for the start section, the graph order and their own
+    conclusions only (the 5.1 conclusions are not built by 5.2), each
+    column read with at most one re-ask for the cells it leaves open, and
+    at most three in all; 5.6 reads the cone scalarization from one
+    stacked product, with no per-pair gz_value."""
     def solve_counts(solve, *args):
-        grids, (stacks, cert) = _calls(monkeypatch, product, "order_grid",
-                                       _calls, monkeypatch, instances,
-                                       "order_queries", solve, *args)
-        assert grids == 1 and stacks <= 3 and cert.all_hold(), (grids,
-                                                                stacks)
+        grids, (reads, (stacks, cert)) = _calls(
+            monkeypatch, product, "order_grid", _calls, monkeypatch,
+            OrderGrid, "column", _calls, monkeypatch, instances,
+            "_ask_column", solve, *args)
+        assert grids == 1 and stacks <= min(3, reads) and cert.all_hold(), (
+            grids, reads, stacks)
         return stacks
 
     for seed in (950, 951, 952):

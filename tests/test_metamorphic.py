@@ -11,8 +11,8 @@ sets of one pair shrunk, so that triangle inclusion can fail, and the start
 and the linear scalarization are drawn too, so that the gate can fail.
 
 A direction set of two vertices is also loaded with one of them listed
-twice: the same polytope, whose targets the facet pass of
-``order_queries`` and the facet test of the triangle search then leave to
+twice: the same polytope, whose targets the facet pass of the order
+stacks and the facet test of the triangle search then leave to
 the screen and the LP. The same decisions must come out.
 
 The separating functional is checked the same way. Scaling the cone's
@@ -40,7 +40,8 @@ from evpkit import solvers
 from evpkit.errors import HypothesisError
 from evpkit.geometry import (DEFAULT_TOL, LinearFunctional, Polytope, cone,
                              strictly_positive_functional)
-from evpkit.instances import check_assumptions, relation_matrix, ti_check
+from evpkit.instances import (check_assumptions, order_arrays, order_grid,
+                              relation_matrix, ti_check)
 from evpkit.io import generate, load_validate
 from evpkit.product import pareto_min
 
@@ -84,7 +85,7 @@ def _conclusions(bundle):
     solve, by label names: (a), and (b) with its violations as a set and
     its separations keyed by x."""
     inst, fam = bundle.instance, bundle.family
-    grid = relation_matrix(inst, fam, grid=True)
+    grid = order_grid(inst, order_arrays(inst, fam), True)
     out = {}
     for xhat, x0 in itertools.product(inst.labels, repeat=2):
         a, b = solvers._order_conclusions(inst, fam, grid, xhat, x0)

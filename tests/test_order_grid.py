@@ -1,17 +1,21 @@
-"""The order stacks' facet pass, one grid over the solve's arrays, against
-the flat pass it replaced (``order_reference``), against HiGHS on per-pair
-tables, and the stacked label infima against the per-label loop.
+"""The order stacks' facet pass, one grid of rows over columns of the
+solve's arrays, against the flat pass it replaced (``order_reference``),
+against HiGHS on per-pair tables, and the stacked label infima against the
+per-label loop.
 
-Every stack (the order matrix, ``order_queries`` itself, the conclusions of
-a solve, the graph oracle, the start section and the graph conclusions)
-must give the reference's matrices, first uncovered queries (its ``(first,
-lam, row)`` read as cells) and InputError texts, and must never run more
-phase-1 LPs: asked whole, on a grid with every cell open, and read from the
-one grid of a solve, which passes each column the first time it is read; a
-solve passes only the columns it reads.
+Every stack (the order matrix, the column re-ask ``_ask_column`` itself,
+the conclusions of a solve, the graph oracle, the start section and the
+graph conclusions) must give the reference's matrices, first uncovered
+queries (its ``(first, lam, row)`` read as cells) and InputError texts, and
+must never run more phase-1 LPs: asked whole, on a grid with every cell
+open, and read from the one grid of a solve, which passes each column the
+first time it is read; a solve passes only the columns it reads.
 """
 
+import functools
+import importlib.util
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -28,7 +32,7 @@ from evpkit.instances import (OPEN, UNPASSED, ExtensionalFamily,
                               FiniteInstance, MetricSpace, PolytopeDirection,
                               QuasiMetric, QuasiMetricDirection, SetValuedMap,
                               check_assumptions, label_infima, order_arrays,
-                              order_queries, relation_matrix, scalar_inf,
+                              order_grid, relation_matrix, scalar_inf,
                               ti_check)
 from evpkit.product import (FMap, ProductInstance, _graph_conclusions,
                             _section_of_start, anchored_values, fmap_from_rate,
@@ -39,7 +43,8 @@ from evpkit.solvers import _order_conclusions, _solve_order, solve_evp_general
 import order_reference
 from conftest import direction_polytope, generated_bundle, random_cone
 from test_batched_sweeps import (KINDS, _all_of, _cone, _distances,
-                                 _polytope, as_cells, band_direction,
+                                 _polytope, as_cells, as_column,
+                                 band_direction,
                                  band_family, bare_order_query,
                                  graph_oracle_matrix, highs_covers,
                                  notch_direction, on_open_grid, open_grid,
@@ -81,10 +86,10 @@ def _work_and_outcome(monkeypatch, fn, *args):
 
 
 def _as_reference(mp):
-    """Route the order stacks that a grid asks through the reference, its
+    """Route the column re-asks of a grid through the reference, its
     ``(first, lam, row)`` read as cells."""
-    mp.setattr(instances, "order_queries",
-               as_cells(order_reference.order_queries))
+    mp.setattr(instances, "_ask_column",
+               as_column(order_reference.order_queries))
 
 
 def assert_same(monkeypatch, budget, fn, ref, *args):
@@ -164,20 +169,39 @@ def grid_cases(rng):
     return cases
 
 
-def pair_lists(rng, n):
-    """Random label pairs with repeats, and the pairs of every row."""
+def grid_pairs(n, rows, cols):
+    """The pairs of the rows ``rows`` over the columns ``cols`` (each a
+    slice or an index array) of an order matrix of n labels, as pair lists
+    in row-major order."""
+    labels = np.arange(n)
+    return (a.ravel() for a in np.meshgrid(labels[rows], labels[cols],
+                                           indexing="ij"))
+
+
+def bare_reference(inst, arrays, rows, cols):
+    """The reference's covered pairs of the rows ``rows`` over the columns
+    ``cols``, asked without a witness, as its order matrix asks them."""
+    return order_reference.order_queries(
+        inst, arrays, *grid_pairs(len(arrays[3]), rows, cols),
+        witness=False)[0] < 0
+
+
+def row_lists(rng, n):
+    """Rows of a column: random rows with repeats, in no order, and every
+    row; each with a random column."""
     k = int(rng.integers(1, 2 * n))
-    yield rng.integers(n, size=k), rng.integers(n, size=k)
-    yield np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+    yield rng.integers(n, size=k), int(rng.integers(n))
+    yield np.arange(n), int(rng.integers(n))
 
 
 def test_grid_pass_equals_the_flat_pass(monkeypatch):
     """On :func:`grid_cases`, with ``_BLOCK_QUERIES`` at 1 to 64 (so that
     the grid runs in several blocks) or at its default: the order matrix,
-    ``order_queries`` on random pair lists, with a witness and (as the
-    order matrix asks them) without, and the conclusions of (xhat, x0)
-    pairs on a grid with every cell open equal the reference's, outcome for outcome, with no more _phase1
-    calls. Some matrices stand and some raise the screen's InputError."""
+    the column re-ask ``_ask_column`` on random rows of a column, with a
+    witness and (as the order matrix asks them) without, and the
+    conclusions of (xhat, x0) pairs on a grid with every cell open equal
+    the reference's, outcome for outcome, with no more _phase1 calls. Some
+    matrices stand and some raise the screen's InputError."""
     rng = np.random.default_rng(3200)
     seen = set()
     for inst, fam in grid_cases(rng):
@@ -189,13 +213,12 @@ def test_grid_pass_equals_the_flat_pass(monkeypatch):
             arrays = order_arrays(inst, fam)
         except InputError:
             continue
-        for x2s, x1s in pair_lists(rng, len(inst.labels)):
-            assert_same(monkeypatch, budget, order_queries,
-                        as_cells(order_reference.order_queries), inst,
-                        arrays, x2s, x1s)
+        for rows, j in row_lists(rng, len(inst.labels)):
+            assert_same(monkeypatch, budget, instances._ask_column,
+                        as_column(order_reference.order_queries), inst,
+                        arrays, rows, j)
             assert_same(monkeypatch, budget, bare_order_query,
-                        lambda *a: order_reference.order_queries(
-                            *a, witness=False)[0] < 0, inst, arrays, x2s, x1s)
+                        bare_reference, inst, arrays, rows, np.array([j]))
         for xhat, x0 in itertools.islice(
                 itertools.product(inst.labels, repeat=2), 0, None, 3):
             assert_same(monkeypatch, budget,
@@ -268,16 +291,29 @@ def every_pair(n):
     return np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
 
 
+def by_columns(ask, inst, arrays):
+    """The cells of every pair, flat in (x2, x1) order, each column asked
+    whole through the column re-ask ``ask``."""
+    n = len(arrays[3])
+    return np.stack([ask(inst, arrays, np.arange(n), j) for j in range(n)],
+                    axis=1).ravel()
+
+
+def read_columns(grid, cols):
+    """The cells of every row of the columns ``cols``, read one column at a
+    time, over (x2, column)."""
+    return np.stack([grid.column(j) for j in cols], axis=1)
+
+
 def assert_held_cells(grid):
-    """Each cell a grid holds other than ``OPEN`` is the cell that
-    ``order_queries`` and the reference give its pair. Returns those cells
-    of every pair and the mask of the held ones; None where both raise the
-    screen's InputError, as a negative scale makes them, and the facets
-    have then decided no cell."""
+    """Each cell a grid holds other than ``OPEN`` is the cell that the
+    column re-ask ``_ask_column`` and the reference give its pair. Returns
+    those cells of every pair and the mask of the held ones; None where
+    both raise the screen's InputError, as a negative scale makes them,
+    and the facets have then decided no cell."""
     inst, arrays = grid.inst, grid.arrays
-    x2s, x1s = every_pair(len(grid.cells))
-    want, ref = (_outcome(fn, inst, arrays, x2s, x1s) for fn in (
-        order_queries, as_cells(order_reference.order_queries)))
+    want, ref = (_outcome(by_columns, ask, inst, arrays) for ask in (
+        instances._ask_column, as_column(order_reference.order_queries)))
     assert want == ref, (want, ref)
     held = grid.cells.ravel() != OPEN
     if want[0] == "InputError":
@@ -331,7 +367,7 @@ def pass_in_chunks(grid, rng):
 
 
 def test_grid_cells_equal_the_stacks(monkeypatch):
-    """The cells of a solve's grid against ``order_queries`` and the
+    """The cells of a solve's grid against ``_ask_column`` and the
     reference, on :func:`grid_cases` (every family kind, ragged value sets,
     tables of one and two indices, values within 2 tol of a facet, a
     negative scale) and on shared polytopes with no facets
@@ -360,7 +396,7 @@ def test_grid_cells_equal_the_stacks(monkeypatch):
         n_grid, got = _lps(monkeypatch, relation_matrix, inst, fam, arrays)
         n_rel, rel = _lps(monkeypatch, order_reference.relation_matrix, inst,
                           fam, arrays)
-        _, grid = _lps(monkeypatch, relation_matrix, inst, fam, arrays, True)
+        _, grid = _lps(monkeypatch, order_grid, inst, arrays, True)
         if isinstance(rel, tuple):
             assert got == rel == grid, (got, rel, grid)
             seen.add("label InputError")
@@ -376,7 +412,7 @@ def test_grid_cells_equal_the_stacks(monkeypatch):
         opened += int((~held).sum())
         for xhat, x0 in itertools.islice(
                 itertools.product(inst.labels, repeat=2), 0, None, 4):
-            solve = relation_matrix(inst, fam, arrays, grid=True)
+            solve = order_grid(inst, arrays, True)
             n_new, got = _lps(monkeypatch, _order_conclusions, inst, fam,
                               solve, xhat, x0)
             with monkeypatch.context() as mp:
@@ -387,8 +423,8 @@ def test_grid_cells_equal_the_stacks(monkeypatch):
             assert _dicts(got) == _dicts(old), (xhat, x0)
             assert n_new <= n_rel + n_old, (n_new, n_rel, n_old)
             asked += n_rel + n_old
-        x2s, x1s = every_pair(len(inst.labels))
-        assert grid.read(x2s, x1s).tolist() == want.tolist()
+        n = len(inst.labels)
+        assert read_columns(grid, range(n)).ravel().tolist() == want.tolist()
         assert (grid.cells != OPEN).all()
 
     def graph_solve(pi, arrays, eta, start, ihat, make):
@@ -423,8 +459,8 @@ def test_grid_cells_equal_the_stacks(monkeypatch):
             seen.add("graph InputError" if got[0] == "InputError"
                      else "graph")
         if cells is not None:
-            x2s, x1s = every_pair(P)
-            assert grid.read(x2s, x1s).tolist() == cells[0].tolist()
+            assert read_columns(grid, range(P)).ravel().tolist() == \
+                cells[0].tolist()
     assert seen == {"label InputError", "untied", "facets",
                     "graph InputError", "graph"}, seen
     assert opened > 0 and asked > 0, (opened, asked)
@@ -465,7 +501,7 @@ def test_columns_read_in_any_order_equal_the_reference():
     vertices, beyond ``_TIE_SYSTEMS`` (:func:`untied_instance`), read in
     random orders and chunks, are the columns of ``relation_matrix`` and of
     the reference's matrix, and only the columns read are passed; each
-    exact cell is the cell of ``order_queries`` and of the reference. The
+    exact cell is the cell of ``_ask_column`` and of the reference. The
     graph grids of :func:`graph_cases` and of those read so give the
     reference's cells. Where the reference raises the screen's InputError,
     as a negative scale or a polytope of the wrong dimension makes it, the
@@ -483,21 +519,22 @@ def test_columns_read_in_any_order_equal_the_reference():
             continue
         rel = _outcome(order_reference.relation_matrix, inst, fam, arrays)
         if rel[0] == "InputError":
-            for grid in (False, True):
+            for build in (lambda: relation_matrix(inst, fam, arrays),
+                          lambda: order_grid(inst, arrays, True)):
                 with pytest.raises(InputError) as err:
-                    relation_matrix(inst, fam, arrays, grid=grid)
+                    build()
                 assert str(err.value) == rel[1]
             seen.add(rel[1])
             continue
         rel = np.array(rel)
         assert relation_matrix(inst, fam, arrays).tolist() == rel.tolist()
         n = len(inst.labels)
-        x2s, x1s = every_pair(n)
-        want = as_cells(order_reference.order_queries)(inst, arrays, x2s, x1s)
-        assert order_queries(inst, arrays, x2s, x1s).tolist() == \
+        want = by_columns(as_column(order_reference.order_queries), inst,
+                          arrays)
+        assert by_columns(instances._ask_column, inst, arrays).tolist() == \
             want.tolist()
         want = want.reshape(n, n)
-        grid = relation_matrix(inst, fam, arrays, grid=True)
+        grid = order_grid(inst, arrays, True)
         matrix, read = grid.matrix(), np.zeros(n, dtype=bool)
         assert_passed(grid, want, read)
         for cols in column_chunks(rng, n):
@@ -511,13 +548,12 @@ def test_columns_read_in_any_order_equal_the_reference():
     for pi, fm in graphs:
         arrays = graph_arrays(pi, fm)
         P = len(pi.graph)
-        rows = np.arange(P)
         want = as_cells(order_reference.order_queries)(
             pi, arrays, *every_pair(P)).reshape(P, P)
         grid, read = graph_grid(pi, fm), np.zeros(P, dtype=bool)
         for cols in column_chunks(rng, P):
-            x2s, x1s = np.tile(rows, len(cols)), np.repeat(cols, P)
-            assert grid.read(x2s, x1s).tolist() == want[x2s, x1s].tolist()
+            assert read_columns(grid, cols).tolist() == \
+                want[:, cols].tolist()
             read[cols] = True
             assert (grid.cells[:, ~read] == UNPASSED).all()
             assert grid.cells[:, read].tolist() == want[:, read].tolist()
@@ -604,8 +640,8 @@ def test_label_solves_equal_the_reference_solve(monkeypatch):
 
 def counted_pairs(monkeypatch):
     """Count the pairs that ``_facet_pass`` sees: those of whole columns
-    (a slice of rows) and those of ``order_queries`` stacks (index
-    arrays)."""
+    (a slice of rows) and those of column re-asks (rows as an index
+    array)."""
     seen = {"columns": 0, "stacks": 0}
     real = instances._facet_pass
 
@@ -782,3 +818,134 @@ def test_stacked_infima_are_the_per_label_ones(data):
     for got in (label_infima(inst, xi),
                 label_infima(inst, xi, (None, None, None, B, nb, None))):
         assert np.array(got).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The grid indexers, and the order traffic of the benchmark's inputs.
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def indexer_cases():
+    """The label instances of :func:`grid_cases` and of
+    :func:`untied_instance` with their arrays (those whose arrays raise
+    left out), then the graphs of :func:`graph_cases` with theirs; built
+    once."""
+    rng = np.random.default_rng(3800)
+    cases = []
+    for inst, fam in grid_cases(rng) + [untied_instance(rng, 3 + t % 3)
+                                        for t in range(3)]:
+        try:
+            cases.append((inst, order_arrays(inst, fam)))
+        except InputError:
+            continue
+    return cases + [(pi, graph_arrays(pi, fm)) for pi, fm in graph_cases(rng)]
+
+
+def draw_lines(data, n, forms):
+    """Rows or columns of an order matrix of n labels in one of ``forms``:
+    a slice (forward or backward, every line or every other), or an index
+    array that is sorted, unsorted, or has a line twice."""
+    form = data.draw(st.sampled_from(forms))
+    if form == "slice":
+        return slice(data.draw(st.integers(0, n - 1)), None,
+                     data.draw(st.sampled_from((1, 2, -1, -2))))
+    lines = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                               max_size=n, unique=True))
+    if form == "sorted":
+        lines.sort()
+    elif form == "repeated":
+        lines.insert(data.draw(st.integers(0, len(lines))),
+                     data.draw(st.sampled_from(lines)))
+    return np.array(lines, dtype=int)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_grid_indexers_equal_the_reference(data):
+    """The facet pass of a grid block and the column re-ask take rows as a
+    slice or as a sorted, unsorted or repeated index array, over columns
+    given as a slice or an index array, on label instances with and
+    without facets and on graphs (:func:`indexer_cases`), with
+    ``_BLOCK_QUERIES`` at 1 to 64 or at its default. Pair for pair, a
+    block's exact cells are the reference's, its covered pairs (asked as
+    ``relation_matrix`` asks them) are the reference's, and the re-ask of
+    each column gives the reference's cells, each with no more _phase1
+    calls; where the reference raises the screen's InputError, so does
+    each stack, and the block has decided no cell."""
+    cases = indexer_cases()
+    inst, arrays = cases[data.draw(st.integers(0, len(cases) - 1))]
+    n = len(arrays[3])
+    rows = draw_lines(data, n, ("slice", "sorted", "unsorted", "repeated"))
+    cols = draw_lines(data, n, ("slice", "sorted", "unsorted"))
+    budget = data.draw(st.one_of(st.none(), st.integers(1, 64)))
+    labels = np.arange(n)
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(instances, "_BLOCK_QUERIES", budget)
+            mp.setattr(order_reference, "_BLOCK_QUERIES", budget)
+        block = instances._grid_block(inst, arrays, rows, cols, False)
+        want = _outcome(as_cells(order_reference.order_queries), inst,
+                        arrays, *grid_pairs(n, rows, cols))
+        held = block != OPEN
+        if want[0] == "InputError":
+            assert not held.any()
+        else:
+            assert block[held].tolist() == np.array(want)[held].tolist()
+    assert_same(pytest.MonkeyPatch, budget, bare_order_query, bare_reference,
+                inst, arrays, rows, cols)
+    for j in labels[cols]:
+        assert_same(pytest.MonkeyPatch, budget, instances._ask_column,
+                    as_column(order_reference.order_queries), inst, arrays,
+                    labels[rows], j)
+
+
+def _bench_workloads():
+    """``bench/workloads.py``, which builds the benchmark's inputs and
+    operations, loaded from its file."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["evp-scaled", "extensional-lp",
+                                      "graph-minimal", "cli-batch"])
+def test_the_benchmark_inputs_reask_no_order_cell(monkeypatch, tmp_path,
+                                                  workload):
+    """On the inputs of each benchmark workload, built as the benchmark
+    builds them (the same variants, sizes and admission) at fixed seeds,
+    no operation re-asks an order cell (``instances._ask_column``) or runs
+    a phase-1 LP: the facet pass decides every cell the label solves (3.1,
+    4.1, 4.2, 4.4), the graph solves (5.1, 5.2, 5.6) and the CLI commands
+    read. A change that leaves such cells open fails here."""
+    workloads = _bench_workloads()
+    counts = {"reask": 0, "phase1": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(instances, "_ask_column",
+                        counted("reask", instances._ask_column))
+    monkeypatch.setattr(geometry, "_phase1",
+                        counted("phase1", geometry._phase1))
+    kinds = set()
+    for seed in (1, 99, 4242):
+        directory = tmp_path / str(seed)
+        directory.mkdir()
+        items = workloads.build(workload, seed, str(directory))
+        for op in workloads.operations(workload, items, str(directory)):
+            op.run()
+            assert counts == {"reask": 0, "phase1": 0}, (seed, op.kind,
+                                                         counts)
+            # a solve's theorem, or a CLI command
+            kinds.add(op.kind.partition("/")[0])
+    assert kinds >= {"evp-scaled": {"3.1", "4.1", "4.2", "4.4"},
+                     "extensional-lp": {"3.1"},
+                     "graph-minimal": {"5.1", "5.2", "5.6"},
+                     "cli-batch": {"solve-evp", "check-assumptions",
+                                   "solve-minimal-point"}}[workload], kinds
