@@ -30,18 +30,19 @@ MODES = ("faithful", "greedy")
 
 
 class _Columns(Mapping):
-    """The successor lists of an order matrix ``rel`` by label, each read
-    as its column ``rel[:, j]`` the first time it is asked for."""
+    """The successor lists by label, each read from ``column(j)``, the mask
+    over the labels of the section of labels[j], the first time it is
+    asked for."""
 
-    def __init__(self, labels, rel):
-        self._labels, self._rel = labels, rel
+    def __init__(self, labels, column):
+        self._labels, self._column = labels, column
         self._at = {x: j for j, x in enumerate(labels)}
         self._lists = {}
 
     def __getitem__(self, x):
         lists = self._lists
         if x not in lists:
-            rows = np.flatnonzero(self._rel[:, self._at[x]]).tolist()
+            rows = np.flatnonzero(self._column(self._at[x])).tolist()
             lists[x] = [self._labels[i] for i in rows]
         return lists[x]
 
@@ -60,9 +61,9 @@ class PreorderOracle:
     """Raw order data: per-label successor lists (lower sections) and the
     potential eta. Labels are hashables; list order fixes tie-breaking.
     ``successors`` maps every label to its list: a dict, or, from
-    :meth:`from_matrix`, a mapping that reads a label's list from its
-    column of the order matrix the first time the list is asked for, so
-    that the engine decides only the sections it walks."""
+    :meth:`from_columns`, a mapping that reads a label's list from its
+    column of the order the first time the list is asked for, so that the
+    engine decides only the sections it walks."""
 
     labels: tuple
     successors: Mapping
@@ -72,7 +73,7 @@ class PreorderOracle:
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
         known = set(labels)
-        # from_matrix reads every label's list from a column, whose rows
+        # from_columns reads every label's list from a column, whose rows
         # are labels
         given = not isinstance(self.successors, _Columns)
         for x in labels:
@@ -87,17 +88,15 @@ class PreorderOracle:
         object.__setattr__(self, "_order", order)
 
     @classmethod
-    def from_matrix(cls, labels, rel, eta):
-        """The oracle of the order matrix ``rel`` (``rel[i, j]``: labels[i]
-        precedes labels[j]) and the potentials ``eta`` in label order.
-        ``rel`` is read by whole columns: the section of labels[j] holds
-        the labels of the rows of ``rel[:, j]``, ascending, read the first
-        time it is asked for. ``rel`` is an array, or an
-        :class:`evpkit.instances.OrderColumns` that reads each column from
-        a solve's :class:`evpkit.instances.OrderGrid` when it is asked
-        for."""
+    def from_columns(cls, labels, column, eta):
+        """The oracle of the order read by columns and the potentials
+        ``eta`` in label order: ``column(j)`` is the bool mask over
+        ``labels`` of the labels that precede labels[j], as
+        :meth:`evpkit.instances.OrderGrid.precedes` reads it. The section
+        of labels[j] holds those labels, ascending, and its column is read
+        the first time the section is asked for."""
         labels = tuple(labels)
-        return cls(labels, _Columns(labels, rel), dict(zip(labels, eta)))
+        return cls(labels, _Columns(labels, column), dict(zip(labels, eta)))
 
     def section(self, x):
         return self.successors[x]

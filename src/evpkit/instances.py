@@ -526,7 +526,7 @@ def order_facets(S, V, nv, B, C, tol):
     """The facet conditions of every order query of a solve, built once
     from its arrays ``(S, V, nv)`` and its value stack ``B`` (``(labels,
     rows, m)``) and read by :func:`_facet_masks`; None when a scale is
-    negative (the screen raises where a stack meets it), the polytopes'
+    negative (:func:`_screen_faults` raises for it), the polytopes'
     dimension is not the cone's, a margin could overflow, or a shared
     polytope has no :func:`tie_conditions`.
 
@@ -568,7 +568,7 @@ def order_facets(S, V, nv, B, C, tol):
             by_index(fit | (S <= tol)), segment_band(size, k + m, tol))
 
 
-def _facet_pass(inst, arrays, x2, x1):
+def _facet_pass(inst, arrays, x2, x1, witness):
     """The order tests of the grid of rows ``x2`` over columns ``x1`` of the
     order matrix, on the (family index, value row of x1, row, column) grid,
     decided by the :func:`order_facets` of the solve where they can be.
@@ -578,10 +578,11 @@ def _facet_pass(inst, arrays, x2, x1):
     Returns ``(first, open)``. ``first`` holds, over the flat (row, column)
     pairs, the cell ``lam * R + row`` of each pair's first dead query, with
     R the rows of the value stack, -1 when it has none. ``open`` is None
-    when the facets leave no query undecided, else ``(pair, x2, x1,
-    cell)``, the flat position in ``first`` and the query of every cell
-    still to ask, in loop order: the real cells that are not covered, of
-    each pair before its first dead one.
+    when no query is left to ask, else ``(pair, x2, x1, cell)``, the flat
+    position in ``first`` and the query of every cell still to ask, in
+    loop order: the real cells that are not covered, of each pair before
+    its first dead one (without ``witness``, of each pair with none, as
+    only whether a pair is covered is wanted).
     """
     S, _, _, B, nb, facets = arrays
     L, R = S.shape[-1], B.shape[1]
@@ -602,7 +603,13 @@ def _facet_pass(inst, arrays, x2, x1):
     first = np.where(cut < L * R, cut, -1)
     if (covered | dead).all():
         return first, None
-    ask = ~covered & (cell < cut.reshape(shape))
+    cut = cut.reshape(shape)
+    ask = ~covered & (cell < cut)
+    if not witness:
+        # a pair with a dead query is not covered, whatever precedes it
+        ask &= cut == L * R
+    if not ask.any():
+        return first, None
     # the open cells pair by pair, each pair's in loop order
     p, c = np.nonzero(ask.reshape(L * R, -1).T)
     return first, (p, np.broadcast_to(i, shape).flat[p],
@@ -679,25 +686,27 @@ def _ask_open(inst, arrays, first, open_, witness):
     first[g] = cell[sub[g]]
 
 
-def _ask_column(inst, arrays, rows, j):
+def _ask_column(inst, arrays, rows, j, witness):
     """The cells of the pairs ``(rows[p], j)``, ``rows`` a nonempty index
     array, as one stack: the facet pass decides what it can, in blocks of
     rows whose (row, family index, value row) grid over the column holds
     at most ``_BLOCK_QUERIES`` cells, and the queries it leaves open are one
-    :func:`covered_queries` stack with a witness (:func:`_ask_open`), so
-    that every fault of the screen raises before any LP. Each pair's cell
+    :func:`covered_queries` stack (:func:`_ask_open`), so that every fault
+    of the screen raises before any LP. With ``witness``, each pair's cell
     is its first uncovered query ``lam * R + row``, -1 when x2 precedes
-    x1."""
+    x1; without, only the pairs with no dead query are asked, and every
+    pair that is not covered has some cell other than -1."""
     step, column = _lines_per_block(arrays, 1), np.array([j])
     first, open_ = [], []
     for at in range(0, len(rows), step):
-        block, asked = _facet_pass(inst, arrays, rows[at:at + step], column)
+        block, asked = _facet_pass(inst, arrays, rows[at:at + step], column,
+                                   witness)
         first.append(block)
         if asked is not None:
             open_.append((asked[0] + at, *asked[1:]))
     first = np.concatenate(first)
     if open_:
-        _ask_open(inst, arrays, first, open_, True)
+        _ask_open(inst, arrays, first, open_, witness)
     return first
 
 
@@ -708,51 +717,46 @@ def _ask_column(inst, arrays, rows, j):
 # their arrays stay small at any n
 _BLOCK_QUERIES = 1024
 
-# the cell of a pair whose first uncovered query is not known
+# the cell of a pair with no dead query and some open ones
 OPEN = -2
 
+# the cell of a pair that is not covered, whose first dead query has an
+# open one before it
+OUT = -3
+
 # the cells of a column that no facet pass has decided yet
-UNPASSED = -3
-
-
-@dataclass(frozen=True)
-class OrderColumns:
-    """An order matrix read by whole columns: ``rel[:, j]``, for a column
-    index ``j`` or an index array of them, is ``column(j)``. A solve reads
-    its order matrix so, from the :class:`OrderGrid` that decides each
-    column the first time it is read, where it would read a whole matrix:
-    in :func:`check_assumptions` and in
-    :meth:`evpkit.engine.PreorderOracle.from_matrix`."""
-
-    column: object
-
-    def __getitem__(self, key):
-        rows, j = key
-        if not (isinstance(rows, slice) and rows == slice(None)):
-            raise IndexError("an order matrix is read by whole columns")
-        return self.column(j)
+UNPASSED = -4
 
 
 @dataclass(frozen=True, eq=False)
 class OrderGrid:
-    """The order of a solve as one cell per (x2, x1) label pair: -1 when x2
-    precedes x1, else the first uncovered query ``lam * R + row``, or
-    ``OPEN`` where neither is known yet. ``inst`` and ``arrays`` are what
-    the cells are asked from (:func:`order_arrays`, or a product instance
-    and its :func:`evpkit.product.graph_arrays`); :func:`order_grid` builds
-    the grid.
+    """The order of a solve as one cell per (x2, x1) label pair, read by
+    columns, as the order's lower sections are. ``inst`` and ``arrays``
+    are what the cells are asked from (:func:`order_arrays`, or a product
+    instance and its :func:`evpkit.product.graph_arrays`);
+    :func:`order_grid` builds the grid.
 
-    The grid is read by columns, as the order's lower sections are. The
-    cells of a column x1 are ``UNPASSED`` until the column is first read.
-    It is then decided whole by :func:`_grid_block` with the rule ``ask``,
-    the columns that one read needs in blocks of :func:`_lines_per_block`
-    columns. A solve passes the columns of the start section, of the
-    sections the engine walks and of xhat, and no other."""
+    The cells of a column x1 are ``UNPASSED`` until the column is first
+    read. It is then passed whole by the facets (:func:`_grid_block`), the
+    columns that one read needs in blocks of :func:`_lines_per_block`
+    columns, and each cell is then one of:
+
+    * -1: x2 precedes x1;
+    * ``lam * R + row``: the first uncovered query of x2 over x1;
+    * ``OUT``: x2 does not precede x1, but an open query comes before the
+      first dead one;
+    * ``OPEN``: no query is dead, and some are open.
+
+    Each read asks the open cells it reads and no others, as one stack
+    over its column (:func:`_ask_column`), and writes the answers into the
+    grid: :meth:`precedes` asks ``OPEN`` cells without a witness,
+    :meth:`column` asks ``OPEN`` and ``OUT`` cells with one. A solve passes
+    the columns of the start section, of the sections the engine walks and
+    of xhat, and no other."""
 
     inst: object
     arrays: tuple
     cells: np.ndarray
-    ask: bool = False
 
     def pass_columns(self, x1s):
         """Decide the columns ``x1s`` (a column index or an index array)
@@ -769,67 +773,59 @@ class OrderGrid:
             cols = (slice(cols[0], cols[-1] + 1)
                     if cols[-1] - cols[0] == len(cols) - 1 else np.array(cols))
             self.cells[:, cols] = _grid_block(
-                self.inst, self.arrays, slice(None), cols,
-                self.ask).reshape(n, -1)
+                self.inst, self.arrays, slice(None), cols).reshape(n, -1)
+
+    def precedes(self, j, rows=None):
+        """Whether each row of ``rows`` (an index array, every row when
+        None) precedes column ``j``, the column passed first. Its ``OPEN``
+        cells among them are asked without a witness and written as -1 or
+        ``OUT``."""
+        self.pass_columns(j)
+        got = self.cells[:, j] if rows is None else self.cells[rows, j]
+        ask = (got == OPEN).nonzero()[0]
+        if ask.size:
+            at = ask if rows is None else rows[ask]
+            got[ask] = self.cells[at, j] = np.where(
+                _ask_column(self.inst, self.arrays, at, j, False) < 0,
+                -1, OUT)
+        return got == -1
 
     def column(self, j, rows=None):
         """The cells of the rows ``rows`` (an index array, every row when
-        None) of column ``j``, the column passed first. Its ``OPEN`` cells
-        among them are asked by :func:`_ask_column` as one stack with a
-        witness, and written into the grid, so that no cell is asked
-        twice."""
+        None) of column ``j``, the column passed first, each -1 or its
+        first uncovered query. Its ``OPEN`` and ``OUT`` cells among them
+        are asked with a witness and written into the grid."""
         self.pass_columns(j)
         if rows is None:
             rows = np.arange(len(self.cells))
         got = self.cells[rows, j]
-        ask = (got == OPEN).nonzero()[0]
+        # a passed cell below -1 is OPEN or OUT
+        ask = (got < -1).nonzero()[0]
         if ask.size:
             got[ask] = self.cells[rows[ask], j] = _ask_column(
-                self.inst, self.arrays, rows[ask], j)
+                self.inst, self.arrays, rows[ask], j, True)
         return got
 
-    def matrix(self):
-        """The order matrix of a grid built with ``ask``, read by whole
-        columns (:class:`OrderColumns`): there a passed cell other than -1
-        is a pair that is not covered, so that no cell is asked."""
-        def column(j):
-            self.pass_columns(j)
-            return self.cells[:, j] == -1
-        return OrderColumns(column)
 
-
-def order_grid(inst, arrays, ask):
+def order_grid(inst, arrays):
     """A new :class:`OrderGrid` over ``arrays`` (:func:`order_arrays`, or
-    :func:`evpkit.product.graph_arrays`), each column passed with the rule
-    ``ask`` when it is first read; building it runs no facet pass. A label
-    solve and :func:`check_assumptions` build theirs with ``ask``, a graph
-    solve without (:func:`evpkit.product.graph_grid`).
-
-    A pair's cell is exact when the facets cover all its queries, or when
-    its first dead query has no undecided one before it; the other pairs
-    are ``OPEN``. With ``ask``, the pairs without a dead query that the
-    facets leave undecided are also asked whether they are covered, their
-    open queries as one :func:`covered_queries` stack per block with no
-    witness: a covered pair is -1, any other stays ``OPEN``. Every pair of
-    a passed column is then decided (:meth:`OrderGrid.matrix`).
-
-    With ``ask``, :func:`_screen_faults` raises here, before any column is
-    read."""
-    if ask:
-        _screen_faults(inst, arrays)
+    :func:`evpkit.product.graph_arrays`), each column passed when it is
+    first read; building it runs no facet pass, and the InputError of
+    :func:`_screen_faults` comes first."""
+    _screen_faults(inst, arrays)
     S, B = arrays[0], arrays[3]
     n, LR = len(B), S.shape[-1] * B.shape[1]
     return OrderGrid(inst, arrays, np.full(
-        (n, n), UNPASSED, dtype=np.min_scalar_type(-LR)), ask)
+        (n, n), UNPASSED, dtype=np.min_scalar_type(-LR)))
 
 
 def _screen_faults(inst, arrays):
     """Raise the InputError of the screen for a negative scale, or else for
     polytopes whose dimension is not the cone's at a scale above ``tol``,
     in the order matrix's ``arrays``. Either leaves :func:`order_facets`
-    None, so that a pass with ``ask`` asks every query it meets and the
-    screen raises at the first such scale; checked over every pair at once,
-    the text does not hang on which pairs a pass meets first."""
+    None, so that every query is asked and the screen raises at the first
+    such scale it meets; checked over every pair at once, the text does
+    not hang on which pairs are read first."""
     S, V, facets = arrays[0], arrays[1], arrays[5]
     if facets is not None:
         return
@@ -848,21 +844,14 @@ def _lines_per_block(arrays, pairs):
     return max(1, _BLOCK_QUERIES // (pairs * S.shape[-1] * B.shape[1]))
 
 
-def _grid_block(inst, arrays, x2, x1, ask):
-    """The cells of one :func:`_facet_pass` block, by the rule of
-    :func:`order_grid`: whole columns of an :class:`OrderGrid`, or whole
-    rows of :func:`relation_matrix`."""
-    first, open_ = _facet_pass(inst, arrays, x2, x1)
+def _grid_block(inst, arrays, x2, x1):
+    """The cells of one :func:`_facet_pass` block of whole columns of an
+    :class:`OrderGrid`: a pair with open queries is ``OUT`` when it has a
+    dead query, else ``OPEN``."""
+    first, open_ = _facet_pass(inst, arrays, x2, x1, True)
     if open_ is not None:
         p = open_[0]
-        if ask:
-            # a pair with a dead query is not covered, whatever precedes it
-            keep = first[p] < 0
-            if keep.any():
-                _ask_open(inst, arrays, first,
-                          [tuple(a[keep] for a in open_)], False)
-            p = p[first[p] >= 0]
-        first[p] = OPEN
+        first[p] = np.where(first[p] < 0, OPEN, OUT)
     return first
 
 
@@ -872,11 +861,11 @@ def relation_matrix(inst: FiniteInstance, fam, arrays=None):
 
     Every pair is decided on the :func:`order_arrays` ``arrays`` (built
     here when not given) by the facet pass, in blocks of
-    :func:`_lines_per_block` whole rows, with the rule of
-    :func:`order_grid` with ``ask``: the screen and the LP for the pairs
-    with neither a dead query nor all queries covered; the InputError of
-    :func:`_screen_faults` comes first. A solve does not build it: it reads
-    the columns it needs from its own :func:`order_grid`.
+    :func:`_lines_per_block` whole rows, and the open queries of the pairs
+    with no dead query by the screen and the LP, without a witness; the
+    InputError of :func:`_screen_faults` comes first. A solve does not
+    build it: it reads the columns it needs from its own
+    :func:`order_grid`.
     """
     if arrays is None:
         arrays = order_arrays(inst, fam)
@@ -886,8 +875,10 @@ def relation_matrix(inst: FiniteInstance, fam, arrays=None):
     rel = np.empty((n, n), dtype=bool)
     for start in range(0, n, step):
         rows = slice(start, start + step)
-        rel[rows] = (_grid_block(inst, arrays, rows, slice(None), True)
-                     == -1).reshape(-1, n)
+        first, open_ = _facet_pass(inst, arrays, rows, slice(None), False)
+        if open_ is not None:
+            _ask_open(inst, arrays, first, [open_], False)
+        rel[rows] = (first == -1).reshape(-1, n)
     return rel
 
 
@@ -1431,33 +1422,30 @@ class AssumptionReport:
         }
 
 
-def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None,
-                      arrays=None, eta=None):
+def check_assumptions(inst: FiniteInstance, fam, xi, x0, grid=None,
+                      eta=None):
     """Evaluate every named hypothesis by enumeration.
 
-    Lower sections are read from the order matrix ``rel``, as
-    :func:`relation_matrix` builds it, or read by whole columns
-    (:class:`OrderColumns`) from the :meth:`OrderGrid.matrix` of a solve
-    (a new :func:`order_grid` with ``ask`` when not given): the column of
-    x0, then the columns of its section, and no other. The order matrix
-    and the separation minima read one build of the :func:`order_arrays`
-    ``arrays``, made here when not given. ``eta`` are the
-    :func:`label_infima`, computed here when not given. The strict
-    decrease witness is the first (section label x of finite ``eta``, label
-    x' before x) with ``eta(x) - eta(x')`` not above ``tol``. Infima of a
-    linear functional over polytopes are taken over vertices, for every pair
-    and family index at once (:func:`vertex_minima`); the separation
-    conditions are linear-functional-only and are reported as None for
-    nonlinear scalarizations.
+    Lower sections are read from the :class:`OrderGrid` ``grid`` of a
+    solve (a new :func:`order_grid` over the :func:`order_arrays` when not
+    given) with :meth:`OrderGrid.precedes`: the column of x0, then the
+    columns of its section, and no other. The separation minima read the
+    grid's arrays. ``eta`` are the :func:`label_infima`, computed here
+    when not given. The strict decrease witness is the first (section
+    label x of finite ``eta``, label x' before x) with ``eta(x) - eta(x')``
+    not above ``tol``. Infima of a linear functional over polytopes are
+    taken over vertices, for every pair and family index at once
+    (:func:`vertex_minima`); the separation conditions are
+    linear-functional-only and are reported as None for nonlinear
+    scalarizations.
     """
     tol = inst.tol
     labels, n = inst.labels, len(inst.labels)
-    if arrays is None:
-        arrays = order_arrays(inst, fam)
-    if rel is None:
-        rel = order_grid(inst, arrays, True).matrix()
+    if grid is None:
+        grid = order_grid(inst, order_arrays(inst, fam))
+    arrays = grid.arrays
 
-    section_at = np.flatnonzero(rel[:, inst.space.index(x0)])
+    section_at = np.flatnonzero(grid.precedes(inst.space.index(x0)))
     section = [labels[i] for i in section_at]
     if not section:
         return AssumptionReport(
@@ -1474,7 +1462,11 @@ def check_assumptions(inst: FiniteInstance, fam, xi, x0, rel=None,
 
     # x' before x and not x; a finite eta(x) makes no difference inf - inf
     at = section_at[np.isfinite(eta[section_at])]
-    fails = np.flatnonzero(rel[:, at].T & (np.arange(n) != at[:, None])
+    # one facet pass for the columns of the section
+    grid.pass_columns(at)
+    below = np.array([grid.precedes(j) for j in at], dtype=bool)
+    fails = np.flatnonzero(below.reshape(len(at), n)
+                           & (np.arange(n) != at[:, None])
                            & ~(eta[at, None] - eta > tol))
     strict = not fails.size
     strict_witness = None

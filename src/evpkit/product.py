@@ -20,9 +20,9 @@ from .errors import HypothesisError, InputError, PremiseError
 from .geometry import (DEFAULT_TOL, PolyhedralCone, Polytope, as_point,
                        first_outside, minkowski_member, polytope_contains,
                        singleton)
-from .instances import (MetricSpace, OrderColumns, PolytopeDirection,
-                        check_positive, order_facets, order_grid,
-                        triangle_failure, vertex_minima)
+from .instances import (MetricSpace, PolytopeDirection, check_positive,
+                        order_facets, order_grid, triangle_failure,
+                        vertex_minima)
 from .scalarize import GerstewitzFn
 from .solvers import Certificate, Conclusion, _jsonable
 
@@ -328,15 +328,6 @@ def graph_arrays(pi, fm):
             order_facets(S, V, nv, B, pi.cone, pi.tol))
 
 
-def graph_grid(pi, fm):
-    """The :class:`OrderGrid` of a graph solve over the pairs of graph pairs
-    of the :func:`graph_arrays`, whose columns are passed without asking
-    when they are first read. Each pair has one query, so a cell the facets
-    decide is exact, and the stacks of the solve ask only the ``OPEN``
-    cells they read, each once."""
-    return order_grid(pi, graph_arrays(pi, fm), False)
-
-
 def anchored_values(pi, xi):
     """``xi.value(y - y0)`` of every graph value ``y`` as one array, bit for
     bit: the stacked products ``w . d`` and ``A d`` round as the per-pair
@@ -352,18 +343,12 @@ def _graph_oracle(pi, grid, eta):
     """Engine oracle over graph pair indices under the strict order,
     :func:`prec_fstar` of pairs i and j, read by columns: ``eta`` is the
     :func:`anchored_values` array, and the section of pair j holds j and
-    the pairs i with a strict drop ``eta[j] - eta[i] > tol`` whose cell
-    (i, j) of the :func:`graph_grid` ``grid`` is covered. A column is read
-    the first time the engine asks for its section, its ``OPEN`` cells
-    among the pairs with a strict drop asked as one stack
-    (:meth:`evpkit.instances.OrderGrid.column`).
+    the pairs i with a strict drop ``eta[j] - eta[i] > tol`` that precede
+    it in the graph order's grid ``grid``. A column is read the first time
+    the engine asks for its section, and only its pairs with a strict drop
+    (:meth:`evpkit.instances.OrderGrid.precedes`).
     """
     n = len(pi.graph)
-    # prec_f looks at the scale of every other pair, strict drop or not
-    negative = grid.arrays[0][..., 0] < 0
-    np.fill_diagonal(negative, False)
-    if negative.any():
-        raise InputError("scale must be nonnegative")
 
     def column(j):
         drop = eta[j] - eta > pi.tol
@@ -371,11 +356,10 @@ def _graph_oracle(pi, grid, eta):
         rows = np.flatnonzero(drop)
         rel = np.zeros(n, dtype=bool)
         rel[j] = True
-        rel[rows] = grid.column(j, rows) < 0
+        rel[rows] = grid.precedes(j, rows)
         return rel
 
-    return eng.PreorderOracle.from_matrix(range(n), OrderColumns(column),
-                                          eta.tolist())
+    return eng.PreorderOracle.from_columns(range(n), column, eta.tolist())
 
 
 def _pair_index(pi, x, y):
@@ -385,22 +369,15 @@ def _pair_index(pi, x, y):
     return int(np.flatnonzero(at)[0])
 
 
-def _section_of_start(pi, grid, start):
-    """Mask of the graph pairs that precede the start pair, at position
-    ``start``: :func:`prec_f` of every pair against it, the column
-    ``start`` of the :func:`graph_grid` ``grid``, read whole."""
-    return grid.column(start) < 0
-
-
 def solve_minimal_point(pi: ProductInstance, fm: FMap, mode="greedy"):
     """Minimal pair of the graph under the strict order, certified against
     the plain order conclusions: start coverage and separation of every
     other base label."""
-    checks, grid = validate_fmap(pi, fm), graph_grid(pi, fm)
+    checks = validate_fmap(pi, fm)
+    grid = order_grid(pi, graph_arrays(pi, fm))
     start = _pair_index(pi, *pi.start)
-    ihat, trace, assumptions = _minimal_point(
-        pi, fm, mode, checks, grid, start,
-        _section_of_start(pi, grid, start))
+    ihat, trace, assumptions = _minimal_point(pi, fm, mode, checks, grid,
+                                              start, grid.precedes(start))
     xhat, yhat = pi.graph[ihat]
     conclusions = _graph_conclusions(pi, grid, ihat, start,
                                      exclude_label_only=True)
@@ -410,7 +387,7 @@ def solve_minimal_point(pi: ProductInstance, fm: FMap, mode="greedy"):
 
 def _minimal_point(pi, fm, mode, checks, grid, start, section):
     """The engine run of :func:`solve_minimal_point` after the pair-map
-    checks, given the :func:`graph_grid`, the start pair's position and
+    checks, given the graph order's grid, the start pair's position and
     the start section's mask: ``(ihat, trace, assumptions)``."""
     eta = anchored_values(pi, fm.xi)
     inf_val = float(eta[section].min())
@@ -427,19 +404,20 @@ def _minimal_point(pi, fm, mode, checks, grid, start, section):
 
 def _graph_conclusions(pi, grid, ihat, start, exclude_label_only):
     """Conclusions (a) and (b) for the terminal pair at position ``ihat``
-    from two column reads of the :func:`graph_grid` ``grid``: the cell
-    (ihat, start) of column ``start`` decides whether pair ihat covers the
-    start pair at that position, and the cells (p, ihat) of column ihat
-    whether each other pair p precedes pair ihat, a violation of (b). For
-    label-only exclusion the quantifier skips the whole xhat slice,
-    otherwise only the pair itself."""
+    from two column reads (:meth:`evpkit.instances.OrderGrid.precedes`) of
+    the graph order's grid ``grid``: the cell (ihat, start) of column
+    ``start`` decides whether pair ihat covers the start pair at that
+    position, and the cells (p, ihat) of column ihat whether each other
+    pair p precedes pair ihat, a violation of (b). For label-only
+    exclusion the quantifier skips the whole xhat slice, otherwise only
+    the pair itself."""
     xhat, yhat = pi.graph[ihat]
     others = np.array([p for p, (x, _) in enumerate(pi.graph)
                        if (x != xhat if exclude_label_only else p != ihat)],
                       dtype=int)
-    covers = grid.column(start, np.array([ihat]))[0] < 0
+    covers = grid.precedes(start, np.array([ihat]))[0]
     violations = [{"x": pi.graph[p][0], "y": pi.graph[p][1]}
-                  for p, q in zip(others, grid.column(ihat, others)) if q < 0]
+                  for p in others[grid.precedes(ihat, others)]]
     return [Conclusion("a", bool(covers),
                        {"start_value": pi.y0, "yhat": yhat}),
             Conclusion("b", not violations, {"violations": violations})]
@@ -450,9 +428,10 @@ def solve_strict_minimal(pi: ProductInstance, fm: FMap, mode="greedy"):
     label slice; the separation conclusion then excludes only the pair
     itself. Requires the strict domination property on every slice the start
     section touches, checked after the pair map."""
-    checks, grid = validate_fmap(pi, fm), graph_grid(pi, fm)
+    checks = validate_fmap(pi, fm)
+    grid = order_grid(pi, graph_arrays(pi, fm))
     start = _pair_index(pi, *pi.start)
-    section = _section_of_start(pi, grid, start)
+    section = grid.precedes(start)
     slice_report = {}
     for x in sorted({pi.graph[p][0] for p in np.flatnonzero(section)},
                     key=str):

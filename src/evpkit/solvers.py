@@ -137,13 +137,12 @@ def _solve_order(inst, fam, xi, x0, mode):
                               "the perturbation family fails the triangle "
                               "inclusion property", witness={"triple": witness})
     eta = label_infima(inst, xi, arrays)
-    grid = order_grid(inst, arrays, True)
-    rel = grid.matrix()
-    oracle = eng.PreorderOracle.from_matrix(inst.labels, rel, eta)
+    grid = order_grid(inst, arrays)
+    oracle = eng.PreorderOracle.from_columns(inst.labels, grid.precedes, eta)
     if not oracle.section(x0):
         raise HypothesisError("nonempty_start",
                               f"the lower section of {x0!r} is empty")
-    report = check_assumptions(inst, fam, xi, x0, rel, arrays, eta)
+    report = check_assumptions(inst, fam, xi, x0, grid, eta)
     if not report.solvable():
         raise HypothesisError(report.failed_name(),
                               "assumption gate failed",
@@ -154,11 +153,11 @@ def _solve_order(inst, fam, xi, x0, mode):
 
 def _order_conclusions(inst, fam, grid, xhat, x0):
     """Conclusions (a) and (b) from two column reads of the solve's
-    :class:`OrderGrid` ``grid``: the cell (xhat, x0) of column x0 decides
-    whether xhat precedes x0, as :func:`preceq` decides it, and the cells
-    (x, xhat) of column xhat whether each other label x precedes xhat.
-    Each read asks the cells the grid holds ``OPEN`` as one stack
-    (:meth:`OrderGrid.column`).
+    :class:`OrderGrid` ``grid``: :meth:`OrderGrid.precedes` of (xhat, x0)
+    in column x0 decides whether xhat precedes x0, as :func:`preceq`
+    decides it, and :meth:`OrderGrid.column` of the cells (x, xhat) of
+    column xhat whether each other label x precedes xhat, with its
+    witness. Each read asks the open cells it reads as one stack.
 
     (b) holds when some family member separates every x from xhat: the
     first uncovered (family set, value of xhat) query of x is its
@@ -167,7 +166,7 @@ def _order_conclusions(inst, fam, grid, xhat, x0):
     labels, lams = inst.labels, fam.lambdas()
     j = inst.space.index(xhat)
     others = np.array([x for x in range(len(labels)) if x != j], dtype=int)
-    covers = grid.column(inst.space.index(x0), np.array([j]))[0] < 0
+    covers = grid.precedes(inst.space.index(x0), np.array([j]))[0]
     R = grid.arrays[3].shape[1]
     failures = []
     witnesses = []

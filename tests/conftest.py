@@ -11,7 +11,7 @@ from evpkit.cli import _family_direction_vertices
 from evpkit.engine import PreorderOracle
 from evpkit.errors import PremiseError
 from evpkit.geometry import cone, singleton
-from evpkit.instances import label_infima, relation_matrix
+from evpkit.instances import OUT, OrderGrid, label_infima, relation_matrix
 from evpkit.io import generate, load_validate
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -133,12 +133,19 @@ def grow_epsilon(fn, start=0.25, cap=1e6):
 # PreorderOracle and independent of the iterative construction.
 # ---------------------------------------------------------------------------
 
+def matrix_grid(inst, arrays, rel):
+    """The order grid of a known order matrix ``rel`` over ``arrays``:
+    every cell passed, -1 where ``rel`` holds and ``OUT`` elsewhere, so
+    that a bool read (``OrderGrid.precedes``) asks no cell."""
+    return OrderGrid(inst, arrays, np.where(rel, -1, OUT))
+
+
 def build_preorder(inst, fam, xi):
     """Engine oracle plus the boolean order matrix (rel[i, j]: label i
     precedes label j) for an instance, family, and scalarization."""
     rel = relation_matrix(inst, fam)
-    return PreorderOracle.from_matrix(inst.labels, rel,
-                                      label_infima(inst, xi)), rel
+    return PreorderOracle.from_columns(inst.labels, lambda j: rel[:, j],
+                                       label_infima(inst, xi)), rel
 
 
 def _terminal(oracle, x):

@@ -3,7 +3,7 @@
 ``relation_matrix``, ``ti_check``, the triangle sweep of
 ``validate_fmap`` and the graph order of ``_graph_oracle`` screen whole
 stacks of membership queries at once, and so do the start section
-(``_section_of_start``), the certificate conclusions of each solve
+(``start_section``), the certificate conclusions of each solve
 (``_order_conclusions``, ``_graph_conclusions``), the premises and the
 separation checks of the hypothesis gate. The loops below ask the same questions one
 ``minkowski_member`` call (or one vertex minimum) at a time, in the same
@@ -39,9 +39,9 @@ from evpkit.instances import (OPEN, ExtensionalFamily, FiniteInstance,
                               settled_triples, ti_check, tie_conditions,
                               triangle_failure, vertex_bounds, vertex_minima)
 from evpkit.product import (FMap, ProductInstance, _graph_conclusions,
-                            _graph_oracle, _pair_index, _section_of_start,
+                            _graph_oracle, _pair_index,
                             anchored_values, domination_check,
-                            fmap_from_rate, graph_arrays, graph_grid,
+                            fmap_from_rate, graph_arrays,
                             pareto_min,
                             prec_f,
                             prec_fstar, solve_minimal_point, solve_pareto_evp,
@@ -100,7 +100,7 @@ def open_grid(inst, arrays):
 
 def on_open_grid(stack, at):
     """The order stack ``stack`` (``_order_conclusions``,
-    ``graph_oracle_matrix``, ``_section_of_start`` or
+    ``graph_oracle_matrix``, ``start_section`` or
     ``_graph_conclusions``) given the arrays in the place of its grid,
     argument ``at``, and run on a fresh ``open_grid`` over them: it asks
     every pair it reads, each column read as one ``instances._ask_column``
@@ -127,11 +127,13 @@ def as_cells(reference):
 def as_column(reference):
     """An order stack ``reference`` over pair lists (as for ``as_cells``)
     in the place of the column re-ask ``instances._ask_column``: the pairs
-    ``(rows[p], j)`` as one stack, their cells returned."""
+    ``(rows[p], j)`` as one stack, with a witness or without, their cells
+    returned."""
     cells = as_cells(reference)
 
-    def column(inst, arrays, rows, j):
-        return cells(inst, arrays, rows, np.full(len(rows), j))
+    def column(inst, arrays, rows, j, witness):
+        return cells(inst, arrays, rows, np.full(len(rows), j),
+                     witness=witness)
     return column
 
 
@@ -381,6 +383,18 @@ def graph_oracle_matrix(pi, grid, eta):
     return oracle_matrix(_graph_oracle(pi, grid, eta))
 
 
+def graph_grid(pi, fm):
+    """The order grid a graph solve builds over the pairs of its graph."""
+    return order_grid(pi, graph_arrays(pi, fm))
+
+
+def start_section(pi, grid, start):
+    """The mask of the graph pairs that precede the pair at position
+    ``start``, as a graph solve reads its start section: the column
+    ``start`` of ``grid``, read whole with ``OrderGrid.precedes``."""
+    return grid.precedes(start)
+
+
 def graph_order(pi, fm):
     """``_graph_oracle`` on the grid a graph solve hands it, and its order
     matrix, every column read from that grid."""
@@ -389,8 +403,7 @@ def graph_order(pi, fm):
 
 
 def section_of_start(pi, fm):
-    return _section_of_start(pi, graph_grid(pi, fm),
-                             _pair_index(pi, *pi.start))
+    return start_section(pi, graph_grid(pi, fm), _pair_index(pi, *pi.start))
 
 
 def graph_conclusions(pi, fm, xhat, yhat, exclude_label_only):
@@ -411,7 +424,7 @@ def order_conclusions(inst, fam, xhat, x0, grid=None):
     """``_order_conclusions`` on the grid a label solve hands it (built
     here when not given), as dicts."""
     if grid is None:
-        grid = order_grid(inst, order_arrays(inst, fam), True)
+        grid = order_grid(inst, order_arrays(inst, fam))
     return [c.to_dict() for c in _order_conclusions(inst, fam, grid, xhat,
                                                     x0)]
 
@@ -1457,7 +1470,7 @@ def test_sweeps_never_run_more_lps_than_loops(monkeypatch):
             totals["batched"] += nb
             totals["loop"] += nl
         # the conclusions read a label solve's grid of the order
-        grid = order_grid(inst, order_arrays(inst, fam), True)
+        grid = order_grid(inst, order_arrays(inst, fam))
         for xhat in inst.labels[:3]:
             x0 = inst.labels[-1]
             nb, got = _lp_calls(monkeypatch, order_conclusions, inst, fam,
@@ -2198,7 +2211,7 @@ def test_three_vertex_shared_stacks_need_no_screen(monkeypatch):
         arrays = order_arrays(inst, fam)
         with monkeypatch.context() as mp:
             mp.setattr(instances, "covered_queries", None)
-            grid = order_grid(inst, arrays, True)
+            grid = order_grid(inst, arrays)
             for xhat, x0 in itertools.product(inst.labels, repeat=2):
                 _order_conclusions(inst, fam, grid, xhat, x0)
                 _order_conclusions(inst, fam, open_grid(inst, arrays), xhat,
@@ -2331,7 +2344,7 @@ def test_shared_order_stacks_match_highs(monkeypatch, count):
         assert np.array_equal(order[drop], cover[drop].astype(bool))
         decided["graph"] += int(strict.sum()) - sum(sent)
         for start in range(len(graph)):
-            section = _section_of_start(pi, grid, start)
+            section = start_section(pi, grid, start)
             known = cover[:, start] != None  # noqa: E711, elementwise
             assert np.array_equal(section[known],
                                   cover[known, start].astype(bool))
@@ -2394,7 +2407,7 @@ def order_stack_cases(rng):
 
 def test_order_stacks_match_the_screen(monkeypatch):
     """``_order_conclusions`` of every (xhat, x0), and ``_graph_oracle``
-    (its every column read), ``_section_of_start`` and
+    (its every column read), ``start_section`` and
     ``_graph_conclusions`` of every start and terminal pair, on grids with
     every cell open (so that each asks every pair it reads), give the
     witnesses and matrices of their screen-only versions, whose order
@@ -2437,7 +2450,7 @@ def test_order_stacks_match_the_screen(monkeypatch):
         assert_same(graph_oracle_matrix, pi, arrays,
                     anchored_values(pi, fm.xi))
         for start in range(len(pi.graph)):
-            assert_same(_section_of_start, pi, arrays, start)
+            assert_same(start_section, pi, arrays, start)
             for ihat in range(0, len(pi.graph), 2):
                 assert_same(_graph_conclusions, pi, arrays, ihat, start,
                             start % 2 == 0)
@@ -2456,7 +2469,7 @@ def test_conclusion_order_matches_preceq(m):
         inst, fam, _ = random_instance(rng, n=4, m=m, kind=kind,
                                        metric=trial % 3 != 2,
                                        ragged=trial % 2 == 0)
-        grid = order_grid(inst, order_arrays(inst, fam), True)
+        grid = order_grid(inst, order_arrays(inst, fam))
         for xhat in inst.labels:
             for x0 in inst.labels:
                 got = _order_conclusions(inst, fam, grid, xhat, x0)[0]
@@ -2509,17 +2522,21 @@ def test_label_order_solves_ask_no_single_membership(monkeypatch, name):
 
 def bare_order_query(inst, arrays, rows, cols):
     """Whether each pair of the rows ``rows`` over the columns ``cols`` is
-    covered, asked as ``relation_matrix`` asks it: one block of its grid,
-    the facet pass and the open queries of the pairs without a dead one,
-    with no witness."""
-    return instances._grid_block(inst, arrays, rows, cols, True) == -1
+    covered, asked as ``relation_matrix`` asks a block of its rows: the
+    facet pass, then the open queries of the pairs without a dead one as
+    one stack, with no witness."""
+    first, open_ = instances._facet_pass(inst, arrays, rows, cols, False)
+    if open_ is not None:
+        instances._ask_open(inst, arrays, first, [open_], False)
+    return first == -1
 
 
 def test_order_conclusions_run_the_lps_of_their_parts(monkeypatch):
     """The column reads of (a) and (b), from a grid with every cell open,
     run the phase-1 LPs of a re-ask of (a)'s column alone plus those of a
-    re-ask of (b)'s alone, on every ordered label pair. (a) is asked with a
-    witness; that adds LPs only where (a) fails."""
+    re-ask of (b)'s alone, on every ordered label pair. (a) is a bool read,
+    asked without a witness as ``relation_matrix`` asks it; (b) is asked
+    with one."""
     rng = np.random.default_rng(5000)
     lps = {True: 0, False: 0}
     for trial in range(10):
@@ -2532,17 +2549,17 @@ def test_order_conclusions_run_the_lps_of_their_parts(monkeypatch):
             j = index(xhat)
             others = np.delete(np.arange(len(inst.labels)), j)
             nb, _ = _lp_calls(monkeypatch, instances._ask_column, inst,
-                              arrays, others, j)
+                              arrays, others, j, True)
             for x0 in inst.labels:
                 rows, col = np.array([j]), index(x0)
                 n, (a, _) = _lp_calls(monkeypatch, _order_conclusions, inst,
                                       fam, open_grid(inst, arrays), xhat, x0)
                 na, _ = _lp_calls(monkeypatch, instances._ask_column, inst,
-                                  arrays, rows, col)
+                                  arrays, rows, col, False)
                 bare, _ = _lp_calls(monkeypatch, bare_order_query, inst,
                                     arrays, rows, np.array([col]))
                 assert n == na + nb, (trial, xhat, x0, n, na, nb)
-                assert na == bare or not a.holds, (trial, xhat, x0)
+                assert na == bare, (trial, xhat, x0)
                 lps[a.holds] += n
     assert all(lps.values()), lps
 
@@ -2577,17 +2594,19 @@ def test_graph_solves_ask_no_single_membership(monkeypatch, name):
 
 
 def _stacks_inside(monkeypatch, owner, name, fn, *args):
-    """The column reads (``OrderGrid.column``) and the column re-asks
+    """The column reads, both the bool reads (``OrderGrid.precedes``) and
+    the witness reads (``OrderGrid.column``), and the column re-asks
     (``instances._ask_column``) made inside each ``owner.name`` call of
     ``fn(*args)``, as ``(reads, re-asks)``, and its result."""
     stacks = []
     original = getattr(owner, name)
 
     def counted(*a, **kw):
-        reads, (asks, result) = _calls(
-            monkeypatch, OrderGrid, "column", _calls, monkeypatch, instances,
+        bools, (witnesses, (asks, result)) = _calls(
+            monkeypatch, OrderGrid, "precedes", _calls, monkeypatch,
+            OrderGrid, "column", _calls, monkeypatch, instances,
             "_ask_column", lambda: original(*a, **kw))
-        stacks.append((reads, asks))
+        stacks.append((bools + witnesses, asks))
         return result
 
     monkeypatch.setattr(owner, name, counted)
@@ -2844,13 +2863,13 @@ def test_strict_graph_solves_ask_three_stacks_and_no_gz_value(monkeypatch):
     """5.1, 5.2 and 5.6 make one facet pass over the graph order, and read
     it by columns for the start section, the graph order and their own
     conclusions only (the 5.1 conclusions are not built by 5.2), each
-    column read with at most one re-ask for the cells it leaves open, and
-    at most three in all; 5.6 reads the cone scalarization from one
-    stacked product, with no per-pair gz_value."""
+    column read (``OrderGrid.precedes``) with at most one re-ask for the
+    cells it leaves open, and at most three in all; 5.6 reads the cone
+    scalarization from one stacked product, with no per-pair gz_value."""
     def solve_counts(solve, *args):
         grids, (reads, (stacks, cert)) = _calls(
             monkeypatch, product, "order_grid", _calls, monkeypatch,
-            OrderGrid, "column", _calls, monkeypatch, instances,
+            OrderGrid, "precedes", _calls, monkeypatch, instances,
             "_ask_column", solve, *args)
         assert grids == 1 and stacks <= min(3, reads) and cert.all_hold(), (
             grids, reads, stacks)

@@ -132,7 +132,7 @@ class TestFromMatrix:
     @staticmethod
     def loop_successors(labels, rel):
         """The successor lists as the solvers built them before
-        ``from_matrix``: column j's rows in label order."""
+        ``from_columns``: column j's rows in label order."""
         import numpy as np
         return {x1: [labels[i] for i in np.nonzero(rel[:, j])[0]]
                 for j, x1 in enumerate(labels)}
@@ -151,7 +151,8 @@ class TestFromMatrix:
             for labels in (tuple(f"x{i}" for i in range(n)), tuple(range(n))):
                 eta = rng.normal(size=n).tolist()
                 for rel in mats:
-                    o = PreorderOracle.from_matrix(labels, rel, eta)
+                    o = PreorderOracle.from_columns(
+                        labels, lambda j, rel=rel: rel[:, j], eta)
                     assert o.labels == labels
                     assert o.successors == self.loop_successors(labels, rel)
                     assert o.eta == dict(zip(labels, eta))
@@ -162,10 +163,34 @@ class TestFromMatrix:
     def test_accepts_a_label_range(self):
         import numpy as np
         rel = np.array([[True, True], [False, True]])
-        o = PreorderOracle.from_matrix(range(2), rel, [0.0, 1.0])
+        o = PreorderOracle.from_columns(range(2), lambda j: rel[:, j],
+                                        [0.0, 1.0])
         assert o.labels == (0, 1)
         assert o.successors == {0: [0], 1: [0, 1]}
         assert solve(o, 1)[0] == 0
+
+    def test_reads_only_the_columns_of_the_sections_it_walks(self):
+        """A solve reads the column of each label whose section it walks,
+        once each, and no other: on a chain 0 > 1 > ... > n - 1 with labels
+        beyond n - 1 that no walk reaches, from every start."""
+        import numpy as np
+        n, extra = 6, 3
+        rel = np.triu(np.ones((n + extra, n + extra), dtype=bool)).T
+        rel[n:, :n] = rel[:n, n:] = False
+        eta = [float(-i) for i in range(n)] + [0.0] * extra
+        for start in range(n):
+            for mode in ("faithful", "greedy"):
+                read = []
+
+                def column(j):
+                    read.append(j)
+                    return rel[:, j]
+
+                o = PreorderOracle.from_columns(range(n + extra), column, eta)
+                xhat, trace = solve(o, start, mode)
+                walked = [s.label for s in trace.steps]
+                assert xhat == n - 1
+                assert read == sorted(set(walked)), (start, mode, read)
 
 
 class TestTraceProperties:

@@ -21,7 +21,7 @@ from evpkit.instances import (ExtensionalFamily, FiniteInstance, MetricSpace,
                               relation_matrix, slm_probe, ti_check)
 from evpkit.scalarize import GerstewitzFn
 
-from conftest import VARIANT_CYCLE, generated_bundle
+from conftest import VARIANT_CYCLE, generated_bundle, matrix_grid
 
 D1 = cone([[1.0]], generators=[[1.0]])
 
@@ -326,7 +326,8 @@ def test_strict_decrease_matches_the_label_loop():
         for x0 in inst.labels:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                rep = check_assumptions(inst, fam, xi, x0, rel, arrays, eta)
+                rep = check_assumptions(inst, fam, xi, x0,
+                                        matrix_grid(inst, arrays, rel), eta)
             section, inf_value, strict, witness = loop_strict_decrease(
                 inst, rel, eta, x0)
             got = rep.section, rep.inf_value, rep.strict_decrease
@@ -354,10 +355,11 @@ def test_strict_decrease_skips_an_infinite_label_only():
                           D1)
     fam = SingletonDirection([1.0], 1.0)
     xi = LinearFunctional([1.0])
-    rel = np.array([[True, False], [True, True]])
-    rep = check_assumptions(inst, fam, xi, "a", rel, eta=[1.0, math.inf])
+    grid = matrix_grid(inst, order_arrays(inst, fam),
+                       np.array([[True, False], [True, True]]))
+    rep = check_assumptions(inst, fam, xi, "a", grid, eta=[1.0, math.inf])
     assert rep.strict_decrease_witness == ("a", "b", 1.0, math.inf)
-    rep = check_assumptions(inst, fam, xi, "a", rel, eta=[math.inf, 1.0])
+    rep = check_assumptions(inst, fam, xi, "a", grid, eta=[math.inf, 1.0])
     assert rep.strict_decrease and rep.strict_decrease_witness is None
 
 

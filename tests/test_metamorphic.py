@@ -85,7 +85,7 @@ def _conclusions(bundle):
     solve, by label names: (a), and (b) with its violations as a set and
     its separations keyed by x."""
     inst, fam = bundle.instance, bundle.family
-    grid = order_grid(inst, order_arrays(inst, fam), True)
+    grid = order_grid(inst, order_arrays(inst, fam))
     out = {}
     for xhat, x0 in itertools.product(inst.labels, repeat=2):
         a, b = solvers._order_conclusions(inst, fam, grid, xhat, x0)

@@ -9,7 +9,9 @@ graph conclusions) must give the reference's matrices, first uncovered
 queries (its ``(first, lam, row)`` read as cells) and InputError texts, and
 must never run more phase-1 LPs: asked whole, on a grid with every cell
 open, and read from the one grid of a solve, which passes each column the
-first time it is read; a solve passes only the columns it reads.
+first time it is read; a solve passes only the columns it reads, and each
+read asks only the open cells it reads: ``precedes`` the ``OPEN`` ones
+without a witness, ``column`` the ``OPEN`` and ``OUT`` ones with one.
 """
 
 import functools
@@ -28,27 +30,30 @@ from evpkit.engine import PreorderOracle, solve
 from evpkit.errors import HypothesisError, InputError
 from evpkit.geometry import (DEFAULT_TOL, LinearFunctional, Polytope,
                              stack_rows, strictly_positive_functional)
-from evpkit.instances import (OPEN, UNPASSED, ExtensionalFamily,
-                              FiniteInstance, MetricSpace, PolytopeDirection,
-                              QuasiMetric, QuasiMetricDirection, SetValuedMap,
+from evpkit.instances import (OPEN, OUT, UNPASSED, ExtensionalFamily,
+                              FiniteInstance, MetricSpace,
+                              PolytopeDirection, QuasiMetric,
+                              QuasiMetricDirection, SetValuedMap,
                               check_assumptions, label_infima, order_arrays,
                               order_grid, relation_matrix, scalar_inf,
                               ti_check)
 from evpkit.product import (FMap, ProductInstance, _graph_conclusions,
-                            _section_of_start, anchored_values, fmap_from_rate,
-                            graph_arrays, graph_grid, solve_minimal_point,
-                            solve_strict_minimal)
+                            anchored_values, fmap_from_rate, graph_arrays,
+                            solve_minimal_point, solve_strict_minimal,
+                            validate_fmap)
 from evpkit.solvers import _order_conclusions, _solve_order, solve_evp_general
 
 import order_reference
-from conftest import direction_polytope, generated_bundle, random_cone
+from conftest import (direction_polytope, generated_bundle, matrix_grid,
+                      random_cone)
 from test_batched_sweeps import (KINDS, _all_of, _cone, _distances,
                                  _polytope, as_cells, as_column,
                                  band_direction,
                                  band_family, bare_order_query,
-                                 graph_oracle_matrix, highs_covers,
-                                 notch_direction, on_open_grid, open_grid,
-                                 random_instance, random_product)
+                                 graph_grid, graph_oracle_matrix,
+                                 highs_covers, notch_direction, on_open_grid,
+                                 open_grid, random_instance, random_product,
+                                 start_section)
 
 
 def _outcome(fn, *args):
@@ -194,20 +199,39 @@ def row_lists(rng, n):
     yield np.arange(n), int(rng.integers(n))
 
 
+def grid_matrix(inst, fam):
+    """The order matrix read from a new grid of the solve, every column
+    read whole with ``OrderGrid.precedes``."""
+    grid = order_grid(inst, order_arrays(inst, fam))
+    n = len(inst.labels)
+    return np.array([grid.precedes(j) for j in range(n)],
+                    dtype=bool).reshape(n, n).T
+
+
+def bool_column(inst, arrays, rows, cols):
+    """Whether each row of ``rows`` precedes the one column of ``cols``, as
+    ``OrderGrid.precedes`` asks it: the column re-ask without a witness."""
+    return instances._ask_column(inst, arrays, rows, cols[0], False) == -1
+
+
 def test_grid_pass_equals_the_flat_pass(monkeypatch):
     """On :func:`grid_cases`, with ``_BLOCK_QUERIES`` at 1 to 64 (so that
     the grid runs in several blocks) or at its default: the order matrix,
-    the column re-ask ``_ask_column`` on random rows of a column, with a
-    witness and (as the order matrix asks them) without, and the
-    conclusions of (xhat, x0) pairs on a grid with every cell open equal
-    the reference's, outcome for outcome, with no more _phase1 calls. Some
-    matrices stand and some raise the screen's InputError."""
+    built whole and read from a solve's grid with ``precedes`` over every
+    column, the column re-ask ``_ask_column`` on random rows of a column,
+    with a witness and (as the order matrix and ``precedes`` ask them)
+    without, and the conclusions of (xhat, x0) pairs on a grid with every
+    cell open equal the reference's, outcome for outcome, with no more
+    _phase1 calls. Some matrices stand and some raise the screen's
+    InputError."""
     rng = np.random.default_rng(3200)
     seen = set()
     for inst, fam in grid_cases(rng):
         budget = int(rng.integers(1, 65)) if rng.random() < 0.75 else None
         got = assert_same(monkeypatch, budget, relation_matrix,
                           order_reference.relation_matrix, inst, fam)
+        assert_same(monkeypatch, budget, grid_matrix,
+                    order_reference.relation_matrix, inst, fam)
         seen.add(got[0] if got[0] == "InputError" else "matrix")
         try:
             arrays = order_arrays(inst, fam)
@@ -216,9 +240,10 @@ def test_grid_pass_equals_the_flat_pass(monkeypatch):
         for rows, j in row_lists(rng, len(inst.labels)):
             assert_same(monkeypatch, budget, instances._ask_column,
                         as_column(order_reference.order_queries), inst,
-                        arrays, rows, j)
-            assert_same(monkeypatch, budget, bare_order_query,
-                        bare_reference, inst, arrays, rows, np.array([j]))
+                        arrays, rows, j, True)
+            for bare in (bare_order_query, bool_column):
+                assert_same(monkeypatch, budget, bare, bare_reference, inst,
+                            arrays, rows, np.array([j]))
         for xhat, x0 in itertools.islice(
                 itertools.product(inst.labels, repeat=2), 0, None, 3):
             assert_same(monkeypatch, budget,
@@ -266,7 +291,7 @@ def test_graph_stacks_equal_the_flat_pass(monkeypatch):
                     None, pi, arrays, anchored_values(pi, fm.xi))
         for start in range(len(pi.graph)):
             assert_same(monkeypatch, budget,
-                        on_open_grid(_section_of_start, 1), None, pi, arrays,
+                        on_open_grid(start_section, 1), None, pi, arrays,
                         start)
             for ihat in range(start % 2, len(pi.graph), 3):
                 assert_same(monkeypatch, budget,
@@ -295,32 +320,38 @@ def by_columns(ask, inst, arrays):
     """The cells of every pair, flat in (x2, x1) order, each column asked
     whole through the column re-ask ``ask``."""
     n = len(arrays[3])
-    return np.stack([ask(inst, arrays, np.arange(n), j) for j in range(n)],
-                    axis=1).ravel()
+    return np.stack([ask(inst, arrays, np.arange(n), j, True)
+                     for j in range(n)], axis=1).ravel()
 
 
 def read_columns(grid, cols):
     """The cells of every row of the columns ``cols``, read one column at a
-    time, over (x2, column)."""
+    time with ``OrderGrid.column``, over (x2, column)."""
     return np.stack([grid.column(j) for j in cols], axis=1)
 
 
+def read_bools(grid, cols):
+    """Whether each row precedes each column of ``cols``, read one column
+    at a time with ``OrderGrid.precedes``, over (x2, column)."""
+    return np.stack([grid.precedes(j) for j in cols], axis=1)
+
+
 def assert_held_cells(grid):
-    """Each cell a grid holds other than ``OPEN`` is the cell that the
-    column re-ask ``_ask_column`` and the reference give its pair. Returns
-    those cells of every pair and the mask of the held ones; None where
-    both raise the screen's InputError, as a negative scale makes them,
-    and the facets have then decided no cell."""
+    """Each cell a grid holds exact (not ``OPEN`` or ``OUT``) is the cell
+    that the column re-ask ``_ask_column`` and the reference give its
+    pair, and each ``OUT`` cell is a pair that is not covered. Returns
+    the cells of every pair and the mask of the exact ones; None where
+    both raise the screen's InputError."""
     inst, arrays = grid.inst, grid.arrays
     want, ref = (_outcome(by_columns, ask, inst, arrays) for ask in (
         instances._ask_column, as_column(order_reference.order_queries)))
     assert want == ref, (want, ref)
-    held = grid.cells.ravel() != OPEN
     if want[0] == "InputError":
-        assert not held.any()
         return None
-    want = np.array(want)
-    assert grid.cells.ravel()[held].tolist() == want[held].tolist()
+    cells, want = grid.cells.ravel(), np.array(want)
+    held = (cells != OPEN) & (cells != OUT)
+    assert cells[held].tolist() == want[held].tolist()
+    assert (want[cells == OUT] >= 0).all()
     return want, held
 
 
@@ -366,6 +397,13 @@ def pass_in_chunks(grid, rng):
         grid.pass_columns(cols)
 
 
+def bools_in_chunks(grid, rng):
+    """Pass every column of ``grid`` by :func:`column_chunks`, then read
+    every column whole with ``OrderGrid.precedes``: the order matrix."""
+    pass_in_chunks(grid, rng)
+    return read_bools(grid, range(len(grid.cells)))
+
+
 def test_grid_cells_equal_the_stacks(monkeypatch):
     """The cells of a solve's grid against ``_ask_column`` and the
     reference, on :func:`grid_cases` (every family kind, ragged value sets,
@@ -373,17 +411,19 @@ def test_grid_cells_equal_the_stacks(monkeypatch):
     negative scale) and on shared polytopes with no facets
     (:func:`untied_instance`), and on the graphs of :func:`graph_cases` and
     of those, every column passed in a random order (:func:`pass_in_chunks`).
-    Each exact cell of the grid is the cell of its pair; an ``OPEN`` cell
-    of the order matrix's grid is a pair that is not covered; reading
-    every pair gives every cell. The order matrix's grid raises the
-    reference's InputError when it is built, and passing its columns runs
-    no more _phase1 calls than the reference's matrix. A label solve (the
-    conclusions of one (xhat, x0) on a new grid, which passes the columns
-    they read) and a graph solve (the start section, the oracle with every
-    column read and the conclusions of one (ihat, start), on one new grid)
-    give the witnesses, matrices and InputError texts of the same stacks
-    each asked whole through the reference, the label solve's after the
-    reference's matrix, with no more _phase1 calls."""
+    Each exact cell of the grid is the cell of its pair, and each ``OUT``
+    cell a pair that is not covered, after the pass and after the bool
+    reads; the bool reads of every column give the reference's matrix,
+    leave no ``OPEN`` cell and run, with the pass, no more _phase1 calls
+    than the reference's matrix; reading every pair with a witness gives
+    every cell. A grid raises the reference's InputError when it is built.
+    A label solve (the conclusions of one (xhat, x0) on a new grid, which
+    passes the columns they read) and a graph solve (the start section,
+    the oracle with every column read and the conclusions of one (ihat,
+    start), on one new grid) give the witnesses, matrices and InputError
+    texts of the same stacks each asked whole through the reference, the
+    label solve's after the reference's matrix, with no more _phase1
+    calls."""
     rng = np.random.default_rng(3400)
     labels = grid_cases(rng) + [untied_instance(rng, 3 + t % 3)
                                 for t in range(3)]
@@ -396,23 +436,25 @@ def test_grid_cells_equal_the_stacks(monkeypatch):
         n_grid, got = _lps(monkeypatch, relation_matrix, inst, fam, arrays)
         n_rel, rel = _lps(monkeypatch, order_reference.relation_matrix, inst,
                           fam, arrays)
-        _, grid = _lps(monkeypatch, order_grid, inst, arrays, True)
+        _, grid = _lps(monkeypatch, order_grid, inst, arrays)
         if isinstance(rel, tuple):
             assert got == rel == grid, (got, rel, grid)
             seen.add("label InputError")
             continue
         assert got.tolist() == rel.tolist()
         assert (grid.cells == UNPASSED).all()
-        n_pass, _ = _lps(monkeypatch, pass_in_chunks, grid, rng)
-        assert n_pass <= n_rel, (n_pass, n_rel)
-        assert (grid.cells == -1).tolist() == rel.tolist()
-        seen.add("untied" if arrays[5] is None else "facets")
-        want, held = assert_held_cells(grid)
-        assert (want[~held] >= 0).all()
+        pass_in_chunks(grid, rng)
+        _, held = assert_held_cells(grid)
         opened += int((~held).sum())
+        n_pass, matrix = _lps(monkeypatch, bools_in_chunks, grid, rng)
+        assert n_pass <= n_rel, (n_pass, n_rel)
+        assert matrix.tolist() == rel.tolist()
+        assert (grid.cells != OPEN).all()
+        seen.add("untied" if arrays[5] is None else "facets")
+        want, _ = assert_held_cells(grid)
         for xhat, x0 in itertools.islice(
                 itertools.product(inst.labels, repeat=2), 0, None, 4):
-            solve = order_grid(inst, arrays, True)
+            solve = order_grid(inst, arrays)
             n_new, got = _lps(monkeypatch, _order_conclusions, inst, fam,
                               solve, xhat, x0)
             with monkeypatch.context() as mp:
@@ -425,11 +467,11 @@ def test_grid_cells_equal_the_stacks(monkeypatch):
             asked += n_rel + n_old
         n = len(inst.labels)
         assert read_columns(grid, range(n)).ravel().tolist() == want.tolist()
-        assert (grid.cells != OPEN).all()
+        assert (grid.cells >= -1).all()
 
     def graph_solve(pi, arrays, eta, start, ihat, make):
         grid = make(pi, arrays)
-        return [_section_of_start(pi, grid, start).tolist(),
+        return [start_section(pi, grid, start).tolist(),
                 graph_oracle_matrix(pi, grid, eta).tolist(),
                 *_dicts(_graph_conclusions(pi, grid, ihat, start,
                                            start % 2 == 0))]
@@ -439,16 +481,17 @@ def test_grid_cells_equal_the_stacks(monkeypatch):
         for t in range(2)]
     for pi, fm in graphs:
         arrays = graph_arrays(pi, fm)
-        grid = instances.order_grid(pi, arrays, False)
-        pass_in_chunks(grid, rng)
-        cells = assert_held_cells(grid)
-        opened += int((grid.cells == OPEN).sum())
+        _, grid = _lps(monkeypatch, order_grid, pi, arrays)
+        cells = None
+        if not isinstance(grid, tuple):
+            pass_in_chunks(grid, rng)
+            cells = assert_held_cells(grid)
+            opened += int((grid.cells == OPEN).sum())
         eta = anchored_values(pi, fm.xi)
         P = len(pi.graph)
         for start, ihat in ((0, P - 1), (P // 2, 0), (P - 1, P // 2)):
             n_new, got = _lps(monkeypatch, graph_solve, pi, arrays, eta,
-                              start, ihat,
-                              lambda p, a: instances.order_grid(p, a, False))
+                              start, ihat, order_grid)
             with monkeypatch.context() as mp:
                 _as_reference(mp)
                 n_old, old = _lps(monkeypatch, graph_solve, pi, arrays, eta,
@@ -458,7 +501,9 @@ def test_grid_cells_equal_the_stacks(monkeypatch):
             asked += n_old
             seen.add("graph InputError" if got[0] == "InputError"
                      else "graph")
-        if cells is not None:
+        if isinstance(grid, tuple):
+            assert grid == old, (grid, old)
+        else:
             assert read_columns(grid, range(P)).ravel().tolist() == \
                 cells[0].tolist()
     assert seen == {"label InputError", "untied", "facets",
@@ -485,12 +530,13 @@ def wrong_dimension_instance(rng, n, m, negative):
 
 
 def assert_passed(grid, want, read):
-    """The columns ``read`` (a mask) of ``grid`` are passed and no other;
-    their exact cells are ``want``'s, and their ``OPEN`` cells are pairs
-    that are not covered."""
+    """The columns ``read`` (a mask) of ``grid`` are passed and no other,
+    with no ``OPEN`` cell left; their exact cells are ``want``'s, and
+    their ``OUT`` cells are pairs that are not covered."""
     assert (grid.cells[:, ~read] == UNPASSED).all()
     got, ref = grid.cells[:, read], want[:, read]
-    held = got != OPEN
+    assert (got != OPEN).all()
+    held = got != OUT
     assert got[held].tolist() == ref[held].tolist()
     assert (ref[~held] >= 0).all()
 
@@ -499,13 +545,15 @@ def test_columns_read_in_any_order_equal_the_reference():
     """A new grid decides no column until one is read. The columns of the
     order matrices of :func:`grid_cases` and of shared polytopes of 8
     vertices, beyond ``_TIE_SYSTEMS`` (:func:`untied_instance`), read in
-    random orders and chunks, are the columns of ``relation_matrix`` and of
-    the reference's matrix, and only the columns read are passed; each
-    exact cell is the cell of ``_ask_column`` and of the reference. The
-    graph grids of :func:`graph_cases` and of those read so give the
-    reference's cells. Where the reference raises the screen's InputError,
-    as a negative scale or a polytope of the wrong dimension makes it, the
-    order matrix's grid raises its text when it is built."""
+    random orders and chunks with ``OrderGrid.precedes``, are the columns
+    of ``relation_matrix`` and of the reference's matrix, and only the
+    columns read are passed; each exact cell is the cell of
+    ``_ask_column`` and of the reference. The graph grids of
+    :func:`graph_cases` and of those, read so with ``OrderGrid.column``,
+    give the reference's cells. Where the reference raises the screen's
+    InputError, as a negative scale or a polytope of the wrong dimension
+    makes it, the order matrix's grid raises its text when it is
+    built."""
     rng = np.random.default_rng(3500)
     labels = grid_cases(rng) + [untied_instance(rng, 3 + t % 4)
                                 for t in range(4)]
@@ -520,7 +568,7 @@ def test_columns_read_in_any_order_equal_the_reference():
         rel = _outcome(order_reference.relation_matrix, inst, fam, arrays)
         if rel[0] == "InputError":
             for build in (lambda: relation_matrix(inst, fam, arrays),
-                          lambda: order_grid(inst, arrays, True)):
+                          lambda: order_grid(inst, arrays)):
                 with pytest.raises(InputError) as err:
                     build()
                 assert str(err.value) == rel[1]
@@ -534,14 +582,13 @@ def test_columns_read_in_any_order_equal_the_reference():
         assert by_columns(instances._ask_column, inst, arrays).tolist() == \
             want.tolist()
         want = want.reshape(n, n)
-        grid = order_grid(inst, arrays, True)
-        matrix, read = grid.matrix(), np.zeros(n, dtype=bool)
+        grid, read = order_grid(inst, arrays), np.zeros(n, dtype=bool)
         assert_passed(grid, want, read)
         for cols in column_chunks(rng, n):
-            assert matrix[:, cols].tolist() == rel[:, cols].tolist()
+            assert read_bools(grid, cols).tolist() == rel[:, cols].tolist()
             read[cols] = True
             assert_passed(grid, want, read)
-        assert matrix[:, cols[0]].tolist() == rel[:, cols[0]].tolist()
+        assert grid.precedes(cols[0]).tolist() == rel[:, cols[0]].tolist()
         seen.add("untied" if arrays[5] is None else "facets")
 
     graphs = graph_cases(rng) + [as_graph(*untied_instance(rng, 3))]
@@ -562,6 +609,133 @@ def test_columns_read_in_any_order_equal_the_reference():
                     "polytope dimension does not match the cone"}, seen
 
 
+def read_rule_cases(rng):
+    """The label orders of :func:`grid_cases` and of shared polytopes of 8
+    vertices (:func:`untied_instance`), with their arrays, each followed
+    by its graph (:func:`as_graph`) where the family has one index; those
+    whose arrays raise are left out."""
+    for inst, fam in grid_cases(rng) + [untied_instance(rng, 3 + t % 3)
+                                        for t in range(3)]:
+        try:
+            arrays = order_arrays(inst, fam)
+        except InputError:
+            continue
+        yield inst, arrays
+        if len(fam.lambdas()) == 1:
+            pi, fm = as_graph(inst, fam)
+            yield pi, graph_arrays(pi, fm)
+
+
+def test_each_read_asks_only_the_open_cells_it_reads(monkeypatch):
+    """Random bool reads (``precedes``) and witness reads (``column``) of
+    random rows of random columns of one grid, on both orders of
+    :func:`read_rule_cases`: ``precedes`` asks exactly the ``OPEN`` cells
+    among the rows it reads, without a witness, and never an ``OUT`` cell;
+    ``column`` asks exactly the ``OPEN`` and ``OUT`` cells among its rows,
+    with a witness, so that no cell is asked with a witness twice. Each
+    read gives the reference's answers, and all the reads of a grid run no
+    more _phase1 calls than the reference asking every pair once without a
+    witness and once with one."""
+    rng = np.random.default_rng(3900)
+    asked, real = [], instances._ask_column
+
+    def recording(inst, arrays, rows, j, witness):
+        asked.append((rows.tolist(), j, witness))
+        return real(inst, arrays, rows, j, witness)
+
+    monkeypatch.setattr(instances, "_ask_column", recording)
+    cells = as_cells(order_reference.order_queries)
+
+    def bools(inst, arrays, x2s, x1s):
+        return cells(inst, arrays, x2s, x1s, witness=False)
+
+    seen = dict.fromkeys(("open asked", "out kept", "out asked", "graph"), 0)
+    for inst, arrays in read_rule_cases(rng):
+        try:
+            grid = order_grid(inst, arrays)
+        except InputError:
+            continue
+        n = len(arrays[3])
+        n_bool, covered = _lps(monkeypatch, bools, inst, arrays,
+                               *every_pair(n))
+        n_witness, want = _lps(monkeypatch, cells, inst, arrays,
+                               *every_pair(n))
+        covered, want = covered.reshape(n, n) < 0, want.reshape(n, n)
+        witnessed, n_reads = set(), 0
+        for _ in range(4 * n):
+            j = int(rng.integers(n))
+            rows = (None if rng.random() < 0.3 else
+                    rng.permutation(n)[:int(rng.integers(1, n + 1))])
+            read = np.arange(n) if rows is None else rows
+            grid.pass_columns(j)
+            before = grid.cells[read, j]
+            asked.clear()
+            if rng.random() < 0.5:
+                lps, got = _lps(monkeypatch, grid.precedes, j, rows)
+                assert got.tolist() == covered[read, j].tolist()
+                ask, witness = read[before == OPEN], False
+                seen["out kept"] += int((before == OUT).sum())
+            else:
+                lps, got = _lps(monkeypatch, grid.column, j, rows)
+                assert got.tolist() == want[read, j].tolist()
+                ask, witness = read[(before == OPEN) | (before == OUT)], True
+                assert not witnessed & {(r, j) for r in ask.tolist()}
+                witnessed |= {(r, j) for r in ask.tolist()}
+                seen["out asked"] += int((before == OUT).sum())
+            assert asked == ([(ask.tolist(), j, witness)] if ask.size
+                             else []), (asked, ask, j, witness)
+            seen["open asked"] += int((before == OPEN).sum())
+            n_reads += lps
+        assert n_reads <= n_bool + n_witness, (n_reads, n_bool, n_witness)
+        seen["graph"] += not isinstance(inst, FiniteInstance)
+    assert min(seen.values()) > 0, seen
+
+
+def test_a_negative_graph_scale_raises_before_any_read(monkeypatch):
+    """The graph arrays of pair maps with a negative scale
+    (:func:`negative_scale_instance` graphs, and those with a zero
+    diagonal, which pass the reflexive check) make ``order_grid`` raise
+    ``InputError("scale must be nonnegative")`` with no facet pass and no
+    stack run. 5.1 and 5.2 from every start raise the error of the pair-map
+    checks where those fail, as they do here before the order is read, or
+    else that InputError."""
+    rng = np.random.default_rng(4000)
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("an order cell was read")
+
+    texts = set()
+    for t in range(12):
+        inst, fam = negative_scale_instance(rng, 3 + t % 4, 1 + t % 3,
+                                            1 + t % 3)
+        if t % 2:
+            p = fam.p.mat.copy()
+            np.fill_diagonal(p, 0.0)
+            p[0, -1] = -0.5
+            fam = QuasiMetricDirection(fam.H, QuasiMetric(p))
+        pi, fm = as_graph(inst, fam)
+        arrays = graph_arrays(pi, fm)
+        with monkeypatch.context() as mp:
+            mp.setattr(instances, "_facet_pass", no_read)
+            mp.setattr(instances, "covered_queries", no_read)
+            with pytest.raises(InputError) as err:
+                order_grid(pi, arrays)
+        assert str(err.value) == "scale must be nonnegative"
+        try:
+            validate_fmap(pi, fm)
+            want = InputError, "scale must be nonnegative"
+        except (HypothesisError, InputError) as exc:
+            want = type(exc), str(exc)
+        texts.add(want[1].partition(":")[0])
+        for start in pi.graph:
+            at = ProductInstance(pi.graph, pi.base, start, pi.cone, pi.tol)
+            for solve_ in (solve_minimal_point, solve_strict_minimal):
+                with pytest.raises(want[0]) as err:
+                    solve_(at, fm)
+                assert str(err.value) == want[1], (t, solve_.__name__)
+    assert len(texts) > 1, texts
+
+
 def reference_solve(inst, fam, xi, x0):
     """``solvers._solve_order`` as it was before its grid decided columns
     when they are read: the reference's whole order matrix, the engine
@@ -576,11 +750,13 @@ def reference_solve(inst, fam, xi, x0):
             "triangle inclusion property", witness={"triple": witness})
     eta = label_infima(inst, xi, arrays)
     rel = order_reference.relation_matrix(inst, fam, arrays)
-    oracle = PreorderOracle.from_matrix(inst.labels, rel, eta)
+    oracle = PreorderOracle.from_columns(inst.labels, lambda j: rel[:, j],
+                                         eta)
     if not oracle.section(x0):
         raise HypothesisError("nonempty_start",
                               f"the lower section of {x0!r} is empty")
-    report = check_assumptions(inst, fam, xi, x0, rel, arrays, eta)
+    report = check_assumptions(inst, fam, xi, x0,
+                               matrix_grid(inst, arrays, rel), eta)
     if not report.solvable():
         raise HypothesisError(report.failed_name(), "assumption gate failed",
                               witness=report.to_dict())
@@ -634,7 +810,8 @@ def test_label_solves_equal_the_reference_solve(monkeypatch):
                 seen.add("check InputError")
                 continue
             assert check_assumptions(inst, fam, xi, x0).to_dict() == \
-                check_assumptions(inst, fam, xi, x0, rel).to_dict()
+                check_assumptions(inst, fam, xi, x0, matrix_grid(
+                    inst, order_arrays(inst, fam), rel)).to_dict()
     assert seen == {"solved", "HypothesisError", "check InputError"}, seen
 
 
@@ -645,14 +822,14 @@ def counted_pairs(monkeypatch):
     seen = {"columns": 0, "stacks": 0}
     real = instances._facet_pass
 
-    def counting(inst, arrays, x2, x1):
+    def counting(inst, arrays, x2, x1, witness):
         if isinstance(x2, slice):
             labels = range(len(arrays[3]))
             seen["columns"] += len(labels[x2]) * len(
                 labels[x1] if isinstance(x1, slice) else x1)
         else:
             seen["stacks"] += len(x2)
-        return real(inst, arrays, x2, x1)
+        return real(inst, arrays, x2, x1, witness)
 
     monkeypatch.setattr(instances, "_facet_pass", counting)
     return seen
@@ -693,7 +870,7 @@ def test_a_solve_passes_only_the_columns_it_reads(monkeypatch):
         P = len(pi.graph)
         grid = graph_grid(pi, fm)
         for start in range(P):
-            size = int(_section_of_start(pi, grid, start).sum())
+            size = int(grid.precedes(start).sum())
             at = ProductInstance(pi.graph, pi.base, pi.graph[start],
                                  pi.cone, pi.tol)
             for solve_ in (solve_minimal_point, solve_strict_minimal):
@@ -867,11 +1044,12 @@ def test_grid_indexers_equal_the_reference(data):
     given as a slice or an index array, on label instances with and
     without facets and on graphs (:func:`indexer_cases`), with
     ``_BLOCK_QUERIES`` at 1 to 64 or at its default. Pair for pair, a
-    block's exact cells are the reference's, its covered pairs (asked as
-    ``relation_matrix`` asks them) are the reference's, and the re-ask of
-    each column gives the reference's cells, each with no more _phase1
-    calls; where the reference raises the screen's InputError, so does
-    each stack, and the block has decided no cell."""
+    block's exact cells are the reference's and its ``OUT`` cells are not
+    covered, its covered pairs (asked as ``relation_matrix`` asks them)
+    are the reference's, and the re-ask of each column gives the
+    reference's cells with a witness and its covered pairs without, each
+    with no more _phase1 calls; where the reference raises the screen's
+    InputError, so does each stack, and the block has decided no cell."""
     cases = indexer_cases()
     inst, arrays = cases[data.draw(st.integers(0, len(cases) - 1))]
     n = len(arrays[3])
@@ -883,20 +1061,23 @@ def test_grid_indexers_equal_the_reference(data):
         if budget is not None:
             mp.setattr(instances, "_BLOCK_QUERIES", budget)
             mp.setattr(order_reference, "_BLOCK_QUERIES", budget)
-        block = instances._grid_block(inst, arrays, rows, cols, False)
+        block = instances._grid_block(inst, arrays, rows, cols)
         want = _outcome(as_cells(order_reference.order_queries), inst,
                         arrays, *grid_pairs(n, rows, cols))
-        held = block != OPEN
+        held = (block != OPEN) & (block != OUT)
         if want[0] == "InputError":
             assert not held.any()
         else:
             assert block[held].tolist() == np.array(want)[held].tolist()
+            assert (np.array(want)[block == OUT] >= 0).all()
     assert_same(pytest.MonkeyPatch, budget, bare_order_query, bare_reference,
                 inst, arrays, rows, cols)
     for j in labels[cols]:
         assert_same(pytest.MonkeyPatch, budget, instances._ask_column,
                     as_column(order_reference.order_queries), inst, arrays,
-                    labels[rows], j)
+                    labels[rows], j, True)
+        assert_same(pytest.MonkeyPatch, budget, bool_column, bare_reference,
+                    inst, arrays, labels[rows], np.array([j]))
 
 
 def _bench_workloads():
