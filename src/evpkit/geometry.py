@@ -597,7 +597,12 @@ def strictly_positive_functional(H: Polytope, C: PolyhedralCone,
     row sum, an overflow, or a row short by round-off) the full system is
     solved once by phase 1.
     """
-    validate_direction_set(H, C, tol)
+    return positive_functional(validate_direction_set(H, C, tol), C, tol)
+
+
+def positive_functional(H: Polytope, C: PolyhedralCone, tol=DEFAULT_TOL):
+    """:func:`strictly_positive_functional` of a direction set ``H`` that
+    :func:`validate_direction_set` has passed, without a second check."""
     A = C.halfspaces
     rows = H.vertices @ A.T  # per vertex h: coefficients (A h) . mu
     w = None

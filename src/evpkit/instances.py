@@ -537,8 +537,9 @@ def order_facets(S, V, nv, B, C, tol):
     and the scales ``s`` over (index, x2, x1), a scale at most ``tol`` the
     cone test (``s = 0``). Per-pair polytopes give ``(A y, R, (i, k, w,
     theta), fit, band)``: :func:`target_tables` over the (index, x2, x1)
-    targets, where a target with ``s <= tol`` has row minima 0 and no row
-    pair, and is fit. Every table over targets has the pairs last, so that
+    targets ``s A v``, where a target with ``s <= tol`` has row minima 0
+    and no row pair, and is fit (the middle three are :func:`ti_check`'s
+    table). Every table over targets has the pairs last, so that
     whole rows of the order matrix are views with their pairs contiguous.
     ``band`` is :func:`geometry.segment_band` over products of ``k + m``
     terms, with the tie conditions' ``solve``."""
@@ -550,22 +551,29 @@ def order_facets(S, V, nv, B, C, tol):
         return None
     AB = np.ascontiguousarray((B @ A.T).T)      # (k, value row, label)
     s = np.where(S > tol, S, 0.0)
-
-    def by_index(a):
-        # a table over (..., x2, x1, index) over (..., index, x2, x1)
-        return np.ascontiguousarray(np.moveaxis(a, -1, -3))
-
     if V.ndim == 2:
         conditions = tie_conditions(A @ V.T)
         if conditions is None:
             return None
         W, theta0, solve = conditions
         WAB = (W @ AB.reshape(k, -1)).reshape(len(W), -1, n)
-        return WAB, theta0, by_index(s), segment_band(size, k + m, tol, solve)
+        return WAB, theta0, _by_index(s), segment_band(size, k + m, tol, solve)
     AV = (A @ V.reshape(-1, m).T).reshape(k, *V.shape[:-1])
-    R, (ci, ck, w, th), fit = target_tables(s[..., None] * AV, S, nv, tol)
-    return (AB, by_index(R), (ci, ck, by_index(w), by_index(th)),
-            by_index(fit | (S <= tol)), segment_band(size, k + m, tol))
+    R, pairs, fit = _index_tables(s[..., None] * AV, S, nv, tol)
+    return (AB, R, pairs, fit | _by_index(S <= tol),
+            segment_band(size, k + m, tol))
+
+
+def _by_index(a):
+    # a table over (..., x2, x1, index) over (..., index, x2, x1)
+    return np.ascontiguousarray(np.moveaxis(a, -1, -3))
+
+
+def _index_tables(ASV, S, nv, tol):
+    """:func:`target_tables` with every table over targets laid out by
+    :func:`_by_index`."""
+    R, (i, k, w, th), fit = target_tables(ASV, S, nv, tol)
+    return _by_index(R), (i, k, _by_index(w), _by_index(th)), _by_index(fit)
 
 
 def _facet_pass(inst, arrays, x2, x1, witness):
@@ -882,16 +890,24 @@ def relation_matrix(inst: FiniteInstance, fam, arrays=None):
     return rel
 
 
-def ti_check(inst: FiniteInstance, fam):
+def ti_check(inst: FiniteInstance, fam, arrays=None):
     """Triangle-inclusion property of the family over all label triples,
     searched by :func:`triangle_failure` on the family's ``arrays`` with
     the triangle excess of its scales that the load kept.
     Returns ``(True, None)`` or ``(False, witness)``, the first failing
     (x1, x2, x3, index) in the loop order index, x1, x3, x2.
+
+    Given the solve's :func:`order_arrays` ``arrays``, a per-pair search
+    reads the order's target table when every scale is 1 (an extensional
+    table) and above ``tol``: its targets ``s A v`` are then ``A (s v)``.
     """
-    S, V, nv = fam.arrays(inst.space)
+    S, V, nv = fam.arrays(inst.space) if arrays is None else arrays[:3]
+    facets = None if arrays is None else arrays[5]
+    same = (facets is not None and V.ndim > 2 and inst.tol < 1
+            and (S == 1).all())
     hit = triangle_failure(S, V, nv, inst.cone, inst.tol,
-                           fam._excess(inst.space))
+                           fam._excess(inst.space),
+                           facets[1:4] if same else None)
     if hit is None:
         return True, None
     lam, a, b, c = hit
@@ -1043,32 +1059,36 @@ def tie_conditions(AH):
     one condition ``w . A q >= s theta0 - tol`` with ``theta0 = min_j w . A
     h_j``.
 
-    A tie of two vertices on two rows is taken in closed form, as the row
-    pairs of :func:`target_tables` (a pair whose ``A(h_j - h_l)`` has
-    opposite signs): for two vertices these are all the conditions. A
-    larger system is solved: one whose condition number (of rows scaled to
-    unit length) makes its LU error bound reach 1/2 is singular up to the
-    rounding of its rows and is skipped, as an exact vertex is met by an
-    independent system too; a solution below 0 by more than its bound lies
-    outside the simplex and is dropped; the others are clipped to the
-    simplex, and ``solve`` is the largest bound kept. H is left to the
-    screen when it has more than ``_TIE_SYSTEMS`` candidates or a kept
-    bound exceeds ``_TIE_ERROR``. A condition that the ties of several
-    vertex pairs give is kept once."""
+    A tie of two vertices on two rows is taken in closed form: the rows
+    ``i < l`` where ``d = A(h_a - h_b)`` of a vertex pair ``a < b`` has
+    opposite signs give ``w_i = |d_l| / (|d_i| + |d_l|)`` and ``w_l = 1 -
+    w_i``, by row pair, then vertex pair, as the row pairs of
+    :func:`target_tables`; for two vertices these and the simplex vertices
+    are all the conditions. A larger system is solved: one whose condition
+    number (of rows scaled to unit length) makes its LU error bound reach
+    1/2 is singular up to the rounding of its rows and is skipped, as an
+    exact vertex is met by an independent system too; a solution below 0
+    by more than its bound lies outside the simplex and is dropped; the
+    others are clipped to the simplex, and ``solve`` is the largest bound
+    kept. H is left to the screen when it has more than ``_TIE_SYSTEMS``
+    candidates or a kept bound exceeds ``_TIE_ERROR``. A condition that the
+    ties of several vertex pairs give is kept once."""
     k, J = AH.shape
     sizes = range(2, min(J, k) + 1)
     if sum(math.comb(J, r) * math.comb(k, r) for r in sizes) > _TIE_SYSTEMS:
         return None
-    eps, solve = np.finfo(float).eps, 0.0
-    W = [np.eye(k)]
-    if J > 1:
-        ties = np.array([*itertools.combinations(range(J), 2)], dtype=int)
-        _, (i, l, w, th), _ = target_tables(AH[:, ties], 1.0, 2, 0.0)
-        c, p = np.nonzero(th > -np.inf)         # opposite signs
-        pairs = np.zeros((len(c), k))
-        pairs[np.arange(len(c)), i[c]] = w[c, p]
-        pairs[np.arange(len(c)), l[c]] = 1.0 - w[c, p]
-        W.append(pairs)
+    # few ties: Python floats round as numpy does, at less cost per call
+    pairs = [*itertools.combinations(range(J), 2)]
+    d = [[h[a] - h[b] for a, b in pairs] for h in AH.tolist()]
+    ties = [(i, l, abs(dl) / (abs(di) + abs(dl)))
+            for i, l in itertools.combinations(range(k), 2)
+            for di, dl in zip(d[i], d[l]) if di * dl < 0]
+    W = np.eye(k + len(ties), k)
+    for at, (i, l, w) in enumerate(ties, k):
+        W[at, i], W[at, l] = w, 1.0 - w
+    if J <= 2:
+        return W, (W @ AH).min(axis=1), 0.0
+    eps, solve, W = np.finfo(float).eps, 0.0, [W]
     for r in sizes[1:]:
         T, G = (np.array([*itertools.combinations(range(c), r)], dtype=int)
                 for c in (J, k))
@@ -1099,21 +1119,21 @@ def tie_conditions(AH):
                           axis=1)
         W.append(full)
     W = np.concatenate(W)
-    if J >= 3:
-        # the ties of several vertex pairs can give one condition again
-        first = {}
-        for at, w in enumerate(W):
-            first.setdefault(w.tobytes(), at)
-        W = W[list(first.values())]
+    # the ties of several vertex pairs can give one condition again
+    first = {}
+    for at, w in enumerate(W):
+        first.setdefault(w.tobytes(), at)
+    W = W[list(first.values())]
     return W, (W @ AH).min(axis=1), solve
 
 
 @np.errstate(all="ignore")
-def facet_tables(S, SV, nv, C, tol):
+def facet_tables(S, SV, nv, C, tol, table=None):
     """What :func:`facet_verdicts` reads of a per-pair stack, built once
     per search from the scales ``S``, the scaled vertices ``SV = S * V``
     (``(n, n, L, J, m)``) and the counts ``nv``: the conditions of every
-    target by :func:`target_tables`, and what the sources need of them.
+    target, ``table`` (:func:`_index_tables` of the targets ``A s v``) or
+    built here when None, and what the sources need of them.
 
     The row minima of a scaled set do not depend on the target, and a pair
     condition weighs ``A s v`` as ``base + w_i * slope`` with the
@@ -1139,19 +1159,19 @@ def facet_tables(S, SV, nv, C, tol):
     A, m = C.halfspaces, C.dim
     n, _, L, J, _ = SV.shape
     ASV = (A @ SV.reshape(-1, m).T).reshape(len(A), n, n, L, J)
-    R, (i, j, w, th), fit = target_tables(ASV, S, nv, tol)  # R: (k, x, y, L)
-    rows = (np.ascontiguousarray(R.transpose(0, 1, 3, 2)),
-            np.ascontiguousarray(R.transpose(0, 3, 2, 1)),
-            R.transpose(0, 3, 1, 2) - tol)
+    if table is None:
+        table = _index_tables(ASV, S, nv, tol)
+    R, (i, j, w, th), fit = table               # R: (k, L, x, y)
+    rows = (np.ascontiguousarray(R.transpose(0, 2, 1, 3)),
+            np.ascontiguousarray(R.transpose(0, 1, 3, 2)), R - tol)
     base, slope = ASV[j], ASV[i] - ASV[j]
     pairs = (tuple(np.ascontiguousarray(x.transpose(axes))
                    for axes in ((0, 1, 3, 4, 2), (0, 3, 4, 2, 1))
-                   for x in (base, slope)),
-             w.transpose(0, 3, 1, 2), th.transpose(0, 3, 1, 2))
+                   for x in (base, slope)), w, th)
     # |A||y| <= 2 size for a vertex sum y, and |A||s v| <= size
     size = np.abs(SV).max() * np.abs(A).sum(axis=1).max()
-    fit &= np.isfinite(8.0 * size)
-    return rows, pairs, fit.transpose(2, 0, 1), segment_band(size, m, tol)
+    return rows, pairs, fit & np.isfinite(8.0 * size), segment_band(size, m,
+                                                                    tol)
 
 
 @np.errstate(all="ignore")
@@ -1193,7 +1213,7 @@ def facet_verdicts(tables, at):
             fit & (low < -band[1]).all(axis=2))
 
 
-def triangle_failure(S, V, nv, C, tol, excess=None):
+def triangle_failure(S, V, nv, C, tol, excess=None, table=None):
     """The first failing triple of the arrays ``(S, V, nv)`` as positions
     ``(index, x1, x2, x3)``, in the loop order index, x1, x3, x2, or None
     when the triangle inclusion holds. A triple fails for an index when no
@@ -1219,7 +1239,8 @@ def triangle_failure(S, V, nv, C, tol, excess=None):
     block's structural pass marks pairs (x3, x2) covered or dead without a
     query, and only where the screen would: :func:`settled_triples` covers
     a pair settled for some (mu, nu) of a shared polytope, and
-    :func:`facet_verdicts` decides the pairs of a stack. A block with every
+    :func:`facet_verdicts` decides the pairs of a stack, on the
+    :func:`facet_tables` of ``table`` (built when None). A block with every
     pair covered is skipped. The walk screens a slab with an open pair
     before its first dead one alone, by one :func:`screen_members` call,
     when it reaches it: a pair is then covered when some (mu, nu) has every
@@ -1247,7 +1268,7 @@ def triangle_failure(S, V, nv, C, tol, excess=None):
     if not shared:
         SV, k = S[..., None, None] * V, np.arange(J)   # scaled vertices
         SVt, nvt = SV.transpose(1, 0, 2, 3, 4), nv.transpose(1, 0, 2)
-        facets = facet_tables(S, SV, nv, C, tol)
+        facets = facet_tables(S, SV, nv, C, tol, table)
 
     def first(mask):
         return int(mask.argmax()) if mask.any() else mask.size

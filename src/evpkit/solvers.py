@@ -31,8 +31,9 @@ import numpy as np
 
 from . import engine as eng
 from .errors import HypothesisError, InputError, PremiseError
-from .geometry import (Polytope, as_point, covered_queries, singleton,
-                       stack_rows, strictly_positive_functional)
+from .geometry import (Polytope, as_point, covered_queries,
+                       positive_functional, singleton, stack_rows,
+                       strictly_positive_functional)
 from .instances import (FiniteInstance, OpenPolytopeFamily, PolytopeDirection,
                         QuasiMetric, QuasiMetricDirection, SingletonDirection,
                         check_assumptions, check_positive,
@@ -131,7 +132,7 @@ def _solve_order(inst, fam, xi, x0, mode):
     its labels in :func:`check_assumptions`, those of the sections the
     engine walks, and x0's and xhat's, for the conclusions."""
     arrays = order_arrays(inst, fam)
-    ok, witness = ti_check(inst, fam)
+    ok, witness = ti_check(inst, fam, arrays)
     if not ok:
         raise HypothesisError("triangle_inclusion",
                               "the perturbation family fails the triangle "
@@ -205,8 +206,8 @@ def _scalarization_info(xi):
     return {"kind": type(xi).__name__}
 
 
-def _separating_functional(H, cone_, tol):
-    xi = strictly_positive_functional(H, cone_, tol)
+def _separating(xi):
+    """A direction set's functional ``xi``, or the error of its absence."""
     if xi is None:
         raise HypothesisError(
             "separation",
@@ -274,7 +275,8 @@ def solve_evp_direction(inst: FiniteInstance, k0, epsilon, lam, x0,
     premise_info = {"form": premise, "epsilon": epsilon}
     if premise == "pointwise":
         _pointwise_premise(inst, x0, epsilon, H)
-        xi = _separating_functional(H, inst.cone, inst.tol)
+        # the family's validate has checked H
+        xi = _separating(positive_functional(H, inst.cone, inst.tol))
         xi = xi.scaled(1.0 / float(xi.weights @ k0))  # value(k0) = 1
         theorem = "3.5"
     else:
@@ -300,8 +302,8 @@ def solve_evp_set_direction(inst: FiniteInstance, H: Polytope, gamma, x0,
     what both the order tests and the certificate evaluate.
     """
     check_positive("gamma", gamma)
-    xi = _separating_functional(H, inst.cone, inst.tol)
-    # _separating_functional has checked H as the family's validate would
+    xi = _separating(strictly_positive_functional(H, inst.cone, inst.tol))
+    # which has checked H as the family's validate would
     fam = (OpenPolytopeFamily if open_family else PolytopeDirection)(H, gamma)
     xhat, conclusions, report, trace = _solve_order(inst, fam, xi, x0, mode)
     bounded_by = d_bounded_certificate(inst)
@@ -323,7 +325,7 @@ def solve_evp_quasimetric(inst: FiniteInstance, H: Polytope, p: QuasiMetric,
                           x0, mode="greedy"):
     """Set-direction perturbation scaled by a quasi-metric pair weight."""
     fam = QuasiMetricDirection(H, p).validate(inst.space, inst.cone, inst.tol)
-    xi = _separating_functional(H, inst.cone, inst.tol)
+    xi = _separating(positive_functional(H, inst.cone, inst.tol))
     xhat, conclusions, report, trace = _solve_order(inst, fam, xi, x0, mode)
     return Certificate("4.4", xhat, conclusions, report, trace,
                        scalarization=_scalarization_info(xi))

@@ -4,13 +4,18 @@ solve's arrays, kept verbatim (``order_queries``, ``order_facets``,
 pass must equal: the same order matrices, the same ``(first, lam, row)``,
 the same InputError and no more phase-1 LPs. The one edit: the facet pass
 builds its conditions with this ``order_facets`` from the arrays it is
-given, as the grid pass reads them in another layout."""
+given, as the grid pass reads them in another layout. ``tie_conditions``
+is kept verbatim too, as it was before its two-vertex ties took a closed
+form of their own, so that the reference runs none of that code."""
+
+import itertools
+import math
 
 import numpy as np
 
 from evpkit.geometry import covered_queries, segment_band
 from evpkit.instances import (_BLOCK_QUERIES, FiniteInstance, order_arrays,
-                              target_tables, tie_conditions)
+                              target_tables)
 
 
 def order_queries(inst, arrays, x2s, x1s, witness=True):
@@ -55,6 +60,99 @@ def order_queries(inst, arrays, x2s, x1s, witness=True):
         g = np.flatnonzero(sub >= 0)
         first[g] = keep[sub[g]]
     return first, lam, row
+
+
+# tie_conditions takes at most this many candidate conditions of a shared
+# polytope, and leaves one that needs more to the screen
+_TIE_SYSTEMS = 256
+# tie_conditions keeps a solved condition whose weights it bounds within
+# this l1 distance of the exact ones, and leaves a polytope with a worse one
+# to the screen
+_TIE_ERROR = 2.0 ** -20
+
+
+@np.errstate(all="ignore")
+def tie_conditions(AH):
+    """The facet conditions of the targets ``s conv(H) + C``, ``s > 0``, of
+    one polytope H, from ``AH``, the products ``A h_j`` over (cone row,
+    vertex): ``(W, theta0, solve)``, or None when H is left to the screen.
+
+    By minimax, ``q`` lies in ``s conv(H) + C`` up to ``tol`` iff the least
+    ``g(w) = w . A q - s min_j w . A h_j`` over the simplex of row weights
+    ``w`` is at least ``-tol``. ``g`` is convex and piecewise linear, so its
+    least value is at a vertex of the cells that the ties ``w . A(h_j -
+    h_l) = 0`` cut from the simplex. At such a vertex some rows ``G`` may
+    have ``w_i > 0`` and the others have ``w_i = 0``, and ``|G| - 1`` ties
+    of a vertex set ``T`` with its first vertex fix ``w`` on ``G`` with
+    ``sum w = 1``. So the candidates are the simplex vertices ``e_i``
+    (``|G| = 1``) and one square system per pair ``(T, G)`` with ``|T| =
+    |G| >= 2``, none of which changes with ``s``. Each row ``w`` of ``W`` is
+    one condition ``w . A q >= s theta0 - tol`` with ``theta0 = min_j w . A
+    h_j``.
+
+    A tie of two vertices on two rows is taken in closed form, as the row
+    pairs of :func:`target_tables` (a pair whose ``A(h_j - h_l)`` has
+    opposite signs): for two vertices these are all the conditions. A
+    larger system is solved: one whose condition number (of rows scaled to
+    unit length) makes its LU error bound reach 1/2 is singular up to the
+    rounding of its rows and is skipped, as an exact vertex is met by an
+    independent system too; a solution below 0 by more than its bound lies
+    outside the simplex and is dropped; the others are clipped to the
+    simplex, and ``solve`` is the largest bound kept. H is left to the
+    screen when it has more than ``_TIE_SYSTEMS`` candidates or a kept
+    bound exceeds ``_TIE_ERROR``. A condition that the ties of several
+    vertex pairs give is kept once."""
+    k, J = AH.shape
+    sizes = range(2, min(J, k) + 1)
+    if sum(math.comb(J, r) * math.comb(k, r) for r in sizes) > _TIE_SYSTEMS:
+        return None
+    eps, solve = np.finfo(float).eps, 0.0
+    W = [np.eye(k)]
+    if J > 1:
+        ties = np.array([*itertools.combinations(range(J), 2)], dtype=int)
+        _, (i, l, w, th), _ = target_tables(AH[:, ties], 1.0, 2, 0.0)
+        c, p = np.nonzero(th > -np.inf)         # opposite signs
+        pairs = np.zeros((len(c), k))
+        pairs[np.arange(len(c)), i[c]] = w[c, p]
+        pairs[np.arange(len(c)), l[c]] = 1.0 - w[c, p]
+        W.append(pairs)
+    for r in sizes[1:]:
+        T, G = (np.array([*itertools.combinations(range(c), r)], dtype=int)
+                for c in (J, k))
+        T, G = np.repeat(T, len(G), axis=0), np.tile(G, (len(T), 1))
+        # rows A_G (h_j - h_T0) for the vertices j of T after its first,
+        # then the weights' sum, each of unit length
+        M = AH[G[:, None, :], T[:, 1:, None]] - AH[G, T[:, :1]][:, None, :]
+        norm = np.linalg.norm(M, axis=-1, keepdims=True)
+        M = np.concatenate([np.divide(M, norm, out=np.zeros_like(M),
+                                      where=norm > 0),
+                            np.full((len(M), 1, r), r ** -0.5)], axis=1)
+        sv = np.linalg.svd(M, compute_uv=False)
+        # forward error of a partial-pivoting solve, relative to |w|
+        rel = 2.0 ** (r + 3) * r * eps * sv[:, 0] / sv[:, -1]
+        live = rel < 0.5
+        M, G, rel = M[live], G[live], rel[live]
+        rhs = np.zeros((len(M), r, 1))
+        rhs[:, -1] = r ** -0.5
+        w = np.linalg.solve(M, rhs)[..., 0]
+        err = rel / (1.0 - rel) * np.abs(w).sum(axis=1)
+        keep = w.min(axis=1) >= -err
+        if (err[keep] > _TIE_ERROR).any():
+            return None
+        solve = max(solve, err[keep].max(initial=0.0))
+        w = np.maximum(w[keep], 0.0)
+        full = np.zeros((len(w), k))
+        np.put_along_axis(full, G[keep], w / w.sum(axis=1, keepdims=True),
+                          axis=1)
+        W.append(full)
+    W = np.concatenate(W)
+    if J >= 3:
+        # the ties of several vertex pairs can give one condition again
+        first = {}
+        for at, w in enumerate(W):
+            first.setdefault(w.tobytes(), at)
+        W = W[list(first.values())]
+    return W, (W @ AH).min(axis=1), solve
 
 
 @np.errstate(all="ignore")

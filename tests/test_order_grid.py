@@ -12,11 +12,19 @@ open, and read from the one grid of a solve, which passes each column the
 first time it is read; a solve passes only the columns it reads, and each
 read asks only the open cells it reads: ``precedes`` the ``OPEN`` ones
 without a witness, ``column`` the ``OPEN`` and ``OUT`` ones with one.
+
+The facet work of a solve is done once: ``tie_conditions`` equals the copy
+that ``order_reference`` keeps byte for byte, and builds one- and
+two-vertex ties with no target table and no linear algebra; a per-pair
+solve builds one target table, and its triangle verdicts equal
+``triangle_reference``; each direction solve checks its direction set
+once.
 """
 
 import functools
 import importlib.util
 import itertools
+import json
 import os
 
 import numpy as np
@@ -25,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from evpkit import geometry, instances
+from evpkit import cli, geometry, instances
 from evpkit.engine import PreorderOracle, solve
 from evpkit.errors import HypothesisError, InputError
 from evpkit.geometry import (DEFAULT_TOL, LinearFunctional, Polytope,
@@ -41,11 +49,15 @@ from evpkit.product import (FMap, ProductInstance, _graph_conclusions,
                             anchored_values, fmap_from_rate, graph_arrays,
                             solve_minimal_point, solve_strict_minimal,
                             validate_fmap)
-from evpkit.solvers import _order_conclusions, _solve_order, solve_evp_general
+from evpkit.io import generate, load_validate
+from evpkit.solvers import (_order_conclusions, _solve_order,
+                            solve_evp_direction, solve_evp_general,
+                            solve_evp_quasimetric, solve_evp_set_direction)
 
 import order_reference
-from conftest import (direction_polytope, generated_bundle, matrix_grid,
-                      random_cone)
+import triangle_reference
+from conftest import (direction_polytope, generated_bundle, grow_epsilon,
+                      matrix_grid, random_cone)
 from test_batched_sweeps import (KINDS, _all_of, _cone, _distances,
                                  _polytope, as_cells, as_column,
                                  band_direction,
@@ -1130,3 +1142,223 @@ def test_the_benchmark_inputs_reask_no_order_cell(monkeypatch, tmp_path,
                      "graph-minimal": {"5.1", "5.2", "5.6"},
                      "cli-batch": {"solve-evp", "check-assumptions",
                                    "solve-minimal-point"}}[workload], kinds
+
+
+# ---------------------------------------------------------------------------
+# Facet work once per solve: the two-vertex ties in closed form, and one
+# target table for the order and the triangle search of a per-pair solve.
+# ---------------------------------------------------------------------------
+
+def _same_ties(got, want):
+    """Whether two ``tie_conditions`` results are the same bytes: both
+    None, or equal ``W`` and ``theta0`` to the bit and the same ``solve``."""
+    if want is None or got is None:
+        return got is want
+    return (got[0].shape == want[0].shape
+            and got[0].tobytes() == want[0].tobytes()
+            and got[1].tobytes() == want[1].tobytes()
+            and type(got[2]) is type(want[2]) and got[2] == want[2])
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.data())
+def test_tie_conditions_equal_the_verbatim_copy(data):
+    """``tie_conditions`` of ``A H`` over 1 to 8 cone rows and 1 to 5
+    vertices, at magnitudes from 1e-6 to 1e6, with exact ties (a vertex
+    repeated), zero entries of ``d`` (a row equal at two vertices), rows of
+    opposite sign and integer entries, is the copy that
+    ``order_reference`` keeps byte for byte: ``W`` in the same row order,
+    ``theta0``, ``solve``, and None over ``_TIE_SYSTEMS``."""
+    k, J = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    AH = rng.normal(size=(k, J)) * 10.0 ** rng.uniform(-6, 6, size=(k, J))
+    if J > 1 and data.draw(st.booleans()):
+        a, b = rng.choice(J, 2, replace=False)
+        AH[:, b] = AH[:, a]
+    if J > 1 and data.draw(st.booleans()):
+        a, b = rng.choice(J, 2, replace=False)
+        AH[rng.integers(k), b] = AH[rng.integers(k), a]
+    if k > 1 and data.draw(st.booleans()):
+        i, l = rng.choice(k, 2, replace=False)
+        AH[l] = -rng.uniform(0.5, 2.0) * AH[i]
+    if data.draw(st.booleans()):
+        AH = np.round(AH)
+    assert _same_ties(instances.tie_conditions(AH),
+                      order_reference.tie_conditions(AH))
+
+
+@pytest.mark.parametrize("k, J", [(24, 2), (8, 5), (4, 4)])
+def test_tie_conditions_over_the_cap_equal_the_copy(k, J):
+    """Over ``_TIE_SYSTEMS`` candidates H is left to the screen as the copy
+    leaves it, two vertices over 24 cone rows included."""
+    AH = np.random.default_rng(k * J).normal(size=(k, J))
+    assert _same_ties(instances.tie_conditions(AH),
+                      order_reference.tie_conditions(AH))
+    assert (instances.tie_conditions(AH) is None) == (k * J != 16)
+
+
+class _NoLinalg:
+    """``np.linalg`` while a tie build must not reach it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.linalg.{name} reached")
+
+
+def test_one_and_two_vertex_ties_build_no_table_and_solve_nothing(
+        monkeypatch):
+    """``tie_conditions`` of one and two vertices over 1 to 8 cone rows
+    reaches neither ``target_tables`` nor ``np.linalg``, and gives the
+    copy's conditions."""
+    rng = np.random.default_rng(3800)
+    cases = [rng.normal(size=(k, J)) * 10.0 ** rng.uniform(-6, 6)
+             for k in range(1, 9) for J in (1, 2) for _ in range(3)]
+    want = [order_reference.tie_conditions(AH) for AH in cases]
+
+    def no_table(*args):
+        raise AssertionError("target_tables reached")
+
+    monkeypatch.setattr(instances, "target_tables", no_table)
+    monkeypatch.setattr(np, "linalg", _NoLinalg())
+    got = [instances.tie_conditions(AH) for AH in cases]
+    monkeypatch.undo()
+    assert all(map(_same_ties, got, want))
+
+
+def counted_tables(monkeypatch):
+    """Count the calls of ``instances.target_tables``."""
+    calls, real = [0], instances.target_tables
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(instances, "target_tables", counting)
+    return calls
+
+
+def test_a_per_pair_solve_builds_one_target_table(monkeypatch, tmp_path,
+                                                  capsys):
+    """Theorem 3.1 on extensional tables builds one target table, shared
+    by the order and the triangle search, through the API and through
+    ``solve-evp --theorem 3.1`` (two were built before); and
+    ``check-assumptions``, which runs no triangle search, builds one."""
+    for seed in (7, 8, 9):
+        doc = generate(seed, n=5 + seed % 3, m=3, values_per_point=2,
+                       variant="extensional")
+        path = tmp_path / f"table{seed}.json"
+        path.write_text(json.dumps(doc))
+        b = load_validate(doc)
+        inst = b.instance
+        xi = strictly_positive_functional(direction_polytope(b), inst.cone,
+                                          inst.tol)
+        runs = {"api": lambda: solve_evp_general(inst, b.family, xi,
+                                                  b.params.x0).all_hold(),
+                "solve-evp": lambda: cli.main(
+                    ["solve-evp", "--theorem", "3.1", str(path)]) == 0,
+                "check-assumptions": lambda: cli.main(
+                    ["check-assumptions", str(path)]) == 0}
+        for name, run in runs.items():
+            with monkeypatch.context() as mp:
+                calls = counted_tables(mp)
+                assert run(), (seed, name)
+            assert calls[0] == 1, (seed, name, calls)
+    capsys.readouterr()
+
+
+def at_tolerance(inst, fam, tol):
+    """The instance and family of ``(inst, fam)`` at ``tol``."""
+    return FiniteInstance(inst.space, inst.fmap, inst.cone, tol), fam
+
+
+def reference_ti(inst, fam):
+    """``ti_check`` from ``triangle_reference``'s search and its own
+    ``facet_tables``."""
+    hit = triangle_reference.triangle_failure(*fam.arrays(inst.space),
+                                              inst.cone, inst.tol)
+    if hit is None:
+        return True, None
+    lam, a, b, c = hit
+    labels = inst.labels
+    return False, (labels[a], labels[b], labels[c], fam.lambdas()[lam])
+
+
+def test_per_pair_solves_on_one_table_equal_both_references(monkeypatch):
+    """On extensional tables, at the default tolerance and at tolerances of
+    1 and above (where the order asks every target as the cone test, and
+    the search builds its own table), ``ti_check`` on the solve's arrays
+    gives the verdict and witness of ``triangle_reference`` and of a
+    search that builds its own table, with no more _phase1 calls; and the
+    solve equals :func:`reference_solve` in cells, witnesses, reports,
+    error texts and _phase1 calls, with one table built below tolerance 1
+    and two from 1 up."""
+    rng = np.random.default_rng(3900)
+    cases = [wide_table(rng, 3 + t % 3, 1 + t % 3, 1 + t % 2)
+             for t in range(4)]
+    cases += [highs_table(rng, 3 + t % 3, 2 + t % 2, 1 + t % 2, 1.0)[:2]
+              for t in range(2)]
+    cases += [(generated_bundle(3900 + t, n=4 + t, m=2,
+                                variant="extensional").instance,
+               generated_bundle(3900 + t, n=4 + t, m=2,
+                                variant="extensional").family)
+              for t in range(2)]
+    seen = set()
+    for base, fam in cases:
+        for tol in (DEFAULT_TOL, 1.0, 4.0):
+            inst, _ = at_tolerance(base, fam, tol)
+            arrays = order_arrays(inst, fam)
+            n_new, got = _lps(monkeypatch, ti_check, inst, fam, arrays)
+            n_old, want = _lps(monkeypatch, reference_ti, inst, fam)
+            assert got == want == ti_check(inst, fam), (tol, got, want)
+            assert n_new <= n_old, (tol, n_new, n_old)
+            A = inst.cone.halfspaces
+            xi = LinearFunctional(A.T @ np.ones(len(A)))
+            x0 = inst.labels[0]
+            with monkeypatch.context() as mp:
+                calls = counted_tables(mp)
+                n_new, got = _lps(monkeypatch, _solve_data, _solve_order,
+                                  inst, fam, xi, x0, "greedy")
+            with monkeypatch.context() as mp:
+                _as_reference(mp)
+                n_old, want = _lps(monkeypatch, _solve_data,
+                                   reference_solve, inst, fam, xi, x0)
+            assert got == want, (tol, got, want)
+            assert n_new <= n_old, (tol, n_new, n_old)
+            assert calls[0] == (1 if tol < 1 else 2), (tol, calls)
+            seen.add((tol < 1, "solved" if isinstance(got[1], list)
+                      else got[0]))
+    assert {(True, "solved"), (False, "solved")} <= seen, seen
+
+
+def test_each_direction_solve_validates_its_direction_set_once(monkeypatch):
+    """Theorems 3.5 (pointwise), 4.2 and 4.4 check their direction set
+    once per solve: the family's ``validate`` or the functional, not
+    both."""
+    calls, real = [0], geometry.validate_direction_set
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "validate_direction_set", counting)
+    monkeypatch.setattr(instances, "validate_direction_set", counting)
+    for seed in range(3):
+        single = generated_bundle(4000 + seed, n=4, m=2, variant="singleton")
+        poly = generated_bundle(4000 + seed, n=4, m=2, variant="polytope")
+        quasi = generated_bundle(4000 + seed, n=4, m=2,
+                                 variant="quasimetric")
+        k0 = single.raw["perturbation"]["k0"]
+        H = Polytope(poly.raw["perturbation"]["vertices"])
+        solves = {
+            "3.5": lambda eps: solve_evp_direction(
+                single.instance, k0, eps, single.params.lam,
+                single.params.x0, premise="pointwise"),
+            "4.2": lambda eps: solve_evp_set_direction(
+                poly.instance, H, poly.params.gamma, poly.params.x0),
+            "4.4": lambda eps: solve_evp_quasimetric(
+                quasi.instance, quasi.family.H, quasi.family.p,
+                quasi.params.x0)}
+        for name, solve_ in solves.items():
+            eps, _ = grow_epsilon(solve_)
+            calls[0] = 0
+            solve_(eps)
+            assert calls[0] == 1, (seed, name, calls)

@@ -2,13 +2,16 @@
 triangle excess, kept verbatim (with :func:`vertex_bounds` and
 :func:`settled_triples`) as the reference that the search with
 ``excess_settles`` must equal: the same witnesses, the same InputError and
-the same LP calls."""
+the same LP calls. ``facet_tables`` is kept verbatim as it was before it
+could read the order's target table, building its own from
+``target_tables``."""
 
 import numpy as np
 
 from evpkit.errors import InputError
-from evpkit.geometry import _over_rows, lp_member, screen_members
-from evpkit.instances import _TRIANGLE_QUERIES, facet_tables, facet_verdicts
+from evpkit.geometry import (_over_rows, lp_member, screen_members,
+                             segment_band)
+from evpkit.instances import _TRIANGLE_QUERIES, facet_verdicts, target_tables
 
 
 def vertex_bounds(V, C):
@@ -44,6 +47,52 @@ def settled_triples(s, s13, bounds, C, tol):
     skip = (s <= tol) & (s13 <= tol)
     return skip | ((s13 >= 0) & (low - allowance >= -tol))
 
+
+
+@np.errstate(all="ignore")
+def facet_tables(S, SV, nv, C, tol):
+    """What :func:`facet_verdicts` reads of a per-pair stack, built once
+    per search from the scales ``S``, the scaled vertices ``SV = S * V``
+    (``(n, n, L, J, m)``) and the counts ``nv``: the conditions of every
+    target by :func:`target_tables`, and what the sources need of them.
+
+    The row minima of a scaled set do not depend on the target, and a pair
+    condition weighs ``A s v`` as ``base + w_i * slope`` with the
+    target-free ``base = A_k s v`` and ``slope = (A_i - A_k) s v``. Returns
+    ``(rows, pairs, fit, band)``, every table laid out so that (x3, x2)
+    come last, as :func:`facet_verdicts` reads them:
+
+    * ``rows``: the row minima per cone row as ``(k, x1, mu, x2)`` and
+      ``(k, nu, x3, x2)``, and less ``tol`` as ``(k, index, x1, x3)``;
+    * ``pairs``: ``base`` and ``slope`` per row pair and scaled vertex as
+      ``(K, x1, mu, u, x2)`` and ``(K, nu, v, x3, x2)``, and ``w_i`` and
+      ``theta`` as ``(K, index, x1, x3)``. A pair with opposite signs in
+      no target is left out; where a target's signs do not oppose,
+      ``theta`` is ``-inf``;
+    * ``fit``: the targets the facets may decide, ``(index, x1, x3)``:
+      ``s13`` above ``tol`` and at most two vertices, and none when a
+      margin, at most ``7 size + tol`` in magnitude, could overflow;
+    * ``band``: :func:`geometry.segment_band`.
+
+    Overflow and invalid values raise no warning here: a NaN margin is
+    neither covered nor dead, so its triple goes to the screen.
+    """
+    A, m = C.halfspaces, C.dim
+    n, _, L, J, _ = SV.shape
+    ASV = (A @ SV.reshape(-1, m).T).reshape(len(A), n, n, L, J)
+    R, (i, j, w, th), fit = target_tables(ASV, S, nv, tol)  # R: (k, x, y, L)
+    rows = (np.ascontiguousarray(R.transpose(0, 1, 3, 2)),
+            np.ascontiguousarray(R.transpose(0, 3, 2, 1)),
+            R.transpose(0, 3, 1, 2) - tol)
+    base, slope = ASV[j], ASV[i] - ASV[j]
+    pairs = (tuple(np.ascontiguousarray(x.transpose(axes))
+                   for axes in ((0, 1, 3, 4, 2), (0, 3, 4, 2, 1))
+                   for x in (base, slope)),
+             w.transpose(0, 3, 1, 2), th.transpose(0, 3, 1, 2))
+    # |A||y| <= 2 size for a vertex sum y, and |A||s v| <= size
+    size = np.abs(SV).max() * np.abs(A).sum(axis=1).max()
+    fit &= np.isfinite(8.0 * size)
+    return rows, pairs, fit.transpose(2, 0, 1), segment_band(size, m, tol)
 
 
 def triangle_failure(S, V, nv, C, tol):
