@@ -785,33 +785,28 @@ class OrderGrid:
 
     def precedes(self, j, rows=None):
         """Whether each row of ``rows`` (an index array, every row when
-        None) precedes column ``j``, the column passed first. Its ``OPEN``
-        cells among them are asked without a witness and written as -1 or
-        ``OUT``."""
-        self.pass_columns(j)
-        got = self.cells[:, j] if rows is None else self.cells[rows, j]
-        ask = (got == OPEN).nonzero()[0]
-        if ask.size:
-            at = ask if rows is None else rows[ask]
-            got[ask] = self.cells[at, j] = np.where(
-                _ask_column(self.inst, self.arrays, at, j, False) < 0,
-                -1, OUT)
-        return got == -1
+        None) precedes column ``j``."""
+        return self._read(j, rows, False) == -1
 
     def column(self, j, rows=None):
-        """The cells of the rows ``rows`` (an index array, every row when
-        None) of column ``j``, the column passed first, each -1 or its
-        first uncovered query. Its ``OPEN`` and ``OUT`` cells among them
-        are asked with a witness and written into the grid."""
+        """A copy of the cells of ``rows`` (every row when None) of column
+        ``j``, each -1 or its first uncovered query."""
+        return self._read(j, np.arange(len(self.cells)) if rows is None
+                          else rows, True)
+
+    def _read(self, j, rows, witness):
+        """The cells of ``rows`` (all, as a view, when None) of column
+        ``j``, passed first. Without a ``witness`` the ``OPEN`` cells are
+        asked and written as -1 or ``OUT``; with one the ``OPEN`` and
+        ``OUT`` cells (all below -1) as their exact cells."""
         self.pass_columns(j)
-        if rows is None:
-            rows = np.arange(len(self.cells))
-        got = self.cells[rows, j]
-        # a passed cell below -1 is OPEN or OUT
-        ask = (got < -1).nonzero()[0]
+        got = self.cells[:, j] if rows is None else self.cells[rows, j]
+        ask = ((got < -1) if witness else (got == OPEN)).nonzero()[0]
         if ask.size:
-            got[ask] = self.cells[rows[ask], j] = _ask_column(
-                self.inst, self.arrays, rows[ask], j, True)
+            at = ask if rows is None else rows[ask]
+            cells = _ask_column(self.inst, self.arrays, at, j, witness)
+            got[ask] = self.cells[at, j] = (
+                cells if witness else np.where(cells < 0, -1, OUT))
         return got
 
 

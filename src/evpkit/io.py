@@ -202,33 +202,30 @@ def _build_space(spec):
     raise InputError("space needs a distance matrix or coordinates")
 
 
+def _require(spec, *groups):
+    """Raise for the first group of perturbation keys missing from spec."""
+    for keys in groups:
+        if any(key not in spec for key in keys):
+            names = " and ".join(f"perturbation.{key}" for key in keys)
+            raise InputError(f"{names} {'is' if len(keys) == 1 else 'are'} "
+                             f"required for {spec['variant']!r}")
+
+
 def _build_family(spec, space, cone_, tol):
     variant = spec["variant"]
     if variant == "singleton":
-        if "k0" not in spec:
-            raise InputError("perturbation.k0 is required for 'singleton'")
-        gamma = spec.get("gamma")
-        if gamma is None:
-            raise InputError("perturbation.gamma is required for 'singleton'")
-        fam = SingletonDirection(spec["k0"], gamma)
+        _require(spec, ["k0"], ["gamma"])
+        fam = SingletonDirection(spec["k0"], spec["gamma"])
     elif variant == "polytope":
-        if "vertices" not in spec:
-            raise InputError("perturbation.vertices is required for 'polytope'")
-        gamma = spec.get("gamma")
-        if gamma is None:
-            raise InputError("perturbation.gamma is required for 'polytope'")
+        _require(spec, ["vertices"], ["gamma"])
         cls = OpenPolytopeFamily if spec.get("open") else PolytopeDirection
-        fam = cls(Polytope(spec["vertices"]), gamma)
+        fam = cls(Polytope(spec["vertices"]), spec["gamma"])
     elif variant == "quasimetric":
-        if "vertices" not in spec or "matrix" not in spec:
-            raise InputError("perturbation.vertices and perturbation.matrix "
-                             "are required for 'quasimetric'")
+        _require(spec, ["vertices", "matrix"])
         fam = QuasiMetricDirection(Polytope(spec["vertices"]),
                                    QuasiMetric(spec["matrix"]))
     else:  # extensional; INSTANCE_SPEC admits no other variant
-        if "lambdas" not in spec or "table" not in spec:
-            raise InputError("perturbation.lambdas and perturbation.table "
-                             "are required for 'extensional'")
+        _require(spec, ["lambdas", "table"])
         unlisted = [lam for lam in spec["table"]
                     if lam not in spec["lambdas"]]
         if unlisted:

@@ -24,7 +24,8 @@ from .instances import (MetricSpace, PolytopeDirection, check_positive,
                         order_facets, order_grid, triangle_failure,
                         vertex_minima)
 from .scalarize import GerstewitzFn
-from .solvers import Certificate, Conclusion, _jsonable
+from .solvers import (Certificate, Conclusion, _distance_conclusion,
+                      _jsonable)
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +87,13 @@ def domination_check(B, C: PolyhedralCone, strict=False, tol=DEFAULT_TOL):
     Returns ``(True, None)`` or ``(False, uncovered_point)``, the first one
     in list order."""
     B, under = _under(B, C, tol)
-    bare = np.flatnonzero(~under[:, _minimal(under, strict)].any(axis=1))
+    bare = _bare(under, strict)
     return (False, B[bare[0]]) if bare.size else (True, None)
+
+
+def _bare(under, strict):
+    """Positions of an :func:`_under` matrix above no (strict) minimal one."""
+    return np.flatnonzero(~under[:, _minimal(under, strict)].any(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -423,41 +429,50 @@ def _graph_conclusions(pi, grid, ihat, start, exclude_label_only):
             Conclusion("b", not violations, {"violations": violations})]
 
 
+def _slice_order(pi, i):
+    """The slice at base label ``i``: its graph positions and their
+    :func:`_under` matrix."""
+    at = np.flatnonzero(pi.label_index == i)
+    return at, _under(pi.values[at], pi.cone, pi.tol)[1]
+
+
 def solve_strict_minimal(pi: ProductInstance, fm: FMap, mode="greedy"):
     """Minimal pair post-processed down to a strict Pareto minimum of its
     label slice; the separation conclusion then excludes only the pair
     itself. Requires the strict domination property on every slice the start
-    section touches, checked after the pair map."""
+    section touches, checked after the pair map. The post-process reads the
+    xhat slice's order from the check and derives it only when xhat's label
+    lies outside the start section's, as the order is transitive only up to
+    tol."""
     checks = validate_fmap(pi, fm)
     grid = order_grid(pi, graph_arrays(pi, fm))
     start = _pair_index(pi, *pi.start)
     section = grid.precedes(start)
-    slice_report = {}
-    for x in sorted({pi.graph[p][0] for p in np.flatnonzero(section)},
-                    key=str):
-        values = pi.slice_values(x)
-        ok, uncovered = domination_check(values, pi.cone, strict=True,
-                                         tol=pi.tol)
-        slice_report[x] = ok
-        if not ok:
+    labels, slices = pi.base.labels, {}
+    for i in sorted(set(pi.label_index[section].tolist()),
+                    key=lambda j: str(labels[j])):
+        slices[i] = at, under = _slice_order(pi, i)
+        bare = _bare(under, True)
+        if bare.size:
+            x = labels[i]
             raise HypothesisError(
                 "strict_domination",
                 f"the value slice at {x!r} lacks the strict domination "
-                "property", witness={"x": x, "uncovered": _jsonable(uncovered)})
+                "property", witness={"x": x, "uncovered": _jsonable(
+                    pi.values[at[bare[0]]])})
     ihat, trace, assumptions = _minimal_point(pi, fm, mode, checks, grid,
                                               start, section)
-    xhat = pi.graph[ihat][0]
-    # the xhat slice by graph position; row ``at.index(ihat)`` of its order
-    # holds the slice values below the engine value
-    at = [p for p, (x, _) in enumerate(pi.graph) if x == xhat]
-    _, under = _under([pi.graph[p][1] for p in at], pi.cone, pi.tol)
-    below = np.flatnonzero(_minimal(under, True) & under[at.index(ihat)])
+    xhat, i = pi.graph[ihat][0], pi.label_index[ihat]
+    # the row of ihat in the xhat slice's order: the slice values below it
+    at, under = slices.get(i) or _slice_order(pi, i)
+    below = np.flatnonzero(_minimal(under, True)
+                           & under[np.searchsorted(at, ihat)])
     if not below.size:
         raise HypothesisError(
             "strict_domination",
             f"no strict Pareto minimum of the {xhat!r} slice sits below the "
             "engine value")
-    ihat = at[below[0]]
+    ihat = int(at[below[0]])
     yhat = pi.graph[ihat][1]
     cover, separation = _graph_conclusions(pi, grid, ihat, start,
                                            exclude_label_only=False)
@@ -466,7 +481,8 @@ def solve_strict_minimal(pi: ProductInstance, fm: FMap, mode="greedy"):
                                       "slice_strict_minimum": True}),
         separation,
     ]
-    assumptions["slice_strict_domination"] = slice_report
+    assumptions["slice_strict_domination"] = {labels[i]: True
+                                              for i in slices}
     return Certificate("5.2", xhat, conclusions, assumptions, trace,
                        yhat=yhat)
 
@@ -487,11 +503,8 @@ def solve_pareto_evp(pi: ProductInstance, k0, epsilon, lam, mode="greedy"):
     xi = GerstewitzFn(pi.cone, k0, pi.tol)
     fm = fmap_from_rate(pi.base, singleton(k0), epsilon / lam, xi)
     cert = solve_strict_minimal(pi, fm, mode)
-    d = pi.base.d(pi.x0, cert.xhat)
-    conclusions = list(cert.conclusions)
-    conclusions.append(Conclusion(
-        "c", d <= lam + pi.tol,
-        {"distance": d, "bound": lam, "strict": False, "boundary": False}))
-    return Certificate("5.6", cert.xhat, conclusions, cert.assumptions,
-                       cert.trace, yhat=cert.yhat,
-                       premise={"form": "global-escape", "epsilon": epsilon})
+    cert.theorem = "5.6"
+    cert.conclusions.append(
+        _distance_conclusion(pi.base, pi.x0, cert.xhat, lam, False, pi.tol))
+    cert.premise = {"form": "global-escape", "epsilon": epsilon}
+    return cert

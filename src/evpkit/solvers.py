@@ -120,17 +120,17 @@ def _jsonable(value):
 # Shared machinery.
 # ---------------------------------------------------------------------------
 
-def _solve_order(inst, fam, xi, x0, mode):
-    """Order construction, the hypothesis gate, the engine run from x0 and
-    the two order conclusions, shared by all solvers.
+def _solve_order(theorem, inst, fam, xi, x0, mode, premise=None, notes=()):
+    """The certificate of ``theorem`` from order construction, the
+    hypothesis gate, the engine run from x0 and the two order conclusions,
+    with the scalarization of ``xi``, ``premise`` and ``notes``.
 
-    Returns ``(xhat, conclusions, report, trace)``. The
-    :func:`order_arrays` and the :func:`label_infima` are computed once here
-    for every order test and hypothesis of the solve, and every order test
-    reads the one :func:`order_grid` of the solve by columns, each decided
-    the first time it is read: the start section's column, the columns of
-    its labels in :func:`check_assumptions`, those of the sections the
-    engine walks, and x0's and xhat's, for the conclusions."""
+    The :func:`order_arrays` and the :func:`label_infima` are computed once
+    here for every order test and hypothesis of the solve, and every order
+    test reads the one :func:`order_grid` of the solve by columns, each
+    decided the first time it is read: the start section's column, the
+    columns of its labels in :func:`check_assumptions`, those of the
+    sections the engine walks, and x0's and xhat's, for the conclusions."""
     arrays = order_arrays(inst, fam)
     ok, witness = ti_check(inst, fam, arrays)
     if not ok:
@@ -149,7 +149,10 @@ def _solve_order(inst, fam, xi, x0, mode):
                               "assumption gate failed",
                               witness=report.to_dict())
     xhat, trace = eng.solve(oracle, x0, mode)
-    return xhat, _order_conclusions(inst, fam, grid, xhat, x0), report, trace
+    return Certificate(theorem, xhat,
+                       _order_conclusions(inst, fam, grid, xhat, x0), report,
+                       trace, scalarization=_scalarization_info(xi),
+                       premise=premise, notes=notes)
 
 
 def _order_conclusions(inst, fam, grid, xhat, x0):
@@ -183,8 +186,9 @@ def _order_conclusions(inst, fam, grid, xhat, x0):
                        {"violations": failures, "separations": witnesses})]
 
 
-def _distance_conclusion(inst, x0, xhat, bound, strict, tol):
-    d = inst.space.d(x0, xhat)
+def _distance_conclusion(space, x0, xhat, bound, strict, tol):
+    """Conclusion (c): ``space.d(x0, xhat)`` within ``bound``."""
+    d = space.d(x0, xhat)
     if strict:
         holds = d < bound - tol
         boundary = abs(d - bound) <= tol
@@ -222,10 +226,8 @@ def _separating(xi):
 
 def solve_evp_general(inst: FiniteInstance, fam, xi, x0, mode="greedy"):
     """Order from a family validated here plus a monotone scalarization."""
-    xhat, conclusions, report, trace = _solve_order(
-        inst, fam.validate(inst.space, inst.cone, inst.tol), xi, x0, mode)
-    return Certificate("3.1", xhat, conclusions, report, trace,
-                       scalarization=_scalarization_info(xi))
+    fam = fam.validate(inst.space, inst.cone, inst.tol)
+    return _solve_order("3.1", inst, fam, xi, x0, mode)
 
 
 def _pointwise_premise(inst, x0, epsilon, H):
@@ -285,12 +287,10 @@ def solve_evp_direction(inst: FiniteInstance, k0, epsilon, lam, x0,
         premise_info["witness_value"] = y0
         theorem = "3.6"
 
-    xhat, conclusions, report, trace = _solve_order(inst, fam, xi, x0, mode)
-    conclusions.append(
-        _distance_conclusion(inst, x0, xhat, lam, False, inst.tol))
-    return Certificate(theorem, xhat, conclusions, report, trace,
-                       scalarization=_scalarization_info(xi),
-                       premise=premise_info)
+    cert = _solve_order(theorem, inst, fam, xi, x0, mode, premise_info)
+    cert.conclusions.append(
+        _distance_conclusion(inst.space, x0, cert.xhat, lam, False, inst.tol))
+    return cert
 
 
 def solve_evp_set_direction(inst: FiniteInstance, H: Polytope, gamma, x0,
@@ -305,7 +305,6 @@ def solve_evp_set_direction(inst: FiniteInstance, H: Polytope, gamma, x0,
     xi = _separating(strictly_positive_functional(H, inst.cone, inst.tol))
     # which has checked H as the family's validate would
     fam = (OpenPolytopeFamily if open_family else PolytopeDirection)(H, gamma)
-    xhat, conclusions, report, trace = _solve_order(inst, fam, xi, x0, mode)
     bounded_by = d_bounded_certificate(inst)
     notes = (
         "value boundedness: finite value set of "
@@ -316,9 +315,8 @@ def solve_evp_set_direction(inst: FiniteInstance, H: Polytope, gamma, x0,
     if open_family:
         notes += ("open rate family evaluated at its endpoint; the feasible "
                   "rate set of each membership is a closed interval from 0",)
-    return Certificate("4.1" if open_family else "4.2", xhat, conclusions,
-                       report, trace,
-                       scalarization=_scalarization_info(xi), notes=notes)
+    return _solve_order("4.1" if open_family else "4.2", inst, fam, xi, x0,
+                        mode, notes=notes)
 
 
 def solve_evp_quasimetric(inst: FiniteInstance, H: Polytope, p: QuasiMetric,
@@ -326,9 +324,7 @@ def solve_evp_quasimetric(inst: FiniteInstance, H: Polytope, p: QuasiMetric,
     """Set-direction perturbation scaled by a quasi-metric pair weight."""
     fam = QuasiMetricDirection(H, p).validate(inst.space, inst.cone, inst.tol)
     xi = _separating(positive_functional(H, inst.cone, inst.tol))
-    xhat, conclusions, report, trace = _solve_order(inst, fam, xi, x0, mode)
-    return Certificate("4.4", xhat, conclusions, report, trace,
-                       scalarization=_scalarization_info(xi))
+    return _solve_order("4.4", inst, fam, xi, x0, mode)
 
 
 def solve_evp_approx(inst: FiniteInstance, H: Polytope, epsilon, gamma, x0,
@@ -345,15 +341,12 @@ def solve_evp_approx(inst: FiniteInstance, H: Polytope, epsilon, gamma, x0,
             f"{x0!r} is not an approximate-efficiency start: every value of "
             f"f({x0!r}) is covered by f(X) + epsilon*H + cone",
             witness={"x0": x0})
-    base = solve_evp_set_direction(inst, H, gamma, x0,
+    cert = solve_evp_set_direction(inst, H, gamma, x0,
                                    open_family=not strict, mode=mode)
-    conclusions = list(base.conclusions)
-    conclusions.append(
-        _distance_conclusion(inst, x0, base.xhat, bound, strict, inst.tol))
-    return Certificate("4.6" if strict else "4.5", base.xhat, conclusions,
-                       base.assumptions, base.trace,
-                       scalarization=base.scalarization,
-                       premise={"form": "approximate-efficiency",
-                                "epsilon": epsilon,
-                                "witness_value": y0},
-                       notes=base.notes)
+    cert.theorem = "4.6" if strict else "4.5"
+    cert.conclusions.append(
+        _distance_conclusion(inst.space, x0, cert.xhat, bound, strict,
+                             inst.tol))
+    cert.premise = {"form": "approximate-efficiency", "epsilon": epsilon,
+                    "witness_value": y0}
+    return cert

@@ -1030,6 +1030,62 @@ def test_dispatch_hands_over_the_loaded_direction_set(
     assert handed and handed[0] is bundles[0].family.H
 
 
+def test_a_zero_table_vertex_is_rejected_by_the_pooled_direction_check(
+        tmp_path):
+    """An extensional table entry may hold 0, so the load accepts a zero
+    vertex in it; the CLI's check of the pooled direction vertices is the
+    one check that rejects it, for 3.1 and check-assumptions."""
+    data = generate(3, n=4, m=2, values_per_point=1, variant="extensional")
+    data["perturbation"]["table"]["L0"]["p0|p1"] = [[0, 0], [0.5, 0.5]]
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(data))
+    assert run_command(["validate", str(path)])[0] == 0
+    for argv in (["solve-evp", "--theorem", "3.1"], ["check-assumptions"]):
+        code, reports = run_command(argv + [str(path)])
+        assert code == 3 and reports[0].status == "input_error", argv
+        assert reports[0].payload["error"] == \
+            "direction-set vertex 0 is zero", argv
+
+
+@pytest.mark.parametrize("variant,dropped,text", [
+    ("singleton", ["k0"], "perturbation.k0 is required for 'singleton'"),
+    ("singleton", ["gamma"],
+     "perturbation.gamma is required for 'singleton'"),
+    ("singleton", ["gamma", "k0"],
+     "perturbation.k0 is required for 'singleton'"),
+    ("polytope", ["vertices"],
+     "perturbation.vertices is required for 'polytope'"),
+    ("polytope", ["gamma"], "perturbation.gamma is required for 'polytope'"),
+    ("polytope", ["gamma", "vertices"],
+     "perturbation.vertices is required for 'polytope'"),
+    ("open_polytope", ["gamma"],
+     "perturbation.gamma is required for 'polytope'"),
+    ("quasimetric", ["vertices"], "perturbation.vertices and "
+     "perturbation.matrix are required for 'quasimetric'"),
+    ("quasimetric", ["matrix"], "perturbation.vertices and "
+     "perturbation.matrix are required for 'quasimetric'"),
+    ("extensional", ["lambdas"], "perturbation.lambdas and "
+     "perturbation.table are required for 'extensional'"),
+    ("extensional", ["table"], "perturbation.lambdas and "
+     "perturbation.table are required for 'extensional'"),
+])
+def test_a_missing_perturbation_key_is_named(variant, dropped, text,
+                                             tmp_path):
+    """Each variant names its first missing perturbation key, in the order
+    k0 then gamma, vertices then gamma, and the two keys of a quasi-metric
+    or extensional family together, through the API and the CLI."""
+    data = generate(5, n=4, m=2, variant=variant)
+    for key in dropped:
+        del data["perturbation"][key]
+    with pytest.raises(InputError) as err:
+        load_validate(data)
+    assert str(err.value) == text
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(data))
+    code, reports = run_command(["validate", str(path)])
+    assert code == 3 and reports[0].payload["error"] == text
+
+
 class TestReport:
     def test_round_trip_lossless(self):
         code, reports = run_command(["solve-evp", "--theorem", "3.6",

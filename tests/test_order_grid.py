@@ -50,7 +50,7 @@ from evpkit.product import (FMap, ProductInstance, _graph_conclusions,
                             solve_minimal_point, solve_strict_minimal,
                             validate_fmap)
 from evpkit.io import generate, load_validate
-from evpkit.solvers import (_order_conclusions, _solve_order,
+from evpkit.solvers import (Certificate, _order_conclusions, _solve_order,
                             solve_evp_direction, solve_evp_general,
                             solve_evp_quasimetric, solve_evp_set_direction)
 
@@ -753,7 +753,7 @@ def reference_solve(inst, fam, xi, x0):
     when they are read: the reference's whole order matrix, the engine
     oracle and the hypothesis gate over that matrix, and the conclusions
     on a grid with every cell open, whose one stack goes through the
-    reference."""
+    reference, in the :class:`Certificate` of 3.1."""
     arrays = order_arrays(inst, fam)
     ok, witness = ti_check(inst, fam)
     if not ok:
@@ -773,20 +773,20 @@ def reference_solve(inst, fam, xi, x0):
         raise HypothesisError(report.failed_name(), "assumption gate failed",
                               witness=report.to_dict())
     xhat, trace = solve(oracle, x0, "greedy")
-    return (xhat, _order_conclusions(inst, fam, open_grid(inst, arrays),
-                                     xhat, x0), report, trace)
+    return Certificate("3.1", xhat, _order_conclusions(
+        inst, fam, open_grid(inst, arrays), xhat, x0), report, trace)
 
 
 def _solve_data(fn, *args):
-    """A solve's terminal label, conclusions, report and trace as plain
-    data, or its error's type, text, name and witness."""
+    """A solve certificate's terminal label, conclusions, report and trace
+    as plain data, or its error's type, text, name and witness."""
     try:
-        xhat, conclusions, report, trace = fn(*args)
+        cert = fn(*args)
     except (HypothesisError, InputError) as exc:
         return (type(exc).__name__, str(exc), getattr(exc, "name", None),
                 getattr(exc, "witness", None))
-    return (xhat, [c.to_dict() for c in conclusions], report.to_dict(),
-            trace.to_dict())
+    return (cert.xhat, [c.to_dict() for c in cert.conclusions],
+            cert.assumptions.to_dict(), cert.trace.to_dict())
 
 
 def test_label_solves_equal_the_reference_solve(monkeypatch):
@@ -804,8 +804,8 @@ def test_label_solves_equal_the_reference_solve(monkeypatch):
         A = inst.cone.halfspaces
         xi = LinearFunctional(A.T @ np.ones(len(A)))
         for x0 in inst.labels[::2]:
-            n_new, got = _lps(monkeypatch, _solve_data, _solve_order, inst,
-                              fam, xi, x0, "greedy")
+            n_new, got = _lps(monkeypatch, _solve_data, _solve_order, "3.1",
+                              inst, fam, xi, x0, "greedy")
             with monkeypatch.context() as mp:
                 _as_reference(mp)
                 n_old, want = _lps(monkeypatch, _solve_data, reference_solve,
@@ -1316,7 +1316,7 @@ def test_per_pair_solves_on_one_table_equal_both_references(monkeypatch):
             with monkeypatch.context() as mp:
                 calls = counted_tables(mp)
                 n_new, got = _lps(monkeypatch, _solve_data, _solve_order,
-                                  inst, fam, xi, x0, "greedy")
+                                  "3.1", inst, fam, xi, x0, "greedy")
             with monkeypatch.context() as mp:
                 _as_reference(mp)
                 n_old, want = _lps(monkeypatch, _solve_data,

@@ -721,3 +721,115 @@ def test_margin_decides_infinity_at_the_scaled_value():
     P = Polytope([[1.0, 1e-8], [2.0, 2e-8]])
     assert zeta(np.full((2, 2, 1), 0.05), P.vertices, gz, base.dist,
                 1.0) == 0.05
+
+
+def _twinned(pi, every):
+    """``pi`` with a copy, tol/10 apart, of one strict Pareto minimum of the
+    slice of every ``every``-th label that has pairs, so that each such
+    slice lacks the strict domination property."""
+    graph = list(pi.graph)
+    for x in pi.base.labels[::every]:
+        values = pi.slice_values(x)
+        if values:
+            y = strict_pareto_min(values, pi.cone, pi.tol)[0]
+            graph.append((x, y + [pi.tol / 10] + [0.0] * (len(y) - 1)))
+    return ProductInstance(graph, pi.base, pi.start, pi.cone, pi.tol)
+
+
+def test_strict_solves_derive_each_slice_order_once(monkeypatch):
+    """5.2 and 5.6 on generated graphs (n = 5 to 16, 2 to 4 values per
+    label), plain and with twinned slices, from every start pair: each solve
+    derives the order of each slice it reads once, one ``_under`` call per
+    distinct label of the start section and of xhat, and a slice lacking
+    the strict domination property is named with the text and witness of
+    :func:`domination_check` over the sorted section labels."""
+    import evpkit.product as prod
+
+    read, real = [], prod._under
+
+    def under(B, C, tol):
+        read.append(tuple(map(tuple, np.asarray(B, dtype=float).tolist())))
+        return real(B, C, tol)
+
+    monkeypatch.setattr(prod, "_under", under)
+    seen = set()
+    for seed in range(4):
+        n, values = (5, 8, 12, 16)[seed], 2 + seed % 3
+        b = generated_bundle(9100 + seed, n=n, m=2, values_per_point=values)
+        k0, pi = b.raw["perturbation"]["k0"], b.product
+        eps, lam = b.params.epsilon, b.params.lam
+        xi = strictly_positive_functional(singleton(k0), pi.cone, pi.tol)
+        # 5.6's own pair map: the rate epsilon / lambda and the cone
+        # scalarization
+        fms = {"5.2": fmap_from_rate(pi.base, singleton(k0),
+                                     b.raw["perturbation"]["gamma"], xi),
+               "5.6": fmap_from_rate(pi.base, singleton(k0), eps / lam,
+                                     GerstewitzFn(pi.cone, k0, pi.tol))}
+        for pi in (b.product, _twinned(b.product, 3)):
+            label_of = {tuple(map(tuple, np.asarray(
+                pi.slice_values(x)).tolist())): x for x in pi.base.labels}
+            for start in pi.graph:
+                at = ProductInstance(pi.graph, pi.base, start, pi.cone,
+                                     pi.tol)
+                for name, fm in fms.items():
+                    section = sorted({x for x, y in at.graph if prec_f(
+                        at, fm, (x, y), at.start)}, key=str)
+                    del read[:]
+                    try:
+                        cert = (solve_strict_minimal(at, fm) if name == "5.2"
+                                else solve_pareto_evp(at, k0, eps, lam))
+                    except PremiseError:
+                        assert not read, name
+                        seen.add((name, "premise"))
+                        continue
+                    except HypothesisError as exc:
+                        cert, error = None, exc
+                    labels = [label_of[r] for r in read]
+                    assert len(labels) == len(set(labels)), (name, labels)
+                    if cert is not None:
+                        assert set(labels) == {*section, cert.xhat}, name
+                        seen.add((name, "certified"))
+                        continue
+                    bare = [(x, point) for x in section for ok, point in
+                            [domination_check(at.slice_values(x), at.cone,
+                                              True, at.tol)] if not ok]
+                    assert error.name == "strict_domination", name
+                    x, point = bare[0]
+                    assert str(error) == (
+                        "hypothesis 'strict_domination' failed: the value "
+                        f"slice at {x!r} lacks the strict domination property")
+                    assert error.witness == {"x": x, "uncovered": [
+                        float(v) for v in point]}
+                    assert labels == section[:section.index(x) + 1], name
+                    seen.add((name, "strict_domination"))
+    assert {(name, outcome) for name in ("5.2", "5.6") for outcome in
+            ("certified", "strict_domination")} <= seen, seen
+
+
+def test_strict_solve_derives_an_xhat_slice_outside_the_start_section(
+        monkeypatch):
+    """The graph order is transitive only up to tol: on a line with steps
+    0.9 tol short of the rate, b precedes a and a precedes s, but b misses
+    s by 1.8 tol. 5.2 from s walks to b, whose slice lies outside the start
+    section's labels; it derives that slice once, after the gate's two, and
+    reports the gate over the start section only."""
+    import evpkit.product as prod
+
+    read, real = [], prod._under
+
+    def under(B, C, tol):
+        read.append(np.asarray(B, dtype=float).tolist())
+        return real(B, C, tol)
+
+    monkeypatch.setattr(prod, "_under", under)
+    base = MetricSpace(("s", "a", "b"),
+                       [[0, 1, 2], [1, 0, 1], [2, 1, 0]]).validate()
+    graph = (("s", [1.982]), ("a", [0.991]), ("b", [0.0]))
+    pi = ProductInstance(graph, base, graph[0], orthant(1), 0.01)
+    fm = fmap_from_rate(base, singleton([1.0]), 1.0, LinearFunctional([1.0]))
+    cert = solve_strict_minimal(pi, fm)
+    assert cert.xhat == "b" and cert.yhat.tolist() == [0.0]
+    assert read == [[[0.991]], [[1.982]], [[0.0]]]
+    assert cert.assumptions["slice_strict_domination"] == {"a": True,
+                                                           "s": True}
+    assert [c.holds for c in cert.conclusions] == [False, True]
