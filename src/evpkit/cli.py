@@ -115,13 +115,19 @@ def _family_direction_vertices(bundle):
     if bundle.family.kind != "extensional":
         return _direction_polytope(bundle)
     # extensional: pool the real vertices of all sets over distinct label
-    # pairs from the family's (x2, x1, index, vertex) stack, in that order
-    space = bundle.instance.space
-    _, V, nv = bundle.family.arrays(space)
+    # pairs from the family's (x2, x1, index, vertex) stack, in that order;
+    # the first zero one is named by its table entry before pooling
+    inst, fam = bundle.instance, bundle.family
+    _, V, nv = fam.arrays(inst.space)
     real = np.arange(V.shape[3]) < nv[..., None]
-    real &= ~np.eye(space.n, dtype=bool)[:, :, None, None]
+    real &= ~np.eye(inst.space.n, dtype=bool)[:, :, None, None]
     if not real.any():
         raise InputError("perturbation has no sets over distinct labels")
+    if (zero := real & (np.abs(V).max(axis=-1) <= inst.tol)).any():
+        x2, x1, lam, j = np.argwhere(zero)[0]
+        entry = (fam.indices[lam], inst.labels[x2], inst.labels[x1])
+        raise InputError(f"direction-set vertex {j} of the family value for "
+                         f"{entry!r} is zero")
     return Polytope(V[real])
 
 

@@ -492,6 +492,16 @@ def stack_rows(arrays):
     return np.concatenate(arrays)[rows], counts
 
 
+def screen_faults(S, V, C: PolyhedralCone, tol=DEFAULT_TOL):
+    """Raise the InputError of a screen for a negative scale in ``S``, or
+    else for polytopes ``V`` (``(..., m)``) of a dimension that is not the
+    cone's at a scale above ``tol`` (at most tol, the screen ignores V)."""
+    if (S < 0).any():
+        raise InputError("scale must be nonnegative")
+    if V.shape[-1] != C.dim and not (S <= tol).all():
+        raise InputError("polytope dimension does not match the cone")
+
+
 def covered_queries(Y, B, nb, S, V, nv, C: PolyhedralCone, tol, group,
                     witness=True):
     """Decide a flat stack of memberships ``Y[q] in B[q] + S[q] * conv(V[q])
@@ -514,13 +524,9 @@ def covered_queries(Y, B, nb, S, V, nv, C: PolyhedralCone, tol, group,
     Returns ``(G,)`` ints: the first uncovered query of each group (with
     ``witness=False``, some uncovered query), or -1 when all are covered.
     """
-    if np.any(S < 0):
-        raise InputError("scale must be nonnegative")
+    screen_faults(S, V, C, tol)
     if V.shape[-1] != C.dim:
-        # a scale at most tol is the cone test and never looks at V
-        if not np.all(S <= tol):
-            raise InputError("polytope dimension does not match the cone")
-        V = None
+        V = None                        # every scale is at most tol
     own_b, own_v = B.ndim == 3, V is not None and V.ndim == 3
     if V is not None and not own_v:
         nv = len(V)

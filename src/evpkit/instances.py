@@ -20,8 +20,8 @@ from .errors import InputError
 from .geometry import (DEFAULT_TOL, PolyhedralCone, Polytope, _over_rows,
                        as_point, covered_queries, first_outside,
                        float_array, lp_member, minkowski_member,
-                       screen_members, segment_band, singleton,
-                       stack_rows, validate_direction_set)
+                       screen_faults, screen_members, segment_band,
+                       singleton, stack_rows, validate_direction_set)
 
 
 # ---------------------------------------------------------------------------
@@ -823,19 +823,12 @@ def order_grid(inst, arrays):
 
 
 def _screen_faults(inst, arrays):
-    """Raise the InputError of the screen for a negative scale, or else for
-    polytopes whose dimension is not the cone's at a scale above ``tol``,
-    in the order matrix's ``arrays``. Either leaves :func:`order_facets`
-    None, so that every query is asked and the screen raises at the first
-    such scale it meets; checked over every pair at once, the text does
-    not hang on which pairs are read first."""
-    S, V, facets = arrays[0], arrays[1], arrays[5]
-    if facets is not None:
-        return
-    if (S < 0).any():
-        raise InputError("scale must be nonnegative")
-    if V.shape[-1] != inst.cone.dim and (S > inst.tol).any():
-        raise InputError("polytope dimension does not match the cone")
+    """Raise the InputError of :func:`geometry.screen_faults` on the order
+    matrix's ``arrays``. Either fault leaves :func:`order_facets` None, and
+    checked over every pair at once, the text does not hang on which pairs
+    are read first."""
+    if arrays[5] is None:
+        screen_faults(arrays[0], arrays[1], inst.cone, inst.tol)
 
 
 def _lines_per_block(arrays, pairs):
@@ -916,9 +909,9 @@ def ti_check(inst: FiniteInstance, fam, arrays=None):
 # pair map (``product.FMap``) is a family of one index.
 # ---------------------------------------------------------------------------
 
-# triangle_failure's structural pass takes whole (index, x1) slabs in blocks
-# of up to this many queries, and at least one slab, so that its arrays stay
-# small at any n; a screen holds one slab
+# triangle_failure's structural pass takes (index, x1) slabs, and its screen
+# a slab's open pairs, in blocks of up to this many queries and at least one
+# slab or pair, so that its arrays stay small at any n
 _TRIANGLE_QUERIES = 1 << 16
 
 
@@ -1235,16 +1228,16 @@ def triangle_failure(S, V, nv, C, tol, excess=None, table=None):
     query, and only where the screen would: :func:`settled_triples` covers
     a pair settled for some (mu, nu) of a shared polytope, and
     :func:`facet_verdicts` decides the pairs of a stack, on the
-    :func:`facet_tables` of ``table`` (built when None). A block with every
-    pair covered is skipped. The walk screens a slab with an open pair
-    before its first dead one alone, by one :func:`screen_members` call,
-    when it reaches it: a pair is then covered when some (mu, nu) has every
-    query screened in, and dead when every (mu, nu) has one screened out.
-    Each slab's pairs before its first dead one are walked in loop order;
-    an uncovered one tries its (mu, nu) in order on the LP, skipping those
-    with a query screened out, until one has every undecided query covered.
-    So no LP runs that a loop over the triples would skip, and no slab is
-    screened past the one the search stops in.
+    :func:`facet_tables` of ``table`` (built when None). The walk takes
+    each slab's open pairs before its first dead one in loop order, and
+    screens them when it reaches them, by :func:`screen_members` calls of
+    at most ``_TRIANGLE_QUERIES`` queries, and at least one pair. A pair is
+    covered when some (mu, nu) has every query screened in; otherwise it
+    tries its (mu, nu) in order on the LP, skipping those with a query
+    screened out, until one has every undecided query covered, and is the
+    witness when none has. A slab's first dead pair is the witness when the
+    walk reaches it. So no LP runs that a loop over the triples would skip,
+    and no pair is screened past the block the search stops in.
     """
     n, _, L = S.shape
     shared = V.ndim == 2
@@ -1253,69 +1246,61 @@ def triangle_failure(S, V, nv, C, tol, excess=None, table=None):
         if L == 1 and excess_settles(S[..., 0], excess, bounds, C, tol):
             return None
     J = V.shape[-2]
-    per_slab = n * n * L * L * (J if shared else J * J)
-    run = max(1, _TRIANGLE_QUERIES // per_slab)     # slabs per block
+    per_pair = L * L * (J if shared else J * J)
+    run = max(1, _TRIANGLE_QUERIES // (n * n * per_pair))   # slabs per block
     lrun = max(1, run // n)
     blocks = [(slice(l0, l0 + lrun), slice(a0, a0 + run))
               for l0 in range(0, L, lrun) for a0 in range(0, n, min(run, n))]
+    pairs = max(1, _TRIANGLE_QUERIES // per_pair)           # pairs per screen
     origin = np.zeros((1, C.dim))
-    St, S23 = S.transpose(2, 0, 1), S.transpose(1, 0, 2)
     if not shared:
         SV, k = S[..., None, None] * V, np.arange(J)   # scaled vertices
-        SVt, nvt = SV.transpose(1, 0, 2, 3, 4), nv.transpose(1, 0, 2)
         facets = facet_tables(S, SV, nv, C, tol, table)
 
-    def first(mask):
-        return int(mask.argmax()) if mask.any() else mask.size
-
-    def screen(l, x):
-        # the slab (index, x1) = (l, x) alone: its flat masks (covered,
-        # dead) over (x3, x2), and covers(c, b, g): (mu, nu) = divmod(g, L)
-        # has no query of the pair (x3, x2) = (c, b) screened out, and the
-        # LP covers its undecided ones but padding, in order
-        s13 = St[l, x]
-        s = (S[x][None, :, :, None] + S23[:, :, None, :]).reshape(n, n, -1)
+    def screen(l, x, c, b):
+        # the pairs (x3, x2) = (c, b) of the slab (index, x1) = (l, x): a
+        # mask of those that the screen covers, and covers(p, g): (mu, nu)
+        # = divmod(g, L) has no query of pair p screened out, and the LP
+        # covers its undecided ones but padding, in order
+        s13 = S[x, c, l]
+        s = (S[x, b][:, :, None] + S[b, c][:, None, :]).reshape(len(c), -1)
         if shared:
-            # queries (x3, x2, (mu, nu), v): (s12 + s23) v
+            # queries (pair, (mu, nu), v): (s12 + s23) v
             W, pad = s[..., None, None] * V, False
-            T, nT = np.broadcast_to(V, (n, J, C.dim)), np.full(n, nv)
             target = V, nv
         else:
-            # queries (x3, x2, (mu, nu), (u, v)): s12 u + s23 v
-            W = (SV[x][None, :, :, None, :, None]
-                 + SVt[:, :, None, :, None, :]).reshape(n, n, -1, J * J,
-                                                         C.dim)
-            pad = ((k >= nv[x][..., None])[None, :, :, None, :, None]
-                   | (k >= nvt[..., None])[:, :, None, :, None, :]
-                   ).reshape(n, n, -1, J * J)
-            T, nT = V[x, :, l], nv[x, :, l]
-            target = T[:, None, None, None], nT[:, None, None, None]
-        dec, ans, cand = screen_members(W, origin, s13[:, None, None, None],
+            # queries (pair, (mu, nu), (u, v)): s12 u + s23 v
+            W = (SV[x, b][:, :, None, :, None] + SV[b, c][:, None, :, None]
+                 ).reshape(len(c), L * L, J * J, C.dim)
+            pad = ((k >= nv[x, b][..., None])[:, :, None, :, None]
+                   | (k >= nv[b, c][..., None])[:, None, :, None]
+                   ).reshape(len(c), L * L, J * J)
+            T, nT = V[x, c, l], nv[x, c, l]
+            target = T[:, None, None], nT[:, None, None]
+        dec, ans, cand = screen_members(W, origin, s13[:, None, None],
                                         *target, C, tol)
-        skip = (s <= tol) & (s13[:, None, None] <= tol)
+        skip = (s <= tol) & (s13[:, None] <= tol)
         free = skip[..., None] | pad            # covered without a test
-        dec = dec & ~((s13[:, None, None] < 0) & ~skip)[..., None]
+        dec = dec & ~((s13[:, None] < 0) & ~skip)[..., None]
         out = _over_rows(np.logical_or, dec & ~ans & ~free)
-        hit = _over_rows(np.logical_or, _over_rows(
-            np.logical_and, (dec & ans) | free))
         todo = ~(dec | free)
 
-        def covers(c, b, g):
-            if out[c, b, g]:
+        def covers(p, g):
+            if out[p, g]:
                 return False
-            if s13[c] < 0:
+            if s13[p] < 0:
                 raise InputError("scale must be nonnegative")
-            return all(lp_member(W[c, b, g, q], origin, s13[c],
-                                 T[c, :nT[c]], C, tol,
-                                 np.flatnonzero(cand[c, b, g, q]))
-                       for q in np.flatnonzero(todo[c, b, g]))
+            return all(lp_member(W[p, g, q], origin, s13[p],
+                                 V if shared else T[p, :nT[p]], C, tol,
+                                 np.flatnonzero(cand[p, g, q]))
+                       for q in np.flatnonzero(todo[p, g]))
 
-        return (hit.ravel(), _over_rows(np.logical_and, out).ravel(),
-                covers)
+        return _over_rows(np.logical_or, _over_rows(
+            np.logical_and, (dec & ans) | free)), covers
 
     for at in blocks:                       # (index, x1) slices
         lams, a = np.arange(L)[at[0]], np.arange(n)[at[1]]
-        s13 = St[at]                        # s13 over (index, x1, x3)
+        s13 = S.transpose(2, 0, 1)[at]      # s13 over (index, x1, x3)
         if shared:
             # s12 + s23 over (x1, x2, x3, (mu, nu))
             s = (S[at[1]][:, :, None, :, None]
@@ -1332,14 +1317,15 @@ def triangle_failure(S, V, nv, C, tol, excess=None, table=None):
         # walked, each up to its first dead pair (n * n when none)
         for p in np.flatnonzero(~covered.all(axis=1)):
             l, x = int(lams[p // len(a)]), int(a[p % len(a)])
-            cov, dd = covered[p], dead[p]
-            if not cov[:first(dd)].all():
-                cov, dd, covers = screen(l, x)
-                for q in np.flatnonzero(~cov[:first(dd)]):
-                    c, b = divmod(int(q), n)
-                    if not any(covers(c, b, g) for g in range(L * L)):
-                        return l, x, b, c
-            if (stop := first(dd)) < n * n:
+            stop = int(dead[p].argmax()) if dead[p].any() else n * n
+            opened = np.flatnonzero(~covered[p, :stop])
+            for start in range(0, len(opened), pairs):
+                c, b = np.divmod(opened[start:start + pairs], n)
+                hit, covers = screen(l, x, c, b)
+                for q in np.flatnonzero(~hit):
+                    if not any(covers(q, g) for g in range(L * L)):
+                        return l, x, int(b[q]), int(c[q])
+            if stop < n * n:
                 c, b = divmod(stop, n)
                 return l, x, b, c
     return None

@@ -1154,19 +1154,23 @@ def test_generated_instances_need_no_screen(monkeypatch, variant):
 
 def test_non_metric_instance_is_screened(monkeypatch):
     """Distances that break the triangle inequality leave triples open: the
-    search screens exactly the x1 slabs that hold a triple settled_triples
-    leaves open, one call each, up to the witness's slab."""
+    search screens exactly the pairs (x3, x2) that settled_triples leaves
+    open, one call per x1 slab that holds one, up to the witness's slab,
+    and the witness is one of them."""
     rng = np.random.default_rng(8)
     inst, fam, _ = random_instance(rng, n=6, m=2, kind="polytope",
                                    metric=False)
     arrays = fam.arrays(inst.space)
-    screened, got = _screened(monkeypatch, arrays, ti_check, inst, fam)
+    calls, hit, got = _screened(monkeypatch, arrays, ti_check, inst, fam)
     S, V, _ = arrays
+    n = len(S)
     settled = settled_over_triples(S[..., 0], V, inst.cone, inst.tol)
-    last = len(S) if got[0] else inst.labels.index(got[1][0])
-    assert screened == [(0, int(a)) for a in np.flatnonzero(
-        ~settled.all(axis=(1, 2))) if a <= last]
-    assert screened and got == loop_ti_check(inst, fam)
+    last = n if got[0] else inst.labels.index(got[1][0])
+    opened = [[(0, a, c, b) for c, b in itertools.product(range(n), repeat=2)
+               if not settled[a, b, c]] for a in range(n) if a <= last]
+    assert calls == [pairs for pairs in opened if pairs]
+    assert calls and got == loop_ti_check(inst, fam)
+    assert got[0] or hit in calls[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -1412,37 +1416,72 @@ def loop_slab_queries(S, V, x):
     return np.array(Y).reshape(n, n, L * L, -1, V.shape[-1])
 
 
-def screened_slab(arrays, Y, s13, target):
-    """The (index, x1) slab of the search arrays whose queries, scales s13
-    and targets one screen_members call holds: the call holds one slab and
-    no more."""
+def screened_pairs(arrays):
+    """The (index, x1, x3, x2) pairs of the search arrays, keyed by what one
+    row of a screen_members call holds for each: the bytes of its queries
+    (:func:`loop_slab_queries`), its scale s13, and the bytes of its target
+    (None for a shared polytope); -0.0 is read as 0.0."""
     S, V, _ = arrays
     n, _, L = S.shape
-    slabs = [(lam, x) for lam, x in itertools.product(range(L), range(n))
-             if np.array_equal(np.ravel(s13), S[x, :, lam])
-             and (target is V if V.ndim == 2 else np.array_equal(
-                 np.ravel(target), V[x, :, lam].ravel()))
-             and np.array_equal(np.ravel(Y),
-                                loop_slab_queries(S, V, x).ravel())]
-    assert len(slabs) == 1, (np.shape(Y), slabs)
-    return slabs[0]
+    pairs = {}
+    for x in range(n):
+        Y = loop_slab_queries(S, V, x) + 0.0
+        for lam, c, b in itertools.product(range(L), range(n), range(n)):
+            target = None if V.ndim == 2 else (V[x, c, lam] + 0.0).tobytes()
+            pairs.setdefault((Y[c, b].tobytes(), float(S[x, c, lam]),
+                              target), []).append((lam, x, c, b))
+    return pairs
 
 
 def _screened(monkeypatch, arrays, fn, *args):
-    """The (index, x1) slabs that ``fn(*args)`` screens in its triangle
-    search on ``arrays``, in call order, and its result."""
-    slabs = []
+    """What ``fn(*args)`` screens in its triangle search on ``arrays``: the
+    (index, x1, x3, x2) pairs each screen_members call holds, one list per
+    call in call order; the search's failing pair in that form, or None;
+    and the result. The screened pairs must come in walk order, each after
+    the one before: a row whose inputs several pairs share (over symmetric
+    scales, x1 and x3 swapped) is read as the first of them after the
+    previous row's pair."""
+    V = arrays[1]
+    pairs = screened_pairs(arrays)
+    calls, hits, last = [], [], [(-1,)]
+    search = instances.triangle_failure
 
     def recording(Y, B, s13, target, *rest):
-        slabs.append(screened_slab(arrays, Y, s13, target))
+        assert target is V if V.ndim == 2 else target.shape[1:3] == (1, 1)
+        calls.append([])
+        for p in range(len(Y)):
+            found = pairs.get(((Y[p] + 0.0).tobytes(), float(s13[p, 0, 0]),
+                               None if V.ndim == 2 else
+                               (target[p, 0, 0] + 0.0).tobytes()), [])
+            later = sorted(pair for pair in found if pair > last[0])
+            assert later, (np.shape(Y), p, found, last[0])
+            last[0] = later[0]
+            calls[-1].append(later[0])
         return screen_members(Y, B, s13, target, *rest)
 
+    def searching(*a, **kw):
+        hit = search(*a, **kw)
+        hits.append(None if hit is None else (hit[0], hit[1], hit[3], hit[2]))
+        return hit
+
     monkeypatch.setattr(instances, "screen_members", recording)
+    for owner in (instances, product):
+        monkeypatch.setattr(owner, "triangle_failure", searching)
     try:
         result = fn(*args)
     finally:
         monkeypatch.setattr(instances, "screen_members", screen_members)
-    return slabs, result
+        for owner in (instances, product):
+            monkeypatch.setattr(owner, "triangle_failure", search)
+    assert len(hits) <= 1
+    return calls, hits[0] if hits else None, result
+
+
+def walked(calls, hit):
+    """The screened pairs of :func:`_screened` in call order, up to the
+    failing pair ``hit`` when it was screened."""
+    flat = [pair for call in calls for pair in call]
+    return flat[:flat.index(hit) + 1] if hit in flat else flat
 
 
 def test_sweeps_never_run_more_lps_than_loops(monkeypatch):
@@ -1502,32 +1541,36 @@ def test_sweeps_never_run_more_lps_than_loops(monkeypatch):
     assert totals["loop"] > 0  # the LP fallback was exercised
 
 
-def facet_open_slabs(inst, fam):
+def facet_open_pairs(inst, fam):
     """The (index, x1) slabs of a table, in walk order, that hold a pair
-    ``facet_verdicts`` leaves open before their first dead pair, up to the
-    first slab whose first dead pair has no open pair before it (a failure
-    the facets decide); and that slab, or None."""
+    ``facet_verdicts`` leaves open before their first dead pair, each with
+    those open pairs as (index, x1, x3, x2) in walk order, up to the first
+    slab whose first dead pair has no open pair before it (a failure the
+    facets decide); and that slab, or None."""
     S, V, nv = fam.arrays(inst.space)
     n, _, L = S.shape
     tables = facet_tables(S, S[..., None, None] * V, nv, inst.cone, inst.tol)
     covered, dead = facet_verdicts(tables, (slice(0, L), slice(0, n)))
-    opened = []
+    opened = {}
     for slab in itertools.product(range(L), range(n)):
         pairs = list(zip(covered[slab].ravel(), dead[slab].ravel()))
         stop = next((p for p, (_, d) in enumerate(pairs) if d), len(pairs))
-        if any(not c and not d for c, d in pairs[:stop]):
-            opened.append(slab)
+        open_ = [(*slab, *divmod(p, n)) for p, (c, d) in enumerate(pairs)
+                 if p < stop and not c]
+        if open_:
+            opened[slab] = open_
         elif stop < len(pairs):
             return opened, slab
     return opened, None
 
 
-def _screened_slabs(monkeypatch):
+def _screened_tables(monkeypatch):
     """For failing random tables and passing generated ones at n = 3 to 8:
-    n, whether the table is generated, the slabs ti_check screens in call
-    order (:func:`_screened`), the facet-open slabs and the facets' failing
-    slab (:func:`facet_open_slabs`), and the slabs the search reaches, in
-    walk order up to the one it stops in."""
+    n, whether the table is generated, what ti_check screens
+    (:func:`_screened`: the pairs of each call and the failing pair), the
+    facets' open pairs and failing slab (:func:`facet_open_pairs`), the
+    slabs the search reaches, in walk order up to the one it stops in, and
+    whether the table passes."""
     rng = np.random.default_rng(61)
     out = []
     for n in range(3, 9):
@@ -1535,16 +1578,14 @@ def _screened_slabs(monkeypatch):
                 (False, random_instance(rng, n=n, m=1 + n % 3,
                                         kind="extensional")[:2]),
                 (True, generated_extensional(n, n, 1 + n % 3))):
-            screened, (ok, witness) = _screened(
+            calls, hit, (ok, _) = _screened(
                 monkeypatch, fam.arrays(inst.space), ti_check, inst, fam)
             slabs = list(itertools.product(range(len(fam.lambdas())),
                                            range(n)))
-            stop = len(slabs) if ok else slabs.index(
-                (fam.lambdas().index(witness[3]),
-                 inst.labels.index(witness[0]))) + 1
-            opened, failed = facet_open_slabs(inst, fam)
+            stop = len(slabs) if ok else slabs.index(hit[:2]) + 1
+            opened, failed = facet_open_pairs(inst, fam)
             assert failed is None or slabs[stop - 1] <= failed
-            out.append((n, generated, screened, opened, failed,
+            out.append((n, generated, calls, hit, opened, failed,
                         slabs[:stop], ok))
     assert {ok for *_, ok in out} == {True, False}
     return out
@@ -1553,22 +1594,30 @@ def _screened_slabs(monkeypatch):
 @pytest.mark.parametrize("budget", [None, 1])
 def test_extensional_search_screens_each_reached_slab_alone(monkeypatch,
                                                             budget):
-    """Whatever the block budget, a search screens each facet-open slab the
-    walk reaches, alone and when the walk reaches it, and no slab after the
-    one it stops in. The facet test decides every triple of the generated
-    passing tables, so their searches screen nothing. The random table at
-    n = 4 leaves two slabs open before the facets' failing one, and its
-    search stops in the first: it screens one."""
+    """Whatever the block budget, a search screens only the facet-open
+    pairs of each slab the walk reaches, before the slab's first dead pair,
+    in walk order, and no slab after the one it stops in: at the default
+    budget each slab's open pairs in one call, at a budget of one query
+    each pair alone, up to the failing pair. The facet test decides every
+    triple of the generated passing tables, so their searches screen
+    nothing. The random table at n = 4 leaves two slabs open before the
+    facets' failing one, and its search stops in the first: it screens
+    one."""
     if budget is not None:
         monkeypatch.setattr(instances, "_TRIANGLE_QUERIES", budget)
     screened_total = unreached = decided_total = 0
-    for n, generated, screened, opened, failed, reached, ok in (
-            _screened_slabs(monkeypatch)):
-        assert screened == [s for s in opened if s in reached], (
-            n, screened, opened, reached)
+    for n, generated, calls, hit, opened, failed, reached, ok in (
+            _screened_tables(monkeypatch)):
+        want = [opened[s] for s in reached if s in opened]
+        if budget is None:
+            assert calls == want, (n, calls, want)
+        else:
+            assert calls == [[p] for p in walked(want, hit)], (n, calls)
+        assert hit is None or hit[:2] == reached[-1]
         if generated:
-            assert ok and opened == [] and screened == []
+            assert ok and opened == {} and calls == []
             continue
+        screened = {pair[:2] for call in calls for pair in call}
         if n == 4:
             assert len(screened) == 1 and not ok
             assert len([s for s in opened if s < failed]) == 2
@@ -1583,10 +1632,11 @@ def test_extensional_search_screens_each_reached_slab_alone(monkeypatch,
 @pytest.mark.parametrize("budget", [1, 50, 1 << 20])
 def test_triangle_search_blocks_change_nothing(monkeypatch, budget):
     """Whatever the block budget, the search returns the same witnesses,
-    runs the same _phase1 calls and screens the same (index, x1) slabs as
-    with the default one: on random tables and families of every kind
-    (non-metric ones are screened), passing generated tables, and ragged
-    and shared-polytope pair maps."""
+    runs the same _phase1 calls and screens the same pairs, in the same
+    order up to the failing pair (:func:`walked`), as with the default one:
+    on random tables and families of every kind (non-metric ones are
+    screened), passing generated tables, and ragged and shared-polytope
+    pair maps."""
     rng = np.random.default_rng(2718)
     cases = []
     for trial in range(10):
@@ -1604,17 +1654,50 @@ def test_triangle_search_blocks_change_nothing(monkeypatch, budget):
                       fm))
 
     def outcomes():
-        return [_lp_calls(monkeypatch, _screened, monkeypatch, *case)
-                for case in cases]
+        out = []
+        for case in cases:
+            lps, (calls, hit, result) = _lp_calls(
+                monkeypatch, _screened, monkeypatch, *case)
+            out.append((lps, walked(calls, hit), hit, result))
+        return out
 
     want = outcomes()
     monkeypatch.setattr(instances, "_TRIANGLE_QUERIES", budget)
     assert outcomes() == want
-    results = [result for _, (_, result) in want]
-    assert sum(calls for calls, _ in want) > 0
-    assert sum(len(slabs) for _, (slabs, _) in want) > 0
+    results = [result for *_, result in want]
+    assert sum(lps for lps, *_ in want) > 0
+    assert sum(len(pairs) for _, pairs, *_ in want) > 0
     assert (True, None) in results and None in results
     assert any(r not in ((True, None), None) for r in results)
+
+
+def test_triangle_screen_holds_at_most_its_budget(monkeypatch):
+    """At a budget of 50 queries, no screen_members call of the triangle
+    search holds more than 50 queries, or than the L^2 J (shared polytope)
+    or L^2 J^2 queries of one pair when a pair alone has more, on
+    non-metric families of every kind at n = 6, whose slabs hold 36 pairs
+    each; some calls hold several pairs. (A budget below one pair's
+    queries screens each pair alone: see
+    :func:`test_extensional_search_screens_each_reached_slab_alone`.)"""
+    rng = np.random.default_rng(1414)
+    held, per_pair = [], [0]
+
+    def recording(Y, *rest):
+        held.append((len(Y), math.prod(Y.shape[:-1]), per_pair[0]))
+        return screen_members(Y, *rest)
+
+    monkeypatch.setattr(instances, "_TRIANGLE_QUERIES", 50)
+    monkeypatch.setattr(instances, "screen_members", recording)
+    for trial in range(15):
+        inst, fam, _ = random_instance(rng, n=6, m=1 + trial % 3,
+                                       kind=KINDS[trial % 5], metric=False)
+        S, V, _ = fam.arrays(inst.space)
+        L, J = S.shape[2], V.shape[-2]
+        per_pair[0] = L * L * (J if V.ndim == 2 else J * J)
+        ti_check(inst, fam)
+    assert held and all(queries <= max(50, one)
+                        for _, queries, one in held), held
+    assert any(pairs > 1 for pairs, *_ in held)
 
 
 HIGHS_BAND = 1e-7

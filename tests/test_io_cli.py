@@ -1034,17 +1034,26 @@ def test_a_zero_table_vertex_is_rejected_by_the_pooled_direction_check(
         tmp_path):
     """An extensional table entry may hold 0, so the load accepts a zero
     vertex in it; the CLI's check of the pooled direction vertices is the
-    one check that rejects it, for 3.1 and check-assumptions."""
+    one check that rejects it, for 3.1 and check-assumptions, and it names
+    the vertex by its table entry."""
     data = generate(3, n=4, m=2, values_per_point=1, variant="extensional")
     data["perturbation"]["table"]["L0"]["p0|p1"] = [[0, 0], [0.5, 0.5]]
-    path = tmp_path / "zero.json"
-    path.write_text(json.dumps(data))
-    assert run_command(["validate", str(path)])[0] == 0
-    for argv in (["solve-evp", "--theorem", "3.1"], ["check-assumptions"]):
-        code, reports = run_command(argv + [str(path)])
-        assert code == 3 and reports[0].status == "input_error", argv
-        assert reports[0].payload["error"] == \
-            "direction-set vertex 0 is zero", argv
+    late = generate(3, n=4, m=2, values_per_point=1, variant="extensional")
+    entry = late["perturbation"]["table"]["L1"]["p3|p2"]
+    entry.append([0, 0])
+    for doc, text in (
+            (data, "direction-set vertex 0 of the family value for "
+                   "('L0', 'p0', 'p1') is zero"),
+            (late, f"direction-set vertex {len(entry) - 1} of the family "
+                   "value for ('L1', 'p3', 'p2') is zero")):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        assert run_command(["validate", str(path)])[0] == 0
+        for argv in (["solve-evp", "--theorem", "3.1"],
+                     ["check-assumptions"]):
+            code, reports = run_command(argv + [str(path)])
+            assert code == 3 and reports[0].status == "input_error", argv
+            assert reports[0].payload["error"] == text, argv
 
 
 @pytest.mark.parametrize("variant,dropped,text", [
